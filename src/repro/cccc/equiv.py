@@ -48,7 +48,7 @@ from repro.cccc.ast import (
     Zero,
 )
 from repro.cccc.context import Context
-from repro.cccc.reduce import Budget, whnf
+from repro.cccc.reduce import _NBE, Budget, read_value, whnf, whnf_value
 from repro.cccc.subst import subst
 from repro.common.names import fresh
 from repro.kernel.convert import ConversionRules, convert
@@ -75,7 +75,8 @@ class _CCCCRules(ConversionRules):
 
     lang = LANGUAGE
     irrelevant = {Pair: ("annot",)}
-    whnf = staticmethod(whnf)
+    nbe = _NBE
+    whnf = staticmethod(whnf_value)
 
     def prepare(self, ctx, term, budget):
         # Closures are weak-head normal, but their code position may hide a
@@ -94,11 +95,11 @@ class _CCCCRules(ConversionRules):
         if _openable(left):
             budget.spend()
             probe = Var(fresh("cloeta"))
-            return [(_open(left, probe), App(right, probe), ctx_l, ctx_r, scope)]
+            return [(_open(left, probe), App(read_value(right), probe), ctx_l, ctx_r, scope)]
         if _openable(right):
             budget.spend()
             probe = Var(fresh("cloeta"))
-            return [(App(left, probe), _open(right, probe), ctx_l, ctx_r, scope)]
+            return [(App(read_value(left), probe), _open(right, probe), ctx_l, ctx_r, scope)]
         return None
 
 
@@ -120,7 +121,12 @@ _LEAF = (Star, Box, Unit, UnitVal, Bool, BoolLit, Nat, Zero)
 
 
 def equivalent(ctx: Context, left: Term, right: Term, budget: Budget | None = None) -> bool:
-    """Decide ``Γ ⊢ left ≡ right`` in CC-CC."""
+    """Decide ``Γ ⊢ left ≡ right`` in CC-CC.
+
+    Either side may also be a glued type value of the checker
+    (:func:`repro.kernel.nbe.glue`); it is read back only as far as the
+    comparison descends.
+    """
     if budget is None:
         budget = Budget()
     if left is right:

@@ -50,7 +50,7 @@ from repro.cccc.context import Context
 from repro.cccc.subst import subst, subst1
 from repro.kernel.budget import DEFAULT_FUEL, Budget
 from repro.kernel.memo import head_is_weak_normal, memoized_reduction, normalization_cache
-from repro.kernel.nbe import NbeSpec, nbe_normalize, nbe_whnf
+from repro.kernel.nbe import NbeSpec, Thunk, nbe_normalize, nbe_whnf, read_back
 
 __all__ = [
     "DEFAULT_FUEL",
@@ -60,8 +60,10 @@ __all__ = [
     "normalize_counting",
     "normalize_subst",
     "reducts",
+    "read_value",
     "whnf",
     "whnf_subst",
+    "whnf_value",
 ]
 
 
@@ -128,6 +130,27 @@ def whnf(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
     if _whnf_head_normal(ctx, term):
         return term
     return memoized_reduction(ctx, term, budget, "cccc.whnf", _nbe_whnf_compute)
+
+
+def whnf_value(ctx: Context, value, budget: Budget) -> Term | Thunk:
+    """:func:`whnf` of a glued type value (:func:`repro.kernel.nbe.glue`).
+
+    A value whose head is a constructor is already weak-head normal and is
+    returned as is, its delayed substitution still pending.  Any other head
+    (an elimination, or a closure whose code conversion must expose) is
+    read back first and reduced as syntax, so the fuel spent is exactly
+    that of reducing the substituted term.
+    """
+    if type(value) is not Thunk:
+        return whnf(ctx, value, budget)
+    if isinstance(value.term, _WHNF_ACTIVE) or type(value.term) is Clo:
+        return whnf(ctx, read_back(_NBE, value), budget)
+    return value
+
+
+def read_value(value) -> Term:
+    """The syntax of a glued type value (memoized on the value)."""
+    return read_back(_NBE, value)
 
 
 def whnf_subst(ctx: Context, term: Term, budget: Budget | None = None) -> Term:

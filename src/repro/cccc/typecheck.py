@@ -14,12 +14,26 @@ The two rules that carry the weight of the paper:
   and makes the translation type preserving.
 
 ``Code`` formation ([T-Code-⋆]/[T-Code-□]) mirrors Π: impredicative in ⋆,
-predicative at □.  Everything else is inherited from CC — including the
-judgment-level memoization of :mod:`repro.kernel.judgment`: every
-``infer``/``check``/``infer_universe`` result is cached per (term
-identity, visible context bindings) with exact fuel replay into the
-threaded :class:`Budget`, and failures are never cached so errors
-re-derive identically.
+predicative at □.  Everything else is inherited from CC.
+
+**Types are checked as values.**  Internally every judgment synthesizes a
+*glued type value* (:func:`repro.kernel.nbe.glue`): syntax paired with a
+delayed substitution.  The instantiations of [Clo], [App], [Let], [Pair]
+and [Snd] each add one environment entry instead of rebuilding the type
+with ``subst1``, conversion (:func:`repro.cccc.equiv.equivalent`) reads
+values back lazily as it descends, and a value becomes syntax only where
+syntax is required: a [Code] result, an error message, and the public
+``infer``/``check``/``infer_universe`` results (read back once per
+judgment, memoized on the value).  Weak-head reduction of a value
+reduces exactly the substituted term, so fuel matches the substitution
+checker, which :mod:`repro.cccc.typecheck_subst` keeps as the
+differential reference.
+
+Judgment-level memoization (:mod:`repro.kernel.judgment`): every judgment
+is cached per (subject identity, visible context bindings) with exact fuel
+replay into the threaded :class:`Budget`, under the ``"cccc.*.nbe"``
+kinds, which the reference checker never reads.  Failures are never
+cached, so errors re-derive identically.
 """
 
 from __future__ import annotations
@@ -53,11 +67,11 @@ from repro.cccc.ast import (
 from repro.cccc.context import Context
 from repro.cccc.equiv import equivalent
 from repro.cccc.pretty import pretty
-from repro.cccc.reduce import Budget, whnf
-from repro.cccc.subst import rename, subst1
+from repro.cccc.reduce import _NBE, Budget, read_value, whnf, whnf_value
 from repro.common.errors import TypeCheckError
 from repro.common.names import fresh
 from repro.kernel.judgment import judgment_cache, typing_token
+from repro.kernel.nbe import Thunk, glue, glue_instantiate, value_names
 
 __all__ = ["check", "check_context", "infer", "infer_universe", "well_typed"]
 
@@ -71,11 +85,31 @@ _NAT = Nat()
 _BOOL = Bool()
 _ZERO = Zero()
 
+_EMPTY_ENV: dict = {}
+
 
 def infer(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
     """Synthesize the type of ``term`` under ``ctx`` (judgment Γ ⊢ e : t)."""
     if budget is None:
         budget = Budget()
+    return read_value(_infer_value(ctx, term, budget))
+
+
+def _view(value) -> tuple[Term, dict]:
+    """A weak-head value as ``(node, delayed substitution)``."""
+    if type(value) is Thunk:
+        return value.term, value.env
+    return value, _EMPTY_ENV
+
+
+def _bind(env: dict, name: str, replacement: Term) -> dict:
+    """``env`` extended (in parallel) with ``name ↦ replacement``."""
+    extended = dict(env)
+    extended[name] = Thunk(replacement, _EMPTY_ENV)
+    return extended
+
+
+def _infer_value(ctx: Context, term: Term, budget: Budget):
     # O(1) judgments skip the memo round-trip: a cache entry would cost
     # more than re-deriving the axiom (and replays zero steps either way).
     match term:
@@ -96,20 +130,20 @@ def infer(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
             return _NAT
     cache = judgment_cache()
     token = typing_token(ctx)
-    hit = cache.lookup("cccc.infer", term, None, token)
+    hit = cache.lookup("cccc.infer.nbe", term, None, token)
     if hit is not None:
         result, steps = hit
         budget.charge(steps)
         return result
     before = budget.spent
     result = _infer(ctx, term, budget)
-    cache.store("cccc.infer", term, None, token, result, budget.spent - before)
+    cache.store("cccc.infer.nbe", term, None, token, result, budget.spent - before)
     return result
 
 
-def _infer(ctx: Context, term: Term, budget: Budget) -> Term:
+def _infer(ctx: Context, term: Term, budget: Budget):
     # Leaf axioms (⋆, [Var], Unit and the ground types) are decided by
-    # infer()'s fast path and never reach this function.
+    # _infer_value's fast path and never reach this function.
     match term:
         case Box():
             raise TypeCheckError("□ has no type (it is not a valid term)")
@@ -122,56 +156,49 @@ def _infer(ctx: Context, term: Term, budget: Budget) -> Term:
             infer_universe(env_ctx, arg_type, budget)
             arg_ctx = env_ctx.extend(arg_name, arg_type)
             return infer_universe(arg_ctx, result, budget)  # [T-Code-⋆] / [T-Code-□]
-        case CodeLam(env_name, env_type, arg_name, arg_type, body):
-            # [Code]: the body checks under the *empty* environment — this
-            # is the static closedness guarantee.
-            empty = Context.empty()
-            stray = cached_free_vars(term)
-            if stray:
-                raise TypeCheckError(
-                    f"code is not closed: free variables {sorted(stray)}"
-                ).with_note(f"checking {pretty(term)}")
-            infer_universe(empty, env_type, budget)
-            env_ctx = empty.extend(env_name, env_type)
-            infer_universe(env_ctx, arg_type, budget)
-            arg_ctx = env_ctx.extend(arg_name, arg_type)
-            result = infer(arg_ctx, body, budget)
+        case CodeLam(env_name, env_type, arg_name, arg_type, _body):
+            result = read_value(_code_body(term, budget))
             return CodeType(env_name, env_type, arg_name, arg_type, result)
         case Clo(code, env):
-            code_type = whnf(ctx, infer(ctx, code, budget), budget)
-            if not isinstance(code_type, CodeType):
-                raise TypeCheckError(
-                    f"closure over non-code of type {pretty(code_type)}"
-                ).with_note(f"checking {pretty(term)}")
-            check(ctx, env, code_type.env_type, budget)
-            # [Clo]: Π x : A[e′/x′]. B[e′/x′].  Rename the argument binder
-            # if the environment value happens to mention a variable with
-            # the same name (the substitution is under the Π binder).
-            arg_name = code_type.arg_name
-            arg_type = code_type.arg_type
-            result = code_type.result
-            if arg_name in cached_free_vars(env):
-                renamed = fresh(arg_name)
-                result = rename(result, arg_name, renamed)
-                arg_name = renamed
-            return Pi(
-                arg_name,
-                subst1(arg_type, code_type.env_name, env),
-                subst1(result, code_type.env_name, env),
-            )
+            if type(code) is CodeLam:
+                # Literal code (all closure-converted output): build the
+                # closure type from the body's type value directly, so no
+                # [Code] result is ever read back on this path.
+                body_type = _code_body(code, budget)
+                _check(ctx, env, code.env_type, budget)
+                closure_type = _instantiate_code(code, body_type, env)
+                if closure_type is not None:
+                    return closure_type
+                result = read_value(body_type)
+                code_type = CodeType(
+                    code.env_name, code.env_type, code.arg_name, code.arg_type, result
+                )
+                sigma = _EMPTY_ENV
+            else:
+                code_type, sigma = _view(whnf_value(ctx, _infer_value(ctx, code, budget), budget))
+                if not isinstance(code_type, CodeType):
+                    raise TypeCheckError(
+                        f"closure over non-code of type {pretty(read_value(code_type))}"
+                    ).with_note(f"checking {pretty(term)}")
+                _check(ctx, env, glue(_NBE, code_type.env_type, sigma), budget)
+            # [Clo]: Π x : A[e′/x′]. B[e′/x′] — one delayed binding.  The
+            # Π binder x shadows the pending substitution in B, and reading
+            # back renames it if e′ mentions a variable named x.
+            closure_type = Pi(code_type.arg_name, code_type.arg_type, code_type.result)
+            return glue(_NBE, closure_type, _bind(sigma, code_type.env_name, env))
         case App(fn, arg):
-            fn_type = whnf(ctx, infer(ctx, fn, budget), budget)
+            fn_type, sigma = _view(whnf_value(ctx, _infer_value(ctx, fn, budget), budget))
             if not isinstance(fn_type, Pi):
                 raise TypeCheckError(
-                    f"application head has non-Π type {pretty(fn_type)}"
+                    f"application head has non-Π type {pretty(read_value(fn_type))}"
                 ).with_note(f"checking {pretty(term)}")
-            check(ctx, arg, fn_type.domain, budget)
-            return subst1(fn_type.codomain, fn_type.name, arg)
+            _check(ctx, arg, glue(_NBE, fn_type.domain, sigma), budget)
+            return glue(_NBE, fn_type.codomain, _bind(sigma, fn_type.name, arg))
         case Let(name, bound, annot, body):
             infer_universe(ctx, annot, budget)
-            check(ctx, bound, annot, budget)
-            body_type = infer(ctx.define(name, bound, annot), body, budget)
-            return subst1(body_type, name, bound)
+            _check(ctx, bound, annot, budget)
+            body_type = _infer_value(ctx.define(name, bound, annot), body, budget)
+            return glue_instantiate(_NBE, body_type, name, bound)
         case Sigma(name, first, second):
             first_universe = infer_universe(ctx, first, budget)
             second_universe = infer_universe(ctx.extend(name, first), second, budget)
@@ -185,44 +212,99 @@ def _infer(ctx: Context, term: Term, budget: Budget) -> Term:
                 raise TypeCheckError(
                     f"pair annotation {pretty(annot)} is not a Σ type"
                 ).with_note(f"checking {pretty(term)}")
-            check(ctx, fst_val, annot_whnf.first, budget)
-            check(ctx, snd_val, subst1(annot_whnf.second, annot_whnf.name, fst_val), budget)
+            _check(ctx, fst_val, annot_whnf.first, budget)
+            second = glue(_NBE, annot_whnf.second, _bind(_EMPTY_ENV, annot_whnf.name, fst_val))
+            _check(ctx, snd_val, second, budget)
             return annot
         case Fst(pair):
-            pair_type = whnf(ctx, infer(ctx, pair, budget), budget)
+            pair_type, sigma = _view(whnf_value(ctx, _infer_value(ctx, pair, budget), budget))
             if not isinstance(pair_type, Sigma):
-                raise TypeCheckError(f"fst of non-Σ type {pretty(pair_type)}").with_note(
-                    f"checking {pretty(term)}"
-                )
-            return pair_type.first
+                raise TypeCheckError(
+                    f"fst of non-Σ type {pretty(read_value(pair_type))}"
+                ).with_note(f"checking {pretty(term)}")
+            return glue(_NBE, pair_type.first, sigma)
         case Snd(pair):
-            pair_type = whnf(ctx, infer(ctx, pair, budget), budget)
+            pair_type, sigma = _view(whnf_value(ctx, _infer_value(ctx, pair, budget), budget))
             if not isinstance(pair_type, Sigma):
-                raise TypeCheckError(f"snd of non-Σ type {pretty(pair_type)}").with_note(
-                    f"checking {pretty(term)}"
-                )
-            return subst1(pair_type.second, pair_type.name, Fst(pair))
+                raise TypeCheckError(
+                    f"snd of non-Σ type {pretty(read_value(pair_type))}"
+                ).with_note(f"checking {pretty(term)}")
+            return glue(_NBE, pair_type.second, _bind(sigma, pair_type.name, Fst(pair)))
         case Succ(pred):
-            check(ctx, pred, _NAT, budget)
+            _check(ctx, pred, _NAT, budget)
             return _NAT
         case If(cond, then_branch, else_branch):
-            check(ctx, cond, _BOOL, budget)
-            then_type = infer(ctx, then_branch, budget)
-            check(ctx, else_branch, then_type, budget)
+            _check(ctx, cond, _BOOL, budget)
+            then_type = _infer_value(ctx, then_branch, budget)
+            _check(ctx, else_branch, then_type, budget)
             return then_type
         case NatElim(motive, base, step, target):
             _check_motive(ctx, motive, budget)
-            check(ctx, target, _NAT, budget)
-            check(ctx, base, App(motive, _ZERO), budget)
-            check(ctx, step, _step_type(motive), budget)
+            _check(ctx, target, _NAT, budget)
+            _check(ctx, base, App(motive, _ZERO), budget)
+            _check(ctx, step, _step_type(motive), budget)
             return App(motive, target)
         case _:
             raise TypeCheckError(f"not a CC-CC term: {term!r}")
 
 
+def _code_body(code: CodeLam, budget: Budget):
+    """[Code]'s premises, returning the body's type under ``·, x′:A′, x:A``.
+
+    The body checks under the *empty* environment extended only with the
+    two parameters — the static closedness guarantee.
+    """
+    empty = Context.empty()
+    cache = judgment_cache()
+    token = typing_token(empty)
+    hit = cache.lookup("cccc.code.nbe", code, None, token)
+    if hit is not None:
+        result, steps = hit
+        budget.charge(steps)
+        return result
+    before = budget.spent
+    stray = cached_free_vars(code)
+    if stray:
+        raise TypeCheckError(
+            f"code is not closed: free variables {sorted(stray)}"
+        ).with_note(f"checking {pretty(code)}")
+    infer_universe(empty, code.env_type, budget)
+    env_ctx = empty.extend(code.env_name, code.env_type)
+    infer_universe(env_ctx, code.arg_type, budget)
+    arg_ctx = env_ctx.extend(code.arg_name, code.arg_type)
+    result = _infer_value(arg_ctx, code.body, budget)
+    cache.store("cccc.code.nbe", code, None, token, result, budget.spent - before)
+    return result
+
+
+def _instantiate_code(code: CodeLam, body_type, env: Term):
+    """``Π x:A[e′/x′]. B[e′/x′]`` from the body's type value ``B``, or None.
+
+    The free names of ``B`` are the code's own parameters.  Instantiating
+    ``x′`` pushes ``e′`` into the delayed substitution; ``x`` must then be
+    captured by the new Π.  A glued value expresses that only when ``B``
+    delays neither parameter name and neither ``e′`` nor any pending entry
+    mentions ``x``; otherwise the caller reads ``B`` back and takes the
+    general path.
+    """
+    env_name, arg_name = code.env_name, code.arg_name
+    if env_name == arg_name or arg_name in cached_free_vars(env):
+        return None
+    if type(body_type) is Thunk and (env_name in body_type.env or arg_name in body_type.env):
+        return None
+    env_entry = Thunk(env, _EMPTY_ENV)
+    result, sigma = _view(glue_instantiate(_NBE, body_type, env_name, env_entry))
+    for entry in sigma.values():
+        if arg_name in value_names(_NBE, entry):
+            return None
+    extended = dict(sigma)
+    extended[env_name] = env_entry
+    return glue(_NBE, Pi(arg_name, code.arg_type, result), extended)
+
+
 def _check_motive(ctx: Context, motive: Term, budget: Budget) -> None:
     """Require ``motive : Π _:Nat. U`` for some universe ``U``."""
-    motive_type = whnf(ctx, infer(ctx, motive, budget), budget)
+    motive_type = read_value(whnf_value(ctx, _infer_value(ctx, motive, budget), budget))
     if not isinstance(motive_type, Pi):
         raise TypeCheckError(f"natelim motive has non-Π type {pretty(motive_type)}")
     if not equivalent(ctx, motive_type.domain, _NAT, budget):
@@ -246,21 +328,25 @@ def check(ctx: Context, term: Term, expected: Term, budget: Budget | None = None
     """Check ``Γ ⊢ term : expected`` (inference + [Conv])."""
     if budget is None:
         budget = Budget()
+    _check(ctx, term, expected, budget)
+
+
+def _check(ctx: Context, term: Term, expected, budget: Budget) -> None:
     cache = judgment_cache()
     token = typing_token(ctx)
-    hit = cache.lookup("cccc.check", term, expected, token)
+    hit = cache.lookup("cccc.check.nbe", term, expected, token)
     if hit is not None:
         budget.charge(hit[1])
         return
     before = budget.spent
-    actual = infer(ctx, term, budget)
+    actual = _infer_value(ctx, term, budget)
     if not equivalent(ctx, actual, expected, budget):
         raise TypeCheckError(
             f"type mismatch: term {pretty(term)}\n"
-            f"  has type      {pretty(actual)}\n"
-            f"  but expected  {pretty(expected)}"
+            f"  has type      {pretty(read_value(actual))}\n"
+            f"  but expected  {pretty(read_value(expected))}"
         )
-    cache.store("cccc.check", term, expected, token, True, budget.spent - before)
+    cache.store("cccc.check.nbe", term, expected, token, True, budget.spent - before)
 
 
 def infer_universe(ctx: Context, type_: Term, budget: Budget | None = None) -> Star | Box:
@@ -269,23 +355,27 @@ def infer_universe(ctx: Context, type_: Term, budget: Budget | None = None) -> S
         budget = Budget()
     cache = judgment_cache()
     token = typing_token(ctx)
-    hit = cache.lookup("cccc.universe", type_, None, token)
+    hit = cache.lookup("cccc.universe.nbe", type_, None, token)
     if hit is not None:
         sort, steps = hit
         budget.charge(steps)
         return sort
     before = budget.spent
-    sort = whnf(ctx, infer(ctx, type_, budget), budget)
+    sort = whnf_value(ctx, _infer_value(ctx, type_, budget), budget)
     if not isinstance(sort, (Star, Box)):
-        raise TypeCheckError(f"expected a type but {pretty(type_)} has type {pretty(sort)}")
-    cache.store("cccc.universe", type_, None, token, sort, budget.spent - before)
+        raise TypeCheckError(
+            f"expected a type but {pretty(type_)} has type {pretty(read_value(sort))}"
+        )
+    cache.store("cccc.universe.nbe", type_, None, token, sort, budget.spent - before)
     return sort
 
 
 def well_typed(ctx: Context, term: Term, budget: Budget | None = None) -> bool:
     """Does ``term`` have *some* type under ``ctx``?"""
+    if budget is None:
+        budget = Budget()
     try:
-        infer(ctx, term, budget)
+        _infer_value(ctx, term, budget)
     except TypeCheckError:
         return False
     return True
@@ -299,7 +389,7 @@ def check_context(ctx: Context, budget: Budget | None = None) -> None:
     for binding in ctx:
         infer_universe(prefix, binding.type_, budget)
         if binding.definition is not None:
-            check(prefix, binding.definition, binding.type_, budget)
+            _check(prefix, binding.definition, binding.type_, budget)
             prefix = prefix.define(binding.name, binding.definition, binding.type_)
         else:
             prefix = prefix.extend(binding.name, binding.type_)

@@ -43,13 +43,8 @@ from repro.kernel.cache import DictCache, TermCache, cache_stats, register_cache
 from repro.kernel.convert import ConversionRules, convert
 from repro.kernel.fv import free_vars
 from repro.kernel.intern import build, intern
-from repro.kernel.judgment import JUDGMENT_CACHE, JudgmentCache, judgment_cache, typing_token
-from repro.kernel.memo import (
-    NORMALIZATION_CACHE,
-    NormalizationCache,
-    context_token,
-    normalization_cache,
-)
+from repro.kernel.judgment import JudgmentCache, judgment_cache, typing_token
+from repro.kernel.memo import NormalizationCache, context_token, normalization_cache
 from repro.kernel.nodespec import ChildSpec, Language, NodeSpec
 from repro.kernel.state import KernelState, activate, current_state, default_state
 from repro.kernel.substitution import subst
@@ -61,11 +56,9 @@ __all__ = [
     "ChildSpec",
     "ConversionRules",
     "DictCache",
-    "JUDGMENT_CACHE",
     "JudgmentCache",
     "KernelState",
     "Language",
-    "NORMALIZATION_CACHE",
     "NodeSpec",
     "NormalizationCache",
     "TermCache",

@@ -22,7 +22,6 @@ import weakref
 from typing import Any, Iterable
 
 __all__ = [
-    "ActiveCacheProxy",
     "DictCache",
     "TermCache",
     "cache_stats",
@@ -86,36 +85,6 @@ class DictCache:
 
     def __len__(self) -> int:
         return len(self._data)
-
-
-class ActiveCacheProxy:
-    """Back-compat proxy over one cache of the *active* kernel state.
-
-    ``NORMALIZATION_CACHE`` and ``JUDGMENT_CACHE`` used to bind global
-    cache objects; instances of this proxy keep those imports working
-    while resolving per-session on every access.  ``accessor`` picks the
-    cache off a :class:`~repro.kernel.state.KernelState`.  ``__getattr__``
-    forwards everything (``lookup``, ``store``, ``clear``, ``hits``,
-    ``name``, ``max_entries``, …) so the proxy stays complete as the cache
-    API grows; only dunders need spelling out (their lookup bypasses
-    ``__getattr__``), and ``__len__`` is the one callers use.
-    """
-
-    __slots__ = ("_accessor",)
-
-    def __init__(self, accessor: Any) -> None:
-        self._accessor = accessor
-
-    def _target(self) -> Any:
-        from repro.kernel.state import current_state
-
-        return self._accessor(current_state())
-
-    def __getattr__(self, item: str) -> Any:
-        return getattr(self._target(), item)
-
-    def __len__(self) -> int:
-        return len(self._target())
 
 
 class TermCache:

@@ -65,6 +65,7 @@ from typing import Any
 
 from repro.kernel import fv
 from repro.kernel.budget import Budget
+from repro.kernel.nbe import NbeSpec, Thunk, glue, value_names, value_scopes
 from repro.kernel.nodespec import Language
 
 __all__ = ["ConversionRules", "convert"]
@@ -89,6 +90,12 @@ class ConversionRules:
     #: ``node class -> child attrs`` the comparison ignores (computationally
     #: irrelevant annotations: λ domains in CC, pair annotations in both).
     irrelevant: dict[type, tuple[str, ...]] = {}
+
+    #: Set by calculi whose checker compares glued type values
+    #: (:func:`repro.kernel.nbe.glue`): ``whnf`` may then return a value
+    #: whose head is a non-variable weak-head normal node, and the engine
+    #: reads it back one node at a time as the comparison descends.
+    nbe: NbeSpec | None = None
 
     def whnf(self, ctx: Any, term: Any, budget: Budget) -> Any:
         """Weak-head-normalize ``term`` under ``ctx``."""
@@ -132,16 +139,17 @@ def convert(
     """
     lang = rules.lang
     var_cls = lang.var_cls
+    nbe = rules.nbe
     intern_memo = lang.intern_cache  # the active session's memo, fixed per walk
     irrelevant = rules.irrelevant
     stack: list[Task] = [(left, right, ctx_left, ctx_right, None)]
     while stack:
         l, r, cl, cr, scope = stack.pop()
-        if l is r and _free_agree(lang, l, scope):
+        if l is r and _free_agree(lang, l, scope, nbe):
             continue
         lw = rules.prepare(cl, rules.whnf(cl, l, budget), budget)
         rw = rules.prepare(cr, rules.whnf(cr, r, budget), budget)
-        if lw is rw and _free_agree(lang, lw, scope):
+        if lw is rw and _free_agree(lang, lw, scope, nbe):
             continue
         rep = intern_memo.get(lw)
         if rep is not None and rep is intern_memo.get(rw) and _free_agree(lang, lw, scope):
@@ -150,6 +158,13 @@ def convert(
         if tasks is not None:
             stack.extend(tasks)
             continue
+        # A glued value's head is never a variable: compare its node and
+        # descend with the delayed substitution pushed one level down.
+        env_l = env_r = None
+        if type(lw) is Thunk:
+            lw, env_l = lw.term, lw.env
+        if type(rw) is Thunk:
+            rw, env_r = rw.term, rw.env
         if isinstance(lw, var_cls) or isinstance(rw, var_cls):
             if type(lw) is not type(rw) or not _bound_same(lw.name, rw.name, scope):
                 return False
@@ -163,19 +178,30 @@ def convert(
         if not children:
             continue
         skipped = irrelevant.get(type(lw), ())
+        names_l = names_r = None
+        if env_l is not None:
+            names_l, envs_l = value_scopes(nbe, lw, env_l)
+        if env_r is not None:
+            names_r, envs_r = value_scopes(nbe, rw, env_r)
         depth = 0
         for child in children:
             while depth < len(child.binders):
                 binder = spec.binder_attrs[depth]
-                name_l = getattr(lw, binder)
-                name_r = getattr(rw, binder)
+                name_l = getattr(lw, binder) if names_l is None else names_l[depth]
+                name_r = getattr(rw, binder) if names_r is None else names_r[depth]
                 scope = (name_l, name_r, scope)
                 cl = _shadow(cl, name_l)
                 cr = _shadow(cr, name_r)
                 depth += 1
             if child.attr in skipped:
                 continue
-            stack.append((getattr(lw, child.attr), getattr(rw, child.attr), cl, cr, scope))
+            sub_l = getattr(lw, child.attr)
+            if env_l is not None:
+                sub_l = glue(nbe, sub_l, envs_l[depth])
+            sub_r = getattr(rw, child.attr)
+            if env_r is not None:
+                sub_r = glue(nbe, sub_r, envs_r[depth])
+            stack.append((sub_l, sub_r, cl, cr, scope))
     return True
 
 
@@ -191,7 +217,7 @@ def _bound_same(name_l: str, name_r: str, scope: Any) -> bool:
     return name_l == name_r
 
 
-def _free_agree(lang: Language, term: Any, scope: Any) -> bool:
+def _free_agree(lang: Language, term: Any, scope: Any, nbe: NbeSpec | None = None) -> bool:
     """May ``term``-vs-itself be skipped under ``scope``?
 
     True when every free variable of ``term`` resolves identically on the
@@ -201,7 +227,7 @@ def _free_agree(lang: Language, term: Any, scope: Any) -> bool:
     """
     if scope is None:
         return True
-    names = fv.free_vars(lang, term)
+    names = value_names(nbe, term) if type(term) is Thunk else fv.free_vars(lang, term)
     if not names:
         return True
     for name in names:

@@ -33,11 +33,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.kernel.cache import ActiveCacheProxy
 from repro.kernel.memo import ContextTokenizer
 from repro.kernel.state import current_state
 
-__all__ = ["JUDGMENT_CACHE", "JudgmentCache", "judgment_cache", "typing_token"]
+__all__ = ["JudgmentCache", "judgment_cache", "typing_token"]
 
 
 def _bindings_root(ctx: Any) -> dict[str, Any]:
@@ -118,6 +117,3 @@ def judgment_cache() -> JudgmentCache:
     """The active session's judgment cache."""
     return current_state().judgments
 
-
-#: Back-compat name: the active session's judgment cache, as a proxy.
-JUDGMENT_CACHE = ActiveCacheProxy(lambda state: state.judgments)

@@ -48,11 +48,9 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable
 
-from repro.kernel.cache import ActiveCacheProxy
 from repro.kernel.state import current_state, register_tokenizer
 
 __all__ = [
-    "NORMALIZATION_CACHE",
     "ContextTokenizer",
     "NormalizationCache",
     "context_token",
@@ -263,10 +261,6 @@ class NormalizationCache:
 def normalization_cache() -> NormalizationCache:
     """The active session's normalization cache."""
     return current_state().normalization
-
-
-#: Back-compat name: the active session's normalization cache, as a proxy.
-NORMALIZATION_CACHE = ActiveCacheProxy(lambda state: state.normalization)
 
 
 def memoized_reduction(ctx: Any, term: Any, budget: Any, kind: str, compute: Callable) -> Any:

@@ -63,7 +63,17 @@ from repro.kernel.memo import context_token
 from repro.kernel.nodespec import Language
 from repro.kernel.substitution import subst
 
-__all__ = ["NbeSpec", "Thunk", "nbe_normalize", "nbe_whnf"]
+__all__ = [
+    "NbeSpec",
+    "Thunk",
+    "glue",
+    "glue_instantiate",
+    "nbe_normalize",
+    "nbe_whnf",
+    "read_back",
+    "value_names",
+    "value_scopes",
+]
 
 _EMPTY_ENV: dict = {}
 
@@ -203,7 +213,7 @@ def _resid(spec: NbeSpec, term: Any, env: dict) -> Any:
             mapping[name] = _thunk_resid(spec, thunk)
     if not mapping:
         return term
-    return subst(spec.lang, term, mapping)
+    return subst(spec.lang, term, mapping, dag=True)
 
 
 def _thunk_fnames(spec: NbeSpec, thunk: Thunk) -> frozenset:
@@ -786,3 +796,152 @@ def _push_node(
         tasks.append(
             (_T_NF, getattr(node, child.attr), envs[depth], ctxs[depth], parts, position)
         )
+
+
+# --------------------------------------------------------------------------
+# Glued type values: delayed substitutions for semantic type checking.
+# --------------------------------------------------------------------------
+#
+# A type checker that instantiates dependent types (``B[e/x]`` in [App],
+# [Clo], [Let], [Snd]) can keep the instantiation *delayed*: the value
+# ``Thunk(B, {x: Thunk(e, ∅)})`` costs one dict entry, where ``subst``
+# rebuilds every path of ``B`` down to an occurrence of ``x``.  A value is
+# either plain syntax (nothing delayed) or a ``Thunk`` whose ``term`` is
+# not a variable and mentions at least one name its ``env`` binds; free
+# names outside the env are context-level.  Such values are never run on
+# the machine directly (the machine memoizes forced thunks, which would
+# change fuel relative to the substituted term), and their ``whnf`` slot
+# stays unused.  Reading one back is ``_thunk_resid``: the delayed
+# substitution applied once, pruned and sharing, and memoized on the
+# thunk.
+
+
+def glue(spec: NbeSpec, term: Any, env: dict) -> Any:
+    """``term`` under the delayed substitution ``env``, as a type value.
+
+    Returns plain syntax when ``env`` binds none of ``term``'s free names,
+    and resolves a variable bound by ``env`` to its entry right away (so a
+    substituted occurrence is the replacement itself, as with ``subst``).
+    The stored env is pruned to the names ``term`` mentions.
+    """
+    lang = spec.lang
+    var_cls = spec.var_cls
+    while env:
+        if type(term) is var_cls:
+            thunk = env.get(term.name)
+            if thunk is None:
+                return term
+            term, env = thunk.term, thunk.env
+            continue
+        relevant = None
+        for name in fv.free_vars(lang, term):
+            thunk = env.get(name)
+            if thunk is not None:
+                if relevant is None:
+                    relevant = {}
+                relevant[name] = thunk
+        if relevant is None:
+            return term
+        return Thunk(term, relevant)
+    return term
+
+
+def read_back(spec: NbeSpec, value: Any) -> Any:
+    """The syntax of a type value (memoized on the value)."""
+    if type(value) is not Thunk:
+        return value
+    return _thunk_resid(spec, value)
+
+
+def value_names(spec: NbeSpec, value: Thunk) -> frozenset:
+    """Free names of a glued value's read-back, without reading it back."""
+    return _thunk_fnames(spec, value)
+
+
+def glue_instantiate(spec: NbeSpec, value: Any, name: str, replacement: Any) -> Any:
+    """``value[replacement/name]`` for a context-level ``name``.
+
+    ``replacement`` is syntax or an env entry (a ``Thunk``); passing the
+    same entry a caller also binds elsewhere lets later instantiations
+    share the thunks they rebuild.
+
+    The substitution is pushed into every env entry whose read-back
+    mentions ``name`` (each thunk rebuilt at most once), and added at the
+    top when the value's own term mentions ``name`` freely.  The rebuilt
+    thunks get their free-name sets directly: ``name`` leaves, the
+    replacement's names arrive.
+    """
+    bound = replacement if type(replacement) is Thunk else Thunk(replacement, _EMPTY_ENV)
+    if type(value) is not Thunk:
+        return glue(spec, value, {name: bound})
+    fv_cache = spec.lang.fv_cache
+    lang = spec.lang
+    arriving = _thunk_fnames(spec, bound)
+    pushed: dict[int, Thunk] = {}
+    # Iterative post-order over the thunk DAG: a thunk is rebuilt (its
+    # ``True`` frame) after every entry it depends on has been visited.
+    stack: list[tuple[Thunk, bool]] = [(value, False)]
+    while stack:
+        thunk, ready = stack.pop()
+        key = id(thunk)
+        if key in pushed:
+            continue
+        env = thunk.env
+        if ready:
+            new_env = {entry_name: pushed[id(entry)] for entry_name, entry in env.items()}
+            if name not in env:
+                term_names = fv_cache.get(thunk.term)
+                if term_names is None:
+                    term_names = fv.free_vars(lang, thunk.term)
+                if name in term_names:
+                    new_env[name] = bound
+            result = Thunk(thunk.term, new_env)
+            result.fnames = (thunk.fnames - {name}) | arriving
+            pushed[key] = result
+            continue
+        names = thunk.fnames
+        if names is None:
+            names = _thunk_fnames(spec, thunk)
+        if name not in names:
+            pushed[key] = thunk
+            continue
+        stack.append((thunk, True))
+        for entry in env.values():
+            if id(entry) not in pushed:
+                stack.append((entry, False))
+    return pushed[id(value)]
+
+
+def value_scopes(spec: NbeSpec, node: Any, env: dict) -> tuple[list[str], list[dict]]:
+    """Binder names and per-depth envs for descending into a glued ``node``.
+
+    Entry ``k`` of the env list is in force under the first ``k`` binders:
+    a binder drops the entry it shadows, and is renamed to a globally fresh
+    name exactly when it would capture a free name of an env entry the node
+    uses — the cases in which ``subst`` renames.
+    """
+    lang = spec.lang
+    binder_attrs = lang.spec(node).binder_attrs
+    names: list[str] = []
+    envs = [env]
+    if not binder_attrs:
+        return names, envs
+    avoid: set[str] = set()
+    for name in fv.free_vars(lang, node):
+        thunk = env.get(name)
+        if thunk is not None:
+            avoid |= _thunk_fnames(spec, thunk)
+    current = env
+    for attr in binder_attrs:
+        source = getattr(node, attr)
+        if source in avoid:
+            name = fresh(source)
+            current = dict(current)
+            current[source] = Thunk(spec.var_cls(name), _EMPTY_ENV)
+        else:
+            name = source
+            if source in current:
+                current = {key: entry for key, entry in current.items() if key != source}
+        names.append(name)
+        envs.append(current)
+    return names, envs

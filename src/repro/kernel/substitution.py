@@ -39,11 +39,14 @@ __all__ = ["subst"]
 Substitution = dict[str, Any]
 
 
-def subst(lang: Language, term: Any, mapping: Substitution) -> Any:
+def subst(lang: Language, term: Any, mapping: Substitution, dag: bool = False) -> Any:
     """Apply the parallel substitution ``mapping`` to ``term``.
 
     Names not in ``mapping`` are untouched.  The result shares unmodified
-    subterms with the input wherever possible.
+    subterms with the input wherever possible.  With ``dag`` set, a
+    subterm reached twice under the same mapping is rebuilt once and its
+    result shared, so the walk costs the input's DAG size rather than its
+    tree size (read-back of delayed substitutions produces such DAGs).
     """
     if not mapping:
         return term
@@ -68,6 +71,9 @@ def subst(lang: Language, term: Any, mapping: Substitution) -> Any:
     stack: list[tuple[Any, Substitution, set[str], Any]] = [
         (term, relevant, capturable, None)
     ]
+    # (id(node), id(mapping)) -> (mapping, result); the entry pins the
+    # mapping so its id cannot be recycled mid-walk.
+    done: dict[tuple[int, int], tuple[Substitution, Any]] | None = {} if dag else None
     while stack:
         node, current, cap, work = stack.pop()
         if work is not None:
@@ -89,7 +95,10 @@ def subst(lang: Language, term: Any, mapping: Substitution) -> Any:
                 else:
                     value = getattr(node, name)
                 args.append(value)
-            results.append(type(node)(*args) if changed else node)
+            result = type(node)(*args) if changed else node
+            if done is not None:
+                done[(id(node), id(current))] = (current, result)
+            results.append(result)
             continue
 
         if not current:
@@ -107,7 +116,13 @@ def subst(lang: Language, term: Any, mapping: Substitution) -> Any:
         else:
             results.append(node)  # no mapped name occurs free: share the subtree
             continue
+        if done is not None:
+            entry = done.get((id(node), id(current)))
+            if entry is not None:
+                results.append(entry[1])
+                continue
 
+        visit_mapping = current
         spec = lang.spec(node)
         # A non-variable node with a free mapped name necessarily has children.
         binder_names: dict[str, str] = {}
@@ -130,7 +145,7 @@ def subst(lang: Language, term: Any, mapping: Substitution) -> Any:
             maps.append(current)
             caps.append(cap)
 
-        stack.append((node, current, cap, (spec, binder_names)))
+        stack.append((node, visit_mapping, cap, (spec, binder_names)))
         for child in reversed(spec.children):
             depth = len(child.binders)
             stack.append((getattr(node, child.attr), maps[depth], caps[depth], None))

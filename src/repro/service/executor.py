@@ -37,6 +37,7 @@ process to kill solo.  The off path costs one module-global ``None`` check.
 
 from __future__ import annotations
 
+import re
 import time
 from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING, Any
@@ -112,8 +113,27 @@ def _fuel_override(session: "Session", fuel: int | None):
         state.fuel = saved
 
 
+_ADDRESS = re.compile(r"0x[0-9a-fA-F]+")
+
+
+def _internal_error_message(failure: BaseException) -> str:
+    """A stable one-line message for an unexpected exception.
+
+    No traceback, and hexadecimal addresses (object reprs) are masked, so
+    the same input yields the same bytes in every process.
+    """
+    if isinstance(failure, RecursionError):
+        # Where the limit trips (and so the interpreter's wording) depends
+        # on the caller's stack depth, which differs between solo and pool.
+        return "RecursionError: input nesting exceeds the interpreter's recursion limit"
+    text = _ADDRESS.sub("0x?", str(failure)).splitlines()
+    detail = text[0][:200] if text else ""
+    name = type(failure).__name__
+    return f"{name}: {detail}" if detail else name
+
+
 def execute_job(session: "Session", job: Job) -> JobResult:
-    """Run ``job`` against ``session``; never raises for kernel failures."""
+    """Run ``job`` against ``session``; never raises for a failure of the job."""
     injector = faults.active()
     store_window = nullcontext()
     if injector is not None:
@@ -133,6 +153,12 @@ def execute_job(session: "Session", job: Job) -> JobResult:
         # Deterministic kernel failures: part of the job's defined result.
         payload, ok = {}, False
         error = {"type": type(failure).__name__, "message": str(failure)}
+    except Exception as failure:  # noqa: BLE001 - the executor is total
+        # Anything else (e.g. RecursionError on a very deep input) is still
+        # a deterministic result, never an escaped exception or a dead
+        # worker: class name plus text, with addresses scrubbed.
+        payload, ok = {}, False
+        error = {"type": "InternalError", "message": _internal_error_message(failure)}
     hits_after = session.state.hit_counts()
     meta = {
         "session": session.name,

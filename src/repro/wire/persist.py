@@ -57,6 +57,7 @@ from __future__ import annotations
 import os
 import sqlite3
 import threading
+import time
 from hashlib import blake2b
 from typing import Any, Callable
 
@@ -167,13 +168,40 @@ class PersistentMemoStore:
             if read_only:
                 self._conn.execute("PRAGMA query_only=ON")
             else:
+                self._initialize(timeout)
+        except sqlite3.Error as err:
+            raise StoreError(f"cannot open memo store at {self.path}: {err}") from err
+
+    def _initialize(self, timeout: float) -> None:
+        """Switch to WAL and create the tables, retrying while contended.
+
+        Processes opening a store file that does not exist yet race on the
+        journal-mode switch, and SQLite fails the loser at once with
+        "database is locked" instead of waiting out the busy timeout.  Both
+        steps are idempotent, so the loser retries with a fixed doubling
+        backoff until ``timeout`` has elapsed.
+        """
+        deadline = time.monotonic() + timeout
+        delay = 0.005
+        while True:
+            try:
                 self._conn.execute("PRAGMA journal_mode=WAL")
                 self._conn.execute("PRAGMA synchronous=NORMAL")
                 self._conn.execute(_SCHEMA)
                 self._conn.execute(_ARTIFACT_SCHEMA)
                 self._conn.commit()
-        except sqlite3.Error as err:
-            raise StoreError(f"cannot open memo store at {self.path}: {err}") from err
+                return
+            except sqlite3.OperationalError as err:
+                message = str(err)
+                if "locked" not in message and "busy" not in message:
+                    raise
+                if self._conn.in_transaction:
+                    self._conn.rollback()
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise
+                time.sleep(min(delay, remaining))
+                delay = min(delay * 2, 0.25)
 
     # -- circuit breaker ------------------------------------------------------
 

@@ -24,6 +24,7 @@ from repro.service.faults import Fault, FaultPlan
 
 IDENTITY = r"\ (A : Type) (x : A). x"
 REDEX = r"(\ (x : Nat). succ x) 41"
+DEEP_NEST = "".join(f"\\(x{i}:Nat). " for i in range(1600)) + "x0"
 
 
 def _mixed_jobs() -> list[dict]:
@@ -34,6 +35,9 @@ def _mixed_jobs() -> list[dict]:
         {"id": "e3", "kind": "check", "program": "0 0"},  # deterministic error
         {"id": "e4", "kind": "normalize", "program": REDEX, "fuel": 0},
         {"id": "e5", "kind": "run", "program": REDEX},
+        # Too deep for the recursive parser: a deterministic InternalError
+        # document, never a dead worker.
+        {"id": "e6", "kind": "check", "program": DEEP_NEST},
     ]
 
 

@@ -22,7 +22,7 @@ from repro import cc, cccc
 from repro.cc import prelude
 from repro.common.names import reset_fresh_counter
 from repro.kernel.budget import Budget
-from repro.kernel.memo import NORMALIZATION_CACHE, context_token
+from repro.kernel.memo import context_token
 
 from corpus import CORPUS, corpus_ids
 
@@ -270,7 +270,7 @@ class TestReset:
         cc.normalize(empty, term)
         cc.intern(term)
         assert len(LANGUAGE.fv_cache) > 0
-        assert len(NORMALIZATION_CACHE) > 0
+        assert cache_stats()["kernel.normalization"] > 0
         reset_fresh_counter()
         stats = cache_stats()
         assert stats["cc.fv"] == 0

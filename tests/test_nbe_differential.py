@@ -12,7 +12,12 @@ agreement over the corpus and the ``gen/`` workloads for both calculi:
   (normalize-with-the-oracle, then α-compare up to η);
 * identical error behaviour on fuel exhaustion;
 * the 10k-deep corpus, where only the iterative NbE engine can answer at
-  all (the recursive substitution normalizer exceeds the Python stack).
+  all (the recursive substitution normalizer exceeds the Python stack);
+* the CC-CC type checker, which instantiates dependent types by extending
+  an environment, against the substitution checker it replaced
+  (``repro.cccc.typecheck_subst``): same verdict, same error class,
+  α-equal types and identical fuel on the closure-converted corpus, the
+  ``gen/`` programs and every ill-typed term of ``test_cccc_negative``.
 """
 
 from __future__ import annotations
@@ -20,15 +25,22 @@ from __future__ import annotations
 import pytest
 
 from corpus import CORPUS, corpus_ids
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import test_cccc_negative
 from repro import cc, cccc
+from repro.api import Session
 from repro.cc import prelude
 from repro.cc.equiv import norm_equal_eta
 from repro.cc.reduce import normalize_subst as cc_normalize_subst
 from repro.cc.reduce import whnf_subst as cc_whnf_subst
 from repro.cccc.reduce import normalize_subst as cccc_normalize_subst
 from repro.cccc.reduce import whnf_subst as cccc_whnf_subst
+from repro.cccc import typecheck_subst
+from repro.closconv import compile_term
 from repro.closconv.translate import translate, translate_context
-from repro.common.errors import NormalizationDepthExceeded
+from repro.common.errors import NormalizationDepthExceeded, ReproError
 from repro.common.names import reset_fresh_counter
 from repro.gen import GenConfig, TermGenerator
 from repro.kernel.budget import Budget
@@ -242,3 +254,114 @@ class TestDeepCorpus:
             tower = cccc.Pair(tower, cccc.Zero(), annot)
         normal = cccc.normalize(empty_target, tower)
         assert cccc.equivalent(empty_target, normal, tower)
+
+
+# --------------------------------------------------------------------------
+# The CC-CC checker against the substitution checker it replaced.
+# --------------------------------------------------------------------------
+
+
+def _judge(infer, ctx, term):
+    """``(type or error class, fuel)`` of one cold run in its own session."""
+    budget = Budget()
+    with Session().activate():
+        try:
+            return infer(ctx, term, budget), budget.spent
+        except ReproError as error:
+            return type(error), budget.spent
+
+
+def _assert_checkers_agree(ctx, term):
+    new, new_fuel = _judge(cccc.infer, ctx, term)
+    ref, ref_fuel = _judge(typecheck_subst.infer, ctx, term)
+    assert new_fuel == ref_fuel
+    if isinstance(ref, type):
+        assert new is ref
+    else:
+        assert not isinstance(new, type), f"new checker failed with {new.__name__}"
+        assert cccc.alpha_equal(new, ref)
+    return new
+
+
+def _compiled(ctx, term):
+    result = compile_term(ctx, term, verify=False)
+    return result.target_context, result.target
+
+
+def _negative_cases():
+    """Every (context, term) the CC-CC negative battery expects rejected."""
+    cases = []
+    original = test_cccc_negative._expect_reject
+    test_cccc_negative._expect_reject = lambda ctx, term: cases.append((ctx, term))
+    try:
+        for cls in vars(test_cccc_negative).values():
+            if isinstance(cls, type) and cls.__name__.startswith("Test"):
+                for name in sorted(vars(cls)):
+                    if name.startswith("test_"):
+                        getattr(cls(), name)(cccc.Context.empty())
+    finally:
+        test_cccc_negative._expect_reject = original
+    return cases
+
+
+_NEGATIVE = _negative_cases()
+
+
+class TestCCCCCheckerAgainstReference:
+    @pytest.mark.parametrize("name, ctx, term", CORPUS, ids=corpus_ids())
+    def test_compiled_corpus_agrees(self, name, ctx, term):
+        _assert_checkers_agree(*_compiled(ctx, term))
+
+    @pytest.mark.parametrize("seed", range(600, 640))
+    def test_compiled_generated_agrees(self, seed):
+        _assert_checkers_agree(*_compiled(*_generated(seed)[:2]))
+
+    @pytest.mark.parametrize("index", range(len(_NEGATIVE)))
+    def test_negative_battery_agrees(self, index):
+        ctx, term = _NEGATIVE[index]
+        assert isinstance(_judge(typecheck_subst.infer, ctx, term)[0], type)
+        _assert_checkers_agree(ctx, term)
+
+    def test_negative_battery_is_harvested(self):
+        assert len(_NEGATIVE) >= 20
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    def test_hypothesis_generated_agrees(self, seed):
+        triple = TermGenerator(seed, GenConfig(redex_probability=0.5)).well_typed_term()
+        if triple is None:
+            return
+        _assert_checkers_agree(*_compiled(*triple[:2]))
+
+    @pytest.mark.parametrize("case", ["env_mentions_arg_name", "shadowing_code", "reused_names"])
+    def test_capture_cases_agree(self, case, empty_target):
+        # The shapes the [Clo] fast path must hand to the general path:
+        # an environment mentioning the argument's name, code whose
+        # argument shadows its environment, and nested code that reuses
+        # the same parameter names with a dependent body type.
+        var, star = cccc.Var, cccc.Star()
+        if case == "env_mentions_arg_name":
+            ctx = empty_target.extend("x", star)
+            code = cccc.CodeLam("n", star, "x", var("n"), var("x"))
+            term = cccc.Clo(code, var("x"))
+        elif case == "shadowing_code":
+            ctx = empty_target
+            code = cccc.CodeLam("n", star, "n", cccc.Nat(), var("n"))
+            term = cccc.Clo(code, cccc.Nat())
+        else:
+            ctx = empty_target
+            env_type = cccc.Sigma("x", star, cccc.Unit())
+            inner = cccc.CodeLam("n", env_type, "x", cccc.Fst(var("n")), var("x"))
+            env = cccc.Pair(var("x"), cccc.UnitVal(), env_type)
+            outer = cccc.CodeLam("n", cccc.Unit(), "x", star, cccc.Clo(inner, env))
+            term = cccc.Clo(outer, cccc.UnitVal())
+        assert not isinstance(_assert_checkers_agree(ctx, term), type)
+
+    def test_warm_rerun_replays_identical_fuel(self):
+        ctx, term = _compiled(*_generated(601)[:2])
+        with Session().activate():
+            cold, warm = Budget(), Budget()
+            first = cccc.infer(ctx, term, cold)
+            second = cccc.infer(ctx, term, warm)
+        assert cold.spent == warm.spent
+        assert first is second  # the memoized read-back

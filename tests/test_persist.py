@@ -14,6 +14,7 @@ import os
 import sqlite3
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -46,6 +47,37 @@ class TestStore:
         assert again.get(b"k" * 24) == (7, b"payload")
         assert again.stats()["hits"] == 1
         again.close()
+
+    def test_concurrent_first_opens_all_succeed(self, tmp_path):
+        # Openers of a not-yet-existing file race on the WAL switch; the
+        # losers must wait their turn, not fail with "database is locked".
+        for round_ in range(20):
+            path = tmp_path / f"race{round_}.sqlite"
+            barrier = threading.Barrier(8)
+            failures: list[BaseException] = []
+            stores: list[PersistentMemoStore] = []
+            lock = threading.Lock()
+
+            def open_store() -> None:
+                barrier.wait()
+                try:
+                    store = PersistentMemoStore(path, timeout=10.0)
+                except BaseException as err:  # noqa: BLE001 - recorded
+                    with lock:
+                        failures.append(err)
+                    return
+                with lock:
+                    stores.append(store)
+
+            threads = [threading.Thread(target=open_store) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            for store in stores:
+                store.close()
+            assert failures == [], f"round {round_}: {failures!r}"
+            assert len(stores) == 8
 
     def test_missing_key_is_a_miss(self, tmp_path):
         store = PersistentMemoStore(tmp_path / "memo.sqlite")

@@ -22,6 +22,12 @@ from repro.service.jobs import JOB_KINDS
 IDENTITY = r"\ (A : Type) (x : A). x"
 REDEX = r"(\ (x : Nat). succ x) 41"
 ILL_TYPED = "0 0"
+# Deep enough that the recursive-descent parser exhausts Python's stack.
+DEEP_NEST = "".join(f"\\(x{i}:Nat). " for i in range(1600)) + "x0"
+DEEP_ERROR = {
+    "type": "InternalError",
+    "message": "RecursionError: input nesting exceeds the interpreter's recursion limit",
+}
 
 
 def _mixed_jobs() -> list[dict]:
@@ -91,6 +97,14 @@ class TestWireFormat:
 
 
 class TestExecutor:
+    def test_unexpected_exception_is_a_deterministic_error_document(self):
+        report = api.execute_jobs(
+            [{"id": "deep", "kind": "check", "program": DEEP_NEST}], workers=0
+        )
+        (result,) = report.results
+        assert not result.ok
+        assert result.error == DEEP_ERROR
+
     def test_every_deterministic_kind_executes(self):
         report = api.execute_jobs(_mixed_jobs(), workers=0)
         by_id = {result.id: result for result in report.results}
@@ -277,6 +291,19 @@ class TestDispatcher:
             for cache, hits in result.meta["cache_hits"].items():
                 delta_sum[cache] = delta_sum.get(cache, 0) + hits
         assert delta_sum == pooled_hits
+
+    def test_unexpected_exception_does_not_kill_the_worker(self):
+        jobs = [
+            {"id": "deep", "kind": "check", "program": DEEP_NEST},
+            {"id": "after", "kind": "check", "program": IDENTITY},
+        ]
+        with Dispatcher(workers=1) as pool:
+            deep, after = pool.run_batch(jobs)
+            stats = pool.stats()
+        assert deep.error == DEEP_ERROR
+        assert after.ok
+        assert stats.restarts == 0
+        assert stats.exhausted == 0
 
     def test_stats_shape(self):
         with Dispatcher(workers=2) as pool:
