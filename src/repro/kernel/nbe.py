@@ -213,7 +213,7 @@ def _resid(spec: NbeSpec, term: Any, env: dict) -> Any:
             mapping[name] = _thunk_resid(spec, thunk)
     if not mapping:
         return term
-    return subst(spec.lang, term, mapping, dag=True)
+    return subst(spec.lang, term, mapping)
 
 
 def _thunk_fnames(spec: NbeSpec, thunk: Thunk) -> frozenset:

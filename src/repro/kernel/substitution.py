@@ -5,15 +5,20 @@ per-calculus implementations: mappings apply simultaneously, shadowed names
 are dropped at binders, and a binder is renamed (with the global fresh
 supply) exactly when it would capture a free variable of some replacement.
 
-Two sharing/efficiency improvements over the originals, both enabled by the
-cached free-variable sets of :mod:`repro.kernel.fv`:
+Three sharing/efficiency improvements over the originals, the first two
+enabled by the cached free-variable sets of :mod:`repro.kernel.fv`:
 
 * the entry-point scan ``{k: v for k in mapping if k in free_vars(term)}``
   is now an O(1)-amortized cache lookup instead of a full term walk;
 * every interior node whose subtree contains no mapped name is returned
   *unchanged* (pointer-shared with the input), so a substitution touching
   one branch of a large term no longer rebuilds — or needlessly renames
-  binders in — the untouched branches.
+  binders in — the untouched branches;
+* a subterm object reached twice under the same mapping (hash-consed
+  input, read-back of delayed substitutions, a replacement substituted
+  for several occurrences and then substituted into again) is rebuilt
+  once and the result shared, so the walk costs the input's DAG size
+  rather than its tree size.
 
 The walk is **iterative** — an explicit work stack driven by the node
 specs, like the hoisting pass and the other kernel traversals — so
@@ -39,14 +44,13 @@ __all__ = ["subst"]
 Substitution = dict[str, Any]
 
 
-def subst(lang: Language, term: Any, mapping: Substitution, dag: bool = False) -> Any:
+def subst(lang: Language, term: Any, mapping: Substitution) -> Any:
     """Apply the parallel substitution ``mapping`` to ``term``.
 
     Names not in ``mapping`` are untouched.  The result shares unmodified
-    subterms with the input wherever possible.  With ``dag`` set, a
-    subterm reached twice under the same mapping is rebuilt once and its
-    result shared, so the walk costs the input's DAG size rather than its
-    tree size (read-back of delayed substitutions produces such DAGs).
+    subterms with the input wherever possible, and a subterm reached twice
+    under the same mapping is rebuilt once and its result shared, so the
+    walk costs the input's DAG size rather than its tree size.
     """
     if not mapping:
         return term
@@ -73,7 +77,7 @@ def subst(lang: Language, term: Any, mapping: Substitution, dag: bool = False) -
     ]
     # (id(node), id(mapping)) -> (mapping, result); the entry pins the
     # mapping so its id cannot be recycled mid-walk.
-    done: dict[tuple[int, int], tuple[Substitution, Any]] | None = {} if dag else None
+    done: dict[tuple[int, int], tuple[Substitution, Any]] = {}
     while stack:
         node, current, cap, work = stack.pop()
         if work is not None:
@@ -96,8 +100,7 @@ def subst(lang: Language, term: Any, mapping: Substitution, dag: bool = False) -
                     value = getattr(node, name)
                 args.append(value)
             result = type(node)(*args) if changed else node
-            if done is not None:
-                done[(id(node), id(current))] = (current, result)
+            done[(id(node), id(current))] = (current, result)
             results.append(result)
             continue
 
@@ -116,11 +119,10 @@ def subst(lang: Language, term: Any, mapping: Substitution, dag: bool = False) -
         else:
             results.append(node)  # no mapped name occurs free: share the subtree
             continue
-        if done is not None:
-            entry = done.get((id(node), id(current)))
-            if entry is not None:
-                results.append(entry[1])
-                continue
+        entry = done.get((id(node), id(current)))
+        if entry is not None:
+            results.append(entry[1])
+            continue
 
         visit_mapping = current
         spec = lang.spec(node)

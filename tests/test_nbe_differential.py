@@ -365,3 +365,68 @@ class TestCCCCCheckerAgainstReference:
             second = cccc.infer(ctx, term, warm)
         assert cold.spent == warm.spent
         assert first is second  # the memoized read-back
+
+
+# --------------------------------------------------------------------------
+# Fuel pinned across DAG-sharing substitution.
+# --------------------------------------------------------------------------
+
+# ``budget.spent`` recorded with the tree-walking substitution, before
+# ``subst`` shared the rebuild of a subterm reached twice under one
+# mapping.  Sharing makes equal subterms the *same* object, which could let
+# conversion's pointer short-circuit skip a redex it used to reduce on
+# both sides; these corpus programs are the ones whose CC-CC equivalence
+# and checking actually reuse a shared rebuild, so their fuel is pinned.
+_PINNED_FUEL = {
+    "church-add-2-3": {
+        "cc.whnf": 2, "cc.nf": 8, "cc.eq": 8,
+        "cccc.whnf": 3, "cccc.nf": 34, "cccc.eq": 115,
+        "cccc.infer": 72, "verify": 99,
+    },
+    "nested-capture": {
+        "cc.whnf": 0, "cc.nf": 0, "cc.eq": 0,
+        "cccc.whnf": 0, "cccc.nf": 10, "cccc.eq": 23,
+        "cccc.infer": 19, "verify": 29,
+    },
+    "add-zero-proof": {
+        "cc.whnf": 0, "cc.nf": 9, "cc.eq": 2,
+        "cccc.whnf": 0, "cccc.nf": 55, "cccc.eq": 50,
+        "cccc.infer": 271, "verify": 287,
+    },
+    "church-2": {
+        "cc.whnf": 0, "cc.nf": 0, "cc.eq": 0,
+        "cccc.whnf": 0, "cccc.nf": 6, "cccc.eq": 17,
+        "cccc.infer": 12, "verify": 21,
+    },
+}
+
+
+def _spent(run) -> int:
+    budget = Budget()
+    run(budget)
+    return budget.spent
+
+
+class TestFuelPinnedAcrossSharing:
+    @pytest.mark.parametrize("name", sorted(_PINNED_FUEL))
+    def test_fuel_matches_tree_walking_substitution(self, name):
+        ctx, term = next((ctx, term) for label, ctx, term in CORPUS if label == name)
+        with Session().activate():
+            nf = cc.normalize(ctx, term)
+            verify = Budget()
+            compiled = compile_term(ctx, term, verify_budget=verify)
+            tctx, target = compiled.target_context, compiled.target
+            tnf = cccc.normalize(tctx, target)
+            spent = {
+                "cc.whnf": _spent(lambda b: cc.whnf(ctx, term, b)),
+                "cc.nf": _spent(lambda b: cc.normalize(ctx, term, b)),
+                "cc.eq": _spent(lambda b: cc.equivalent(ctx, term, nf, b)),
+                "cccc.whnf": _spent(lambda b: cccc.whnf(tctx, target, b)),
+                "cccc.nf": _spent(lambda b: cccc.normalize(tctx, target, b)),
+                "cccc.eq": _spent(lambda b: cccc.equivalent(tctx, target, tnf, b)),
+                "cccc.infer": _spent(lambda b: cccc.infer(tctx, target, b)),
+                "verify": verify.spent,
+            }
+        assert spent == _PINNED_FUEL[name]
+        _, ref_fuel = _judge(typecheck_subst.infer, tctx, target)
+        assert ref_fuel == _PINNED_FUEL[name]["cccc.infer"]
