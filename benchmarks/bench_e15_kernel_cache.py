@@ -9,17 +9,35 @@ empty) against warm (caches filled by an identical prior run).
 layer: a warm-cache ``normalize`` must be at least 2× faster than a cold
 run on the same workload.  In practice the warm run is a single dict probe
 and the ratio is orders of magnitude.
+
+``test_judgment_memo_traffic`` audits the typing-judgment memo: every
+typing kind still probed must hit somewhere (a memo that never hits is
+pure cost), and the CC-CC checker must probe only at its public entry.
 """
 
 from __future__ import annotations
 
+import collections
 import time
 
 import pytest
 
-from repro import cc
+from repro import api, cc, cccc
 from repro.common.names import reset_fresh_counter
-from workloads import church_sum, nat_sum, nested_lambdas, wide_capture
+from repro.gen.dag import shared_dag_tower
+from repro.gen.jobs import job_corpus
+from repro.kernel.judgment import JudgmentCache
+from repro.surface import parse_term
+from repro.surface.printer import to_surface
+from repro.wire.codec import term_from_b64, term_to_b64
+from workloads import (
+    bool_flip_tower,
+    church_sum,
+    nat_sum,
+    nested_lambdas,
+    pair_tower,
+    wide_capture,
+)
 
 _EMPTY = cc.Context.empty()
 
@@ -120,3 +138,67 @@ def test_intern_dedup(benchmark):
         assert len(reps) == 1
 
     benchmark(run)
+
+
+_TYPING_KINDS = ("cc.infer", "cc.check", "cc.universe")
+
+
+def test_judgment_memo_traffic(monkeypatch):
+    """Every typing-memo kind still probed hits; CC-CC probes only at its entry.
+
+    One session checks and runs a fixed program set twice, in three forms:
+    surface text (re-parsed per call, so every node is a fresh object),
+    interned terms, and terms decoded from the binary wire (both
+    hash-consed DAGs).  Probes and hits are counted per kind and form.
+    """
+    families = [church_sum(4), nested_lambdas(10), bool_flip_tower(4), pair_tower(4),
+                nat_sum(4), shared_dag_tower(5)]
+    texts = [to_surface(term) for term in families]
+    texts += [spec["program"] for spec in job_corpus(1, count=12)]
+    session = api.Session(name="e15-traffic")
+    with session.activate():
+        interned = [cc.intern(parse_term(text)) for text in texts]
+        decoded = [
+            term_from_b64(cc.ast.LANGUAGE, term_to_b64(cc.ast.LANGUAGE, term))
+            for term in interned
+        ]
+
+    probes: collections.Counter = collections.Counter()
+    hits: collections.Counter = collections.Counter()
+    form = ["setup"]
+    lookup = JudgmentCache.lookup
+
+    def counting_lookup(self, kind, subject, extra, key):
+        found = lookup(self, kind, subject, extra, key)
+        probes[form[0], kind] += 1
+        if found is not None:
+            hits[form[0], kind] += 1
+        return found
+
+    monkeypatch.setattr(JudgmentCache, "lookup", counting_lookup)
+    verifications = 0
+    for name, programs in (("text", texts), ("interned", interned), ("decoded", decoded)):
+        form[0] = name
+        for _ in range(2):
+            for program in programs:
+                session.check(program)
+                compiled = session.run(program).compile_result.compilation
+                verifications += 1
+                with session.activate():
+                    # A repeated public CC-CC judgment on the same objects.
+                    cccc.infer(compiled.target_context, compiled.target)
+                verifications += 1
+
+    for dag_form in ("interned", "decoded"):
+        for kind in _TYPING_KINDS:
+            assert probes[dag_form, kind] > 0, (dag_form, kind)
+            assert hits[dag_form, kind] > 0, (dag_form, kind, probes[dag_form, kind])
+    cccc_typing = {
+        key: count for key, count in probes.items()
+        if key[1].startswith("cccc.") and key[1] != "cccc.equiv"
+    }
+    # One probe per public call: the verification inside run and the
+    # explicit repeat, each a public ``cccc.infer``.
+    assert set(kind for _, kind in cccc_typing) == {"cccc.infer.nbe"}
+    assert sum(cccc_typing.values()) == verifications
+    assert hits["interned", "cccc.infer.nbe"] == hits["decoded", "cccc.infer.nbe"] == 2 * len(texts)

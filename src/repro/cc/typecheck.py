@@ -15,12 +15,14 @@ Universe discipline (Section 2):
   the reading the paper's own environment telescopes (``Σ (A:⋆ …)``
   terminated by the unit type) require; see DESIGN.md §3.
 
-Every judgment is memoized per (term identity, visible context bindings)
-through :mod:`repro.kernel.judgment`, with the reduction fuel the original
-run spent replayed on every hit — so a single :class:`Budget` threaded
-through a checking run observes step counts and fuel exhaustion identical
-to a cold-cache run.  Only successful judgments are cached; failures
-re-derive (and therefore re-raise) from scratch.
+Every judgment is memoized per (term identity, context identity) through
+:mod:`repro.kernel.judgment`, with the reduction fuel the original run
+spent replayed on every hit — so a single :class:`Budget` threaded through
+a checking run observes step counts and fuel exhaustion identical to a
+cold-cache run.  The per-node probes pay off on hash-consed input, where
+one subterm object recurs under one context (and on repeated calls, whose
+empty contexts share a key).  Only successful judgments are cached;
+failures re-derive (and therefore re-raise) from scratch.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from repro.cc.reduce import Budget, whnf
 from repro.cc.subst import subst1
 from repro.common.errors import TypeCheckError
 from repro.common.names import fresh
-from repro.kernel.judgment import judgment_cache, typing_token
+from repro.kernel.judgment import judgment_cache, typing_key
 
 __all__ = ["check", "check_context", "infer", "infer_universe", "well_typed"]
 
@@ -92,15 +94,15 @@ def infer(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
         case Zero():
             return _NAT
     cache = judgment_cache()
-    token = typing_token(ctx)
-    hit = cache.lookup("cc.infer", term, None, token)
+    key = typing_key(ctx)
+    hit = cache.lookup("cc.infer", term, None, key)
     if hit is not None:
         result, steps = hit
         budget.charge(steps)
         return result
     before = budget.spent
     result = _infer(ctx, term, budget)
-    cache.store("cc.infer", term, None, token, result, budget.spent - before)
+    cache.store("cc.infer", term, None, key, result, budget.spent - before, ctx)
     return result
 
 
@@ -208,8 +210,8 @@ def check(ctx: Context, term: Term, expected: Term, budget: Budget | None = None
     if budget is None:
         budget = Budget()
     cache = judgment_cache()
-    token = typing_token(ctx)
-    hit = cache.lookup("cc.check", term, expected, token)
+    key = typing_key(ctx)
+    hit = cache.lookup("cc.check", term, expected, key)
     if hit is not None:
         budget.charge(hit[1])
         return
@@ -221,7 +223,7 @@ def check(ctx: Context, term: Term, expected: Term, budget: Budget | None = None
             f"  has type      {pretty(actual)}\n"
             f"  but expected  {pretty(expected)}"
         )
-    cache.store("cc.check", term, expected, token, True, budget.spent - before)
+    cache.store("cc.check", term, expected, key, True, budget.spent - before, ctx)
 
 
 def infer_universe(ctx: Context, type_: Term, budget: Budget | None = None) -> Star | Box:
@@ -229,8 +231,8 @@ def infer_universe(ctx: Context, type_: Term, budget: Budget | None = None) -> S
     if budget is None:
         budget = Budget()
     cache = judgment_cache()
-    token = typing_token(ctx)
-    hit = cache.lookup("cc.universe", type_, None, token)
+    key = typing_key(ctx)
+    hit = cache.lookup("cc.universe", type_, None, key)
     if hit is not None:
         sort, steps = hit
         budget.charge(steps)
@@ -241,7 +243,7 @@ def infer_universe(ctx: Context, type_: Term, budget: Budget | None = None) -> S
         raise TypeCheckError(
             f"expected a type but {pretty(type_)} has type {pretty(sort)}"
         )
-    cache.store("cc.universe", type_, None, token, sort, budget.spent - before)
+    cache.store("cc.universe", type_, None, key, sort, budget.spent - before, ctx)
     return sort
 
 

@@ -29,11 +29,17 @@ reduces exactly the substituted term, so fuel matches the substitution
 checker, which :mod:`repro.cccc.typecheck_subst` keeps as the
 differential reference.
 
-Judgment-level memoization (:mod:`repro.kernel.judgment`): every judgment
-is cached per (subject identity, visible context bindings) with exact fuel
-replay into the threaded :class:`Budget`, under the ``"cccc.*.nbe"``
-kinds, which the reference checker never reads.  Failures are never
-cached, so errors re-derive identically.
+Judgment-level memoization (:mod:`repro.kernel.judgment`) happens only at
+the public entries: ``infer``, ``check`` and ``infer_universe`` are each
+cached per (subject identity, context identity) with exact fuel replay
+into the threaded :class:`Budget`, under the ``"cccc.*.nbe"`` kinds,
+which the reference checker never reads.  Internal judgments are not
+memoized: the translated terms this checker sees are trees whose every
+node is checked once under one context, so a per-node probe never hits
+and costs a key, a lookup and a pinned entry each time.  Conversion keeps
+its own memo (``"cccc.equiv"``) and weak-head reduction the normalization
+memo; both hit.  Failures are never cached, so errors re-derive
+identically.
 """
 
 from __future__ import annotations
@@ -70,7 +76,7 @@ from repro.cccc.pretty import pretty
 from repro.cccc.reduce import _NBE, Budget, read_value, whnf, whnf_value
 from repro.common.errors import TypeCheckError
 from repro.common.names import fresh
-from repro.kernel.judgment import judgment_cache, typing_token
+from repro.kernel.judgment import judgment_cache, typing_key
 from repro.kernel.nbe import Thunk, glue, glue_instantiate, value_names
 
 __all__ = ["check", "check_context", "infer", "infer_universe", "well_typed"]
@@ -92,7 +98,30 @@ def infer(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
     """Synthesize the type of ``term`` under ``ctx`` (judgment Γ ⊢ e : t)."""
     if budget is None:
         budget = Budget()
-    return read_value(_infer_value(ctx, term, budget))
+    return _memoized(
+        "cccc.infer.nbe", ctx, term, None, budget,
+        lambda: read_value(_infer_value(ctx, term, budget)),
+    )
+
+
+def _memoized(kind: str, ctx: Context, subject: Term, extra, budget: Budget, judge):
+    """``judge()`` — the judgment on ``(ctx, subject, extra)`` — through the typing memo.
+
+    The checker's only typing-memo probe, made once per public call, so a
+    repeated public judgment on the same objects replays its verdict and
+    fuel instead of re-deriving them.
+    """
+    cache = judgment_cache()
+    key = typing_key(ctx)
+    hit = cache.lookup(kind, subject, extra, key)
+    if hit is not None:
+        verdict, steps = hit
+        budget.charge(steps)
+        return verdict
+    before = budget.spent
+    verdict = judge()
+    cache.store(kind, subject, extra, key, verdict, budget.spent - before, ctx)
+    return verdict
 
 
 def _view(value) -> tuple[Term, dict]:
@@ -110,8 +139,6 @@ def _bind(env: dict, name: str, replacement: Term) -> dict:
 
 
 def _infer_value(ctx: Context, term: Term, budget: Budget):
-    # O(1) judgments skip the memo round-trip: a cache entry would cost
-    # more than re-deriving the axiom (and replays zero steps either way).
     match term:
         case Var(name):
             binding = ctx.lookup(name)
@@ -128,34 +155,17 @@ def _infer_value(ctx: Context, term: Term, budget: Budget):
             return _BOOL
         case Zero():
             return _NAT
-    cache = judgment_cache()
-    token = typing_token(ctx)
-    hit = cache.lookup("cccc.infer.nbe", term, None, token)
-    if hit is not None:
-        result, steps = hit
-        budget.charge(steps)
-        return result
-    before = budget.spent
-    result = _infer(ctx, term, budget)
-    cache.store("cccc.infer.nbe", term, None, token, result, budget.spent - before)
-    return result
-
-
-def _infer(ctx: Context, term: Term, budget: Budget):
-    # Leaf axioms (⋆, [Var], Unit and the ground types) are decided by
-    # _infer_value's fast path and never reach this function.
-    match term:
         case Box():
             raise TypeCheckError("□ has no type (it is not a valid term)")
         case Pi(name, domain, codomain):
-            infer_universe(ctx, domain, budget)
-            return infer_universe(ctx.extend(name, domain), codomain, budget)
+            _infer_universe(ctx, domain, budget)
+            return _infer_universe(ctx.extend(name, domain), codomain, budget)
         case CodeType(env_name, env_type, arg_name, arg_type, result):
-            infer_universe(ctx, env_type, budget)
+            _infer_universe(ctx, env_type, budget)
             env_ctx = ctx.extend(env_name, env_type)
-            infer_universe(env_ctx, arg_type, budget)
+            _infer_universe(env_ctx, arg_type, budget)
             arg_ctx = env_ctx.extend(arg_name, arg_type)
-            return infer_universe(arg_ctx, result, budget)  # [T-Code-⋆] / [T-Code-□]
+            return _infer_universe(arg_ctx, result, budget)  # [T-Code-⋆] / [T-Code-□]
         case CodeLam(env_name, env_type, arg_name, arg_type, _body):
             result = read_value(_code_body(term, budget))
             return CodeType(env_name, env_type, arg_name, arg_type, result)
@@ -195,18 +205,18 @@ def _infer(ctx: Context, term: Term, budget: Budget):
             _check(ctx, arg, glue(_NBE, fn_type.domain, sigma), budget)
             return glue(_NBE, fn_type.codomain, _bind(sigma, fn_type.name, arg))
         case Let(name, bound, annot, body):
-            infer_universe(ctx, annot, budget)
+            _infer_universe(ctx, annot, budget)
             _check(ctx, bound, annot, budget)
             body_type = _infer_value(ctx.define(name, bound, annot), body, budget)
             return glue_instantiate(_NBE, body_type, name, bound)
         case Sigma(name, first, second):
-            first_universe = infer_universe(ctx, first, budget)
-            second_universe = infer_universe(ctx.extend(name, first), second, budget)
+            first_universe = _infer_universe(ctx, first, budget)
+            second_universe = _infer_universe(ctx.extend(name, first), second, budget)
             if isinstance(first_universe, Star) and isinstance(second_universe, Star):
                 return Star()
             return Box()
         case Pair(fst_val, snd_val, annot):
-            infer_universe(ctx, annot, budget)
+            _infer_universe(ctx, annot, budget)
             annot_whnf = whnf(ctx, annot, budget)
             if not isinstance(annot_whnf, Sigma):
                 raise TypeCheckError(
@@ -255,26 +265,16 @@ def _code_body(code: CodeLam, budget: Budget):
     two parameters — the static closedness guarantee.
     """
     empty = Context.empty()
-    cache = judgment_cache()
-    token = typing_token(empty)
-    hit = cache.lookup("cccc.code.nbe", code, None, token)
-    if hit is not None:
-        result, steps = hit
-        budget.charge(steps)
-        return result
-    before = budget.spent
     stray = cached_free_vars(code)
     if stray:
         raise TypeCheckError(
             f"code is not closed: free variables {sorted(stray)}"
         ).with_note(f"checking {pretty(code)}")
-    infer_universe(empty, code.env_type, budget)
+    _infer_universe(empty, code.env_type, budget)
     env_ctx = empty.extend(code.env_name, code.env_type)
-    infer_universe(env_ctx, code.arg_type, budget)
+    _infer_universe(env_ctx, code.arg_type, budget)
     arg_ctx = env_ctx.extend(code.arg_name, code.arg_type)
-    result = _infer_value(arg_ctx, code.body, budget)
-    cache.store("cccc.code.nbe", code, None, token, result, budget.spent - before)
-    return result
+    return _infer_value(arg_ctx, code.body, budget)
 
 
 def _instantiate_code(code: CodeLam, body_type, env: Term):
@@ -328,17 +328,13 @@ def check(ctx: Context, term: Term, expected: Term, budget: Budget | None = None
     """Check ``Γ ⊢ term : expected`` (inference + [Conv])."""
     if budget is None:
         budget = Budget()
-    _check(ctx, term, expected, budget)
+    _memoized(
+        "cccc.check.nbe", ctx, term, expected, budget,
+        lambda: _check(ctx, term, expected, budget),
+    )
 
 
-def _check(ctx: Context, term: Term, expected, budget: Budget) -> None:
-    cache = judgment_cache()
-    token = typing_token(ctx)
-    hit = cache.lookup("cccc.check.nbe", term, expected, token)
-    if hit is not None:
-        budget.charge(hit[1])
-        return
-    before = budget.spent
+def _check(ctx: Context, term: Term, expected, budget: Budget) -> bool:
     actual = _infer_value(ctx, term, budget)
     if not equivalent(ctx, actual, expected, budget):
         raise TypeCheckError(
@@ -346,27 +342,25 @@ def _check(ctx: Context, term: Term, expected, budget: Budget) -> None:
             f"  has type      {pretty(read_value(actual))}\n"
             f"  but expected  {pretty(read_value(expected))}"
         )
-    cache.store("cccc.check.nbe", term, expected, token, True, budget.spent - before)
+    return True
 
 
 def infer_universe(ctx: Context, type_: Term, budget: Budget | None = None) -> Star | Box:
     """Require ``type_`` to be a type; return its universe (⋆ or □)."""
     if budget is None:
         budget = Budget()
-    cache = judgment_cache()
-    token = typing_token(ctx)
-    hit = cache.lookup("cccc.universe.nbe", type_, None, token)
-    if hit is not None:
-        sort, steps = hit
-        budget.charge(steps)
-        return sort
-    before = budget.spent
+    return _memoized(
+        "cccc.universe.nbe", ctx, type_, None, budget,
+        lambda: _infer_universe(ctx, type_, budget),
+    )
+
+
+def _infer_universe(ctx: Context, type_: Term, budget: Budget) -> Star | Box:
     sort = whnf_value(ctx, _infer_value(ctx, type_, budget), budget)
     if not isinstance(sort, (Star, Box)):
         raise TypeCheckError(
             f"expected a type but {pretty(type_)} has type {pretty(read_value(sort))}"
         )
-    cache.store("cccc.universe.nbe", type_, None, token, sort, budget.spent - before)
     return sort
 
 
@@ -387,7 +381,7 @@ def check_context(ctx: Context, budget: Budget | None = None) -> None:
         budget = Budget()
     prefix = Context.empty()
     for binding in ctx:
-        infer_universe(prefix, binding.type_, budget)
+        _infer_universe(prefix, binding.type_, budget)
         if binding.definition is not None:
             _check(prefix, binding.definition, binding.type_, budget)
             prefix = prefix.define(binding.name, binding.definition, binding.type_)

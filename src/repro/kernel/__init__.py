@@ -24,9 +24,10 @@ makes the hot paths fast:
 * **incremental conversion** (:mod:`repro.kernel.convert`) — a whnf-driven
   equivalence engine with pointer/intern short-circuits and per-calculus η
   hooks, replacing normalize-then-compare on the [Conv] hot path;
-* **judgment memoization** (:mod:`repro.kernel.judgment`) — typing tokens
-  fingerprinting the full visible-binding map, plus a fuel-replaying cache
-  for ``infer``/``check``/``infer_universe``/``equivalent``.
+* **judgment memoization** (:mod:`repro.kernel.judgment`) — a
+  fuel-replaying cache for ``infer``/``check``/``infer_universe`` (keyed
+  on context identity) and ``equivalent`` (keyed on the definitions
+  fingerprint).
 
 Every piece of mutable kernel state — the caches above, the context-token
 tables, and the fresh-name counter — is owned by a
@@ -43,7 +44,7 @@ from repro.kernel.cache import DictCache, TermCache, cache_stats, register_cache
 from repro.kernel.convert import ConversionRules, convert
 from repro.kernel.fv import free_vars
 from repro.kernel.intern import build, intern
-from repro.kernel.judgment import JudgmentCache, judgment_cache, typing_token
+from repro.kernel.judgment import JudgmentCache, judgment_cache, typing_key
 from repro.kernel.memo import NormalizationCache, context_token, normalization_cache
 from repro.kernel.nodespec import ChildSpec, Language, NodeSpec
 from repro.kernel.state import KernelState, activate, current_state, default_state
@@ -79,5 +80,5 @@ __all__ = [
     "subst",
     "subterms",
     "term_size",
-    "typing_token",
+    "typing_key",
 ]

@@ -1,27 +1,32 @@
-"""Judgment-level memoization: typing tokens and a fuel-replaying cache.
+"""Judgment-level memoization: a fuel-replaying cache for typing and equivalence.
 
 Typing judgments (``infer``, ``check``, ``infer_universe``) and the
 equivalence judgment are pure functions of the subject term(s) and the
-*visible bindings* of the context, so both type checkers memoize them the
-same way :mod:`repro.kernel.memo` memoizes normalization: identity keys
-plus a small context fingerprint, with exact fuel replay on every hit so
-``Budget`` accounting and fuel exhaustion are byte-identical to an
-uncached run.
+context, so they are memoized the same way :mod:`repro.kernel.memo`
+memoizes normalization: identity keys plus a small context key, with exact
+fuel replay on every hit so ``Budget`` accounting and fuel exhaustion are
+byte-identical to an uncached run.
 
-Two tokens exist because the two judgments observe different slices of
-the context:
+The two judgments key the context differently:
 
-* :func:`repro.kernel.memo.context_token` — *definitions only*.  Reduction
-  (and therefore equivalence) can see the context exclusively through
-  δ-steps, so assumptions are irrelevant beyond the shadowing they cause.
-* :func:`typing_token` (here) — the *full* shadowing-resolved
-  ``name -> binding`` map.  Typing reads assumption types through [Var],
-  so two contexts are interchangeable for ``infer`` exactly when they
-  resolve every name to the same binding object.
+* equivalence uses :func:`repro.kernel.memo.context_token` — the
+  *definitions-only* fingerprint.  Reduction (and therefore equivalence)
+  sees the context exclusively through δ-steps, so contexts built
+  independently along different binder paths still share entries;
+* typing uses :func:`typing_key` (here) — the context's *identity*.
+  Typing reads every binding through [Var], and every ``extend``/
+  ``define`` builds a fresh binding object, so the only distinct contexts
+  that could share a typing judgment are the empty ones.  All empty
+  contexts therefore share one key, and any other context keys on
+  ``id(ctx)``; the entry pins the context, so the id cannot be recycled
+  while the entry is live.  Contexts are immutable, which makes identity
+  a sound key.
 
-Both are instances of the same :class:`~repro.kernel.memo.ContextTokenizer`
-machinery, so the pinning/parent-link/reset discipline is shared, not
-duplicated.
+Only the checkers' *public* entries and the CC checker's nodes probe the
+typing memo: those are the probes that can hit (a repeated call on one
+term object, or a term object reached twice under one context, as in a
+hash-consed DAG).  The CC-CC checker's internal judgments are not
+memoized at all.
 
 Only *successful* judgments are cached.  A failing judgment re-runs from
 scratch, which trivially reproduces the original ``TypeCheckError`` — and
@@ -33,52 +38,38 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.kernel.memo import ContextTokenizer
 from repro.kernel.state import current_state
 
-__all__ = ["JudgmentCache", "judgment_cache", "typing_token"]
+__all__ = ["JudgmentCache", "judgment_cache", "typing_key"]
+
+#: The typing key every context without entries shares.  ``id`` never
+#: returns 0, so it cannot collide with a non-empty context's key.
+_EMPTY_KEY = 0
 
 
-def _bindings_root(ctx: Any) -> dict[str, Any]:
-    return {binding.name: binding for binding in ctx.entries}
+def typing_key(ctx: Any) -> int:
+    """The typing-memo key of ``ctx``: shared by all empty contexts, else ``id(ctx)``.
 
-
-def _bindings_step(bindings: dict[str, Any], binding: Any) -> dict[str, Any]:
-    # Every binding is visible to typing, so extension never shares maps.
-    return {**bindings, binding.name: binding}
-
-
-_TYPING_TOKENS = ContextTokenizer(
-    "kernel.typing_tokens",
-    "_kernel_typing_token",
-    "_kernel_bindings",
-    _bindings_root,
-    _bindings_step,
-)
-
-
-def typing_token(ctx: Any) -> int:
-    """A small integer identifying ``ctx``'s visible bindings.
-
-    Two contexts get the same token iff, after shadowing, they resolve the
-    same names to the same binding *objects* — the condition under which
-    every typing judgment behaves identically.  Cached on the context
-    instance, so repeated calls are O(1).
+    Callers pass ``ctx`` as the ``pin`` of :meth:`JudgmentCache.store`, so
+    the keyed id stays valid as long as the entry does.
     """
-    return _TYPING_TOKENS.token(ctx)
+    return id(ctx) if ctx.entries else _EMPTY_KEY
 
 
 class JudgmentCache:
-    """``(kind, id(subject), id(extra), token) -> (verdict, steps)``.
+    """``(kind, id(subject), id(extra), key) -> (verdict, steps)``.
 
-    ``kind`` distinguishes judgments (``"cc.infer"``, ``"cccc.check"``,
+    ``kind`` distinguishes judgments (``"cc.infer"``, ``"cccc.check.nbe"``,
     ``"cc.equiv"``, …).  ``extra`` is the second term of binary judgments
     (the expected type of ``check``, the right side of ``equivalent``);
-    ``None`` for unary ones.  Each entry pins the terms it keys on and
-    records the reduction steps the original computation spent; hits
-    replay that cost into the caller's ``Budget``.  Bounded the same way
-    as the normalization cache: past ``max_entries`` it is emptied —
-    judgments are cheap to recompute relative to eviction bookkeeping.
+    ``None`` for unary ones.  ``key`` is the context key: a
+    :func:`~repro.kernel.memo.context_token` for equivalence, a
+    :func:`typing_key` for typing.  Each entry pins the terms it keys on
+    (and the ``pin`` object a typing key's id refers to) and records the
+    reduction steps the original computation spent; hits replay that cost
+    into the caller's ``Budget``.  Bounded the same way as the
+    normalization cache: past ``max_entries`` it is emptied — judgments
+    are cheap to recompute relative to eviction bookkeeping.
     """
 
     __slots__ = ("name", "max_entries", "hits", "_entries")
@@ -87,24 +78,31 @@ class JudgmentCache:
         self.name = name
         self.max_entries = max_entries
         self.hits = 0
-        self._entries: dict[tuple, tuple[Any, Any, Any, int]] = {}
+        self._entries: dict[tuple, tuple[Any, Any, Any, Any, int]] = {}
 
-    def lookup(self, kind: str, subject: Any, extra: Any, token: int) -> tuple[Any, int] | None:
+    def lookup(self, kind: str, subject: Any, extra: Any, key: int) -> tuple[Any, int] | None:
         """The cached (verdict, steps) for the judgment, or None."""
-        entry = self._entries.get((kind, id(subject), 0 if extra is None else id(extra), token))
+        entry = self._entries.get((kind, id(subject), 0 if extra is None else id(extra), key))
         if entry is None:
             return None
         self.hits += 1
-        return entry[2], entry[3]
+        return entry[3], entry[4]
 
     def store(
-        self, kind: str, subject: Any, extra: Any, token: int, verdict: Any, steps: int
+        self,
+        kind: str,
+        subject: Any,
+        extra: Any,
+        key: int,
+        verdict: Any,
+        steps: int,
+        pin: Any = None,
     ) -> None:
         """Record ``verdict`` (reached spending ``steps`` reduction steps)."""
         if len(self._entries) >= self.max_entries:
             self._entries.clear()
-        key = (kind, id(subject), 0 if extra is None else id(extra), token)
-        self._entries[key] = (subject, extra, verdict, steps)
+        entry_key = (kind, id(subject), 0 if extra is None else id(extra), key)
+        self._entries[entry_key] = (subject, extra, pin, verdict, steps)
 
     def clear(self) -> None:
         self._entries.clear()
@@ -116,4 +114,3 @@ class JudgmentCache:
 def judgment_cache() -> JudgmentCache:
     """The active session's judgment cache."""
     return current_state().judgments
-

@@ -21,12 +21,14 @@ substitution oracle stores under ``"cc.whnf.subst"``/``"cc.nf.subst"`` (and
 likewise for CC-CC), so the two engines never exchange results or recorded
 fuel — each replays exactly the cost model it computes under.
 
-The fingerprinting machinery is generic (:class:`ContextTokenizer`): a
-token is derived from a shadowing-resolved ``name -> value`` map computed
+The fingerprinting machinery is :class:`ContextTokenizer`: a token is
+derived from a shadowing-resolved ``name -> value`` map computed
 incrementally along the parent links contexts carry, parameterized by how
-one binding transforms the map.  This module instantiates it for the
-definitions-only view reduction observes; :mod:`repro.kernel.judgment`
-instantiates it for the full-binding view typing observes.
+one binding transforms the map.  Its one instance is the definitions-only
+view reduction observes, shared by normalization, the equivalence memo of
+:mod:`repro.kernel.judgment` and the persistent tier (which translates a
+token back into content).  Typing judgments do not fingerprint contexts:
+they key on context identity (:func:`repro.kernel.judgment.typing_key`).
 
 Session scoping: the cache and the fingerprint *tables* live on the active
 :class:`~repro.kernel.state.KernelState` — one set per session, so sessions

@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.common.names import fresh
+from repro.kernel.names import fresh
 from repro.kernel import fv
 from repro.kernel.budget import Budget
 from repro.kernel.memo import context_token

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.common.names import fresh
+from repro.kernel.names import fresh
 from repro.kernel import fv
 from repro.kernel.nodespec import Language
 

@@ -614,7 +614,10 @@ class Dispatcher:
                         exhausted=False,
                     )
             self._space.notify_all()
-        self.shutdown()
+        # The drain deadline bounds shutdown too: past it, a worker still
+        # busy with a straggler is killed at once instead of getting
+        # shutdown's default grace period.
+        self.shutdown(max(0.0, deadline - time.monotonic()))
 
     def shutdown(self, timeout: float = 10.0) -> None:
         """Stop every worker gracefully; escalate to kill on the deadline."""

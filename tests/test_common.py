@@ -1,7 +1,13 @@
-"""Tests for the shared infrastructure: names, telescopes, errors."""
+"""Tests for the shared infrastructure: names, telescopes, errors, import order."""
+
+import os
+import pkgutil
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro import cc
 from repro.common import NameSupply, base_name, fresh, is_machine_name
 from repro.common.errors import TypeCheckError
@@ -119,3 +125,27 @@ class TestErrors:
 
         for cls in (ParseError, TranslationError, LinkError, TypeCheckError):
             assert issubclass(cls, ReproError)
+
+
+_SRC = os.path.dirname(os.path.dirname(repro.__file__))
+_SUBPACKAGES = ["repro"] + sorted(
+    info.name for info in pkgutil.iter_modules(repro.__path__, "repro.") if info.ispkg
+)
+
+
+class TestImportOrder:
+    """Every subpackage imports as the first import of a fresh interpreter.
+
+    Import cycles only bite when the cycle is entered from a particular
+    module, and a test process has usually imported half the package
+    already — so each import runs in its own subprocess.
+    """
+
+    @pytest.mark.parametrize("package", _SUBPACKAGES)
+    def test_first_import(self, package):
+        env = {**os.environ, "PYTHONPATH": _SRC}
+        result = subprocess.run(
+            [sys.executable, "-c", f"import {package}"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr

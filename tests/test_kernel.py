@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro import cc, cccc
+from repro import api, cc, cccc
 from repro.cc import prelude
 from repro.common.names import reset_fresh_counter
+from repro.gen.dag import shared_dag_tower
 from repro.kernel.budget import Budget
 from repro.kernel.memo import context_token
 
@@ -292,6 +293,56 @@ class TestReset:
         reset_fresh_counter()
         _, recomputed = cc.normalize_counting(empty, term)
         assert cold == recomputed
+
+
+# --------------------------------------------------------------------------
+# Judgment memo traffic: typing entries key on context identity.
+# --------------------------------------------------------------------------
+
+
+class TestJudgmentMemoTraffic:
+    def test_repeated_session_check_hits(self):
+        session = api.Session()
+        term = cc.make_app(prelude.nat_add, cc.nat_literal(2), cc.nat_literal(3))
+        cold = session.check(term)
+        warm = session.check(term)
+        assert cold.cache_hits["kernel.judgments"] == 0
+        assert warm.cache_hits["kernel.judgments"] > 0
+        assert warm.type_ is cold.type_
+        assert warm.steps == cold.steps
+
+    def test_fresh_empty_contexts_share_entries(self):
+        session = api.Session()
+        term = cc.Lam("x", cc.Nat(), cc.Succ(cc.Var("x")))
+        with session.activate():
+            first = cc.infer(cc.Context.empty(), term)
+            entries = session.cache_stats()["kernel.judgments"]
+            hits = session.hit_counts()["kernel.judgments"]
+            second = cc.infer(cc.Context.empty(), term)
+        assert second is first
+        assert session.cache_stats()["kernel.judgments"] == entries
+        assert session.hit_counts()["kernel.judgments"] == hits + 1
+
+    def test_shared_dag_tower_hits(self):
+        result = api.Session().check(shared_dag_tower(7))
+        assert result.cache_hits["kernel.judgments"] == 14
+
+    def test_compile_leaves_only_the_public_cccc_typing_entry(self):
+        session = api.Session()
+        compiled = session.compile(prelude.church_nat(2))
+        typing = [
+            (kind, subject)
+            for kind, subject, _extra, _key in session.state.judgments._entries
+            if kind.startswith("cccc.") and kind != "cccc.equiv"
+        ]
+        assert typing == [("cccc.infer.nbe", id(compiled.target))]
+
+    def test_cache_stats_has_no_typing_token_table(self):
+        session = api.Session()
+        session.check(prelude.church_nat(2))
+        stats = session.cache_stats()
+        assert "kernel.typing_tokens" not in stats
+        assert "kernel.ctx_tokens" in stats
 
 
 # --------------------------------------------------------------------------

@@ -776,7 +776,9 @@ class TestGracefulDrain:
         slow = pool.submit({"id": "straggler", "kind": "sleep", "seconds": 30.0})
         quick = pool.submit({"id": "quick", "kind": "normalize", "program": REDEX,
                              "key": "other"})
+        started = time.monotonic()
         pool.drain(timeout=0.5)
+        assert time.monotonic() - started < 0.5 + 3.0
         assert slow.done.is_set() and quick.done.is_set()
         assert not slow.result.ok
         assert slow.result.error["type"] in ("DrainTimeout", "DispatcherShutdown")
