@@ -19,10 +19,9 @@ Every judgment is memoized per (term identity, context identity) through
 :mod:`repro.kernel.judgment`, with the reduction fuel the original run
 spent replayed on every hit — so a single :class:`Budget` threaded through
 a checking run observes step counts and fuel exhaustion identical to a
-cold-cache run.  The per-node probes pay off on hash-consed input, where
-one subterm object recurs under one context (and on repeated calls, whose
-empty contexts share a key).  Only successful judgments are cached;
-failures re-derive (and therefore re-raise) from scratch.
+cold-cache run.  The per-node probes hit on hash-consed input, where one
+subterm object recurs under one context.  Only successful judgments are
+cached; failures re-derive (and therefore re-raise) from scratch.
 """
 
 from __future__ import annotations

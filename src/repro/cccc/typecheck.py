@@ -30,16 +30,12 @@ checker, which :mod:`repro.cccc.typecheck_subst` keeps as the
 differential reference.
 
 Judgment-level memoization (:mod:`repro.kernel.judgment`) happens only at
-the public entries: ``infer``, ``check`` and ``infer_universe`` are each
-cached per (subject identity, context identity) with exact fuel replay
-into the threaded :class:`Budget`, under the ``"cccc.*.nbe"`` kinds,
-which the reference checker never reads.  Internal judgments are not
-memoized: the translated terms this checker sees are trees whose every
-node is checked once under one context, so a per-node probe never hits
-and costs a key, a lookup and a pinned entry each time.  Conversion keeps
-its own memo (``"cccc.equiv"``) and weak-head reduction the normalization
-memo; both hit.  Failures are never cached, so errors re-derive
-identically.
+the public ``infer``/``check``/``infer_universe`` entries, per (subject
+identity, context identity) with exact fuel replay, under ``"cccc.*.nbe"``
+kinds the reference checker never reads.  Internal judgments are not
+memoized: closure conversion emits fresh trees whose nodes are each
+checked once under one context, so a per-node probe would never hit.
+Failures are never cached, so errors re-derive identically.
 """
 
 from __future__ import annotations
@@ -81,7 +77,7 @@ from repro.kernel.nbe import Thunk, glue, glue_instantiate, value_names
 
 __all__ = ["check", "check_context", "infer", "infer_universe", "well_typed"]
 
-# Shared leaf instances.  check/equivalent memo keys are identity-based, so
+# Shared leaf instances.  Equivalence memo keys are identity-based, so
 # passing one stable object for the ubiquitous ground types makes those
 # entries hittable instead of pinning a fresh leaf term per call.
 _STAR = Star()
@@ -105,11 +101,9 @@ def infer(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
 
 
 def _memoized(kind: str, ctx: Context, subject: Term, extra, budget: Budget, judge):
-    """``judge()`` — the judgment on ``(ctx, subject, extra)`` — through the typing memo.
+    """``judge()``, the judgment on ``(ctx, subject, extra)``, through the typing memo.
 
-    The checker's only typing-memo probe, made once per public call, so a
-    repeated public judgment on the same objects replays its verdict and
-    fuel instead of re-deriving them.
+    The checker's only typing-memo probe, made once per public call.
     """
     cache = judgment_cache()
     key = typing_key(ctx)

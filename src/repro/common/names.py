@@ -1,9 +1,7 @@
 """Fresh names: the session-drawn supply and a local deterministic one.
 
-:func:`fresh`, :func:`base_name` and :func:`is_machine_name` live in
-:mod:`repro.kernel.names` (the kernel's substitution and NbE engines draw
-names too, and the kernel must not import this package) and are
-re-exported here, the place the rest of the code imports them from.
+:func:`fresh` and its helpers live in :mod:`repro.kernel.names` (the
+kernel must not import this package) and are re-exported here.
 """
 
 from __future__ import annotations

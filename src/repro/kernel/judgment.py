@@ -2,31 +2,19 @@
 
 Typing judgments (``infer``, ``check``, ``infer_universe``) and the
 equivalence judgment are pure functions of the subject term(s) and the
-context, so they are memoized the same way :mod:`repro.kernel.memo`
-memoizes normalization: identity keys plus a small context key, with exact
-fuel replay on every hit so ``Budget`` accounting and fuel exhaustion are
-byte-identical to an uncached run.
+context, so they are memoized the way :mod:`repro.kernel.memo` memoizes
+normalization: identity keys plus a small context key, with exact fuel
+replay on every hit so ``Budget`` accounting and fuel exhaustion are
+byte-identical to an uncached run.  The context key differs per judgment:
 
-The two judgments key the context differently:
-
-* equivalence uses :func:`repro.kernel.memo.context_token` — the
-  *definitions-only* fingerprint.  Reduction (and therefore equivalence)
-  sees the context exclusively through δ-steps, so contexts built
-  independently along different binder paths still share entries;
-* typing uses :func:`typing_key` (here) — the context's *identity*.
-  Typing reads every binding through [Var], and every ``extend``/
-  ``define`` builds a fresh binding object, so the only distinct contexts
-  that could share a typing judgment are the empty ones.  All empty
-  contexts therefore share one key, and any other context keys on
-  ``id(ctx)``; the entry pins the context, so the id cannot be recycled
-  while the entry is live.  Contexts are immutable, which makes identity
-  a sound key.
-
-Only the checkers' *public* entries and the CC checker's nodes probe the
-typing memo: those are the probes that can hit (a repeated call on one
-term object, or a term object reached twice under one context, as in a
-hash-consed DAG).  The CC-CC checker's internal judgments are not
-memoized at all.
+* equivalence uses :func:`repro.kernel.memo.context_token`, the
+  *definitions-only* fingerprint: reduction sees the context only through
+  δ-steps, so contexts built along different binder paths share entries;
+* typing uses :func:`typing_key`, the context's *identity*.  [Var] reads
+  binding objects and every ``extend``/``define`` builds a new one, so
+  distinct non-empty contexts practically never agree on every binding;
+  all empty contexts share one key.  Entries pin the context, and
+  contexts are immutable, so the key is sound.
 
 Only *successful* judgments are cached.  A failing judgment re-runs from
 scratch, which trivially reproduces the original ``TypeCheckError`` — and
@@ -42,16 +30,14 @@ from repro.kernel.state import current_state
 
 __all__ = ["JudgmentCache", "judgment_cache", "typing_key"]
 
-#: The typing key every context without entries shares.  ``id`` never
-#: returns 0, so it cannot collide with a non-empty context's key.
+#: The typing key all empty contexts share (``id`` is never 0).
 _EMPTY_KEY = 0
 
 
 def typing_key(ctx: Any) -> int:
     """The typing-memo key of ``ctx``: shared by all empty contexts, else ``id(ctx)``.
 
-    Callers pass ``ctx`` as the ``pin`` of :meth:`JudgmentCache.store`, so
-    the keyed id stays valid as long as the entry does.
+    Callers pass ``ctx`` as the ``pin`` of :meth:`JudgmentCache.store`.
     """
     return id(ctx) if ctx.entries else _EMPTY_KEY
 

@@ -11,9 +11,8 @@ separator, a character the surface lexer rejects in identifiers.
 ``x`` freshened once becomes ``x$1``; freshened again it becomes ``x$2`` (the
 old suffix is stripped first so names do not grow without bound).
 
-This module depends on :mod:`repro.kernel.state` alone, so the kernel's
-own engines can draw names without importing :mod:`repro.common`;
-:mod:`repro.common.names` re-exports it.
+It depends on :mod:`repro.kernel.state` alone, so the kernel's engines
+draw names without importing :mod:`repro.common` (which re-exports it).
 """
 
 from __future__ import annotations
