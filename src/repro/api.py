@@ -560,36 +560,17 @@ class Session:
         with self.activate():
             compiled = self.compile(program, ctx=ctx, verify=verify)
             hoisted = hoist(compiled.target)
-            profile = _PROFILE[0]
-            label_counts: dict[str, int] | None = {} if profile is not None else None
+            label_counts: dict[str, int] | None = {} if _PROFILE[0] is not None else None
             value, stats = run(hoisted, label_counts=label_counts)
-            if profile is not None:
-                profile.phase("hoist", weight=hoisted.code_count)
-                profile.phase(
-                    "execute",
-                    weight=stats.steps,
-                    counters=_machine_counters(stats),
-                    labels=label_counts,
-                )
-            return RunResult(
+            return self._run_result(
+                hoisted,
+                value,
+                stats,
+                label_counts,
+                ArtifactMeta(compiled.check_steps, compiled.verify_steps, compiled.verified),
                 compile_result=compiled,
-                program=hoisted,
                 source=compiled.compilation.source,
-                value=value,
-                observation=machine_observation(value),
-                machine_steps=stats.steps,
-                closure_allocs=stats.closure_allocs,
-                tuple_allocs=stats.tuple_allocs,
-                projections=stats.projections,
-                env_allocs=stats.env_allocs,
-                max_env_size=stats.max_env_size,
-                compile_steps=compiled.steps,
-                check_steps=compiled.check_steps,
-                verify_steps=compiled.verify_steps,
-                verified=compiled.verified,
-                engine=compiled.engine,
                 backend="machine",
-                session=self.name,
                 cache_hits=dict(compiled.cache_hits),
                 diagnostics=compiled.diagnostics,
             )
@@ -649,33 +630,15 @@ class Session:
                 if key is not None:
                     store_artifact(self._state, key, compiled_program, meta)
             value, stats = compiled_program.execute()
-            if profile is not None:
-                profile.phase("hoist", weight=compiled_program.code_count)
-                profile.phase(
-                    "execute",
-                    weight=stats.steps,
-                    counters=_machine_counters(stats),
-                    labels=label_counts,
-                )
-            return RunResult(
+            return self._run_result(
+                compiled_program.program,
+                value,
+                stats,
+                label_counts,
+                meta,
                 compile_result=compile_result,
-                program=compiled_program.program,
                 source=source,
-                value=value,
-                observation=machine_observation(value),
-                machine_steps=stats.steps,
-                closure_allocs=stats.closure_allocs,
-                tuple_allocs=stats.tuple_allocs,
-                projections=stats.projections,
-                env_allocs=stats.env_allocs,
-                max_env_size=stats.max_env_size,
-                compile_steps=meta.check_steps + meta.verify_steps,
-                check_steps=meta.check_steps,
-                verify_steps=meta.verify_steps,
-                verified=meta.verified,
-                engine=self.engine,
                 backend="compiled",
-                session=self.name,
                 artifact=compiled_program.source_hash,
                 cache_hits=self._hit_delta(before),
                 diagnostics=(
@@ -683,6 +646,49 @@ class Session:
                     f"to host closures (artifact {compiled_program.source_hash})",
                 ),
             )
+
+    def _run_result(
+        self,
+        program: Program,
+        value: Any,
+        stats: Any,
+        label_counts: dict[str, int] | None,
+        meta: ArtifactMeta,
+        **fields: Any,
+    ) -> RunResult:
+        """Profile the hoist/execute phases and assemble a :class:`RunResult`.
+
+        Both backends report through here, so their documents cannot drift
+        apart; ``fields`` carries what differs per backend (compile result,
+        source, backend name, artifact, cache hits, diagnostics).
+        """
+        profile = _PROFILE[0]
+        if profile is not None:
+            profile.phase("hoist", weight=program.code_count)
+            profile.phase(
+                "execute",
+                weight=stats.steps,
+                counters=_machine_counters(stats),
+                labels=label_counts,
+            )
+        return RunResult(
+            program=program,
+            value=value,
+            observation=machine_observation(value),
+            machine_steps=stats.steps,
+            closure_allocs=stats.closure_allocs,
+            tuple_allocs=stats.tuple_allocs,
+            projections=stats.projections,
+            env_allocs=stats.env_allocs,
+            max_env_size=stats.max_env_size,
+            compile_steps=meta.check_steps + meta.verify_steps,
+            check_steps=meta.check_steps,
+            verify_steps=meta.verify_steps,
+            verified=meta.verified,
+            engine=self.engine,
+            session=self.name,
+            **fields,
+        )
 
     def link(
         self,

@@ -46,8 +46,6 @@ that can reach this backend through the API.
 from __future__ import annotations
 
 import hashlib
-import sys
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -55,7 +53,6 @@ from repro import cccc
 from repro.cccc.ast import LANGUAGE
 from repro.machine.hoist import Program
 from repro.machine.machine import (
-    _DEEP_STACK_BYTES,
     _DEEP_TERM_THRESHOLD,
     _TYPE_NODES,
     MBool,
@@ -67,6 +64,7 @@ from repro.machine.machine import (
     MUnit,
     MachineError,
     Value,
+    _run_guarded,
 )
 from repro.backend.stats import COUNTER_SLOTS, CompiledStats
 from repro.wire.codec import content_hash
@@ -446,37 +444,15 @@ def _stage_block(
 # -- compiled programs -------------------------------------------------------
 
 
-def _with_deep_stack(thunk: Callable[[], object], size: int) -> object:
-    """Run ``thunk`` on a thread with a deep C stack and raised recursion limit.
+def _deep_limit(size: int) -> int:
+    """The recursion limit for staging or running a deep program of ``size`` nodes.
 
     The staged walk recurses over term depth, and a compiled run nests one
     host frame per term level *plus* one per pending β-entry (the machine
-    loops where compiled code calls), so the limit here is a little more
-    generous than the machine's ``_run_guarded``.
+    loops where compiled code calls), so the limit is a little more
+    generous than the machine's.
     """
-    result: list = []
-    failure: list = []
-
-    def worker() -> None:
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 6 * size + 20_000))
-        try:
-            result.append(thunk())
-        except BaseException as error:  # noqa: BLE001 — re-raised in the caller
-            failure.append(error)
-        finally:
-            sys.setrecursionlimit(limit)
-
-    old_size = threading.stack_size(_DEEP_STACK_BYTES)
-    try:
-        thread = threading.Thread(target=worker, name="repro-backend-deep")
-        thread.start()
-        thread.join()
-    finally:
-        threading.stack_size(old_size)
-    if failure:
-        raise failure[0]
-    return result[0]
+    return 6 * size + 20_000
 
 
 def _source_hash(program: Program) -> str:
@@ -523,7 +499,7 @@ class CompiledProgram:
         """
         counters = [0] * COUNTER_SLOTS
         if self.size > _DEEP_TERM_THRESHOLD:
-            value = _with_deep_stack(lambda: self.main((), counters), self.size)
+            value = _run_guarded(lambda: self.main((), counters), _deep_limit(self.size))
         else:
             value = self.main((), counters)
         return value, CompiledStats.from_counters(counters)
@@ -591,8 +567,8 @@ def compile_program(
         cccc.term_size(code) for code in interned.code_table.values()
     )
     if size > _DEEP_TERM_THRESHOLD:
-        table, main = _with_deep_stack(  # type: ignore[misc]
-            lambda: _build(interned, label_counts), size
+        table, main = _run_guarded(  # type: ignore[misc]
+            lambda: _build(interned, label_counts), _deep_limit(size)
         )
     else:
         table, main = _build(interned, label_counts)

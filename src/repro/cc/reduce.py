@@ -19,18 +19,19 @@ This module provides:
 * :func:`normalize` — full β-normal form (CC is strongly normalizing, so
   this terminates; a fuel budget guards against pathological blowup).
 
-Two engines implement the same relation:
+Both calculi share one reduction kernel (:mod:`repro.kernel.reduction`);
+this module supplies CC's wiring, :data:`_NBE`, where β applies a literal
+λ.  Two engines implement the same relation:
 
 * **NbE** (:mod:`repro.kernel.nbe`) — the default behind :func:`whnf` and
   :func:`normalize`: an iterative environment machine with memoizing
   thunks, so cold normalization never pays substitution's tree rewriting.
-* **Substitution** — the original engine, kept verbatim as
-  :func:`whnf_subst`/:func:`normalize_subst`.  It is the *oracle* the NbE
-  results are differentially tested against
-  (``tests/test_nbe_differential.py``), and it remains the **counting
-  path**: :func:`normalize_counting` reports its per-occurrence step
-  semantics, byte-identical to every previous release.  The two engines
-  memoize under distinct cache kinds and never share entries.
+* **Substitution** — :func:`whnf_subst`/:func:`normalize_subst`, the
+  *oracle* the NbE results are differentially tested against
+  (``tests/test_nbe_differential.py``) and the **counting path**:
+  :func:`normalize_counting` reports its per-occurrence step semantics.
+  The two engines memoize under distinct cache kinds and never share
+  entries.
 """
 
 from __future__ import annotations
@@ -48,21 +49,17 @@ from repro.cc.ast import (
     Nat,
     NatElim,
     Pair,
-    Pi,
-    Sigma,
     Snd,
     Star,
     Succ,
     Term,
     Var,
     Zero,
-    make_app,
 )
 from repro.cc.context import Context
-from repro.cc.subst import subst1
+from repro.kernel import reduction
 from repro.kernel.budget import DEFAULT_FUEL, Budget
-from repro.kernel.memo import head_is_weak_normal, memoized_reduction, normalization_cache
-from repro.kernel.nbe import NbeSpec, nbe_normalize, nbe_whnf
+from repro.kernel.nbe import NbeSpec
 
 __all__ = [
     "DEFAULT_FUEL",
@@ -77,21 +74,11 @@ __all__ = [
     "whnf_subst",
 ]
 
-#: Node classes a whnf step can act on; anything else is already weak-head
-#: normal, so whnf returns it without touching the memo cache.  MUST list
-#: exactly the head classes matched by the `_whnf` loop below — a class
-#: with a reduction arm missing here would be returned unreduced
-#: (tests/test_kernel.py guards this with a no-reducts-in-normal-forms check).
-_WHNF_ACTIVE = (Var, Let, App, Fst, Snd, If, NatElim)
-
-
-#: Leaf classes whose normal form is always themselves (no children, no δ):
-#: caching these would only churn the memo table.
-_NF_TRIVIAL = (Star, Box, Bool, BoolLit, Nat, Zero)
-
-#: The NbE wiring for CC: β applies a literal λ.
+#: CC's reduction wiring: β applies a literal λ.  ``trivial`` lists the
+#: leaf classes whose normal form is always themselves (no children, no δ).
 _NBE = NbeSpec(
     lang=LANGUAGE,
+    kind="cc",
     var_cls=Var,
     let_cls=Let,
     app_cls=App,
@@ -103,17 +90,9 @@ _NBE = NbeSpec(
     natelim_cls=NatElim,
     zero_cls=Zero,
     succ_cls=Succ,
-    trivial=_NF_TRIVIAL,
+    trivial=(Star, Box, Bool, BoolLit, Nat, Zero),
     lam_cls=Lam,
 )
-
-
-def _whnf_head_normal(ctx: Context, term: Term) -> bool:
-    return head_is_weak_normal(ctx, term, Var, _WHNF_ACTIVE)
-
-
-def _nbe_whnf_compute(ctx: Context, term: Term, budget: Budget) -> Term:
-    return nbe_whnf(_NBE, ctx, term, budget)
 
 
 def whnf(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
@@ -124,11 +103,7 @@ def whnf(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
     identity, context definitions); hits replay the originally recorded
     fuel cost, so budgets behave exactly as if the reduction had re-run.
     """
-    if budget is None:
-        budget = Budget()
-    if _whnf_head_normal(ctx, term):
-        return term
-    return memoized_reduction(ctx, term, budget, "cc.whnf", _nbe_whnf_compute)
+    return reduction.whnf(_NBE, ctx, term, budget)
 
 
 def whnf_subst(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
@@ -137,71 +112,7 @@ def whnf_subst(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
     Memoized under its own cache kind so the two engines never exchange
     results or recorded fuel.
     """
-    if budget is None:
-        budget = Budget()
-    if _whnf_head_normal(ctx, term):
-        return term
-    return memoized_reduction(ctx, term, budget, "cc.whnf.subst", _whnf)
-
-
-def _whnf(ctx: Context, term: Term, budget: Budget) -> Term:
-    while True:
-        match term:
-            case Var(name):
-                binding = ctx.lookup(name)
-                if binding is not None and binding.definition is not None:
-                    budget.spend()
-                    term = binding.definition
-                    continue
-                return term
-            case Let(name, bound, _annot, body):
-                budget.spend()
-                term = subst1(body, name, bound)
-                continue
-            case App(fn, arg):
-                fn_whnf = whnf_subst(ctx, fn, budget)
-                if isinstance(fn_whnf, Lam):
-                    budget.spend()
-                    term = subst1(fn_whnf.body, fn_whnf.name, arg)
-                    continue
-                return term if fn_whnf is fn else App(fn_whnf, arg)
-            case Fst(pair):
-                pair_whnf = whnf_subst(ctx, pair, budget)
-                if isinstance(pair_whnf, Pair):
-                    budget.spend()
-                    term = pair_whnf.fst_val
-                    continue
-                return term if pair_whnf is pair else Fst(pair_whnf)
-            case Snd(pair):
-                pair_whnf = whnf_subst(ctx, pair, budget)
-                if isinstance(pair_whnf, Pair):
-                    budget.spend()
-                    term = pair_whnf.snd_val
-                    continue
-                return term if pair_whnf is pair else Snd(pair_whnf)
-            case If(cond, then_branch, else_branch):
-                cond_whnf = whnf_subst(ctx, cond, budget)
-                if isinstance(cond_whnf, BoolLit):
-                    budget.spend()
-                    term = then_branch if cond_whnf.value else else_branch
-                    continue
-                return term if cond_whnf is cond else If(cond_whnf, then_branch, else_branch)
-            case NatElim(motive, base, step, target):
-                target_whnf = whnf_subst(ctx, target, budget)
-                if isinstance(target_whnf, Zero):
-                    budget.spend()
-                    term = base
-                    continue
-                if isinstance(target_whnf, Succ):
-                    budget.spend()
-                    pred = target_whnf.pred
-                    term = make_app(step, pred, NatElim(motive, base, step, pred))
-                    continue
-                if target_whnf is target:
-                    return term
-                return NatElim(motive, base, step, target_whnf)
-            case _:
-                return term
+    return reduction.whnf_subst(_NBE, ctx, term, budget)
 
 
 def normalize(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
@@ -215,76 +126,16 @@ def normalize(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
     subcomputations are memoized per (term identity, context definitions)
     with fuel replay on hits.
     """
-    if budget is None:
-        budget = Budget()
-    if isinstance(term, _NF_TRIVIAL):
-        return term
-    if isinstance(term, Var):
-        binding = ctx.lookup(term.name)
-        if binding is None or binding.definition is None:
-            return term
-    return nbe_normalize(_NBE, ctx, term, budget, normalization_cache(), "cc.nf")
+    return reduction.normalize(_NBE, ctx, term, budget)
 
 
 def normalize_subst(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
     """:func:`normalize` on the substitution engine (the counting oracle).
 
-    Kept verbatim from the pre-NbE kernel: step accounting (one unit per
-    contraction *per occurrence*, replayed on memo hits) is byte-identical
-    to previous releases, which is what :func:`normalize_counting` reports.
+    Step accounting (one unit per contraction *per occurrence*, replayed
+    on memo hits) is what :func:`normalize_counting` reports.
     """
-    if budget is None:
-        budget = Budget()
-    if isinstance(term, _NF_TRIVIAL):
-        return term
-    if isinstance(term, Var):
-        binding = ctx.lookup(term.name)
-        if binding is None or binding.definition is None:
-            return term
-    return memoized_reduction(ctx, term, budget, "cc.nf.subst", _normalize)
-
-
-def _normalize(ctx: Context, term: Term, budget: Budget) -> Term:
-    term = whnf_subst(ctx, term, budget)
-    match term:
-        case Pi(name, domain, codomain):
-            inner = ctx.extend(name, domain)
-            return Pi(name, normalize_subst(ctx, domain, budget), normalize_subst(inner, codomain, budget))
-        case Lam(name, domain, body):
-            inner = ctx.extend(name, domain)
-            return Lam(name, normalize_subst(ctx, domain, budget), normalize_subst(inner, body, budget))
-        case Sigma(name, first, second):
-            inner = ctx.extend(name, first)
-            return Sigma(name, normalize_subst(ctx, first, budget), normalize_subst(inner, second, budget))
-        case App(fn, arg):
-            return App(normalize_subst(ctx, fn, budget), normalize_subst(ctx, arg, budget))
-        case Pair(fst_val, snd_val, annot):
-            return Pair(
-                normalize_subst(ctx, fst_val, budget),
-                normalize_subst(ctx, snd_val, budget),
-                normalize_subst(ctx, annot, budget),
-            )
-        case Fst(pair):
-            return Fst(normalize_subst(ctx, pair, budget))
-        case Snd(pair):
-            return Snd(normalize_subst(ctx, pair, budget))
-        case If(cond, then_branch, else_branch):
-            return If(
-                normalize_subst(ctx, cond, budget),
-                normalize_subst(ctx, then_branch, budget),
-                normalize_subst(ctx, else_branch, budget),
-            )
-        case Succ(pred):
-            return Succ(normalize_subst(ctx, pred, budget))
-        case NatElim(motive, base, step, target):
-            return NatElim(
-                normalize_subst(ctx, motive, budget),
-                normalize_subst(ctx, base, budget),
-                normalize_subst(ctx, step, budget),
-                normalize_subst(ctx, target, budget),
-            )
-        case _:
-            return term
+    return reduction.normalize_subst(_NBE, ctx, term, budget)
 
 
 def normalize_counting(ctx: Context, term: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, int]:
@@ -293,14 +144,7 @@ def normalize_counting(ctx: Context, term: Term, fuel: int = DEFAULT_FUEL) -> tu
     Benchmarks use the step count as a machine-independent cost measure when
     comparing evaluation before and after compilation (Corollary 5.8).
     """
-    budget = Budget(remaining=fuel)
-    result = normalize_subst(ctx, term, budget)
-    return result, budget.spent
-
-
-# --------------------------------------------------------------------------
-# The one-step relation, explicitly.
-# --------------------------------------------------------------------------
+    return reduction.normalize_counting(_NBE, ctx, term, fuel)
 
 
 def head_reducts(ctx: Context, term: Term) -> list[Term]:
@@ -310,28 +154,7 @@ def head_reducts(ctx: Context, term: Term) -> list[Term]:
     At most one axiom ever applies per node, so the list has length ≤ 1; a
     list keeps the signature uniform with :func:`reducts`.
     """
-    match term:
-        case Var(name):
-            binding = ctx.lookup(name)
-            if binding is not None and binding.definition is not None:
-                return [binding.definition]
-            return []
-        case Let(name, bound, _annot, body):
-            return [subst1(body, name, bound)]
-        case App(Lam(name, _domain, body), arg):
-            return [subst1(body, name, arg)]
-        case Fst(Pair(fst_val, _snd_val, _annot)):
-            return [fst_val]
-        case Snd(Pair(_fst_val, snd_val, _annot)):
-            return [snd_val]
-        case If(BoolLit(value), then_branch, else_branch):
-            return [then_branch if value else else_branch]
-        case NatElim(_motive, base, _step, Zero()):
-            return [base]
-        case NatElim(motive, base, step, Succ(pred)):
-            return [make_app(step, pred, NatElim(motive, base, step, pred))]
-        case _:
-            return []
+    return reduction.head_reducts(_NBE, ctx, term)
 
 
 def reducts(ctx: Context, term: Term) -> list[Term]:
@@ -340,50 +163,7 @@ def reducts(ctx: Context, term: Term) -> list[Term]:
     This enumerates the full relation ``Γ ⊢ e ⊲ e′``, which the metatheory
     properties (preservation of reduction, subject reduction) quantify over.
     """
-    results = list(head_reducts(ctx, term))
-    match term:
-        case Pi(name, domain, codomain):
-            results += [Pi(name, d, codomain) for d in reducts(ctx, domain)]
-            inner = ctx.extend(name, domain)
-            results += [Pi(name, domain, c) for c in reducts(inner, codomain)]
-        case Lam(name, domain, body):
-            results += [Lam(name, d, body) for d in reducts(ctx, domain)]
-            inner = ctx.extend(name, domain)
-            results += [Lam(name, domain, b) for b in reducts(inner, body)]
-        case App(fn, arg):
-            results += [App(f, arg) for f in reducts(ctx, fn)]
-            results += [App(fn, a) for a in reducts(ctx, arg)]
-        case Let(name, bound, annot, body):
-            results += [Let(name, b, annot, body) for b in reducts(ctx, bound)]
-            results += [Let(name, bound, a, body) for a in reducts(ctx, annot)]
-            inner = ctx.define(name, bound, annot)
-            results += [Let(name, bound, annot, b) for b in reducts(inner, body)]
-        case Sigma(name, first, second):
-            results += [Sigma(name, f, second) for f in reducts(ctx, first)]
-            inner = ctx.extend(name, first)
-            results += [Sigma(name, first, s) for s in reducts(inner, second)]
-        case Pair(fst_val, snd_val, annot):
-            results += [Pair(f, snd_val, annot) for f in reducts(ctx, fst_val)]
-            results += [Pair(fst_val, s, annot) for s in reducts(ctx, snd_val)]
-            results += [Pair(fst_val, snd_val, a) for a in reducts(ctx, annot)]
-        case Fst(pair):
-            results += [Fst(p) for p in reducts(ctx, pair)]
-        case Snd(pair):
-            results += [Snd(p) for p in reducts(ctx, pair)]
-        case If(cond, then_branch, else_branch):
-            results += [If(c, then_branch, else_branch) for c in reducts(ctx, cond)]
-            results += [If(cond, t, else_branch) for t in reducts(ctx, then_branch)]
-            results += [If(cond, then_branch, e) for e in reducts(ctx, else_branch)]
-        case Succ(pred):
-            results += [Succ(p) for p in reducts(ctx, pred)]
-        case NatElim(motive, base, step, target):
-            results += [NatElim(m, base, step, target) for m in reducts(ctx, motive)]
-            results += [NatElim(motive, b, step, target) for b in reducts(ctx, base)]
-            results += [NatElim(motive, base, s, target) for s in reducts(ctx, step)]
-            results += [NatElim(motive, base, step, t) for t in reducts(ctx, target)]
-        case _:
-            pass
-    return results
+    return reduction.reducts(_NBE, ctx, term)
 
 
 def reduces_to(ctx: Context, source: Term, target: Term, max_steps: int = 1000) -> bool:

@@ -19,21 +19,21 @@ an uncached run, merely cheaper.
 (:mod:`repro.kernel.nbe`) stores under ``"cc.whnf"``/``"cc.nf"`` while the
 substitution oracle stores under ``"cc.whnf.subst"``/``"cc.nf.subst"`` (and
 likewise for CC-CC), so the two engines never exchange results or recorded
-fuel — each replays exactly the cost model it computes under.
+fuel — each replays exactly the cost model it computes under.  The memo
+discipline itself (token, fuel-replaying lookup, store) is written once,
+in :mod:`repro.kernel.reduction`, for both engines and both calculi.
 
-The fingerprinting machinery is :class:`ContextTokenizer`: a token is
-derived from a shadowing-resolved ``name -> value`` map computed
-incrementally along the parent links contexts carry, parameterized by how
-one binding transforms the map.  Its one instance is the definitions-only
-view reduction observes, shared by normalization, the equivalence memo of
+A token is derived from the shadowing-resolved ``name -> definition`` map
+of a context, computed incrementally along the parent links contexts
+carry.  This definitions-only view is the one reduction observes; it is
+shared by normalization, the equivalence memo of
 :mod:`repro.kernel.judgment` and the persistent tier (which translates a
 token back into content).  Typing judgments do not fingerprint contexts:
 they key on context identity (:func:`repro.kernel.judgment.typing_key`).
 
-Session scoping: the cache and the fingerprint *tables* live on the active
+Session scoping: the cache and the fingerprint *table* live on the active
 :class:`~repro.kernel.state.KernelState` — one set per session, so sessions
-never exchange entries.  Each tokenizer's token **counter** stays
-process-global and monotone (it survives every clear and is shared by all
+never exchange entries.  The token **counter** stays process-global and monotone (it survives every clear and is shared by all
 sessions), which is what keeps identity keys sound: tokens are cached on
 context instances, and a context that outlives a reset — or that is
 observed by a second session — can never carry a token that aliases a
@@ -48,135 +48,63 @@ mentions, so no keyed id can be recycled while its entry is live.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable
+from typing import Any
 
-from repro.kernel.state import current_state, register_tokenizer
+from repro.kernel.state import current_state
 
 __all__ = [
-    "ContextTokenizer",
     "NormalizationCache",
     "context_token",
-    "head_is_weak_normal",
-    "memoized_reduction",
     "normalization_cache",
 ]
 
 _PARENT_ATTR = "_kernel_parent"
+_TOKEN_ATTR = "_kernel_ctx_token"
+_DEFS_ATTR = "_kernel_defs"
+
+#: Process-global and monotone: it survives every table clear and is
+#: shared by all sessions, so no token number is ever issued twice.
+_TOKEN_COUNTER = itertools.count(1)
 
 
-class ContextTokenizer:
-    """Incremental context fingerprints over parent-linked contexts.
+def _visible_defs(ctx: Any) -> dict[str, Any]:
+    """The shadowing-resolved ``name -> definition`` map of ``ctx``.
 
-    A tokenizer owns a view of contexts as shadowing-resolved ``name ->
-    value`` maps: ``derive_root`` computes the map of a context by full
-    scan (the fallback for contexts built directly), ``derive_step``
-    transforms a parent's map for one appended binding — returning the
-    *same* dict object when the binding is invisible to the view, which
-    lets extension chains share maps.  Maps are cached on the context
-    instances (``map_attr``) and never mutated; tokens likewise
-    (``token_attr``).  Two contexts receive the same token iff their maps
-    pair the same names with the same value *objects*.
-
-    The fingerprint tables live on the active session's
-    :class:`~repro.kernel.state.TokenTable`; the token counter is one
-    process-global monotone sequence per tokenizer, so clearing a table
-    (session reset) can never lead to a token being reused.
+    Walks up to the nearest ancestor with a cached map and replays the
+    missing (child, binding) steps back down — O(1) amortized per context
+    for ``extend``/``define`` chains, full scan for a context built
+    directly.  A step that cannot change the map (an assumption shadowing
+    no definition) shares the parent's dict object.  Maps are cached on
+    the context instances and never mutated; they are facts about the
+    context alone (no session state), so the caching is sound across
+    sessions.
     """
-
-    __slots__ = ("name", "_token_attr", "_map_attr", "_derive_root", "_derive_step",
-                 "_counter")
-
-    def __init__(
-        self,
-        name: str,
-        token_attr: str,
-        map_attr: str,
-        derive_root: Callable[[Any], dict],
-        derive_step: Callable[[dict, Any], dict],
-    ) -> None:
-        self.name = name
-        self._token_attr = token_attr
-        self._map_attr = map_attr
-        self._derive_root = derive_root
-        self._derive_step = derive_step
-        self._counter = itertools.count(1)
-        register_tokenizer(self)
-
-    def visible(self, ctx: Any) -> dict[str, Any]:
-        """The view map of ``ctx``, derived incrementally.
-
-        Walks up to the nearest ancestor with a cached map and replays the
-        missing (child, binding) steps back down — O(1) amortized per
-        context for ``extend``/``define`` chains, full scan otherwise.
-        The map is a fact about the context alone (no session state), so
-        caching it on the instance is sound across sessions.
-        """
-        map_attr = self._map_attr
-        cached = getattr(ctx, map_attr, None)
-        if cached is not None:
-            return cached
-        steps: list[tuple[Any, Any]] = []
-        current = ctx
-        while getattr(current, map_attr, None) is None:
-            link = getattr(current, _PARENT_ATTR, None)
-            if link is None:
-                object.__setattr__(current, map_attr, self._derive_root(current))
-                break
-            steps.append((current, link[1]))
-            current = link[0]
-        visible = getattr(current, map_attr)
-        for child, binding in reversed(steps):
-            visible = self._derive_step(visible, binding)
-            object.__setattr__(child, map_attr, visible)
-        return visible
-
-    def token(self, ctx: Any) -> int:
-        """The small integer identifying ``ctx``'s view; cached on ``ctx``."""
-        token = getattr(ctx, self._token_attr, None)
-        if token is not None:
-            return token
-        visible = self.visible(ctx)
-        tables = current_state().token_table(self.name)
-        hit = tables.map_tokens.get(id(visible))
-        if hit is not None:
-            token = hit[0]
-        else:
-            fingerprint = tuple(sorted((name, id(value)) for name, value in visible.items()))
-            entry = tables.table.get(fingerprint)
-            if entry is None:
-                entry = (next(self._counter), tuple(visible.values()))
-                tables.table[fingerprint] = entry
-                # Reverse index for the persistent tier: it re-derives the
-                # *content* this token fingerprints.  Registered only at
-                # token creation — every later holder shares the map.
-                tables.by_token[entry[0]] = visible
-            token = entry[0]
-            tables.map_tokens[id(visible)] = (token, visible)  # pin: id stays valid
-        object.__setattr__(ctx, self._token_attr, token)
-        return token
-
-
-def _defs_root(ctx: Any) -> dict[str, Any]:
-    defs: dict[str, Any] = {}
-    for binding in ctx.entries:
+    cached = getattr(ctx, _DEFS_ATTR, None)
+    if cached is not None:
+        return cached
+    steps: list[tuple[Any, Any]] = []
+    current = ctx
+    while getattr(current, _DEFS_ATTR, None) is None:
+        link = getattr(current, _PARENT_ATTR, None)
+        if link is None:
+            defs: dict[str, Any] = {}
+            for binding in current.entries:
+                if binding.definition is not None:
+                    defs[binding.name] = binding.definition
+                elif binding.name in defs:
+                    del defs[binding.name]  # assumption shadows a definition
+            object.__setattr__(current, _DEFS_ATTR, defs)
+            break
+        steps.append((current, link[1]))
+        current = link[0]
+    defs = getattr(current, _DEFS_ATTR)
+    for child, binding in reversed(steps):
         if binding.definition is not None:
-            defs[binding.name] = binding.definition
+            defs = {**defs, binding.name: binding.definition}
         elif binding.name in defs:
-            del defs[binding.name]  # assumption shadows a definition
+            defs = {key: value for key, value in defs.items() if key != binding.name}
+        object.__setattr__(child, _DEFS_ATTR, defs)
     return defs
-
-
-def _defs_step(defs: dict[str, Any], binding: Any) -> dict[str, Any]:
-    if binding.definition is not None:
-        return {**defs, binding.name: binding.definition}
-    if binding.name in defs:
-        return {key: value for key, value in defs.items() if key != binding.name}
-    return defs  # invisible to reduction: share the parent's dict object
-
-
-_DEFS_TOKENS = ContextTokenizer(
-    "kernel.ctx_tokens", "_kernel_ctx_token", "_kernel_defs", _defs_root, _defs_step
-)
 
 
 def context_token(ctx: Any) -> int:
@@ -184,9 +112,32 @@ def context_token(ctx: Any) -> int:
 
     Two contexts get the same token iff, after shadowing, they map the same
     names to the same definition *objects* — the context slice δ-reduction
-    (and therefore normalization and equivalence) can observe.
+    (and therefore normalization and equivalence) can observe.  The token
+    is cached on ``ctx``; the fingerprint tables live on the active
+    session's :class:`~repro.kernel.state.TokenTable`.
     """
-    return _DEFS_TOKENS.token(ctx)
+    token = getattr(ctx, _TOKEN_ATTR, None)
+    if token is not None:
+        return token
+    visible = _visible_defs(ctx)
+    tables = current_state().ctx_tokens
+    hit = tables.map_tokens.get(id(visible))
+    if hit is not None:
+        token = hit[0]
+    else:
+        fingerprint = tuple(sorted((name, id(value)) for name, value in visible.items()))
+        entry = tables.table.get(fingerprint)
+        if entry is None:
+            entry = (next(_TOKEN_COUNTER), tuple(visible.values()))
+            tables.table[fingerprint] = entry
+            # Reverse index for the persistent tier: it re-derives the
+            # *content* this token fingerprints.  Registered only at token
+            # creation — every later holder shares the map.
+            tables.by_token[entry[0]] = visible
+        token = entry[0]
+        tables.map_tokens[id(visible)] = (token, visible)  # pin: id stays valid
+    object.__setattr__(ctx, _TOKEN_ATTR, token)
+    return token
 
 
 class NormalizationCache:
@@ -263,35 +214,3 @@ class NormalizationCache:
 def normalization_cache() -> NormalizationCache:
     """The active session's normalization cache."""
     return current_state().normalization
-
-
-def memoized_reduction(ctx: Any, term: Any, budget: Any, kind: str, compute: Callable) -> Any:
-    """Run ``compute(ctx, term, budget)`` through the normalization memo.
-
-    The one definition of the memo discipline — token, fuel-replaying
-    lookup, store — shared by both calculi's reduction wrappers (NbE and
-    substitution-oracle alike), so no engine can desynchronize on it.
-    """
-    cache = current_state().normalization
-    token = context_token(ctx)
-    hit = cache.lookup(kind, term, token)
-    if hit is not None:
-        result, steps = hit
-        budget.charge(steps)
-        return result
-    before = budget.spent
-    result = compute(ctx, term, budget)
-    cache.store(kind, term, token, result, budget.spent - before)
-    return result
-
-
-def head_is_weak_normal(ctx: Any, term: Any, var_cls: type, active: tuple) -> bool:
-    """Is ``term`` already weak-head normal (no memo round-trip needed)?
-
-    Fast path for the overwhelmingly common cases: a neutral variable
-    needs one context probe, and non-``active`` heads cannot reduce.
-    """
-    if isinstance(term, var_cls):
-        binding = ctx.lookup(term.name)
-        return binding is None or binding.definition is None
-    return not isinstance(term, active)

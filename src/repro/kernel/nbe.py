@@ -131,9 +131,16 @@ class NbeSpec:
     children, binder scoping) is driven by the registered node specs.
     β differs per calculus: CC applies ``lam_cls`` directly, CC-CC applies
     a ``clo_cls`` whose code position weak-head-exposes a ``codelam_cls``.
+    The substitution oracle (:mod:`repro.kernel.reduction`) runs on the
+    same wiring.  ``kind`` prefixes the memo kinds both engines store
+    under (``"cc"`` gives ``"cc.whnf"``, ``"cc.nf"``, ``"cc.whnf.subst"``
+    and ``"cc.nf.subst"``); ``active`` is every class a whnf step can act
+    on, so anything else is weak-head normal without a memo probe, and
+    ``scrutinee`` maps each eliminator class to the field whnf exposes.
     """
 
     lang: Language
+    kind: str
     var_cls: type
     let_cls: type
     app_cls: type
@@ -151,6 +158,12 @@ class NbeSpec:
     codelam_cls: type | None = None
     tags: dict[type, str] = field(default_factory=dict)
     trivial_set: frozenset = frozenset()
+    active: tuple[type, ...] = field(init=False)
+    scrutinee: dict[type, str] = field(init=False)
+    whnf_kind: str = field(init=False)
+    nf_kind: str = field(init=False)
+    whnf_subst_kind: str = field(init=False)
+    nf_subst_kind: str = field(init=False)
 
     def __post_init__(self) -> None:
         self.tags = {
@@ -163,6 +176,16 @@ class NbeSpec:
             self.natelim_cls: _F_NAT,
         }
         self.trivial_set = frozenset(self.trivial)
+        self.active = tuple(self.tags)
+        self.scrutinee = {
+            cls: _SPINE_CHILDREN[tag][0]
+            for cls, tag in self.tags.items()
+            if tag in _SPINE_CHILDREN
+        }
+        self.whnf_kind = f"{self.kind}.whnf"
+        self.nf_kind = f"{self.kind}.nf"
+        self.whnf_subst_kind = f"{self.kind}.whnf.subst"
+        self.nf_subst_kind = f"{self.kind}.nf.subst"
 
 
 # --------------------------------------------------------------------------

@@ -47,6 +47,9 @@ class NodeSpec:
     #: rebuild hot paths (substitution, hoisting, interning) must not
     #: rescan ``children`` per field.
     child_attrs: frozenset[str] = frozenset()
+    #: The position of each child in ``field_order``, for positional
+    #: rebuilds that replace children in place (the reduction oracle).
+    child_slots: tuple[int, ...] = ()
 
 
 class Language:
@@ -141,6 +144,7 @@ class Language:
             children,
             field_order,
             frozenset(child.attr for child in children),
+            tuple(field_order.index(child.attr) for child in children),
         )
         self.specs[cls] = spec
         return spec

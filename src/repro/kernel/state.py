@@ -16,10 +16,11 @@ several) with zero cross-talk and results byte-identical to solo runs:
 * one :class:`LanguageStore` per calculus (fv cache, intern memo,
   hash-consing table);
 * the normalization and judgment caches with their fuel-replay entries;
-* one :class:`TokenTable` per registered context tokenizer — the
-  fingerprint maps are per-state, while each tokenizer's token *counter*
-  stays process-global and monotone, so a token cached on a context object
-  by one state can never alias a different fingerprint in another state;
+* the :class:`TokenTable` of context fingerprints
+  (:func:`repro.kernel.memo.context_token`) — the fingerprint maps are
+  per-state, while the token *counter* stays process-global and monotone,
+  so a token cached on a context object by one state can never alias a
+  different fingerprint in another state;
 * the preferred reduction engine and default fuel, which the ``repro.api``
   session layer reads.
 
@@ -53,7 +54,6 @@ __all__ = [
     "current_state",
     "default_state",
     "register_language",
-    "register_tokenizer",
     "validate_engine",
 ]
 
@@ -74,9 +74,6 @@ def validate_engine(engine: str) -> str:
 #: fresh state can report zeroed stats for all of them before first use.
 _LANGUAGES: list[Any] = []
 
-#: Every ContextTokenizer ever constructed, for the same reason.
-_TOKENIZERS: list[Any] = []
-
 
 def register_language(lang: Any) -> Any:
     """Record ``lang`` so every state lazily materializes a store for it."""
@@ -84,28 +81,22 @@ def register_language(lang: Any) -> Any:
     return lang
 
 
-def register_tokenizer(tokenizer: Any) -> Any:
-    """Record ``tokenizer`` so every state materializes its token tables."""
-    _TOKENIZERS.append(tokenizer)
-    return tokenizer
-
-
 class TokenTable:
-    """Per-state fingerprint tables of one :class:`ContextTokenizer`.
+    """Per-state fingerprint tables of :func:`repro.kernel.memo.context_token`.
 
     ``table`` maps a context fingerprint to ``(token, pinned values)``;
     ``map_tokens`` is the O(1) ``id(visible map) -> (token, pinned map)``
     path; ``by_token`` is the reverse index ``token -> visible map``, which
     the persistent memo tier uses to translate a session-local token back
     into the content it fingerprints.  Clearing drops all three (the pins
-    die with them) but never touches the owning tokenizer's counter, so
-    tokens are never reused — within a state or across states.
+    die with them) but never touches the process-global token counter,
+    so tokens are never reused — within a state or across states.
     """
 
     __slots__ = ("name", "table", "map_tokens", "by_token")
 
-    def __init__(self, name: str) -> None:
-        self.name = name
+    def __init__(self) -> None:
+        self.name = "kernel.ctx_tokens"
         self.table: dict[tuple, tuple[int, tuple]] = {}
         self.map_tokens: dict[int, tuple[int, dict]] = {}
         self.by_token: dict[int, dict] = {}
@@ -149,8 +140,8 @@ class KernelState:
 
     Everything the engines can read or write lives here; two states never
     share an entry, a token table, or a name counter.  The one deliberate
-    exception is each tokenizer's token *counter* (process-global), which
-    only ever makes tokens unique — it carries no workload state.
+    exception is the context-token *counter* (process-global), which only
+    ever makes tokens unique — it carries no workload state.
     """
 
     def __init__(
@@ -179,7 +170,7 @@ class KernelState:
         self.persistent: Any = None
         self._counter = itertools.count(1)
         self._stores: dict[str, LanguageStore] = {}
-        self._token_tables: dict[str, TokenTable] = {}
+        self.ctx_tokens = TokenTable()
         self._extra: list[Any] = []
         self._reset_lock = threading.Lock()
 
@@ -201,13 +192,6 @@ class KernelState:
             found = self._stores.setdefault(lang.name, LanguageStore(lang.name))
         return found
 
-    def token_table(self, name: str) -> TokenTable:
-        """The :class:`TokenTable` for tokenizer ``name``, created on first use."""
-        found = self._token_tables.get(name)
-        if found is None:
-            found = self._token_tables.setdefault(name, TokenTable(name))
-        return found
-
     def register(self, cache: Any) -> Any:
         """Register an extra cache (anything with ``clear``/``name``/``len``)."""
         self._extra.append(cache)
@@ -222,8 +206,7 @@ class KernelState:
         out: list[Any] = []
         for store in self._stores.values():
             out.extend(store.caches)
-        for tokenizer in _TOKENIZERS:
-            out.append(self.token_table(tokenizer.name))
+        out.append(self.ctx_tokens)
         out.append(self.normalization)
         out.append(self.judgments)
         out.extend(self._extra)

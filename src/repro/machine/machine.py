@@ -19,7 +19,7 @@ from __future__ import annotations
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Any, Callable, Union
 
 from repro import cccc
 from repro.common.errors import ReproError
@@ -266,24 +266,29 @@ _DEEP_TERM_THRESHOLD = 2_000
 _DEEP_STACK_BYTES = 256 * 1024 * 1024
 
 
-def _run_guarded(machine: _Machine, term: cccc.Term, size: int) -> Value:
-    """Evaluate in a thread with a deep stack (bump-guarded recursion)."""
+def _run_guarded(thunk: Callable[[], Any], limit: int) -> Any:
+    """Run ``thunk`` on a thread with a deep C stack and a recursion limit ≥ ``limit``.
+
+    The one deep-stack runner, shared by the machine and the staged
+    backend (:mod:`repro.backend.compile`); exceptions are re-raised in
+    the caller.
+    """
     result: list = []
     failure: list = []
 
     def worker() -> None:
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 4 * size + 10_000))
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(previous, limit))
         try:
-            result.append(machine.eval(term, {}))
+            result.append(thunk())
         except BaseException as error:  # noqa: BLE001 — re-raised in the caller
             failure.append(error)
         finally:
-            sys.setrecursionlimit(limit)
+            sys.setrecursionlimit(previous)
 
     old_size = threading.stack_size(_DEEP_STACK_BYTES)
     try:
-        thread = threading.Thread(target=worker, name="repro-machine-deep")
+        thread = threading.Thread(target=worker, name="repro-deep-stack")
         thread.start()
         thread.join()
     finally:
@@ -317,7 +322,7 @@ def run(
         cccc.term_size(code) for code in program.code_table.values()
     )
     if size > _DEEP_TERM_THRESHOLD:
-        value = _run_guarded(machine, program.main, size)
+        value = _run_guarded(lambda: machine.eval(program.main, {}), 4 * size + 10_000)
     else:
         value = machine.eval(program.main, {})
     return value, stats

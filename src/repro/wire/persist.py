@@ -513,7 +513,7 @@ class PersistentTier:
         found = self._ctx_keys.get(token)
         if found is not None:
             return found
-        visible = self._state.token_table("kernel.ctx_tokens").by_token.get(token)
+        visible = self._state.ctx_tokens.by_token.get(token)
         if visible is None:
             return None
         hasher = blake2b(digest_size=16, key=b"repro-memo-ctx")

@@ -216,12 +216,14 @@ class TestMemoizedNormalization:
 
     @pytest.mark.parametrize(("name", "ctx", "term"), CORPUS, ids=corpus_ids())
     def test_normal_forms_have_no_reducts(self, name, ctx, term):
-        """Drift guard for the `_WHNF_ACTIVE` memo short-circuits.
+        """Drift guard for the whnf memo short-circuit.
 
-        If a reducible head class were ever missing from the short-circuit
-        tuples in `cc.reduce`/`cccc.reduce`, normalize would silently leave
-        redexes behind; enumerating the one-step relation on the normal
-        form catches that no matter where the redex hides.
+        `repro.kernel.reduction` skips the memo for any head outside the
+        spec's `active` classes, which `NbeSpec` derives from its
+        eliminator classes.  If a reducible head class were ever missing
+        from it, normalize would silently leave redexes behind;
+        enumerating the one-step relation on the normal form catches that
+        no matter where the redex hides.
         """
         nf = cc.normalize(ctx, term)
         assert cc.reducts(ctx, nf) == []

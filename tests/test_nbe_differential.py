@@ -22,12 +22,17 @@ agreement over the corpus and the ``gen/`` workloads for both calculi:
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from corpus import CORPUS, corpus_ids
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 import test_cccc_negative
 from repro import cc, cccc
 from repro.api import Session
@@ -377,26 +382,37 @@ class TestCCCCCheckerAgainstReference:
 # conversion's pointer short-circuit skip a redex it used to reduce on
 # both sides; these corpus programs are the ones whose CC-CC equivalence
 # and checking actually reuse a shared rebuild, so their fuel is pinned.
+# The ``*.subst`` and ``*.reducts`` entries pin the substitution oracle
+# both calculi share: ``normalize_counting`` step counts, CC-CC
+# ``whnf_subst`` fuel and the number of one-step reducts.
 _PINNED_FUEL = {
     "church-add-2-3": {
         "cc.whnf": 2, "cc.nf": 8, "cc.eq": 8,
         "cccc.whnf": 3, "cccc.nf": 34, "cccc.eq": 115,
         "cccc.infer": 72, "verify": 99,
+        "cc.nf.subst": 8, "cccc.whnf.subst": 3, "cccc.nf.subst": 34,
+        "cc.reducts": 1, "cccc.reducts": 79,
     },
     "nested-capture": {
         "cc.whnf": 0, "cc.nf": 0, "cc.eq": 0,
         "cccc.whnf": 0, "cccc.nf": 10, "cccc.eq": 23,
         "cccc.infer": 19, "verify": 29,
+        "cc.nf.subst": 0, "cccc.whnf.subst": 0, "cccc.nf.subst": 10,
+        "cc.reducts": 0, "cccc.reducts": 30,
     },
     "add-zero-proof": {
         "cc.whnf": 0, "cc.nf": 9, "cc.eq": 2,
         "cccc.whnf": 0, "cccc.nf": 55, "cccc.eq": 50,
         "cccc.infer": 271, "verify": 287,
+        "cc.nf.subst": 9, "cccc.whnf.subst": 0, "cccc.nf.subst": 55,
+        "cc.reducts": 3, "cccc.reducts": 91,
     },
     "church-2": {
         "cc.whnf": 0, "cc.nf": 0, "cc.eq": 0,
         "cccc.whnf": 0, "cccc.nf": 6, "cccc.eq": 17,
         "cccc.infer": 12, "verify": 21,
+        "cc.nf.subst": 0, "cccc.whnf.subst": 0, "cccc.nf.subst": 6,
+        "cc.reducts": 0, "cccc.reducts": 18,
     },
 }
 
@@ -426,7 +442,45 @@ class TestFuelPinnedAcrossSharing:
                 "cccc.eq": _spent(lambda b: cccc.equivalent(tctx, target, tnf, b)),
                 "cccc.infer": _spent(lambda b: cccc.infer(tctx, target, b)),
                 "verify": verify.spent,
+                "cc.nf.subst": cc.normalize_counting(ctx, term)[1],
+                "cccc.whnf.subst": _spent(lambda b: cccc_whnf_subst(tctx, target, b)),
+                "cccc.nf.subst": cccc.normalize_counting(tctx, target)[1],
+                "cc.reducts": len(cc.reducts(ctx, term)),
+                "cccc.reducts": len(cccc.reducts(tctx, target)),
             }
         assert spent == _PINNED_FUEL[name]
         _, ref_fuel = _judge(typecheck_subst.infer, tctx, target)
         assert ref_fuel == _PINNED_FUEL[name]["cccc.infer"]
+
+
+# --------------------------------------------------------------------------
+# Stack depth of the substitution oracle.
+# --------------------------------------------------------------------------
+
+_SRC = os.path.dirname(os.path.dirname(repro.__file__))
+
+# ``n + n`` by the primitive eliminator: every ι-step nests one more level
+# of oracle recursion, so the largest ``n`` the default recursion limit
+# admits measures the Python frames spent per level.  At three frames per
+# level (entry, memo, step) the limit is n = 165; a fourth frame per level
+# would lower it to about 124.
+_NAT_SUM_SCRIPT = """
+import sys
+from repro import cc
+from repro.cc import prelude
+from repro.cc.reduce import normalize_subst
+
+assert sys.getrecursionlimit() == 1000
+n = 150
+term = cc.make_app(prelude.nat_add, cc.nat_literal(n), cc.nat_literal(n))
+assert cc.nat_value(normalize_subst(cc.Context.empty(), term)) == 2 * n
+"""
+
+
+def test_oracle_depth_at_default_recursion_limit():
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    result = subprocess.run(
+        [sys.executable, "-c", _NAT_SUM_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
