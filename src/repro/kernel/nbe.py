@@ -1,9 +1,10 @@
 """Normalization by evaluation: an environment machine shared by both calculi.
 
-The substitution-based reducers of ``cc/reduce.py`` and ``cccc/reduce.py``
-pay for every δ/ζ/β contraction with a tree rewrite: ``subst1`` copies and
-re-walks the redex body, which makes *cold* normalization quadratic on deep
-β-redex chains (each step walks what the previous steps built).  This module
+The substitution reduction oracle both calculi share
+(:mod:`repro.kernel.reduction`) pays for every δ/ζ/β contraction with a
+tree rewrite: ``subst`` copies and re-walks the redex body, which makes
+*cold* normalization quadratic on deep β-redex chains (each step walks
+what the previous steps built).  This module
 replaces that with the classic environment-machine discipline of Accattoli
 et al. ("Closure Conversion, Flat Environments, and the Complexity of
 Abstract Machines"): instead of substituting eagerly, an evaluator threads
@@ -401,7 +402,8 @@ def _machine(
                     else:
                         arg = Thunk(app[1].arg, app[2])
                     # Parallel binding of environment and argument — the
-                    # same discipline as cccc.reduce._beta (the argument
+                    # same discipline as the oracle's closure β in
+                    # repro.kernel.reduction._contract (the argument
                     # mapping wins when the code shadows env_name).
                     new_env = dict(env)
                     new_env[term.env_name] = Thunk(clo_node.env, clo_env)
