@@ -33,8 +33,9 @@ they key on context identity (:func:`repro.kernel.judgment.typing_key`).
 
 Session scoping: the cache and the fingerprint *table* live on the active
 :class:`~repro.kernel.state.KernelState` — one set per session, so sessions
-never exchange entries.  The token **counter** stays process-global and monotone (it survives every clear and is shared by all
-sessions), which is what keeps identity keys sound: tokens are cached on
+never exchange entries.  The token **counter** stays process-global and
+monotone (it survives every clear and is shared by all sessions), which
+is what keeps identity keys sound: tokens are cached on
 context instances, and a context that outlives a reset — or that is
 observed by a second session — can never carry a token that aliases a
 different fingerprint anywhere, because no token number is ever issued

@@ -147,7 +147,7 @@ class TestCCCCAgainstOracle:
         assert cccc.alpha_equal(nbe, oracle)
 
     def test_closure_beta_parallel_binding(self, empty_target):
-        # The β-capture hazard `_beta` guards: the environment value is
+        # The β-capture hazard closure β guards: the environment value is
         # free in the argument binder's name.  Both engines must bind in
         # parallel, never sequentially.
         code = cccc.CodeLam(
