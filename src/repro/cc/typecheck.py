@@ -15,13 +15,16 @@ Universe discipline (Section 2):
   the reading the paper's own environment telescopes (``Σ (A:⋆ …)``
   terminated by the unit type) require; see DESIGN.md §3.
 
-Every judgment is memoized per (term identity, context identity) through
+Every judgment is memoized per (term identity, context path key) through
 :mod:`repro.kernel.judgment`, with the reduction fuel the original run
 spent replayed on every hit — so a single :class:`Budget` threaded through
 a checking run observes step counts and fuel exhaustion identical to a
 cold-cache run.  The per-node probes hit on hash-consed input, where one
 subterm object recurs under one context.  Only successful judgments are
 cached; failures re-derive (and therefore re-raise) from scratch.
+:func:`derived_type` reads a stored ``infer`` judgment back without
+deriving (or counting a hit): closure conversion takes each λ body's type
+from the derivation the source check left behind.
 """
 
 from __future__ import annotations
@@ -54,9 +57,9 @@ from repro.cc.reduce import Budget, whnf
 from repro.cc.subst import subst1
 from repro.common.errors import TypeCheckError
 from repro.common.names import fresh
-from repro.kernel.judgment import judgment_cache, typing_key
+from repro.kernel.judgment import judgment_cache
 
-__all__ = ["check", "check_context", "infer", "infer_universe", "well_typed"]
+__all__ = ["check", "check_context", "derived_type", "infer", "infer_universe", "well_typed"]
 
 # Shared leaf instances.  check/equivalent memo keys are identity-based, so
 # passing one stable object for the ubiquitous ground types makes those
@@ -93,7 +96,7 @@ def infer(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
         case Zero():
             return _NAT
     cache = judgment_cache()
-    key = typing_key(ctx)
+    key = cache.typing_key(ctx)
     hit = cache.lookup("cc.infer", term, None, key)
     if hit is not None:
         result, steps = hit
@@ -101,8 +104,19 @@ def infer(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
         return result
     before = budget.spent
     result = _infer(ctx, term, budget)
-    cache.store("cc.infer", term, None, key, result, budget.spent - before, ctx)
+    cache.store("cc.infer", term, None, key, result, budget.spent - before)
     return result
+
+
+def derived_type(ctx: Context, term: Term) -> Term | None:
+    """The type an earlier ``infer(ctx, term)`` derived and memoized, or None.
+
+    A read of the typing memo that derives nothing and counts no hit.  None
+    for leaf terms (``infer`` never stores them) and for judgments not made
+    under a context with ``ctx``'s path since the memo was last emptied.
+    """
+    cache = judgment_cache()
+    return cache.peek("cc.infer", term, None, cache.typing_key(ctx))
 
 
 def _infer(ctx: Context, term: Term, budget: Budget) -> Term:
@@ -209,7 +223,7 @@ def check(ctx: Context, term: Term, expected: Term, budget: Budget | None = None
     if budget is None:
         budget = Budget()
     cache = judgment_cache()
-    key = typing_key(ctx)
+    key = cache.typing_key(ctx)
     hit = cache.lookup("cc.check", term, expected, key)
     if hit is not None:
         budget.charge(hit[1])
@@ -222,7 +236,7 @@ def check(ctx: Context, term: Term, expected: Term, budget: Budget | None = None
             f"  has type      {pretty(actual)}\n"
             f"  but expected  {pretty(expected)}"
         )
-    cache.store("cc.check", term, expected, key, True, budget.spent - before, ctx)
+    cache.store("cc.check", term, expected, key, True, budget.spent - before)
 
 
 def infer_universe(ctx: Context, type_: Term, budget: Budget | None = None) -> Star | Box:
@@ -230,7 +244,7 @@ def infer_universe(ctx: Context, type_: Term, budget: Budget | None = None) -> S
     if budget is None:
         budget = Budget()
     cache = judgment_cache()
-    key = typing_key(ctx)
+    key = cache.typing_key(ctx)
     hit = cache.lookup("cc.universe", type_, None, key)
     if hit is not None:
         sort, steps = hit
@@ -242,7 +256,7 @@ def infer_universe(ctx: Context, type_: Term, budget: Budget | None = None) -> S
         raise TypeCheckError(
             f"expected a type but {pretty(type_)} has type {pretty(sort)}"
         )
-    cache.store("cc.universe", type_, None, key, sort, budget.spent - before, ctx)
+    cache.store("cc.universe", type_, None, key, sort, budget.spent - before)
     return sort
 
 

@@ -31,7 +31,7 @@ differential reference.
 
 Judgment-level memoization (:mod:`repro.kernel.judgment`) happens only at
 the public ``infer``/``check``/``infer_universe`` entries, per (subject
-identity, context identity) with exact fuel replay, under ``"cccc.*.nbe"``
+identity, context path key) with exact fuel replay, under ``"cccc.*.nbe"``
 kinds the reference checker never reads.  Internal judgments are not
 memoized: closure conversion emits fresh trees whose nodes are each
 checked once under one context, so a per-node probe would never hit.
@@ -72,7 +72,7 @@ from repro.cccc.pretty import pretty
 from repro.cccc.reduce import _NBE, Budget, read_value, whnf, whnf_value
 from repro.common.errors import TypeCheckError
 from repro.common.names import fresh
-from repro.kernel.judgment import judgment_cache, typing_key
+from repro.kernel.judgment import judgment_cache
 from repro.kernel.nbe import Thunk, glue, glue_instantiate, value_names
 
 __all__ = ["check", "check_context", "infer", "infer_universe", "well_typed"]
@@ -106,7 +106,7 @@ def _memoized(kind: str, ctx: Context, subject: Term, extra, budget: Budget, jud
     The checker's only typing-memo probe, made once per public call.
     """
     cache = judgment_cache()
-    key = typing_key(ctx)
+    key = cache.typing_key(ctx)
     hit = cache.lookup(kind, subject, extra, key)
     if hit is not None:
         verdict, steps = hit
@@ -114,7 +114,7 @@ def _memoized(kind: str, ctx: Context, subject: Term, extra, budget: Budget, jud
         return verdict
     before = budget.spent
     verdict = judge()
-    cache.store(kind, subject, extra, key, verdict, budget.spent - before, ctx)
+    cache.store(kind, subject, extra, key, verdict, budget.spent - before)
     return verdict
 
 

@@ -25,7 +25,7 @@ The two rules that carry the weight of the paper:
 predicative at □.  Everything else is inherited from CC — including the
 judgment-level memoization of :mod:`repro.kernel.judgment`: every
 ``infer``/``check``/``infer_universe`` result is cached per (term
-identity, context identity) with exact fuel replay into the
+identity, context path key) with exact fuel replay into the
 threaded :class:`Budget`, and failures are never cached so errors
 re-derive identically.
 """
@@ -65,7 +65,7 @@ from repro.cccc.reduce import Budget, whnf
 from repro.cccc.subst import rename, subst1
 from repro.common.errors import TypeCheckError
 from repro.common.names import fresh
-from repro.kernel.judgment import judgment_cache, typing_key
+from repro.kernel.judgment import judgment_cache
 
 __all__ = ["check", "check_context", "infer", "infer_universe", "well_typed"]
 
@@ -103,7 +103,7 @@ def infer(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
         case Zero():
             return _NAT
     cache = judgment_cache()
-    key = typing_key(ctx)
+    key = cache.typing_key(ctx)
     hit = cache.lookup("cccc.infer", term, None, key)
     if hit is not None:
         result, steps = hit
@@ -111,7 +111,7 @@ def infer(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
         return result
     before = budget.spent
     result = _infer(ctx, term, budget)
-    cache.store("cccc.infer", term, None, key, result, budget.spent - before, ctx)
+    cache.store("cccc.infer", term, None, key, result, budget.spent - before)
     return result
 
 
@@ -255,7 +255,7 @@ def check(ctx: Context, term: Term, expected: Term, budget: Budget | None = None
     if budget is None:
         budget = Budget()
     cache = judgment_cache()
-    key = typing_key(ctx)
+    key = cache.typing_key(ctx)
     hit = cache.lookup("cccc.check", term, expected, key)
     if hit is not None:
         budget.charge(hit[1])
@@ -268,7 +268,7 @@ def check(ctx: Context, term: Term, expected: Term, budget: Budget | None = None
             f"  has type      {pretty(actual)}\n"
             f"  but expected  {pretty(expected)}"
         )
-    cache.store("cccc.check", term, expected, key, True, budget.spent - before, ctx)
+    cache.store("cccc.check", term, expected, key, True, budget.spent - before)
 
 
 def infer_universe(ctx: Context, type_: Term, budget: Budget | None = None) -> Star | Box:
@@ -276,7 +276,7 @@ def infer_universe(ctx: Context, type_: Term, budget: Budget | None = None) -> S
     if budget is None:
         budget = Budget()
     cache = judgment_cache()
-    key = typing_key(ctx)
+    key = cache.typing_key(ctx)
     hit = cache.lookup("cccc.universe", type_, None, key)
     if hit is not None:
         sort, steps = hit
@@ -286,7 +286,7 @@ def infer_universe(ctx: Context, type_: Term, budget: Budget | None = None) -> S
     sort = whnf(ctx, infer(ctx, type_, budget), budget)
     if not isinstance(sort, (Star, Box)):
         raise TypeCheckError(f"expected a type but {pretty(type_)} has type {pretty(sort)}")
-    cache.store("cccc.universe", type_, None, key, sort, budget.spent - before, ctx)
+    cache.store("cccc.universe", type_, None, key, sort, budget.spent - before)
     return sort
 
 

@@ -14,9 +14,19 @@ types may mention them — in the argument's *type annotation*.  The
 environment tuple ``⟨xi …⟩`` closes over the live variables at the
 closure-creation site.
 
-The translation is type-directed (it is defined on typing derivations):
-we run the CC kernel as we go, both to find the type ``B`` needed by the
-FV metafunction and to reject ill-typed inputs up front.
+The translation is type-directed (it is defined on typing derivations,
+⟦Γ ⊢ e : A⟧): [CC-Lam] needs the body's type ``B`` because the FV
+metafunction collects the free variables of the type too.  ``B`` comes
+from the derivation the source check already made: the check memoizes
+``Γ, x:A ⊢ e : B`` under the body context's extension path, and the body
+context built here has the same path whenever it descends from the same
+root context along the same binding objects — as it does after
+``cc.infer(ctx, term)`` on the ``ctx`` given to :func:`translate`
+(:func:`repro.closconv.pipeline.compile_term` checks first).  Only when no
+such judgment is memoized — a leaf body, a body rebuilt by α-renaming, a
+memo emptied since the check, or a warm check that hit at the root and
+never re-derived the body — is ``B`` derived here, which also rejects
+ill-typed input up front.
 """
 
 from __future__ import annotations
@@ -110,13 +120,17 @@ def _translate_lambda(ctx: CCContext, term: cc.Lam) -> cccc.Term:
     domain = term.domain
     body = term.body
 
-    # The FV metafunction needs the λ's type Π x:A. B, so infer B.
-    try:
-        body_type = cc_typecheck.infer(ctx.extend(arg_name, domain), body)
-    except TypeCheckError as error:
-        raise TranslationError(
-            f"cannot closure-convert ill-typed function {cc.pretty(term)}: {error}"
-        ) from error
+    # The FV metafunction needs the λ's type Π x:A. B: read B off the
+    # source derivation, and derive it only when there is none.
+    body_ctx = ctx.extend(arg_name, domain)
+    body_type = cc_typecheck.derived_type(body_ctx, body)
+    if body_type is None:
+        try:
+            body_type = cc_typecheck.infer(body_ctx, body)
+        except TypeCheckError as error:
+            raise TranslationError(
+                f"cannot closure-convert ill-typed function {cc.pretty(term)}: {error}"
+            ) from error
     lam_type = cc.Pi(arg_name, domain, body_type)
 
     free_bindings = dependent_free_vars(ctx, term, lam_type)
@@ -129,6 +143,7 @@ def _translate_lambda(ctx: CCContext, term: cc.Lam) -> cccc.Term:
         renamed = fresh(arg_name)
         body = cc.subst1(body, arg_name, cc.Var(renamed))
         arg_name = renamed
+        body_ctx = ctx.extend(arg_name, domain)
 
     # Translate the telescope types in their (prefix) contexts.
     telescope: cccc.Telescope = []
@@ -140,7 +155,7 @@ def _translate_lambda(ctx: CCContext, term: cc.Lam) -> cccc.Term:
     env_var = cccc.Var(env_name)
 
     domain_tgt = translate(ctx, domain)
-    body_tgt = translate(ctx.extend(arg_name, domain), body)
+    body_tgt = translate(body_ctx, body)
 
     code = cccc.CodeLam(
         env_name,

@@ -71,7 +71,8 @@ class Context:
         # Parent link for the kernel's incremental context fingerprinting
         # (repro.kernel.memo.context_token): lets a one-entry extension
         # derive its visible-definitions map from this context in O(1)
-        # instead of rescanning all entries.
+        # instead of rescanning all entries.  The typing memo's path keys
+        # (repro.kernel.judgment) follow the same link.
         object.__setattr__(child, "_kernel_parent", (self, binding))
         return child
 

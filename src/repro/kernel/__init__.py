@@ -44,7 +44,7 @@ from repro.kernel.cache import DictCache, TermCache, cache_stats, register_cache
 from repro.kernel.convert import ConversionRules, convert
 from repro.kernel.fv import free_vars
 from repro.kernel.intern import build, intern
-from repro.kernel.judgment import JudgmentCache, judgment_cache, typing_key
+from repro.kernel.judgment import JudgmentCache, judgment_cache
 from repro.kernel.memo import NormalizationCache, context_token, normalization_cache
 from repro.kernel.nodespec import ChildSpec, Language, NodeSpec
 from repro.kernel.state import KernelState, activate, current_state, default_state
@@ -80,5 +80,4 @@ __all__ = [
     "subst",
     "subterms",
     "term_size",
-    "typing_key",
 ]

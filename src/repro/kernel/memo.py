@@ -29,7 +29,8 @@ carry.  This definitions-only view is the one reduction observes; it is
 shared by normalization, the equivalence memo of
 :mod:`repro.kernel.judgment` and the persistent tier (which translates a
 token back into content).  Typing judgments do not fingerprint contexts:
-they key on context identity (:func:`repro.kernel.judgment.typing_key`).
+they key on the context's extension path
+(:meth:`repro.kernel.judgment.JudgmentCache.typing_key`).
 
 Session scoping: the cache and the fingerprint *table* live on the active
 :class:`~repro.kernel.state.KernelState` — one set per session, so sessions

@@ -15,7 +15,8 @@ several) with zero cross-talk and results byte-identical to solo runs:
   states draws the same names each would draw alone;
 * one :class:`LanguageStore` per calculus (fv cache, intern memo,
   hash-consing table);
-* the normalization and judgment caches with their fuel-replay entries;
+* the normalization and judgment caches with their fuel-replay entries,
+  and the judgment cache's table of typing-context path keys;
 * the :class:`TokenTable` of context fingerprints
   (:func:`repro.kernel.memo.context_token`) — the fingerprint maps are
   per-state, while the token *counter* stays process-global and monotone,
@@ -139,9 +140,10 @@ class KernelState:
     """All mutable kernel state for one isolated workload.
 
     Everything the engines can read or write lives here; two states never
-    share an entry, a token table, or a name counter.  The one deliberate
-    exception is the context-token *counter* (process-global), which only
-    ever makes tokens unique — it carries no workload state.
+    share an entry, a token table, or a name counter.  The deliberate
+    exceptions are the *counters* behind context tokens and typing path
+    keys (process-global), which only ever make keys unique — they carry
+    no workload state.
     """
 
     def __init__(
@@ -209,6 +211,7 @@ class KernelState:
         out.append(self.ctx_tokens)
         out.append(self.normalization)
         out.append(self.judgments)
+        out.append(self.judgments.paths)
         out.extend(self._extra)
         return out
 

@@ -48,7 +48,9 @@ KEYWORDS = {
     "false",
 }
 
-_SYMBOLS = ["->", "=>", "\\", "(", ")", ":", ".", ",", "<", ">", "="]
+#: Every symbol is one or two characters; the lexer tries the two-character
+#: prefix first, so ``->`` and ``=>`` win over ``-`` and ``=``.
+_SYMBOLS = frozenset(["->", "=>", "\\", "(", ")", ":", ".", ",", "<", ">", "="])
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,10 @@ def tokenize(source: str) -> list[Token]:
                 index += 1
             continue
 
-        symbol = next((s for s in _SYMBOLS if source.startswith(s, index)), None)
-        if symbol is not None:
+        symbol = source[index : index + 2]
+        if symbol not in _SYMBOLS:
+            symbol = char
+        if symbol in _SYMBOLS:
             tokens.append(Token("symbol", symbol, line, column))
             index += len(symbol)
             column += len(symbol)

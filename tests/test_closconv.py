@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro import cc, cccc
-from repro.cc import prelude
-from repro.closconv import compile_term, dependent_free_vars, translate, translate_context
+from repro import api, cc, cccc
+from repro.cc import prelude, typecheck
+from repro.closconv import compile_term, dependent_free_vars, pipeline, translate, translate_context
 from repro.closconv.pipeline import TypePreservationViolation, delta_expand
 from repro.common.errors import TranslationError, TypeCheckError
 from repro.surface import parse_term
+from repro.wire.codec import term_from_b64, term_to_b64
 from tests.corpus import CLOSED_GROUND_PROGRAMS, CORPUS, closed_ground_ids, corpus_ids
 
 
@@ -181,3 +182,82 @@ class TestEnvironmentShapes:
         inner = result.code.body
         assert isinstance(inner, cccc.Clo)
         assert cccc.tuple_values(inner.env) == [cccc.Var("x")]
+
+
+def _nested_lambdas(depth):
+    """``λ x0… λ x_{depth-1}. x0``: every inner λ captures all outer binders."""
+    body = cc.Var("x0")
+    for index in range(depth - 1, -1, -1):
+        body = cc.Lam(f"x{index}", cc.Nat(), body)
+    return body
+
+
+class TestBodyTypeFromDerivation:
+    """[CC-Lam] reads B off the source check's derivation, soundly."""
+
+    # One λ node, ``λ y:Nat. x``, under two binders typing ``x`` as Nat and
+    # as Bool: its body type (and so its environment) differs per context.
+    SHARED = (
+        r"<\ (x : Nat). \ (y : Nat). x, \ (x : Bool). \ (y : Nat). x>"
+        r" as (exists (f : forall (x : Nat), Nat -> Nat), forall (x : Bool), Nat -> Bool)"
+    )
+
+    @pytest.mark.parametrize("form", ["text", "interned", "decoded"])
+    def test_one_lambda_under_two_contexts(self, form):
+        session = api.Session()
+        with session.activate():
+            program = self.SHARED
+            if form != "text":
+                program = cc.intern(parse_term(program))
+                if form == "decoded":
+                    program = term_from_b64(cc.ast.LANGUAGE, term_to_b64(cc.ast.LANGUAGE, program))
+                assert program.fst_val.body is program.snd_val.body  # one shared λ node
+        compiled = session.compile(program).compilation  # verifies Theorem 5.6
+        assert compiled.checked_type is not None
+        # The outer λs are closed, so each code body is the inner closure;
+        # each captures its own x, typed Nat on the left and Bool on the right.
+        inner = [closure.code.body for closure in (compiled.target.fst_val, compiled.target.snd_val)]
+        assert [len(cccc.tuple_values(closure.env)) for closure in inner] == [1, 1]
+        left, right = (
+            {type(node) for node in cccc.subterms(closure.code.env_type)} for closure in inner
+        )
+        assert cccc.Nat in left and cccc.Bool not in left
+        assert cccc.Bool in right and cccc.Nat not in right
+
+    def test_cold_compile_derives_no_body_type(self, monkeypatch):
+        derivations = []
+        translating = [False]
+        infer_rule = typecheck._infer
+
+        def counting_infer(ctx, term, budget):
+            if translating[0]:
+                derivations.append(term)
+            return infer_rule(ctx, term, budget)
+
+        def tracked_translate(ctx, term):
+            translating[0] = True
+            try:
+                return translate(ctx, term)
+            finally:
+                translating[0] = False
+
+        monkeypatch.setattr(typecheck, "_infer", counting_infer)
+        monkeypatch.setattr(pipeline, "translate", tracked_translate)
+        compiled = api.Session().compile(_nested_lambdas(60))
+        assert compiled.compilation.checked_type is not None
+        assert derivations == []
+
+    def test_standalone_translate_is_type_directed(self):
+        ctx = cc.Context.empty().extend("A", cc.Star()).extend("a", cc.Var("A"))
+        term = parse_term(r"\ (x : Nat). \ (y : A). \ (z : Nat). a")
+        with api.Session().activate():
+            alone = translate(ctx, term)  # no check ran in this session
+            target_ctx = translate_context(ctx)
+            checked = cccc.infer(target_ctx, alone)
+            expected = translate(ctx, cc.infer(ctx, term))
+            assert cccc.equivalent(target_ctx, checked, expected)
+        with api.Session().activate():
+            cc.infer(ctx, term)
+            after_check = translate(ctx, term)
+        assert cccc.alpha_equal(alone, after_check)
+        assert cccc.tuple_values(alone.env) == [cccc.Var("A"), cccc.Var("a")]

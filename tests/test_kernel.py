@@ -298,7 +298,7 @@ class TestReset:
 
 
 # --------------------------------------------------------------------------
-# Judgment memo traffic: typing entries key on context identity.
+# Judgment memo traffic: typing entries key on the context's extension path.
 # --------------------------------------------------------------------------
 
 
@@ -339,12 +339,81 @@ class TestJudgmentMemoTraffic:
         ]
         assert typing == [("cccc.infer.nbe", id(compiled.target))]
 
+    def test_same_path_contexts_share_a_key(self):
+        session = api.Session()
+        root = cc.Context.empty()
+        term = cc.Succ(cc.Var("n"))
+        nat = cc.Nat()
+        with session.activate():
+            derived = cc.infer(root.extend("n", nat), term)
+            # A second context object along the same path reads the judgment…
+            assert cc.typecheck.derived_type(root.extend("n", nat), term) is derived
+            # …while another root, or another binding, is another path.
+            assert cc.typecheck.derived_type(cc.Context.empty().extend("n", nat), term) is None
+            assert cc.typecheck.derived_type(root.extend("m", nat), term) is None
+        assert session.hit_counts()["kernel.judgments"] == 0  # reads count no hit
+
     def test_cache_stats_has_no_typing_token_table(self):
         session = api.Session()
         session.check(prelude.church_nat(2))
         stats = session.cache_stats()
         assert "kernel.typing_tokens" not in stats
         assert "kernel.ctx_tokens" in stats
+
+
+class TestTypingPaths:
+    """The path-key table: session-scoped, bounded, visible."""
+
+    def test_cache_stats_shows_paths_and_reset_empties_them(self):
+        session = api.Session()
+        session.check(prelude.church_nat(2))
+        assert session.cache_stats()["kernel.typing_paths"] > 0
+        session.reset()
+        assert session.cache_stats()["kernel.typing_paths"] == 0
+
+    def test_judgment_overflow_empties_paths(self):
+        session = api.Session()
+        cache = session.state.judgments
+        ctx = cc.Context.empty().extend("n", cc.Nat())
+        term = cc.Succ(cc.Var("n"))
+        with session.activate():
+            cc.infer(ctx, term)
+            key = cache.typing_key(ctx)
+            assert len(cache.paths) > 0
+            cache.max_entries = len(cache)
+            cc.infer(ctx, cc.Succ(term))  # its first store overflows the cache
+            assert len(cache) <= cache.max_entries
+            # The key cached on ctx was issued before the overflow: void now.
+            assert cache.typing_key(ctx) != key
+            assert cache.peek("cc.infer", term, None, cache.typing_key(ctx)) is None
+
+    def test_overflow_store_clears_both_tables(self):
+        session = api.Session()
+        cache = session.state.judgments
+        with session.activate():
+            cc.infer(cc.Context.empty().extend("n", cc.Nat()), cc.Succ(cc.Var("n")))
+        cache.max_entries = len(cache)
+        cache.store("cc.infer", cc.Zero(), None, 0, cc.Nat(), 0)
+        assert len(cache) == 1 and len(cache.paths) == 0
+
+    def test_key_from_one_session_never_hits_in_another(self):
+        ctx = cc.Context.empty().extend("n", cc.Nat())
+        term = cc.Succ(cc.Var("n"))
+        first, second = api.Session(), api.Session()
+        with first.activate():
+            cc.infer(ctx, term)
+            key = first.state.judgments.typing_key(ctx)
+        with second.activate():
+            cc.infer(ctx, term)
+            other = second.state.judgments.typing_key(ctx)
+        assert other != key
+        assert second.hit_counts()["kernel.judgments"] == 0
+        assert second.state.judgments.peek("cc.infer", term, None, key) is None
+        # The issuing session still honours its own key.
+        assert first.state.judgments.typing_key(ctx) == key
+        with first.activate():
+            cc.infer(ctx, term)
+        assert first.hit_counts()["kernel.judgments"] == 1
 
 
 # --------------------------------------------------------------------------

@@ -41,6 +41,65 @@ class TestLexer:
         with pytest.raises(ParseError):
             tokenize("x # y")
 
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            (
+                r"-> => \ ( ) : . , < > =",
+                [("symbol", "->", 1, 1), ("symbol", "=>", 1, 4), ("symbol", "\\", 1, 7),
+                 ("symbol", "(", 1, 9), ("symbol", ")", 1, 11), ("symbol", ":", 1, 13),
+                 ("symbol", ".", 1, 15), ("symbol", ",", 1, 17), ("symbol", "<", 1, 19),
+                 ("symbol", ">", 1, 21), ("symbol", "=", 1, 23), ("eof", "", 1, 24)],
+            ),
+            (
+                "a->b=>c = d",
+                [("ident", "a", 1, 1), ("symbol", "->", 1, 2), ("ident", "b", 1, 4),
+                 ("symbol", "=>", 1, 5), ("ident", "c", 1, 7), ("symbol", "=", 1, 9),
+                 ("ident", "d", 1, 11), ("eof", "", 1, 12)],
+            ),
+            (
+                "=>=->",
+                [("symbol", "=>", 1, 1), ("symbol", "=", 1, 3), ("symbol", "->", 1, 4),
+                 ("eof", "", 1, 6)],
+            ),
+            (
+                "x -- a -> comment = here\n  y",
+                [("ident", "x", 1, 1), ("ident", "y", 2, 3), ("eof", "", 2, 4)],
+            ),
+            ("-- only a comment", [("eof", "", 1, 1)]),
+            (
+                "a\n\n  b -- tail",
+                [("ident", "a", 1, 1), ("ident", "b", 3, 3), ("eof", "", 3, 5)],
+            ),
+            (
+                "f (x : Nat)\n\t=> <0, 1>\r\n  .",
+                [("ident", "f", 1, 1), ("symbol", "(", 1, 3), ("ident", "x", 1, 4),
+                 ("symbol", ":", 1, 6), ("keyword", "Nat", 1, 8), ("symbol", ")", 1, 11),
+                 ("symbol", "=>", 2, 2), ("symbol", "<", 2, 5), ("number", "0", 2, 6),
+                 ("symbol", ",", 2, 7), ("number", "1", 2, 9), ("symbol", ">", 2, 10),
+                 ("symbol", ".", 3, 3), ("eof", "", 3, 4)],
+            ),
+        ],
+    )
+    def test_tokens_pinned(self, source, expected):
+        tokens = [(t.kind, t.text, t.line, t.column) for t in tokenize(source)]
+        assert tokens == expected
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("x$1", "parse error at 1:2: '$' is reserved for machine-generated names"),
+            ("a -b", "parse error at 1:3: unexpected character '-'"),
+            ("a\n -", "parse error at 2:2: unexpected character '-'"),
+            ("x = -1", "parse error at 1:5: unexpected character '-'"),
+            ("a >- b", "parse error at 1:4: unexpected character '-'"),
+        ],
+    )
+    def test_errors_pinned(self, source, message):
+        with pytest.raises(ParseError) as raised:
+            tokenize(source)
+        assert str(raised.value) == message
+
 
 class TestParserPositive:
     @pytest.mark.parametrize(
