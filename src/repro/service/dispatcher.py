@@ -15,18 +15,30 @@ round-robin, unpinned.  Key assignments live for the dispatcher's
 lifetime and survive worker restarts: a requeued job lands on the fresh
 worker in its original slot.
 
-**Lifecycle.**  The dispatcher's collector thread drains the result queue
-and watches worker health.  When a worker dies (crash, kill, hard exit),
-its slot is refilled with a *fresh* worker — new process, new generation,
-new queue, cold session — and every unfinished job assigned to the slot is
-requeued onto it.  The job that was in flight at the moment of death (the
-worker ``begin``-acks each job precisely so this is known) is the culprit:
-its attempt counter rises, and when attempts are exhausted it completes as
-a failed result instead of looping forever.  Requeued jobs produce results
-byte-identical to an uninterrupted run — cold caches change timing, never
-payloads, because every term renders α-canonically and every step count
-replays from the fuel caches.  Per-job timeouts reuse the same machinery:
-an overdue worker is killed and handled as a death with a known culprit.
+**Lifecycle.**  Each slot is one ``_Slot`` — its current worker, its
+``state``, the respawn ``due_at``, the crash ``streak`` and the last
+heartbeat — whose state moves only along ``_TRANSITIONS``::
+
+    LIVE              death -> BACKOFF, trip -> BROKEN, shrink -> RETIRING
+    BACKOFF           respawn -> LIVE, shrink -> RETIRING_BACKOFF
+    RETIRING          death -> RETIRING_BACKOFF, trip -> BROKEN, empty -> RETIRED
+    RETIRING_BACKOFF  respawn -> RETIRING, empty -> RETIRED
+    RETIRED           grow -> LIVE
+    BROKEN            terminal
+
+New work lands only on ``LIVE`` and ``BACKOFF`` slots (a job sharded to a
+slot in backoff rides its respawn), the collector thread's health scan
+watches ``LIVE`` and ``RETIRING`` workers for death, and the backoff
+states wait for ``due_at``.  A respawn replaces the dead worker with a
+*fresh* one — new process, new generation, new queue, cold session — and
+requeues every unfinished job of the slot onto it.  The job that was in
+flight at the moment of death (the worker ``begin``-acks each job
+precisely so this is known) is the culprit: its attempt counter rises,
+and when attempts are exhausted it completes as a failed result instead
+of looping forever.  Requeued jobs produce results byte-identical to an
+uninterrupted run — cold caches change timing, never payloads, because
+every term renders α-canonically and every step count replays from the
+fuel caches.
 
 **Failure domains.**  Worker death is contained at three escalating
 levels, all deterministic in everything but timing:
@@ -34,20 +46,22 @@ levels, all deterministic in everything but timing:
 * *Quarantine* — the in-flight job is the culprit; when its attempts are
   exhausted it completes as a structured **dead-letter** document
   (``error["dead_letter"] is True``, counted under ``exhausted``) instead
-  of consuming another worker.  A slot whose crashes *streak* past
-  ``suspect_after`` is treated as facing a poison stream: each new culprit
-  dead-letters immediately, so a sequence of poison jobs cannot serially
-  recycle the pool one ``max_attempts`` cycle at a time.
-* *Backoff* — a dead slot is not refilled instantly: respawn waits an
-  exponentially growing delay (``respawn_backoff`` doubling per streak up
-  to ``respawn_backoff_cap``) with deterministic jitter derived from the
+  of consuming another worker.  A slot whose crash ``streak`` passes
+  ``suspect_after`` is treated as facing a poison stream: each new
+  culprit dead-letters immediately, so a sequence of poison jobs cannot
+  serially recycle the pool one ``max_attempts`` cycle at a time.
+* *Backoff* — a ``death`` moves the slot to a backoff state instead of
+  refilling it at once: ``due_at`` lies an exponentially growing delay
+  ahead (``respawn_backoff`` doubling per streak up to
+  ``respawn_backoff_cap``) with deterministic jitter derived from the
   slot and generation, never from a random source.  The collector thread
-  never sleeps for it; due respawns fire from the health scan.
-* *Breaker* — ``max_slot_respawns`` consecutive crashes of one slot trip a
-  crash-loop breaker: the slot is marked broken, every job stranded on it
-  dead-letters with ``CrashLoopBreaker``, new keys shard around it, and
-  the batch completes cleanly on the surviving slots (all slots broken is
-  a hard ``RuntimeError`` — nothing could make progress).
+  never sleeps for it; the health scan fires ``respawn`` once it is due.
+* *Breaker* — ``max_slot_respawns`` consecutive crashes of one slot
+  ``trip`` it to ``BROKEN``, which is terminal: every job stranded on it
+  dead-letters with ``CrashLoopBreaker``, new keys shard around it, no
+  ``grow`` revives it, and the batch completes cleanly on the surviving
+  slots (all slots broken is a hard ``RuntimeError`` — nothing could make
+  progress).
 
 **Elasticity.**  The slot array is no longer fixed: :meth:`Dispatcher.grow`
 adds a worker slot (reviving the lowest retired slot as a new generation —
@@ -59,12 +73,17 @@ shared persistent memo store at bootstrap, a freshly grown slot starts
 *warm* from the fleet's accumulated entries.  :class:`ElasticSupervisor`
 drives both from queue-depth watermarks.
 
-**Deadlines.**  A job carrying ``deadline`` (wall-clock seconds, measured
-from acceptance) never goes silent: an expired job completes as a
-structured ``JobTimeout`` dead-letter document — an overdue *running* job
-recycles its worker exactly like a pool-level timeout, an expired *queued*
-job is dead-lettered in place — and the document's type/message are pure
-functions of the job spec, never of timing.
+**Deadlines and timeouts.**  One rule, ``Dispatcher._overrun``, decides
+every overrun: a job's ``deadline`` (wall-clock seconds) counts from
+acceptance, the pool's ``job_timeout`` from the current attempt's
+``begin``-ack.  An overdue running job has its worker killed and is
+handled as a death with a known culprit (a timeout consumes an attempt, a
+missed deadline never retries); an expired queued job is dead-lettered in
+place, and its worker skips it by the same rule — each job message
+carries ``deadline_at`` on the system-wide monotonic clock — so a
+dead-lettered job never keeps a worker busy.  The ``JobTimeout``
+document is a pure function of the job spec and the pool configuration,
+never of timing.
 
 **Stats.**  Pool-level aggregation sums per-worker counters without double
 counting: each worker's session *is* its process-default state (the
@@ -154,6 +173,38 @@ class PoolStats:
         return document
 
 
+# Slot states; ``_Slot.move`` changes them only along ``_TRANSITIONS``.
+LIVE, BACKOFF, RETIRING, RETIRING_BACKOFF, RETIRED, BROKEN = (
+    "live", "backoff", "retiring", "retiring_backoff", "retired", "broken"
+)
+_TRANSITIONS: dict[tuple[str, str], str] = {
+    (LIVE, "death"): BACKOFF, (LIVE, "trip"): BROKEN, (LIVE, "shrink"): RETIRING,
+    (BACKOFF, "respawn"): LIVE, (BACKOFF, "shrink"): RETIRING_BACKOFF,
+    (RETIRING, "death"): RETIRING_BACKOFF, (RETIRING, "trip"): BROKEN,
+    (RETIRING, "empty"): RETIRED,
+    (RETIRING_BACKOFF, "respawn"): RETIRING, (RETIRING_BACKOFF, "empty"): RETIRED,
+    (RETIRED, "grow"): LIVE,
+}
+_AVAILABLE = frozenset({LIVE, BACKOFF})  # new work may land here
+_RUNNING = frozenset({LIVE, RETIRING})  # a worker the health scan watches
+_WAITING = frozenset({BACKOFF, RETIRING_BACKOFF})  # a respawn is due at due_at
+_DRAINING = frozenset({RETIRING, RETIRING_BACKOFF})  # retired once empty
+
+# The exhausted dead-letter documents, by cause: a missed deadline, a pool
+# timeout or a crash on the last attempt, and a crash on a slot whose streak
+# marks a poison stream.
+_QUARANTINE = {
+    "deadline": ("JobTimeout", "job missed its {deadline}s deadline"),
+    "timeout": ("JobTimeout", "job exceeded the {timeout}s timeout ({attempts} attempt(s))"),
+    "crash": ("WorkerCrash", "worker died while executing this job ({attempts} attempt(s))"),
+    "suspect": (
+        "WorkerCrash",
+        "worker died while executing this job and the slot's crash streak "
+        "exceeded {suspect_after}; quarantined after {attempts} attempt(s)",
+    ),
+}
+
+
 @dataclass
 class _Pending:
     """Dispatcher-side record of one submitted, not-yet-completed job."""
@@ -163,9 +214,7 @@ class _Pending:
     sequence: int
     attempts: int = 0
     begun_at: float | None = None
-    timed_out: bool = False
     deadline_at: float | None = None
-    deadline_hit: bool = False
     on_done: Any = None
     done: threading.Event = field(default_factory=threading.Event)
     result: JobResult | None = None
@@ -177,15 +226,36 @@ class _Pending:
 class _WorkerHandle:
     """One live worker process bound to a slot."""
 
-    __slots__ = ("slot", "generation", "name", "process", "queue", "bye")
+    __slots__ = ("slot", "generation", "process", "queue", "bye")
 
-    def __init__(self, slot: int, generation: int, name: str, process: Any, jobs: Any):
+    def __init__(self, slot: int, generation: int, process: Any, jobs: Any):
         self.slot = slot
         self.generation = generation
-        self.name = name
         self.process = process
         self.queue = jobs
         self.bye = threading.Event()
+
+
+class _Slot:
+    """One worker slot: its current worker and its lifecycle state."""
+
+    __slots__ = ("handle", "state", "due_at", "streak", "last_seen")
+
+    def __init__(self, handle: Any) -> None:
+        self.handle = handle
+        self.state = LIVE
+        self.due_at = 0.0  # when a backoff state's respawn fires
+        self.streak = 0  # consecutive crashes without a completed job
+        self.last_seen: float | None = None  # the current worker's last post
+
+    def move(self, event: str) -> None:
+        """Apply one lifecycle event; an unlisted transition is a bug."""
+        try:
+            self.state = _TRANSITIONS[self.state, event]
+        except KeyError:
+            raise RuntimeError(
+                f"no {event!r} transition from slot state {self.state!r}"
+            ) from None
 
 
 class Dispatcher:
@@ -196,8 +266,8 @@ class Dispatcher:
         engine: normalization engine every worker session boots with.
         fuel: default fuel for worker sessions (None = kernel default).
         max_pending: bound on unfinished jobs; :meth:`submit` blocks at it.
-        job_timeout: seconds a single job may run before its worker is
-            killed and the job handled as a crash (None disables).
+        job_timeout: seconds one attempt may run after its begin-ack before
+            its worker is killed and the job handled as a crash (None disables).
         max_attempts: dispatch attempts per job before it completes as a
             failed result (a crash/timeout consumes one attempt).
         start_method: multiprocessing start method (default: ``fork``
@@ -269,17 +339,10 @@ class Dispatcher:
         self._space = threading.Condition(self._lock)
         self._pending: dict[str, _Pending] = {}
         self._key_slots: dict[str, int] = {}
-        self._handles: list[_WorkerHandle] = []
         self._hit_snapshots: dict[tuple[int, int], dict[str, int]] = {}
         self._persist_snapshots: dict[tuple[int, int], dict[str, Any]] = {}
         self._jobs_per_slot: dict[int, int] = {}
         self._pings: dict[Any, threading.Event] = {}
-        self._crash_streak: dict[int, int] = {}
-        self._respawn_at: dict[int, float] = {}
-        self._broken: set[int] = set()
-        self._retiring: set[int] = set()
-        self._retired: set[int] = set()
-        self._last_seen: dict[int, float] = {}
         self._counts = {
             "submitted": 0,
             "completed": 0,
@@ -295,8 +358,7 @@ class Dispatcher:
         self._round_robin = itertools.count()
         self._closing = False
         self._draining = False
-        for slot in range(workers):
-            self._handles.append(self._spawn(slot, generation=0))
+        self._slots = [_Slot(self._spawn(index, generation=0)) for index in range(workers)]
         self._collector = threading.Thread(
             target=self._collect, name=f"{self.name}-collector", daemon=True
         )
@@ -325,27 +387,27 @@ class Dispatcher:
         if key is None:
             return self._next_slot()
         slot = self._key_slots.get(key)
-        if slot is None or self._unavailable(slot):
+        if slot is None or self._slots[slot].state not in _AVAILABLE:
             # New key — or a key whose slot tripped its crash-loop breaker
             # or was retired by a scale-down: the stream migrates to a
             # healthy slot (cold caches, same bytes).
             slot = self._key_slots[key] = self._next_slot()
         return slot
 
-    def _unavailable(self, slot: int) -> bool:
-        """Slots no new work may land on: broken, retiring, or retired."""
-        return slot in self._broken or slot in self._retiring or slot in self._retired
-
     def _next_slot(self) -> int:
         """The next available slot in rotation."""
-        for _ in range(len(self._handles)):
-            slot = next(self._round_robin) % len(self._handles)
-            if not self._unavailable(slot):
+        for _ in range(len(self._slots)):
+            slot = next(self._round_robin) % len(self._slots)
+            if self._slots[slot].state in _AVAILABLE:
                 return slot
         raise RuntimeError(
             "no worker slot is available (crash-loop breakers or retirement "
             "took every slot); the pool cannot make progress"
         )
+
+    def _available(self) -> list[int]:
+        """Indices of the slots new work can land on (caller holds the lock)."""
+        return [index for index, slot in enumerate(self._slots) if slot.state in _AVAILABLE]
 
     # -- submission -----------------------------------------------------------
 
@@ -389,13 +451,11 @@ class Dispatcher:
             )
             self._pending[job.id] = pending
             self._counts["submitted"] += 1
-            if slot in self._respawn_at:
-                # The slot is between workers (backoff running); the job is
-                # registered and will ride the respawn's requeue instead of
-                # landing on the dead worker's abandoned queue.
-                pass
-            else:
-                self._send(self._handles[slot], pending)
+            # A slot in backoff is between workers: the job is registered and
+            # rides the respawn's requeue instead of landing on the dead
+            # worker's abandoned queue.
+            if self._slots[slot].state is LIVE:
+                self._send(self._slots[slot].handle, pending)
         return pending
 
     def run_batch(self, jobs: Iterable[Job | Mapping[str, Any]]) -> list[JobResult]:
@@ -413,12 +473,9 @@ class Dispatcher:
         try:
             for job in jobs:
                 pendings.append(self.submit(job))
-        except BaseException:
+        finally:
             for pending in pendings:
                 pending.done.wait()
-            raise
-        for pending in pendings:
-            pending.done.wait()
         return [pending.result for pending in pendings]  # type: ignore[misc]
 
     # -- elasticity -----------------------------------------------------------
@@ -431,9 +488,7 @@ class Dispatcher:
     def active_workers(self) -> int:
         """Slots new work can land on (not broken, retiring, or retired)."""
         with self._lock:
-            return sum(
-                1 for slot in range(len(self._handles)) if not self._unavailable(slot)
-            )
+            return len(self._available())
 
     def grow(self) -> int | None:
         """Add one worker slot; returns its index, or None if refused.
@@ -441,25 +496,27 @@ class Dispatcher:
         Prefers reviving the lowest retired slot at a fresh generation — a
         scale-up is just a controlled respawn, so all the existing
         crash-containment machinery applies to it — and appends a
-        brand-new slot otherwise.  The new worker attaches the shared
-        persistent memo store at bootstrap, so it starts warm.
+        brand-new slot otherwise.  A broken slot is never revived.  The
+        new worker attaches the shared persistent memo store at
+        bootstrap, so it starts warm.
         """
         with self._space:
             if self._closing or self._draining:
                 return None
-            if self._retired:
-                slot = min(self._retired)
-                self._retired.discard(slot)
-                dead = self._handles[slot]
-                self._handles[slot] = self._spawn(slot, dead.generation + 1)
-                self._crash_streak[slot] = 0
-                self._last_seen.pop(slot, None)
+            index = next(
+                (index for index, slot in enumerate(self._slots) if slot.state is RETIRED),
+                None,
+            )
+            if index is None:
+                index = len(self._slots)
+                self._slots.append(_Slot(self._spawn(index, generation=0)))
             else:
-                slot = len(self._handles)
-                self._handles.append(self._spawn(slot, generation=0))
+                slot = self._slots[index]
+                slot.move("grow")
+                slot.handle = self._spawn(index, slot.handle.generation + 1)
+                slot.last_seen = None
             self._counts["scale_ups"] += 1
-            self._space.notify_all()
-            return slot
+            return index
 
     def shrink(self) -> int | None:
         """Retire the highest active slot; returns its index, or None.
@@ -471,36 +528,25 @@ class Dispatcher:
         with self._space:
             if self._closing:
                 return None
-            candidates = [
-                slot
-                for slot in range(len(self._handles))
-                if not self._unavailable(slot)
-            ]
+            candidates = self._available()
             if len(candidates) <= 1:
                 return None
-            slot = max(candidates)
-            self._retiring.add(slot)
+            index = candidates[-1]
+            self._slots[index].move("shrink")
             self._counts["scale_downs"] += 1
-            self._maybe_finish_retire_locked(slot)
-            self._space.notify_all()
-            return slot
+            self._finish_retire_locked(index)
+            return index
 
-    def _maybe_finish_retire_locked(self, slot: int) -> None:
-        """Complete a scale-down once a retiring slot has no pending work."""
-        if slot not in self._retiring:
+    def _finish_retire_locked(self, index: int) -> None:
+        """Complete a retiring slot's scale-down once it has no pending work."""
+        if any(pending.slot == index for pending in self._pending.values()):
             return
-        if any(
-            p.slot == slot and not p.done.is_set() for p in self._pending.values()
-        ):
-            return
-        self._retiring.discard(slot)
-        self._retired.add(slot)
-        self._respawn_at.pop(slot, None)
-        self._crash_streak.pop(slot, None)
-        handle = self._handles[slot]
-        if handle.process.is_alive():
+        slot = self._slots[index]
+        slot.move("empty")
+        slot.streak = 0
+        if slot.handle.process.is_alive():
             try:
-                handle.queue.put(json.dumps({"op": "stop"}))
+                slot.handle.queue.put(json.dumps({"op": "stop"}))
             except (OSError, ValueError):  # pragma: no cover - queue torn down
                 pass
 
@@ -513,18 +559,20 @@ class Dispatcher:
         self._pings[token] = event
         try:
             with self._lock:
-                self._handles[slot].queue.put(json.dumps({"op": "ping", "token": token}))
+                self._slots[slot].handle.queue.put(
+                    json.dumps({"op": "ping", "token": token})
+                )
             return event.wait(timeout)
         finally:
             self._pings.pop(token, None)
 
     def alive_workers(self) -> list[bool]:
         """Liveness of each slot's current worker process."""
-        return [handle.process.is_alive() for handle in self._handles]
+        return [slot.handle.process.is_alive() for slot in self._slots]
 
     def kill_worker(self, slot: int) -> None:
         """Hard-kill the worker in ``slot`` (chaos hook for failure tests)."""
-        self._handles[slot].process.kill()
+        self._slots[slot].handle.process.kill()
 
     # -- statistics -----------------------------------------------------------
 
@@ -555,24 +603,21 @@ class Dispatcher:
                 persist["breakers_open"] = breakers_open
             now = time.monotonic()
             slots: dict[str, dict[str, Any]] = {}
-            for handle in self._handles:
-                seen = self._last_seen.get(handle.slot)
-                slots[str(handle.slot)] = {
-                    "generation": handle.generation,
-                    "alive": handle.process.is_alive(),
-                    "crash_streak": self._crash_streak.get(handle.slot, 0),
-                    "broken": handle.slot in self._broken,
-                    "retiring": handle.slot in self._retiring,
-                    "retired": handle.slot in self._retired,
-                    "respawn_pending": handle.slot in self._respawn_at,
+            for index, slot in enumerate(self._slots):
+                state, seen = slot.state, slot.last_seen
+                slots[str(index)] = {
+                    "generation": slot.handle.generation,
+                    "alive": slot.handle.process.is_alive(),
+                    "crash_streak": slot.streak,
+                    "broken": state is BROKEN,
+                    "retiring": state in _DRAINING,
+                    "retired": state is RETIRED,
+                    "respawn_pending": state in _WAITING,
                     "last_seen_seconds": None if seen is None else round(now - seen, 3),
                 }
-            active = sum(
-                1 for slot in range(len(self._handles)) if not self._unavailable(slot)
-            )
             return PoolStats(
-                workers=len(self._handles),
-                active=active,
+                workers=len(self._slots),
+                active=len(self._available()),
                 pending=len(self._pending),
                 jobs_per_slot=dict(self._jobs_per_slot),
                 cache_hits=hits,
@@ -592,28 +637,22 @@ class Dispatcher:
         ``DrainTimeout`` dead-letter document.  Either way its completion
         callback fires; nothing accepted goes silent.
         """
+        deadline = time.monotonic() + timeout
         with self._space:
             if self._closing:
                 return
             self._draining = True
             self._space.notify_all()
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._pending:
-                    break
-            time.sleep(0.01)
-        with self._space:
+            # Every completion notifies the condition (_complete_locked).
+            self._space.wait_for(lambda: not self._pending, timeout)
             for pending in list(self._pending.values()):
-                if not pending.done.is_set():
-                    self._dead_letter_locked(
-                        pending,
-                        "DrainTimeout",
-                        f"dispatcher drained before the job completed "
-                        f"(drain timeout {timeout}s)",
-                        exhausted=False,
-                    )
-            self._space.notify_all()
+                self._dead_letter_locked(
+                    pending,
+                    "DrainTimeout",
+                    f"dispatcher drained before the job completed "
+                    f"(drain timeout {timeout}s)",
+                    exhausted=False,
+                )
         # The drain deadline bounds shutdown too: past it, a worker still
         # busy with a straggler is killed at once instead of getting
         # shutdown's default grace period.
@@ -625,9 +664,8 @@ class Dispatcher:
             if self._closing:
                 return
             self._closing = True
-            self._respawn_at.clear()
             self._space.notify_all()
-            handles = list(self._handles)
+            handles = [slot.handle for slot in self._slots]
         stop = json.dumps({"op": "stop"})
         for handle in handles:
             try:
@@ -650,17 +688,16 @@ class Dispatcher:
         self._collector.join(timeout=2.0)
         with self._space:
             for pending in self._pending.values():
-                if not pending.done.is_set():
-                    pending.result = JobResult(
-                        id=pending.job.id or "?",
-                        ok=False,
-                        error={
-                            "type": "DispatcherShutdown",
-                            "message": "dispatcher shut down before the job completed",
-                        },
-                        meta={"slot": pending.slot, "attempts": pending.attempts},
-                    )
-                    self._complete_locked(pending)
+                pending.result = JobResult(
+                    id=pending.job.id or "?",
+                    ok=False,
+                    error={
+                        "type": "DispatcherShutdown",
+                        "message": "dispatcher shut down before the job completed",
+                    },
+                    meta={"slot": pending.slot, "attempts": pending.attempts},
+                )
+                self._complete_locked(pending)
             self._pending.clear()
 
     # -- internals ------------------------------------------------------------
@@ -686,14 +723,16 @@ class Dispatcher:
             daemon=True,
         )
         process.start()
-        return _WorkerHandle(slot, generation, worker_name, process, jobs)
+        return _WorkerHandle(slot, generation, process, jobs)
 
     def _complete_locked(self, pending: _Pending) -> None:
-        """Mark ``pending`` finished and fire its completion callback.
+        """Mark ``pending`` finished, fire its callback, wake every waiter.
 
         Caller holds the lock.  The callback runs on the collector (or
         shutdown) thread and must be non-blocking; a callback exception is
-        swallowed so a client bug can never kill the collector.
+        swallowed so a client bug can never kill the collector.  The
+        notification frees a ``max_pending`` seat for blocked submitters
+        and lets :meth:`drain` re-check for an empty pending table.
         """
         pending.done.set()
         if pending.on_done is not None:
@@ -701,9 +740,16 @@ class Dispatcher:
                 pending.on_done(pending)
             except Exception:  # pragma: no cover - client callback bug
                 pass
+        self._space.notify_all()
 
     def _send(self, handle: _WorkerHandle, pending: _Pending) -> None:
-        """Put one job on a worker queue (caller holds the lock)."""
+        """Put one job on a worker queue (caller holds the lock).
+
+        The job's ``deadline_at`` rides along so the worker can skip a job
+        that expired in its queue (the dispatcher dead-letters it by the
+        same rule, :meth:`_overrun`), and the attempt's timeout is measured
+        afresh from its next ``begin``-ack.
+        """
         pending.begun_at = None
         if pending.job.trace:
             # Slot assignment and timing are scheduling-dependent: timeline
@@ -711,18 +757,12 @@ class Dispatcher:
             pending.trace_timeline.append(
                 {"ev": "dispatch", "slot": handle.slot, "at": time.monotonic()}
             )
-        handle.queue.put(
-            json.dumps(
-                {
-                    "op": "job",
-                    "spec": pending.job.to_dict(),
-                    "attempt": pending.attempts,
-                }
-            )
-        )
+        message = {"op": "job", "spec": pending.job.to_dict(),
+                   "attempt": pending.attempts, "deadline_at": pending.deadline_at}
+        handle.queue.put(json.dumps(message))
 
     def _collect(self) -> None:
-        """Collector thread: drain results, watch health, enforce timeouts.
+        """Collector thread: drain results, watch health, enforce overruns.
 
         Health runs on the idle branch *and* at a bounded interval while
         results are flowing — a continuous stream from healthy workers
@@ -736,8 +776,10 @@ class Dispatcher:
             try:
                 raw = self._results.get(timeout=0.02)
             except queue_module.Empty:
-                if self._closing and all(h.bye.is_set() or not h.process.is_alive()
-                                         for h in self._handles):
+                if self._closing and all(
+                    slot.handle.bye.is_set() or not slot.handle.process.is_alive()
+                    for slot in self._slots
+                ):
                     return
                 self._watch_health()
                 last_health = time.monotonic()
@@ -746,154 +788,124 @@ class Dispatcher:
                 self._watch_health()
                 last_health = time.monotonic()
             message = json.loads(raw)
-            op = message.get("op")
-            self._note_seen(message)
-            if op == "begin":
-                self._on_begin(message)
-            elif op == "result":
-                self._on_result(message)
-            elif op == "hb":
-                self._store_snapshot(message)
-            elif op == "pong":
+            with self._lock:
+                self._on_message_locked(message)
+
+    def _on_message_locked(self, message: Mapping[str, Any]) -> None:
+        """Route one worker post (caller holds the lock)."""
+        op = message.get("op")
+        # The sender's slot, if it is still that slot's current worker: a
+        # replaced generation's late posts never touch the slot's health.
+        index = message.get("slot")
+        slot = self._slots[index]
+        if slot.handle.generation == message.get("generation"):
+            slot.last_seen = time.monotonic()
+        else:
+            slot = None
+        if op == "begin":
+            pending = self._pending.get(message.get("id"))
+            if slot is not None and pending is not None and pending.slot == index:
+                pending.begun_at = time.monotonic()
+        elif op == "result":
+            self._on_result(message, slot)
+        elif op in ("hb", "pong", "bye"):
+            self._store_snapshot(message)
+            if op == "pong":
                 event = self._pings.get(message.get("token"))
                 if event is not None:
                     event.set()
-                self._store_snapshot(message)
-            elif op == "bye":
-                self._store_snapshot(message)
-                for handle in self._handles:
-                    if (
-                        handle.slot == message.get("slot")
-                        and handle.generation == message.get("generation")
-                    ):
-                        handle.bye.set()
-
-    def _note_seen(self, message: Mapping[str, Any]) -> None:
-        """Track heartbeat freshness per slot (current generation only)."""
-        slot, generation = message.get("slot"), message.get("generation")
-        if slot is None:
-            return
-        with self._lock:
-            if 0 <= slot < len(self._handles) and self._handles[slot].generation == generation:
-                self._last_seen[slot] = time.monotonic()
+            elif op == "bye" and slot is not None:
+                slot.handle.bye.set()
 
     def _store_snapshot(self, message: Mapping[str, Any]) -> None:
-        """Record a worker generation's cumulative counters (latest wins)."""
-        hits = message.get("hits")
-        persist = message.get("persist")
-        if hits is None and persist is None:
-            return
+        """Record a worker generation's cumulative counters (latest wins).
+
+        Caller holds the lock.
+        """
         key = (message.get("slot"), message.get("generation"))
-        with self._lock:
-            if hits is not None:
-                self._hit_snapshots[key] = dict(hits)
-            if persist is not None:
-                self._persist_snapshots[key] = dict(persist)
+        hits = message.get("hits")
+        if hits is not None:
+            self._hit_snapshots[key] = dict(hits)
+        persist = message.get("persist")
+        if persist is not None:
+            self._persist_snapshots[key] = dict(persist)
 
-    def _on_begin(self, message: Mapping[str, Any]) -> None:
-        slot, generation = message.get("slot"), message.get("generation")
-        with self._lock:
-            handle = self._handles[slot]
-            if handle.generation != generation:
-                return  # stale: that worker generation is already retired
-            pending = self._pending.get(message.get("id"))
-            if pending is not None and pending.slot == slot:
-                pending.begun_at = time.monotonic()
-
-    def _on_result(self, message: Mapping[str, Any]) -> None:
+    def _on_result(self, message: Mapping[str, Any], slot: _Slot | None) -> None:
+        """Complete a job from its result post (caller holds the lock)."""
         self._store_snapshot(message)
+        if slot is not None:
+            # A completed job from the *current* worker proves the slot
+            # healthy again: its crash streak is over.
+            slot.streak = 0
         document = message["result"]
-        with self._space:
-            slot, generation = message.get("slot"), message.get("generation")
-            if (
-                slot is not None
-                and 0 <= slot < len(self._handles)
-                and self._handles[slot].generation == generation
-            ):
-                # A completed job from the *current* worker proves the slot
-                # healthy again: its crash streak is over.
-                self._crash_streak[slot] = 0
-            pending = self._pending.pop(document["id"], None)
-            if pending is None or pending.done.is_set():
-                return  # duplicate (a retired worker's late result): drop
-            self._jobs_per_slot[slot] = self._jobs_per_slot.get(slot, 0) + 1
-            result = JobResult.from_dict(document)
-            result.meta["attempts"] = pending.attempts + 1
-            if pending.job.trace:
-                self._stamp_trace_locked(pending, result)
-            pending.result = result
-            self._counts["completed"] += 1
-            if not result.ok:
-                self._counts["failed"] += 1
-            self._complete_locked(pending)
-            if pending.slot in self._retiring:
-                self._maybe_finish_retire_locked(pending.slot)
-            self._space.notify_all()
+        pending = self._pending.pop(document["id"], None)
+        if pending is None:
+            return  # duplicate (a retired worker's late result): drop
+        index = message.get("slot")
+        self._jobs_per_slot[index] = self._jobs_per_slot.get(index, 0) + 1
+        result = JobResult.from_dict(document)
+        result.meta["attempts"] = pending.attempts + 1
+        if pending.job.trace:
+            self._stamp_trace_locked(pending, result)
+        pending.result = result
+        self._counts["completed"] += 1
+        if not result.ok:
+            self._counts["failed"] += 1
+        self._complete_locked(pending)
+        if self._slots[pending.slot].state in _DRAINING:
+            self._finish_retire_locked(pending.slot)
+
+    def _overrun(self, pending: _Pending, now: float) -> str | None:
+        """Whether ``pending`` is overdue at ``now``: the one overrun rule.
+
+        ``"deadline"`` once its ``deadline`` has passed since acceptance,
+        ``"timeout"`` once ``job_timeout`` has passed since the current
+        attempt's begin-ack (a requeue clears the ack, so every attempt is
+        timed afresh), None otherwise.
+        """
+        if pending.deadline_at is not None and now > pending.deadline_at:
+            return "deadline"
+        begun, limit = pending.begun_at, self.job_timeout
+        if begun is not None and limit is not None and now - begun > limit:
+            return "timeout"
+        return None
 
     def _watch_health(self) -> None:
-        """Kill overdue jobs, expire deadlines, absorb deaths, fire respawns."""
+        """Expire overruns, absorb deaths, finish retirements, fire respawns."""
         now = time.monotonic()
-        overdue: list[int] = []
-        with self._space:
+        overdue: set[int] = set()
+        with self._lock:
             for pending in list(self._pending.values()):
-                if pending.done.is_set() or pending.timed_out:
+                if self._overrun(pending, now) is None:
                     continue
-                past_deadline = (
-                    pending.deadline_at is not None and now > pending.deadline_at
-                )
-                past_timeout = (
-                    self.job_timeout is not None
-                    and pending.begun_at is not None
-                    and now - pending.begun_at > self.job_timeout
-                )
-                if pending.begun_at is not None and (past_timeout or past_deadline):
-                    if self._handles[pending.slot].process.is_alive():
-                        # Overdue while running: recycle the worker exactly
-                        # like a pool-level timeout — the death handler sees
-                        # the marked culprit, so no innocent job is blamed.
-                        pending.timed_out = True
-                        pending.deadline_hit = past_deadline
-                        overdue.append(pending.slot)
-                elif past_deadline:
+                if pending.begun_at is None:
                     # Expired while queued (behind other work, or waiting out
-                    # a respawn backoff): dead-letter in place; the worker
-                    # never sees it, and any late duplicate result is dropped.
-                    # Attempts pin to 1 so the document is a pure function of
-                    # the job spec, not of where the overrun caught the job.
+                    # a respawn backoff): dead-letter in place.  The worker
+                    # skips it by the same rule, and any late duplicate
+                    # result is dropped.
                     self._counts["timeouts"] += 1
-                    pending.attempts = 1
-                    self._dead_letter_locked(
-                        pending,
-                        "JobTimeout",
-                        f"job missed its {pending.job.deadline}s deadline",
-                        exhausted=True,
-                    )
-                    if pending.slot in self._retiring:
-                        self._maybe_finish_retire_locked(pending.slot)
-                    self._space.notify_all()
-        for slot in set(overdue):
+                    self._quarantine_locked(pending, "deadline")
+                elif self._slots[pending.slot].handle.process.is_alive():
+                    # Overdue while running: recycle the worker; the death
+                    # handler re-applies the rule to the culprit, so no
+                    # innocent job is blamed.
+                    overdue.add(pending.slot)
+        for index in overdue:
             self._counts["timeouts"] += 1
-            self._handles[slot].process.kill()
-            self._handles[slot].process.join(2.0)
-        for slot, handle in enumerate(list(self._handles)):
-            if (
-                not handle.process.is_alive()
-                and not self._closing
-                and not handle.bye.is_set()
-                and slot not in self._broken
-                and slot not in self._retired
-                and slot not in self._respawn_at
-            ):
-                self._on_worker_death(slot)
-        if self._retiring and not self._closing:
-            with self._space:
-                for slot in list(self._retiring):
-                    self._maybe_finish_retire_locked(slot)
-        if self._respawn_at and not self._closing:
+            process = self._slots[index].handle.process
+            process.kill()
+            process.join(2.0)
+        if self._closing:
+            return
+        with self._lock:
             now = time.monotonic()
-            for slot, due_at in list(self._respawn_at.items()):
-                if now >= due_at:
-                    self._respawn_slot(slot)
+            for index, slot in enumerate(self._slots):
+                if slot.state in _RUNNING and not slot.handle.process.is_alive():
+                    self._on_worker_death_locked(index, now)
+                if slot.state in _DRAINING:
+                    self._finish_retire_locked(index)
+                if slot.state in _WAITING and now >= slot.due_at:
+                    self._respawn_locked(index)
 
     def _stamp_trace_locked(self, pending: _Pending, result: JobResult) -> None:
         """Assemble a traced job's final trace document in its result meta.
@@ -947,131 +959,106 @@ class Dispatcher:
             self._counts["exhausted"] += 1
         self._complete_locked(pending)
 
-    def _on_worker_death(self, slot: int) -> None:
+    def _quarantine_locked(self, pending: _Pending, cause: str) -> None:
+        """Dead-letter a culprit or expired job with its ``_QUARANTINE`` document.
+
+        A missed ``"deadline"`` never retries, and its attempt count pins to
+        1 so the document is a pure function of the job spec wherever the
+        overrun caught it.
+        """
+        if cause == "deadline":
+            pending.attempts = 1
+        error_type, template = _QUARANTINE[cause]
+        message = template.format(
+            deadline=pending.job.deadline, timeout=self.job_timeout,
+            attempts=pending.attempts, suspect_after=self.suspect_after,
+        )
+        self._dead_letter_locked(pending, error_type, message, exhausted=True)
+
+    def _stranded_locked(self, index: int) -> list[_Pending]:
+        """The unfinished jobs assigned to slot ``index``, oldest first."""
+        return sorted(
+            (pending for pending in self._pending.values() if pending.slot == index),
+            key=lambda pending: pending.sequence,
+        )
+
+    def _on_worker_death_locked(self, index: int, now: float) -> None:
         """Contain one worker death: blame, quarantine, schedule the refill.
 
         The job that was in flight (its ``begin`` arrived, its result never
-        did) is the culprit: one attempt is consumed, and when attempts run
-        out — or the slot's crash streak marks it a poison stream — it
-        completes as a dead-letter document.  Everything else stranded on
-        the slot stays pending and is requeued when the slot respawns after
-        its backoff; cold caches change timing only, payloads and
-        fuel-replay step counts are byte-identical to an uninterrupted run.
-        A streak reaching ``max_slot_respawns`` trips the crash-loop
-        breaker instead: the slot is abandoned and all its jobs dead-letter.
+        did) is the culprit.  An overdue culprit is judged by
+        :meth:`_overrun`: a missed deadline dead-letters at once; otherwise
+        one attempt is consumed, and when attempts run out — or the slot's
+        crash streak marks it a poison stream — it completes as a
+        dead-letter document.  Everything else stranded on the slot stays
+        pending and is requeued when the slot respawns after its backoff;
+        cold caches change timing only, payloads and fuel-replay step
+        counts are byte-identical to an uninterrupted run.  A streak
+        reaching ``max_slot_respawns`` trips the crash-loop breaker
+        instead: the slot is abandoned and all its jobs dead-letter.
         """
-        with self._space:
-            dead = self._handles[slot]
-            if dead.process.is_alive():  # pragma: no cover - lost the race
-                return
-            streak = self._crash_streak.get(slot, 0) + 1
-            self._crash_streak[slot] = streak
-            stranded = sorted(
-                (p for p in self._pending.values() if p.slot == slot and not p.done.is_set()),
-                key=lambda p: p.sequence,
-            )
-            # The culprit is the job whose begin-ack arrived without a
-            # result.  A hard kill can lose the ack in the worker's queue
-            # feeder; the slot queue is FIFO, so the oldest stranded job is
-            # the one that was (or was about to be) in flight — blaming it
-            # keeps every crash loop bounded by max_attempts.
-            culprit = next((p for p in stranded if p.begun_at is not None), None)
-            if culprit is None and stranded:
-                culprit = stranded[0]
-            if culprit is not None and culprit.deadline_hit:
-                # A missed per-job deadline never retries: the document
-                # (type, message, pinned attempt count) is a pure function
-                # of the job spec, so the error half stays byte-identical
-                # across runs however the overrun interleaved with crashes.
-                culprit.attempts = 1
-                self._dead_letter_locked(
-                    culprit,
-                    "JobTimeout",
-                    f"job missed its {culprit.job.deadline}s deadline",
-                    exhausted=True,
-                )
-            elif culprit is not None:
+        slot = self._slots[index]
+        slot.streak += 1
+        stranded = self._stranded_locked(index)
+        # The culprit is the job whose begin-ack arrived without a result.
+        # A hard kill can lose the ack in the worker's queue feeder; the
+        # slot queue is FIFO, so the oldest stranded job is the one that was
+        # (or was about to be) in flight — blaming it keeps every crash loop
+        # bounded by max_attempts.
+        culprit = next(
+            (p for p in stranded if p.begun_at is not None), stranded[0] if stranded else None
+        )
+        if culprit is not None:
+            cause = self._overrun(culprit, now)
+            if cause != "deadline":
                 culprit.attempts += 1
                 culprit.begun_at = None
                 if culprit.attempts >= self.max_attempts:
-                    if culprit.timed_out:
-                        self._dead_letter_locked(
-                            culprit,
-                            "JobTimeout",
-                            f"job exceeded the {self.job_timeout}s timeout "
-                            f"({culprit.attempts} attempt(s))",
-                            exhausted=True,
-                        )
-                    else:
-                        self._dead_letter_locked(
-                            culprit,
-                            "WorkerCrash",
-                            f"worker died while executing this job "
-                            f"({culprit.attempts} attempt(s))",
-                            exhausted=True,
-                        )
-                elif streak > self.suspect_after:
-                    # Poison-stream fast fail: the slot is crashing job
-                    # after job, so each new culprit stops burning workers
+                    cause = cause or "crash"
+                else:
+                    # Poison-stream fast fail: once the slot is crashing job
+                    # after job, each new culprit stops burning workers
                     # immediately instead of cycling through max_attempts.
-                    self._dead_letter_locked(
-                        culprit,
-                        "WorkerCrash",
-                        f"worker died while executing this job and the slot's "
-                        f"crash streak exceeded {self.suspect_after}; quarantined "
-                        f"after {culprit.attempts} attempt(s)",
-                        exhausted=True,
-                    )
-            if streak >= self.max_slot_respawns:
-                # Crash-loop breaker: abandon the slot, fail its remaining
-                # jobs cleanly, and let the batch finish elsewhere.
-                self._broken.add(slot)
-                self._respawn_at.pop(slot, None)
-                for pending in stranded:
-                    if pending.done.is_set():
-                        continue
-                    self._dead_letter_locked(
-                        pending,
-                        "CrashLoopBreaker",
-                        f"worker slot crash-looped {streak} times and was "
-                        f"abandoned; job not retried",
-                        exhausted=False,
-                    )
-            else:
-                backoff = min(
-                    self.respawn_backoff_cap,
-                    self.respawn_backoff * (2 ** (streak - 1)),
-                )
-                self._respawn_at[slot] = time.monotonic() + backoff * _jitter(
-                    slot, dead.generation
-                )
-            self._space.notify_all()
-        dead.process.join(0.1)
-
-    def _respawn_slot(self, slot: int) -> None:
-        """Refill a dead slot (its backoff has elapsed) and requeue its jobs."""
-        with self._space:
-            if slot not in self._respawn_at:  # pragma: no cover - raced
-                return
-            del self._respawn_at[slot]
-            dead = self._handles[slot]
-            replacement = self._spawn(slot, dead.generation + 1)
-            self._handles[slot] = replacement
-            self._counts["restarts"] += 1
-            stranded = sorted(
-                (p for p in self._pending.values() if p.slot == slot and not p.done.is_set()),
-                key=lambda p: p.sequence,
-            )
+                    cause = "suspect" if slot.streak > self.suspect_after else None
+            if cause is not None:
+                self._quarantine_locked(culprit, cause)
+        if slot.streak >= self.max_slot_respawns:
+            # Crash-loop breaker: abandon the slot, fail its remaining
+            # jobs cleanly, and let the batch finish elsewhere.
+            slot.move("trip")
             for pending in stranded:
-                self._counts["requeued"] += 1
-                if pending.job.trace:
-                    # Which non-culprit jobs get stranded depends on where
-                    # the crash caught the queue: timeline, not events.
-                    pending.trace_timeline.append(
-                        {"ev": "requeue", "slot": slot, "at": time.monotonic()}
-                    )
-                self._send(replacement, pending)
-            self._space.notify_all()
+                if pending.done.is_set():
+                    continue
+                self._dead_letter_locked(
+                    pending,
+                    "CrashLoopBreaker",
+                    f"worker slot crash-looped {slot.streak} times and was "
+                    f"abandoned; job not retried",
+                    exhausted=False,
+                )
+        else:
+            slot.move("death")
+            backoff = min(
+                self.respawn_backoff_cap,
+                self.respawn_backoff * (2 ** (slot.streak - 1)),
+            )
+            slot.due_at = now + backoff * _jitter(index, slot.handle.generation)
+
+    def _respawn_locked(self, index: int) -> None:
+        """Refill a slot whose backoff has elapsed and requeue its jobs."""
+        slot = self._slots[index]
+        slot.move("respawn")
+        slot.handle = replacement = self._spawn(index, slot.handle.generation + 1)
+        self._counts["restarts"] += 1
+        for pending in self._stranded_locked(index):
+            self._counts["requeued"] += 1
+            if pending.job.trace:
+                # Which non-culprit jobs get stranded depends on where
+                # the crash caught the queue: timeline, not events.
+                pending.trace_timeline.append(
+                    {"ev": "requeue", "slot": index, "at": time.monotonic()}
+                )
+            self._send(replacement, pending)
 
 
 class ElasticSupervisor(threading.Thread):

@@ -19,7 +19,8 @@ Protocol (worker → dispatcher on the result queue):
 
 * ``{"op": "begin", "id", "slot", "generation"}`` — sent before executing
   each job, so the dispatcher knows exactly which job was in flight if
-  this process dies (crash culpability and timeout tracking);
+  this process dies (crash culpability and timeout tracking); a job whose
+  ``deadline_at`` passed while it was queued is skipped, never begun;
 * ``{"op": "result", "slot", "generation", "result", "hits", "jobs"}`` —
   the job's result document plus the session's *cumulative* hit counters
   (the dispatcher keeps the latest snapshot per worker generation);
@@ -48,6 +49,7 @@ from __future__ import annotations
 import json
 import os
 import queue
+import time
 from typing import Any
 
 from repro.service.executor import execute_job
@@ -137,6 +139,12 @@ def worker_main(
             continue
         if op != "job":  # pragma: no cover - protocol misuse
             post({"op": "error", "message": f"unknown op {op!r}"})
+            continue
+        expires = message.get("deadline_at")
+        if expires is not None and time.monotonic() > expires:
+            # Expired in the queue: the dispatcher dead-letters it by the
+            # same rule (never begun, so no begin-ack), and running it would
+            # only keep this worker from the jobs behind it.
             continue
         job = Job.from_dict(message["spec"])
         if injector is not None:

@@ -316,7 +316,7 @@ class TestDispatcher:
 
     def test_graceful_shutdown_reaps_workers(self):
         pool = Dispatcher(workers=2)
-        processes = [handle.process for handle in pool._handles]
+        processes = [slot.handle.process for slot in pool._slots]
         pool.run_batch([{"id": "g", "kind": "check", "program": IDENTITY}])
         pool.shutdown()
         assert not any(process.is_alive() for process in processes)
@@ -378,8 +378,11 @@ class TestWorkerFailure:
         assert stats.restarts >= 1
         assert all(pending.result.ok for pending in rest)
 
-    def test_job_timeout_kills_and_fails_the_culprit(self):
-        with Dispatcher(workers=1, job_timeout=0.4, max_attempts=1) as pool:
+    @pytest.mark.parametrize("max_attempts", [1, 2])
+    def test_job_timeout_kills_and_fails_the_culprit(self, max_attempts):
+        # Every attempt is timed from its own begin-ack: the retry of a
+        # timed-out job is killed again, not left to run to completion.
+        with Dispatcher(workers=1, job_timeout=0.4, max_attempts=max_attempts) as pool:
             results = pool.run_batch(
                 [
                     {"id": "slow", "kind": "sleep", "seconds": 30.0},
@@ -389,8 +392,12 @@ class TestWorkerFailure:
             stats = pool.stats()
         by_id = {result.id: result for result in results}
         assert not by_id["slow"].ok
+        assert by_id["slow"].error["type"] == "JobTimeout"
+        assert by_id["slow"].error["message"] == (
+            f"job exceeded the 0.4s timeout ({max_attempts} attempt(s))"
+        )
         assert by_id["after"].ok and by_id["after"].payload["normal"] == "42"
-        assert stats.timeouts >= 1
+        assert stats.timeouts == max_attempts
         assert stats.restarts >= 1
 
 
@@ -558,6 +565,46 @@ class TestFailureDomains:
         assert stats.exhausted == 0
 
 
+class TestSlotStateMachine:
+    # The lifecycle as specified: every transition listed here must exist,
+    # and nothing else may.
+    LISTED = {
+        ("live", "death"): "backoff",
+        ("live", "trip"): "broken",
+        ("live", "shrink"): "retiring",
+        ("backoff", "respawn"): "live",
+        ("backoff", "shrink"): "retiring_backoff",
+        ("retiring", "empty"): "retired",
+        ("retiring", "death"): "retiring_backoff",
+        ("retiring", "trip"): "broken",
+        ("retiring_backoff", "respawn"): "retiring",
+        ("retiring_backoff", "empty"): "retired",
+        ("retired", "grow"): "live",
+    }
+
+    def test_every_listed_transition_moves_the_slot(self):
+        from repro.service.dispatcher import _Slot
+
+        for (state, event), target in self.LISTED.items():
+            slot = _Slot(None)
+            slot.state = state
+            slot.move(event)
+            assert slot.state == target, (state, event)
+
+    def test_unlisted_transitions_raise(self):
+        from repro.service.dispatcher import _Slot
+
+        states = {state for state, _ in self.LISTED} | {"broken"}
+        events = {event for _, event in self.LISTED}
+        for state in states:
+            for event in events - {e for s, e in self.LISTED if s == state}:
+                slot = _Slot(None)
+                slot.state = state
+                with pytest.raises(RuntimeError, match="no .* transition"):
+                    slot.move(event)
+                assert slot.state == state  # a refused event changes nothing
+
+
 class TestRunBatchPartialFailure:
     def test_failed_submit_still_resolves_the_accepted_prefix(self):
         # Satellite contract: when a later submit raises (here a duplicate
@@ -633,6 +680,20 @@ class TestDispatcherDeadlines:
 
         assert run(pin_first=True) == run(pin_first=False)
 
+    def test_expired_queued_job_never_keeps_the_worker_busy(self):
+        # A job dead-lettered while queued is skipped by the worker too, so
+        # the next job on its key runs right after the pin, not after the
+        # 30s the expired job would have slept.
+        with Dispatcher(workers=1) as pool:
+            pool.submit({"id": "pin", "kind": "sleep", "seconds": 0.6, "key": "k"})
+            doomed = pool.submit({"id": "d", "kind": "sleep", "seconds": 30.0,
+                                  "key": "k", "deadline": 0.2})
+            after = pool.submit({"id": "after", "kind": "normalize",
+                                 "program": REDEX, "key": "k"})
+            assert after.done.wait(5.0), "the expired job kept the worker busy"
+            assert after.result.ok
+            assert doomed.result.error["type"] == "JobTimeout"
+
 
 class TestElasticity:
     def test_grow_adds_capacity_and_shrink_retires_warmly(self):
@@ -672,6 +733,29 @@ class TestElasticity:
                 [{"id": "r", "kind": "normalize", "program": REDEX}]
             )
             assert doc.ok
+
+    def test_grow_never_revives_a_slot_broken_while_retiring(self):
+        # The breaker trips on a retiring slot: BROKEN is terminal, so a
+        # later grow appends a fresh slot that really takes work.
+        with Dispatcher(workers=2, max_slot_respawns=1) as pool:
+            assert pool.slot_for(Job(kind="check", program=IDENTITY, key="a")) == 0
+            assert pool.slot_for(Job(kind="check", program=IDENTITY, key="b")) == 1
+            pool.submit({"id": "nap", "kind": "sleep", "seconds": 0.3, "key": "b"})
+            crash = pool.submit({"id": "boom", "kind": "crash", "key": "b"})
+            assert pool.shrink() == 1
+            assert crash.done.wait(30.0)
+            assert crash.result.error["type"] == "CrashLoopBreaker"
+            assert pool.stats().slots["1"]["broken"] is True
+            slot = pool.grow()
+            assert slot is not None and slot != 1
+            assert pool.active_workers() == 2
+            assert pool.stats().slots[str(slot)]["broken"] is False
+            results = pool.run_batch(
+                [{"id": f"n{i}", "kind": "normalize", "program": REDEX}
+                 for i in range(4)]
+            )
+            assert all(result.ok for result in results)
+            assert pool.stats().jobs_per_slot.get(slot, 0) >= 1
 
     def test_shrinking_slot_finishes_its_pending_jobs(self):
         with Dispatcher(workers=2) as pool:
