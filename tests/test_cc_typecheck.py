@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro import cc
+from repro import api, cc
 from repro.cc import prelude
 from repro.common.errors import TypeCheckError
+from repro.kernel.budget import Budget
 from repro.surface import parse_term
+from tests.corpus import CORPUS
 
 
 class TestAxiomsAndVariables:
@@ -295,3 +297,196 @@ class TestCorpusWellTyped:
         for name, ctx, term in CORPUS:
             cc.check_context(ctx)
             cc.infer(ctx, term)  # must not raise
+
+
+_EMPTY = cc.Context.empty()
+_NAT_ID = cc.Lam("x", cc.Nat(), cc.Var("x"))
+_MOTIVE = cc.Lam("n", cc.Nat(), cc.Nat())
+_STEP = cc.Lam("k", cc.Nat(), cc.Lam("ih", cc.Nat(), cc.Var("ih")))
+_EQ_TWO = cc.Sigma("x", cc.Nat(), prelude.leibniz_eq(cc.Nat(), cc.Var("x"), cc.nat_literal(2)))
+
+#: (name, context, term) — every one ill-typed.
+_NEGATIVE = [
+    ("box", _EMPTY, cc.Box()),
+    ("unbound", _EMPTY, cc.Var("ghost")),
+    ("app-non-pi", _EMPTY, cc.App(cc.Zero(), cc.Zero())),
+    ("app-arg-mismatch", _EMPTY, cc.App(_NAT_ID, cc.BoolLit(True))),
+    ("app-arg-is-type", _EMPTY, cc.App(_NAT_ID, cc.Bool())),
+    ("lam-bad-domain", _EMPTY, cc.Lam("x", cc.Zero(), cc.Var("x"))),
+    ("universe-of-term", _EMPTY, cc.Pi("x", cc.Zero(), cc.Nat())),
+    ("let-annot-mismatch", _EMPTY, cc.Let("y", cc.BoolLit(True), cc.Nat(), cc.Var("y"))),
+    ("pair-wrong-witness", _EMPTY, cc.Pair(
+        cc.nat_literal(3), prelude.leibniz_refl(cc.Nat(), cc.nat_literal(3)), _EQ_TWO
+    )),
+    ("pair-non-sigma", _EMPTY, cc.Pair(cc.Zero(), cc.Zero(), cc.Nat())),
+    ("fst-non-sigma", _EMPTY, cc.Fst(cc.nat_literal(1))),
+    ("snd-non-sigma", _EMPTY, cc.Snd(cc.Zero())),
+    ("succ-bool", _EMPTY, cc.Succ(cc.BoolLit(True))),
+    ("if-branches", _EMPTY, parse_term(r"if true then 1 else false")),
+    ("if-cond", _EMPTY, cc.If(cc.Zero(), cc.Zero(), cc.Zero())),
+    ("natelim-motive", _EMPTY, cc.NatElim(cc.Zero(), cc.Zero(), cc.Zero(), cc.Zero())),
+    ("natelim-base", _EMPTY, cc.NatElim(_MOTIVE, cc.BoolLit(True), _STEP, cc.Zero())),
+    ("natelim-step", _EMPTY, cc.NatElim(_MOTIVE, cc.Zero(), cc.Zero(), cc.Zero())),
+    ("natelim-target", _EMPTY, cc.NatElim(_MOTIVE, cc.Zero(), _STEP, cc.BoolLit(True))),
+    ("dependent-mismatch", _EMPTY.extend("p", _EQ_TWO), cc.App(
+        cc.Lam("q", prelude.leibniz_eq(cc.Nat(), cc.nat_literal(2), cc.nat_literal(2)), cc.Var("q")),
+        cc.Snd(cc.Var("p")),
+    )),
+]
+
+
+def _typing_record(ctx, term, interned):
+    """(accepted, error class, message, steps, α-canonical type) in a cold session."""
+    with api.Session().activate():
+        if interned:
+            term = cc.intern(term)
+        budget = Budget()
+        try:
+            type_ = cc.infer(ctx, term, budget)
+        except TypeCheckError as error:
+            return (False, type(error).__name__, str(error), budget.spent, None)
+        return (True, None, None, budget.spent, cc.pretty(cc.intern(type_)))
+
+
+#: What the checker decided on every case: the verdict, the error class and
+#: message, the fuel spent and the α-canonical type, each raw and interned.
+_PINNED = {
+    ('poly-id', False): (True, None, None, 0, 'Π ($cv0 : ⋆). $cv0 -> $cv0'),
+    ('poly-id', True): (True, None, None, 0, 'Π ($cv0 : ⋆). $cv0 -> $cv0'),
+    ('mono-id', False): (True, None, None, 0, 'Nat -> Nat'),
+    ('mono-id', True): (True, None, None, 0, 'Nat -> Nat'),
+    ('const', False): (True, None, None, 0, 'Nat -> Bool -> Nat'),
+    ('const', True): (True, None, None, 0, 'Nat -> Bool -> Nat'),
+    ('compose', False): (True, None, None, 0, '(Nat -> Bool) -> (Nat -> Nat) -> Nat -> Bool'),
+    ('compose', True): (True, None, None, 0, '(Nat -> Bool) -> (Nat -> Nat) -> Nat -> Bool'),
+    ('twice', False): (True, None, None, 0, '(Nat -> Nat) -> Nat -> Nat'),
+    ('twice', True): (True, None, None, 0, '(Nat -> Nat) -> Nat -> Nat'),
+    ('open-capture-term', False): (True, None, None, 0, 'A -> A'),
+    ('open-capture-term', True): (True, None, None, 0, 'A -> A'),
+    ('open-capture-type', False): (True, None, None, 0, 'A -> A'),
+    ('open-capture-type', True): (True, None, None, 0, 'A -> A'),
+    ('nested-capture', False): (True, None, None, 0, 'A -> A -> A'),
+    ('nested-capture', True): (True, None, None, 0, 'A -> A -> A'),
+    ('triple-nest', False): (True, None, None, 0, 'Nat -> Nat -> Nat -> Nat'),
+    ('triple-nest', True): (True, None, None, 0, 'Nat -> Nat -> Nat -> Nat'),
+    ('shadow', False): (True, None, None, 0, 'Nat -> Bool'),
+    ('shadow', True): (True, None, None, 0, 'Nat -> Bool'),
+    ('beta-redex', False): (True, None, None, 0, 'Nat'),
+    ('beta-redex', True): (True, None, None, 0, 'Nat'),
+    ('id-Nat-3', False): (True, None, None, 0, 'Nat'),
+    ('id-Nat-3', True): (True, None, None, 0, 'Nat'),
+    ('partial-app', False): (True, None, None, 3, 'Nat -> (λ ($cv1 : Nat). Nat) 2'),
+    ('partial-app', True): (True, None, None, 3, 'Nat -> (λ ($cv1 : Nat). Nat) 2'),
+    ('higher-order', False): (True, None, None, 0, 'Nat'),
+    ('higher-order', True): (True, None, None, 0, 'Nat'),
+    ('apply-open', False): (True, None, None, 0, 'A'),
+    ('apply-open', True): (True, None, None, 0, 'A'),
+    ('let-zeta', False): (True, None, None, 0, 'Nat'),
+    ('let-zeta', True): (True, None, None, 0, 'Nat'),
+    ('let-under-lam', False): (True, None, None, 0, 'Nat -> Nat'),
+    ('let-under-lam', True): (True, None, None, 0, 'Nat -> Nat'),
+    ('let-type', False): (True, None, None, 0, 'Nat -> Nat'),
+    ('let-type', True): (True, None, None, 0, 'Nat -> Nat'),
+    ('delta-def', False): (True, None, None, 3, '(λ ($cv0 : Nat). Nat) m'),
+    ('delta-def', True): (True, None, None, 3, '(λ ($cv0 : Nat). Nat) m'),
+    ('pair-ground', False): (True, None, None, 0, 'Σ ($cv0 : Nat). Bool'),
+    ('pair-ground', True): (True, None, None, 0, 'Σ ($cv0 : Nat). Bool'),
+    ('pair-dependent', False): (True, None, None, 8, 'Σ ($cv0 : Nat). Π ($cv1 : Bool -> ⋆). $cv1 ((λ ($cv2 : Nat). natelim(λ ($cv3 : Nat). Bool, true, λ ($cv3 : Nat). λ ($cv4 : Bool). false, $cv2)) $cv0) -> $cv1 false'),
+    ('pair-dependent', True): (True, None, None, 8, 'Σ ($cv0 : Nat). Π ($cv1 : Bool -> ⋆). $cv1 ((λ ($cv2 : Nat). natelim(λ ($cv3 : Nat). Bool, true, λ ($cv3 : Nat). λ ($cv4 : Bool). false, $cv2)) $cv0) -> $cv1 false'),
+    ('fst-proj', False): (True, None, None, 0, 'Nat'),
+    ('fst-proj', True): (True, None, None, 0, 'Nat'),
+    ('snd-proj', False): (True, None, None, 0, 'Bool'),
+    ('snd-proj', True): (True, None, None, 0, 'Bool'),
+    ('sigma-in-lam', False): (True, None, None, 0, '(Σ ($cv0 : Nat). Bool) -> Nat'),
+    ('sigma-in-lam', True): (True, None, None, 0, '(Σ ($cv0 : Nat). Bool) -> Nat'),
+    ('snd-dependent', False): (True, None, None, 8, 'Π ($cv0 : Bool -> ⋆). $cv0 ((λ ($cv1 : Nat). natelim(λ ($cv2 : Nat). Bool, true, λ ($cv2 : Nat). λ ($cv3 : Bool). false, $cv1)) (fst ⟨3, λ ($cv1 : Bool -> ⋆). λ ($cv2 : $cv1 false). $cv2⟩ as (Σ ($cv1 : Nat). Π ($cv2 : Bool -> ⋆). $cv2 ((λ ($cv3 : Nat). natelim(λ ($cv4 : Nat). Bool, true, λ ($cv4 : Nat). λ ($cv5 : Bool). false, $cv3)) $cv1) -> $cv2 false))) -> $cv0 false'),
+    ('snd-dependent', True): (True, None, None, 8, 'Π ($cv0 : Bool -> ⋆). $cv0 ((λ ($cv1 : Nat). natelim(λ ($cv2 : Nat). Bool, true, λ ($cv2 : Nat). λ ($cv3 : Bool). false, $cv1)) (fst ⟨3, λ ($cv1 : Bool -> ⋆). λ ($cv2 : $cv1 false). $cv2⟩ as (Σ ($cv1 : Nat). Π ($cv2 : Bool -> ⋆). $cv2 ((λ ($cv3 : Nat). natelim(λ ($cv4 : Nat). Bool, true, λ ($cv4 : Nat). λ ($cv5 : Bool). false, $cv3)) $cv1) -> $cv2 false))) -> $cv0 false'),
+    ('if-ground', False): (True, None, None, 0, 'Nat'),
+    ('if-ground', True): (True, None, None, 0, 'Nat'),
+    ('if-neutral', False): (True, None, None, 0, 'Nat'),
+    ('if-neutral', True): (True, None, None, 0, 'Nat'),
+    ('natelim-add', False): (True, None, None, 3, '(λ ($cv0 : Nat). Nat) 3'),
+    ('natelim-add', True): (True, None, None, 3, '(λ ($cv0 : Nat). Nat) 3'),
+    ('is-zero', False): (True, None, None, 3, '(λ ($cv0 : Nat). Bool) 0'),
+    ('is-zero', True): (True, None, None, 3, '(λ ($cv0 : Nat). Bool) 0'),
+    ('pred', False): (True, None, None, 3, '(λ ($cv0 : Nat). Nat) 5'),
+    ('pred', True): (True, None, None, 3, '(λ ($cv0 : Nat). Nat) 5'),
+    ('dependent-if-annot', False): (True, None, None, 0, '(if b then Nat else Bool) -> (if b then Nat else Bool)'),
+    ('dependent-if-annot', True): (True, None, None, 0, '(if b then Nat else Bool) -> (if b then Nat else Bool)'),
+    ('leibniz-refl', False): (True, None, None, 0, 'Π ($cv0 : Nat -> ⋆). $cv0 1 -> $cv0 1'),
+    ('leibniz-refl', True): (True, None, None, 0, 'Π ($cv0 : Nat -> ⋆). $cv0 1 -> $cv0 1'),
+    ('type-operator', False): (True, None, None, 0, 'Π ($cv0 : ⋆ -> ⋆). Π ($cv1 : ⋆). $cv0 $cv1 -> $cv0 $cv1'),
+    ('type-operator', True): (True, None, None, 0, 'Π ($cv0 : ⋆ -> ⋆). Π ($cv1 : ⋆). $cv0 $cv1 -> $cv0 $cv1'),
+    ('impredicative', False): (True, None, None, 0, '(Π ($cv0 : ⋆). $cv0 -> $cv0) -> (Π ($cv1 : ⋆). $cv1 -> $cv1)'),
+    ('impredicative', True): (True, None, None, 0, '(Π ($cv0 : ⋆). $cv0 -> $cv0) -> (Π ($cv1 : ⋆). $cv1 -> $cv1)'),
+    ('type-only-capture', False): (True, None, None, 0, 'Nat -> C'),
+    ('type-only-capture', True): (True, None, None, 0, 'Nat -> C'),
+    ('sigma-dep-capture', False): (True, None, None, 0, 'Nat -> A'),
+    ('sigma-dep-capture', True): (True, None, None, 0, 'Nat -> A'),
+    ('chain-capture', False): (True, None, None, 0, 'Nat -> P x'),
+    ('chain-capture', True): (True, None, None, 0, 'Nat -> P x'),
+    ('add-zero-proof', False): (True, None, None, 41, 'Π ($cv0 : Nat). (λ ($cv1 : Nat). Π ($cv2 : Nat -> ⋆). $cv2 ((λ ($cv3 : Nat). λ ($cv4 : Nat). natelim(λ ($cv5 : Nat). Nat, $cv4, λ ($cv5 : Nat). λ ($cv6 : Nat). succ $cv6, $cv3)) $cv1 0) -> $cv2 $cv1) $cv0'),
+    ('add-zero-proof', True): (True, None, None, 41, 'Π ($cv0 : Nat). (λ ($cv1 : Nat). Π ($cv2 : Nat -> ⋆). $cv2 ((λ ($cv3 : Nat). λ ($cv4 : Nat). natelim(λ ($cv5 : Nat). Nat, $cv4, λ ($cv5 : Nat). λ ($cv6 : Nat). succ $cv6, $cv3)) $cv1 0) -> $cv2 $cv1) $cv0'),
+    ('church-2', False): (True, None, None, 0, 'Π ($cv0 : ⋆). ($cv0 -> $cv0) -> $cv0 -> $cv0'),
+    ('church-2', True): (True, None, None, 0, 'Π ($cv0 : ⋆). ($cv0 -> $cv0) -> $cv0 -> $cv0'),
+    ('church-add-2-3', False): (True, None, None, 0, 'Π ($cv0 : ⋆). ($cv0 -> $cv0) -> $cv0 -> $cv0'),
+    ('church-add-2-3', True): (True, None, None, 0, 'Π ($cv0 : ⋆). ($cv0 -> $cv0) -> $cv0 -> $cv0'),
+    ('type-term', False): (True, None, None, 0, '⋆'),
+    ('type-term', True): (True, None, None, 0, '⋆'),
+    ('pi-type-term', False): (True, None, None, 0, '⋆'),
+    ('pi-type-term', True): (True, None, None, 0, '⋆'),
+    ('sigma-type-term', False): (True, None, None, 4, '⋆'),
+    ('sigma-type-term', True): (True, None, None, 4, '⋆'),
+    ('shared-dag-tower', False): (True, None, None, 0, 'Σ ($cv0 : Σ ($cv0 : Σ ($cv0 : Σ ($cv0 : Nat). Nat). Σ ($cv1 : Nat). Σ ($cv2 : Nat). Nat). Σ ($cv1 : Nat). Σ ($cv2 : Σ ($cv2 : Nat). Nat). Σ ($cv3 : Nat). Σ ($cv4 : Nat). Nat). Σ ($cv1 : Nat). Σ ($cv2 : Σ ($cv2 : Σ ($cv2 : Nat). Nat). Σ ($cv3 : Nat). Σ ($cv4 : Nat). Nat). Σ ($cv3 : Nat). Σ ($cv4 : Σ ($cv4 : Nat). Nat). Σ ($cv5 : Nat). Σ ($cv6 : Nat). Nat'),
+    ('shared-dag-tower', True): (True, None, None, 0, 'Σ ($cv0 : Σ ($cv0 : Σ ($cv0 : Σ ($cv0 : Nat). Nat). Σ ($cv1 : Nat). Σ ($cv2 : Nat). Nat). Σ ($cv1 : Nat). Σ ($cv2 : Σ ($cv2 : Nat). Nat). Σ ($cv3 : Nat). Σ ($cv4 : Nat). Nat). Σ ($cv1 : Nat). Σ ($cv2 : Σ ($cv2 : Σ ($cv2 : Nat). Nat). Σ ($cv3 : Nat). Σ ($cv4 : Nat). Nat). Σ ($cv3 : Nat). Σ ($cv4 : Σ ($cv4 : Nat). Nat). Σ ($cv5 : Nat). Σ ($cv6 : Nat). Nat'),
+    ('box', False): (False, 'TypeCheckError', '□ has no type (it is not a valid term)', 0, None),
+    ('box', True): (False, 'TypeCheckError', '□ has no type (it is not a valid term)', 0, None),
+    ('unbound', False): (False, 'TypeCheckError', "unbound variable 'ghost'", 0, None),
+    ('unbound', True): (False, 'TypeCheckError', "unbound variable 'ghost'", 0, None),
+    ('app-non-pi', False): (False, 'TypeCheckError', 'application head has non-Π type Nat\n  while checking 0 0', 0, None),
+    ('app-non-pi', True): (False, 'TypeCheckError', 'application head has non-Π type Nat\n  while checking 0 0', 0, None),
+    ('app-arg-mismatch', False): (False, 'TypeCheckError', 'type mismatch: term true\n  has type      Bool\n  but expected  Nat', 0, None),
+    ('app-arg-mismatch', True): (False, 'TypeCheckError', 'type mismatch: term true\n  has type      Bool\n  but expected  Nat', 0, None),
+    ('app-arg-is-type', False): (False, 'TypeCheckError', 'type mismatch: term Bool\n  has type      ⋆\n  but expected  Nat', 0, None),
+    ('app-arg-is-type', True): (False, 'TypeCheckError', 'type mismatch: term Bool\n  has type      ⋆\n  but expected  Nat', 0, None),
+    ('lam-bad-domain', False): (False, 'TypeCheckError', 'expected a type but 0 has type Nat', 0, None),
+    ('lam-bad-domain', True): (False, 'TypeCheckError', 'expected a type but 0 has type Nat', 0, None),
+    ('universe-of-term', False): (False, 'TypeCheckError', 'expected a type but 0 has type Nat', 0, None),
+    ('universe-of-term', True): (False, 'TypeCheckError', 'expected a type but 0 has type Nat', 0, None),
+    ('let-annot-mismatch', False): (False, 'TypeCheckError', 'type mismatch: term true\n  has type      Bool\n  but expected  Nat', 0, None),
+    ('let-annot-mismatch', True): (False, 'TypeCheckError', 'type mismatch: term true\n  has type      Bool\n  but expected  Nat', 0, None),
+    ('pair-wrong-witness', False): (False, 'TypeCheckError', 'type mismatch: term λ (P : Nat -> ⋆). λ (p : P 3). p\n  has type      Π (P : Nat -> ⋆). P 3 -> P 3\n  but expected  Π (P : Nat -> ⋆). P 3 -> P 2', 0, None),
+    ('pair-wrong-witness', True): (False, 'TypeCheckError', 'type mismatch: term λ ($cv0 : Nat -> ⋆). λ ($cv1 : $cv0 3). $cv1\n  has type      Π ($cv0 : Nat -> ⋆). $cv0 3 -> $cv0 3\n  but expected  Π ($cv1 : Nat -> ⋆). $cv1 3 -> $cv1 2', 0, None),
+    ('pair-non-sigma', False): (False, 'TypeCheckError', 'pair annotation Nat is not a Σ type\n  while checking ⟨0, 0⟩ as Nat', 0, None),
+    ('pair-non-sigma', True): (False, 'TypeCheckError', 'pair annotation Nat is not a Σ type\n  while checking ⟨0, 0⟩ as Nat', 0, None),
+    ('fst-non-sigma', False): (False, 'TypeCheckError', 'fst of non-Σ type Nat\n  while checking fst 1', 0, None),
+    ('fst-non-sigma', True): (False, 'TypeCheckError', 'fst of non-Σ type Nat\n  while checking fst 1', 0, None),
+    ('snd-non-sigma', False): (False, 'TypeCheckError', 'snd of non-Σ type Nat\n  while checking snd 0', 0, None),
+    ('snd-non-sigma', True): (False, 'TypeCheckError', 'snd of non-Σ type Nat\n  while checking snd 0', 0, None),
+    ('succ-bool', False): (False, 'TypeCheckError', 'type mismatch: term true\n  has type      Bool\n  but expected  Nat', 0, None),
+    ('succ-bool', True): (False, 'TypeCheckError', 'type mismatch: term true\n  has type      Bool\n  but expected  Nat', 0, None),
+    ('if-branches', False): (False, 'TypeCheckError', 'type mismatch: term false\n  has type      Bool\n  but expected  Nat', 0, None),
+    ('if-branches', True): (False, 'TypeCheckError', 'type mismatch: term false\n  has type      Bool\n  but expected  Nat', 0, None),
+    ('if-cond', False): (False, 'TypeCheckError', 'type mismatch: term 0\n  has type      Nat\n  but expected  Bool', 0, None),
+    ('if-cond', True): (False, 'TypeCheckError', 'type mismatch: term 0\n  has type      Nat\n  but expected  Bool', 0, None),
+    ('natelim-motive', False): (False, 'TypeCheckError', 'natelim motive has non-Π type Nat', 0, None),
+    ('natelim-motive', True): (False, 'TypeCheckError', 'natelim motive has non-Π type Nat', 0, None),
+    ('natelim-base', False): (False, 'TypeCheckError', 'type mismatch: term true\n  has type      Bool\n  but expected  (λ (n : Nat). Nat) 0', 1, None),
+    ('natelim-base', True): (False, 'TypeCheckError', 'type mismatch: term true\n  has type      Bool\n  but expected  (λ ($cv0 : Nat). Nat) 0', 1, None),
+    ('natelim-step', False): (False, 'TypeCheckError', 'type mismatch: term 0\n  has type      Nat\n  but expected  Π (n$1 : Nat). (λ (n : Nat). Nat) n$1 -> (λ (n : Nat). Nat) (succ n$1)', 1, None),
+    ('natelim-step', True): (False, 'TypeCheckError', 'type mismatch: term 0\n  has type      Nat\n  but expected  Π (n$1 : Nat). (λ ($cv0 : Nat). Nat) n$1 -> (λ ($cv0 : Nat). Nat) (succ n$1)', 1, None),
+    ('natelim-target', False): (False, 'TypeCheckError', 'type mismatch: term true\n  has type      Bool\n  but expected  Nat', 0, None),
+    ('natelim-target', True): (False, 'TypeCheckError', 'type mismatch: term true\n  has type      Bool\n  but expected  Nat', 0, None),
+    ('dependent-mismatch', False): (False, 'TypeCheckError', 'type mismatch: term snd p\n  has type      Π (P : Nat -> ⋆). P (fst p) -> P 2\n  but expected  Π (P : Nat -> ⋆). P 2 -> P 2', 0, None),
+    ('dependent-mismatch', True): (False, 'TypeCheckError', 'type mismatch: term snd p\n  has type      Π (P : Nat -> ⋆). P (fst p) -> P 2\n  but expected  Π ($cv0 : Nat -> ⋆). $cv0 2 -> $cv0 2', 0, None),
+}
+
+
+@pytest.mark.parametrize("interned", [False, True], ids=["raw", "interned"])
+@pytest.mark.parametrize(
+    "name, ctx, term",
+    CORPUS + _NEGATIVE,
+    ids=[name for name, _, _ in CORPUS + _NEGATIVE],
+)
+def test_typing_is_pinned(name, ctx, term, interned):
+    assert _typing_record(ctx, term, interned) == _PINNED[name, interned]
