@@ -22,27 +22,15 @@ definitions) with exact fuel replay, mirroring the normalization cache.
 
 from __future__ import annotations
 
-from repro.cc.ast import (
-    LANGUAGE,
-    App,
-    Bool,
-    BoolLit,
-    Box,
-    Lam,
-    Nat,
-    Pair,
-    Star,
-    Term,
-    Var,
-    Zero,
-)
+from functools import partial
+
+from repro.cc.ast import LANGUAGE, App, Lam, Pair, Term, Var
 from repro.cc.context import Context
-from repro.cc.reduce import Budget, whnf
+from repro.cc.reduce import _NBE, Budget
 from repro.cc.subst import subst1
 from repro.common.names import fresh
 from repro.kernel.convert import ConversionRules, convert
-from repro.kernel.judgment import judgment_cache
-from repro.kernel.memo import context_token
+from repro.kernel.reduction import whnf_value
 
 __all__ = ["equivalent", "norm_equal_eta"]
 
@@ -51,8 +39,10 @@ class _CCRules(ConversionRules):
     """CC hooks: untyped function η; λ domains and pair annotations ignored."""
 
     lang = LANGUAGE
+    kind = "cc.equiv"
     irrelevant = {Lam: ("domain",), Pair: ("annot",)}
-    whnf = staticmethod(whnf)
+    nbe = _NBE
+    whnf = staticmethod(partial(whnf_value, _NBE))
 
     def eta(self, left, right, ctx_l, ctx_r, scope, budget):
         left_lam = isinstance(left, Lam)
@@ -67,31 +57,7 @@ class _CCRules(ConversionRules):
 
 
 _RULES = _CCRules()
-
-#: Irreducible leaves: comparisons between them are O(1) in the engine, so
-#: the memo round-trip would cost more than just deciding.
-_LEAF = (Star, Box, Bool, BoolLit, Nat, Zero)
-
-
-def equivalent(ctx: Context, left: Term, right: Term, budget: Budget | None = None) -> bool:
-    """Decide ``Γ ⊢ left ≡ right``."""
-    if budget is None:
-        budget = Budget()
-    if left is right:  # pointer hit: the engine would conclude the same in O(1)
-        return True
-    if isinstance(left, _LEAF) and isinstance(right, _LEAF):
-        return convert(_RULES, ctx, ctx, left, right, budget)
-    cache = judgment_cache()
-    token = context_token(ctx)
-    hit = cache.lookup("cc.equiv", left, right, token)
-    if hit is not None:
-        verdict, steps = hit
-        budget.charge(steps)
-        return verdict
-    before = budget.spent
-    verdict = convert(_RULES, ctx, ctx, left, right, budget)
-    cache.store("cc.equiv", left, right, token, verdict, budget.spent - before)
-    return verdict
+equivalent = _RULES.equivalent
 
 
 def norm_equal_eta(left: Term, right: Term) -> bool:

@@ -30,32 +30,17 @@ definitions) with exact fuel replay, mirroring the normalization cache.
 
 from __future__ import annotations
 
-from repro.cccc.ast import (
-    LANGUAGE,
-    App,
-    Bool,
-    BoolLit,
-    Box,
-    Clo,
-    CodeLam,
-    Nat,
-    Pair,
-    Star,
-    Term,
-    Unit,
-    UnitVal,
-    Var,
-    Zero,
-)
+from functools import partial
+
+from repro.cccc.ast import LANGUAGE, App, Clo, CodeLam, Pair, Term, Var
 from repro.cccc.context import Context
-from repro.cccc.reduce import _NBE, Budget, read_value, whnf, whnf_value
+from repro.cccc.reduce import _NBE, Budget, whnf
 from repro.cccc.subst import subst
 from repro.common.names import fresh
 from repro.kernel.convert import ConversionRules, convert
-from repro.kernel.judgment import judgment_cache
-from repro.kernel.memo import context_token
+from repro.kernel.reduction import read_value, whnf_value
 
-__all__ = ["equivalent", "equivalent_structural", "norm_equal_clo"]
+__all__ = ["equivalent", "equivalent_structural"]
 
 
 def _openable(term: Term) -> bool:
@@ -74,9 +59,10 @@ class _CCCCRules(ConversionRules):
     """CC-CC hooks: closure η, code exposure, pair annotations ignored."""
 
     lang = LANGUAGE
+    kind = "cccc.equiv"
     irrelevant = {Pair: ("annot",)}
     nbe = _NBE
-    whnf = staticmethod(whnf_value)
+    whnf = staticmethod(partial(whnf_value, _NBE))
 
     def prepare(self, ctx, term, budget):
         # Closures are weak-head normal, but their code position may hide a
@@ -95,11 +81,11 @@ class _CCCCRules(ConversionRules):
         if _openable(left):
             budget.spend()
             probe = Var(fresh("cloeta"))
-            return [(_open(left, probe), App(read_value(right), probe), ctx_l, ctx_r, scope)]
+            return [(_open(left, probe), App(read_value(_NBE, right), probe), ctx_l, ctx_r, scope)]
         if _openable(right):
             budget.spend()
             probe = Var(fresh("cloeta"))
-            return [(App(read_value(left), probe), _open(right, probe), ctx_l, ctx_r, scope)]
+            return [(App(read_value(_NBE, left), probe), _open(right, probe), ctx_l, ctx_r, scope)]
         return None
 
 
@@ -115,47 +101,7 @@ class _NoCloEtaRules(_CCCCRules):
 _RULES = _CCCCRules()
 _NO_CLO_ETA_RULES = _NoCloEtaRules()
 
-#: Irreducible leaves: comparisons between them are O(1) in the engine, so
-#: the memo round-trip would cost more than just deciding.
-_LEAF = (Star, Box, Unit, UnitVal, Bool, BoolLit, Nat, Zero)
-
-
-def equivalent(ctx: Context, left: Term, right: Term, budget: Budget | None = None) -> bool:
-    """Decide ``Γ ⊢ left ≡ right`` in CC-CC.
-
-    Either side may also be a glued type value of the checker
-    (:func:`repro.kernel.nbe.glue`); it is read back only as far as the
-    comparison descends.
-    """
-    if budget is None:
-        budget = Budget()
-    if left is right:
-        return True
-    if isinstance(left, _LEAF) and isinstance(right, _LEAF):
-        return convert(_RULES, ctx, ctx, left, right, budget)
-    cache = judgment_cache()
-    token = context_token(ctx)
-    hit = cache.lookup("cccc.equiv", left, right, token)
-    if hit is not None:
-        verdict, steps = hit
-        budget.charge(steps)
-        return verdict
-    before = budget.spent
-    verdict = convert(_RULES, ctx, ctx, left, right, budget)
-    cache.store("cccc.equiv", left, right, token, verdict, budget.spent - before)
-    return verdict
-
-
-def norm_equal_clo(left: Term, right: Term, budget: Budget | None = None) -> bool:
-    """Compare two *normal forms* up to the closure η-rules.
-
-    Compatibility wrapper over the incremental engine under the empty
-    context (normal forms have no δ-redexes left to unfold).
-    """
-    if budget is None:
-        budget = Budget()
-    empty = Context.empty()
-    return convert(_RULES, empty, empty, left, right, budget)
+equivalent = _RULES.equivalent
 
 
 def equivalent_structural(

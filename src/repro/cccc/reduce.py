@@ -47,7 +47,7 @@ from repro.cccc.ast import (
 from repro.cccc.context import Context
 from repro.kernel import reduction
 from repro.kernel.budget import DEFAULT_FUEL, Budget
-from repro.kernel.nbe import NbeSpec, Thunk, read_back
+from repro.kernel.nbe import NbeSpec
 
 __all__ = [
     "DEFAULT_FUEL",
@@ -57,10 +57,8 @@ __all__ = [
     "normalize_counting",
     "normalize_subst",
     "reducts",
-    "read_value",
     "whnf",
     "whnf_subst",
-    "whnf_value",
 ]
 
 #: CC-CC's reduction wiring: β applies a closure whose code position
@@ -93,27 +91,6 @@ def whnf(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
     replay the originally recorded fuel cost into ``budget``.
     """
     return reduction.whnf(_NBE, ctx, term, budget)
-
-
-def whnf_value(ctx: Context, value, budget: Budget) -> Term | Thunk:
-    """:func:`whnf` of a glued type value (:func:`repro.kernel.nbe.glue`).
-
-    A value whose head is a constructor is already weak-head normal and is
-    returned as is, its delayed substitution still pending.  Any other head
-    (an elimination, or a closure whose code conversion must expose) is
-    read back first and reduced as syntax, so the fuel spent is exactly
-    that of reducing the substituted term.
-    """
-    if type(value) is not Thunk:
-        return whnf(ctx, value, budget)
-    if isinstance(value.term, _NBE.active) or type(value.term) is Clo:
-        return whnf(ctx, read_back(_NBE, value), budget)
-    return value
-
-
-def read_value(value) -> Term:
-    """The syntax of a glued type value (memoized on the value)."""
-    return read_back(_NBE, value)
 
 
 def whnf_subst(ctx: Context, term: Term, budget: Budget | None = None) -> Term:

@@ -26,8 +26,11 @@ makes the hot paths fast:
   hooks, replacing normalize-then-compare on the [Conv] hot path;
 * **judgment memoization** (:mod:`repro.kernel.judgment`) — a
   fuel-replaying cache for ``infer``/``check``/``infer_universe`` (keyed
-  on context identity) and ``equivalent`` (keyed on the definitions
-  fingerprint).
+  on the context's extension path) and ``equivalent`` (keyed on the
+  definitions fingerprint);
+* **one type checker** (:mod:`repro.kernel.typing`) — every typing rule
+  the two calculi share, over glued type values, driven by a per-calculus
+  ``TypingSpec``.
 
 Every piece of mutable kernel state — the caches above, the context-token
 tables, and the fresh-name counter — is owned by a
@@ -40,7 +43,7 @@ existing callers run against the process-default session unchanged.
 
 from repro.kernel.alpha import alpha_equal
 from repro.kernel.budget import DEFAULT_FUEL, Budget
-from repro.kernel.cache import DictCache, TermCache, cache_stats, register_cache, reset_caches
+from repro.kernel.cache import DictCache, TermCache, cache_stats, reset_caches
 from repro.kernel.convert import ConversionRules, convert
 from repro.kernel.fv import free_vars
 from repro.kernel.intern import build, intern
@@ -75,7 +78,6 @@ __all__ = [
     "intern",
     "judgment_cache",
     "normalization_cache",
-    "register_cache",
     "reset_caches",
     "subst",
     "subterms",

@@ -11,9 +11,9 @@ collected, before its id can be recycled.
 
 Cache *instances* are owned by :class:`repro.kernel.state.KernelState` —
 one full set per session, so independent workloads never share an entry.
-The module-level helpers here (:func:`reset_caches`, :func:`cache_stats`,
-:func:`register_cache`) are shims over the **active** state, preserving the
-historical global-registry API for the process-default session.
+The module-level helpers here (:func:`reset_caches`, :func:`cache_stats`)
+are shims over the **active** state, preserving the historical
+global-registry API for the process-default session.
 """
 
 from __future__ import annotations
@@ -25,30 +25,8 @@ __all__ = [
     "DictCache",
     "TermCache",
     "cache_stats",
-    "register_cache",
     "reset_caches",
 ]
-
-
-def register_cache(cache: Any) -> Any:
-    """Register an extra cache with the *active* state and return it.
-
-    Anything with ``clear()``, ``__len__`` and a ``name`` qualifies.  The
-    kernel's own caches no longer go through here — they are constructed by
-    :class:`~repro.kernel.state.KernelState` directly; this hook remains for
-    consumers that built custom caches against the old global registry.
-
-    Binding-time semantics (a contract change from the global-registry
-    era): the cache joins whichever state is active *at registration* and
-    is cleared only by that state's resets.  A cache registered at import
-    time (process-default state) is therefore **not** cleared by
-    ``Session.reset()`` on some other session — a consumer caching
-    derived facts that embed a session's fresh names must register the
-    cache inside that session (``with session.activate(): register_cache(…)``).
-    """
-    from repro.kernel.state import current_state
-
-    return current_state().register(cache)
 
 
 def reset_caches() -> None:

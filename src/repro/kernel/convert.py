@@ -65,6 +65,8 @@ from typing import Any
 
 from repro.kernel import fv
 from repro.kernel.budget import Budget
+from repro.kernel.judgment import judgment_cache
+from repro.kernel.memo import context_token
 from repro.kernel.nbe import NbeSpec, Thunk, glue, value_names, value_scopes
 from repro.kernel.nodespec import Language
 
@@ -87,15 +89,44 @@ class ConversionRules:
     #: The calculus, for node specs, the var class, and the intern memo.
     lang: Language
 
+    #: The judgment-memo kind of :meth:`equivalent` (``"cc.equiv"``, …).
+    kind: str
+
     #: ``node class -> child attrs`` the comparison ignores (computationally
     #: irrelevant annotations: λ domains in CC, pair annotations in both).
     irrelevant: dict[type, tuple[str, ...]] = {}
 
-    #: Set by calculi whose checker compares glued type values
-    #: (:func:`repro.kernel.nbe.glue`): ``whnf`` may then return a value
+    #: The calculus's reduction wiring.  Its checker compares glued type
+    #: values (:func:`repro.kernel.nbe.glue`): ``whnf`` may return a value
     #: whose head is a non-variable weak-head normal node, and the engine
     #: reads it back one node at a time as the comparison descends.
-    nbe: NbeSpec | None = None
+    nbe: NbeSpec
+
+    def equivalent(self, ctx: Any, left: Any, right: Any, budget: Budget | None = None) -> bool:
+        """Decide ``Γ ⊢ left ≡ right``, memoized with exact fuel replay.
+
+        Either side may be a glued type value.  Entries key on both sides'
+        identities and the context's definitions.  Comparisons between the
+        calculus's irreducible leaves skip the memo, whose round-trip would
+        cost more than deciding.
+        """
+        budget = Budget() if budget is None else budget
+        if left is right:  # pointer hit: the engine would conclude the same in O(1)
+            return True
+        leaves = self.nbe.trivial
+        if isinstance(left, leaves) and isinstance(right, leaves):
+            return convert(self, ctx, ctx, left, right, budget)
+        cache = judgment_cache()
+        token = context_token(ctx)
+        hit = cache.lookup(self.kind, left, right, token)
+        if hit is not None:
+            verdict, steps = hit
+            budget.charge(steps)
+            return verdict
+        before = budget.spent
+        verdict = convert(self, ctx, ctx, left, right, budget)
+        cache.store(self.kind, left, right, token, verdict, budget.spent - before)
+        return verdict
 
     def whnf(self, ctx: Any, term: Any, budget: Budget) -> Any:
         """Weak-head-normalize ``term`` under ``ctx``."""

@@ -43,7 +43,7 @@ from typing import Any, Callable
 
 from repro.kernel.budget import DEFAULT_FUEL, Budget
 from repro.kernel.memo import context_token
-from repro.kernel.nbe import NbeSpec, nbe_normalize, nbe_whnf
+from repro.kernel.nbe import NbeSpec, Thunk, nbe_normalize, nbe_whnf, read_back
 from repro.kernel.state import current_state
 from repro.kernel.substitution import subst
 
@@ -52,9 +52,11 @@ __all__ = [
     "normalize",
     "normalize_counting",
     "normalize_subst",
+    "read_value",
     "reducts",
     "whnf",
     "whnf_subst",
+    "whnf_value",
 ]
 
 
@@ -108,6 +110,29 @@ def whnf(spec: NbeSpec, ctx: Any, term: Any, budget: Budget | None = None) -> An
     if _head_normal(spec, ctx, term):
         return term
     return _memoized(spec, ctx, term, budget, spec.whnf_kind, nbe_whnf)
+
+
+def whnf_value(spec: NbeSpec, ctx: Any, value: Any, budget: Budget) -> Any:
+    """:func:`whnf` of a glued type value (:func:`repro.kernel.nbe.glue`).
+
+    A value whose head is a type or data constructor is weak-head normal
+    already and is returned as is, its delayed substitution still pending.
+    Three kinds of head are read back and reduced as syntax instead, so the
+    fuel spent is exactly that of reducing the substituted term: an
+    elimination or ``let``, a λ (CC) and a closure (CC-CC), the last two
+    because conversion's η-rules inspect them as syntax.
+    """
+    if type(value) is not Thunk:
+        return whnf(spec, ctx, value, budget)
+    head = type(value.term)
+    if head in spec.tags or head is spec.lam_cls or head is spec.clo_cls:
+        return whnf(spec, ctx, read_back(spec, value), budget)
+    return value
+
+
+def read_value(spec: NbeSpec, value: Any) -> Any:
+    """The syntax of a glued type value (memoized on the value)."""
+    return read_back(spec, value)
 
 
 def normalize(spec: NbeSpec, ctx: Any, term: Any, budget: Budget | None = None) -> Any:

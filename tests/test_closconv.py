@@ -3,10 +3,11 @@
 import pytest
 
 from repro import api, cc, cccc
-from repro.cc import prelude, typecheck
+from repro.cc import prelude
 from repro.closconv import compile_term, dependent_free_vars, pipeline, translate, translate_context
 from repro.closconv.pipeline import TypePreservationViolation, delta_expand
 from repro.common.errors import TranslationError, TypeCheckError
+from repro.kernel import typing
 from repro.surface import parse_term
 from repro.wire.codec import term_from_b64, term_to_b64
 from tests.corpus import CLOSED_GROUND_PROGRAMS, CORPUS, closed_ground_ids, corpus_ids
@@ -227,12 +228,12 @@ class TestBodyTypeFromDerivation:
     def test_cold_compile_derives_no_body_type(self, monkeypatch):
         derivations = []
         translating = [False]
-        infer_rule = typecheck._infer
+        infer_value = typing.infer_value
 
-        def counting_infer(ctx, term, budget):
+        def counting_infer(spec, ctx, term, budget, entry=False):
             if translating[0]:
                 derivations.append(term)
-            return infer_rule(ctx, term, budget)
+            return infer_value(spec, ctx, term, budget, entry)
 
         def tracked_translate(ctx, term):
             translating[0] = True
@@ -241,7 +242,7 @@ class TestBodyTypeFromDerivation:
             finally:
                 translating[0] = False
 
-        monkeypatch.setattr(typecheck, "_infer", counting_infer)
+        monkeypatch.setattr(typing, "infer_value", counting_infer)
         monkeypatch.setattr(pipeline, "translate", tracked_translate)
         compiled = api.Session().compile(_nested_lambdas(60))
         assert compiled.compilation.checked_type is not None
