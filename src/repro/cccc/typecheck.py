@@ -23,15 +23,15 @@ Fuel matches :mod:`repro.cccc.typecheck_subst`, the differential reference.
 from __future__ import annotations
 
 from repro.cccc.ast import Bool, BoolLit, Box, Clo, CodeLam, CodeType, Nat, Pi, Sigma, Star
-from repro.cccc.ast import Term, Unit, UnitVal, Zero, cached_free_vars
+from repro.cccc.ast import Unit, UnitVal, Zero, cached_free_vars
 from repro.cccc.context import Context
 from repro.cccc.equiv import equivalent
 from repro.cccc.pretty import pretty
 from repro.cccc.reduce import _NBE, Budget
 from repro.common.errors import TypeCheckError
-from repro.kernel.nbe import Thunk, glue, glue_instantiate, value_names
+from repro.kernel.nbe import glue, glue_node, view
 from repro.kernel.reduction import read_value, whnf_value
-from repro.kernel.typing import TypingSpec, bind, check_value, infer_value, universe, view
+from repro.kernel.typing import TypingSpec, bind, check_value, infer_value, universe
 
 __all__ = ["check", "check_context", "infer", "infer_universe", "well_typed"]
 
@@ -55,24 +55,20 @@ def _code(spec: TypingSpec, ctx: Context, term: CodeLam, budget: Budget):
 def _clo(spec: TypingSpec, ctx: Context, term: Clo, budget: Budget):
     code, env = term.code, term.env
     if type(code) is CodeLam:
-        # Literal code (all closure-converted output): build the closure
-        # type from the body's type value directly, so no [Code] result is
-        # ever read back on this path.
+        # Literal code (all closure-converted output): the body's type value
+        # lives in the code's context ·, x′, x; the closure type binds its
+        # level x under the new Π and instantiates its level x′ by one
+        # frame, so nothing is read back or searched.
         body_type = infer_value(spec, _code_context(spec, code, budget), code.body, budget)
         check_value(spec, ctx, env, code.env_type, budget)
-        closure_type = _instantiate_code(code, body_type, env)
-        if closure_type is not None:
-            return closure_type
-        result = read_value(_NBE, body_type)
-        code_type = CodeType(code.env_name, code.env_type, code.arg_name, code.arg_type, result)
-        sigma = _EMPTY_ENV
-    else:
-        code_type, sigma = view(whnf_value(_NBE, ctx, infer_value(spec, ctx, code, budget), budget))
-        if not isinstance(code_type, CodeType):
-            raise TypeCheckError(
-                f"closure over non-code of type {pretty(read_value(_NBE, code_type))}"
-            ).with_note(f"checking {pretty(term)}")
-        check_value(spec, ctx, env, glue(_NBE, code_type.env_type, sigma), budget)
+        closure_type = Pi(code.arg_name, code.arg_type, body_type)
+        return glue_node(_NBE, closure_type, bind(_EMPTY_ENV, code.env_name, env))
+    code_type, sigma = view(whnf_value(_NBE, ctx, infer_value(spec, ctx, code, budget), budget))
+    if not isinstance(code_type, CodeType):
+        raise TypeCheckError(
+            f"closure over non-code of type {pretty(read_value(_NBE, code_type))}"
+        ).with_note(f"checking {pretty(term)}")
+    check_value(spec, ctx, env, glue(_NBE, code_type.env_type, sigma), budget)
     # [Clo]: Π x : A[e′/x′]. B[e′/x′] — one delayed binding.  The Π binder
     # x shadows the pending substitution in B, and reading back renames it
     # if e′ mentions a variable named x.
@@ -93,31 +89,6 @@ def _code_context(spec: TypingSpec, code: CodeLam, budget: Budget) -> Context:
     env_ctx = empty.extend(code.env_name, code.env_type)
     universe(spec, env_ctx, code.arg_type, budget)
     return env_ctx.extend(code.arg_name, code.arg_type)
-
-
-def _instantiate_code(code: CodeLam, body_type, env: Term):
-    """``Π x:A[e′/x′]. B[e′/x′]`` from the body's type value ``B``, or None.
-
-    The free names of ``B`` are the code's own parameters.  Instantiating
-    ``x′`` pushes ``e′`` into the delayed substitution; ``x`` must then be
-    captured by the new Π.  A glued value expresses that only when ``B``
-    delays neither parameter name and neither ``e′`` nor any pending entry
-    mentions ``x``; otherwise the caller reads ``B`` back and takes the
-    general path.
-    """
-    env_name, arg_name = code.env_name, code.arg_name
-    if env_name == arg_name or arg_name in cached_free_vars(env):
-        return None
-    if type(body_type) is Thunk and (env_name in body_type.env or arg_name in body_type.env):
-        return None
-    env_entry = Thunk(env, _EMPTY_ENV)
-    result, sigma = view(glue_instantiate(_NBE, body_type, env_name, env_entry))
-    for entry in sigma.values():
-        if arg_name in value_names(_NBE, entry):
-            return None
-    extended = dict(sigma)
-    extended[env_name] = env_entry
-    return glue(_NBE, Pi(arg_name, code.arg_type, result), extended)
 
 
 _STAR = Star()

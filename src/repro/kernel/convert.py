@@ -67,7 +67,7 @@ from repro.kernel import fv
 from repro.kernel.budget import Budget
 from repro.kernel.judgment import judgment_cache
 from repro.kernel.memo import context_token
-from repro.kernel.nbe import NbeSpec, Thunk, glue, value_names, value_scopes
+from repro.kernel.nbe import NbeSpec, Thunk, glue, value_names, value_scopes, view
 from repro.kernel.nodespec import Language
 
 __all__ = ["ConversionRules", "convert"]
@@ -189,13 +189,13 @@ def convert(
         if tasks is not None:
             stack.extend(tasks)
             continue
-        # A glued value's head is never a variable: compare its node and
+        # A type value's head is never a variable: compare its node and
         # descend with the delayed substitution pushed one level down.
         env_l = env_r = None
         if type(lw) is Thunk:
-            lw, env_l = lw.term, lw.env
+            lw, env_l = view(lw)
         if type(rw) is Thunk:
-            rw, env_r = rw.term, rw.env
+            rw, env_r = view(rw)
         if isinstance(lw, var_cls) or isinstance(rw, var_cls):
             if type(lw) is not type(rw) or not _bound_same(lw.name, rw.name, scope):
                 return False

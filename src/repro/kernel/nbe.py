@@ -68,12 +68,13 @@ __all__ = [
     "NbeSpec",
     "Thunk",
     "glue",
-    "glue_instantiate",
+    "glue_node",
     "nbe_normalize",
     "nbe_whnf",
     "read_back",
     "value_names",
     "value_scopes",
+    "view",
 ]
 
 _EMPTY_ENV: dict = {}
@@ -96,18 +97,26 @@ class Thunk:
     normal form; ``resid`` the residual term (the delayed substitution
     applied, nothing reduced) and ``fnames`` its free-name set.  ``binder``
     marks quotation-time neutrals: only those participate in δ-shadowing.
+    As a type value (see "Type values" below), ``term`` may itself be a
+    value, ``glued`` marks a node with value children, ``flat`` caches
+    :func:`view` and ``parts`` a glued node's read-back parts.
     """
 
-    __slots__ = ("term", "env", "binder", "whnf", "nf", "resid", "fnames")
+    __slots__ = (
+        "term", "env", "binder", "glued", "whnf", "nf", "resid", "fnames", "flat", "parts",
+    )
 
-    def __init__(self, term: Any, env: dict, binder: bool = False) -> None:
+    def __init__(self, term: Any, env: dict, binder: bool = False, glued: bool = False) -> None:
         self.term = term
         self.env = env
         self.binder = binder
+        self.glued = glued
         self.whnf: Any = None
         self.nf: Any = None
         self.resid: Any = None
         self.fnames: Any = None
+        self.flat: Any = None
+        self.parts: Any = None
 
 
 def _neutral(var_cls: type, name: str) -> Thunk:
@@ -198,7 +207,9 @@ def _thunk_resid(spec: NbeSpec, thunk: Thunk) -> Any:
     """The residual term of ``thunk`` (substitution applied, nothing reduced).
 
     Iterative over the thunk dependency DAG so chains of pending β-bindings
-    never recurse in Python.
+    or instantiation frames never recurse in Python.  A type value with
+    frames is read back through its :func:`view`; a glued node one level at
+    a time, its children read back as values.
     """
     if thunk.resid is not None:
         return thunk.resid
@@ -209,17 +220,28 @@ def _thunk_resid(spec: NbeSpec, thunk: Thunk) -> Any:
         if current.resid is not None:
             stack.pop()
             continue
-        env = current.env
+        node, env, glued = _flat(current)
+        if glued:
+            parts = current.parts
+            if parts is None:
+                parts = current.parts = _glued_parts(spec, node, env)
+            pending = [part for part in parts[1] if type(part) is Thunk and part.resid is None]
+            if pending:
+                stack.extend(pending)
+                continue
+            current.resid = _rebuild_glued(spec, node, parts)
+            stack.pop()
+            continue
         if env:
             pending = [
                 dep
-                for name in fv.free_vars(lang, current.term)
+                for name in fv.free_vars(lang, node)
                 if (dep := env.get(name)) is not None and dep.resid is None
             ]
             if pending:
                 stack.extend(pending)
                 continue
-        current.resid = _resid(spec, current.term, env)
+        current.resid = _resid(spec, node, env)
         stack.pop()
     return thunk.resid
 
@@ -244,14 +266,17 @@ def _thunk_fnames(spec: NbeSpec, thunk: Thunk) -> frozenset:
     """Free names of ``thunk``'s residual, computed without residualizing."""
     if thunk.fnames is not None:
         return thunk.fnames
-    lang = spec.lang
     stack = [thunk]
     while stack:
         current = stack[-1]
         if current.fnames is not None:
             stack.pop()
             continue
-        names = fv.free_vars(lang, current.term)
+        pending = [value for value in _inner(spec, current) if value.fnames is None]
+        if pending:
+            stack.extend(pending)
+            continue
+        names = _base_names(spec, current)
         env = current.env
         if not env:
             current.fnames = names
@@ -823,52 +848,186 @@ def _push_node(
         )
 
 
+
+
 # --------------------------------------------------------------------------
-# Glued type values: delayed substitutions for semantic type checking.
+# Type values: syntax under delayed instantiation frames, for the checker.
 # --------------------------------------------------------------------------
 #
 # A type checker that instantiates dependent types (``B[e/x]`` in [App],
-# [Clo], [Let], [Snd]) can keep the instantiation *delayed*: the value
+# [Clo], [Let], [Snd]) keeps the instantiation *delayed*: the value
 # ``Thunk(B, {x: Thunk(e, ∅)})`` costs one dict entry, where ``subst``
 # rebuilds every path of ``B`` down to an occurrence of ``x``.  A value is
-# either plain syntax (nothing delayed) or a ``Thunk`` whose ``term`` is
-# not a variable and mentions at least one name its ``env`` binds; free
-# names outside the env are context-level.  Such values are never run on
-# the machine directly (the machine memoizes forced thunks, which would
-# change fuel relative to the substituted term), and their ``whnf`` slot
-# stays unused.  Reading one back is ``_thunk_resid``: the delayed
-# substitution applied once, pruned and sharing, and memoized on the
-# thunk.
+# one of
+#
+# * plain syntax (nothing delayed);
+# * ``Thunk(t, σ)``: syntax ``t`` whose free names in ``σ`` are replaced,
+#   capture-avoidingly, by the entries' values;
+# * ``Thunk(v, σ)`` for a value ``v``: an *instantiation frame*.  A value
+#   built in a context ``Γ, x = e : A`` and used in ``Γ`` ([Let]) has lost
+#   the level ``x`` sat at; the frame ``{x: e}`` records what that level
+#   reads as outside, in O(1), instead of pushing ``e`` into every pending
+#   entry of ``v``;
+# * ``Thunk(n, σ)`` with ``glued`` set: a node ``n`` some of whose children
+#   are values.  [Clo] types a closure ``Π x:A. B[e′/x′]`` this way: ``B``,
+#   the code body's type value, lives in the code's context ``·, x′, x``,
+#   so the Π binds level ``x`` of every entry of ``B`` and the frame
+#   ``{x′: e′}`` instantiates level ``x′`` — no entry is inspected.
+#
+# Free names outside every frame are context-level.  A frame is composed
+# into its value's entries only when something descends into it
+# (:func:`view`, once per value) or reads it back.  Values are never run
+# on the machine (it memoizes forced thunks, which would change fuel
+# relative to the substituted term).  Reading one back
+# (:func:`read_back`) is ``_thunk_resid``: the frames applied as
+# substitutions, pruned and sharing, memoized on the thunk.
+
+
+def _inner(spec: NbeSpec, thunk: Thunk) -> tuple:
+    """The values ``thunk``'s term holds: itself if a value, glued children."""
+    term = thunk.term
+    if type(term) is Thunk:
+        return (term,)
+    if thunk.glued:
+        return tuple(
+            child for child in (getattr(term, c.attr) for c in spec.lang.spec(term).children)
+            if type(child) is Thunk
+        )
+    return ()
+
+
+def _base_names(spec: NbeSpec, thunk: Thunk) -> frozenset:
+    """Free names of ``thunk``'s term read back (its inner values' names known)."""
+    term = thunk.term
+    if type(term) is Thunk:
+        return _thunk_fnames(spec, term)
+    if not thunk.glued:
+        return fv.free_vars(spec.lang, term)
+    return _node_names(spec, term)
+
+
+def _node_names(spec: NbeSpec, node: Any) -> frozenset:
+    """Free names of a node whose children may be values (names known)."""
+    lang = spec.lang
+    node_spec = lang.spec(node)
+    out: set[str] = set()
+    for child in node_spec.children:
+        sub = getattr(node, child.attr)
+        names = _thunk_fnames(spec, sub) if type(sub) is Thunk else fv.free_vars(lang, sub)
+        if child.binders:
+            names = names - {getattr(node, binder) for binder in child.binders}
+        out |= names
+    return frozenset(out)
+
+
+def _glued_parts(spec: NbeSpec, node: Any, env: dict) -> tuple[list[str], list]:
+    """Binder names and child values of a glued ``node`` under ``env``."""
+    names, envs = value_scopes(spec, node, env)
+    children = [
+        glue(spec, getattr(node, child.attr), envs[len(child.binders)])
+        for child in spec.lang.spec(node).children
+    ]
+    return names, children
+
+
+def _rebuild_glued(spec: NbeSpec, node: Any, parts: tuple[list[str], list]) -> Any:
+    """The syntax of a glued ``node`` from its read-back parts."""
+    node_spec = spec.lang.spec(node)
+    binders = dict(zip(node_spec.binder_attrs, parts[0]))
+    children = dict(zip((child.attr for child in node_spec.children), parts[1]))
+    args = []
+    for attr in node_spec.field_order:
+        if attr in binders:
+            args.append(binders[attr])
+        elif attr in children:
+            child = children[attr]
+            args.append(child.resid if type(child) is Thunk else child)
+        else:
+            args.append(getattr(node, attr))
+    return type(node)(*args)
 
 
 def glue(spec: NbeSpec, term: Any, env: dict) -> Any:
     """``term`` under the delayed substitution ``env``, as a type value.
 
-    Returns plain syntax when ``env`` binds none of ``term``'s free names,
-    and resolves a variable bound by ``env`` to its entry right away (so a
-    substituted occurrence is the replacement itself, as with ``subst``).
-    The stored env is pruned to the names ``term`` mentions.
+    Syntax: plain when ``env`` binds none of ``term``'s free names, and a
+    variable bound by ``env`` resolves to its entry right away (so a
+    substituted occurrence is the replacement itself, as with ``subst``);
+    the stored env is pruned to the names ``term`` mentions.  A value gets
+    ``env`` as an instantiation frame, in O(1): nothing under it is visited.
     """
     lang = spec.lang
     var_cls = spec.var_cls
     while env:
-        if type(term) is var_cls:
+        cls = type(term)
+        if cls is var_cls:
             thunk = env.get(term.name)
             if thunk is None:
                 return term
+            if type(thunk.term) is Thunk:
+                return thunk  # an entry that is itself a framed value
             term, env = thunk.term, thunk.env
             continue
-        relevant = None
-        for name in fv.free_vars(lang, term):
-            thunk = env.get(name)
-            if thunk is not None:
-                if relevant is None:
-                    relevant = {}
-                relevant[name] = thunk
-        if relevant is None:
-            return term
-        return Thunk(term, relevant)
+        if cls is Thunk:
+            return Thunk(term, env)
+        fvs = fv.free_vars(lang, term)
+        if len(env) < len(fvs):
+            relevant = {name: thunk for name, thunk in env.items() if name in fvs}
+        else:
+            relevant = {name: thunk for name in fvs if (thunk := env.get(name)) is not None}
+        return Thunk(term, relevant) if relevant else term
     return term
+
+
+def glue_node(spec: NbeSpec, node: Any, env: dict) -> Any:
+    """:func:`glue` for a node whose children may be values (a glued node)."""
+    children = spec.lang.spec(node).children
+    if any(type(getattr(node, child.attr)) is Thunk for child in children):
+        return Thunk(node, env, glued=True)
+    return glue(spec, node, env)
+
+
+def view(value: Any) -> tuple[Any, dict]:
+    """A type value as ``(node, delayed substitution)``, frames composed.
+
+    Composing a frame into the substitution beneath it wraps each entry in
+    the frame (one new thunk per entry, nothing deeper) and is memoized on
+    the value.  The node may be glued (children that are values).
+    """
+    if type(value) is not Thunk:
+        return value, _EMPTY_ENV
+    node, env, _ = _flat(value)
+    return node, env
+
+
+def _flat(value: Thunk) -> tuple[Any, dict, bool]:
+    """:func:`view` of a thunk, and whether its node is glued."""
+    if type(value.term) is not Thunk:
+        return value.term, value.env, value.glued
+    if value.flat is not None:
+        return value.flat
+    chain = []
+    current = value
+    while type(current.term) is Thunk and current.flat is None:
+        chain.append(current)
+        current = current.term
+    flat = current.flat if type(current.term) is Thunk else (current.term, current.env, current.glued)
+    for frame in reversed(chain):
+        node, env, glued = flat
+        outer = frame.env
+        composed = {name: _framed(entry, outer) for name, entry in env.items()}
+        for name, entry in outer.items():
+            if name not in env:
+                composed[name] = entry
+        flat = frame.flat = (node, composed, glued)
+    return flat
+
+
+def _framed(entry: Thunk, env: dict) -> Thunk:
+    """``entry`` under the frame ``env``."""
+    if not entry.env and not entry.glued and type(entry.term) is not Thunk:
+        return Thunk(entry.term, env)
+    return Thunk(entry, env)
 
 
 def read_back(spec: NbeSpec, value: Any) -> Any:
@@ -879,66 +1038,12 @@ def read_back(spec: NbeSpec, value: Any) -> Any:
 
 
 def value_names(spec: NbeSpec, value: Thunk) -> frozenset:
-    """Free names of a glued value's read-back, without reading it back."""
+    """Free names of a type value's read-back, without reading it back."""
     return _thunk_fnames(spec, value)
 
 
-def glue_instantiate(spec: NbeSpec, value: Any, name: str, replacement: Any) -> Any:
-    """``value[replacement/name]`` for a context-level ``name``.
-
-    ``replacement`` is syntax or an env entry (a ``Thunk``); passing the
-    same entry a caller also binds elsewhere lets later instantiations
-    share the thunks they rebuild.
-
-    The substitution is pushed into every env entry whose read-back
-    mentions ``name`` (each thunk rebuilt at most once), and added at the
-    top when the value's own term mentions ``name`` freely.  The rebuilt
-    thunks get their free-name sets directly: ``name`` leaves, the
-    replacement's names arrive.
-    """
-    bound = replacement if type(replacement) is Thunk else Thunk(replacement, _EMPTY_ENV)
-    if type(value) is not Thunk:
-        return glue(spec, value, {name: bound})
-    fv_cache = spec.lang.fv_cache
-    lang = spec.lang
-    arriving = _thunk_fnames(spec, bound)
-    pushed: dict[int, Thunk] = {}
-    # Iterative post-order over the thunk DAG: a thunk is rebuilt (its
-    # ``True`` frame) after every entry it depends on has been visited.
-    stack: list[tuple[Thunk, bool]] = [(value, False)]
-    while stack:
-        thunk, ready = stack.pop()
-        key = id(thunk)
-        if key in pushed:
-            continue
-        env = thunk.env
-        if ready:
-            new_env = {entry_name: pushed[id(entry)] for entry_name, entry in env.items()}
-            if name not in env:
-                term_names = fv_cache.get(thunk.term)
-                if term_names is None:
-                    term_names = fv.free_vars(lang, thunk.term)
-                if name in term_names:
-                    new_env[name] = bound
-            result = Thunk(thunk.term, new_env)
-            result.fnames = (thunk.fnames - {name}) | arriving
-            pushed[key] = result
-            continue
-        names = thunk.fnames
-        if names is None:
-            names = _thunk_fnames(spec, thunk)
-        if name not in names:
-            pushed[key] = thunk
-            continue
-        stack.append((thunk, True))
-        for entry in env.values():
-            if id(entry) not in pushed:
-                stack.append((entry, False))
-    return pushed[id(value)]
-
-
 def value_scopes(spec: NbeSpec, node: Any, env: dict) -> tuple[list[str], list[dict]]:
-    """Binder names and per-depth envs for descending into a glued ``node``.
+    """Binder names and per-depth envs for descending into a value's ``node``.
 
     Entry ``k`` of the env list is in force under the first ``k`` binders:
     a binder drops the entry it shadows, and is renamed to a globally fresh
@@ -952,7 +1057,10 @@ def value_scopes(spec: NbeSpec, node: Any, env: dict) -> tuple[list[str], list[d
     if not binder_attrs:
         return names, envs
     avoid: set[str] = set()
-    for name in fv.free_vars(lang, node):
+    node_names = lang.fv_cache.get(node)
+    if node_names is None:
+        node_names = _node_names(spec, node)
+    for name in node_names:
         thunk = env.get(name)
         if thunk is not None:
             avoid |= _thunk_fnames(spec, thunk)

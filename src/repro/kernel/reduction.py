@@ -113,18 +113,21 @@ def whnf(spec: NbeSpec, ctx: Any, term: Any, budget: Budget | None = None) -> An
 
 
 def whnf_value(spec: NbeSpec, ctx: Any, value: Any, budget: Budget) -> Any:
-    """:func:`whnf` of a glued type value (:func:`repro.kernel.nbe.glue`).
+    """:func:`whnf` of a type value (:func:`repro.kernel.nbe.glue`).
 
     A value whose head is a type or data constructor is weak-head normal
-    already and is returned as is, its delayed substitution still pending.
-    Three kinds of head are read back and reduced as syntax instead, so the
+    already and is returned as is, its delayed substitution and
+    instantiation frames still pending.  Three kinds of head are read back and reduced as syntax instead, so the
     fuel spent is exactly that of reducing the substituted term: an
     elimination or ``let``, a λ (CC) and a closure (CC-CC), the last two
     because conversion's η-rules inspect them as syntax.
     """
     if type(value) is not Thunk:
         return whnf(spec, ctx, value, budget)
-    head = type(value.term)
+    node = value.term
+    while type(node) is Thunk:
+        node = node.term
+    head = type(node)
     if head in spec.tags or head is spec.lam_cls or head is spec.clo_cls:
         return whnf(spec, ctx, read_back(spec, value), budget)
     return value

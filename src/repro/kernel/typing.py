@@ -36,10 +36,10 @@ from repro.common.errors import TypeCheckError
 from repro.kernel.budget import Budget
 from repro.kernel.judgment import judgment_cache
 from repro.kernel.names import fresh
-from repro.kernel.nbe import NbeSpec, Thunk, glue, glue_instantiate
+from repro.kernel.nbe import NbeSpec, Thunk, glue, view
 from repro.kernel.reduction import read_value, whnf, whnf_value
 
-__all__ = ["TypingSpec", "bind", "check_value", "infer_value", "universe", "view"]
+__all__ = ["TypingSpec", "bind", "check_value", "infer_value", "universe"]
 
 _EMPTY_ENV: dict = {}
 
@@ -212,11 +212,6 @@ def _recall(kind: str, ctx: Any, subject: Any, extra: Any, budget: Budget) -> tu
     return cache, key, hit[0]
 
 
-def view(value: Any) -> tuple[Any, dict]:
-    """A weak-head value as ``(node, delayed substitution)``."""
-    return (value.term, value.env) if type(value) is Thunk else (value, _EMPTY_ENV)
-
-
 def bind(env: dict, name: str, replacement: Any) -> dict:
     """``env`` extended (in parallel) with ``name ↦ replacement``."""
     return {**env, name: Thunk(replacement, _EMPTY_ENV)}
@@ -251,7 +246,7 @@ def _let(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
     check_value(spec, ctx, term.bound, term.annot, budget)
     body_ctx = ctx.define(term.name, term.bound, term.annot)
     body_type = infer_value(spec, body_ctx, term.body, budget)
-    return glue_instantiate(spec.nbe, body_type, term.name, term.bound)  # [Let]
+    return glue(spec.nbe, body_type, bind(_EMPTY_ENV, term.name, term.bound))  # [Let]
 
 
 def _sigma(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:

@@ -805,7 +805,7 @@ class Dispatcher:
         if op == "begin":
             pending = self._pending.get(message.get("id"))
             if slot is not None and pending is not None and pending.slot == index:
-                pending.begun_at = time.monotonic()
+                pending.begun_at = message["at"]  # the worker's clock: when the job began
         elif op == "result":
             self._on_result(message, slot)
         elif op in ("hb", "pong", "bye"):

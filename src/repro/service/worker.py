@@ -17,9 +17,12 @@ legacy shim observe one cold, deterministic world.
 
 Protocol (worker → dispatcher on the result queue):
 
-* ``{"op": "begin", "id", "slot", "generation"}`` — sent before executing
-  each job, so the dispatcher knows exactly which job was in flight if
-  this process dies (crash culpability and timeout tracking); a job whose
+* ``{"op": "begin", "id", "at", "slot", "generation"}`` — sent before
+  executing each job, so the dispatcher knows exactly which job was in
+  flight if this process dies (crash culpability and timeout tracking);
+  ``at`` is the worker's ``time.monotonic()`` when the job began (the
+  system-wide clock ``deadline_at`` uses), so ``job_timeout`` does not wait
+  for the ack to arrive; a job whose
   ``deadline_at`` passed while it was queued is skipped, never begun;
 * ``{"op": "result", "slot", "generation", "result", "hits", "jobs"}`` —
   the job's result document plus the session's *cumulative* hit counters
@@ -149,7 +152,9 @@ def worker_main(
         job = Job.from_dict(message["spec"])
         if injector is not None:
             injector.begin(job.id, message.get("attempt", 0))
-        post({"op": "begin", "id": job.id})
+        # Stamped here: the post leaves through the queue's feeder thread,
+        # which cannot run while the job holds the GIL.
+        post({"op": "begin", "id": job.id, "at": time.monotonic()})
         if job.kind == "crash" or (injector is not None and injector.kill(job.id)):
             # Flush the begin-ack before dying: ``put`` hands the message
             # to a feeder thread, and ``os._exit`` would race it.  (A real

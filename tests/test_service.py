@@ -17,6 +17,7 @@ import pytest
 from repro import api
 from repro.gen.jobs import build_stream, close_over, job_corpus
 from repro.service import Dispatcher, Job, JobResult, execute_job
+from repro.service.dispatcher import _Pending
 from repro.service.jobs import JOB_KINDS
 
 IDENTITY = r"\ (A : Type) (x : A). x"
@@ -633,6 +634,21 @@ class TestRunBatchPartialFailure:
 
 
 class TestDispatcherDeadlines:
+    def test_begin_ack_is_stamped_with_the_workers_clock(self):
+        # The worker's begin post leaves through its queue's feeder thread,
+        # which can wait as long as the job holds the GIL; the attempt's
+        # job_timeout clock starts at the ``at`` the worker stamped, not
+        # when the ack arrives.
+        with Dispatcher(workers=1) as pool:
+            with pool._lock:
+                pool._pending["probe"] = _Pending(Job(kind="sleep", id="probe"), slot=0, sequence=-1)
+                pool._on_message_locked({
+                    "op": "begin", "id": "probe", "at": 12.5,
+                    "slot": 0, "generation": pool._slots[0].handle.generation,
+                })
+                begun_at = pool._pending.pop("probe").begun_at
+        assert begun_at == 12.5
+
     def test_queued_past_deadline_dead_letters_without_running(self):
         # One worker is pinned by a sleeper; the queued job's deadline
         # lapses before it ever starts and it dead-letters in place with
