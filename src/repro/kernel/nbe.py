@@ -33,6 +33,9 @@ The design is *glued* NbE over the named term representation:
   some environment value that could flow under it (tracked by per-thunk
   free-name sets), in which case a globally fresh name is drawn — exactly
   the cases in which the substitution engine would have α-renamed.
+* **The checker's type values live here too** (section "Type values"
+  below): syntax under delayed substitutions and O(1) instantiation
+  frames, read back by the same residualizer and never run on the machine.
 * **δ-unfolding sees the same context slice** as the substitution engine:
   definitions are looked up through the caller's context, and a definition's
   own text is evaluated under the *binder-neutral* fraction of the current
@@ -266,18 +269,22 @@ def _thunk_fnames(spec: NbeSpec, thunk: Thunk) -> frozenset:
     """Free names of ``thunk``'s residual, computed without residualizing."""
     if thunk.fnames is not None:
         return thunk.fnames
+    lang = spec.lang
     stack = [thunk]
     while stack:
         current = stack[-1]
         if current.fnames is not None:
             stack.pop()
             continue
-        pending = [value for value in _inner(spec, current) if value.fnames is None]
-        if pending:
-            stack.extend(pending)
-            continue
-        names = _base_names(spec, current)
-        env = current.env
+        node, env, glued = _flat(current)
+        if glued:
+            pending = [child for child in _glued_children(spec, node) if child.fnames is None]
+            if pending:
+                stack.extend(pending)
+                continue
+            names = _node_names(spec, node)
+        else:
+            names = fv.free_vars(lang, node)
         if not env:
             current.fnames = names
             stack.pop()
@@ -874,40 +881,26 @@ def _push_node(
 #   so the Π binds level ``x`` of every entry of ``B`` and the frame
 #   ``{x′: e′}`` instantiates level ``x′`` — no entry is inspected.
 #
-# Free names outside every frame are context-level.  A frame is composed
-# into its value's entries only when something descends into it
-# (:func:`view`, once per value) or reads it back.  Values are never run
-# on the machine (it memoizes forced thunks, which would change fuel
-# relative to the substituted term).  Reading one back
-# (:func:`read_back`) is ``_thunk_resid``: the frames applied as
-# substitutions, pruned and sharing, memoized on the thunk.
+# Free names outside every frame are context-level, resolved by name in
+# the context the value is used in, exactly as the substitution checker
+# resolves them.  A frame is composed into the entries beneath it only when
+# something descends into the value (:func:`view`, memoized), and a value
+# is never run on the machine (it memoizes forced thunks, which would
+# change fuel relative to the substituted term).  Reading one back
+# (:func:`read_back`) is ``_thunk_resid``, iterative over the value DAG and
+# memoized on each thunk: plain and framed thunks by one pruned, sharing
+# ``subst`` over the composed view; a glued node one level at a time, its
+# binders renamed exactly when ``subst`` would (:func:`value_scopes`).
 
 
-def _inner(spec: NbeSpec, thunk: Thunk) -> tuple:
-    """The values ``thunk``'s term holds: itself if a value, glued children."""
-    term = thunk.term
-    if type(term) is Thunk:
-        return (term,)
-    if thunk.glued:
-        return tuple(
-            child for child in (getattr(term, c.attr) for c in spec.lang.spec(term).children)
-            if type(child) is Thunk
-        )
-    return ()
-
-
-def _base_names(spec: NbeSpec, thunk: Thunk) -> frozenset:
-    """Free names of ``thunk``'s term read back (its inner values' names known)."""
-    term = thunk.term
-    if type(term) is Thunk:
-        return _thunk_fnames(spec, term)
-    if not thunk.glued:
-        return fv.free_vars(spec.lang, term)
-    return _node_names(spec, term)
+def _glued_children(spec: NbeSpec, node: Any) -> list[Thunk]:
+    """The children of a glued ``node`` that are values."""
+    children = (getattr(node, child.attr) for child in spec.lang.spec(node).children)
+    return [child for child in children if type(child) is Thunk]
 
 
 def _node_names(spec: NbeSpec, node: Any) -> frozenset:
-    """Free names of a node whose children may be values (names known)."""
+    """Free names of a node whose children may be values."""
     lang = spec.lang
     node_spec = lang.spec(node)
     out: set[str] = set()

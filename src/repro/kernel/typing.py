@@ -9,14 +9,18 @@ reduction wiring, the type of each constant, its own rules dispatched on
 ``type(term)`` (CC's [Lam]; CC-CC's [T-Code], [Code] and [Clo]), its memo
 kinds and scope, and its name.
 
-**Types are checked as values.**  A judgment synthesizes a *glued type
-value* (:func:`repro.kernel.nbe.glue`), syntax under a delayed
-substitution, so [App], [Let], [Pair], [Snd] and [Clo] instantiate a
-dependent type by adding one environment entry instead of substituting.
-Conversion reads values back lazily; otherwise a value becomes syntax only
-as a binder's result type ([Lam], [Code]), in an error message, and as a
-public result, read back once and memoized on the value.  ``whnf_value``
-reduces exactly the substituted term, so fuel matches substitution.
+**Types are checked as values** (:mod:`repro.kernel.nbe`, "Type values").
+A judgment synthesizes syntax under delayed substitutions, and every
+instantiation costs O(1).  [App], [Pair] and [Snd] add one entry
+for the binder they instantiate.  [Let] and [Clo] move a type value out of
+the context level it was built at: [Let]'s body type leaves the defined
+level ``x`` and gets the frame ``{x: e}``; [Clo]'s closure type binds the
+code's argument level under a new Π and gets the frame ``{x′: e′}`` for
+its environment level.  Nothing under a frame is visited until something
+descends into it.  A value becomes syntax only as a binder's result type
+([Lam], [Code]), in an error message, and as a public result, read back
+once and memoized on the value.  ``whnf_value`` reduces exactly the
+substituted term, so fuel matches substitution.
 
 **Memo scope is a spec constant.**  Judgments are memoized per (subject
 identity, context path key) with exact fuel replay; failures are never
