@@ -855,8 +855,6 @@ def _push_node(
         )
 
 
-
-
 # --------------------------------------------------------------------------
 # Type values: syntax under delayed instantiation frames, for the checker.
 # --------------------------------------------------------------------------
@@ -957,8 +955,6 @@ def glue(spec: NbeSpec, term: Any, env: dict) -> Any:
             thunk = env.get(term.name)
             if thunk is None:
                 return term
-            if type(thunk.term) is Thunk:
-                return thunk  # an entry that is itself a framed value
             term, env = thunk.term, thunk.env
             continue
         if cls is Thunk:
@@ -1017,7 +1013,12 @@ def _flat(value: Thunk) -> tuple[Any, dict, bool]:
 
 
 def _framed(entry: Thunk, env: dict) -> Thunk:
-    """``entry`` under the frame ``env``."""
+    """``entry`` under the frame ``env``.
+
+    A plain entry becomes its syntax under ``env``, so :func:`glue` prunes
+    it and an entry the frame does not touch resolves to the same object
+    as before (conversion's pointer short-circuits, and so fuel, see it).
+    """
     if not entry.env and not entry.glued and type(entry.term) is not Thunk:
         return Thunk(entry.term, env)
     return Thunk(entry, env)

@@ -117,10 +117,11 @@ def whnf_value(spec: NbeSpec, ctx: Any, value: Any, budget: Budget) -> Any:
 
     A value whose head is a type or data constructor is weak-head normal
     already and is returned as is, its delayed substitution and
-    instantiation frames still pending.  Three kinds of head are read back and reduced as syntax instead, so the
-    fuel spent is exactly that of reducing the substituted term: an
-    elimination or ``let``, a λ (CC) and a closure (CC-CC), the last two
-    because conversion's η-rules inspect them as syntax.
+    instantiation frames still pending.  Three kinds of head are read back
+    and reduced as syntax instead, so the fuel spent is exactly that of
+    reducing the substituted term: an elimination or ``let``, a λ (CC) and
+    a closure (CC-CC), the last two because conversion's η-rules inspect
+    them as syntax.
     """
     if type(value) is not Thunk:
         return whnf(spec, ctx, value, budget)
