@@ -29,8 +29,8 @@ makes the hot paths fast:
   on the context's extension path) and ``equivalent`` (keyed on the
   definitions fingerprint);
 * **one type checker** (:mod:`repro.kernel.typing`) — every typing rule
-  the two calculi share, over glued type values, driven by a per-calculus
-  ``TypingSpec``.
+  the two calculi share, over type values that instantiate in O(1),
+  driven by a per-calculus ``TypingSpec``.
 
 Every piece of mutable kernel state — the caches above, the context-token
 tables, and the fresh-name counter — is owned by a

@@ -96,7 +96,7 @@ class ConversionRules:
     #: irrelevant annotations: λ domains in CC, pair annotations in both).
     irrelevant: dict[type, tuple[str, ...]] = {}
 
-    #: The calculus's reduction wiring.  Its checker compares glued type
+    #: The calculus's reduction wiring.  Its checker compares type
     #: values (:func:`repro.kernel.nbe.glue`): ``whnf`` may return a value
     #: whose head is a non-variable weak-head normal node, and the engine
     #: reads it back one node at a time as the comparison descends.
@@ -105,7 +105,7 @@ class ConversionRules:
     def equivalent(self, ctx: Any, left: Any, right: Any, budget: Budget | None = None) -> bool:
         """Decide ``Γ ⊢ left ≡ right``, memoized with exact fuel replay.
 
-        Either side may be a glued type value.  Entries key on both sides'
+        Either side may be a type value.  Entries key on both sides'
         identities and the context's definitions.  Comparisons between the
         calculus's irreducible leaves skip the memo, whose round-trip would
         cost more than deciding.

@@ -135,7 +135,7 @@ def whnf_value(spec: NbeSpec, ctx: Any, value: Any, budget: Budget) -> Any:
 
 
 def read_value(spec: NbeSpec, value: Any) -> Any:
-    """The syntax of a glued type value (memoized on the value)."""
+    """The syntax of a type value (memoized on the value)."""
     return read_back(spec, value)
 
 

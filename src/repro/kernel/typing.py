@@ -56,7 +56,7 @@ class TypingSpec:
     (the ground types are read off it: ``0 : Nat``, ``Nat : ⋆``, …);
     ``rules`` maps node classes to ``rule(spec, ctx, term, budget)``.
     ``memo_kinds`` names infer, check and universe judgments in the memo.
-    ``equivalent`` must accept glued values on either side.
+    ``equivalent`` must accept type values on either side.
     """
 
     nbe: NbeSpec
