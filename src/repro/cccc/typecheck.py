@@ -63,7 +63,8 @@ def _clo(spec: TypingSpec, ctx: Context, term: Clo, budget: Budget):
         check_value(spec, ctx, env, code.env_type, budget)
         closure_type = Pi(code.arg_name, code.arg_type, body_type)
         return glue_node(_NBE, closure_type, bind(_EMPTY_ENV, code.env_name, env))
-    code_type, sigma = view(whnf_value(_NBE, ctx, infer_value(spec, ctx, code, budget), budget))
+    code_type = whnf_value(_NBE, ctx, infer_value(spec, ctx, code, budget), budget)
+    code_type, sigma = view(_NBE, code_type)
     if not isinstance(code_type, CodeType):
         raise TypeCheckError(
             f"closure over non-code of type {pretty(read_value(_NBE, code_type))}"

@@ -193,9 +193,9 @@ def convert(
         # descend with the delayed substitution pushed one level down.
         env_l = env_r = None
         if type(lw) is Thunk:
-            lw, env_l = view(lw)
+            lw, env_l = view(nbe, lw)
         if type(rw) is Thunk:
-            rw, env_r = view(rw)
+            rw, env_r = view(nbe, rw)
         if isinstance(lw, var_cls) or isinstance(rw, var_cls):
             if type(lw) is not type(rw) or not _bound_same(lw.name, rw.name, scope):
                 return False

@@ -223,7 +223,7 @@ def _thunk_resid(spec: NbeSpec, thunk: Thunk) -> Any:
         if current.resid is not None:
             stack.pop()
             continue
-        node, env, glued = _flat(current)
+        node, env, glued = _flat(spec, current)
         if glued:
             parts = current.parts
             if parts is None:
@@ -276,7 +276,7 @@ def _thunk_fnames(spec: NbeSpec, thunk: Thunk) -> frozenset:
         if current.fnames is not None:
             stack.pop()
             continue
-        node, env, glued = _flat(current)
+        node, env, glued = _flat(spec, current)
         if glued:
             pending = [child for child in _glued_children(spec, node) if child.fnames is None]
             if pending:
@@ -976,20 +976,21 @@ def glue_node(spec: NbeSpec, node: Any, env: dict) -> Any:
     return glue(spec, node, env)
 
 
-def view(value: Any) -> tuple[Any, dict]:
+def view(spec: NbeSpec, value: Any) -> tuple[Any, dict]:
     """A type value as ``(node, delayed substitution)``, frames composed.
 
-    Composing a frame into the substitution beneath it wraps each entry in
-    the frame (one new thunk per entry, nothing deeper) and is memoized on
-    the value.  The node may be glued (children that are values).
+    Composing a frame into the substitution beneath it costs one step per
+    entry, nothing deeper, and is memoized on the value.  The node may be
+    glued (children that are values) but is never a variable: glue resolves
+    a bound one, and composition resolves an entry that is one.
     """
     if type(value) is not Thunk:
         return value, _EMPTY_ENV
-    node, env, _ = _flat(value)
+    node, env, _ = _flat(spec, value)
     return node, env
 
 
-def _flat(value: Thunk) -> tuple[Any, dict, bool]:
+def _flat(spec: NbeSpec, value: Thunk) -> tuple[Any, dict, bool]:
     """:func:`view` of a thunk, and whether its node is glued."""
     if type(value.term) is not Thunk:
         return value.term, value.env, value.glued
@@ -1001,10 +1002,11 @@ def _flat(value: Thunk) -> tuple[Any, dict, bool]:
         chain.append(current)
         current = current.term
     flat = current.flat if type(current.term) is Thunk else (current.term, current.env, current.glued)
+    var_cls = spec.var_cls
     for frame in reversed(chain):
         node, env, glued = flat
         outer = frame.env
-        composed = {name: _framed(entry, outer) for name, entry in env.items()}
+        composed = {name: _framed(var_cls, entry, outer) for name, entry in env.items()}
         for name, entry in outer.items():
             if name not in env:
                 composed[name] = entry
@@ -1012,16 +1014,22 @@ def _flat(value: Thunk) -> tuple[Any, dict, bool]:
     return flat
 
 
-def _framed(entry: Thunk, env: dict) -> Thunk:
+def _framed(var_cls: type, entry: Thunk, env: dict) -> Thunk:
     """``entry`` under the frame ``env``.
 
-    A plain entry becomes its syntax under ``env``, so :func:`glue` prunes
-    it and an entry the frame does not touch resolves to the same object
-    as before (conversion's pointer short-circuits, and so fuel, see it).
+    A plain entry that is a variable becomes the frame's entry for it, or
+    stays as it is when the frame does not bind it, so no entry is ever a
+    variable its own substitution binds.  Another plain entry becomes its
+    syntax under ``env``, which :func:`glue` prunes when it resolves it: an
+    entry the frame does not touch resolves to the same object as before
+    (conversion's pointer short-circuits, and so fuel, see it).  A delayed
+    or framed entry gets the frame.
     """
-    if not entry.env and not entry.glued and type(entry.term) is not Thunk:
-        return Thunk(entry.term, env)
-    return Thunk(entry, env)
+    if entry.env or entry.glued or type(entry.term) is Thunk:
+        return Thunk(entry, env)
+    if type(entry.term) is var_cls:
+        return env.get(entry.term.name, entry)
+    return Thunk(entry.term, env)
 
 
 def read_back(spec: NbeSpec, value: Any) -> Any:

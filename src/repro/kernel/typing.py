@@ -236,7 +236,7 @@ def _pi(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
 
 def _app(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
     fn_type = whnf_value(spec.nbe, ctx, infer_value(spec, ctx, term.fn, budget), budget)
-    fn_type, sigma = view(fn_type)
+    fn_type, sigma = view(spec.nbe, fn_type)
     if type(fn_type) is not spec.pi_cls:
         raise TypeCheckError(
             f"application head has non-Π type {_show(spec, fn_type)}"
@@ -275,7 +275,7 @@ def _pair(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
 
 def _proj(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
     pair_type = whnf_value(spec.nbe, ctx, infer_value(spec, ctx, term.pair, budget), budget)
-    pair_type, sigma = view(pair_type)
+    pair_type, sigma = view(spec.nbe, pair_type)
     fst = type(term) is spec.nbe.fst_cls
     if type(pair_type) is not spec.sigma_cls:
         raise TypeCheckError(
