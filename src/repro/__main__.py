@@ -239,8 +239,7 @@ def _cmd_run(session: Session, args: argparse.Namespace) -> int:
     session.detach_memo_store()  # flush artifact/memo rows (no-op when unattached)
     if args.json:
         return _emit_json(result.to_dict())
-    shown = result.observation if result.observation is not None else type(result.value).__name__
-    print(f"value        : {shown}")
+    print(f"value        : {result.observed}")
     print(f"code blocks  : {result.code_count}")
     print(
         f"cost         : {result.machine_steps} steps, {result.closure_allocs} closures,"
@@ -275,9 +274,8 @@ def _cmd_profile(session: Session, args: argparse.Namespace) -> int:
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)
         handle.write("\n")
-    shown = result.observation if result.observation is not None else type(result.value).__name__
     totals = profile.totals()
-    print(f"value    : {shown}")
+    print(f"value    : {result.observed}")
     for phase in obs.PHASES:
         record = totals["phases"].get(phase)
         if record is not None:

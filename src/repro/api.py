@@ -253,11 +253,15 @@ class RunResult:
     def code_count(self) -> int:
         return self.program.code_count
 
+    @property
+    def observed(self) -> Any:
+        """What the run observed: its ground value, else the value's class name."""
+        return self.observation if self.observation is not None else type(self.value).__name__
+
     def to_dict(self) -> dict[str, Any]:
-        shown = self.observation if self.observation is not None else type(self.value).__name__
         document = {
             "term": cc.pretty(self.source),
-            "value": shown,
+            "value": self.observed,
             "code_blocks": self.code_count,
             "machine_steps": self.machine_steps,
             "closure_allocs": self.closure_allocs,

@@ -2,140 +2,19 @@
 
 The output mirrors the paper's notation (``Π x:A. B``, ``λ x:A. e``,
 ``⟨e1, e2⟩``, ``⋆``, ``□``) and round-trips through the surface parser for
-the ASCII forms.  Used pervasively in error messages.
-
-The renderer is **iterative** — driven by the shared work-stack engine of
-:mod:`repro.common.render` — so ~10k-node-deep terms (which type errors
-legitimately surface) print without approaching the Python recursion
-limit (``tests/test_kernel.py::TestDeepPretty``).
+the ASCII forms.  Used pervasively in error messages.  The printer itself
+is the one shared with CC-CC and the surface syntax, in
+:mod:`repro.common.render`.
 """
 
 from __future__ import annotations
 
-from repro.cc.ast import (
-    App,
-    Bool,
-    BoolLit,
-    Box,
-    Fst,
-    If,
-    Lam,
-    Let,
-    Nat,
-    NatElim,
-    Pair,
-    Pi,
-    Sigma,
-    Snd,
-    Star,
-    Succ,
-    Term,
-    Var,
-    Zero,
-    cached_free_vars,
-)
-from repro.common.render import render, succ_chain, wrap as _wrap
+from repro.cc.ast import Term, cached_free_vars
+from repro.common.render import _PAPER, render
 
 __all__ = ["pretty"]
-
-# Precedence levels, loosest to tightest.
-_PREC_BINDER = 0  # λ, Π, Σ, let, if
-_PREC_ARROW = 1  # non-dependent →
-_PREC_APP = 2  # application
-_PREC_ATOM = 3  # variables, universes, parenthesized
 
 
 def pretty(term: Term) -> str:
     """Render ``term`` as human-readable concrete syntax."""
-    return render(term, _pieces, _PREC_BINDER)
-
-
-def _pieces(term: Term, prec: int) -> list:
-    """The fragments of ``term`` at ``prec``: strings and (subterm, prec)."""
-    match term:
-        case Var(name):
-            return [name]
-        case Star():
-            return ["⋆"]
-        case Box():
-            return ["□"]
-        case Bool():
-            return ["Bool"]
-        case BoolLit(value):
-            return ["true" if value else "false"]
-        case Nat():
-            return ["Nat"]
-        case Zero():
-            return ["0"]
-        case Succ():
-            depth, core = succ_chain(term, Succ)
-            if isinstance(core, Zero):
-                return [str(depth)]
-            pieces = ["succ (" * (depth - 1), "succ ", (core, _PREC_ATOM), ")" * (depth - 1)]
-            return _wrap(pieces, prec > _PREC_APP)
-        case Pi(name, domain, codomain):
-            if name == "_" or name not in cached_free_vars(codomain):
-                pieces = [(domain, _PREC_APP), " -> ", (codomain, _PREC_ARROW)]
-                return _wrap(pieces, prec > _PREC_ARROW)
-            pieces = [
-                f"Π ({name} : ",
-                (domain, _PREC_BINDER),
-                "). ",
-                (codomain, _PREC_BINDER),
-            ]
-            return _wrap(pieces, prec > _PREC_BINDER)
-        case Lam(name, domain, body):
-            pieces = [f"λ ({name} : ", (domain, _PREC_BINDER), "). ", (body, _PREC_BINDER)]
-            return _wrap(pieces, prec > _PREC_BINDER)
-        case App(fn, arg):
-            return _wrap([(fn, _PREC_APP), " ", (arg, _PREC_ATOM)], prec > _PREC_APP)
-        case Let(name, bound, annot, body):
-            pieces = [
-                f"let {name} = ",
-                (bound, _PREC_BINDER),
-                " : ",
-                (annot, _PREC_BINDER),
-                " in ",
-                (body, _PREC_BINDER),
-            ]
-            return _wrap(pieces, prec > _PREC_BINDER)
-        case Sigma(name, first, second):
-            pieces = [f"Σ ({name} : ", (first, _PREC_BINDER), "). ", (second, _PREC_BINDER)]
-            return _wrap(pieces, prec > _PREC_BINDER)
-        case Pair(fst_val, snd_val, annot):
-            return [
-                "⟨",
-                (fst_val, _PREC_BINDER),
-                ", ",
-                (snd_val, _PREC_BINDER),
-                "⟩ as ",
-                (annot, _PREC_ATOM),
-            ]
-        case Fst(pair):
-            return _wrap(["fst ", (pair, _PREC_ATOM)], prec > _PREC_APP)
-        case Snd(pair):
-            return _wrap(["snd ", (pair, _PREC_ATOM)], prec > _PREC_APP)
-        case If(cond, then_branch, else_branch):
-            pieces = [
-                "if ",
-                (cond, _PREC_BINDER),
-                " then ",
-                (then_branch, _PREC_BINDER),
-                " else ",
-                (else_branch, _PREC_BINDER),
-            ]
-            return _wrap(pieces, prec > _PREC_BINDER)
-        case NatElim(motive, base, step, target):
-            return [
-                "natelim(",
-                (motive, _PREC_BINDER),
-                ", ",
-                (base, _PREC_BINDER),
-                ", ",
-                (step, _PREC_BINDER),
-                ", ",
-                (target, _PREC_BINDER),
-                ")",
-            ]
-        case _:
-            raise TypeError(f"not a CC term: {term!r}")
+    return render(term, _PAPER, cached_free_vars)

@@ -20,7 +20,7 @@ from repro.cc.equiv import equivalent
 from repro.cc.pretty import pretty
 from repro.cc.reduce import _NBE, Budget
 from repro.kernel import typing
-from repro.kernel.reduction import read_value
+from repro.kernel.nbe import read_back
 
 __all__ = ["check", "check_context", "derived_type", "infer", "infer_universe", "well_typed"]
 
@@ -28,7 +28,7 @@ __all__ = ["check", "check_context", "derived_type", "infer", "infer_universe", 
 def _lam(spec: typing.TypingSpec, ctx: Context, term: Lam, budget: Budget) -> Term:
     typing.universe(spec, ctx, term.domain, budget)
     body_type = typing.infer_value(spec, ctx.extend(term.name, term.domain), term.body, budget)
-    return Pi(term.name, term.domain, read_value(_NBE, body_type))  # [Lam]
+    return Pi(term.name, term.domain, read_back(_NBE, body_type))  # [Lam]
 
 
 _STAR = Star()

@@ -38,7 +38,8 @@ from repro.cccc.reduce import _NBE, Budget, whnf
 from repro.cccc.subst import subst
 from repro.common.names import fresh
 from repro.kernel.convert import ConversionRules, convert
-from repro.kernel.reduction import read_value, whnf_value
+from repro.kernel.nbe import read_back
+from repro.kernel.reduction import whnf_value
 
 __all__ = ["equivalent", "equivalent_structural"]
 
@@ -81,11 +82,11 @@ class _CCCCRules(ConversionRules):
         if _openable(left):
             budget.spend()
             probe = Var(fresh("cloeta"))
-            return [(_open(left, probe), App(read_value(_NBE, right), probe), ctx_l, ctx_r, scope)]
+            return [(_open(left, probe), App(read_back(_NBE, right), probe), ctx_l, ctx_r, scope)]
         if _openable(right):
             budget.spend()
             probe = Var(fresh("cloeta"))
-            return [(App(read_value(_NBE, left), probe), _open(right, probe), ctx_l, ctx_r, scope)]
+            return [(App(read_back(_NBE, left), probe), _open(right, probe), ctx_l, ctx_r, scope)]
         return None
 
 

@@ -29,8 +29,8 @@ from repro.cccc.equiv import equivalent
 from repro.cccc.pretty import pretty
 from repro.cccc.reduce import _NBE, Budget
 from repro.common.errors import TypeCheckError
-from repro.kernel.nbe import glue, glue_node, view
-from repro.kernel.reduction import read_value, whnf_value
+from repro.kernel.nbe import glue, glue_node, read_back, view
+from repro.kernel.reduction import whnf_value
 from repro.kernel.typing import TypingSpec, bind, check_value, infer_value, universe
 
 __all__ = ["check", "check_context", "infer", "infer_universe", "well_typed"]
@@ -48,7 +48,7 @@ def _code_type(spec: TypingSpec, ctx: Context, term: CodeType, budget: Budget):
 
 def _code(spec: TypingSpec, ctx: Context, term: CodeLam, budget: Budget):
     body_type = infer_value(spec, _code_context(spec, term, budget), term.body, budget)
-    result = read_value(_NBE, body_type)
+    result = read_back(_NBE, body_type)
     return CodeType(term.env_name, term.env_type, term.arg_name, term.arg_type, result)  # [Code]
 
 
@@ -67,7 +67,7 @@ def _clo(spec: TypingSpec, ctx: Context, term: Clo, budget: Budget):
     code_type, sigma = view(_NBE, code_type)
     if not isinstance(code_type, CodeType):
         raise TypeCheckError(
-            f"closure over non-code of type {pretty(read_value(_NBE, code_type))}"
+            f"closure over non-code of type {pretty(read_back(_NBE, code_type))}"
         ).with_note(f"checking {pretty(term)}")
     check_value(spec, ctx, env, glue(_NBE, code_type.env_type, sigma), budget)
     # [Clo]: Π x : A[e′/x′]. B[e′/x′] — one delayed binding.  The Π binder

@@ -52,7 +52,6 @@ __all__ = [
     "normalize",
     "normalize_counting",
     "normalize_subst",
-    "read_value",
     "reducts",
     "whnf",
     "whnf_subst",
@@ -132,11 +131,6 @@ def whnf_value(spec: NbeSpec, ctx: Any, value: Any, budget: Budget) -> Any:
     if head in spec.tags or head is spec.lam_cls or head is spec.clo_cls:
         return whnf(spec, ctx, read_back(spec, value), budget)
     return value
-
-
-def read_value(spec: NbeSpec, value: Any) -> Any:
-    """The syntax of a type value (memoized on the value)."""
-    return read_back(spec, value)
 
 
 def normalize(spec: NbeSpec, ctx: Any, term: Any, budget: Budget | None = None) -> Any:

@@ -40,8 +40,8 @@ from repro.common.errors import TypeCheckError
 from repro.kernel.budget import Budget
 from repro.kernel.judgment import judgment_cache
 from repro.kernel.names import fresh
-from repro.kernel.nbe import NbeSpec, Thunk, glue, view
-from repro.kernel.reduction import read_value, whnf, whnf_value
+from repro.kernel.nbe import NbeSpec, Thunk, glue, read_back, view
+from repro.kernel.reduction import whnf, whnf_value
 
 __all__ = ["TypingSpec", "bind", "check_value", "infer_value", "universe"]
 
@@ -87,7 +87,7 @@ class TypingSpec:
     def infer(self, ctx: Any, term: Any, budget: Budget | None = None) -> Any:
         """The type of ``term`` under ``ctx`` (Γ ⊢ e : A), as syntax; not normalized."""
         budget = Budget() if budget is None else budget
-        return read_value(self.nbe, infer_value(self, ctx, term, budget, entry=True))
+        return read_back(self.nbe, infer_value(self, ctx, term, budget, entry=True))
 
     def check(self, ctx: Any, term: Any, expected: Any, budget: Budget | None = None) -> None:
         """Check ``Γ ⊢ term : expected`` (inference and [Conv])."""
@@ -132,7 +132,7 @@ class TypingSpec:
             return None if binding is None else binding.type_
         cache = judgment_cache()
         value = cache.peek(self.infer_kind, term, None, cache.typing_key(ctx))
-        return None if value is None else read_value(self.nbe, value)
+        return None if value is None else read_back(self.nbe, value)
 
 
 # Each judgment probes the memo when its spec memoizes every judgment, or
@@ -162,7 +162,7 @@ def infer_value(spec: TypingSpec, ctx: Any, term: Any, budget: Budget, entry: bo
         before = budget.spent
         value = rule(spec, ctx, term, budget)
         if entry:  # a public result is syntax: store it, not the value, read back once
-            value = read_value(spec.nbe, value)
+            value = read_back(spec.nbe, value)
         cache.store(spec.infer_kind, term, None, key, value, budget.spent - before)
     return value
 
@@ -222,7 +222,7 @@ def bind(env: dict, name: str, replacement: Any) -> dict:
 
 
 def _show(spec: TypingSpec, value: Any) -> str:
-    return spec.pretty(read_value(spec.nbe, value))
+    return spec.pretty(read_back(spec.nbe, value))
 
 
 def _box(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
@@ -304,7 +304,7 @@ def _natelim(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
     app, var, pi = nbe.app_cls, nbe.var_cls, spec.pi_cls
     # The motive must have type Π _:Nat. U for some universe U.
     motive_type = whnf_value(nbe, ctx, infer_value(spec, ctx, motive, budget), budget)
-    motive_type = read_value(nbe, motive_type)
+    motive_type = read_back(nbe, motive_type)
     if type(motive_type) is not pi:
         raise TypeCheckError(f"natelim motive has non-Π type {spec.pretty(motive_type)}")
     if not spec.equivalent(ctx, motive_type.domain, nat, budget):

@@ -39,10 +39,9 @@ import json
 import os
 import socket
 import time
-from hashlib import blake2b
 from typing import Any, Iterable, Mapping
 
-from repro.service.faults import FaultInjector, FaultPlan
+from repro.service.faults import FaultInjector, FaultPlan, retry_delay
 from repro.service.jobs import Job
 
 __all__ = ["ServiceClient", "parse_address"]
@@ -57,12 +56,6 @@ def parse_address(address: str) -> tuple[str, int]:
 
 
 _SESSION_IDS = itertools.count()
-
-
-def _jitter(token: str, attempt: int) -> float:
-    """Deterministic backoff jitter in [0.75, 1.25) — no random source."""
-    digest = blake2b(f"{token}:{attempt}".encode("utf-8"), digest_size=2).digest()
-    return 0.75 + int.from_bytes(digest, "little") / 65536 * 0.5
 
 
 class ServiceClient:
@@ -150,8 +143,7 @@ class ServiceClient:
                 self._sleep_backoff("connect", attempt)
 
     def _sleep_backoff(self, token: str, attempt: int) -> None:
-        delay = min(self.backoff_cap, self.backoff * (2 ** (attempt - 1)))
-        time.sleep(delay * _jitter(token, attempt))
+        time.sleep(retry_delay(self.backoff, self.backoff_cap, attempt, f"{token}:{attempt}"))
 
     def _disconnect(self) -> None:
         if self._sock is not None:
@@ -338,10 +330,10 @@ class ServiceClient:
                 attempts[job_id] = attempt
                 if attempt <= self.max_retries:
                     self.shed_retries += 1
-                    delay = min(self.backoff_cap, self.backoff * (2 ** (attempt - 1)))
-                    retries.append(
-                        (time.monotonic() + delay * _jitter(job_id, attempt), spec)
+                    delay = retry_delay(
+                        self.backoff, self.backoff_cap, attempt, f"{job_id}:{attempt}"
                     )
+                    retries.append((time.monotonic() + delay, spec))
                     continue
             results[job_id] = document
         return [results[job_id] for job_id in order]

@@ -106,28 +106,16 @@ import queue as queue_module
 import threading
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
-from hashlib import blake2b
 from typing import Any, Iterable, Mapping
 
 from repro.kernel.state import validate_engine
-from repro.service.faults import FaultPlan
+from repro.service.faults import FaultPlan, retry_delay
 from repro.service.jobs import Job, JobResult
 from repro.service.worker import worker_main
 
 __all__ = ["Dispatcher", "ElasticSupervisor", "PoolStats"]
 
 _POOL_IDS = itertools.count(1)
-
-
-def _jitter(slot: int, generation: int) -> float:
-    """Deterministic respawn jitter in [0.75, 1.25) — no random source.
-
-    Derived from the (slot, generation) being replaced, so concurrent dead
-    slots desynchronize their refills without timing ever depending on
-    process state; two runs of the same failure history back off the same.
-    """
-    digest = blake2b(f"{slot}:{generation}".encode("ascii"), digest_size=2).digest()
-    return 0.75 + int.from_bytes(digest, "little") / 65536 * 0.5
 
 
 @dataclass
@@ -1038,11 +1026,14 @@ class Dispatcher:
                 )
         else:
             slot.move("death")
-            backoff = min(
+            # Jitter keyed on the (slot, generation) being replaced, so
+            # concurrent dead slots desynchronize their refills.
+            slot.due_at = now + retry_delay(
+                self.respawn_backoff,
                 self.respawn_backoff_cap,
-                self.respawn_backoff * (2 ** (slot.streak - 1)),
+                slot.streak,
+                f"{index}:{slot.handle.generation}",
             )
-            slot.due_at = now + backoff * _jitter(index, slot.handle.generation)
 
     def _respawn_locked(self, index: int) -> None:
         """Refill a slot whose backoff has elapsed and requeue its jobs."""

@@ -201,14 +201,9 @@ def _run_payload(result: Any) -> dict[str, Any]:
     ``compile_result``, which is None on a warm artifact hit), so a warm
     pooled run renders byte-for-byte what a cold solo run renders.
     """
-    shown = (
-        result.observation
-        if result.observation is not None
-        else type(result.value).__name__
-    )
     return {
         "term": _canon_cc(result.source),
-        "value": shown,
+        "value": result.observed,
         "code_blocks": result.code_count,
         "machine_steps": result.machine_steps,
         "closure_allocs": result.closure_allocs,

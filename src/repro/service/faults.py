@@ -69,6 +69,7 @@ __all__ = [
     "activate",
     "active",
     "install",
+    "retry_delay",
 ]
 
 #: Every fault kind a plan may schedule.
@@ -86,6 +87,19 @@ FAULT_KINDS = (
 #: The connection-category kinds: fired at result-delivery time by the
 #: service endpoint, recovered by the client's resubmit machinery.
 CONNECTION_KINDS = frozenset({"conn_drop", "conn_stall", "conn_truncate"})
+
+
+def retry_delay(base: float, cap: float, streak: int, key: str) -> float:
+    """The backoff before retry ``streak``: capped exponential, jittered.
+
+    ``base`` doubles per streak up to ``cap``, times a jitter factor in
+    [0.75, 1.25) taken from a blake2b hash of ``key`` — no random source,
+    so two runs of the same failure history back off the same.  The client
+    (reconnects, shed retries) and the dispatcher (slot respawns) share it.
+    """
+    digest = blake2b(key.encode("utf-8"), digest_size=2).digest()
+    jitter = 0.75 + int.from_bytes(digest, "little") / 65536 * 0.5
+    return min(cap, base * (2 ** (streak - 1))) * jitter
 
 
 @dataclass(frozen=True)
@@ -245,14 +259,6 @@ class FaultPlan:
             job_id
             for job_id, faults in self._by_job.items()
             if any(fault.kind == "wire_corrupt" for fault in faults)
-        )
-
-    def connection_ids(self) -> frozenset[str]:
-        """Jobs whose result *delivery* is faulted (drop/stall/truncate)."""
-        return frozenset(
-            job_id
-            for job_id, faults in self._by_job.items()
-            if any(fault.kind in CONNECTION_KINDS for fault in faults)
         )
 
     def divergent_ids(self, max_attempts: int) -> frozenset[str]:

@@ -6,10 +6,10 @@ contain ``$``) are sanitized first.  The round-trip property is tested in
 ``tests/test_surface_printer.py`` and used by the CLI to emit readable
 output.
 
-Both passes are **iterative**: the renderer streams string fragments via
-the shared work-stack engine of :mod:`repro.common.render`, and the binder
-sanitizer is a spec-driven post-order rebuild, so ~10k-node-deep terms
-print without approaching the Python recursion limit.
+Both passes are **iterative**: the printer shared with CC and CC-CC
+(:mod:`repro.common.render`) streams string fragments off a work stack,
+and the binder sanitizer is a spec-driven post-order rebuild, so
+~10k-node-deep terms print without approaching the Python recursion limit.
 """
 
 from __future__ import annotations
@@ -17,19 +17,14 @@ from __future__ import annotations
 from repro import cc
 from repro.cc.ast import LANGUAGE
 from repro.common.names import base_name, is_machine_name
-from repro.common.render import render, succ_chain, wrap as _wrap
+from repro.common.render import _SURFACE, render
 
 __all__ = ["sanitize_names", "to_surface"]
-
-_PREC_TERM = 0  # binders, let, if
-_PREC_ARROW = 1
-_PREC_APP = 2
-_PREC_ATOM = 3
 
 
 def to_surface(term: cc.Term) -> str:
     """Render ``term`` as parseable surface syntax."""
-    return render(sanitize_names(term), _pieces, _PREC_TERM)
+    return render(sanitize_names(term), _SURFACE, cc.cached_free_vars)
 
 
 def sanitize_names(term: cc.Term) -> cc.Term:
@@ -129,99 +124,3 @@ def _unused(base: str, *bodies: cc.Term) -> str:
         counter += 1
         candidate = f"{base}_{counter}"
     return candidate
-
-
-def _pieces(term: cc.Term, prec: int) -> list:
-    """The fragments of ``term`` at ``prec``: strings and (subterm, prec)."""
-    match term:
-        case cc.Var(name):
-            return [name]
-        case cc.Star():
-            return ["Type"]
-        case cc.Box():
-            return ["Kind"]
-        case cc.Bool():
-            return ["Bool"]
-        case cc.BoolLit(value):
-            return ["true" if value else "false"]
-        case cc.Nat():
-            return ["Nat"]
-        case cc.Zero():
-            return ["0"]
-        case cc.Succ():
-            depth, core = succ_chain(term, cc.Succ)
-            if isinstance(core, cc.Zero):
-                return [str(depth)]
-            pieces = ["succ (" * (depth - 1), "succ ", (core, _PREC_ATOM), ")" * (depth - 1)]
-            return _wrap(pieces, prec > _PREC_APP)
-        case cc.Pi(name, domain, codomain):
-            if name == "_" or name not in cc.cached_free_vars(codomain):
-                pieces = [(domain, _PREC_APP), " -> ", (codomain, _PREC_ARROW)]
-                return _wrap(pieces, prec > _PREC_ARROW)
-            pieces = [
-                f"forall ({name} : ",
-                (domain, _PREC_TERM),
-                "), ",
-                (codomain, _PREC_TERM),
-            ]
-            return _wrap(pieces, prec > _PREC_TERM)
-        case cc.Lam(name, domain, body):
-            pieces = [f"\\ ({name} : ", (domain, _PREC_TERM), "). ", (body, _PREC_TERM)]
-            return _wrap(pieces, prec > _PREC_TERM)
-        case cc.App(fn, arg):
-            return _wrap([(fn, _PREC_APP), " ", (arg, _PREC_ATOM)], prec > _PREC_APP)
-        case cc.Let(name, bound, annot, body):
-            pieces = [
-                f"let {name} = ",
-                (bound, _PREC_TERM),
-                " : ",
-                (annot, _PREC_APP),
-                " in ",
-                (body, _PREC_TERM),
-            ]
-            return _wrap(pieces, prec > _PREC_TERM)
-        case cc.Sigma(name, first, second):
-            pieces = [
-                f"exists ({name} : ",
-                (first, _PREC_TERM),
-                "), ",
-                (second, _PREC_TERM),
-            ]
-            return _wrap(pieces, prec > _PREC_TERM)
-        case cc.Pair(fst_val, snd_val, annot):
-            return [
-                "<",
-                (fst_val, _PREC_TERM),
-                ", ",
-                (snd_val, _PREC_TERM),
-                "> as ",
-                (annot, _PREC_ATOM),
-            ]
-        case cc.Fst(pair):
-            return _wrap(["fst ", (pair, _PREC_ATOM)], prec > _PREC_APP)
-        case cc.Snd(pair):
-            return _wrap(["snd ", (pair, _PREC_ATOM)], prec > _PREC_APP)
-        case cc.If(cond, then_branch, else_branch):
-            pieces = [
-                "if ",
-                (cond, _PREC_TERM),
-                " then ",
-                (then_branch, _PREC_TERM),
-                " else ",
-                (else_branch, _PREC_TERM),
-            ]
-            return _wrap(pieces, prec > _PREC_TERM)
-        case cc.NatElim(motive, base, step, target):
-            return [
-                "natelim(",
-                (motive, _PREC_TERM),
-                ", ",
-                (base, _PREC_TERM),
-                ", ",
-                (step, _PREC_TERM),
-                ", ",
-                (target, _PREC_TERM),
-                ")",
-            ]
-        case _:
-            raise TypeError(f"not a CC term: {term!r}")

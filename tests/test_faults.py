@@ -22,9 +22,29 @@ from repro.service.faults import (
     FaultPlan,
     activate,
     active,
+    retry_delay,
 )
 
 REDEX = r"(\ (x : Nat). succ x) 41"
+
+
+@pytest.mark.parametrize(
+    "streak, key, expected",
+    [
+        # Client keys: "{token}:{attempt}" with the attempt as the streak.
+        (1, "connect:1", 0.04673080444335938),
+        (2, "reconnect:2", 0.120050048828125),
+        (3, "job-7:3", 0.2196380615234375),
+        (9, "job-7:9", 1.695404052734375),
+        # Dispatcher keys: "{slot}:{generation}", the slot's death streak.
+        (1, "0:1", 0.04019355773925781),
+        (4, "3:12", 0.328631591796875),
+        (7, "1:2", 2.1472930908203125),
+    ],
+)
+def test_retry_delay_is_pinned(streak, key, expected):
+    # Base 0.05 s and cap 2.0 s are the client's and the dispatcher's defaults.
+    assert retry_delay(0.05, 2.0, streak, key) == expected
 
 
 class TestFault:
