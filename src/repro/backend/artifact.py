@@ -191,7 +191,7 @@ def load_artifact(state: Any, key: bytes) -> tuple[CompiledProgram, ArtifactMeta
     tier = state.persistent
     if tier is None:
         return None
-    row = tier.store.get_artifact(key)
+    row = tier.store.get(key, "artifact")
     if row is None:
         return None
     _steps, blob = row
@@ -212,8 +212,9 @@ def store_artifact(
     cache[key] = (compiled, meta)
     tier = state.persistent
     if tier is not None:
-        tier.store.put_artifact(
+        tier.store.put(
             key,
             meta.check_steps + meta.verify_steps,
             encode_artifact(compiled.program, meta),
+            "artifact",
         )

@@ -247,7 +247,7 @@ class TestArtifacts:
         session.attach_memo_store(str(tmp_path / "store.sqlite"))
         state = session.state
         key = b"k" * 24
-        state.persistent.store.put_artifact(key, 0, b"garbage-not-an-artifact")
+        state.persistent.store.put(key, 0, b"garbage-not-an-artifact", "artifact")
         assert load_artifact(state, key) is None
         session.detach_memo_store()
 
@@ -269,7 +269,7 @@ class TestArtifacts:
         loaded, loaded_meta = found
         assert loaded_meta == meta
         assert loaded.source_hash == compiled.source_hash
-        assert reader.state.persistent.store.artifact_hits == 1
+        assert reader.state.persistent.store.counters()["artifact_hits"] == 1
         reader.detach_memo_store()
 
 

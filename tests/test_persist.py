@@ -185,6 +185,35 @@ class TestTier:
         assert reopened.stats()["misses"] > 0
         reopened.close()
 
+    @pytest.mark.parametrize(
+        "name, skipped, stored", [("church-2", 32, 0), ("pair-dependent", 34, 7)]
+    )
+    def test_cold_compile_persists_cc_kinds_only(self, tmp_path, name, skipped, stored):
+        # The tier's selection is CC-only (see PersistentTier): every CC-CC
+        # normalization of a compile's verification is skipped, never stored.
+        from repro.cc.ast import LANGUAGE as CC_LANGUAGE
+        from repro.cccc.ast import LANGUAGE as CCCC_LANGUAGE
+        from repro.common.errors import WireDecodeError
+        from repro.gen.jobs import close_over
+        from repro.wire.codec import decode_term
+        from tests.corpus import CORPUS
+
+        (entry,) = [entry for entry in CORPUS if entry[0] == name]
+        path = tmp_path / "memo.sqlite"
+        store = PersistentMemoStore(path)
+        session = Session(name="persist-cc-only")
+        tier = session.attach_memo_store(store)
+        assert session.compile(close_over(*entry[1:])).verified
+        session.detach_memo_store()
+        store.close()
+        assert (tier.skipped, tier.stores) == (skipped, stored)
+        rows = [blob for (blob,) in sqlite3.connect(path).execute("SELECT result FROM memo")]
+        assert len(rows) == stored
+        for blob in rows:
+            decode_term(CC_LANGUAGE, blob)
+            with pytest.raises(WireDecodeError, match="language mismatch"):
+                decode_term(CCCC_LANGUAGE, blob)
+
     def test_batch_stats_expose_the_tier_without_new_hit_kinds(self, tmp_path):
         # tests/test_cli.py pins the exact cache_hits key set; the tier's
         # counters must travel under stats["persist"] instead.
@@ -373,6 +402,30 @@ class TestFailureHardening:
         assert persisted["trips"] >= 1
 
 
+    def test_failed_flush_releases_the_write_lock(self, tmp_path):
+        # A flush that fails mid-transaction must roll back: otherwise this
+        # connection keeps SQLite's write lock and every other writer of the
+        # shared store waits out its busy timeout.
+        path = tmp_path / "memo.sqlite"
+        store = self._store(tmp_path, flush_threshold=10_000)
+        store.put(b"m" * 24, 1, b"memo")
+        store.put(b"a" * 24, 2, b"artifact", "artifact")
+        other = sqlite3.connect(path, timeout=0.5)
+        other.execute("ALTER TABLE artifact RENAME TO parked")
+        other.commit()
+        store.flush()  # the memo insert lands, the artifact insert fails
+        assert store.counters()["errors"] == 1
+        other.execute("ALTER TABLE parked RENAME TO artifact")  # a write
+        other.commit()
+        assert store.counters()["pending"] == store.counters()["artifact_pending"] == 1
+        store.flush()
+        assert store.counters()["pending"] == store.counters()["artifact_pending"] == 0
+        assert other.execute("SELECT key FROM memo").fetchall() == [(b"m" * 24,)]
+        assert other.execute("SELECT key FROM artifact").fetchall() == [(b"a" * 24,)]
+        other.close()
+        store.close()
+
+
 class TestTornStoreRecovery:
     """``python -m repro store`` maintenance: stat, scrub, compact."""
 
@@ -476,3 +529,166 @@ class TestTornStoreRecovery:
         assert report["invalid"] == 0  # no torn rows, ever
         warm = execute_jobs(jobs, workers=1, memo_store=path)
         assert warm.canonical() == chaos.canonical()
+
+
+def _maintenance(document: dict) -> list[tuple]:
+    """A maintenance document minus its host-dependent fields, in key order."""
+    return [(k, v) for k, v in document.items() if k not in ("path", "size_bytes")]
+
+
+class TestStorePinned:
+    """Both tables of one store, pinned document for document.
+
+    Valid, tampered, orphaned and unflushed rows in the ``memo`` and
+    ``artifact`` tables; a breaker trip and probe on artifact reads; a
+    read-only handle on a file that predates the ``artifact`` table.  The
+    full ``counters()``/``stats()`` dicts (key order included) and the
+    maintenance documents are literals, so any change to how either table
+    is read, written, counted or salvaged shows here.
+    """
+
+    def test_both_tables_are_pinned(self, tmp_path):
+        from repro.backend import (
+            ArtifactMeta,
+            compile_program,
+            load_artifact,
+            store_artifact,
+        )
+        from repro.closconv import compile_term
+        from repro.machine import hoist
+        from repro.wire import persist
+        from repro.wire.persist import store_compact, store_scrub, store_stat
+
+        def fresh_state(store, name):
+            session = Session(name=name)
+            session.attach_memo_store(store)
+            return session.state
+
+        def sealed_insert(connection, table, key, steps, result):
+            connection.execute(
+                f"INSERT INTO {table} (key, steps, result, seal) VALUES (?, ?, ?, ?)",
+                (key, steps, result, persist._seal(key, steps, result)),
+            )
+
+        programs = [
+            compile_program(
+                hoist(
+                    compile_term(
+                        cc.Context.empty(), cc.intern(parse_term(text)), verify=False
+                    ).target
+                )
+            )
+            for text in (REDEX, r"\ (x : Nat). succ x", "succ (succ 0)")
+        ]
+        meta = ArtifactMeta(check_steps=7, verify_steps=3, verified=True)
+        memo_keys = [bytes([index]) * 24 for index in range(3)]
+        artifact_keys = [bytes([0x40 + index]) * 24 for index in range(3)]
+        orphan, absent = b"\x7f" * 24, b"\x7e" * 24
+        pending_memo, pending_artifact = b"\x50" * 24, b"\x51" * 24
+        path = tmp_path / "store.sqlite"
+
+        store = PersistentMemoStore(path, flush_threshold=10_000)
+        writer = fresh_state(store, "pin-writer")
+        for index, key in enumerate(memo_keys):
+            store.put(key, index + 1, b"memo-%d" % index)
+        for key, program in zip(artifact_keys, programs):
+            store_artifact(writer, key, program, meta)
+        store.close()
+
+        raw = sqlite3.connect(path)
+        for table, key in (("memo", memo_keys[0]), ("artifact", artifact_keys[0])):
+            raw.execute(f"UPDATE {table} SET steps = steps + 7 WHERE key = ?", (key,))
+        sealed_insert(raw, "artifact", orphan, 5, b"not-an-artifact")
+        raw.commit()
+        raw.close()
+
+        store = PersistentMemoStore(
+            path, flush_threshold=10_000, breaker_threshold=3, probe_interval=4
+        )
+        store.put(pending_memo, 9, b"pending")
+        store_artifact(fresh_state(store, "pin-pending"), pending_artifact, programs[0], meta)
+        reader = fresh_state(store, "pin-reader")
+        memo_reads = [store.get(key) for key in [*memo_keys, pending_memo, absent]]
+        artifact_reads = [
+            load_artifact(reader, key) is not None
+            for key in [*artifact_keys, orphan, pending_artifact, absent]
+        ]
+        assert memo_reads == [None, (2, b"memo-1"), (3, b"memo-2"), (9, b"pending"), None]
+        assert artifact_reads == [False, True, True, False, True, False]
+
+        def refuse_reads(op):
+            if op == "read":
+                raise sqlite3.OperationalError("injected")
+
+        persist.FAULT_HOOK = refuse_reads
+        try:
+            tripped = [load_artifact(reader, bytes([0x60 + i]) * 24) for i in range(3)]
+        finally:
+            persist.FAULT_HOOK = None
+        assert tripped == [None, None, None]
+        assert store.counters()["breaker"] == "open"
+        probed = [load_artifact(reader, bytes([0x70 + i]) * 24) for i in range(4)]
+        assert probed == [None] * 4
+        assert load_artifact(reader, artifact_keys[2]) is not None  # memory cache
+        assert store.get(memo_keys[1]) == (2, b"memo-1")
+        counters = [
+            ("hits", 4), ("misses", 2), ("writes", 1), ("flushes", 0),
+            ("errors", 3), ("dropped", 0), ("trips", 1), ("artifact_hits", 4),
+            ("artifact_misses", 9), ("artifact_writes", 1), ("breaker", "closed"),
+            ("pending", 1), ("artifact_pending", 1),
+        ]
+        assert list(store.counters().items()) == counters
+        assert list(store.stats().items()) == [*counters, ("entries", 4)]
+        store.close()
+
+        assert _maintenance(store_stat(path)) == [
+            ("entries", 4), ("valid", 3), ("invalid", 1), ("memo_bytes", 19),
+            ("artifact_entries", 5), ("artifact_valid", 4), ("artifact_invalid", 1),
+            ("artifact_bytes", 970), ("artifact_orphaned", 1),
+        ]
+        copy = tmp_path / "copy.sqlite"
+        source, target = sqlite3.connect(path), sqlite3.connect(copy)
+        source.backup(target)
+        source.close()
+        target.close()
+        compacted = [
+            ("entries", 3), ("valid", 3), ("invalid", 0), ("memo_bytes", 19),
+            ("artifact_entries", 4), ("artifact_valid", 4), ("artifact_invalid", 0),
+            ("artifact_bytes", 970), ("artifact_orphaned", 1),
+        ]
+        assert _maintenance(store_compact(path)) == [("entries", 7), ("removed", 2)]
+        assert _maintenance(store_stat(path)) == compacted
+        assert _maintenance(store_scrub(copy)) == [
+            ("scanned", 9), ("salvaged", 7), ("discarded", 2),
+        ]
+        assert _maintenance(store_stat(copy)) == compacted
+
+        memo_only = tmp_path / "memo-only.sqlite"
+        raw = sqlite3.connect(memo_only)
+        raw.execute(
+            "CREATE TABLE memo (key BLOB PRIMARY KEY, steps INTEGER NOT NULL,"
+            " result BLOB NOT NULL, seal BLOB NOT NULL) WITHOUT ROWID"
+        )
+        sealed_insert(raw, "memo", memo_keys[1], 2, b"memo-1")
+        raw.commit()
+        raw.close()
+        handle = PersistentMemoStore(memo_only, read_only=True)
+        assert handle.get(memo_keys[1]) == (2, b"memo-1")
+        assert load_artifact(fresh_state(handle, "pin-old"), artifact_keys[1]) is None
+        handle.put(pending_memo, 9, b"pending")
+        assert list(handle.stats().items()) == [
+            ("hits", 1), ("misses", 0), ("writes", 1), ("flushes", 0),
+            ("errors", 1), ("dropped", 0), ("trips", 0), ("artifact_hits", 0),
+            ("artifact_misses", 1), ("artifact_writes", 0), ("breaker", "closed"),
+            ("pending", 1), ("artifact_pending", 0), ("entries", 2),
+        ]
+        handle.close()
+        assert _maintenance(store_stat(memo_only)) == [
+            ("entries", 1), ("valid", 1), ("invalid", 0), ("memo_bytes", 6),
+            ("artifact_entries", 0), ("artifact_valid", 0), ("artifact_invalid", 0),
+            ("artifact_bytes", 0), ("artifact_orphaned", 0),
+        ]
+        assert _maintenance(store_compact(memo_only)) == [("entries", 1), ("removed", 0)]
+        assert _maintenance(store_scrub(memo_only)) == [
+            ("scanned", 1), ("salvaged", 1), ("discarded", 0),
+        ]
