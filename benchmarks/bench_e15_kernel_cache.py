@@ -147,9 +147,10 @@ def test_judgment_memo_traffic(monkeypatch):
     """Every typing-memo kind still probed hits; CC-CC probes only at its entry.
 
     One session checks and runs a fixed program set twice, in three forms:
-    surface text (re-parsed per call, so every node is a fresh object),
-    interned terms, and terms decoded from the binary wire (both
-    hash-consed DAGs).  Probes and hits are counted per kind and form.
+    surface text (re-parsed per call into the session's hash-consed
+    nodes), interned terms, and terms decoded from the binary wire.  All
+    three are hash-consed DAGs.  Probes and hits are counted per kind and
+    form.
     """
     families = [church_sum(4), nested_lambdas(10), bool_flip_tower(4), pair_tower(4),
                 nat_sum(4), shared_dag_tower(5)]
@@ -189,7 +190,7 @@ def test_judgment_memo_traffic(monkeypatch):
                     cccc.infer(compiled.target_context, compiled.target)
                 verifications += 1
 
-    for dag_form in ("interned", "decoded"):
+    for dag_form in ("text", "interned", "decoded"):
         for kind in _TYPING_KINDS:
             assert probes[dag_form, kind] > 0, (dag_form, kind)
             assert hits[dag_form, kind] > 0, (dag_form, kind, probes[dag_form, kind])

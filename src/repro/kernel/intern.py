@@ -114,9 +114,10 @@ def _canonicalize(lang: Language, root: Any) -> Any:
     so the walk keeps a per-walk memo for exactly those nodes and interning
     a hash-consed DAG costs O(unique nodes × depths), not O(unfolded tree).
     The guard requires the free-variable set to be *already cached* (true
-    for anything built through :func:`build` — hash-consed, wire-decoded —
-    where it is computed at construction): a plain parse-tree walk stays on
-    the historical path, paying only one cache probe per node.
+    for anything built through :func:`build` — parsed, wire-decoded —
+    where it is computed at construction): a tree built with the plain
+    constructors stays on the historical path, paying only one cache probe
+    per node.
     """
     var_cls = lang.var_cls
     store = lang.store()  # the active session's caches, resolved once per walk

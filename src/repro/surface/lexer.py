@@ -20,7 +20,7 @@ fresh` collision-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.common.errors import ParseError
 
@@ -53,8 +53,7 @@ KEYWORDS = {
 _SYMBOLS = frozenset(["->", "=>", "\\", "(", ")", ":", ".", ",", "<", ">", "="])
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexeme with its source location (1-based line/column)."""
 
     kind: str  # 'ident' | 'number' | 'keyword' | 'symbol' | 'eof'
@@ -96,9 +95,9 @@ def tokenize(source: str) -> list[Token]:
             column += len(symbol)
             continue
 
-        if char.isdigit():
+        if char.isdecimal():
             start = index
-            while index < length and source[index].isdigit():
+            while index < length and source[index].isdecimal():
                 index += 1
             text = source[start:index]
             tokens.append(Token("number", text, line, column))

@@ -18,29 +18,59 @@ binds tighter than ``->``, which is right-associative)::
               | '<' term ',' term '>' 'as' prefix
               | '(' term ')'
     binder  ::= '(' IDENT+ ':' term ')'
+
+Every node, the ``A -> B`` Π and the numerals' ``succ`` chains included,
+is hash-consed in the active session: it is built through
+:func:`repro.kernel.intern._build` against the session's ``hashcons``
+table, the table and key that :func:`repro.wire.codec.decode_term` uses.
+The same text parsed twice in one session, and one term arriving as text
+and on the binary wire, therefore yield the same object, so the kernel's
+identity-keyed caches (judgments, intern memo, free variables) hit on
+text.  Binder names are kept as written (no α-canonicalization, which is
+:func:`repro.cc.intern`'s job), so printed terms and error messages read
+as the source does.  Another session never sees these nodes, and
+``Session.reset()`` empties the table along with the rest of the
+session's caches.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro import cc
+from repro.cc.ast import _UNUSED, LANGUAGE
 from repro.common.errors import ParseError
+from repro.kernel.intern import _build
 from repro.surface.lexer import Token, tokenize
 
 __all__ = ["parse_term"]
 
+#: Keywords that start a ``prefix``, and so an application argument.
+_PREFIX_KEYWORDS = frozenset(
+    ["fst", "snd", "succ", "natelim", "Type", "Kind", "Bool", "Nat", "true", "false"]
+)
+
 
 def parse_term(source: str) -> cc.Term:
-    """Parse ``source`` into a CC term; raises :class:`ParseError`."""
-    parser = _Parser(tokenize(source))
+    """Parse ``source`` into a CC term; raises :class:`ParseError`.
+
+    The term is hash-consed in the active session (see the module notes).
+    """
+    parser = _Parser(tokenize(source), LANGUAGE.store().hashcons)
     term = parser.term()
     parser.expect_eof()
     return term
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], table: dict[tuple, Any]):
         self.tokens = tokens
         self.position = 0
+        self.table = table
+
+    def node(self, cls: type, *args: Any) -> Any:
+        """``cls(*args)`` through the session's hash-consing table."""
+        return _build(LANGUAGE, self.table, cls, args)
 
     # -- token plumbing ------------------------------------------------------
 
@@ -54,7 +84,7 @@ class _Parser:
         return token
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        token = self.peek()
+        token = self.tokens[self.position]
         return token.kind == kind and (text is None or token.text == text)
 
     def eat(self, kind: str, text: str | None = None) -> Token | None:
@@ -87,16 +117,18 @@ class _Parser:
     # -- grammar ---------------------------------------------------------------
 
     def term(self) -> cc.Term:
-        if self.at("symbol", "\\") or self.at("keyword", "fun"):
-            return self.lambda_()
-        if self.at("keyword", "forall"):
-            return self.quantifier(cc.Pi)
-        if self.at("keyword", "exists"):
-            return self.quantifier(cc.Sigma)
-        if self.at("keyword", "let"):
-            return self.let_()
-        if self.at("keyword", "if"):
-            return self.if_()
+        token = self.peek()
+        match token.kind, token.text:
+            case ("symbol", "\\") | ("keyword", "fun"):
+                return self.lambda_()
+            case ("keyword", "forall"):
+                return self.quantifier(cc.Pi)
+            case ("keyword", "exists"):
+                return self.quantifier(cc.Sigma)
+            case ("keyword", "let"):
+                return self.let_()
+            case ("keyword", "if"):
+                return self.if_()
         return self.arrow()
 
     def binders(self) -> list[tuple[str, cc.Term]]:
@@ -128,10 +160,10 @@ class _Parser:
         self.expect("symbol", ".")
         body = self.term()
         for name, annotation in reversed(entries):
-            body = cc.Lam(name, annotation, body)
+            body = self.node(cc.Lam, name, annotation, body)
         return body
 
-    def quantifier(self, node: type) -> cc.Term:
+    def quantifier(self, cls: type) -> cc.Term:
         self.advance()  # 'forall' / 'exists'
         entries = self.binders()
         if not entries:
@@ -139,7 +171,7 @@ class _Parser:
         self.expect("symbol", ",")
         body = self.term()
         for name, annotation in reversed(entries):
-            body = node(name, annotation, body)
+            body = self.node(cls, name, annotation, body)
         return body
 
     def let_(self) -> cc.Term:
@@ -151,7 +183,7 @@ class _Parser:
         annotation = self.term()
         self.expect("keyword", "in")
         body = self.term()
-        return cc.Let(name, bound, annotation, body)
+        return self.node(cc.Let, name, bound, annotation, body)
 
     def if_(self) -> cc.Term:
         self.advance()  # 'if'
@@ -160,79 +192,69 @@ class _Parser:
         then_branch = self.term()
         self.expect("keyword", "else")
         else_branch = self.term()
-        return cc.If(cond, then_branch, else_branch)
+        return self.node(cc.If, cond, then_branch, else_branch)
 
     def arrow(self) -> cc.Term:
         left = self.app()
         if self.eat("symbol", "->"):
             right = self.term()
-            return cc.arrow(left, right)
+            return self.node(cc.Pi, _UNUSED, left, right)  # cc.arrow
         return left
 
     def app(self) -> cc.Term:
         head = self.prefix()
         while self._starts_atom():
-            head = cc.App(head, self.prefix())
+            head = self.node(cc.App, head, self.prefix())
         return head
 
     def _starts_atom(self) -> bool:
         token = self.peek()
         if token.kind in ("ident", "number"):
             return True
-        if token.kind == "symbol" and token.text in ("(", "<"):
-            return True
-        if token.kind == "keyword" and token.text in (
-            "fst",
-            "snd",
-            "succ",
-            "natelim",
-            "Type",
-            "Kind",
-            "Bool",
-            "Nat",
-            "true",
-            "false",
-        ):
-            return True
-        return False
+        if token.kind == "symbol":
+            return token.text in ("(", "<")
+        return token.kind == "keyword" and token.text in _PREFIX_KEYWORDS
 
     def prefix(self) -> cc.Term:
         if self.eat("keyword", "fst"):
-            return cc.Fst(self.prefix())
+            return self.node(cc.Fst, self.prefix())
         if self.eat("keyword", "snd"):
-            return cc.Snd(self.prefix())
+            return self.node(cc.Snd, self.prefix())
         if self.eat("keyword", "succ"):
-            return cc.Succ(self.prefix())
+            return self.node(cc.Succ, self.prefix())
         return self.atom()
 
     def atom(self) -> cc.Term:
         token = self.peek()
         if token.kind == "ident":
             self.advance()
-            return cc.Var(token.text)
+            return self.node(cc.Var, token.text)
         if token.kind == "number":
             self.advance()
-            return cc.nat_literal(int(token.text))
+            numeral = self.node(cc.Zero)
+            for _ in range(int(token.text)):  # cc.nat_literal
+                numeral = self.node(cc.Succ, numeral)
+            return numeral
         if token.kind == "keyword":
             match token.text:
                 case "Type":
                     self.advance()
-                    return cc.Star()
+                    return self.node(cc.Star)
                 case "Kind":
                     self.advance()
-                    return cc.Box()
+                    return self.node(cc.Box)
                 case "Bool":
                     self.advance()
-                    return cc.Bool()
+                    return self.node(cc.Bool)
                 case "Nat":
                     self.advance()
-                    return cc.Nat()
+                    return self.node(cc.Nat)
                 case "true":
                     self.advance()
-                    return cc.BoolLit(True)
+                    return self.node(cc.BoolLit, True)
                 case "false":
                     self.advance()
-                    return cc.BoolLit(False)
+                    return self.node(cc.BoolLit, False)
                 case "natelim":
                     return self.natelim()
         if self.eat("symbol", "<"):
@@ -242,7 +264,7 @@ class _Parser:
             self.expect("symbol", ">")
             self.expect("keyword", "as")
             annotation = self.prefix()
-            return cc.Pair(first, second, annotation)
+            return self.node(cc.Pair, first, second, annotation)
         if self.eat("symbol", "("):
             inner = self.term()
             self.expect("symbol", ")")
@@ -260,4 +282,4 @@ class _Parser:
         self.expect("symbol", ",")
         target = self.term()
         self.expect("symbol", ")")
-        return cc.NatElim(motive, base, step, target)
+        return self.node(cc.NatElim, motive, base, step, target)

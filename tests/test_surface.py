@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro import cc
+from repro import api, cc
 from repro.common.errors import ParseError
-from repro.surface import parse_term, tokenize
+from repro.surface import parse_term, to_surface, tokenize
+from repro.wire.codec import term_from_b64, term_to_b64
+from tests.corpus import CORPUS, corpus_ids
+
+LANG = cc.ast.LANGUAGE
 
 
 class TestLexer:
@@ -79,6 +83,7 @@ class TestLexer:
                  ("symbol", ",", 2, 7), ("number", "1", 2, 9), ("symbol", ">", 2, 10),
                  ("symbol", ".", 3, 3), ("eof", "", 3, 4)],
             ),
+            ("x² ٣", [("ident", "x²", 1, 1), ("number", "٣", 1, 4), ("eof", "", 1, 5)]),
         ],
     )
     def test_tokens_pinned(self, source, expected):
@@ -99,6 +104,26 @@ class TestLexer:
         with pytest.raises(ParseError) as raised:
             tokenize(source)
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("²", "parse error at 1:1: unexpected character '²'"),
+            ("1²", "parse error at 1:2: unexpected character '²'"),
+            ("x ²", "parse error at 1:3: unexpected character '²'"),
+        ],
+    )
+    def test_non_decimal_digit_is_a_parse_error(self, source, message):
+        with pytest.raises(ParseError) as raised:
+            parse_term(source)
+        assert str(raised.value) == message
+        report = api.execute_jobs([{"id": "d", "kind": "check", "program": source}], workers=0)
+        (result,) = report.results
+        assert result.error == {"type": "ParseError", "message": message}
+
+    def test_unicode_decimal_digit_is_a_number(self):
+        assert parse_term("٣") is parse_term("3")
+        assert cc.nat_value(parse_term("٣")) == 3
 
 
 class TestParserPositive:
@@ -227,3 +252,34 @@ class TestRoundTrips:
 
         for name, ctx, term in CORPUS:
             cc.infer(ctx, term)
+
+
+class TestHashConsing:
+    """Parsed nodes come from the active session's hash-consing table."""
+
+    @pytest.mark.parametrize("name, ctx, term", CORPUS, ids=corpus_ids())
+    def test_text_and_binary_ingest_give_one_node(self, name, ctx, term):
+        text = to_surface(term)
+        with api.Session().activate():
+            assert parse_term(text) is term_from_b64(LANG, term_to_b64(LANG, parse_term(text)))
+
+    def test_names_are_kept(self):
+        with api.Session().activate():
+            term = parse_term(r"\ (A : Type) (x : A). x -> A")
+            assert (term.name, term.body.name, term.body.body.name) == ("A", "x", "_")
+            assert term.body.domain is term.body.body.codomain
+
+    def test_warm_reparse_hits_and_sessions_stay_isolated(self):
+        text = r"(\ (A : Type) (x : A). x) Nat 3"
+        session = api.Session()
+        first = session.check(text)
+        second = session.check(text)
+        assert second.term is first.term
+        assert second.steps == first.steps
+        assert second.cache_hits["kernel.judgments"] >= 1
+        other = api.Session().check(text)
+        assert other.term is not first.term
+        assert other.steps == first.steps
+        session.reset()
+        with session.activate():
+            assert len(LANG.hashcons) == 0
