@@ -476,10 +476,16 @@ def _cmd_batch(session: Session, args: argparse.Namespace) -> int:
 def _cmd_serve(session: Session, args: argparse.Namespace) -> int:
     from repro.service.endpoint import serve as serve_endpoint
 
+    from repro.service.faults import FaultPlan
+
     plan = None
     if args.chaos_plan is not None:
         with open(args.chaos_plan, encoding="utf-8") as handle:
-            plan = json.load(handle)
+            try:
+                plan = FaultPlan.from_dict(json.load(handle))
+            except ValueError as error:  # json.JSONDecodeError included
+                # The same one-line error contract as a bad batch stream.
+                raise ReproError(f"bad chaos plan: {error}") from error
     serve_endpoint(
         args.host,
         args.port,

@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping
 
 from repro import cc, cccc
@@ -55,7 +55,7 @@ from repro.closconv.pipeline import CompilationResult, compile_term
 from repro.kernel.budget import DEFAULT_FUEL, Budget
 from repro.kernel.state import KernelState, activate, default_state, validate_engine
 from repro.linking.link import ClosingSubstitution, check_substitution, link
-from repro.machine import Program, hoist, machine_observation, run
+from repro.machine import MachineStats, Program, hoist, machine_observation, run
 from repro.surface import parse_term
 
 __all__ = [
@@ -79,22 +79,6 @@ _SESSION_IDS = itertools.count(1)
 #: non-None.  A process that never profiles never imports the obs
 #: package at all — the byte-identity tests rely on that.
 _PROFILE: list = [None]
-
-_MACHINE_COUNTER_FIELDS = (
-    "steps",
-    "closure_allocs",
-    "tuple_allocs",
-    "projections",
-    "code_lookups",
-    "max_frame_size",
-    "env_allocs",
-    "max_env_size",
-)
-
-
-def _machine_counters(stats: Any) -> dict[str, int]:
-    """Execution counters as a dict — MachineStats and CompiledStats alike."""
-    return {name: getattr(stats, name, 0) for name in _MACHINE_COUNTER_FIELDS}
 
 
 # --------------------------------------------------------------------------
@@ -218,9 +202,9 @@ class RunResult:
 
     ``backend`` records which execution engine produced the value:
     ``"machine"`` (the interpreting CBV oracle) or ``"compiled"`` (staged
-    host closures, :mod:`repro.backend`).  The cost counters mirror
-    :class:`~repro.machine.machine.MachineStats` on both backends — that
-    equality is the compiled backend's differential contract.  On a warm
+    host closures, :mod:`repro.backend`).  Both backends report
+    a :class:`~repro.machine.machine.MachineStats`, and their equality is
+    the compiled backend's differential contract.  On a warm
     artifact-cache hit the pipeline never re-compiles, so
     ``compile_result`` is None there; the flat ``check_steps``/
     ``verify_steps``/``verified`` fields (replayed from the artifact) are
@@ -655,7 +639,7 @@ class Session:
         self,
         program: Program,
         value: Any,
-        stats: Any,
+        stats: MachineStats,
         label_counts: dict[str, int] | None,
         meta: ArtifactMeta,
         **fields: Any,
@@ -672,7 +656,7 @@ class Session:
             profile.phase(
                 "execute",
                 weight=stats.steps,
-                counters=_machine_counters(stats),
+                counters=asdict(stats),
                 labels=label_counts,
             )
         return RunResult(

@@ -5,10 +5,10 @@ CC-CC programs — static code table, flat environments — are translated
 once per block into host Python closures (:mod:`repro.backend.compile`),
 serialized as content-addressed artifacts cached in the persistent tier
 and shared across pool workers (:mod:`repro.backend.artifact`), and run
-with cost counters that mirror the abstract machine's exactly
-(:mod:`repro.backend.stats`).  ``machine/machine.py`` stays verbatim as
-the differential oracle; the differential compares values, error
-documents, *and* counters.
+reporting the abstract machine's own
+:class:`~repro.machine.machine.MachineStats`.  ``machine/machine.py``
+stays verbatim as the differential oracle; the differential compares
+values, error documents, *and* counters.
 """
 
 from repro.backend.artifact import (
@@ -21,14 +21,12 @@ from repro.backend.artifact import (
     store_artifact,
 )
 from repro.backend.compile import CompiledProgram, compile_program
-from repro.backend.stats import CompiledStats
 
 __all__ = [
     "ARTIFACT_VERSION",
     "BACKENDS",
     "ArtifactMeta",
     "CompiledProgram",
-    "CompiledStats",
     "artifact_key",
     "compile_program",
     "decode_artifact",

@@ -15,7 +15,8 @@ translation — the first-Futamura-projection trick of partially evaluating
 - **Stage two (run time)**: call the closure tree.  A staged function has
   the shape ``f(rt, c) -> Value`` where ``rt`` is the flat activation
   tuple (the paper's environment-as-tuple discipline, literally) and ``c``
-  is the run's flat counter list (see :mod:`repro.backend.stats`).
+  is the run's flat counter list, reported as a
+  :class:`~repro.machine.machine.MachineStats` when the run completes.
 
 The machine stays in the repo **verbatim** as the differential oracle:
 compiled runs must produce the same values (machine value classes are
@@ -28,9 +29,10 @@ transition.  Pure constructor subtrees are constant-folded at compile
 time, but their closures still replay the exact steps the machine would
 have charged.
 
-Counter slots (see :mod:`repro.backend.stats`): ``c[0]`` steps, ``c[1]``
-closure allocs, ``c[2]`` tuple allocs, ``c[3]`` projections, ``c[4]``
-code lookups, ``c[5]`` env allocs, ``c[6]`` max env width.
+Counter slots: ``c[0]`` steps, ``c[1]`` closure allocs, ``c[2]`` tuple
+allocs, ``c[3]`` projections, ``c[4]`` code lookups, ``c[5]`` env allocs,
+``c[6]`` max env width.  A flat list keeps each increment one subscript;
+:meth:`CompiledProgram.execute` lifts it into ``MachineStats`` once.
 
 One representational caveat: :func:`compile_program` α-canonicalizes the
 program first (so artifact bytes and content hashes are session- and
@@ -63,10 +65,10 @@ from repro.machine.machine import (
     MType,
     MUnit,
     MachineError,
+    MachineStats,
     Value,
     _run_guarded,
 )
-from repro.backend.stats import COUNTER_SLOTS, CompiledStats
 from repro.wire.codec import content_hash
 
 __all__ = [
@@ -491,18 +493,22 @@ class CompiledProgram:
     def code_count(self) -> int:
         return len(self.table)
 
-    def execute(self) -> tuple[Value, CompiledStats]:
+    def execute(self) -> tuple[Value, MachineStats]:
         """Run the compiled program once, returning (value, counters).
 
         Each run gets a fresh counter list; deep programs run under the
         same deep-stack guard discipline as the machine oracle.
+        ``max_frame_size`` is derived, not counted: every environment the
+        machine enters is one it allocated, except the empty one ``main``
+        starts in, so it is ``max_env_size`` once any was allocated, else 0.
         """
-        counters = [0] * COUNTER_SLOTS
+        c = [0] * 7
         if self.size > _DEEP_TERM_THRESHOLD:
-            value = _run_guarded(lambda: self.main((), counters), _deep_limit(self.size))
+            value = _run_guarded(lambda: self.main((), c), _deep_limit(self.size))
         else:
-            value = self.main((), counters)
-        return value, CompiledStats.from_counters(counters)
+            value = self.main((), c)
+        # c[0:5] are MachineStats' first five fields, in order.
+        return value, MachineStats(*c[:5], c[6] if c[5] else 0, c[5], c[6])
 
 
 def _counted_block(label: str, block: BlockFn, counts: dict[str, int]) -> BlockFn:

@@ -5,7 +5,6 @@ These utilities are deliberately language-agnostic: both the source calculus
 """
 
 from repro.common.errors import (
-    ElaborationError,
     LinkError,
     NormalizationDepthExceeded,
     ParseError,
@@ -16,7 +15,6 @@ from repro.common.errors import (
 from repro.common.names import NameSupply, base_name, fresh, is_machine_name, reset_fresh_counter
 
 __all__ = [
-    "ElaborationError",
     "LinkError",
     "NameSupply",
     "NormalizationDepthExceeded",

@@ -22,10 +22,6 @@ class ParseError(ReproError):
         super().__init__(f"parse error{location}: {message}")
 
 
-class ElaborationError(ReproError):
-    """The surface syntax was grammatical but could not be elaborated."""
-
-
 class TypeCheckError(ReproError):
     """A kernel (CC or CC-CC) rejected a term.
 

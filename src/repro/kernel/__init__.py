@@ -35,20 +35,20 @@ makes the hot paths fast:
 Every piece of mutable kernel state — the caches above, the context-token
 tables, and the fresh-name counter — is owned by a
 :class:`~repro.kernel.state.KernelState` (:mod:`repro.kernel.state`), one
-per session; :func:`current_state` resolves the one in force.  The legacy
-helpers (:func:`reset_caches`, :func:`cache_stats`,
-:func:`repro.common.names.reset_fresh_counter`) act on the active state, so
-existing callers run against the process-default session unchanged.
+per session; :func:`current_state` resolves the one in force.  The helpers
+:func:`cache_stats` and :func:`repro.common.names.reset_fresh_counter` act
+on the active state, so plain module calls run against the process-default
+session.
 """
 
 from repro.kernel.alpha import alpha_equal
 from repro.kernel.budget import DEFAULT_FUEL, Budget
-from repro.kernel.cache import DictCache, TermCache, cache_stats, reset_caches
+from repro.kernel.cache import DictCache, TermCache, cache_stats
 from repro.kernel.convert import ConversionRules, convert
 from repro.kernel.fv import free_vars
 from repro.kernel.intern import build, intern
 from repro.kernel.judgment import JudgmentCache, judgment_cache
-from repro.kernel.memo import NormalizationCache, context_token, normalization_cache
+from repro.kernel.memo import NormalizationCache, context_token
 from repro.kernel.nodespec import ChildSpec, Language, NodeSpec
 from repro.kernel.state import KernelState, activate, current_state, default_state
 from repro.kernel.substitution import subst
@@ -77,8 +77,6 @@ __all__ = [
     "free_vars",
     "intern",
     "judgment_cache",
-    "normalization_cache",
-    "reset_caches",
     "subst",
     "subterms",
     "term_size",

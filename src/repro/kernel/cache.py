@@ -11,9 +11,8 @@ collected, before its id can be recycled.
 
 Cache *instances* are owned by :class:`repro.kernel.state.KernelState` —
 one full set per session, so independent workloads never share an entry.
-The module-level helpers here (:func:`reset_caches`, :func:`cache_stats`)
-are shims over the **active** state, preserving the historical
-global-registry API for the process-default session.
+The module-level :func:`cache_stats` reads the **active** state, so it
+works for the process-default session too.
 """
 
 from __future__ import annotations
@@ -25,21 +24,7 @@ __all__ = [
     "DictCache",
     "TermCache",
     "cache_stats",
-    "reset_caches",
 ]
-
-
-def reset_caches() -> None:
-    """Clear every cache of the active kernel state.
-
-    Used by tests (via ``reset_fresh_counter``) to make cached results —
-    which may embed fresh names generated before the reset — unreachable,
-    so runs stay deterministic.  Only the active session is touched;
-    sibling sessions keep their caches warm.
-    """
-    from repro.kernel.state import current_state
-
-    current_state().clear_caches()
 
 
 def cache_stats() -> dict[str, int]:

@@ -57,7 +57,6 @@ from repro.kernel.state import current_state
 __all__ = [
     "NormalizationCache",
     "context_token",
-    "normalization_cache",
 ]
 
 _PARENT_ATTR = "_kernel_parent"
@@ -211,8 +210,3 @@ class NormalizationCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-def normalization_cache() -> NormalizationCache:
-    """The active session's normalization cache."""
-    return current_state().normalization

@@ -2,7 +2,6 @@
 
 from repro.linking.link import (
     ClosingSubstitution,
-    TargetClosingSubstitution,
     check_substitution,
     check_target_substitution,
     link,
@@ -12,7 +11,6 @@ from repro.linking.link import (
 
 __all__ = [
     "ClosingSubstitution",
-    "TargetClosingSubstitution",
     "check_substitution",
     "check_target_substitution",
     "link",

@@ -10,8 +10,8 @@ This package is the unified observability layer the ROADMAP asks for:
   with monotonic ordering, split into a deterministic ``events`` section
   (byte-identical across same-seed chaos runs) and a wall-clock
   ``timeline`` section.
-- :mod:`repro.obs.metrics` — snapshot builders and one-line summaries for
-  the endpoint's subscribable metrics stream.
+- :mod:`repro.obs.metrics` — one-line summaries of the endpoint's
+  subscribable metrics snapshots.
 
 Nothing in the default pipeline imports this package: the profile hook is
 a single slot check (``repro.api._PROFILE``) owned by the API layer, and
@@ -20,7 +20,7 @@ per-connection flags.  A process that never profiles never pays more than
 those ``None`` checks — and never even imports ``repro.obs``.
 """
 
-from repro.obs.metrics import pool_snapshot, summarize_snapshot
+from repro.obs.metrics import summarize_snapshot
 from repro.obs.profile import PHASES, Profile, activate, active
 from repro.obs.trace import (
     DETERMINISTIC_EVENTS,
@@ -37,7 +37,6 @@ __all__ = [
     "activate",
     "active",
     "deterministic_section",
-    "pool_snapshot",
     "summarize_snapshot",
     "validate_trace",
 ]

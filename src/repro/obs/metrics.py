@@ -1,36 +1,21 @@
-"""Metrics snapshots for the endpoint's subscribable telemetry stream.
+"""One-line summaries of the endpoint's metrics snapshots.
 
-A snapshot is one NDJSON-able dict: the dispatcher's full
+:meth:`repro.service.endpoint.Endpoint.metrics_snapshot` builds the
+snapshots of the subscribable telemetry stream.  A snapshot is one
+NDJSON-able dict: the dispatcher's full
 :class:`~repro.service.dispatcher.PoolStats` (including per-slot health
 and persistent-store counters), the elastic supervisor's scaling signals
-(queue depth, completion rate, memo hit rate, watermarks), and — when the
-endpoint builds it — endpoint telemetry and per-connection fair-share
-queue depths.  Snapshots are telemetry, not results: they ride the wire
+(queue depth, completion rate, memo hit rate, watermarks), and endpoint
+telemetry with per-connection fair-share queue depths.  Snapshots are telemetry, not results: they ride the wire
 as ``{"op": "metrics", ...}`` documents, out-of-band of every job result,
 so subscribing cannot perturb payload bytes or drain semantics.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any
 
-__all__ = ["pool_snapshot", "summarize_snapshot"]
-
-
-def pool_snapshot(dispatcher: Any, supervisor: Any = None) -> dict[str, Any]:
-    """One metrics snapshot of a dispatcher (and its supervisor, if any).
-
-    ``at`` is wall-clock (timeline-class data — snapshots are never part
-    of any determinism gate).
-    """
-    snapshot: dict[str, Any] = {
-        "at": time.time(),
-        "pool": dispatcher.stats().to_dict(),
-    }
-    if supervisor is not None:
-        snapshot["supervisor"] = supervisor.signals()
-    return snapshot
+__all__ = ["summarize_snapshot"]
 
 
 def summarize_snapshot(snapshot: dict[str, Any]) -> str:

@@ -139,17 +139,15 @@ def check_subject_reduction(ctx: CCContext, term: cc.Term) -> bool:
 GroundObservation = bool | int | None
 
 
-def ground_observation(term: cc.Term) -> GroundObservation:
-    """The ``≈``-observable content of a normal form at a ground type."""
-    if isinstance(term, cc.BoolLit):
-        return term.value
-    return cc.nat_value(term)
+def ground_observation(term: cc.Term | cccc.Term) -> GroundObservation:
+    """The ``≈``-observable content of a normal form at a ground type.
 
-
-def _target_ground_observation(term: cccc.Term) -> GroundObservation:
-    if isinstance(term, cccc.BoolLit):
+    ``term`` may belong to either calculus; ``v⁺ ≈ v′`` compares the two.
+    """
+    calculus = cccc if isinstance(term, cccc.Term) else cc
+    if isinstance(term, calculus.BoolLit):
         return term.value
-    return cccc.nat_value(term)
+    return calculus.nat_value(term)
 
 
 @dataclass(frozen=True)
@@ -181,7 +179,7 @@ def check_separate_compilation(
     target_value = cccc.normalize(cccc.Context.empty(), linked_target)
 
     source_obs = ground_observation(source_value)
-    target_obs = _target_ground_observation(target_value)
+    target_obs = ground_observation(target_value)
     agrees = source_obs is not None and source_obs == target_obs
     return SeparateCompilationReport(source_value, target_value, target_obs, agrees)
 

@@ -258,8 +258,6 @@ class Dispatcher:
             its worker is killed and the job handled as a crash (None disables).
         max_attempts: dispatch attempts per job before it completes as a
             failed result (a crash/timeout consumes one attempt).
-        start_method: multiprocessing start method (default: ``fork``
-            where available, else the platform default).
         name: pool label used in worker session names.
         memo_store: path of a shared persistent memo store every worker
             attaches at bootstrap (None disables the tier).  Workers open
@@ -285,7 +283,6 @@ class Dispatcher:
         max_pending: int = 256,
         job_timeout: float | None = None,
         max_attempts: int = 2,
-        start_method: str | None = None,
         name: str | None = None,
         memo_store: str | None = None,
         fault_plan: FaultPlan | Mapping[str, Any] | None = None,
@@ -303,9 +300,6 @@ class Dispatcher:
         if suspect_after < 1 or max_slot_respawns < 1:
             raise ValueError("suspect_after and max_slot_respawns must be positive")
         validate_engine(engine)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
         self.name = name or f"pool-{next(_POOL_IDS)}"
         self.engine = engine
         self.fuel = fuel
@@ -321,7 +315,9 @@ class Dispatcher:
         self.respawn_backoff_cap = respawn_backoff_cap
         self.suspect_after = suspect_after
         self.max_slot_respawns = max_slot_respawns
-        self._mp = multiprocessing.get_context(start_method)
+        # fork where available, else the platform default.
+        methods = multiprocessing.get_all_start_methods()
+        self._mp = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
         self._results = self._mp.Queue()
         self._lock = threading.Lock()
         self._space = threading.Condition(self._lock)

@@ -117,6 +117,14 @@ class Fault:
     seconds: float = 0.0
 
     def __post_init__(self) -> None:
+        if type(self.kind) is not str:
+            raise ValueError("fault field 'kind' must be a string")
+        if type(self.job_id) is not str:
+            raise ValueError("fault field 'job_id' must be a string")
+        if type(self.attempts) is not int:
+            raise ValueError("fault field 'attempts' must be an integer")
+        if type(self.seconds) not in (int, float):
+            raise ValueError("fault field 'seconds' must be a number")
         if self.kind not in FAULT_KINDS:
             expected = ", ".join(FAULT_KINDS)
             raise ValueError(f"unknown fault kind {self.kind!r} (expected one of {expected})")
@@ -137,6 +145,12 @@ class Fault:
 
     @classmethod
     def from_dict(cls, spec: Mapping[str, Any]) -> "Fault":
+        """Parse a wire spec; a missing or mistyped field is a ValueError."""
+        if not isinstance(spec, Mapping):
+            raise ValueError("a fault must be an object")
+        for name in ("kind", "job_id"):
+            if name not in spec:
+                raise ValueError(f"fault spec is missing {name!r}")
         return cls(
             kind=spec["kind"],
             job_id=spec["job_id"],
@@ -303,10 +317,13 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, spec: Mapping[str, Any]) -> "FaultPlan":
-        return cls(
-            (Fault.from_dict(entry) for entry in spec.get("faults", ())),
-            seed=spec.get("seed"),
-        )
+        """Parse a plan's wire form; a malformed plan is a ValueError."""
+        if not isinstance(spec, Mapping):
+            raise ValueError("a fault plan must be an object")
+        faults = spec.get("faults", ())
+        if not isinstance(faults, (list, tuple)):
+            raise ValueError("fault plan field 'faults' must be a list")
+        return cls((Fault.from_dict(entry) for entry in faults), seed=spec.get("seed"))
 
     @classmethod
     def coerce(cls, plan: "FaultPlan | Mapping[str, Any] | None") -> "FaultPlan | None":

@@ -122,6 +122,25 @@ class Job:
     trace: bool = False  # record a structured event trace in the result meta
 
     def __post_init__(self) -> None:
+        # Field types are checked inline, not by a schema walker: this runs
+        # several times per pooled job.  Exact ``type`` tests keep a JSON
+        # ``true`` out of the integer and number fields.
+        for name in ("kind", "id", "program", "engine", "key", "term_b64"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not str:
+                raise ValueError(f"job field {name!r} must be a string")
+        if type(self.verify) is not bool:
+            raise ValueError("job field 'verify' must be a boolean")
+        if type(self.trace) is not bool:
+            raise ValueError("job field 'trace' must be a boolean")
+        if self.fuel is not None and type(self.fuel) is not int:
+            raise ValueError("job field 'fuel' must be an integer")
+        if type(self.wire) is not int:
+            raise ValueError("job field 'wire' must be an integer")
+        if type(self.seconds) not in (int, float):
+            raise ValueError("job field 'seconds' must be a number")
+        if self.deadline is not None and type(self.deadline) not in (int, float):
+            raise ValueError("job field 'deadline' must be a number")
         if self.kind not in JOB_KINDS:
             expected = ", ".join(JOB_KINDS)
             raise ValueError(f"unknown job kind {self.kind!r} (expected one of {expected})")
@@ -175,7 +194,13 @@ class Job:
 
     @classmethod
     def from_dict(cls, spec: Mapping[str, Any]) -> "Job":
-        """Parse a wire spec; unknown fields are rejected, not ignored."""
+        """Parse a wire spec; unknown fields are rejected, not ignored.
+
+        A missing or mistyped field is a ValueError naming the field.
+        """
+        # ``dict`` first: the common case skips the slower ABC check.
+        if not isinstance(spec, (dict, Mapping)):
+            raise ValueError("a job spec must be an object")
         known = {
             "kind",
             "id",
@@ -197,9 +222,22 @@ class Job:
             raise ValueError(f"unknown job fields: {', '.join(sorted(unknown))}")
         if "kind" not in spec:
             raise ValueError("job spec is missing 'kind'")
-        interface = tuple(
-            (str(name), str(type_)) for name, type_ in spec.get("interface", ())
-        )
+        imports = spec.get("imports", {})
+        if not isinstance(imports, (dict, Mapping)) or (imports and not all(
+            type(name) is str and type(text) is str for name, text in imports.items()
+        )):
+            raise ValueError("job field 'imports' must map names to program text")
+        interface = spec.get("interface", ())
+        if not isinstance(interface, (list, tuple)) or (interface and not all(
+            isinstance(entry, (list, tuple))
+            and len(entry) == 2
+            and type(entry[0]) is str
+            and type(entry[1]) is str
+            for entry in interface
+        )):
+            raise ValueError(
+                "job field 'interface' must be a list of [name, type] string pairs"
+            )
         return cls(
             kind=spec["kind"],
             id=spec.get("id"),
@@ -208,13 +246,13 @@ class Job:
             fuel=spec.get("fuel"),
             key=spec.get("key"),
             verify=spec.get("verify", True),
-            imports=dict(spec.get("imports", {})),
-            interface=interface,
+            imports=dict(imports),
+            interface=tuple(map(tuple, interface)),
             seconds=spec.get("seconds", 0.0),
             wire=spec.get("wire", 1),
             term_b64=spec.get("term_b64"),
             deadline=spec.get("deadline"),
-            trace=bool(spec.get("trace", False)),
+            trace=spec.get("trace", False),
         )
 
 

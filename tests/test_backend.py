@@ -23,11 +23,11 @@ from repro.backend import (
     store_artifact,
     validate_backend,
 )
-from repro.backend.stats import CompiledStats
 from repro.closconv import compile_term
 from repro.common.errors import WireDecodeError
 from repro.gen.jobs import close_over, job_corpus
-from repro.machine import MachineError, hoist, machine_observation, run
+from repro.machine import MachineError, MachineStats, hoist, machine_observation, run
+from repro.surface import parse_term
 from tests.corpus import (
     CLOSED_GROUND_PROGRAMS,
     CORPUS,
@@ -70,7 +70,7 @@ def _differential(program) -> None:
     assert value == machine_value
     assert machine_observation(value) == machine_observation(machine_value)
     assert _stats_dict(stats) == _stats_dict(machine_stats)
-    assert stats.matches(machine_stats)
+    assert stats == machine_stats
 
 
 class TestCorpusDifferential:
@@ -339,16 +339,20 @@ class TestHoistInvariant:
 
 
 class TestCompiledStats:
+    """Compiled runs report the machine's own ``MachineStats``."""
+
     def test_counter_mirror_roundtrip(self):
-        counters = [10, 2, 3, 4, 5, 6, 7]
-        stats = CompiledStats.from_counters(counters)
-        assert stats.steps == 10 and stats.env_allocs == 6
-        assert stats.max_frame_size == 7  # env_allocs > 0 → widest env
-        machine = stats.to_machine()
-        assert _stats_dict(machine) == _stats_dict(stats)
-        assert stats.matches(machine)
+        program = _compile_closed(parse_term("(\\ (x : Nat). succ x) 41"))
+        _value, stats = compile_program(program).execute()
+        assert isinstance(stats, MachineStats)
+        assert stats.env_allocs > 0
+        assert stats.max_frame_size == stats.max_env_size > 0
+        assert stats == run(program)[1]
 
     def test_no_envs_means_no_frames(self):
-        stats = CompiledStats.from_counters([1, 0, 0, 0, 0, 0, 0])
+        program = _compile_closed(parse_term("succ 2"))
+        _value, stats = compile_program(program).execute()
+        assert stats.env_allocs == 0
         assert stats.max_frame_size == 0
-        assert stats.as_dict()["steps"] == 1
+        assert stats.steps > 0
+        assert stats == run(program)[1]

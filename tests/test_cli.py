@@ -211,6 +211,49 @@ class TestBatch:
         assert len(kinds) == 2 * (1 + 2)
 
 
+def _assert_one_line_error(capsys) -> None:
+    """The CLI's error contract: one ``error:`` line on stderr, no traceback."""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"kind": "check", "program": "0", "deadline": "5"}',
+            '{"kind": "link", "program": "0", "interface": 5}',
+            '{"kind": "link", "program": "0", "imports": [1, 2]}',
+            '{"kind": "check", "program": "0", "verify": "no"}',
+            '{"kind": "check", "program": "0", "trace": "no"}',
+            '{"kind": "check", "program": "0", "fuel": true}',
+            '{"kind": "sleep", "seconds": "x"}',
+            '{"kind": "check", "program": 5}',
+            "[1, 2]",
+        ],
+    )
+    def test_batch_mistyped_spec_is_a_clean_error(self, tmp_path, capsys, line):
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text(line + "\n")
+        assert main(["batch", str(jobs)]) == 1
+        _assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            '{"faults": [{"job_id": "a"}]}',
+            '{"faults": [{"kind": "kill", "job_id": "a", "attempts": "x"}]}',
+            "this is not json",
+        ],
+    )
+    def test_serve_malformed_chaos_plan_is_a_clean_error(self, tmp_path, capsys, plan):
+        path = tmp_path / "plan.json"
+        path.write_text(plan)
+        assert main(["serve", "--port", "0", "--chaos-plan", str(path)]) == 1
+        _assert_one_line_error(capsys)
+
+
 class TestArgumentHandling:
     def test_requires_input(self):
         with pytest.raises(SystemExit):

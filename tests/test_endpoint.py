@@ -125,6 +125,16 @@ class TestRoundTrip:
             finally:
                 conn.close()
 
+    def test_mistyped_field_is_a_bad_job(self):
+        with serve_background(min_workers=1) as server:
+            conn = _RawConnection(server.host, server.port)
+            try:
+                conn.send({"id": "y", "kind": "check", "program": "0", "fuel": True})
+                error = conn.recv()["error"]
+                assert error["type"] == "BadJob" and "'fuel'" in error["message"]
+            finally:
+                conn.close()
+
 
 class TestAdmission:
     def test_hard_shed_is_a_structured_overloaded_document(self):

@@ -70,7 +70,36 @@ class TestFault:
             Fault(kind="kill", job_id="j", attempts=0)
 
 
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ({"job_id": "a"}, "missing 'kind'"),
+            ({"kind": "kill"}, "missing 'job_id'"),
+            ({"kind": "kill", "job_id": "a", "attempts": "x"}, "'attempts' must be an integer"),
+            ({"kind": "kill", "job_id": "a", "attempts": True}, "'attempts' must be an integer"),
+            ({"kind": "delay", "job_id": "a", "seconds": "x"}, "'seconds' must be a number"),
+            ({"kind": "kill", "job_id": 3}, "'job_id' must be a string"),
+            ("kill", "must be an object"),
+        ],
+    )
+    def test_malformed_spec_rejected_by_name(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            Fault.from_dict(spec)
+
+
 class TestFaultPlan:
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ({"faults": [{"job_id": "a"}]}, "missing 'kind'"),
+            ({"faults": {"job_id": "a"}}, "'faults' must be a list"),
+            ([1], "must be an object"),
+        ],
+    )
+    def test_malformed_plan_rejected(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            FaultPlan.from_dict(spec)
+
     def test_generate_is_a_pure_function_of_the_seed(self):
         ids = [f"job-{index}" for index in range(24)]
         kwargs = dict(

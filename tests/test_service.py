@@ -88,6 +88,40 @@ class TestWireFormat:
         with pytest.raises(ValueError, match="needs a 'program'"):
             Job(kind="normalize")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("deadline", "5"),
+            ("interface", 5),
+            ("interface", [["n", 1]]),
+            ("imports", [1, 2]),
+            ("imports", {"n": 41}),
+            ("verify", "no"),
+            ("trace", "no"),
+            ("fuel", True),
+            ("wire", True),
+            ("seconds", "x"),
+            ("program", 5),
+            ("id", 7),
+        ],
+    )
+    def test_mistyped_field_rejected_by_name(self, field, value):
+        spec = {"kind": "link", "id": "j", "program": "n", field: value}
+        with pytest.raises(ValueError, match=f"job field '{field}'"):
+            Job.from_dict(spec)
+
+    def test_json_types_accepted(self):
+        job = Job.from_dict(
+            {"kind": "sleep", "seconds": 1, "deadline": 2.5, "fuel": 10,
+             "verify": False, "trace": True}
+        )
+        assert (job.seconds, job.deadline, job.fuel) == (1, 2.5, 10)
+        assert job.verify is False and job.trace is True
+
+    def test_non_object_spec_rejected(self):
+        with pytest.raises(ValueError, match="must be an object"):
+            Job.from_dict([1, 2])
+
     def test_result_split_and_roundtrip(self):
         result = JobResult(
             id="r", ok=True, payload={"steps": 3}, meta={"session": "w0", "attempts": 1}

@@ -9,7 +9,7 @@ import pytest
 from repro import cc, cccc
 from repro.cc import prelude
 from repro.closconv import compile_term
-from repro.common.errors import LinkError
+from repro.common.errors import LinkError, TypeCheckError
 from repro.linking import (
     ClosingSubstitution,
     check_substitution,
@@ -155,21 +155,69 @@ class TestTargetLinking:
     def test_compiled_interface_rejects_ill_typed_target_client(self, empty):
         """Type-preserving compilation's payoff: the CC-CC kernel catches a
         bad client against the *compiled* interface."""
-        from repro.linking import TargetClosingSubstitution, check_target_substitution
+        from repro.linking import check_target_substitution
 
         ctx = empty.extend("pos", prelude.positive_nat())
         result = compile_term(ctx, parse_term("fst pos"))
-        bad = TargetClosingSubstitution({"pos": cccc.nat_literal(3)})
+        bad = ClosingSubstitution({"pos": cccc.nat_literal(3)})
         with pytest.raises(LinkError):
             check_target_substitution(result.target_context, bad)
 
     def test_compiled_good_client_accepted(self, empty):
         from repro.closconv import translate
-        from repro.linking import TargetClosingSubstitution, check_target_substitution
+        from repro.linking import check_target_substitution
 
         ctx = empty.extend("pos", prelude.positive_nat())
         result = compile_term(ctx, parse_term("fst pos"))
-        good = TargetClosingSubstitution(
+        good = ClosingSubstitution(
             {"pos": translate(empty, prelude.positive_nat_value(2))}
         )
         check_target_substitution(result.target_context, good)
+
+
+#: Γ = y : Nat, two := 2 : Nat — one import and one defined import.
+_INTERFACE = (
+    cc.Context.empty().extend("y", cc.Nat()).define("two", cc.nat_literal(2), cc.Nat())
+)
+
+#: Malformed closing substitutions, built in either calculus, with the
+#: ``LinkError`` text both checks must give.
+_MALFORMED = {
+    "missing-import": (lambda lang: {}, "no substitution for import 'y'"),
+    "open-value": (
+        lambda lang: {"y": lang.Var("z")},
+        "substitution for 'y' is not closed: free variables ['z']",
+    ),
+    "wrong-type": (
+        lambda lang: {"y": lang.BoolLit(True)},
+        "substitution for 'y' has the wrong type: ",
+    ),
+    "defined-mismatch": (
+        lambda lang: {"y": lang.nat_literal(4), "two": lang.nat_literal(3)},
+        "substitution for defined import 'two' is not equivalent to its definition",
+    ),
+}
+
+
+class TestLinkingParity:
+    """One ``Γ ⊢ γ`` for both calculi: a malformed γ fails the same way in each."""
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    @pytest.mark.parametrize("lang", [cc, cccc], ids=["cc", "cccc"])
+    def test_malformed_substitution_rejected_alike(self, lang, case):
+        from repro.closconv import translate_context
+        from repro.linking import check_target_substitution
+
+        build, expected = _MALFORMED[case]
+        if lang is cc:
+            ctx, check = _INTERFACE, check_substitution
+        else:
+            ctx, check = translate_context(_INTERFACE), check_target_substitution
+        with pytest.raises(LinkError) as caught:
+            check(ctx, ClosingSubstitution(build(lang)))
+        if case == "wrong-type":
+            # The shared prefix, then the calculus's own type error.
+            with pytest.raises(TypeCheckError) as own:
+                lang.check(lang.Context.empty(), lang.BoolLit(True), lang.Nat())
+            expected += str(own.value)
+        assert str(caught.value) == expected
