@@ -403,6 +403,7 @@ def _cmd_batch(session: Session, args: argparse.Namespace) -> int:
     from contextlib import nullcontext
 
     from repro import api
+    from repro.service.jobs import Job
 
     profile_scope = nullcontext(None)
     if args.profile is not None:
@@ -418,6 +419,8 @@ def _cmd_batch(session: Session, args: argparse.Namespace) -> int:
     try:
         with profile_scope as profile:
             specs = _read_job_specs(args)
+            for spec in specs:  # rejected before --wire or --chaos-seed reads the raw dicts
+                Job.from_dict(spec)
             if args.wire == "binary":
                 from repro.gen.jobs import binary_specs
 

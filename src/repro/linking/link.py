@@ -68,11 +68,9 @@ def check_substitution(
     _check(cc, ctx, gamma, budget)
 
 
-def check_target_substitution(
-    ctx: TargetContext, gamma: ClosingSubstitution, budget: Budget | None = None
-) -> None:
+def check_target_substitution(ctx: TargetContext, gamma: ClosingSubstitution) -> None:
     """Check a CC-CC closing substitution against a translated interface."""
-    _check(cccc, ctx, gamma, budget)
+    _check(cccc, ctx, gamma, None)  # one fresh budget for the whole check, as in CC
 
 
 def link(ctx: CCContext, term: cc.Term, gamma: ClosingSubstitution) -> cc.Term:

@@ -768,12 +768,12 @@ class Dispatcher:
                 self._watch_health()
                 last_health = time.monotonic()
                 continue
-            if time.monotonic() - last_health > 0.02:
-                self._watch_health()
-                last_health = time.monotonic()
             message = json.loads(raw)
             with self._lock:
                 self._on_message_locked(message)
+            if time.monotonic() - last_health > 0.02:
+                self._watch_health()
+                last_health = time.monotonic()
 
     def _on_message_locked(self, message: Mapping[str, Any]) -> None:
         """Route one worker post (caller holds the lock)."""
@@ -885,7 +885,15 @@ class Dispatcher:
             now = time.monotonic()
             for index, slot in enumerate(self._slots):
                 if slot.state in _RUNNING and not slot.handle.process.is_alive():
-                    self._on_worker_death_locked(index, now)
+                    # A dying worker flushes its posts first: route them before
+                    # blaming, or a job whose result is still queued is charged.
+                    while True:
+                        try:
+                            self._on_message_locked(json.loads(self._results.get_nowait()))
+                        except queue_module.Empty:
+                            break
+                    if slot.state in _RUNNING:  # a drained last result may retire it
+                        self._on_worker_death_locked(index, now)
                 if slot.state in _DRAINING:
                     self._finish_retire_locked(index)
                 if slot.state in _WAITING and now >= slot.due_at:

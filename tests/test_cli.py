@@ -211,11 +211,12 @@ class TestBatch:
         assert len(kinds) == 2 * (1 + 2)
 
 
-def _assert_one_line_error(capsys) -> None:
+def _assert_one_line_error(capsys) -> str:
     """The CLI's error contract: one ``error:`` line on stderr, no traceback."""
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+    return err
 
 
 class TestMalformedInput:
@@ -233,11 +234,19 @@ class TestMalformedInput:
             "[1, 2]",
         ],
     )
-    def test_batch_mistyped_spec_is_a_clean_error(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("flags", [[], ["--wire", "binary"], ["--chaos-seed", "1"]])
+    def test_batch_mistyped_spec_is_a_clean_error(self, tmp_path, capsys, line, flags):
         jobs = tmp_path / "jobs.jsonl"
         jobs.write_text(line + "\n")
-        assert main(["batch", str(jobs)]) == 1
+        assert main(["batch", str(jobs), *flags]) == 1
         _assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("flags", [[], ["--wire", "binary"], ["--chaos-seed", "1"]])
+    def test_batch_mistyped_id_names_the_job_field(self, tmp_path, capsys, flags):
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text('{"kind": "check", "program": "0", "id": 7}\n')
+        assert main(["batch", str(jobs), *flags]) == 1
+        assert "job field 'id' must be a string" in _assert_one_line_error(capsys)
 
     @pytest.mark.parametrize(
         "plan",
