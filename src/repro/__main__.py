@@ -123,13 +123,10 @@ def _emit_json(document: dict) -> int:
 
 def _binary_extras(session: Session, **terms: "cc.Term") -> dict:
     """``{field}_b64`` wire renderings of CC ``terms`` (``--wire binary``)."""
-    from repro.wire.codec import term_to_b64
+    from repro.service.executor import _b64
 
     with session.activate():
-        return {
-            f"{name}_b64": term_to_b64(cc.ast.LANGUAGE, cc.intern(term))
-            for name, term in terms.items()
-        }
+        return {f"{name}_b64": _b64(cc, term) for name, term in terms.items()}
 
 
 def _cmd_check(session: Session, args: argparse.Namespace) -> int:
@@ -309,6 +306,16 @@ def _cmd_link(session: Session, args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_flags(*rules: tuple[str, bool, str]) -> None:
+    """The one-line error naming the first flag whose ``(flag, ok, rule)`` fails.
+
+    ``batch`` and ``serve`` check every flag before a worker spawns.
+    """
+    for flag, ok, rule in rules:
+        if not ok:
+            raise ReproError(f"{flag} must be {rule}")
+
+
 def _read_job_specs(args: argparse.Namespace) -> list[dict]:
     """Job specs for ``batch``: a JSONL/JSON file, or a generated corpus."""
     if args.file is not None:
@@ -322,8 +329,11 @@ def _read_job_specs(args: argparse.Namespace) -> list[dict]:
     from repro.gen.jobs import _DEFAULT_KINDS, build_stream, interleave
     from repro.service.jobs import PROGRAM_KINDS
 
-    if args.gen_builds < 1:
-        raise ReproError("--gen-builds must be at least 1")
+    _check_flags(
+        ("--gen-builds", args.gen_builds >= 1, "at least 1"),
+        ("--gen-count", args.gen_count >= 1, "at least 1"),
+        ("--gen-passes", args.gen_passes >= 1, "at least 1"),
+    )
     kinds = _DEFAULT_KINDS
     if args.gen_kinds is not None:
         kinds = tuple(kind.strip() for kind in args.gen_kinds.split(",") if kind.strip())
@@ -405,6 +415,11 @@ def _cmd_batch(session: Session, args: argparse.Namespace) -> int:
     from repro import api
     from repro.service.jobs import Job
 
+    _check_flags(
+        ("--workers", args.workers >= 0, "at least 0"),
+        ("--window", args.window >= 1, "at least 1"),
+        ("--job-timeout", args.job_timeout is None or args.job_timeout > 0, "positive"),
+    )
     profile_scope = nullcontext(None)
     if args.profile is not None:
         if args.workers or args.connect is not None:
@@ -481,6 +496,17 @@ def _cmd_serve(session: Session, args: argparse.Namespace) -> int:
 
     from repro.service.faults import FaultPlan
 
+    max_workers = args.min_workers if args.max_workers is None else args.max_workers
+    _check_flags(
+        ("--min-workers", args.min_workers >= 1, "at least 1"),
+        ("--max-workers", max_workers >= args.min_workers, "at least --min-workers"),
+        ("--job-timeout", args.job_timeout is None or args.job_timeout > 0, "positive"),
+        ("--conn-window", args.conn_window >= 1, "at least 1"),
+        ("--max-inflight", args.max_inflight >= args.conn_window, "at least --conn-window"),
+        ("--fuel-quota", args.fuel_quota is None or args.fuel_quota >= 0, "at least 0"),
+        ("--metrics-interval", args.metrics_interval is None or args.metrics_interval > 0,
+         "positive"),
+    )
     plan = None
     if args.chaos_plan is not None:
         with open(args.chaos_plan, encoding="utf-8") as handle:

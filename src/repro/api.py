@@ -478,7 +478,6 @@ class Session:
         program: str | cc.Term,
         ctx: cc.Context | None = None,
         verify: bool = True,
-        inline_definitions: bool = False,
     ) -> CompileResult:
         """Closure-convert ``program`` (Figure 9), verifying Theorem 5.6.
 
@@ -496,7 +495,6 @@ class Session:
                 context,
                 term,
                 verify=verify,
-                inline_definitions=inline_definitions,
                 source_budget=check_budget,
                 verify_budget=verify_budget,
             )

@@ -57,7 +57,6 @@ from repro.cc.ast import (
     Zero,
 )
 from repro.cc.context import Context
-from repro.kernel import reduction
 from repro.kernel.budget import DEFAULT_FUEL, Budget
 from repro.kernel.nbe import NbeSpec
 
@@ -94,76 +93,13 @@ _NBE = NbeSpec(
     lam_cls=Lam,
 )
 
-
-def whnf(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
-    """Reduce ``term`` to weak-head normal form under ``ctx`` (NbE engine).
-
-    Only the head position is reduced; arguments, pair components, binder
-    bodies, etc. are left untouched.  Results are memoized per (term
-    identity, context definitions); hits replay the originally recorded
-    fuel cost, so budgets behave exactly as if the reduction had re-run.
-    """
-    return reduction.whnf(_NBE, ctx, term, budget)
-
-
-def whnf_subst(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
-    """:func:`whnf` on the substitution engine (the differential oracle).
-
-    Memoized under its own cache kind so the two engines never exchange
-    results or recorded fuel.
-    """
-    return reduction.whnf_subst(_NBE, ctx, term, budget)
-
-
-def normalize(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
-    """Fully normalize ``term`` under ``ctx`` (NbE engine).
-
-    The result contains no δ/ζ/β/π/ι redexes (``let`` disappears entirely:
-    normal forms are ``let``-free).  Bound variables shadow any definitions
-    of the same name in ``ctx``; binder names are preserved unless re-using
-    one would capture, in which case a fresh name is drawn (exactly when
-    the substitution engine would α-rename).  Environment-independent
-    subcomputations are memoized per (term identity, context definitions)
-    with fuel replay on hits.
-    """
-    return reduction.normalize(_NBE, ctx, term, budget)
-
-
-def normalize_subst(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
-    """:func:`normalize` on the substitution engine (the counting oracle).
-
-    Step accounting (one unit per contraction *per occurrence*, replayed
-    on memo hits) is what :func:`normalize_counting` reports.
-    """
-    return reduction.normalize_subst(_NBE, ctx, term, budget)
-
-
-def normalize_counting(ctx: Context, term: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, int]:
-    """Normalize and also report how many reduction steps were taken.
-
-    Benchmarks use the step count as a machine-independent cost measure when
-    comparing evaluation before and after compilation (Corollary 5.8).
-    """
-    return reduction.normalize_counting(_NBE, ctx, term, fuel)
-
-
-def head_reducts(ctx: Context, term: Term) -> list[Term]:
-    """All results of applying a reduction *axiom* at the root of ``term``.
-
-    Purely syntactic except for δ, which consults ``ctx`` for definitions.
-    At most one axiom ever applies per node, so the list has length ≤ 1; a
-    list keeps the signature uniform with :func:`reducts`.
-    """
-    return reduction.head_reducts(_NBE, ctx, term)
-
-
-def reducts(ctx: Context, term: Term) -> list[Term]:
-    """All one-step reducts of ``term`` (contextual closure of the axioms).
-
-    This enumerates the full relation ``Γ ⊢ e ⊲ e′``, which the metatheory
-    properties (preservation of reduction, subject reduction) quantify over.
-    """
-    return reduction.reducts(_NBE, ctx, term)
+whnf = _NBE.whnf
+whnf_subst = _NBE.whnf_subst
+normalize = _NBE.normalize
+normalize_subst = _NBE.normalize_subst
+normalize_counting = _NBE.normalize_counting
+head_reducts = _NBE.head_reducts
+reducts = _NBE.reducts
 
 
 def reduces_to(ctx: Context, source: Term, target: Term, max_steps: int = 1000) -> bool:

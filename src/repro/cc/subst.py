@@ -9,41 +9,17 @@ The actual engine lives in the shared kernel
 (:mod:`repro.kernel.substitution`, :mod:`repro.kernel.alpha`), driven by
 the node specs registered in :mod:`repro.cc.ast`; free-variable scans come
 from the kernel's identity-keyed cache instead of a per-call traversal.
+The entry points are methods of :class:`~repro.kernel.nodespec.Language`,
+bound here for CC.
 """
 
 from __future__ import annotations
 
-from repro.cc.ast import LANGUAGE, Term, Var
-from repro.kernel import alpha as _kernel_alpha
-from repro.kernel import substitution as _kernel_subst
+from repro.cc.ast import LANGUAGE
 
 __all__ = ["alpha_equal", "rename", "subst", "subst1"]
 
-Substitution = dict[str, Term]
-
-
-def subst1(term: Term, name: str, replacement: Term) -> Term:
-    """Substitute ``replacement`` for free occurrences of ``name`` in ``term``.
-
-    This is the paper's ``e[e'/x]``.
-    """
-    return _kernel_subst.subst(LANGUAGE, term, {name: replacement})
-
-
-def rename(term: Term, old: str, new: str) -> Term:
-    """Rename free occurrences of ``old`` to ``new`` (capture-avoiding)."""
-    return _kernel_subst.subst(LANGUAGE, term, {old: Var(new)})
-
-
-def subst(term: Term, mapping: Substitution) -> Term:
-    """Apply the parallel substitution ``mapping`` to ``term``.
-
-    Names not in ``mapping`` are untouched.  The result shares unmodified
-    subterms with the input where possible.
-    """
-    return _kernel_subst.subst(LANGUAGE, term, mapping)
-
-
-def alpha_equal(left: Term, right: Term) -> bool:
-    """Structural equality of ``left`` and ``right`` up to bound names."""
-    return _kernel_alpha.alpha_equal(LANGUAGE, left, right)
+subst1 = LANGUAGE.subst1
+rename = LANGUAGE.rename
+subst = LANGUAGE.subst
+alpha_equal = LANGUAGE.alpha_equal

@@ -32,12 +32,7 @@ The n-tuple environments ``⟨e…⟩ as Σ(x:A…)`` and pattern lets
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
 
-from repro.kernel import fv as _kernel_fv  # noqa: F401 (submodule import)
-from repro.kernel import traverse as _kernel_traverse
-from repro.kernel.intern import build as _kernel_build
-from repro.kernel.intern import intern as _kernel_intern_fn
 from repro.kernel.nodespec import Language
 
 __all__ = [
@@ -276,79 +271,6 @@ class NatElim(Term):
 
 
 # --------------------------------------------------------------------------
-# Construction helpers.
-# --------------------------------------------------------------------------
-
-_UNUSED = "_"
-
-
-def arrow(domain: Term, codomain: Term) -> Pi:
-    """Non-dependent closure type ``domain → codomain``."""
-    return Pi(_UNUSED, domain, codomain)
-
-
-def make_app(fn: Term, *args: Term) -> Term:
-    """Left-nested application ``fn arg0 arg1 …``."""
-    result = fn
-    for arg in args:
-        result = App(result, arg)
-    return result
-
-
-def app_spine(term: Term) -> tuple[Term, list[Term]]:
-    """Decompose left-nested applications into ``(head, [args…])``."""
-    args: list[Term] = []
-    while isinstance(term, App):
-        args.append(term.arg)
-        term = term.fn
-    args.reverse()
-    return term, args
-
-
-def nat_literal(value: int) -> Term:
-    """Build the numeral ``succ^value zero``."""
-    if value < 0:
-        raise ValueError(f"nat_literal of negative value {value}")
-    result: Term = Zero()
-    for _ in range(value):
-        result = Succ(result)
-    return result
-
-
-def nat_value(term: Term) -> int | None:
-    """Inverse of :func:`nat_literal`; ``None`` if not a numeral."""
-    count = 0
-    while isinstance(term, Succ):
-        count += 1
-        term = term.pred
-    if isinstance(term, Zero):
-        return count
-    return None
-
-
-# --------------------------------------------------------------------------
-# Generic traversal.
-# --------------------------------------------------------------------------
-
-#: (bound names in scope for the subterm, the subterm).  Multi-binder nodes
-#: (code) list both names for the body.
-Child = tuple[tuple[str, ...], Term]
-
-
-def children(term: Term) -> list[Child]:
-    """Immediate subterms with the names the parent binds in each.
-
-    Derived from the kernel node specs registered below, so the binding
-    structure has a single source of truth.
-    """
-    spec = LANGUAGE.spec(term)
-    return [
-        (tuple(getattr(term, b) for b in child.binders), getattr(term, child.attr))
-        for child in spec.children
-    ]
-
-
-# --------------------------------------------------------------------------
 # Kernel registration: binding structure of every node, used by the shared
 # engines for free variables, substitution, α-equivalence, traversal, and
 # hash-consing (see repro.kernel).  The two-binder code forms register their
@@ -389,38 +311,15 @@ LANGUAGE.node(Succ)
 LANGUAGE.node(NatElim)
 
 
-def free_vars(term: Term) -> set[str]:
-    """The set of free variable names of ``term`` (a fresh, mutable copy).
-
-    Computed once per node and cached by identity in the kernel; prefer
-    :func:`cached_free_vars` when a shared immutable set suffices.
-    """
-    return set(_kernel_fv.free_vars(LANGUAGE, term))
-
-
-def cached_free_vars(term: Term) -> frozenset[str]:
-    """The kernel's cached free-variable set for ``term`` (shared, frozen)."""
-    return _kernel_fv.free_vars(LANGUAGE, term)
-
-
-def intern(term: Term) -> Term:
-    """The canonical (hash-consed) representative of ``term``'s α-class.
-
-    ``intern(a) is intern(b)`` exactly when ``a`` and ``b`` are α-equivalent.
-    """
-    return _kernel_intern_fn(LANGUAGE, term)
-
-
-def hashcons(cls: type, *args) -> Term:
-    """Hash-consing constructor: ``cls(*args)`` interned by structure."""
-    return _kernel_build(LANGUAGE, cls, *args)
-
-
-def subterms(term: Term) -> Iterator[Term]:
-    """Pre-order iterator over ``term`` and all of its subterms (iterative)."""
-    return _kernel_traverse.subterms(LANGUAGE, term)
-
-
-def term_size(term: Term) -> int:
-    """Number of AST nodes in ``term``."""
-    return _kernel_traverse.term_size(LANGUAGE, term)
+# The term operations, defined once on ``Language`` for both calculi.
+free_vars = LANGUAGE.free_vars
+cached_free_vars = LANGUAGE.cached_free_vars
+intern = LANGUAGE.intern
+hashcons = LANGUAGE.build
+subterms = LANGUAGE.subterms
+term_size = LANGUAGE.term_size
+arrow = LANGUAGE.arrow
+make_app = LANGUAGE.make_app
+app_spine = LANGUAGE.app_spine
+nat_literal = LANGUAGE.nat_literal
+nat_value = LANGUAGE.nat_value

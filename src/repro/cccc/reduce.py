@@ -38,14 +38,11 @@ from repro.cccc.ast import (
     Snd,
     Star,
     Succ,
-    Term,
     Unit,
     UnitVal,
     Var,
     Zero,
 )
-from repro.cccc.context import Context
-from repro.kernel import reduction
 from repro.kernel.budget import DEFAULT_FUEL, Budget
 from repro.kernel.nbe import NbeSpec
 
@@ -83,45 +80,10 @@ _NBE = NbeSpec(
     codelam_cls=CodeLam,
 )
 
-
-def whnf(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
-    """Reduce ``term`` to weak-head normal form under ``ctx`` (NbE engine).
-
-    Results are memoized per (term identity, context definitions); hits
-    replay the originally recorded fuel cost into ``budget``.
-    """
-    return reduction.whnf(_NBE, ctx, term, budget)
-
-
-def whnf_subst(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
-    """:func:`whnf` on the substitution engine (the differential oracle)."""
-    return reduction.whnf_subst(_NBE, ctx, term, budget)
-
-
-def normalize(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
-    """Fully normalize ``term`` under ``ctx`` (NbE engine).
-
-    Environment-independent subcomputations are memoized per (term
-    identity, context definitions) with fuel replay on hits.
-    """
-    return reduction.normalize(_NBE, ctx, term, budget)
-
-
-def normalize_subst(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
-    """:func:`normalize` on the substitution engine (the counting oracle)."""
-    return reduction.normalize_subst(_NBE, ctx, term, budget)
-
-
-def normalize_counting(ctx: Context, term: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, int]:
-    """Normalize and report the number of reduction steps taken."""
-    return reduction.normalize_counting(_NBE, ctx, term, fuel)
-
-
-def head_reducts(ctx: Context, term: Term) -> list[Term]:
-    """Results of applying a reduction axiom at the root (≤ 1 result)."""
-    return reduction.head_reducts(_NBE, ctx, term)
-
-
-def reducts(ctx: Context, term: Term) -> list[Term]:
-    """All one-step reducts (contextual closure of the axioms)."""
-    return reduction.reducts(_NBE, ctx, term)
+whnf = _NBE.whnf
+whnf_subst = _NBE.whnf_subst
+normalize = _NBE.normalize
+normalize_subst = _NBE.normalize_subst
+normalize_counting = _NBE.normalize_counting
+head_reducts = _NBE.head_reducts
+reducts = _NBE.reducts

@@ -6,35 +6,18 @@ scopes over both the argument annotation and the body/result.  That
 telescopic scoping is registered declaratively in :mod:`repro.cccc.ast`,
 and the shared kernel engines (:mod:`repro.kernel.substitution`,
 :mod:`repro.kernel.alpha`) handle it generically — with free-variable
-scans served from the kernel's identity-keyed cache.
+scans served from the kernel's identity-keyed cache.  The entry points are
+the methods of :class:`~repro.kernel.nodespec.Language` that
+:mod:`repro.cc.subst` binds too.
 """
 
 from __future__ import annotations
 
-from repro.cccc.ast import LANGUAGE, Term, Var
-from repro.kernel import alpha as _kernel_alpha
-from repro.kernel import substitution as _kernel_subst
+from repro.cccc.ast import LANGUAGE
 
 __all__ = ["alpha_equal", "rename", "subst", "subst1"]
 
-Substitution = dict[str, Term]
-
-
-def subst1(term: Term, name: str, replacement: Term) -> Term:
-    """The paper's ``e[e'/x]``."""
-    return _kernel_subst.subst(LANGUAGE, term, {name: replacement})
-
-
-def rename(term: Term, old: str, new: str) -> Term:
-    """Rename free occurrences of ``old`` to ``new`` (capture-avoiding)."""
-    return _kernel_subst.subst(LANGUAGE, term, {old: Var(new)})
-
-
-def subst(term: Term, mapping: Substitution) -> Term:
-    """Apply the parallel substitution ``mapping`` to ``term``."""
-    return _kernel_subst.subst(LANGUAGE, term, mapping)
-
-
-def alpha_equal(left: Term, right: Term) -> bool:
-    """Structural equality up to bound names."""
-    return _kernel_alpha.alpha_equal(LANGUAGE, left, right)
+subst1 = LANGUAGE.subst1
+rename = LANGUAGE.rename
+subst = LANGUAGE.subst
+alpha_equal = LANGUAGE.alpha_equal

@@ -62,7 +62,7 @@ from typing import Any
 
 from repro.kernel.names import fresh
 from repro.kernel import fv
-from repro.kernel.budget import Budget
+from repro.kernel.budget import DEFAULT_FUEL, Budget
 from repro.kernel.memo import context_token
 from repro.kernel.nodespec import Language
 from repro.kernel.substitution import subst
@@ -150,6 +150,10 @@ class NbeSpec:
     and ``"cc.nf.subst"``); ``active`` is every class a whnf step can act
     on, so anything else is weak-head normal without a memo probe, and
     ``scrutinee`` maps each eliminator class to the field whnf exposes.
+
+    Its methods are the reduction entry points of :mod:`repro.kernel.reduction`
+    for this calculus; ``repro.cc.reduce`` and ``repro.cccc.reduce`` bind
+    them (``whnf = _NBE.whnf``).
     """
 
     lang: Language
@@ -199,6 +203,72 @@ class NbeSpec:
         self.nf_kind = f"{self.kind}.nf"
         self.whnf_subst_kind = f"{self.kind}.whnf.subst"
         self.nf_subst_kind = f"{self.kind}.nf.subst"
+
+    def whnf(self, ctx: Any, term: Any, budget: Budget | None = None) -> Any:
+        """Reduce ``term`` to weak-head normal form under ``ctx`` (NbE engine).
+
+        Only the head position is reduced; arguments, pair components, binder
+        bodies, etc. are left untouched.  Results are memoized per (term
+        identity, context definitions); hits replay the originally recorded
+        fuel cost, so budgets behave exactly as if the reduction had re-run.
+        """
+        return _reduction.whnf(self, ctx, term, budget)
+
+    def whnf_subst(self, ctx: Any, term: Any, budget: Budget | None = None) -> Any:
+        """:meth:`whnf` on the substitution engine (the differential oracle).
+
+        Memoized under its own cache kind so the two engines never exchange
+        results or recorded fuel.
+        """
+        return _reduction.whnf_subst(self, ctx, term, budget)
+
+    def normalize(self, ctx: Any, term: Any, budget: Budget | None = None) -> Any:
+        """Fully normalize ``term`` under ``ctx`` (NbE engine).
+
+        The result contains no δ/ζ/β/π/ι redexes (``let`` disappears entirely:
+        normal forms are ``let``-free).  Bound variables shadow any definitions
+        of the same name in ``ctx``; binder names are preserved unless re-using
+        one would capture, in which case a fresh name is drawn (exactly when
+        the substitution engine would α-rename).  Environment-independent
+        subcomputations are memoized per (term identity, context definitions)
+        with fuel replay on hits.
+        """
+        return _reduction.normalize(self, ctx, term, budget)
+
+    def normalize_subst(self, ctx: Any, term: Any, budget: Budget | None = None) -> Any:
+        """:meth:`normalize` on the substitution engine (the counting oracle).
+
+        Step accounting (one unit per contraction *per occurrence*, replayed
+        on memo hits) is what :meth:`normalize_counting` reports.
+        """
+        return _reduction.normalize_subst(self, ctx, term, budget)
+
+    def normalize_counting(
+        self, ctx: Any, term: Any, fuel: int = DEFAULT_FUEL
+    ) -> tuple[Any, int]:
+        """Normalize and also report how many reduction steps were taken.
+
+        Benchmarks use the step count as a machine-independent cost measure when
+        comparing evaluation before and after compilation (Corollary 5.8).
+        """
+        return _reduction.normalize_counting(self, ctx, term, fuel)
+
+    def head_reducts(self, ctx: Any, term: Any) -> list[Any]:
+        """All results of applying a reduction *axiom* at the root of ``term``.
+
+        Purely syntactic except for δ, which consults ``ctx`` for definitions.
+        At most one axiom ever applies per node, so the list has length ≤ 1; a
+        list keeps the signature uniform with :meth:`reducts`.
+        """
+        return _reduction.head_reducts(self, ctx, term)
+
+    def reducts(self, ctx: Any, term: Any) -> list[Any]:
+        """All one-step reducts of ``term`` (contextual closure of the axioms).
+
+        This enumerates the full relation ``Γ ⊢ e ⊲ e′``, which the metatheory
+        properties (preservation of reduction, subject reduction) quantify over.
+        """
+        return _reduction.reducts(self, ctx, term)
 
 
 # --------------------------------------------------------------------------
@@ -1080,3 +1150,8 @@ def value_scopes(spec: NbeSpec, node: Any, env: dict) -> tuple[list[str], list[d
         names.append(name)
         envs.append(current)
     return names, envs
+
+
+# The reduction entry points import this module for ``NbeSpec``, so they are
+# bound here, after it is defined.
+from repro.kernel import reduction as _reduction  # noqa: E402

@@ -297,6 +297,8 @@ class Dispatcher:
             raise ValueError("max_pending must be at least the worker count")
         if max_attempts < 1:
             raise ValueError("max_attempts must be positive")
+        if job_timeout is not None and job_timeout <= 0:
+            raise ValueError("job_timeout must be positive seconds")
         if suspect_after < 1 or max_slot_respawns < 1:
             raise ValueError("suspect_after and max_slot_respawns must be positive")
         validate_engine(engine)

@@ -168,6 +168,18 @@ class _Record:
         self.delivering = False
 
 
+def _check_limits(
+    conn_window: int, max_inflight: int, fuel_quota: int | None, metrics_interval: float | None
+) -> None:
+    """Reject bad :class:`Endpoint` limits; ``_build`` checks before any worker spawns."""
+    if conn_window < 1 or max_inflight < conn_window:
+        raise ValueError("need 1 <= conn_window <= max_inflight")
+    if fuel_quota is not None and fuel_quota < 0:
+        raise ValueError("fuel_quota must not be negative")
+    if metrics_interval is not None and metrics_interval <= 0:
+        raise ValueError("metrics_interval must be positive seconds")
+
+
 class Endpoint:
     """The asyncio NDJSON server fronting one :class:`Dispatcher`.
 
@@ -208,10 +220,7 @@ class Endpoint:
         supervisor: ElasticSupervisor | None = None,
         metrics_interval: float | None = None,
     ) -> None:
-        if conn_window < 1 or max_inflight < conn_window:
-            raise ValueError("need 1 <= conn_window <= max_inflight")
-        if metrics_interval is not None and metrics_interval <= 0:
-            raise ValueError("metrics_interval must be positive seconds")
+        _check_limits(conn_window, max_inflight, fuel_quota, metrics_interval)
         self.dispatcher = dispatcher
         self.host = host
         self.port = port
@@ -693,9 +702,15 @@ def _build(
     metrics_interval: float | None = None,
     **dispatcher_options: Any,
 ) -> Endpoint:
-    """Construct the dispatcher + supervisor + endpoint stack for ``serve``."""
+    """Construct the dispatcher + supervisor + endpoint stack for ``serve``.
+
+    Every limit is checked before the dispatcher spawns its workers.
+    """
     if max_workers is None:
         max_workers = min_workers
+    if max_workers < min_workers:
+        raise ValueError("need min_workers <= max_workers")
+    _check_limits(conn_window, max_inflight, fuel_quota, metrics_interval)
     dispatcher = Dispatcher(
         workers=min_workers,
         engine=engine,

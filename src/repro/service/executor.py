@@ -40,6 +40,7 @@ from __future__ import annotations
 import re
 import time
 from contextlib import contextmanager, nullcontext
+from types import ModuleType
 from typing import TYPE_CHECKING, Any
 
 from repro import cc, cccc
@@ -54,32 +55,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["execute_job"]
 
 
-def _canon_cc(term: cc.Term) -> str:
-    """α-canonical rendering of a CC term (deterministic across sessions)."""
-    return cc.pretty(cc.intern(term))
+def _canon(calculus: ModuleType, term: Any) -> str:
+    """α-canonical rendering of a ``calculus`` term (deterministic across sessions)."""
+    return calculus.pretty(calculus.intern(term))
 
 
-def _canon_cccc(term: cccc.Term) -> str:
-    """α-canonical rendering of a CC-CC term."""
-    return cccc.pretty(cccc.intern(term))
-
-
-def _b64_cc(term: cc.Term) -> str:
-    """Binary DAG rendering of a CC term's interned representative.
+def _b64(calculus: ModuleType, term: Any) -> str:
+    """Binary DAG rendering of a ``calculus`` term's interned representative.
 
     As deterministic as the pretty text: the encoder is canonical and the
     interned representative is a pure function of the α-class.
     """
     from repro.wire.codec import term_to_b64
 
-    return term_to_b64(cc.ast.LANGUAGE, cc.intern(term))
-
-
-def _b64_cccc(term: cccc.Term) -> str:
-    """Binary DAG rendering of a CC-CC term's interned representative."""
-    from repro.wire.codec import term_to_b64
-
-    return term_to_b64(cccc.ast.LANGUAGE, cccc.intern(term))
+    return term_to_b64(calculus.ast.LANGUAGE, calculus.intern(term))
 
 
 def _ingest(job: Job) -> cc.Term:
@@ -202,7 +191,7 @@ def _run_payload(result: Any) -> dict[str, Any]:
     pooled run renders byte-for-byte what a cold solo run renders.
     """
     return {
-        "term": _canon_cc(result.source),
+        "term": _canon(cc, result.source),
         "value": result.observed,
         "code_blocks": result.code_count,
         "machine_steps": result.machine_steps,
@@ -250,50 +239,50 @@ def _dispatch(session: "Session", job: Job) -> dict[str, Any]:
     with session.activate():
         term = _ingest(job)
         if job.kind == "parse":
-            payload = {"term": _canon_cc(term)}
+            payload = {"term": _canon(cc, term)}
             if binary:
-                payload["term_b64"] = _b64_cc(term)
+                payload["term_b64"] = _b64(cc, term)
             return payload
         if job.kind == "check":
             result = session.check(term)
             payload = {
-                "term": _canon_cc(result.term),
-                "type": _canon_cc(result.type_),
+                "term": _canon(cc, result.term),
+                "type": _canon(cc, result.type_),
                 "steps": result.steps,
             }
             if binary:
-                payload["term_b64"] = _b64_cc(result.term)
-                payload["type_b64"] = _b64_cc(result.type_)
+                payload["term_b64"] = _b64(cc, result.term)
+                payload["type_b64"] = _b64(cc, result.type_)
             return payload
         if job.kind == "normalize":
             result = session.normalize(term, engine=job.engine)
             payload = {
-                "term": _canon_cc(result.term),
-                "normal": _canon_cc(result.value),
-                "type": _canon_cc(result.type_),
+                "term": _canon(cc, result.term),
+                "normal": _canon(cc, result.value),
+                "type": _canon(cc, result.type_),
                 "steps": result.steps,
                 "check_steps": result.check_steps,
                 "engine": result.engine,
             }
             if binary:
-                payload["term_b64"] = _b64_cc(result.term)
-                payload["normal_b64"] = _b64_cc(result.value)
+                payload["term_b64"] = _b64(cc, result.term)
+                payload["normal_b64"] = _b64(cc, result.value)
             return payload
         if job.kind == "compile":
             result = session.compile(term, verify=job.verify)
             payload = {
-                "term": _canon_cc(result.compilation.source),
-                "type": _canon_cc(result.compilation.source_type),
-                "target": _canon_cccc(result.target),
-                "target_type": _canon_cccc(result.target_type),
+                "term": _canon(cc, result.compilation.source),
+                "type": _canon(cc, result.compilation.source_type),
+                "target": _canon(cccc, result.target),
+                "target_type": _canon(cccc, result.target_type),
                 "verified": result.verified,
                 "steps": result.steps,
                 "check_steps": result.check_steps,
                 "verify_steps": result.verify_steps,
             }
             if binary:
-                payload["term_b64"] = _b64_cc(result.compilation.source)
-                payload["target_b64"] = _b64_cccc(result.target)
+                payload["term_b64"] = _b64(cc, result.compilation.source)
+                payload["target_b64"] = _b64(cccc, result.target)
             return payload
         if job.kind == "run":
             result = session.run(term, verify=job.verify)
@@ -316,12 +305,12 @@ def _dispatch(session: "Session", job: Job) -> dict[str, Any]:
             }
             result = session.link(ctx, term, imports)
             payload = {
-                "term": _canon_cc(result.term),
-                "type": _canon_cc(result.type_),
+                "term": _canon(cc, result.term),
+                "type": _canon(cc, result.type_),
                 "steps": result.steps,
                 "imports_linked": len(job.imports),
             }
             if binary:
-                payload["term_b64"] = _b64_cc(result.term)
+                payload["term_b64"] = _b64(cc, result.term)
             return payload
     raise AssertionError(f"unhandled job kind {job.kind!r}")  # pragma: no cover

@@ -90,7 +90,6 @@ JOB_KINDS = (
 PROGRAM_KINDS = frozenset(
     {"parse", "check", "normalize", "compile", "run", "compile_py", "link"}
 )
-_PROGRAM_KINDS = PROGRAM_KINDS  # historical name
 
 #: Wire-format versions this build speaks.  Version 1 is the original
 #: text-only format (``program`` carries surface syntax); version 2 adds

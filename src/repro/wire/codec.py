@@ -318,11 +318,10 @@ def decode_term(lang: Language, data: bytes) -> Any:
         raise WireDecodeError(
             f"language mismatch: buffer encodes {encoded_lang!r}, expected {lang.name!r}"
         )
-    by_name = {cls.__name__: cls for cls in lang.specs}
     classes: list[type] = []
     for _ in range(reader.varint()):
         name = reader.string()
-        cls = by_name.get(name)
+        cls = lang.by_name.get(name)
         if cls is None:
             raise WireDecodeError(f"unknown node class {name!r} for language {lang.name!r}")
         classes.append(cls)

@@ -263,6 +263,39 @@ class TestMalformedInput:
         _assert_one_line_error(capsys)
 
 
+class TestBadFlags:
+    """Bad ``serve``/``batch`` values: one ``error:`` line naming the flag."""
+
+    @pytest.fixture(autouse=True)
+    def _no_server(self, monkeypatch):
+        # A value the checks miss would start a server that never returns.
+        def refuse(*args, **kwargs):
+            raise AssertionError("serve started despite a bad flag")
+
+        monkeypatch.setattr("repro.service.endpoint.serve", refuse)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["serve", "--port", "0", "--conn-window", "0"], "--conn-window"),
+            (["serve", "--port", "0", "--max-inflight", "0"], "--max-inflight"),
+            (["serve", "--port", "0", "--min-workers", "0"], "--min-workers"),
+            (["serve", "--port", "0", "--metrics-interval", "-1"], "--metrics-interval"),
+            (["serve", "--port", "0", "--max-workers", "0"], "--max-workers"),
+            (["serve", "--port", "0", "--job-timeout", "-1"], "--job-timeout"),
+            (["serve", "--port", "0", "--fuel-quota", "-5"], "--fuel-quota"),
+            (["batch", "--window", "0"], "--window"),
+            (["batch", "--workers", "-1"], "--workers"),
+            (["batch", "--job-timeout", "0"], "--job-timeout"),
+            (["batch", "--gen-count", "-3"], "--gen-count"),
+            (["batch", "--gen-passes", "0"], "--gen-passes"),
+        ],
+    )
+    def test_bad_flag_is_a_clean_error(self, capsys, argv, flag):
+        assert main(argv) == 1
+        assert _assert_one_line_error(capsys).startswith(f"error: {flag} ")
+
+
 class TestArgumentHandling:
     def test_requires_input(self):
         with pytest.raises(SystemExit):

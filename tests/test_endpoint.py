@@ -137,6 +137,30 @@ class TestRoundTrip:
 
 
 class TestAdmission:
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"conn_window": 0},
+            {"max_inflight": 0},
+            {"max_workers": 0, "min_workers": 1},
+            {"fuel_quota": -5},
+            {"metrics_interval": -1},
+        ],
+    )
+    def test_bad_limits_fail_before_any_worker_spawns(self, monkeypatch, options):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker pool was built")
+
+        monkeypatch.setattr("repro.service.endpoint.Dispatcher", refuse)
+        with pytest.raises(ValueError):
+            serve_background(**options)
+
+    def test_non_positive_job_timeout_is_rejected(self):
+        from repro.service.dispatcher import Dispatcher
+
+        with pytest.raises(ValueError, match="job_timeout"):
+            Dispatcher(workers=1, job_timeout=0)
+
     def test_hard_shed_is_a_structured_overloaded_document(self):
         # Two connections, each windowed at 2, against a hard limit of 2:
         # the first fills the endpoint, the second is shed immediately.

@@ -16,6 +16,8 @@ Covers the tentpole invariants:
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from repro import api, cc, cccc
@@ -514,3 +516,37 @@ class TestDeepPretty:
         with pytest.raises(TypeCheckError) as excinfo:
             cc.infer(empty, term)
         assert str(excinfo.value)
+
+
+#: Every calculus-generic entry point, by the module that binds it from its
+#: calculus's kernel descriptor (``LANGUAGE`` or the reduction ``_NBE``).
+_BOUND = {
+    "ast": (
+        "free_vars", "cached_free_vars", "intern", "hashcons", "subterms", "term_size",
+        "arrow", "make_app", "app_spine", "nat_literal", "nat_value",
+    ),
+    "subst": ("subst", "subst1", "rename", "alpha_equal"),
+    "reduce": (
+        "whnf", "whnf_subst", "normalize", "normalize_subst", "normalize_counting",
+        "head_reducts", "reducts",
+    ),
+}
+
+
+class TestOneDefinition:
+    """CC and CC-CC bind one definition of each entry point, not twins."""
+
+    @pytest.mark.parametrize(
+        "module, name", [(module, name) for module, names in _BOUND.items() for name in names]
+    )
+    def test_entry_point_is_defined_once(self, module, name):
+        # ``repro.cc.subst`` is shadowed on the package by the function.
+        source = getattr(importlib.import_module(f"repro.cc.{module}"), name)
+        target = getattr(importlib.import_module(f"repro.cccc.{module}"), name)
+        assert source.__func__ is target.__func__
+        owner = cc.reduce._NBE if module == "reduce" else cc.ast.LANGUAGE
+        assert source.__self__ is owner
+
+    def test_by_name_maps_every_registered_class(self):
+        for lang in (cc.ast.LANGUAGE, cccc.ast.LANGUAGE):
+            assert lang.by_name == {cls.__name__: cls for cls in lang.specs}
