@@ -146,7 +146,7 @@ _TYPING_KINDS = ("cc.infer", "cc.check", "cc.universe")
 def test_judgment_memo_traffic(monkeypatch):
     """Every typing-memo kind still probed hits; CC-CC probes only at its entry.
 
-    One session checks and runs a fixed program set twice, in three forms:
+    One session checks and compiles a fixed program set twice, in three forms:
     surface text (re-parsed per call into the session's hash-consed
     nodes), interned terms, and terms decoded from the binary wire.  All
     three are hash-consed DAGs.  Probes and hits are counted per kind and
@@ -183,7 +183,7 @@ def test_judgment_memo_traffic(monkeypatch):
         for _ in range(2):
             for program in programs:
                 session.check(program)
-                compiled = session.run(program).compile_result.compilation
+                compiled = session.compile(program).compilation
                 verifications += 1
                 with session.activate():
                     # A repeated public CC-CC judgment on the same objects.
@@ -198,7 +198,7 @@ def test_judgment_memo_traffic(monkeypatch):
         key: count for key, count in probes.items()
         if key[1].startswith("cccc.") and key[1] != "cccc.equiv"
     }
-    # One probe per public call: the verification inside run and the
+    # One probe per public call: the verification inside compile and the
     # explicit repeat, each a public ``cccc.infer``.
     assert set(kind for _, kind in cccc_typing) == {"cccc.infer.nbe"}
     assert sum(cccc_typing.values()) == verifications

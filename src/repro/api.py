@@ -44,6 +44,7 @@ from typing import Any, Mapping
 from repro import cc, cccc
 from repro.backend import (
     ArtifactMeta,
+    CompiledProgram,
     artifact_key,
     compile_program,
     load_artifact,
@@ -55,7 +56,7 @@ from repro.closconv.pipeline import CompilationResult, compile_term
 from repro.kernel.budget import DEFAULT_FUEL, Budget
 from repro.kernel.state import KernelState, activate, default_state, validate_engine
 from repro.linking.link import ClosingSubstitution, check_substitution, link
-from repro.machine import MachineStats, Program, hoist, machine_observation, run
+from repro.machine import Program, hoist, machine_observation, run
 from repro.surface import parse_term
 
 __all__ = [
@@ -204,11 +205,13 @@ class RunResult:
     ``"machine"`` (the interpreting CBV oracle) or ``"compiled"`` (staged
     host closures, :mod:`repro.backend`).  Both backends report
     a :class:`~repro.machine.machine.MachineStats`, and their equality is
-    the compiled backend's differential contract.  On a warm
-    artifact-cache hit the pipeline never re-compiles, so
-    ``compile_result`` is None there; the flat ``check_steps``/
-    ``verify_steps``/``verified`` fields (replayed from the artifact) are
-    the stable surface either way.
+    the compiled backend's differential contract.  On a warm hit — the
+    session's run memo on either backend (keyed on the text or the term's
+    identity plus ``verify``; bypassed by profiled and open-context runs;
+    emptied by ``reset``), or an artifact-cache hit on the compiled one —
+    the pipeline never re-compiles, so ``compile_result`` is None there;
+    the flat ``check_steps``/``verify_steps``/``verified`` fields
+    (replayed from the recorded fuel) are the stable surface either way.
     """
 
     compile_result: CompileResult | None
@@ -498,11 +501,6 @@ class Session:
                 source_budget=check_budget,
                 verify_budget=verify_budget,
             )
-            diagnostics = (
-                ("target re-checked against the translated type (Theorem 5.6)",)
-                if verify
-                else ("verification skipped (verify=False)",)
-            )
             hits = self._hit_delta(before)
             profile = _PROFILE[0]
             if profile is not None:
@@ -519,7 +517,7 @@ class Session:
                 engine=self.engine,
                 session=self.name,
                 cache_hits=hits,
-                diagnostics=diagnostics,
+                diagnostics=_compile_diagnostics(verify),
             )
 
     def run(
@@ -533,148 +531,116 @@ class Session:
 
         ``engine`` picks the execution backend: ``"machine"`` (default)
         interprets on the CBV abstract machine; ``"compiled"`` stages the
-        hoisted program into host Python closures (:mod:`repro.backend`),
-        consulting the per-session and persistent artifact caches first —
-        a warm hit skips type checking, closure conversion, verification,
-        and hoisting entirely, replaying the cold run's recorded fuel so
-        its result document is byte-identical.  Values, error documents,
-        and every cost counter agree across backends.
+        hoisted program into host Python closures (:mod:`repro.backend`).
+        Values, error documents, and every cost counter agree across
+        backends.
+
+        Both backends first consult the session's run memo, keyed on the
+        program as given — the text string itself (so a hit skips the
+        parser too) or the identity of a term — plus ``verify``.  An entry
+        pins its source term and holds the hoisted program, the recorded
+        check/verify fuel and, once the compiled backend has used it, the
+        staged program.  A hit skips type checking, closure conversion,
+        verification and hoisting, and charges the recorded fuel into
+        fresh budgets, so a fuel-starved session fails at exactly the step
+        a cold run would; its document is the cold one's except for
+        ``cache_hits``.  On a miss the compiled backend first looks the
+        program's α-class up in the per-session and persistent artifact
+        caches.  Entries live until :meth:`reset`, like the artifact
+        cache.  Profiled runs and runs under a non-empty ``ctx`` neither
+        read nor fill either cache.
         """
         backend = validate_backend(engine if engine is not None else "machine")
-        if backend == "compiled":
-            return self._run_compiled(program, ctx=ctx, verify=verify)
         with self.activate():
-            compiled = self.compile(program, ctx=ctx, verify=verify)
-            hoisted = hoist(compiled.target)
-            label_counts: dict[str, int] | None = {} if _PROFILE[0] is not None else None
-            value, stats = run(hoisted, label_counts=label_counts)
-            return self._run_result(
-                hoisted,
-                value,
-                stats,
-                label_counts,
-                ArtifactMeta(compiled.check_steps, compiled.verify_steps, compiled.verified),
-                compile_result=compiled,
-                source=compiled.compilation.source,
-                backend="machine",
-                cache_hits=dict(compiled.cache_hits),
-                diagnostics=compiled.diagnostics,
-            )
-
-    def _run_compiled(
-        self,
-        program: str | cc.Term,
-        ctx: cc.Context | None,
-        verify: bool,
-    ) -> RunResult:
-        """The ``engine="compiled"`` half of :meth:`run`.
-
-        Artifacts are keyed on the interned source term plus the compile
-        options, so only closed programs (the empty context — every
-        service job, after :func:`repro.gen.jobs.close_over`) are cached;
-        an open-context run compiles fresh and skips the cache.  A warm
-        hit charges the artifact's recorded check/verify fuel into fresh
-        budgets, so a fuel-starved session fails at exactly the step a
-        cold compile would have.
-        """
-        with self.activate():
-            term = self._coerce(program)
-            source = cc.intern(term)
             profile = _PROFILE[0]
-            cacheable = (ctx is None or len(ctx) == 0) and profile is None
-            # Profiled runs stage a freshly *instrumented* program: its
-            # block closures carry the per-label counter dict, so it must
-            # neither come from nor enter the artifact caches.  Results
-            # are unaffected — cold and warm runs are byte-identical by
-            # the artifact tier's fuel-replay contract.
+            # A profiled run executes a freshly *instrumented* program (the
+            # per-label counter dict rides the machine loop or the staged
+            # block closures), so it must neither come from nor enter a
+            # cache.  Results are unaffected: warm runs replay cold fuel.
             label_counts: dict[str, int] | None = {} if profile is not None else None
-            key = (
-                artifact_key(source, engine=self.engine, verify=verify)
-                if cacheable
-                else None
-            )
+            cacheable = (ctx is None or len(ctx) == 0) and profile is None
+            memo = self._state.dict_cache("api.run_memo") if cacheable else None
+            key = (program if isinstance(program, str) else id(program), verify)
             before = self._state.hit_counts()
-            cached = load_artifact(self._state, key) if key is not None else None
-            if cached is not None:
-                compiled_program, meta = cached
-                compile_result = None
+            entry = memo.get(key) if memo is not None else None
+            compile_result = artifact = found = None
+            if entry is None:
+                term = self._coerce(program)
+                if backend == "compiled" and cacheable:
+                    artifact, found = self._cached_artifact(term, verify)
+                if found is not None:
+                    staged, meta = found
+                    entry = _RunEntry(term, staged.program, meta, staged)
+                else:
+                    compile_result = self.compile(term, ctx=ctx, verify=verify)
+                    meta = ArtifactMeta(
+                        check_steps=compile_result.check_steps,
+                        verify_steps=compile_result.verify_steps,
+                        verified=compile_result.verified,
+                    )
+                    entry = _RunEntry(term, hoist(compile_result.target), meta)
+                if memo is not None:
+                    memo[key] = entry
+            meta = entry.meta
+            if compile_result is None:
                 # Replay the recorded fuel: same budgets, same order, same
                 # exhaustion point as the cold compile.
-                check_budget = self.budget()
-                check_budget.charge(meta.check_steps)
-                verify_budget = self.budget()
-                verify_budget.charge(meta.verify_steps)
+                self.budget().charge(meta.check_steps)
+                self.budget().charge(meta.verify_steps)
+            if backend == "machine":
+                hoisted, digest = entry.program, None
+                value, stats = run(hoisted, label_counts=label_counts)
+                source = entry.source
+                diagnostics = _compile_diagnostics(meta.verified)
             else:
-                compile_result = self.compile(term, ctx=ctx, verify=verify)
-                hoisted = hoist(compile_result.target)
-                compiled_program = compile_program(hoisted, label_counts=label_counts)
-                meta = ArtifactMeta(
-                    check_steps=compile_result.check_steps,
-                    verify_steps=compile_result.verify_steps,
-                    verified=compile_result.verified,
+                if entry.staged is None:
+                    if cacheable and artifact is None:  # a machine run made the entry
+                        artifact, found = self._cached_artifact(entry.source, verify)
+                    if found is not None:
+                        entry.staged = found[0]
+                    else:
+                        entry.staged = compile_program(entry.program, label_counts=label_counts)
+                        if artifact is not None:
+                            store_artifact(self._state, artifact, entry.staged, meta)
+                hoisted, digest = entry.staged.program, entry.staged.source_hash
+                value, stats = entry.staged.execute()
+                # α-canonical: an artifact hit never sees the original spelling.
+                source = cc.intern(entry.source)
+                diagnostics = (
+                    f"compiled {hoisted.code_count} code block(s) "
+                    f"to host closures (artifact {digest})",
                 )
-                if key is not None:
-                    store_artifact(self._state, key, compiled_program, meta)
-            value, stats = compiled_program.execute()
-            return self._run_result(
-                compiled_program.program,
-                value,
-                stats,
-                label_counts,
-                meta,
+            if profile is not None:
+                profile.phase("hoist", weight=hoisted.code_count)
+                profile.phase(
+                    "execute",
+                    weight=stats.steps,
+                    counters=asdict(stats),
+                    labels=label_counts,
+                )
+            return RunResult(
                 compile_result=compile_result,
+                program=hoisted,
                 source=source,
-                backend="compiled",
-                artifact=compiled_program.source_hash,
+                value=value,
+                observation=machine_observation(value),
+                machine_steps=stats.steps,
+                closure_allocs=stats.closure_allocs,
+                tuple_allocs=stats.tuple_allocs,
+                projections=stats.projections,
+                env_allocs=stats.env_allocs,
+                max_env_size=stats.max_env_size,
+                compile_steps=meta.check_steps + meta.verify_steps,
+                check_steps=meta.check_steps,
+                verify_steps=meta.verify_steps,
+                verified=meta.verified,
+                engine=self.engine,
+                backend=backend,
+                session=self.name,
+                artifact=digest,
                 cache_hits=self._hit_delta(before),
-                diagnostics=(
-                    f"compiled {compiled_program.code_count} code block(s) "
-                    f"to host closures (artifact {compiled_program.source_hash})",
-                ),
+                diagnostics=diagnostics,
             )
-
-    def _run_result(
-        self,
-        program: Program,
-        value: Any,
-        stats: MachineStats,
-        label_counts: dict[str, int] | None,
-        meta: ArtifactMeta,
-        **fields: Any,
-    ) -> RunResult:
-        """Profile the hoist/execute phases and assemble a :class:`RunResult`.
-
-        Both backends report through here, so their documents cannot drift
-        apart; ``fields`` carries what differs per backend (compile result,
-        source, backend name, artifact, cache hits, diagnostics).
-        """
-        profile = _PROFILE[0]
-        if profile is not None:
-            profile.phase("hoist", weight=program.code_count)
-            profile.phase(
-                "execute",
-                weight=stats.steps,
-                counters=asdict(stats),
-                labels=label_counts,
-            )
-        return RunResult(
-            program=program,
-            value=value,
-            observation=machine_observation(value),
-            machine_steps=stats.steps,
-            closure_allocs=stats.closure_allocs,
-            tuple_allocs=stats.tuple_allocs,
-            projections=stats.projections,
-            env_allocs=stats.env_allocs,
-            max_env_size=stats.max_env_size,
-            compile_steps=meta.check_steps + meta.verify_steps,
-            check_steps=meta.check_steps,
-            verify_steps=meta.verify_steps,
-            verified=meta.verified,
-            engine=self.engine,
-            session=self.name,
-            **fields,
-        )
 
     def link(
         self,
@@ -752,6 +718,34 @@ class Session:
     def _hit_delta(self, before: dict[str, int]) -> dict[str, int]:
         after = self._state.hit_counts()
         return {name: after[name] - before.get(name, 0) for name in after}
+
+    def _cached_artifact(
+        self, term: cc.Term, verify: bool
+    ) -> tuple[bytes, tuple[CompiledProgram, ArtifactMeta] | None]:
+        """``term``'s α-keyed artifact-cache key and the cached artifact, if any."""
+        key = artifact_key(cc.intern(term), engine=self.engine, verify=verify)
+        return key, load_artifact(self._state, key)
+
+
+@dataclass
+class _RunEntry:
+    """One program in a session's run memo (see :meth:`Session.run`).
+
+    ``source`` pins the ingested term, so an identity key stays valid for
+    the entry's lifetime; ``staged`` is filled the first time the compiled
+    backend runs the entry.
+    """
+
+    source: cc.Term
+    program: Program
+    meta: ArtifactMeta
+    staged: CompiledProgram | None = None
+
+
+def _compile_diagnostics(verify: bool) -> tuple[str, ...]:
+    if verify:
+        return ("target re-checked against the translated type (Theorem 5.6)",)
+    return ("verification skipped (verify=False)",)
 
 
 # --------------------------------------------------------------------------

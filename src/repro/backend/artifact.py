@@ -32,7 +32,7 @@ document — including the position of a fuel-exhaustion error — is
 byte-identical to the cold one.
 
 The in-memory half is a per-session dict on the
-:class:`~repro.kernel.state.KernelState` (registered as a state cache, so
+:class:`~repro.kernel.state.KernelState` (its ``dict_cache``, so
 ``clear_caches``/``reset`` empty it like any other): key → live
 :class:`CompiledProgram`, so repeated warm runs in one session skip even
 the decode+staging pass.
@@ -49,7 +49,6 @@ from repro.backend.compile import CompiledProgram, compile_program
 from repro.cc.ast import LANGUAGE as CC_LANGUAGE
 from repro.cccc.ast import LANGUAGE as CCCC_LANGUAGE
 from repro.common.errors import ReproError, WireDecodeError
-from repro.kernel.cache import DictCache
 from repro.machine.hoist import Program
 from repro.wire.codec import (
     _Reader,
@@ -165,15 +164,8 @@ def decode_artifact(data: bytes) -> tuple[Program, ArtifactMeta]:
 
 # -- per-session cache plumbing ----------------------------------------------
 
-
-def _memory_cache(state: Any) -> dict[bytes, tuple[CompiledProgram, ArtifactMeta]]:
-    """The session's key → live compiled program cache (created on demand)."""
-    cache = getattr(state, "backend_compiled", None)
-    if cache is None:
-        cache = {}
-        state.backend_compiled = cache
-        state.register(DictCache("backend.compiled", cache))
-    return cache
+#: The state's key → (live compiled program, meta) cache.
+_MEMORY = "backend.compiled"
 
 
 def load_artifact(state: Any, key: bytes) -> tuple[CompiledProgram, ArtifactMeta] | None:
@@ -184,7 +176,7 @@ def load_artifact(state: Any, key: bytes) -> tuple[CompiledProgram, ArtifactMeta
     undecodable or uncompilable row is a miss, never an error — the same
     degradation contract as the memo tier.
     """
-    cache = _memory_cache(state)
+    cache = state.dict_cache(_MEMORY)
     found = cache.get(key)
     if found is not None:
         return found
@@ -208,8 +200,7 @@ def store_artifact(
     state: Any, key: bytes, compiled: CompiledProgram, meta: ArtifactMeta
 ) -> None:
     """Publish a freshly compiled program to every cache tier available."""
-    cache = _memory_cache(state)
-    cache[key] = (compiled, meta)
+    state.dict_cache(_MEMORY)[key] = (compiled, meta)
     tier = state.persistent
     if tier is not None:
         tier.store.put(

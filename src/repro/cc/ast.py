@@ -19,7 +19,7 @@ types).  The grammar implemented here is::
 All nodes are immutable; sharing subterms is always safe.  Binding is by
 *name*: ``Pi``, ``Lam``, ``Sigma`` and ``Let`` each bind their ``name`` in
 the fields documented below.  Capture-avoiding substitution lives in
-:mod:`repro.cc.subst`.
+:mod:`repro.cc.substitution`.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ class Term:
     """Base class of all CC expressions.
 
     Subclasses are frozen dataclasses; structural ``==`` is *syntactic*
-    equality (names matter).  Use :func:`repro.cc.subst.alpha_equal` for
-    α-equivalence and :func:`repro.cc.equiv.equivalent` for definitional
-    equivalence.
+    equality (names matter).  Use
+    :func:`repro.cc.substitution.alpha_equal` for α-equivalence and
+    :func:`repro.cc.equiv.equivalent` for definitional equivalence.
 
     The ``__weakref__`` slot lets the shared kernel keep identity-keyed
     weak caches (free variables, interned representatives) over terms.

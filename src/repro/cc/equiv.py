@@ -27,7 +27,7 @@ from functools import partial
 from repro.cc.ast import LANGUAGE, App, Lam, Pair, Term, Var
 from repro.cc.context import Context
 from repro.cc.reduce import _NBE, Budget
-from repro.cc.subst import subst1
+from repro.cc.substitution import subst1
 from repro.common.names import fresh
 from repro.kernel.convert import ConversionRules, convert
 from repro.kernel.reduction import whnf_value

@@ -108,7 +108,7 @@ def reduces_to(ctx: Context, source: Term, target: Term, max_steps: int = 1000) 
     Only used in tests over small terms; real equivalence checking goes
     through :func:`repro.cc.equiv.equivalent`.
     """
-    from repro.cc.subst import alpha_equal
+    from repro.cc.substitution import alpha_equal
 
     seen: list[Term] = [source]
     frontier = [source]

@@ -35,7 +35,7 @@ from functools import partial
 from repro.cccc.ast import LANGUAGE, App, Clo, CodeLam, Pair, Term, Var
 from repro.cccc.context import Context
 from repro.cccc.reduce import _NBE, Budget, whnf
-from repro.cccc.subst import subst
+from repro.cccc.substitution import subst
 from repro.common.names import fresh
 from repro.kernel.convert import ConversionRules, convert
 from repro.kernel.nbe import read_back

@@ -29,7 +29,7 @@ from repro.cccc.ast import (
     UnitVal,
     Var,
 )
-from repro.cccc.subst import subst
+from repro.cccc.substitution import subst
 
 __all__ = [
     "Telescope",

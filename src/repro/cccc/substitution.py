@@ -1,14 +1,14 @@
 """Capture-avoiding substitution and α-equivalence for CC-CC terms.
 
-Identical in spirit to :mod:`repro.cc.subst`; the only new wrinkle is the
-two-binder code forms (``CodeLam``/``CodeType``), whose environment binder
-scopes over both the argument annotation and the body/result.  That
+Identical in spirit to :mod:`repro.cc.substitution`; the only new wrinkle
+is the two-binder code forms (``CodeLam``/``CodeType``), whose environment
+binder scopes over both the argument annotation and the body/result.  That
 telescopic scoping is registered declaratively in :mod:`repro.cccc.ast`,
 and the shared kernel engines (:mod:`repro.kernel.substitution`,
 :mod:`repro.kernel.alpha`) handle it generically — with free-variable
 scans served from the kernel's identity-keyed cache.  The entry points are
 the methods of :class:`~repro.kernel.nodespec.Language` that
-:mod:`repro.cc.subst` binds too.
+:mod:`repro.cc.substitution` binds too.
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ from repro.cccc.context import Context
 from repro.cccc.equiv import equivalent
 from repro.cccc.pretty import pretty
 from repro.cccc.reduce import Budget, whnf
-from repro.cccc.subst import rename, subst1
+from repro.cccc.substitution import rename, subst1
 from repro.common.errors import TypeCheckError
 from repro.common.names import fresh
 from repro.kernel.judgment import judgment_cache

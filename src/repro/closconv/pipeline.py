@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro import cc, cccc
 from repro.cc.context import Context as CCContext
-from repro.cc.subst import subst as cc_subst
+from repro.cc.substitution import subst as cc_subst
 from repro.cccc.context import Context as TargetContext
 from repro.closconv.translate import translate, translate_context
 from repro.common.errors import TypeCheckError

@@ -173,7 +173,7 @@ class KernelState:
         self._counter = itertools.count(1)
         self._stores: dict[str, LanguageStore] = {}
         self.ctx_tokens = TokenTable()
-        self._extra: list[Any] = []
+        self._dicts: dict[str, dict] = {}
         self._reset_lock = threading.Lock()
 
     # -- state accessed by the engines --------------------------------------
@@ -194,10 +194,18 @@ class KernelState:
             found = self._stores.setdefault(lang.name, LanguageStore(lang.name))
         return found
 
-    def register(self, cache: Any) -> Any:
-        """Register an extra cache (anything with ``clear``/``name``/``len``)."""
-        self._extra.append(cache)
-        return cache
+    def dict_cache(self, name: str) -> dict:
+        """The plain-dict cache ``name``, created empty on first use.
+
+        For the caches kept above the kernel (the ``repro.api`` run memo,
+        the in-memory compiled-artifact cache): ``stats`` reports them and
+        ``clear_caches``/``reset`` empty them like every other cache.
+        ``setdefault`` arbitrates first use from concurrent threads.
+        """
+        found = self._dicts.get(name)
+        if found is None:
+            found = self._dicts.setdefault(name, {})
+        return found
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -212,7 +220,7 @@ class KernelState:
         out.append(self.normalization)
         out.append(self.judgments)
         out.append(self.judgments.paths)
-        out.extend(self._extra)
+        out.extend(DictCache(name, data) for name, data in self._dicts.items())
         return out
 
     def clear_caches(self) -> None:

@@ -187,8 +187,8 @@ def _run_payload(result: Any) -> dict[str, Any]:
     """The deterministic payload both run backends share.
 
     Built from the flat :class:`~repro.api.RunResult` fields (never
-    ``compile_result``, which is None on a warm artifact hit), so a warm
-    pooled run renders byte-for-byte what a cold solo run renders.
+    ``compile_result``, which is None on a warm run-memo or artifact hit),
+    so a warm pooled run renders byte-for-byte what a cold solo run renders.
     """
     return {
         "term": _canon(cc, result.source),

@@ -356,3 +356,139 @@ class TestCompiledStats:
         assert stats.max_frame_size == 0
         assert stats.steps > 0
         assert stats == run(program)[1]
+
+
+class TestRunMemo:
+    """A warm ``Session.run`` reuses the verified, hoisted program."""
+
+    SOURCE = r"(\ (f : Nat -> Nat) (x : Nat). f (f x)) (\ (y : Nat). succ y) 5"
+    STARVED = r"(\ (A : Type) (x : A). x) Nat 3"
+
+    @staticmethod
+    def _refuse(monkeypatch, owner, name):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError(f"a memo hit called {name}")
+
+        monkeypatch.setattr(owner, name, refuse)
+
+    def test_warm_machine_run_skips_compile(self, monkeypatch):
+        session = api.Session()
+        cold = session.run(self.SOURCE)
+        assert cold.compile_result is not None
+        self._refuse(monkeypatch, api.Session, "compile")
+        # A text key: the hit skips the parser as well.
+        self._refuse(monkeypatch, api, "parse_term")
+        warm = session.run(self.SOURCE)
+        assert warm.compile_result is None
+        cold_doc, warm_doc = cold.to_dict(), warm.to_dict()
+        cold_doc.pop("cache_hits")
+        warm_doc.pop("cache_hits")
+        assert warm_doc == cold_doc
+
+    def test_term_input_is_keyed_by_identity(self):
+        def build():  # plain constructors: a new object per call
+            return cc.App(cc.Lam("x", cc.Nat(), cc.Succ(cc.Var("x"))), cc.nat_literal(41))
+
+        session = api.Session()
+        term = build()
+        assert session.run(term).compile_result is not None
+        assert session.run(term).compile_result is None
+        # An equal but distinct object is a different key.
+        assert session.run(build()).compile_result is not None
+        assert session.cache_stats()["api.run_memo"] == 2
+
+    @pytest.mark.parametrize("engine", ["machine", "compiled"])
+    def test_verify_is_part_of_the_key(self, engine):
+        session = api.Session()
+        assert session.run(self.SOURCE, engine=engine).verified
+        unverified = session.run(self.SOURCE, verify=False, engine=engine)
+        assert unverified.compile_result is not None
+        assert not unverified.verified and unverified.verify_steps == 0
+
+    def test_compiled_run_stages_from_a_machine_entry(self, monkeypatch):
+        session = api.Session()
+        machine = session.execute({"kind": "run", "program": self.SOURCE})
+        self._refuse(monkeypatch, api.Session, "compile")
+        compiled = session.execute({"kind": "compile_py", "program": self.SOURCE})
+        assert machine.ok and compiled.ok
+        assert {k: v for k, v in machine.payload.items() if k != "backend"} == {
+            k: v for k, v in compiled.payload.items() if k not in ("backend", "artifact")
+        }
+        # The staged program was published to the α-keyed artifact cache.
+        assert session.cache_stats()["backend.compiled"] == 1
+        again = session.run(self.SOURCE, engine="compiled")
+        assert again.compile_result is None
+        assert again.artifact == compiled.payload["artifact"]
+
+    def test_starved_warm_session_fails_like_a_cold_one(self):
+        starved = [
+            {"id": kind, "kind": kind, "program": self.STARVED, "fuel": 0}
+            for kind in ("run", "compile_py")
+        ]
+        cold = api.execute_jobs(starved)
+        session = api.Session(name="batch")
+        warmup = [{"id": spec["id"], "kind": spec["kind"], "program": self.STARVED}
+                  for spec in starved]
+        assert api.execute_jobs(warmup, session=session).ok
+        assert session.cache_stats()["api.run_memo"] == 1  # the starved jobs hit it
+        warm = api.execute_jobs(starved, session=session)
+        assert not any(result.ok for result in cold.results)
+        assert [r.canonical() for r in warm.results] == [r.canonical() for r in cold.results]
+        assert cold.results[0].error["type"] == "NormalizationDepthExceeded"
+
+    def test_reset_empties_the_memo(self):
+        session = api.Session()
+        session.run(self.SOURCE)
+        session.run(self.SOURCE, engine="compiled")
+        assert session.cache_stats()["api.run_memo"] == 1
+        session.reset()
+        assert session.cache_stats()["api.run_memo"] == 0
+        assert session.run(self.SOURCE).compile_result is not None
+
+    @pytest.mark.parametrize("engine", ["machine", "compiled"])
+    def test_profiled_warm_run_reports_every_phase(self, engine):
+        from repro import obs
+
+        session = api.Session()
+        session.run(self.SOURCE, engine=engine)
+        with obs.activate() as profile:
+            result = session.run(self.SOURCE, engine=engine)
+        assert result.compile_result is not None
+        phases = profile.totals()["phases"]
+        for phase in ("typecheck", "closconv", "verify", "hoist", "execute"):
+            assert phase in phases, phase
+        assert phases["execute"]["weight"] == result.machine_steps
+
+    def test_profiled_run_leaves_the_memo_empty(self):
+        from repro import obs
+
+        session = api.Session()
+        with obs.activate():
+            session.run(self.SOURCE)
+        assert session.cache_stats().get("api.run_memo", 0) == 0
+        assert session.run(self.SOURCE).compile_result is not None
+
+    @pytest.mark.parametrize("engine", ["machine", "compiled"])
+    def test_open_context_run_compiles_every_time(self, engine):
+        session = api.Session()
+        ctx = cc.Context.empty().extend("n", cc.Nat())
+        for _ in range(2):
+            result = session.run(self.SOURCE, ctx=ctx, engine=engine)
+            assert result.compile_result is not None
+            assert result.observation == 7
+
+    @pytest.mark.parametrize("engine", ["machine", "compiled"])
+    def test_alpha_variants_each_give_their_value(self, engine):
+        session = api.Session()
+        variants = {
+            r"(\ (x : Nat) (y : Nat). x) 1 2": 1,
+            r"(\ (y : Nat) (x : Nat). y) 1 2": 1,
+            r"(\ (x : Nat) (y : Nat). y) 1 2": 2,
+            r"(\ (y : Nat) (x : Nat). x) 1 2": 2,
+        }
+        for _ in range(2):
+            for text, expected in variants.items():
+                for backend in (engine, "machine", "compiled"):
+                    assert session.run(text, engine=backend).observation == expected, (
+                        text, backend,
+                    )

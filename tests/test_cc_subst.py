@@ -1,7 +1,7 @@
 """Unit tests for CC substitution and α-equivalence."""
 
 from repro import cc
-from repro.cc.subst import rename, subst, subst1
+from repro.cc.substitution import rename, subst, subst1
 
 
 class TestSubstBasics:

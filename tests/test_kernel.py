@@ -525,7 +525,7 @@ _BOUND = {
         "free_vars", "cached_free_vars", "intern", "hashcons", "subterms", "term_size",
         "arrow", "make_app", "app_spine", "nat_literal", "nat_value",
     ),
-    "subst": ("subst", "subst1", "rename", "alpha_equal"),
+    "substitution": ("subst", "subst1", "rename", "alpha_equal"),
     "reduce": (
         "whnf", "whnf_subst", "normalize", "normalize_subst", "normalize_counting",
         "head_reducts", "reducts",
@@ -537,15 +537,30 @@ class TestOneDefinition:
     """CC and CC-CC bind one definition of each entry point, not twins."""
 
     @pytest.mark.parametrize(
-        "module, name", [(module, name) for module, names in _BOUND.items() for name in names]
+        "module, name",
+        [
+            # Test ids keep the short label "subst" for the substitution module.
+            pytest.param(module, name, id=f"{module.replace('substitution', 'subst')}-{name}")
+            for module, names in _BOUND.items()
+            for name in names
+        ],
     )
     def test_entry_point_is_defined_once(self, module, name):
-        # ``repro.cc.subst`` is shadowed on the package by the function.
         source = getattr(importlib.import_module(f"repro.cc.{module}"), name)
         target = getattr(importlib.import_module(f"repro.cccc.{module}"), name)
         assert source.__func__ is target.__func__
         owner = cc.reduce._NBE if module == "reduce" else cc.ast.LANGUAGE
         assert source.__self__ is owner
+
+    @pytest.mark.parametrize("package", [cc, cccc])
+    def test_submodules_are_not_shadowed(self, package):
+        # Each module of _BOUND is the package attribute of the same name,
+        # while ``subst`` on the package stays the substitution function.
+        for module in _BOUND:
+            path = f"{package.__name__}.{module}"
+            assert getattr(package, module) is importlib.import_module(path)
+        assert package.subst is package.substitution.subst
+        assert package.subst.__func__ is package.ast.LANGUAGE.subst.__func__
 
     def test_by_name_maps_every_registered_class(self):
         for lang in (cc.ast.LANGUAGE, cccc.ast.LANGUAGE):
