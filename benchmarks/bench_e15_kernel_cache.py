@@ -159,6 +159,11 @@ def test_judgment_memo_traffic(monkeypatch):
     session = api.Session(name="e15-traffic")
     with session.activate():
         interned = [cc.intern(parse_term(text)) for text in texts]
+    # Decoded where none of these nodes is known yet: a decoder in the
+    # traffic session would adopt the interned objects themselves, and the
+    # decoded form would then only repeat the interned one's compile-memo
+    # hits.
+    with api.Session(name="e15-wire").activate():
         decoded = [
             term_from_b64(cc.ast.LANGUAGE, term_to_b64(cc.ast.LANGUAGE, term))
             for term in interned
@@ -166,25 +171,41 @@ def test_judgment_memo_traffic(monkeypatch):
 
     probes: collections.Counter = collections.Counter()
     hits: collections.Counter = collections.Counter()
-    form = ["setup"]
+    # (form, pass, whether the probe came from inside ``Session.compile``)
+    stage = ["setup", 0, False]
+    compile_probes: collections.Counter = collections.Counter()
     lookup = JudgmentCache.lookup
 
     def counting_lookup(self, kind, subject, extra, key):
         found = lookup(self, kind, subject, extra, key)
-        probes[form[0], kind] += 1
+        probes[stage[0], kind] += 1
         if found is not None:
-            hits[form[0], kind] += 1
+            hits[stage[0], kind] += 1
+        if stage[2] and kind.startswith("cccc."):
+            compile_probes[stage[0], stage[1]] += 1
         return found
 
-    monkeypatch.setattr(JudgmentCache, "lookup", counting_lookup)
+    # A repeated compile is a compile-memo hit that re-verifies nothing,
+    # so only the compiles that reach ``compile_term`` count.
     verifications = 0
+    compile_term = api.compile_term
+
+    def counting_compile_term(*args, **kwargs):
+        nonlocal verifications
+        verifications += 1
+        return compile_term(*args, **kwargs)
+
+    monkeypatch.setattr(JudgmentCache, "lookup", counting_lookup)
+    monkeypatch.setattr(api, "compile_term", counting_compile_term)
     for name, programs in (("text", texts), ("interned", interned), ("decoded", decoded)):
-        form[0] = name
-        for _ in range(2):
+        stage[0] = name
+        for repeat in range(2):
+            stage[1] = repeat
             for program in programs:
                 session.check(program)
+                stage[2] = True
                 compiled = session.compile(program).compilation
-                verifications += 1
+                stage[2] = False
                 with session.activate():
                     # A repeated public CC-CC judgment on the same objects.
                     cccc.infer(compiled.target_context, compiled.target)
@@ -198,8 +219,11 @@ def test_judgment_memo_traffic(monkeypatch):
         key: count for key, count in probes.items()
         if key[1].startswith("cccc.") and key[1] != "cccc.equiv"
     }
-    # One probe per public call: the verification inside compile and the
-    # explicit repeat, each a public ``cccc.infer``.
+    # One probe per public call: the verification inside each compile that
+    # missed the memo and the explicit repeat, each a public ``cccc.infer``.
     assert set(kind for _, kind in cccc_typing) == {"cccc.infer.nbe"}
     assert sum(cccc_typing.values()) == verifications
     assert hits["interned", "cccc.infer.nbe"] == hits["decoded", "cccc.infer.nbe"] == 2 * len(texts)
+    # Every repeat pass compiles from the memo: no CC-CC probe at all.
+    assert compile_probes["text", 0] > 0
+    assert all(compile_probes[name, 1] == 0 for name in ("text", "interned", "decoded"))

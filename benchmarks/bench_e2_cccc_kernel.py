@@ -99,8 +99,12 @@ def _cold_verify_seconds(infer, depth: int, repeats: int) -> tuple[float, int]:
 
 
 def test_checker_speedup_gate():
-    fast, _ = _cold_verify_seconds(cccc.infer, 60, repeats=5)
-    reference, _ = _cold_verify_seconds(typecheck_subst.infer, 60, repeats=2)
+    # The two checkers are timed round-robin and each keeps its best run,
+    # so a slow spell on a shared host hits both sides rather than one.
+    fast = reference = float("inf")
+    for _ in range(5):
+        fast = min(fast, _cold_verify_seconds(cccc.infer, 60, repeats=1)[0])
+        reference = min(reference, _cold_verify_seconds(typecheck_subst.infer, 60, repeats=1)[0])
     speedup = reference / fast
     print(f"\nE2 nested_lambdas(60) verify: {fast * 1e3:.1f} ms vs "
           f"reference {reference * 1e3:.1f} ms ({speedup:.1f}x)")

@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping
 
 from repro import cc, cccc
@@ -206,10 +206,10 @@ class RunResult:
     host closures, :mod:`repro.backend`).  Both backends report
     a :class:`~repro.machine.machine.MachineStats`, and their equality is
     the compiled backend's differential contract.  On a warm hit — the
-    session's run memo on either backend (keyed on the text or the term's
-    identity plus ``verify``; bypassed by profiled and open-context runs;
-    emptied by ``reset``), or an artifact-cache hit on the compiled one —
-    the pipeline never re-compiles, so ``compile_result`` is None there;
+    session's compile memo on either backend (keyed on the text or the
+    term's identity plus ``verify``; bypassed by profiled and open-context
+    runs; emptied by ``reset``), or an artifact-cache hit on the compiled
+    one — the run never compiles, so ``compile_result`` is None there;
     the flat ``check_steps``/``verify_steps``/``verified`` fields
     (replayed from the recorded fuel) are the stable surface either way.
     """
@@ -487,38 +487,25 @@ class Session:
         With ``verify`` (the default) the CC-CC kernel re-checks the output
         against the translated type; a mismatch raises
         :class:`~repro.closconv.pipeline.TypePreservationViolation`.
+
+        A session compiles each program once: its compile memo, shared with
+        :meth:`run`, is keyed on the text itself (a hit skips the parser) or
+        a term's identity, plus ``verify``.  A hit replays the recorded fuel
+        into fresh budgets, so a starved session fails where a cold compile
+        would, and returns the stored compilation: the cold document except
+        for ``cache_hits``, its raw target keeping the first compile's fresh
+        names.  Entries live until :meth:`reset`; profiled calls and calls
+        under a non-empty ``ctx`` neither read nor fill the memo.
         """
         with self.activate():
-            term = self._coerce(program)
-            context = ctx if ctx is not None else cc.Context.empty()
+            memo, key = self._memo(program, ctx, verify)
+            entry = memo.get(key) if memo is not None else None
+            if entry is None or entry.compiled is None:
+                term = entry.source if entry is not None else self._coerce(program)
+                return self._compile(memo, key, entry, term, ctx, verify)[1]
             before = self._state.hit_counts()
-            check_budget = self.budget()
-            verify_budget = self.budget()
-            compilation = compile_term(
-                context,
-                term,
-                verify=verify,
-                source_budget=check_budget,
-                verify_budget=verify_budget,
-            )
-            hits = self._hit_delta(before)
-            profile = _PROFILE[0]
-            if profile is not None:
-                profile.phase("typecheck", weight=check_budget.spent, counters=hits)
-                # The translation itself is fuel-free; its deterministic
-                # weight is the size of the CC-CC term it emitted.
-                profile.phase("closconv", weight=cccc.term_size(compilation.target))
-                profile.phase("verify", weight=verify_budget.spent)
-            return CompileResult(
-                compilation=compilation,
-                steps=check_budget.spent + verify_budget.spent,
-                check_steps=check_budget.spent,
-                verify_steps=verify_budget.spent,
-                engine=self.engine,
-                session=self.name,
-                cache_hits=hits,
-                diagnostics=_compile_diagnostics(verify),
-            )
+            self._replay(entry.meta)
+            return replace(entry.compiled, cache_hits=self._hit_delta(before))
 
     def run(
         self,
@@ -535,20 +522,14 @@ class Session:
         Values, error documents, and every cost counter agree across
         backends.
 
-        Both backends first consult the session's run memo, keyed on the
-        program as given — the text string itself (so a hit skips the
-        parser too) or the identity of a term — plus ``verify``.  An entry
-        pins its source term and holds the hoisted program, the recorded
-        check/verify fuel and, once the compiled backend has used it, the
-        staged program.  A hit skips type checking, closure conversion,
-        verification and hoisting, and charges the recorded fuel into
-        fresh budgets, so a fuel-starved session fails at exactly the step
-        a cold run would; its document is the cold one's except for
+        Both backends go through the compile memo of :meth:`compile`, with
+        the same key, bypass and fuel replay, so a run miss compiles once
+        for both.  An entry also holds the hoisted program and, once the
+        compiled backend has used it, the staged program, so a warm run
+        skips hoisting too; its document is the cold one's except for
         ``cache_hits``.  On a miss the compiled backend first looks the
         program's α-class up in the per-session and persistent artifact
-        caches.  Entries live until :meth:`reset`, like the artifact
-        cache.  Profiled runs and runs under a non-empty ``ctx`` neither
-        read nor fill either cache.
+        caches; profiled and open-context runs skip those too.
         """
         backend = validate_backend(engine if engine is not None else "machine")
         with self.activate():
@@ -558,35 +539,25 @@ class Session:
             # block closures), so it must neither come from nor enter a
             # cache.  Results are unaffected: warm runs replay cold fuel.
             label_counts: dict[str, int] | None = {} if profile is not None else None
-            cacheable = (ctx is None or len(ctx) == 0) and profile is None
-            memo = self._state.dict_cache("api.run_memo") if cacheable else None
-            key = (program if isinstance(program, str) else id(program), verify)
+            memo, key = self._memo(program, ctx, verify)
             before = self._state.hit_counts()
             entry = memo.get(key) if memo is not None else None
             compile_result = artifact = found = None
             if entry is None:
                 term = self._coerce(program)
-                if backend == "compiled" and cacheable:
+                if backend == "compiled" and memo is not None:
                     artifact, found = self._cached_artifact(term, verify)
                 if found is not None:
                     staged, meta = found
-                    entry = _RunEntry(term, staged.program, meta, staged)
-                else:
-                    compile_result = self.compile(term, ctx=ctx, verify=verify)
-                    meta = ArtifactMeta(
-                        check_steps=compile_result.check_steps,
-                        verify_steps=compile_result.verify_steps,
-                        verified=compile_result.verified,
-                    )
-                    entry = _RunEntry(term, hoist(compile_result.target), meta)
-                if memo is not None:
+                    entry = _CompileEntry(term, meta, program=staged.program, staged=staged)
                     memo[key] = entry
+                else:
+                    entry, compile_result = self._compile(memo, key, None, term, ctx, verify)
             meta = entry.meta
             if compile_result is None:
-                # Replay the recorded fuel: same budgets, same order, same
-                # exhaustion point as the cold compile.
-                self.budget().charge(meta.check_steps)
-                self.budget().charge(meta.verify_steps)
+                self._replay(meta)
+            if entry.program is None:
+                entry.program = hoist(entry.compiled.target)
             if backend == "machine":
                 hoisted, digest = entry.program, None
                 value, stats = run(hoisted, label_counts=label_counts)
@@ -594,7 +565,7 @@ class Session:
                 diagnostics = _compile_diagnostics(meta.verified)
             else:
                 if entry.staged is None:
-                    if cacheable and artifact is None:  # a machine run made the entry
+                    if memo is not None and artifact is None:  # an earlier call made the entry
                         artifact, found = self._cached_artifact(entry.source, verify)
                     if found is not None:
                         entry.staged = found[0]
@@ -726,19 +697,77 @@ class Session:
         key = artifact_key(cc.intern(term), engine=self.engine, verify=verify)
         return key, load_artifact(self._state, key)
 
+    def _memo(
+        self, program: str | cc.Term, ctx: cc.Context | None, verify: bool
+    ) -> tuple[dict | None, tuple]:
+        """The compile memo (None when this call bypasses it) and ``program``'s key."""
+        cacheable = (ctx is None or len(ctx) == 0) and _PROFILE[0] is None
+        memo = self._state.dict_cache("api.compile_memo") if cacheable else None
+        return memo, (program if isinstance(program, str) else id(program), verify)
+
+    def _compile(
+        self, memo: dict | None, key: tuple, entry: _CompileEntry | None,
+        term: cc.Term, ctx: cc.Context | None, verify: bool,
+    ) -> tuple[_CompileEntry, CompileResult]:
+        """Compile ``term`` cold into ``entry``, or a new entry stored in ``memo``."""
+        context = ctx if ctx is not None else cc.Context.empty()
+        before = self._state.hit_counts()
+        check_budget = self.budget()
+        verify_budget = self.budget()
+        compilation = compile_term(
+            context,
+            term,
+            verify=verify,
+            source_budget=check_budget,
+            verify_budget=verify_budget,
+        )
+        hits = self._hit_delta(before)
+        profile = _PROFILE[0]
+        if profile is not None:
+            profile.phase("typecheck", weight=check_budget.spent, counters=hits)
+            # The translation itself is fuel-free; its deterministic
+            # weight is the size of the CC-CC term it emitted.
+            profile.phase("closconv", weight=cccc.term_size(compilation.target))
+            profile.phase("verify", weight=verify_budget.spent)
+        result = CompileResult(
+            compilation=compilation,
+            steps=check_budget.spent + verify_budget.spent,
+            check_steps=check_budget.spent,
+            verify_steps=verify_budget.spent,
+            engine=self.engine,
+            session=self.name,
+            cache_hits=hits,
+            diagnostics=_compile_diagnostics(verify),
+        )
+        if entry is None:
+            meta = ArtifactMeta(result.check_steps, result.verify_steps, result.verified)
+            entry = _CompileEntry(term, meta)
+            if memo is not None:
+                memo[key] = entry
+        entry.compiled = result
+        return entry, result
+
+    def _replay(self, meta: ArtifactMeta) -> None:
+        """Charge a hit's recorded fuel: the cold compile's budgets and order."""
+        self.budget().charge(meta.check_steps)
+        self.budget().charge(meta.verify_steps)
+
 
 @dataclass
-class _RunEntry:
-    """One program in a session's run memo (see :meth:`Session.run`).
+class _CompileEntry:
+    """One program in a session's compile memo (see :meth:`Session.compile`).
 
     ``source`` pins the ingested term, so an identity key stays valid for
-    the entry's lifetime; ``staged`` is filled the first time the compiled
-    backend runs the entry.
+    the entry's lifetime, and ``meta`` records the compile's fuel.
+    ``compiled`` is None while the entry comes from a compiled-artifact
+    hit, until a :meth:`Session.compile` fills it; ``program`` and
+    ``staged`` are filled the first time :meth:`Session.run` needs them.
     """
 
     source: cc.Term
-    program: Program
     meta: ArtifactMeta
+    compiled: CompileResult | None = None
+    program: Program | None = None
     staged: CompiledProgram | None = None
 
 

@@ -197,7 +197,7 @@ class KernelState:
     def dict_cache(self, name: str) -> dict:
         """The plain-dict cache ``name``, created empty on first use.
 
-        For the caches kept above the kernel (the ``repro.api`` run memo,
+        For the caches kept above the kernel (the ``repro.api`` compile memo,
         the in-memory compiled-artifact cache): ``stats`` reports them and
         ``clear_caches``/``reset`` empty them like every other cache.
         ``setdefault`` arbitrates first use from concurrent threads.

@@ -187,7 +187,7 @@ def _run_payload(result: Any) -> dict[str, Any]:
     """The deterministic payload both run backends share.
 
     Built from the flat :class:`~repro.api.RunResult` fields (never
-    ``compile_result``, which is None on a warm run-memo or artifact hit),
+    ``compile_result``, which is None on a warm compile-memo or artifact hit),
     so a warm pooled run renders byte-for-byte what a cold solo run renders.
     """
     return {

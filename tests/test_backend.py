@@ -23,11 +23,12 @@ from repro.backend import (
     store_artifact,
     validate_backend,
 )
+from repro.cc import prelude
 from repro.closconv import compile_term
 from repro.common.errors import WireDecodeError
 from repro.gen.jobs import close_over, job_corpus
 from repro.machine import MachineError, MachineStats, hoist, machine_observation, run
-from repro.surface import parse_term
+from repro.surface import parse_term, to_surface
 from tests.corpus import (
     CLOSED_GROUND_PROGRAMS,
     CORPUS,
@@ -395,7 +396,7 @@ class TestRunMemo:
         assert session.run(term).compile_result is None
         # An equal but distinct object is a different key.
         assert session.run(build()).compile_result is not None
-        assert session.cache_stats()["api.run_memo"] == 2
+        assert session.cache_stats()["api.compile_memo"] == 2
 
     @pytest.mark.parametrize("engine", ["machine", "compiled"])
     def test_verify_is_part_of_the_key(self, engine):
@@ -430,7 +431,7 @@ class TestRunMemo:
         warmup = [{"id": spec["id"], "kind": spec["kind"], "program": self.STARVED}
                   for spec in starved]
         assert api.execute_jobs(warmup, session=session).ok
-        assert session.cache_stats()["api.run_memo"] == 1  # the starved jobs hit it
+        assert session.cache_stats()["api.compile_memo"] == 1  # the starved jobs hit it
         warm = api.execute_jobs(starved, session=session)
         assert not any(result.ok for result in cold.results)
         assert [r.canonical() for r in warm.results] == [r.canonical() for r in cold.results]
@@ -440,9 +441,9 @@ class TestRunMemo:
         session = api.Session()
         session.run(self.SOURCE)
         session.run(self.SOURCE, engine="compiled")
-        assert session.cache_stats()["api.run_memo"] == 1
+        assert session.cache_stats()["api.compile_memo"] == 1
         session.reset()
-        assert session.cache_stats()["api.run_memo"] == 0
+        assert session.cache_stats()["api.compile_memo"] == 0
         assert session.run(self.SOURCE).compile_result is not None
 
     @pytest.mark.parametrize("engine", ["machine", "compiled"])
@@ -465,7 +466,7 @@ class TestRunMemo:
         session = api.Session()
         with obs.activate():
             session.run(self.SOURCE)
-        assert session.cache_stats().get("api.run_memo", 0) == 0
+        assert session.cache_stats().get("api.compile_memo", 0) == 0
         assert session.run(self.SOURCE).compile_result is not None
 
     @pytest.mark.parametrize("engine", ["machine", "compiled"])
@@ -492,3 +493,117 @@ class TestRunMemo:
                     assert session.run(text, engine=backend).observation == expected, (
                         text, backend,
                     )
+
+
+class TestCompileMemo:
+    """A warm ``Session.compile`` returns the session's first compilation."""
+
+    SOURCE = TestRunMemo.SOURCE
+    # Spends 0 check and 101 verify fuel, so fuel 100 runs out mid-verify.
+    CHURCH_SUM_3 = to_surface(
+        cc.make_app(
+            prelude.church_add, prelude.church_nat(3), prelude.church_nat(3),
+            cc.Nat(), cc.Lam("k", cc.Nat(), cc.Succ(cc.Var("k"))), cc.Zero(),
+        )
+    )
+
+    @staticmethod
+    def _memo_size(session) -> int:
+        return session.cache_stats().get("api.compile_memo", 0)
+
+    def test_warm_compile_skips_parse_and_translate(self, monkeypatch):
+        session = api.Session()
+        cold = session.compile(self.SOURCE)
+        TestRunMemo._refuse(monkeypatch, api, "parse_term")
+        TestRunMemo._refuse(monkeypatch, api, "compile_term")
+        warm = session.compile(self.SOURCE)
+        assert warm.compilation is cold.compilation
+        cold_doc, warm_doc = cold.to_dict(), warm.to_dict()
+        cold_doc.pop("cache_hits")
+        warm_doc.pop("cache_hits")
+        assert warm_doc == cold_doc
+
+    @pytest.mark.parametrize("fuel", [0, 1, 100])
+    def test_starved_warm_compile_fails_like_a_cold_one(self, fuel):
+        spec = {"id": "compile", "kind": "compile", "program": self.CHURCH_SUM_3}
+        cold = api.execute_jobs([{**spec, "fuel": fuel}])
+        session = api.Session(name="batch")
+        warmup = api.execute_jobs([spec], session=session)
+        assert warmup.ok
+        payload = warmup.results[0].payload
+        assert (payload["check_steps"], payload["verify_steps"]) == (0, 101)
+        warm = api.execute_jobs([{**spec, "fuel": fuel}], session=session)
+        assert self._memo_size(session) == 1  # the starved job hit it
+        assert not cold.results[0].ok
+        assert cold.results[0].error["type"] == "NormalizationDepthExceeded"
+        assert [r.canonical() for r in warm.results] == [r.canonical() for r in cold.results]
+
+    def test_verify_is_part_of_the_key(self):
+        session = api.Session()
+        assert session.compile(self.SOURCE).verified
+        unverified = session.compile(self.SOURCE, verify=False)
+        assert not unverified.verified and unverified.verify_steps == 0
+        assert self._memo_size(session) == 2
+
+    def test_profiled_and_open_context_compiles_bypass_the_memo(self):
+        from repro import obs
+
+        session = api.Session()
+        with obs.activate():
+            session.compile(self.SOURCE)
+        ctx = cc.Context.empty().extend("n", cc.Nat())
+        opened = [session.compile(self.SOURCE, ctx=ctx).compilation for _ in range(2)]
+        assert opened[0] is not opened[1]
+        assert self._memo_size(session) == 0
+        cold = session.compile(self.SOURCE)
+        with obs.activate() as profile:
+            profiled = session.compile(self.SOURCE)
+        assert profiled.compilation is not cold.compilation
+        for phase in ("typecheck", "closconv", "verify"):
+            assert phase in profile.totals()["phases"], phase
+        assert self._memo_size(session) == 1
+        session.reset()
+        assert self._memo_size(session) == 0
+        assert session.compile(self.SOURCE).compilation is not cold.compilation
+
+    def test_compile_and_run_share_one_entry(self, monkeypatch):
+        forward = api.Session()
+        compiled = forward.compile(self.SOURCE)
+        assert forward.run(self.SOURCE).compile_result is None
+        backward = api.Session()
+        ran = backward.run(self.SOURCE)
+        TestRunMemo._refuse(monkeypatch, api, "compile_term")
+        assert backward.compile(self.SOURCE).compilation is ran.compile_result.compilation
+        assert forward.run(self.SOURCE, engine="compiled").compile_result is None
+        assert forward.compile(self.SOURCE).compilation is compiled.compilation
+        assert self._memo_size(forward) == self._memo_size(backward) == 1
+
+    def test_compile_after_an_artifact_hit_compiles_once(self, monkeypatch):
+        session = api.Session()
+        session.run(self.SOURCE, engine="compiled")
+        with session.activate():
+            term = parse_term(self.SOURCE)  # a second key for the same α-class
+        ran = session.run(term, engine="compiled")
+        assert ran.compile_result is None and ran.artifact is not None
+        calls = []
+        original = api.compile_term
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(api, "compile_term", counting)
+        first, second = session.compile(term), session.compile(term)
+        assert len(calls) == 1
+        assert second.compilation is first.compilation
+        assert (first.check_steps, first.verify_steps) == (ran.check_steps, ran.verify_steps)
+        assert self._memo_size(session) == 2
+
+    def test_repeated_compiles_keep_the_caches_flat(self):
+        program = to_surface(cc.make_app(prelude.nat_add, cc.nat_literal(20), cc.nat_literal(20)))
+        session = api.Session()
+        session.compile(program)
+        entries = sum(session.cache_stats().values())
+        for _ in range(40):
+            session.compile(program)
+        assert sum(session.cache_stats().values()) == entries
