@@ -13,6 +13,9 @@ and the ratio is orders of magnitude.
 ``test_judgment_memo_traffic`` audits the typing-judgment memo: every
 typing kind still probed must hit somewhere (a memo that never hits is
 pure cost), and the CC-CC checker must probe only at its public entry.
+``test_closed_judgments_stored_once`` audits the closed key: a closed
+subject's ``cc.infer``/``cc.universe`` judgment is stored once, not once
+per context path.
 """
 
 from __future__ import annotations
@@ -227,3 +230,28 @@ def test_judgment_memo_traffic(monkeypatch):
     # Every repeat pass compiles from the memo: no CC-CC probe at all.
     assert compile_probes["text", 0] > 0
     assert all(compile_probes[name, 1] == 0 for name in ("text", "interned", "decoded"))
+
+
+@pytest.mark.parametrize("family", [pair_tower(20), church_sum(8)],
+                         ids=["pair_tower(20)", "church_sum(8)"])
+def test_closed_judgments_stored_once(family):
+    """Each closed non-leaf ``cc.universe``/``cc.infer`` subject is stored once.
+
+    A closed subject keys on the empty context, so a cold compile of the
+    program's text stores its judgment once, however many binders it is
+    re-derived under; every further derivation is a hit.  Untimed and
+    exact: keying such a subject on its context path again stores it once
+    per path and fails here.
+    """
+    session = api.Session(name="e15-closed")
+    assert session.compile(to_surface(family)).verified
+    with session.activate():
+        stored = collections.Counter(
+            (kind, id(subject))
+            for (kind, *_), (subject, *_) in session.state.judgments._entries.items()
+            if kind in ("cc.universe", "cc.infer")
+            and cc.ast.LANGUAGE.spec(subject).children
+            and not cc.cached_free_vars(subject)
+        )
+    assert {kind for kind, _ in stored} == {"cc.universe", "cc.infer"}
+    assert set(stored.values()) == {1}, max(stored.values())

@@ -569,9 +569,7 @@ def compile_program(
         },
         cccc.intern(program.main),
     )
-    size = cccc.term_size(interned.main) + sum(
-        cccc.term_size(code) for code in interned.code_table.values()
-    )
+    size = program.size  # interning renames binders only: the same node count
     if size > _DEEP_TERM_THRESHOLD:
         table, main = _run_guarded(  # type: ignore[misc]
             lambda: _build(interned, label_counts), _deep_limit(size)

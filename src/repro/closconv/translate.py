@@ -27,6 +27,16 @@ such judgment is memoized — a leaf body, a body rebuilt by α-renaming, a
 memo emptied since the check, or a warm check that hit at the root and
 never re-derived the body — is ``B`` derived here, which also rejects
 ill-typed input up front.
+
+A closed subterm is translated once per session.  Its FV set is empty,
+so [CC-Lam] closes its λs over nothing from Γ and its translation does
+not depend on ``ctx`` (up to the fresh environment names it draws).
+:func:`translate` therefore memoizes every closed non-variable subterm by
+identity in the session's ``closconv.closed`` cache, which pins the
+source term.  The parser hash-conses its input, so every occurrence of a
+closed subterm is one object and yields one CC-CC object: the target is a
+DAG, and the CC-CC checker's ``is`` shortcuts, the free-variable cache
+and hoisting each visit a shared subterm once.
 """
 
 from __future__ import annotations
@@ -39,12 +49,27 @@ from repro.cccc.ntuple import bind_env, env_sigma, env_tuple
 from repro.closconv.fv import dependent_free_vars
 from repro.common.errors import TranslationError, TypeCheckError
 from repro.common.names import fresh
+from repro.kernel.state import current_state
 
 __all__ = ["translate", "translate_context"]
 
 
 def translate(ctx: CCContext, term: cc.Term) -> cccc.Term:
-    """``e⁺``: closure-convert the well-typed CC term ``term`` under ``ctx``."""
+    """``e⁺``: closure-convert the well-typed CC term ``term`` under ``ctx``.
+
+    A closed non-variable ``term`` is translated once per session and
+    every later occurrence of the object returns the same CC-CC object.
+    """
+    if type(term) is cc.Var or cc.cached_free_vars(term):
+        return _translate(ctx, term)
+    memo = current_state().dict_cache("closconv.closed")
+    found = memo.get(id(term))
+    if found is None:
+        found = memo[id(term)] = (term, _translate(ctx, term))  # pins the key's term
+    return found[1]
+
+
+def _translate(ctx: CCContext, term: cc.Term) -> cccc.Term:
     match term:
         case cc.Var(name):
             return cccc.Var(name)  # [CC-Var]

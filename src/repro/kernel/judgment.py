@@ -17,9 +17,15 @@ byte-identical to an uncached run.  The context key differs per judgment:
   Two context objects built along the same path — the body context the
   source check builds for a λ and the one closure conversion builds for
   the same λ — share their key, so the conversion reads the check's
-  judgment instead of re-deriving it.  All empty contexts share key 0;
-  an empty context that roots a path still anchors it by identity, so
-  judgments under binders never leak between unrelated derivations.
+  judgment instead of re-deriving it.  Key 0 is the empty context's, and
+  every empty context shares it.  So does every context a *closed* subject
+  is inferred or sorted under: such a derivation never reads Γ ([Var]
+  only finds the subject's own binders), so its verdict, type and fuel
+  are the same under every context, and one entry serves every position.
+  ``check`` keeps the path key, since its expected type may be open.  An
+  empty context that roots a path still anchors it by identity, so
+  judgments of open subjects under binders never leak between unrelated
+  derivations.
 
 Keys are interned in a :class:`TypingPaths` table that lives on the
 judgment cache, pins every object whose id a path mentions, and is
@@ -143,9 +149,13 @@ class JudgmentCache:
         self.paths = TypingPaths(max_entries=max_entries)
         self._entries: dict[tuple, tuple[Any, Any, Any, int]] = {}
 
-    def typing_key(self, ctx: Any) -> int:
-        """The typing-memo key of ``ctx``: 0 when empty, else its path key."""
-        return self.paths.key(ctx) if ctx.entries else _EMPTY_KEY
+    def typing_key(self, ctx: Any, closed: bool = False) -> int:
+        """The typing-memo key of ``ctx``: 0 when empty or ``closed``, else its path key.
+
+        ``closed`` says the judgment reads nothing of ``ctx``: the caller
+        knows its subject has no free variables.
+        """
+        return self.paths.key(ctx) if ctx.entries and not closed else _EMPTY_KEY
 
     def lookup(self, kind: str, subject: Any, extra: Any, key: int) -> tuple[Any, int] | None:
         """The cached (verdict, steps) for the judgment, or None."""

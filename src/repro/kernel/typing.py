@@ -23,12 +23,18 @@ once and memoized on the value.  ``whnf_value`` reduces exactly the
 substituted term, so fuel matches substitution.
 
 **Memo scope is a spec constant.**  Judgments are memoized per (subject
-identity, context path key) with exact fuel replay; failures are never
-cached.  With ``memo_every_judgment`` (CC), every non-leaf judgment probes
-and stores: closure conversion reads each λ body's type back through
-:meth:`TypingSpec.derived_type`, and probes hit on hash-consed input.
-Without it (CC-CC), only the public entries probe: closure conversion
-emits fresh trees checked once node by node, so per-node probes never hit.
+identity, context key) with exact fuel replay; failures are never cached.
+One key function, :func:`_memo_key`, serves every probe and
+:meth:`TypingSpec.derived_type`: the context's path key, except that an
+``infer`` or universe judgment of a closed subject keys on the empty
+context, since its derivation never reads Γ.  With
+``memo_every_judgment`` (CC), every non-leaf judgment probes and stores:
+closure conversion reads each λ body's type back through
+:meth:`TypingSpec.derived_type`, probes hit on hash-consed input, and a
+closed type re-derived under each new binder is checked once.  Without it
+(CC-CC), only the public entries probe; the closed subterms closure
+conversion shares in its output reach the checker's ``is`` shortcuts
+instead.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.common.errors import TypeCheckError
+from repro.kernel import fv
 from repro.kernel.budget import Budget
 from repro.kernel.judgment import judgment_cache
 from repro.kernel.names import fresh
@@ -121,8 +128,9 @@ class TypingSpec:
         """The type of ``term`` under ``ctx`` if it needs no derivation, else None.
 
         A leaf's type is its axiom or its [Var] binding; any other term's is
-        the ``infer`` judgment memoized under ``ctx``'s path, read without
-        counting a hit (None if none was made since the memo was emptied).
+        the ``infer`` judgment memoized under ``ctx``'s key (the empty
+        context's for a closed term), read without counting a hit (None if
+        none was made since the memo was emptied).
         """
         cls = type(term)
         if cls in self.axioms:
@@ -130,8 +138,8 @@ class TypingSpec:
         if cls is self.nbe.var_cls:
             binding = ctx.lookup(term.name)
             return None if binding is None else binding.type_
-        cache = judgment_cache()
-        value = cache.peek(self.infer_kind, term, None, cache.typing_key(ctx))
+        cache, key = _memo_key(self, self.infer_kind, ctx, term)
+        value = cache.peek(self.infer_kind, term, None, key)
         return None if value is None else read_back(self.nbe, value)
 
 
@@ -157,7 +165,7 @@ def infer_value(spec: TypingSpec, ctx: Any, term: Any, budget: Budget, entry: bo
         raise TypeCheckError(f"not a {spec.name} term: {term!r}")
     if not (entry or spec.memo_every_judgment):
         return rule(spec, ctx, term, budget)
-    cache, key, value = _recall(spec.infer_kind, ctx, term, None, budget)
+    cache, key, value = _recall(spec, spec.infer_kind, ctx, term, None, budget)
     if value is None:
         before = budget.spent
         value = rule(spec, ctx, term, budget)
@@ -172,7 +180,7 @@ def check_value(spec: TypingSpec, ctx: Any, term: Any, expected: Any, budget: Bu
     """Check ``Γ ⊢ term : expected`` for a type value ``expected`` ([Conv])."""
     memo = entry or spec.memo_every_judgment
     if memo:
-        cache, key, hit = _recall(spec.check_kind, ctx, term, expected, budget)
+        cache, key, hit = _recall(spec, spec.check_kind, ctx, term, expected, budget)
         if hit:
             return
         before = budget.spent
@@ -191,7 +199,7 @@ def universe(spec: TypingSpec, ctx: Any, type_: Any, budget: Budget, entry: bool
     """Require ``type_`` to be a type; return its universe (⋆ or □)."""
     memo = entry or spec.memo_every_judgment
     if memo:
-        cache, key, sort = _recall(spec.universe_kind, ctx, type_, None, budget)
+        cache, key, sort = _recall(spec, spec.universe_kind, ctx, type_, None, budget)
         if sort is not None:
             return sort
         before = budget.spent
@@ -205,10 +213,24 @@ def universe(spec: TypingSpec, ctx: Any, type_: Any, budget: Budget, entry: bool
     return sort
 
 
-def _recall(kind: str, ctx: Any, subject: Any, extra: Any, budget: Budget) -> tuple:
-    """``(cache, key, verdict)``: verdict is the memoized one (fuel replayed) or None."""
+def _memo_key(spec: TypingSpec, kind: str, ctx: Any, subject: Any) -> tuple:
+    """``(cache, key)``: the judgment cache and the context key ``subject`` is memoized under.
+
+    An ``infer`` or ``universe`` subject whose cached free-variable set is
+    empty keys on the empty context: its derivation never reads Γ.
+    ``check`` keeps the path key, because its expected type may be open.
+    """
     cache = judgment_cache()
-    key = cache.typing_key(ctx)
+    closed = False
+    if ctx.entries and kind != spec.check_kind:
+        closed = not fv.free_vars(spec.nbe.lang, subject)
+    return cache, cache.typing_key(ctx, closed)
+
+
+def _recall(spec: TypingSpec, kind: str, ctx: Any, subject: Any, extra: Any,
+            budget: Budget) -> tuple:
+    """``(cache, key, verdict)``: verdict is the memoized one (fuel replayed) or None."""
+    cache, key = _memo_key(spec, kind, ctx, subject)
     hit = cache.lookup(kind, subject, extra, key)
     if hit is None:
         return cache, key, None

@@ -23,6 +23,7 @@ pass was the last recursive tree walk in front of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro import cccc
 from repro.cccc.ast import LANGUAGE
@@ -43,6 +44,13 @@ class Program:
     def code_count(self) -> int:
         """Number of statically allocated code blocks."""
         return len(self.code_table)
+
+    @cached_property
+    def size(self) -> int:
+        """Node count of ``main`` plus every code block, computed once."""
+        return cccc.term_size(self.main) + sum(
+            cccc.term_size(code) for code in self.code_table.values()
+        )
 
     def __str__(self) -> str:
         lines = []
@@ -112,10 +120,14 @@ def _hoist(root: cccc.Term, hoister: _Hoister) -> cccc.Term:
     field order; the old recursion visited a ``CodeLam``'s body before its
     type annotations, so label *numbering* can differ from pre-iterative
     releases when code sits in a type position — the invariant, not the
-    numbering, is the contract.)
+    numbering, is the contract.)  A node the term shares (closure
+    conversion emits one object per closed subterm) is rebuilt once; each
+    later occurrence reuses that result, which is what a second walk would
+    rebuild, since its code blocks are already in the table.
     """
     specs = LANGUAGE.specs
     results: list[cccc.Term] = []
+    done: dict[int, cccc.Term] = {}  # id(node) -> its result; ``root`` pins the nodes
     stack: list[tuple[cccc.Term, bool]] = [(root, False)]
     while stack:
         term, expanded = stack.pop()
@@ -123,6 +135,10 @@ def _hoist(root: cccc.Term, hoister: _Hoister) -> cccc.Term:
         if spec is None:
             raise TranslationError(f"not a CC-CC term: {term!r}")
         if not expanded:
+            found = done.get(id(term))
+            if found is not None:
+                results.append(found)
+                continue
             if isinstance(term, cccc.CodeLam):
                 stray = cccc.free_vars(term)
                 if stray:
@@ -151,9 +167,9 @@ def _hoist(root: cccc.Term, hoister: _Hoister) -> cccc.Term:
                     args.append(getattr(term, attr))
             rebuilt = type(term)(*args) if changed else term
             if isinstance(rebuilt, cccc.CodeLam):
-                results.append(cccc.Var(hoister.add(rebuilt)))
-            else:
-                results.append(rebuilt)
+                rebuilt = cccc.Var(hoister.add(rebuilt))
+            done[id(term)] = rebuilt
+            results.append(rebuilt)
     return results[-1]
 
 

@@ -318,9 +318,7 @@ def run(
     if stats is None:
         stats = MachineStats()
     machine = _Machine(program, stats, label_counts=label_counts)
-    size = cccc.term_size(program.main) + sum(
-        cccc.term_size(code) for code in program.code_table.values()
-    )
+    size = program.size
     if size > _DEEP_TERM_THRESHOLD:
         value = _run_guarded(lambda: machine.eval(program.main, {}), 4 * size + 10_000)
     else:

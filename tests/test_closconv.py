@@ -8,6 +8,7 @@ from repro.closconv import compile_term, dependent_free_vars, pipeline, translat
 from repro.closconv.pipeline import TypePreservationViolation, delta_expand
 from repro.common.errors import TranslationError, TypeCheckError
 from repro.kernel import typing
+from repro.machine import hoist, run
 from repro.surface import parse_term
 from repro.wire.codec import term_from_b64, term_to_b64
 from tests.corpus import CLOSED_GROUND_PROGRAMS, CORPUS, closed_ground_ids, corpus_ids
@@ -262,3 +263,56 @@ class TestBodyTypeFromDerivation:
             after_check = translate(ctx, term)
         assert cccc.alpha_equal(alone, after_check)
         assert cccc.tuple_values(alone.env) == [cccc.Var("A"), cccc.Var("a")]
+
+
+class TestClosedTranslationSharing:
+    """A closed subterm is translated once per session, by identity."""
+
+    TWICE = (
+        r"(\ (f : Nat -> Nat) (g : Nat -> Nat). f (g 1))"
+        r" (\ (x : Nat). succ x) (\ (x : Nat). succ x)"
+    )
+
+    @staticmethod
+    def _unshared():
+        """``TWICE`` built from plain constructors: two distinct ``succ`` λ objects."""
+        def succ_fn():
+            return cc.Lam("x", cc.Nat(), cc.Succ(cc.Var("x")))
+
+        arrow = cc.arrow(cc.Nat(), cc.Nat())
+        apply = cc.Lam("f", arrow, cc.Lam("g", arrow, cc.App(
+            cc.Var("f"), cc.App(cc.Var("g"), cc.Succ(cc.Zero())))))
+        return cc.make_app(apply, succ_fn(), succ_fn())
+
+    @staticmethod
+    def _observed(compiled):
+        program = hoist(compiled.target)
+        _, stats = run(program)
+        labels = (program.main.fn.arg.code.name, program.main.arg.code.name)
+        target, target_type = (
+            cccc.pretty(cccc.intern(term)) for term in (compiled.target, compiled.target_type)
+        )
+        return target, target_type, program.code_count, labels, stats
+
+    def test_one_closed_lambda_twice_is_one_clo(self):
+        session = api.Session()
+        shared = session.compile(self.TWICE).compilation
+        assert shared.source.fn.arg is shared.source.arg  # the parser hash-conses
+        first, second = shared.target.fn.arg, shared.target.arg
+        assert type(first) is cccc.Clo and first is second
+        unshared = api.Session().compile(self._unshared()).compilation
+        assert unshared.target.fn.arg is not unshared.target.arg
+        with session.activate():
+            shared_seen = self._observed(shared)
+        with api.Session().activate():
+            unshared_seen = self._observed(unshared)
+        assert shared_seen == unshared_seen
+        code_count, (left, right) = shared_seen[2:4]
+        assert code_count == 3 and left == right  # the succ code is one label
+
+    def test_session_reports_and_resets_the_memo(self):
+        session = api.Session()
+        assert session.compile(self.TWICE).verified
+        assert session.cache_stats()["closconv.closed"] > 0
+        session.reset()
+        assert session.cache_stats()["closconv.closed"] == 0

@@ -9,6 +9,8 @@ Covers the tentpole invariants:
 * memoized normalization — identical results and *identical step/fuel
   accounting* between cold and warm runs;
 * cache invalidation — ``reset_fresh_counter`` clears every kernel cache;
+* closed subjects — a closed term's infer/universe judgment is one memo
+  entry with the same verdict, type and fuel under every context;
 * deep-term regressions — ``subterms`` / ``term_size`` / ``free_vars``
   survive ~10k-node left-nested application spines without hitting the
   recursion limit.
@@ -22,12 +24,15 @@ import pytest
 
 from repro import api, cc, cccc
 from repro.cc import prelude
+from repro.common.errors import TypeCheckError
 from repro.common.names import reset_fresh_counter
 from repro.gen.dag import shared_dag_tower
+from repro.gen.jobs import job_corpus
 from repro.kernel.budget import Budget
 from repro.kernel.memo import context_token
+from repro.surface import parse_term
 
-from corpus import CORPUS, corpus_ids
+from corpus import CLOSED_GROUND_PROGRAMS, CORPUS, corpus_ids
 
 SPINE_DEPTH = 10_000
 
@@ -329,7 +334,7 @@ class TestJudgmentMemoTraffic:
 
     def test_shared_dag_tower_hits(self):
         result = api.Session().check(shared_dag_tower(7))
-        assert result.cache_hits["kernel.judgments"] == 14
+        assert result.cache_hits["kernel.judgments"] == 34
 
     def test_compile_leaves_only_the_public_cccc_typing_entry(self):
         session = api.Session()
@@ -416,6 +421,130 @@ class TestTypingPaths:
         with first.activate():
             cc.infer(ctx, term)
         assert first.hit_counts()["kernel.judgments"] == 1
+
+
+# --------------------------------------------------------------------------
+# Closed subjects: infer and universe judgments key on the empty context.
+# --------------------------------------------------------------------------
+
+
+def _closed_programs() -> list[tuple[str, cc.Term]]:
+    """Every closed corpus program, a seed-1 generated slice, and ill-typed ones."""
+    programs = [(name, term) for name, ctx, term in CORPUS if len(ctx) == 0]
+    programs += [(name, term) for name, term, _ in CLOSED_GROUND_PROGRAMS]
+    programs += [
+        (f"gen-{index}", parse_term(spec["program"]))
+        for index, spec in enumerate(job_corpus(1, count=12))
+    ]
+    programs.append(("shared-dag-tower-4", shared_dag_tower(4)))
+    programs += [
+        ("ill-app", parse_term(r"(\ (x : Nat). x) true")),
+        ("ill-succ", parse_term(r"\ (A : Type). \ (x : A). succ x")),
+    ]
+    return programs
+
+
+_CLOSED = _closed_programs()
+
+
+def _shadowing_contexts(term: cc.Term) -> tuple[cc.Context, cc.Context]:
+    """Two contexts over ``term``'s own binder names, each one δ-defined
+    (``x := 0 : Nat``) in one context and assumed (``x : ⋆``) in the other."""
+    names: dict[str, None] = {}
+    for node in cc.subterms(term):
+        for attr in cc.ast.LANGUAGE.spec(node).binder_attrs:
+            if getattr(node, attr) != "_":
+                names.setdefault(getattr(node, attr))
+    contexts = [cc.Context.empty(), cc.Context.empty()]
+    for index, name in enumerate(names or ["x"]):
+        for side, ctx in enumerate(contexts):
+            if (index + side) % 2:
+                contexts[side] = ctx.extend(name, cc.Star())
+            else:
+                contexts[side] = ctx.define(name, cc.Zero(), cc.Nat())
+    return contexts[0], contexts[1]
+
+
+def _judged(judgment, ctx, *args) -> tuple:
+    """(verdict, α-canonical result or error message, fuel) of one judgment."""
+    budget = Budget()
+    try:
+        result = judgment(ctx, *args, budget)
+    except TypeCheckError as error:
+        return (False, str(error), budget.spent)
+    return (True, None if result is None else cc.pretty(cc.intern(result)), budget.spent)
+
+
+class TestClosedKey:
+    """A closed subject's judgment is the same under every context."""
+
+    @staticmethod
+    def _judgments(term: cc.Term) -> list[tuple]:
+        """``(judgment, *args)`` for infer, and for check and universe at the
+        program's empty-context type when it has one."""
+        with api.Session().activate():
+            try:
+                type_ = cc.infer(cc.Context.empty(), term)
+            except TypeCheckError:
+                return [(cc.infer, term)]
+        return [(cc.infer, term), (cc.check, term, type_), (cc.infer_universe, type_)]
+
+    @pytest.mark.parametrize("name, term", _CLOSED, ids=[name for name, _ in _CLOSED])
+    def test_same_verdict_type_and_fuel_under_any_context(self, name, term):
+        contexts = _shadowing_contexts(term)
+        empty = cc.Context.empty()
+        for judgment, *args in self._judgments(term):
+            cold = []
+            for ctx in (empty, *contexts):
+                with api.Session().activate():
+                    cold.append(_judged(judgment, ctx, *args))
+            assert cold[1] == cold[2] == cold[0], judgment
+            # Warm: the empty-context judgment fills the memo, and the
+            # same public judgment under either context replays it.
+            session = api.Session()
+            with session.activate():
+                assert _judged(judgment, empty, *args) == cold[0]
+                for ctx in contexts:
+                    hits = session.hit_counts()["kernel.judgments"]
+                    assert _judged(judgment, ctx, *args) == cold[0]
+                    hits = session.hit_counts()["kernel.judgments"] - hits
+                    if not cold[0][0]:
+                        continue  # failures are never stored
+                    # One hit at the root; check keys on the path, so its
+                    # inner infer is the judgment that replays.
+                    assert hits == 1 or (judgment is cc.check and hits > 1), judgment
+
+    def test_closed_infer_is_stored_once_under_binders(self):
+        closed = parse_term(r"\ (y : Nat). succ y")
+        session = api.Session()
+        with session.activate():
+            ctx = cc.Context.empty().extend("x", cc.Nat()).extend("z", cc.Bool())
+            first = cc.infer(ctx, closed)
+            assert cc.infer(cc.Context.empty(), closed) is first
+            other = cc.Context.empty().extend("w", cc.Nat())
+            assert cc.typecheck.derived_type(other, closed) is first
+        keys = {key for kind, subject, _, key in session.state.judgments._entries
+                if kind == "cc.infer" and subject == id(closed)}
+        assert keys == {0}
+
+    @pytest.mark.parametrize("text", ["x", "if true then x else x"])
+    def test_open_subject_keys_on_the_path(self, text):
+        subject = parse_term(text)
+        session = api.Session()
+        with session.activate():
+            as_nat = cc.infer(cc.Context.empty().extend("x", cc.Nat()), subject)
+            as_bool = cc.infer(cc.Context.empty().extend("x", cc.Bool()), subject)
+        assert type(as_nat) is cc.Nat and type(as_bool) is cc.Bool
+        assert session.hit_counts()["kernel.judgments"] == 0
+
+    def test_check_keys_on_the_path(self):
+        # A closed subject, an open expected type: ``succ 0 : T`` holds
+        # where T := Nat and fails where T is an opaque type.
+        subject, expected = parse_term("succ 0"), cc.Var("T")
+        with api.Session().activate():
+            cc.check(cc.Context.empty().define("T", cc.Nat(), cc.Star()), subject, expected)
+            with pytest.raises(TypeCheckError, match="type mismatch"):
+                cc.check(cc.Context.empty().extend("T", cc.Star()), subject, expected)
 
 
 # --------------------------------------------------------------------------

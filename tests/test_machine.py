@@ -241,3 +241,24 @@ class TestDeepPrograms:
         value, stats = run(Program({}, body))
         assert value == MNat(0)
         assert stats.env_allocs == 5_000
+
+    def test_size_is_computed_once(self, monkeypatch):
+        # machine.run and backend.compile_program choose the deep-stack path
+        # from Program.size, which walks main and the code table once.
+        from repro.backend.compile import compile_program
+        from repro.machine import Program
+
+        code = cccc.CodeLam("env", cccc.Unit(), "a", cccc.Unit(), cccc.nat_literal(3_000))
+        program = Program(
+            {"code$0": code},
+            cccc.App(cccc.Clo(cccc.Var("code$0"), cccc.UnitVal()), cccc.UnitVal()),
+        )
+        walks = []
+        term_size = cccc.term_size
+        monkeypatch.setattr(cccc, "term_size", lambda term: walks.append(term) or term_size(term))
+        for _ in range(3):
+            assert run(program)[0] == MNat(3_000)
+        compiled = compile_program(program)
+        assert compiled.execute()[0] == MNat(3_000)
+        assert program.size == compiled.size == term_size(program.main) + term_size(code)
+        assert len(walks) == 2  # main and the one code block, on the first run only

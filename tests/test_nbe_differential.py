@@ -403,7 +403,7 @@ _PINNED_FUEL = {
     "add-zero-proof": {
         "cc.whnf": 0, "cc.nf": 9, "cc.eq": 2,
         "cccc.whnf": 0, "cccc.nf": 55, "cccc.eq": 50,
-        "cccc.infer": 271, "verify": 287,
+        "cccc.infer": 241, "verify": 251,
         "cc.nf.subst": 9, "cccc.whnf.subst": 0, "cccc.nf.subst": 55,
         "cc.reducts": 3, "cccc.reducts": 91,
     },

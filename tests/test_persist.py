@@ -186,7 +186,7 @@ class TestTier:
         reopened.close()
 
     @pytest.mark.parametrize(
-        "name, skipped, stored", [("church-2", 32, 0), ("pair-dependent", 34, 7)]
+        "name, skipped, stored", [("church-2", 32, 0), ("pair-dependent", 18, 7)]
     )
     def test_cold_compile_persists_cc_kinds_only(self, tmp_path, name, skipped, stored):
         # The tier's selection is CC-only (see PersistentTier): every CC-CC

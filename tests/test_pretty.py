@@ -196,7 +196,7 @@ _PINNED_PRINTS = {
         '(\\ (m : Nat). \\ (n : Nat). natelim(\\ (_ : Nat). Nat, n, \\ (k : Nat). \\ (ih : Nat). succ ih, m)) 2',
         '(λ ($cv0 : Nat). λ ($cv1 : Nat). natelim(λ ($cv2 : Nat). Nat, $cv1, λ ($cv2 : Nat). λ ($cv3 : Nat). succ $cv3, $cv0)) 2',
         '⟨⟨λ (n$3 : 1, m : Nat). ⟨⟨λ (n$4 : Σ (m : Nat). 1, n : let m = fst n$4 : Nat in Nat). let m = fst n$4 : Nat in natelim(⟨⟨λ (n$5 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$6 : 1, k : Nat). ⟨⟨λ (n$7 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ 2',
-        'Nat -> ⟨⟨λ (n$8 : 1, _ : Nat). Nat, ⟨⟩⟩⟩ 2',
+        'Nat -> ⟨⟨λ (n$5 : 1, _ : Nat). Nat, ⟨⟩⟩⟩ 2',
     ),
     'higher-order': (
         '(λ (f : Nat -> Nat). λ (x : Nat). f (f x)) (λ (y : Nat). succ y) 5',
@@ -238,7 +238,7 @@ _PINNED_PRINTS = {
         'natelim(\\ (k : Nat). Nat, two, \\ (k : Nat). \\ (ih : Nat). succ ih, m)',
         'natelim(λ ($cv0 : Nat). Nat, two, λ ($cv0 : Nat). λ ($cv1 : Nat). succ $cv1, m)',
         'natelim(⟨⟨λ (n$3 : 1, k : Nat). Nat, ⟨⟩⟩⟩, two, ⟨⟨λ (n$4 : 1, k : Nat). ⟨⟨λ (n$5 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m)',
-        '⟨⟨λ (n$6 : 1, k : Nat). Nat, ⟨⟩⟩⟩ m',
+        '⟨⟨λ (n$3 : 1, k : Nat). Nat, ⟨⟩⟩⟩ m',
     ),
     'pair-ground': (
         '⟨3, true⟩ as (Σ (x : Nat). Bool)',
@@ -252,7 +252,7 @@ _PINNED_PRINTS = {
         '<2, \\ (P : Bool -> Type). \\ (p : P false). p> as (exists (x : Nat), forall (P : Bool -> Type), P ((\\ (m : Nat). natelim(\\ (_ : Nat). Bool, true, \\ (k : Nat). \\ (ih : Bool). false, m)) x) -> P false)',
         '⟨2, λ ($cv0 : Bool -> ⋆). λ ($cv1 : $cv0 false). $cv1⟩ as (Σ ($cv0 : Nat). Π ($cv1 : Bool -> ⋆). $cv1 ((λ ($cv2 : Nat). natelim(λ ($cv3 : Nat). Bool, true, λ ($cv3 : Nat). λ ($cv4 : Bool). false, $cv2)) $cv0) -> $cv1 false)',
         '⟨2, ⟨⟨λ (n$4 : 1, P : Bool -> ⋆). ⟨⟨λ (n$5 : Σ (P : Bool -> ⋆). 1, p : let P = fst n$5 : Bool -> ⋆ in P false). let P = fst n$5 : Bool -> ⋆ in p, ⟨P, ⟨⟩⟩ as (Σ (P : Bool -> ⋆). 1)⟩⟩, ⟨⟩⟩⟩⟩ as (Σ (x : Nat). Π (P : Bool -> ⋆). P (⟨⟨λ (n$6 : 1, m : Nat). natelim(⟨⟨λ (n$7 : 1, _ : Nat). Bool, ⟨⟩⟩⟩, true, ⟨⟨λ (n$8 : 1, k : Nat). ⟨⟨λ (n$9 : 1, ih : Bool). false, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨⟩⟩⟩ x) -> P false)',
-        'Σ (x : Nat). Π (P : Bool -> ⋆). P (⟨⟨λ (n$10 : 1, m : Nat). natelim(⟨⟨λ (n$11 : 1, _ : Nat). Bool, ⟨⟩⟩⟩, true, ⟨⟨λ (n$12 : 1, k : Nat). ⟨⟨λ (n$13 : 1, ih : Bool). false, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨⟩⟩⟩ x) -> P false',
+        'Σ (x : Nat). Π (P : Bool -> ⋆). P (⟨⟨λ (n$6 : 1, m : Nat). natelim(⟨⟨λ (n$7 : 1, _ : Nat). Bool, ⟨⟩⟩⟩, true, ⟨⟨λ (n$8 : 1, k : Nat). ⟨⟨λ (n$9 : 1, ih : Bool). false, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨⟩⟩⟩ x) -> P false',
     ),
     'fst-proj': (
         'fst ⟨3, true⟩ as (Σ (x : Nat). Bool)',
@@ -280,7 +280,7 @@ _PINNED_PRINTS = {
         'snd <3, \\ (P : Bool -> Type). \\ (p : P false). p> as (exists (x : Nat), forall (P : Bool -> Type), P ((\\ (m : Nat). natelim(\\ (_ : Nat). Bool, true, \\ (k : Nat). \\ (ih : Bool). false, m)) x) -> P false)',
         'snd ⟨3, λ ($cv0 : Bool -> ⋆). λ ($cv1 : $cv0 false). $cv1⟩ as (Σ ($cv0 : Nat). Π ($cv1 : Bool -> ⋆). $cv1 ((λ ($cv2 : Nat). natelim(λ ($cv3 : Nat). Bool, true, λ ($cv3 : Nat). λ ($cv4 : Bool). false, $cv2)) $cv0) -> $cv1 false)',
         'snd ⟨3, ⟨⟨λ (n$4 : 1, P : Bool -> ⋆). ⟨⟨λ (n$5 : Σ (P : Bool -> ⋆). 1, p : let P = fst n$5 : Bool -> ⋆ in P false). let P = fst n$5 : Bool -> ⋆ in p, ⟨P, ⟨⟩⟩ as (Σ (P : Bool -> ⋆). 1)⟩⟩, ⟨⟩⟩⟩⟩ as (Σ (x : Nat). Π (P : Bool -> ⋆). P (⟨⟨λ (n$6 : 1, m : Nat). natelim(⟨⟨λ (n$7 : 1, _ : Nat). Bool, ⟨⟩⟩⟩, true, ⟨⟨λ (n$8 : 1, k : Nat). ⟨⟨λ (n$9 : 1, ih : Bool). false, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨⟩⟩⟩ x) -> P false)',
-        'Π (P : Bool -> ⋆). P (⟨⟨λ (n$12 : 1, m : Nat). natelim(⟨⟨λ (n$13 : 1, _ : Nat). Bool, ⟨⟩⟩⟩, true, ⟨⟨λ (n$14 : 1, k : Nat). ⟨⟨λ (n$15 : 1, ih : Bool). false, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨⟩⟩⟩ (fst ⟨3, ⟨⟨λ (n$16 : 1, P : Bool -> ⋆). ⟨⟨λ (n$17 : Σ (P : Bool -> ⋆). 1, p : let P = fst n$17 : Bool -> ⋆ in P false). let P = fst n$17 : Bool -> ⋆ in p, ⟨P, ⟨⟩⟩ as (Σ (P : Bool -> ⋆). 1)⟩⟩, ⟨⟩⟩⟩⟩ as (Σ (x : Nat). Π (P : Bool -> ⋆). P (⟨⟨λ (n$20 : 1, m : Nat). natelim(⟨⟨λ (n$21 : 1, _ : Nat). Bool, ⟨⟩⟩⟩, true, ⟨⟨λ (n$22 : 1, k : Nat). ⟨⟨λ (n$23 : 1, ih : Bool). false, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨⟩⟩⟩ x) -> P false))) -> P false',
+        'Π (P : Bool -> ⋆). P (⟨⟨λ (n$6 : 1, m : Nat). natelim(⟨⟨λ (n$7 : 1, _ : Nat). Bool, ⟨⟩⟩⟩, true, ⟨⟨λ (n$8 : 1, k : Nat). ⟨⟨λ (n$9 : 1, ih : Bool). false, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨⟩⟩⟩ (fst ⟨3, ⟨⟨λ (n$4 : 1, P : Bool -> ⋆). ⟨⟨λ (n$5 : Σ (P : Bool -> ⋆). 1, p : let P = fst n$5 : Bool -> ⋆ in P false). let P = fst n$5 : Bool -> ⋆ in p, ⟨P, ⟨⟩⟩ as (Σ (P : Bool -> ⋆). 1)⟩⟩, ⟨⟩⟩⟩⟩ as (Σ (x : Nat). Π (P : Bool -> ⋆). P (⟨⟨λ (n$6 : 1, m : Nat). natelim(⟨⟨λ (n$7 : 1, _ : Nat). Bool, ⟨⟩⟩⟩, true, ⟨⟨λ (n$8 : 1, k : Nat). ⟨⟨λ (n$9 : 1, ih : Bool). false, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨⟩⟩⟩ x) -> P false))) -> P false',
     ),
     'if-ground': (
         'if true then 1 else 0',
@@ -301,21 +301,21 @@ _PINNED_PRINTS = {
         '(\\ (m : Nat). \\ (n : Nat). natelim(\\ (_ : Nat). Nat, n, \\ (k : Nat). \\ (ih : Nat). succ ih, m)) 3 4',
         '(λ ($cv0 : Nat). λ ($cv1 : Nat). natelim(λ ($cv2 : Nat). Nat, $cv1, λ ($cv2 : Nat). λ ($cv3 : Nat). succ $cv3, $cv0)) 3 4',
         '⟨⟨λ (n$3 : 1, m : Nat). ⟨⟨λ (n$4 : Σ (m : Nat). 1, n : let m = fst n$4 : Nat in Nat). let m = fst n$4 : Nat in natelim(⟨⟨λ (n$5 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$6 : 1, k : Nat). ⟨⟨λ (n$7 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ 3 4',
-        '⟨⟨λ (n$8 : 1, _ : Nat). Nat, ⟨⟩⟩⟩ 3',
+        '⟨⟨λ (n$5 : 1, _ : Nat). Nat, ⟨⟩⟩⟩ 3',
     ),
     'is-zero': (
         '(λ (m : Nat). natelim(λ (_ : Nat). Bool, true, λ (k : Nat). λ (ih : Bool). false, m)) 0',
         '(\\ (m : Nat). natelim(\\ (_ : Nat). Bool, true, \\ (k : Nat). \\ (ih : Bool). false, m)) 0',
         '(λ ($cv0 : Nat). natelim(λ ($cv1 : Nat). Bool, true, λ ($cv1 : Nat). λ ($cv2 : Bool). false, $cv0)) 0',
         '⟨⟨λ (n$3 : 1, m : Nat). natelim(⟨⟨λ (n$4 : 1, _ : Nat). Bool, ⟨⟩⟩⟩, true, ⟨⟨λ (n$5 : 1, k : Nat). ⟨⟨λ (n$6 : 1, ih : Bool). false, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨⟩⟩⟩ 0',
-        '⟨⟨λ (n$7 : 1, _ : Nat). Bool, ⟨⟩⟩⟩ 0',
+        '⟨⟨λ (n$4 : 1, _ : Nat). Bool, ⟨⟩⟩⟩ 0',
     ),
     'pred': (
         '(λ (m : Nat). natelim(λ (_ : Nat). Nat, 0, λ (k : Nat). λ (ih : Nat). k, m)) 5',
         '(\\ (m : Nat). natelim(\\ (_ : Nat). Nat, 0, \\ (k : Nat). \\ (ih : Nat). k, m)) 5',
         '(λ ($cv0 : Nat). natelim(λ ($cv1 : Nat). Nat, 0, λ ($cv1 : Nat). λ ($cv2 : Nat). $cv1, $cv0)) 5',
         '⟨⟨λ (n$3 : 1, m : Nat). natelim(⟨⟨λ (n$4 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, 0, ⟨⟨λ (n$5 : 1, k : Nat). ⟨⟨λ (n$6 : Σ (k : Nat). 1, ih : let k = fst n$6 : Nat in Nat). let k = fst n$6 : Nat in k, ⟨k, ⟨⟩⟩ as (Σ (k : Nat). 1)⟩⟩, ⟨⟩⟩⟩, m), ⟨⟩⟩⟩ 5',
-        '⟨⟨λ (n$7 : 1, _ : Nat). Nat, ⟨⟩⟩⟩ 5',
+        '⟨⟨λ (n$4 : 1, _ : Nat). Nat, ⟨⟩⟩⟩ 5',
     ),
     'dependent-if-annot': (
         'λ (x : if b then Nat else Bool). x',
@@ -370,8 +370,8 @@ _PINNED_PRINTS = {
         'λ (m : Nat). natelim(λ (n : Nat). Π (P : Nat -> ⋆). P ((λ (m : Nat). λ (n : Nat). natelim(λ (_ : Nat). Nat, n, λ (k : Nat). λ (ih : Nat). succ ih, m)) n 0) -> P n, λ (P : Nat -> ⋆). λ (p : P 0). p, λ (k : Nat). λ (ih : Π (P : Nat -> ⋆). P ((λ (m : Nat). λ (n : Nat). natelim(λ (_ : Nat). Nat, n, λ (k : Nat). λ (ih : Nat). succ ih, m)) k 0) -> P k). λ (P : Nat -> ⋆). λ (p : P ((λ (m : Nat). λ (n : Nat). natelim(λ (_ : Nat). Nat, n, λ (k : Nat). λ (ih : Nat). succ ih, m)) (succ k) 0)). ih (λ (m : Nat). P (succ m)) p, m)',
         '\\ (m : Nat). natelim(\\ (n : Nat). forall (P : Nat -> Type), P ((\\ (m : Nat). \\ (n : Nat). natelim(\\ (_ : Nat). Nat, n, \\ (k : Nat). \\ (ih : Nat). succ ih, m)) n 0) -> P n, \\ (P : Nat -> Type). \\ (p : P 0). p, \\ (k : Nat). \\ (ih : forall (P : Nat -> Type), P ((\\ (m : Nat). \\ (n : Nat). natelim(\\ (_ : Nat). Nat, n, \\ (k : Nat). \\ (ih : Nat). succ ih, m)) k 0) -> P k). \\ (P : Nat -> Type). \\ (p : P ((\\ (m : Nat). \\ (n : Nat). natelim(\\ (_ : Nat). Nat, n, \\ (k : Nat). \\ (ih : Nat). succ ih, m)) (succ k) 0)). ih (\\ (m : Nat). P (succ m)) p, m)',
         'λ ($cv0 : Nat). natelim(λ ($cv1 : Nat). Π ($cv2 : Nat -> ⋆). $cv2 ((λ ($cv3 : Nat). λ ($cv4 : Nat). natelim(λ ($cv5 : Nat). Nat, $cv4, λ ($cv5 : Nat). λ ($cv6 : Nat). succ $cv6, $cv3)) $cv1 0) -> $cv2 $cv1, λ ($cv1 : Nat -> ⋆). λ ($cv2 : $cv1 0). $cv2, λ ($cv1 : Nat). λ ($cv2 : Π ($cv2 : Nat -> ⋆). $cv2 ((λ ($cv3 : Nat). λ ($cv4 : Nat). natelim(λ ($cv5 : Nat). Nat, $cv4, λ ($cv5 : Nat). λ ($cv6 : Nat). succ $cv6, $cv3)) $cv1 0) -> $cv2 $cv1). λ ($cv3 : Nat -> ⋆). λ ($cv4 : $cv3 ((λ ($cv4 : Nat). λ ($cv5 : Nat). natelim(λ ($cv6 : Nat). Nat, $cv5, λ ($cv6 : Nat). λ ($cv7 : Nat). succ $cv7, $cv4)) (succ $cv1) 0)). $cv2 (λ ($cv5 : Nat). $cv3 (succ $cv5)) $cv4, $cv0)',
-        '⟨⟨λ (n$11 : 1, m : Nat). natelim(⟨⟨λ (n$12 : 1, n : Nat). Π (P : Nat -> ⋆). P (⟨⟨λ (n$13 : 1, m : Nat). ⟨⟨λ (n$14 : Σ (m : Nat). 1, n : let m = fst n$14 : Nat in Nat). let m = fst n$14 : Nat in natelim(⟨⟨λ (n$15 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$16 : 1, k : Nat). ⟨⟨λ (n$17 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ n 0) -> P n, ⟨⟩⟩⟩, ⟨⟨λ (n$18 : 1, P : Nat -> ⋆). ⟨⟨λ (n$19 : Σ (P : Nat -> ⋆). 1, p : let P = fst n$19 : Nat -> ⋆ in P 0). let P = fst n$19 : Nat -> ⋆ in p, ⟨P, ⟨⟩⟩ as (Σ (P : Nat -> ⋆). 1)⟩⟩, ⟨⟩⟩⟩, ⟨⟨λ (n$20 : 1, k : Nat). ⟨⟨λ (n$21 : Σ (k : Nat). 1, ih : let k = fst n$21 : Nat in Π (P : Nat -> ⋆). P (⟨⟨λ (n$22 : 1, m : Nat). ⟨⟨λ (n$23 : Σ (m : Nat). 1, n : let m = fst n$23 : Nat in Nat). let m = fst n$23 : Nat in natelim(⟨⟨λ (n$24 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$25 : 1, k : Nat). ⟨⟨λ (n$26 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k). let k = fst n$21 : Nat in ⟨⟨λ (n$34 : Σ (k : Nat). Σ (ih : Π (P : Nat -> ⋆). P (⟨⟨λ (n$29 : 1, m : Nat). ⟨⟨λ (n$30 : Σ (m : Nat). 1, n : let m = fst n$30 : Nat in Nat). let m = fst n$30 : Nat in natelim(⟨⟨λ (n$31 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$32 : 1, k : Nat). ⟨⟨λ (n$33 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k). 1, P : let k = fst n$34 : Nat in let ih = fst (snd n$34) : Π (P : Nat -> ⋆). P (⟨⟨λ (n$29 : 1, m : Nat). ⟨⟨λ (n$30 : Σ (m : Nat). 1, n : let m = fst n$30 : Nat in Nat). let m = fst n$30 : Nat in natelim(⟨⟨λ (n$31 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$32 : 1, k : Nat). ⟨⟨λ (n$33 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k in Nat -> ⋆). let k = fst n$34 : Nat in let ih = fst (snd n$34) : Π (P : Nat -> ⋆). P (⟨⟨λ (n$29 : 1, m : Nat). ⟨⟨λ (n$30 : Σ (m : Nat). 1, n : let m = fst n$30 : Nat in Nat). let m = fst n$30 : Nat in natelim(⟨⟨λ (n$31 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$32 : 1, k : Nat). ⟨⟨λ (n$33 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k in ⟨⟨λ (n$42 : Σ (k : Nat). Σ (ih : Π (P : Nat -> ⋆). P (⟨⟨λ (n$37 : 1, m : Nat). ⟨⟨λ (n$38 : Σ (m : Nat). 1, n : let m = fst n$38 : Nat in Nat). let m = fst n$38 : Nat in natelim(⟨⟨λ (n$39 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$40 : 1, k : Nat). ⟨⟨λ (n$41 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k). Σ (P : Nat -> ⋆). 1, p : let k = fst n$42 : Nat in let ih = fst (snd n$42) : Π (P : Nat -> ⋆). P (⟨⟨λ (n$37 : 1, m : Nat). ⟨⟨λ (n$38 : Σ (m : Nat). 1, n : let m = fst n$38 : Nat in Nat). let m = fst n$38 : Nat in natelim(⟨⟨λ (n$39 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$40 : 1, k : Nat). ⟨⟨λ (n$41 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k in let P = fst (snd (snd n$42)) : Nat -> ⋆ in P (⟨⟨λ (n$43 : 1, m : Nat). ⟨⟨λ (n$44 : Σ (m : Nat). 1, n : let m = fst n$44 : Nat in Nat). let m = fst n$44 : Nat in natelim(⟨⟨λ (n$45 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$46 : 1, k : Nat). ⟨⟨λ (n$47 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ (succ k) 0)). let k = fst n$42 : Nat in let ih = fst (snd n$42) : Π (P : Nat -> ⋆). P (⟨⟨λ (n$37 : 1, m : Nat). ⟨⟨λ (n$38 : Σ (m : Nat). 1, n : let m = fst n$38 : Nat in Nat). let m = fst n$38 : Nat in natelim(⟨⟨λ (n$39 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$40 : 1, k : Nat). ⟨⟨λ (n$41 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k in let P = fst (snd (snd n$42)) : Nat -> ⋆ in ih ⟨⟨λ (n$48 : Σ (P : Nat -> ⋆). 1, m : let P = fst n$48 : Nat -> ⋆ in Nat). let P = fst n$48 : Nat -> ⋆ in P (succ m), ⟨P, ⟨⟩⟩ as (Σ (P : Nat -> ⋆). 1)⟩⟩ p, ⟨k, ⟨ih, ⟨P, ⟨⟩⟩ as (Σ (P : Nat -> ⋆). 1)⟩ as (Σ (ih : Π (P : Nat -> ⋆). P (⟨⟨λ (n$37 : 1, m : Nat). ⟨⟨λ (n$38 : Σ (m : Nat). 1, n : let m = fst n$38 : Nat in Nat). let m = fst n$38 : Nat in natelim(⟨⟨λ (n$39 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$40 : 1, k : Nat). ⟨⟨λ (n$41 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k). Σ (P : Nat -> ⋆). 1)⟩ as (Σ (k : Nat). Σ (ih : Π (P : Nat -> ⋆). P (⟨⟨λ (n$37 : 1, m : Nat). ⟨⟨λ (n$38 : Σ (m : Nat). 1, n : let m = fst n$38 : Nat in Nat). let m = fst n$38 : Nat in natelim(⟨⟨λ (n$39 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$40 : 1, k : Nat). ⟨⟨λ (n$41 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k). Σ (P : Nat -> ⋆). 1)⟩⟩, ⟨k, ⟨ih, ⟨⟩⟩ as (Σ (ih : Π (P : Nat -> ⋆). P (⟨⟨λ (n$29 : 1, m : Nat). ⟨⟨λ (n$30 : Σ (m : Nat). 1, n : let m = fst n$30 : Nat in Nat). let m = fst n$30 : Nat in natelim(⟨⟨λ (n$31 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$32 : 1, k : Nat). ⟨⟨λ (n$33 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k). 1)⟩ as (Σ (k : Nat). Σ (ih : Π (P : Nat -> ⋆). P (⟨⟨λ (n$29 : 1, m : Nat). ⟨⟨λ (n$30 : Σ (m : Nat). 1, n : let m = fst n$30 : Nat in Nat). let m = fst n$30 : Nat in natelim(⟨⟨λ (n$31 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$32 : 1, k : Nat). ⟨⟨λ (n$33 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k). 1)⟩⟩, ⟨k, ⟨⟩⟩ as (Σ (k : Nat). 1)⟩⟩, ⟨⟩⟩⟩, m), ⟨⟩⟩⟩',
-        'Π (m : Nat). ⟨⟨λ (n$49 : 1, n : Nat). Π (P : Nat -> ⋆). P (⟨⟨λ (n$50 : 1, m : Nat). ⟨⟨λ (n$51 : Σ (m : Nat). 1, n : let m = fst n$51 : Nat in Nat). let m = fst n$51 : Nat in natelim(⟨⟨λ (n$52 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$53 : 1, k : Nat). ⟨⟨λ (n$54 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ n 0) -> P n, ⟨⟩⟩⟩ m',
+        '⟨⟨λ (n$7 : 1, m : Nat). natelim(⟨⟨λ (n$8 : 1, n : Nat). Π (P : Nat -> ⋆). P (⟨⟨λ (n$9 : 1, m : Nat). ⟨⟨λ (n$10 : Σ (m : Nat). 1, n : let m = fst n$10 : Nat in Nat). let m = fst n$10 : Nat in natelim(⟨⟨λ (n$11 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$12 : 1, k : Nat). ⟨⟨λ (n$13 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ n 0) -> P n, ⟨⟩⟩⟩, ⟨⟨λ (n$14 : 1, P : Nat -> ⋆). ⟨⟨λ (n$15 : Σ (P : Nat -> ⋆). 1, p : let P = fst n$15 : Nat -> ⋆ in P 0). let P = fst n$15 : Nat -> ⋆ in p, ⟨P, ⟨⟩⟩ as (Σ (P : Nat -> ⋆). 1)⟩⟩, ⟨⟩⟩⟩, ⟨⟨λ (n$16 : 1, k : Nat). ⟨⟨λ (n$17 : Σ (k : Nat). 1, ih : let k = fst n$17 : Nat in Π (P : Nat -> ⋆). P (⟨⟨λ (n$9 : 1, m : Nat). ⟨⟨λ (n$10 : Σ (m : Nat). 1, n : let m = fst n$10 : Nat in Nat). let m = fst n$10 : Nat in natelim(⟨⟨λ (n$11 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$12 : 1, k : Nat). ⟨⟨λ (n$13 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k). let k = fst n$17 : Nat in ⟨⟨λ (n$18 : Σ (k : Nat). Σ (ih : Π (P : Nat -> ⋆). P (⟨⟨λ (n$9 : 1, m : Nat). ⟨⟨λ (n$10 : Σ (m : Nat). 1, n : let m = fst n$10 : Nat in Nat). let m = fst n$10 : Nat in natelim(⟨⟨λ (n$11 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$12 : 1, k : Nat). ⟨⟨λ (n$13 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k). 1, P : let k = fst n$18 : Nat in let ih = fst (snd n$18) : Π (P : Nat -> ⋆). P (⟨⟨λ (n$9 : 1, m : Nat). ⟨⟨λ (n$10 : Σ (m : Nat). 1, n : let m = fst n$10 : Nat in Nat). let m = fst n$10 : Nat in natelim(⟨⟨λ (n$11 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$12 : 1, k : Nat). ⟨⟨λ (n$13 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k in Nat -> ⋆). let k = fst n$18 : Nat in let ih = fst (snd n$18) : Π (P : Nat -> ⋆). P (⟨⟨λ (n$9 : 1, m : Nat). ⟨⟨λ (n$10 : Σ (m : Nat). 1, n : let m = fst n$10 : Nat in Nat). let m = fst n$10 : Nat in natelim(⟨⟨λ (n$11 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$12 : 1, k : Nat). ⟨⟨λ (n$13 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k in ⟨⟨λ (n$19 : Σ (k : Nat). Σ (ih : Π (P : Nat -> ⋆). P (⟨⟨λ (n$9 : 1, m : Nat). ⟨⟨λ (n$10 : Σ (m : Nat). 1, n : let m = fst n$10 : Nat in Nat). let m = fst n$10 : Nat in natelim(⟨⟨λ (n$11 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$12 : 1, k : Nat). ⟨⟨λ (n$13 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k). Σ (P : Nat -> ⋆). 1, p : let k = fst n$19 : Nat in let ih = fst (snd n$19) : Π (P : Nat -> ⋆). P (⟨⟨λ (n$9 : 1, m : Nat). ⟨⟨λ (n$10 : Σ (m : Nat). 1, n : let m = fst n$10 : Nat in Nat). let m = fst n$10 : Nat in natelim(⟨⟨λ (n$11 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$12 : 1, k : Nat). ⟨⟨λ (n$13 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k in let P = fst (snd (snd n$19)) : Nat -> ⋆ in P (⟨⟨λ (n$9 : 1, m : Nat). ⟨⟨λ (n$10 : Σ (m : Nat). 1, n : let m = fst n$10 : Nat in Nat). let m = fst n$10 : Nat in natelim(⟨⟨λ (n$11 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$12 : 1, k : Nat). ⟨⟨λ (n$13 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ (succ k) 0)). let k = fst n$19 : Nat in let ih = fst (snd n$19) : Π (P : Nat -> ⋆). P (⟨⟨λ (n$9 : 1, m : Nat). ⟨⟨λ (n$10 : Σ (m : Nat). 1, n : let m = fst n$10 : Nat in Nat). let m = fst n$10 : Nat in natelim(⟨⟨λ (n$11 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$12 : 1, k : Nat). ⟨⟨λ (n$13 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k in let P = fst (snd (snd n$19)) : Nat -> ⋆ in ih ⟨⟨λ (n$20 : Σ (P : Nat -> ⋆). 1, m : let P = fst n$20 : Nat -> ⋆ in Nat). let P = fst n$20 : Nat -> ⋆ in P (succ m), ⟨P, ⟨⟩⟩ as (Σ (P : Nat -> ⋆). 1)⟩⟩ p, ⟨k, ⟨ih, ⟨P, ⟨⟩⟩ as (Σ (P : Nat -> ⋆). 1)⟩ as (Σ (ih : Π (P : Nat -> ⋆). P (⟨⟨λ (n$9 : 1, m : Nat). ⟨⟨λ (n$10 : Σ (m : Nat). 1, n : let m = fst n$10 : Nat in Nat). let m = fst n$10 : Nat in natelim(⟨⟨λ (n$11 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$12 : 1, k : Nat). ⟨⟨λ (n$13 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k). Σ (P : Nat -> ⋆). 1)⟩ as (Σ (k : Nat). Σ (ih : Π (P : Nat -> ⋆). P (⟨⟨λ (n$9 : 1, m : Nat). ⟨⟨λ (n$10 : Σ (m : Nat). 1, n : let m = fst n$10 : Nat in Nat). let m = fst n$10 : Nat in natelim(⟨⟨λ (n$11 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$12 : 1, k : Nat). ⟨⟨λ (n$13 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k). Σ (P : Nat -> ⋆). 1)⟩⟩, ⟨k, ⟨ih, ⟨⟩⟩ as (Σ (ih : Π (P : Nat -> ⋆). P (⟨⟨λ (n$9 : 1, m : Nat). ⟨⟨λ (n$10 : Σ (m : Nat). 1, n : let m = fst n$10 : Nat in Nat). let m = fst n$10 : Nat in natelim(⟨⟨λ (n$11 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$12 : 1, k : Nat). ⟨⟨λ (n$13 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k). 1)⟩ as (Σ (k : Nat). Σ (ih : Π (P : Nat -> ⋆). P (⟨⟨λ (n$9 : 1, m : Nat). ⟨⟨λ (n$10 : Σ (m : Nat). 1, n : let m = fst n$10 : Nat in Nat). let m = fst n$10 : Nat in natelim(⟨⟨λ (n$11 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$12 : 1, k : Nat). ⟨⟨λ (n$13 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ k 0) -> P k). 1)⟩⟩, ⟨k, ⟨⟩⟩ as (Σ (k : Nat). 1)⟩⟩, ⟨⟩⟩⟩, m), ⟨⟩⟩⟩',
+        'Π (m : Nat). ⟨⟨λ (n$8 : 1, n : Nat). Π (P : Nat -> ⋆). P (⟨⟨λ (n$9 : 1, m : Nat). ⟨⟨λ (n$10 : Σ (m : Nat). 1, n : let m = fst n$10 : Nat in Nat). let m = fst n$10 : Nat in natelim(⟨⟨λ (n$11 : 1, _ : Nat). Nat, ⟨⟩⟩⟩, n, ⟨⟨λ (n$12 : 1, k : Nat). ⟨⟨λ (n$13 : 1, ih : Nat). succ ih, ⟨⟩⟩⟩, ⟨⟩⟩⟩, m), ⟨m, ⟨⟩⟩ as (Σ (m : Nat). 1)⟩⟩, ⟨⟩⟩⟩ n 0) -> P n, ⟨⟩⟩⟩ m',
     ),
     'church-2': (
         'λ (A : ⋆). λ (f : A -> A). λ (x : A). f (f x)',
