@@ -110,11 +110,12 @@ def test_subst_heavy_warm_fv_cache(benchmark, depth):
 
     ``nested_lambdas(depth)`` only has ``x0`` free under the outer binder,
     so each call's relevance scan is the hot path; with cached
-    free-variable sets it is a dict probe instead of a term walk.
+    free-variable sets stored on the terms it is an attribute read
+    instead of a term walk.
     """
     term = nested_lambdas(depth).body  # λ x1 … λ x_{depth-1}. x0, x0 free
     replacement = cc.nat_literal(3)
-    cc.cached_free_vars(term)  # warm the cache once
+    cc.free_vars(term)  # warm the cache once
     benchmark.group = "E15 subst (warm fv cache)"
     result = benchmark(lambda: cc.subst1(term, "x0", replacement))
     assert cc.free_vars(result) == set()
@@ -125,7 +126,7 @@ def test_subst_wide_capture(benchmark, width):
     """Parallel substitution across a wide-capture body (many free vars)."""
     _, lam = wide_capture(width)
     mapping = {f"v{index}": cc.nat_literal(1) for index in range(width)}
-    cc.cached_free_vars(lam)
+    cc.free_vars(lam)
     benchmark.group = "E15 subst (wide mapping)"
     result = benchmark(lambda: cc.subst(lam, mapping))
     assert cc.free_vars(result) == set()
@@ -251,7 +252,7 @@ def test_closed_judgments_stored_once(family):
             for (kind, *_), (subject, *_) in session.state.judgments._entries.items()
             if kind in ("cc.universe", "cc.infer")
             and cc.ast.LANGUAGE.spec(subject).children
-            and not cc.cached_free_vars(subject)
+            and not cc.free_vars(subject)
         )
     assert {kind for kind, _ in stored} == {"cc.universe", "cc.infer"}
     assert set(stored.values()) == {1}, max(stored.values())

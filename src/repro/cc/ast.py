@@ -52,7 +52,6 @@ __all__ = [
     "Zero",
     "app_spine",
     "arrow",
-    "cached_free_vars",
     "free_vars",
     "hashcons",
     "intern",
@@ -72,11 +71,13 @@ class Term:
     :func:`repro.cc.substitution.alpha_equal` for α-equivalence and
     :func:`repro.cc.equiv.equivalent` for definitional equivalence.
 
-    The ``__weakref__`` slot lets the shared kernel keep identity-keyed
-    weak caches (free variables, interned representatives) over terms.
+    The ``__weakref__`` slot lets a session keep its identity-keyed weak
+    intern memo over terms.  ``_fv`` and ``_hash`` hold the node's free
+    variables and wire content hash, pure facts of the node that
+    :mod:`repro.kernel.fv` and :mod:`repro.wire.codec` fill on first use.
     """
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_fv", "_hash")
 
     def __str__(self) -> str:
         from repro.cc.pretty import pretty
@@ -291,7 +292,6 @@ LANGUAGE.node(NatElim)
 
 # The term operations, defined once on ``Language`` for both calculi.
 free_vars = LANGUAGE.free_vars
-cached_free_vars = LANGUAGE.cached_free_vars
 intern = LANGUAGE.intern
 hashcons = LANGUAGE.build
 subterms = LANGUAGE.subterms

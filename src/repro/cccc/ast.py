@@ -62,7 +62,6 @@ __all__ = [
     "Zero",
     "app_spine",
     "arrow",
-    "cached_free_vars",
     "free_vars",
     "hashcons",
     "intern",
@@ -77,11 +76,13 @@ __all__ = [
 class Term:
     """Base class of all CC-CC expressions (structural ``==`` is syntactic).
 
-    The ``__weakref__`` slot lets the shared kernel keep identity-keyed
-    weak caches (free variables, interned representatives) over terms.
+    The ``__weakref__`` slot lets a session keep its identity-keyed weak
+    intern memo over terms.  ``_fv`` and ``_hash`` hold the node's free
+    variables and wire content hash, pure facts of the node that
+    :mod:`repro.kernel.fv` and :mod:`repro.wire.codec` fill on first use.
     """
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_fv", "_hash")
 
     def __str__(self) -> str:
         from repro.cccc.pretty import pretty
@@ -313,7 +314,6 @@ LANGUAGE.node(NatElim)
 
 # The term operations, defined once on ``Language`` for both calculi.
 free_vars = LANGUAGE.free_vars
-cached_free_vars = LANGUAGE.cached_free_vars
 intern = LANGUAGE.intern
 hashcons = LANGUAGE.build
 subterms = LANGUAGE.subterms

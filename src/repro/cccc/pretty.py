@@ -6,7 +6,7 @@ The printer is the one shared with CC and the surface syntax, in
 
 from __future__ import annotations
 
-from repro.cccc.ast import Term, cached_free_vars
+from repro.cccc.ast import Term, free_vars
 from repro.common.render import _PAPER, render
 
 __all__ = ["pretty"]
@@ -14,4 +14,4 @@ __all__ = ["pretty"]
 
 def pretty(term: Term) -> str:
     """Render ``term`` as human-readable concrete syntax."""
-    return render(term, _PAPER, cached_free_vars)
+    return render(term, _PAPER, free_vars)

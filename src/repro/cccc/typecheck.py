@@ -23,7 +23,7 @@ Fuel matches :mod:`repro.cccc.typecheck_subst`, the differential reference.
 from __future__ import annotations
 
 from repro.cccc.ast import Bool, BoolLit, Box, Clo, CodeLam, CodeType, Nat, Pi, Sigma, Star
-from repro.cccc.ast import Unit, UnitVal, Zero, cached_free_vars
+from repro.cccc.ast import Unit, UnitVal, Zero, free_vars
 from repro.cccc.context import Context
 from repro.cccc.equiv import equivalent
 from repro.cccc.pretty import pretty
@@ -80,7 +80,7 @@ def _clo(spec: TypingSpec, ctx: Context, term: Clo, budget: Budget):
 def _code_context(spec: TypingSpec, code: CodeLam, budget: Budget) -> Context:
     """[Code]'s premises and its body's context ``·, x′:A′, x:A``: the *empty*
     context extended only with the two parameters (the closedness guarantee)."""
-    stray = cached_free_vars(code)
+    stray = free_vars(code)
     if stray:
         raise TypeCheckError(
             f"code is not closed: free variables {sorted(stray)}"

@@ -56,7 +56,7 @@ from repro.cccc.ast import (
     UnitVal,
     Var,
     Zero,
-    cached_free_vars,
+    free_vars,
 )
 from repro.cccc.context import Context
 from repro.cccc.equiv import equivalent
@@ -134,7 +134,7 @@ def _infer(ctx: Context, term: Term, budget: Budget) -> Term:
             # [Code]: the body checks under the *empty* environment — this
             # is the static closedness guarantee.
             empty = Context.empty()
-            stray = cached_free_vars(term)
+            stray = free_vars(term)
             if stray:
                 raise TypeCheckError(
                     f"code is not closed: free variables {sorted(stray)}"
@@ -158,7 +158,7 @@ def _infer(ctx: Context, term: Term, budget: Budget) -> Term:
             arg_name = code_type.arg_name
             arg_type = code_type.arg_type
             result = code_type.result
-            if arg_name in cached_free_vars(env):
+            if arg_name in free_vars(env):
                 renamed = fresh(arg_name)
                 result = rename(result, arg_name, renamed)
                 arg_name = renamed

@@ -17,7 +17,7 @@ annotation, not just its body).
 
 from __future__ import annotations
 
-from repro.cc.ast import Term, cached_free_vars
+from repro.cc.ast import Term, free_vars
 from repro.cc.context import Binding, Context
 from repro.common.errors import TranslationError
 
@@ -31,14 +31,14 @@ def dependent_free_vars(ctx: Context, *terms: Term) -> list[Binding]:
     Raises :class:`TranslationError` if a free variable is not bound in
     ``ctx`` (the input was not well-typed under ``ctx``).
 
-    Free-variable sets come from the kernel's identity-keyed cache, so the
+    Free-variable sets are stored on each term by the kernel, so the
     dependency walk over context types — which revisits the same type
     terms for every conversion site — costs one traversal per distinct
     term, ever, rather than one per call.
     """
     needed: set[str] = set()
     for term in terms:
-        needed |= cached_free_vars(term)
+        needed |= free_vars(term)
 
     collected: set[str] = set()
     worklist = sorted(needed)  # deterministic traversal order
@@ -52,7 +52,7 @@ def dependent_free_vars(ctx: Context, *terms: Term) -> list[Binding]:
                 f"free variable {name!r} is not bound in the context"
             )
         collected.add(name)
-        for dependency in sorted(cached_free_vars(binding.type_)):
+        for dependency in sorted(free_vars(binding.type_)):
             if dependency not in collected:
                 worklist.append(dependency)
 

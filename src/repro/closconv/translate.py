@@ -35,7 +35,7 @@ not depend on ``ctx`` (up to the fresh environment names it draws).
 identity in the session's ``closconv.closed`` cache, which pins the
 source term.  The parser hash-conses its input, so every occurrence of a
 closed subterm is one object and yields one CC-CC object: the target is a
-DAG, and the CC-CC checker's ``is`` shortcuts, the free-variable cache
+DAG, and the CC-CC checker's ``is`` shortcuts, the free-variable walk
 and hoisting each visit a shared subterm once.
 """
 
@@ -60,7 +60,7 @@ def translate(ctx: CCContext, term: cc.Term) -> cccc.Term:
     A closed non-variable ``term`` is translated once per session and
     every later occurrence of the object returns the same CC-CC object.
     """
-    if type(term) is cc.Var or cc.cached_free_vars(term):
+    if type(term) is cc.Var or cc.free_vars(term):
         return _translate(ctx, term)
     memo = current_state().dict_cache("closconv.closed")
     found = memo.get(id(term))

@@ -18,7 +18,7 @@ def reset_fresh_counter() -> None:
     """Reset the active session's counter.  Only for runs needing determinism.
 
     Also clears every cache of the active session (hash-consing tables,
-    cached free-variable sets, memoized normal forms): cached results may
+    intern memos, memoized normal forms): cached results may
     embed fresh names issued before the reset, and keeping them would make
     runs depend on execution history — exactly what resetting is meant to
     avoid.  Sibling sessions are untouched and keep their caches warm.

@@ -15,9 +15,9 @@ makes the hot paths fast:
   structurally equal nodes, so equal terms are pointer-comparable, plus an
   α-canonicalizing :func:`intern` whose representatives coincide exactly for
   α-equivalent terms;
-* **cached free variables** (:mod:`repro.kernel.fv`) — per-node frozensets
-  computed bottom-up and memoized in an identity-keyed weak cache, turning
-  the per-call ``free_vars`` scan inside ``subst`` into an O(1) lookup;
+* **stored free variables** (:mod:`repro.kernel.fv`) — per-node frozensets
+  computed bottom-up once and kept in a slot on the node, turning the
+  per-call ``free_vars`` scan inside ``subst`` into an attribute read;
 * **memoized normalization** (:mod:`repro.kernel.memo`) — a WHNF/normalize
   cache keyed on term identity plus a context fingerprint, replaying the
   recorded fuel consumption on every hit so budget semantics are preserved;

@@ -1,13 +1,15 @@
 """Identity-keyed caches over immutable terms.
 
-Terms in both calculi are immutable, so any fact derived from a term (its
-free-variable set, its interned representative, its normal form under a
-fixed context) can be cached against the term's *identity*.  Identity keys
-avoid the O(n) structural hashing a ``dict[Term, ...]`` would pay on every
-lookup — but they are only sound while the keyed object is alive, because
-CPython reuses addresses.  :class:`TermCache` therefore holds a weak
-reference to every key and evicts the entry the moment the term is
-collected, before its id can be recycled.
+Terms in both calculi are immutable, so a session fact derived from a term
+(its interned representative, its normal form under a fixed context) can be
+cached against the term's *identity*.  Identity keys avoid the O(n)
+structural hashing a ``dict[Term, ...]`` would pay on every lookup — but
+they are only sound while the keyed object is alive, because CPython reuses
+addresses.  :class:`TermCache` therefore holds a weak reference to every
+key and evicts the entry the moment the term is collected, before its id
+can be recycled.  Facts of the term alone (its free variables, its content
+hash) need no cache: they are stored on the term (:mod:`repro.kernel.fv`,
+:mod:`repro.wire.codec`).
 
 Cache *instances* are owned by :class:`repro.kernel.state.KernelState` —
 one full set per session, so independent workloads never share an entry.

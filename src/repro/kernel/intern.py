@@ -109,20 +109,16 @@ def _canonicalize(lang: Language, root: Any) -> Any:
     the node introduces.
 
     Shared subterms are canonicalized once per (node, depth): a node whose
-    cached free-variable set is disjoint from the renaming environment
+    free-variable set is disjoint from the renaming environment
     canonicalizes identically at every occurrence at the same binder depth,
     so the walk keeps a per-walk memo for exactly those nodes and interning
     a hash-consed DAG costs O(unique nodes × depths), not O(unfolded tree).
-    The guard requires the free-variable set to be *already cached* (true
-    for anything built through :func:`build` — parsed, wire-decoded —
-    where it is computed at construction): a tree built with the plain
-    constructors stays on the historical path, paying only one cache probe
-    per node.
+    The root's :func:`~repro.kernel.fv.free_vars` walk fills every
+    subterm's set, so the guard only reads them.
     """
     var_cls = lang.var_cls
-    store = lang.store()  # the active session's caches, resolved once per walk
-    table = store.hashcons
-    fv_cache = store.fv_cache
+    table = lang.hashcons  # the active session's table, resolved once per walk
+    known = fv.known_free_vars
     free = fv.free_vars(lang, root)
     prefix = _CANON_PREFIX
     while any(name.startswith(prefix) for name in free):
@@ -147,10 +143,7 @@ def _canonicalize(lang: Language, root: Any) -> Any:
                 )
                 continue
             memo_key = None
-            cached_free = fv_cache.get(term)
-            if cached_free is not None and (
-                not env or all(name not in env for name in cached_free)
-            ):
+            if not env or env.keys().isdisjoint(known(term)):
                 memo_key = (id(term), depth)
                 done = walk_memo.get(memo_key)
                 if done is not None:

@@ -716,12 +716,9 @@ def nbe_normalize(
     with the budget it spent, exactly like the substitution engine's memo —
     warm calls replay recorded fuel deterministically.
     """
-    lang = spec.lang
     var_cls = spec.var_cls
     trivial = spec.trivial_set
-    # Session state resolved once per call: the active state cannot change
-    # mid-normalization, and the property probe is too hot for the loop.
-    fv_cache = lang.fv_cache
+    known = fv.known_free_vars
     out: list = [None]
     tasks: list = [(_T_NF, term, _EMPTY_ENV, ctx, out, 0)]
     while tasks:
@@ -750,12 +747,13 @@ def nbe_normalize(
             if weak is None:
                 # Memoize exactly the subcomputations whose identity is
                 # stable across runs: environment-independent terms.  The
-                # relevance probe must be O(1) — a cached free-variable set
-                # or an empty environment; computing free variables for
-                # run-local intermediate terms would dominate the cold path.
+                # relevance probe must be O(1) — an already computed
+                # free-variable set or an empty environment; computing free
+                # variables for run-local intermediate terms would dominate
+                # the cold path.
                 if env:
-                    fvs = fv_cache.get(t)
-                    if fvs is not None and not any(name in env for name in fvs):
+                    fvs = known(t)
+                    if fvs is not None and env.keys().isdisjoint(fvs):
                         env = _EMPTY_ENV
                 if not env:
                     if cls is var_cls:
@@ -1129,7 +1127,7 @@ def value_scopes(spec: NbeSpec, node: Any, env: dict) -> tuple[list[str], list[d
     if not binder_attrs:
         return names, envs
     avoid: set[str] = set()
-    node_names = lang.fv_cache.get(node)
+    node_names = fv.known_free_vars(node)
     if node_names is None:
         node_names = _node_names(spec, node)
     for name in node_names:

@@ -18,6 +18,9 @@ The term operations of a calculus (free variables, interning, traversal,
 substitution, α-equivalence and the construction helpers) are methods of
 its :class:`Language`, defined once here; ``repro.cc.ast`` and
 ``repro.cccc.ast`` bind them (``free_vars = LANGUAGE.free_vars``).
+Of the facts these operations derive, only the interning state is per
+session (resolved through the ``Language`` properties); a node's free
+variables and content hash are stored on the node itself.
 """
 
 from __future__ import annotations
@@ -64,11 +67,13 @@ class Language:
     """A calculus, as seen by the kernel: its node specs and its cache views.
 
     The node specs are immutable, process-wide facts about the calculus and
-    live on the instance.  The identity-keyed caches the generic engines
-    use (free variables, interned representatives, the hash-consing table
-    of :mod:`repro.kernel.intern`) are *session state*: the properties
-    below resolve them through the active :class:`~repro.kernel.state.KernelState`,
-    so two sessions interning the same calculus never share a table.  The
+    live on the instance.  The interning caches (the intern memo, the
+    hash-consing table of :mod:`repro.kernel.intern` and the wire decoder's
+    ``by_hash`` index) are *session state*: the properties below resolve
+    them through the active :class:`~repro.kernel.state.KernelState`, so two
+    sessions interning the same calculus never share a table.  A term's
+    free variables and content hash are pure facts of the term and live on
+    it instead (:mod:`repro.kernel.fv`, :mod:`repro.wire.codec`).  The
     two concrete instances live at ``repro.cc.ast.LANGUAGE`` and
     ``repro.cccc.ast.LANGUAGE``.
 
@@ -88,11 +93,6 @@ class Language:
         register_language(self)
 
     @property
-    def fv_cache(self) -> Any:
-        """The active session's free-variable cache for this calculus."""
-        return current_state().store(self).fv_cache
-
-    @property
     def intern_cache(self) -> Any:
         """The active session's ``id(term) -> representative`` intern memo."""
         return current_state().store(self).intern_cache
@@ -103,22 +103,9 @@ class Language:
         return current_state().store(self).hashcons
 
     @property
-    def hash_cache(self) -> Any:
-        """The active session's ``id(term) -> content hash`` cache (weak)."""
-        return current_state().store(self).hash_cache
-
-    @property
     def by_hash(self) -> dict[bytes, Any]:
         """The active session's ``content hash -> node`` adoption index."""
         return current_state().store(self).by_hash
-
-    def store(self) -> Any:
-        """The active session's whole :class:`~repro.kernel.state.LanguageStore`.
-
-        For walks that touch several caches (the wire codec): resolve the
-        contextvar once instead of once per property access.
-        """
-        return current_state().store(self)
 
     def node(
         self,
@@ -174,16 +161,9 @@ class Language:
     # Term operations: the entry points both calculus modules bind.
     # ----------------------------------------------------------------------
 
-    def free_vars(self, term: Any) -> set[str]:
-        """The set of free variable names of ``term`` (a fresh, mutable copy).
-
-        Computed once per node and cached by identity in the kernel; prefer
-        :meth:`cached_free_vars` when a shared immutable set suffices.
-        """
-        return set(_fv.free_vars(self, term))
-
-    def cached_free_vars(self, term: Any) -> frozenset[str]:
-        """The kernel's cached free-variable set for ``term`` (shared, frozen)."""
+    def free_vars(self, term: Any) -> frozenset[str]:
+        """The free variable names of ``term``: computed once per node and
+        stored on it, so every caller shares one immutable set."""
         return _fv.free_vars(self, term)
 
     def intern(self, term: Any) -> Any:

@@ -1,11 +1,11 @@
 """Session-scoped kernel state: every mutable registry, owned by one object.
 
-Historically each kernel cache — the hash-consing tables, the cached
-free-variable sets, the intern memos, the whnf/normalize memo, the judgment
-cache, the context-token fingerprint tables, and the fresh-name counter —
-was a module-level global, and ``reset_fresh_counter()`` nuked all of them
-at once.  That made the kernel impossible to shard: there was no unit of
-isolation two independent workloads could own.
+Historically each kernel cache — the hash-consing tables, the intern
+memos, the whnf/normalize memo, the judgment cache, the context-token
+fingerprint tables, and the fresh-name counter — was a module-level
+global, and ``reset_fresh_counter()`` nuked all of them at once.  That
+made the kernel impossible to shard: there was no unit of isolation two
+independent workloads could own.
 
 :class:`KernelState` is that unit.  One instance owns *all* mutable kernel
 state, so two states can run interleaved workloads (on one thread or on
@@ -13,8 +13,8 @@ several) with zero cross-talk and results byte-identical to solo runs:
 
 * a private fresh-name counter (:meth:`fresh_index`) — interleaving two
   states draws the same names each would draw alone;
-* one :class:`LanguageStore` per calculus (fv cache, intern memo,
-  hash-consing table);
+* one :class:`LanguageStore` per calculus (intern memo, hash-consing
+  table, the wire decoder's ``by_hash`` index);
 * the normalization and judgment caches with their fuel-replay entries,
   and the judgment cache's table of typing-context path keys;
 * the :class:`TokenTable` of context fingerprints
@@ -24,6 +24,10 @@ several) with zero cross-talk and results byte-identical to solo runs:
   different fingerprint in another state;
 * the preferred reduction engine and default fuel, which the ``repro.api``
   session layer reads.
+
+What depends only on a term — its free variables and its wire content
+hash — is not session state: it is stored on the term (:mod:`repro.kernel.fv`,
+:mod:`repro.wire.codec`) and shared by every state.
 
 The *active* state is carried in a :mod:`contextvars` context variable:
 :func:`current_state` returns it, falling back to a lazily-created
@@ -112,26 +116,20 @@ class TokenTable:
 
 
 class LanguageStore:
-    """One calculus's identity-keyed caches, owned by a :class:`KernelState`."""
+    """One calculus's interning state, owned by a :class:`KernelState`."""
 
-    __slots__ = ("fv_cache", "intern_cache", "hashcons", "hash_cache", "by_hash", "caches")
+    __slots__ = ("intern_cache", "hashcons", "by_hash", "caches")
 
     def __init__(self, lang_name: str) -> None:
-        self.fv_cache = TermCache(f"{lang_name}.fv")
         self.intern_cache = TermCache(f"{lang_name}.intern")
         #: (cls, *field keys) -> interned node; owned by repro.kernel.intern.
         self.hashcons: dict[tuple, Any] = {}
-        #: id(term) -> 128-bit content hash; owned by repro.wire.codec.  Weak
-        #: on the keyed term, so hashing transient terms never pins them.
-        self.hash_cache = TermCache(f"{lang_name}.hash")
         #: content hash -> node: the wire decoder's adoption index.  Pins its
         #: nodes strongly (like the hashcons table whose lifetime it shares).
         self.by_hash: dict[bytes, Any] = {}
         self.caches: tuple[Any, ...] = (
-            self.fv_cache,
             self.intern_cache,
             DictCache(f"{lang_name}.hashcons", self.hashcons),
-            self.hash_cache,
             DictCache(f"{lang_name}.by_hash", self.by_hash),
         )
 

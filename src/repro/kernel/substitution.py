@@ -6,10 +6,10 @@ are dropped at binders, and a binder is renamed (with the global fresh
 supply) exactly when it would capture a free variable of some replacement.
 
 Three sharing/efficiency improvements over the originals, the first two
-enabled by the cached free-variable sets of :mod:`repro.kernel.fv`:
+enabled by the free-variable sets :mod:`repro.kernel.fv` stores on terms:
 
 * the entry-point scan ``{k: v for k in mapping if k in free_vars(term)}``
-  is now an O(1)-amortized cache lookup instead of a full term walk;
+  is now an O(1)-amortized attribute read instead of a full term walk;
 * every interior node whose subtree contains no mapped name is returned
   *unchanged* (pointer-shared with the input), so a substitution touching
   one branch of a large term no longer rebuilds — or needlessly renames
@@ -61,10 +61,9 @@ def subst(lang: Language, term: Any, mapping: Substitution) -> Any:
     capturable: set[str] = set()
     for value in relevant.values():
         capturable |= fv.free_vars(lang, value)
-    # Resolve the active session's fv cache once per walk: the property
-    # probes the contextvar, which is too hot to pay per visited node, and
-    # the active state cannot change mid-substitution.
-    fv_cache = lang.fv_cache
+    # The root's walk above filled every subterm's set, so the per-node
+    # relevance scan below only reads them.
+    known = fv.known_free_vars
     var_cls = lang.var_cls
 
     # Post-order over an explicit stack.  A *visit* frame carries the
@@ -110,9 +109,7 @@ def subst(lang: Language, term: Any, mapping: Substitution) -> Any:
         if isinstance(node, var_cls):
             results.append(current.get(node.name, node))
             continue
-        fvs = fv_cache.get(node)
-        if fvs is None:
-            fvs = fv.free_vars(lang, node)
+        fvs = known(node)
         for key in current:
             if key in fvs:
                 break

@@ -216,7 +216,7 @@ def universe(spec: TypingSpec, ctx: Any, type_: Any, budget: Budget, entry: bool
 def _memo_key(spec: TypingSpec, kind: str, ctx: Any, subject: Any) -> tuple:
     """``(cache, key)``: the judgment cache and the context key ``subject`` is memoized under.
 
-    An ``infer`` or ``universe`` subject whose cached free-variable set is
+    An ``infer`` or ``universe`` subject whose free-variable set is
     empty keys on the empty context: its derivation never reads Γ.
     ``check`` keeps the path key, because its expected type may be open.
     """

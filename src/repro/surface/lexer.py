@@ -20,6 +20,7 @@ fresh` collision-free.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from repro.common.errors import ParseError
@@ -48,9 +49,16 @@ KEYWORDS = {
     "false",
 }
 
-#: Every symbol is one or two characters; the lexer tries the two-character
-#: prefix first, so ``->`` and ``=>`` win over ``-`` and ``=``.
-_SYMBOLS = frozenset(["->", "=>", "\\", "(", ")", ":", ".", ",", "<", ">", "="])
+#: One match per lexeme, with the blanks before it.  ``--`` comments come
+#: before symbols and the two-character symbols before the one-character
+#: ones, so ``->`` and ``=>`` win over ``-`` and ``=``.  ``\d`` is
+#: ``str.isdecimal`` and ``\w`` is ``str.isalnum`` or ``_``; a word must also
+#: start with a letter or ``_`` (checked in :func:`tokenize`).  Any other
+#: character is ``bad``; ``end`` takes the blanks before the end of input.
+_LEXEME = re.compile(
+    r"[ \t\r]*(?:(?P<newline>\n)|(?P<comment>--[^\n]*)|(?P<symbol>->|=>|[\\():.,<>=])"
+    r"|(?P<number>\d+)|(?P<word>\w[\w']*)|(?P<bad>.)|(?P<end>\Z))"
+)
 
 
 class Token(NamedTuple):
@@ -62,61 +70,41 @@ class Token(NamedTuple):
     column: int
 
 
+#: ``Token``'s constructor minus its Python-level ``__new__``, which would
+#: cost more than the scan itself.
+_token = tuple.__new__
+
+
 def tokenize(source: str) -> list[Token]:
     """Split ``source`` into tokens; ``--`` starts a comment to end of line."""
     tokens: list[Token] = []
     line = 1
-    column = 1
-    index = 0
-    length = len(source)
-
-    while index < length:
-        char = source[index]
-        if char == "\n":
+    line_start = 0  # source index of the current line's first character
+    end = len(source)  # where the end-of-input token sits
+    for found in _LEXEME.finditer(source):
+        kind = found.lastgroup
+        start = found.start(kind)
+        if kind == "newline":
             line += 1
-            column = 1
-            index += 1
+            line_start = start + 1
+            end = len(source)
             continue
-        if char in " \t\r":
-            index += 1
-            column += 1
+        if kind == "comment":
+            end = start  # a trailing comment is skipped, not counted
             continue
-        if source.startswith("--", index):
-            while index < length and source[index] != "\n":
-                index += 1
+        if kind == "end":
             continue
-
-        symbol = source[index : index + 2]
-        if symbol not in _SYMBOLS:
-            symbol = char
-        if symbol in _SYMBOLS:
-            tokens.append(Token("symbol", symbol, line, column))
-            index += len(symbol)
-            column += len(symbol)
-            continue
-
-        if char.isdecimal():
-            start = index
-            while index < length and source[index].isdecimal():
-                index += 1
-            text = source[start:index]
-            tokens.append(Token("number", text, line, column))
-            column += len(text)
-            continue
-
-        if char.isalpha() or char == "_":
-            start = index
-            while index < length and (source[index].isalnum() or source[index] in "_'"):
-                index += 1
-            text = source[start:index]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, column))
-            column += len(text)
-            continue
-
-        if char == "$":
-            raise ParseError("'$' is reserved for machine-generated names", line, column)
-        raise ParseError(f"unexpected character {char!r}", line, column)
-
-    tokens.append(Token("eof", "", line, column))
+        text = found[kind]
+        if kind == "word":
+            if not text[0].isalpha() and text[0] != "_":
+                kind, text = "bad", text[0]  # e.g. ``²``: alphanumeric, but no word starts with it
+            else:
+                kind = "keyword" if text in KEYWORDS else "ident"
+        if kind == "bad":
+            column = start - line_start + 1
+            if text == "$":
+                raise ParseError("'$' is reserved for machine-generated names", line, column)
+            raise ParseError(f"unexpected character {text!r}", line, column)
+        tokens.append(_token(Token, (kind, text, line, start - line_start + 1)))
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens

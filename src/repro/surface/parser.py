@@ -56,7 +56,7 @@ def parse_term(source: str) -> cc.Term:
 
     The term is hash-consed in the active session (see the module notes).
     """
-    parser = _Parser(tokenize(source), LANGUAGE.store().hashcons)
+    parser = _Parser(tokenize(source), LANGUAGE.hashcons)
     term = parser.term()
     parser.expect_eof()
     return term

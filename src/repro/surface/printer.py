@@ -24,7 +24,7 @@ __all__ = ["sanitize_names", "to_surface"]
 
 def to_surface(term: cc.Term) -> str:
     """Render ``term`` as parseable surface syntax."""
-    return render(sanitize_names(term), _SURFACE, cc.cached_free_vars)
+    return render(sanitize_names(term), _SURFACE, cc.free_vars)
 
 
 def sanitize_names(term: cc.Term) -> cc.Term:

@@ -24,6 +24,9 @@ nodes): the decoder looks each hash up in the receiving session's
 ``by_hash`` index and *adopts* known nodes by pointer, verifying (and
 hash-consing) only the genuinely new ones.  For the same reason the hash
 doubles as the persistent memo tier's term key (:mod:`repro.wire.persist`).
+Being a pure fact of the node, a computed hash is stored on the node itself
+(its ``_hash`` slot, named only in this module) and shared by every
+session; ``by_hash`` is the only per-session table the codec keeps.
 
 The encoding is driven entirely by :class:`~repro.kernel.nodespec.NodeSpec`,
 so both calculi — and any future one — share this one codec.  Encoding is
@@ -65,6 +68,10 @@ CODEC_VERSION = 1
 #: Content hashes are BLAKE2b-128: 64 bits is within birthday reach of a
 #: large persistent store; 128 bits is not, and costs 8 bytes per node.
 HASH_BYTES = 16
+
+# Frozen dataclasses refuse ``setattr``; the ``_hash`` slot is written
+# underneath it.
+_fill = object.__setattr__
 
 _MAGIC = b"RDAG"
 _PERSON = b"repro.wire.v1"  # domain-separates these hashes from every other use
@@ -143,11 +150,11 @@ def content_hash(lang: Language, term: Any) -> bytes:
 
     A pure function of the term's visible structure (class names, binder
     names, data, child structure) — independent of sharing, session, or
-    process.  Cached per session in the language store's weak ``hash_cache``
-    so repeated hashing of live (e.g. hash-consed) terms is O(1).
+    process.  Stored in each node's ``_hash`` slot (declared on both
+    calculi's ``Term``; only this module names it), so repeated hashing of
+    live (e.g. hash-consed) terms is O(1) in every session.
     """
-    cache = lang.hash_cache
-    found = cache.get(term)
+    found = getattr(term, "_hash", None)
     if found is not None:
         return found
     specs = lang.specs
@@ -156,7 +163,7 @@ def content_hash(lang: Language, term: Any) -> bytes:
     while stack:
         node, expanded = stack.pop()
         if not expanded:
-            cached = cache.get(node)
+            cached = getattr(node, "_hash", None)
             if cached is not None:
                 results.append(cached)
                 continue
@@ -173,7 +180,7 @@ def content_hash(lang: Language, term: Any) -> bytes:
             if count:
                 del results[len(results) - count :]
             digest = _node_digest(spec, node, child_hashes)
-            cache.put(node, digest)
+            _fill(node, "_hash", digest)
             results.append(digest)
     return results[-1]
 
@@ -185,8 +192,7 @@ def encode_term(lang: Language, term: Any) -> bytes:
     structural occurrence*, so structurally equal terms — shared DAG or
     unfolded tree alike — encode to byte-identical buffers.
     """
-    root_hash = content_hash(lang, term)  # also fills the hash cache
-    cache = lang.hash_cache
+    root_hash = content_hash(lang, term)  # also fills every node's hash
     specs = lang.specs
     names: list[str] = []
     name_tags: dict[str, int] = {}
@@ -195,7 +201,7 @@ def encode_term(lang: Language, term: Any) -> bytes:
     stack: list[tuple[Any, bool]] = [(term, False)]
     while stack:
         node, expanded = stack.pop()
-        digest = cache.get(node)
+        digest = node._hash
         if digest in index_of:
             continue  # this structure is already in the table
         spec = specs[type(node)]
@@ -214,7 +220,7 @@ def encode_term(lang: Language, term: Any) -> bytes:
         child_attrs = spec.child_attrs
         for attr in spec.field_order:
             if attr in child_attrs:
-                _write_varint(body, index_of[cache.get(getattr(node, attr))])
+                _write_varint(body, index_of[getattr(node, attr)._hash])
             elif attr in binders:
                 _write_str(body, getattr(node, attr))
             else:
@@ -328,10 +334,8 @@ def decode_term(lang: Language, data: bytes) -> Any:
     count = reader.varint()
     if count == 0:
         raise WireDecodeError("empty node table")
-    store = lang.store()
-    by_hash = store.by_hash
-    hash_cache = store.hash_cache
-    table = store.hashcons
+    by_hash = lang.by_hash
+    table = lang.hashcons
     specs = lang.specs
     nodes: list[Any] = []
     hashes: list[bytes] = []
@@ -366,7 +370,7 @@ def decode_term(lang: Language, data: bytes) -> Any:
             if expected != digest:
                 raise WireDecodeError(f"node {index}: content hash mismatch (corrupt buffer)")
             by_hash[digest] = node
-            hash_cache.put(node, digest)
+            _fill(node, "_hash", digest)
         nodes.append(node)
         hashes.append(digest)
     root = reader.varint()

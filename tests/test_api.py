@@ -207,7 +207,7 @@ class TestResetIsolation:
         # Sibling caches untouched, byte for byte.
         assert right.cache_stats() == right_entries_before
         assert left.cache_stats()["kernel.normalization"] == 0
-        assert left.cache_stats()["cc.fv"] == 0
+        assert left.cache_stats()["kernel.judgments"] == 0
 
         # The sibling still *hits*: same result object, hits counter moves.
         hits_before = right.hit_counts()["kernel.judgments"]

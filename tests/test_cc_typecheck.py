@@ -490,3 +490,33 @@ _PINNED = {
 )
 def test_typing_is_pinned(name, ctx, term, interned):
     assert _typing_record(ctx, term, interned) == _PINNED[name, interned]
+
+
+#: The checker resolves context variables by name, so a later binder that
+#: reuses a name captures an earlier binding's type: ``x : A`` is read at
+#: the inner ``A``.  These pin that bug (ROADMAP open item 1) and must be
+#: flipped to plain tests by the change that fixes it.
+_SHADOWING_ILL_TYPED = [
+    pytest.param(r"\ (A : Type) (x : A) (A : Type). (\ (z : A). z) x", id="lambda"),
+    pytest.param(r"\ (A : Type) (x : A). exists (A : Type), forall (P : A -> Type), P x",
+                 id="sigma"),
+    pytest.param(r"\ (A : Type) (x : A). let A = Nat : Type in (\ (z : A). z) x", id="let"),
+]
+
+
+class TestShadowingCapture:
+    @pytest.mark.xfail(strict=True, reason="context variables resolve by name (ROADMAP item 1)")
+    @pytest.mark.parametrize("text", _SHADOWING_ILL_TYPED)
+    def test_shadowing_binder_is_rejected(self, text):
+        with pytest.raises(TypeCheckError):
+            api.Session().check(text)
+
+    @pytest.mark.xfail(strict=True, reason="context variables resolve by name (ROADMAP item 1)")
+    def test_shadowed_well_typed_program_checks_and_runs(self):
+        session = api.Session()
+        text = r"\ (A : Type) (x : A) (A : Type) (y : A). x"
+        star, var = cc.Star(), cc.Var
+        # Π (A:⋆). A → Π (A′:⋆). A′ → A
+        expected = cc.Pi("A", star, cc.arrow(var("A"), cc.Pi("B", star, cc.arrow(var("B"), var("A")))))
+        assert cc.alpha_equal(session.check(text).type_, expected)
+        session.run(text)

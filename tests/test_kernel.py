@@ -142,7 +142,7 @@ class TestCachedFreeVars:
         assert cc.free_vars(term) == _reference_free_vars(LANGUAGE, term)
         # And for every subterm, which exercises the bottom-up fill.
         for sub in cc.subterms(term):
-            assert cc.cached_free_vars(sub) == _reference_free_vars(LANGUAGE, sub)
+            assert cc.free_vars(sub) == _reference_free_vars(LANGUAGE, sub)
 
     def test_agrees_on_converted_corpus_terms(self):
         from repro.cccc.ast import LANGUAGE as TARGET
@@ -156,12 +156,14 @@ class TestCachedFreeVars:
 
     def test_cache_returns_same_frozenset_object(self):
         term = cc.Lam("x", cc.Nat(), cc.App(cc.Var("f"), cc.Var("x")))
-        assert cc.cached_free_vars(term) is cc.cached_free_vars(term)
+        assert cc.free_vars(term) is cc.free_vars(term)
 
-    def test_free_vars_returns_fresh_mutable_set(self):
+    def test_free_vars_returns_shared_immutable_set(self):
         term = cc.App(cc.Var("f"), cc.Var("a"))
         first = cc.free_vars(term)
-        first.clear()  # caller mutations must not poison the cache
+        assert isinstance(first, frozenset)  # callers cannot poison the stored set
+        with pytest.raises(AttributeError):
+            first.clear()
         assert cc.free_vars(term) == {"f", "a"}
 
     def test_multi_binder_scoping(self):
@@ -273,17 +275,16 @@ class TestMemoizedNormalization:
 
 class TestReset:
     def test_reset_clears_kernel_caches(self, empty):
-        from repro.cc.ast import LANGUAGE
         from repro.kernel.cache import cache_stats
 
         term = cc.make_app(prelude.nat_add, cc.nat_literal(4), cc.nat_literal(4))
         cc.normalize(empty, term)
         cc.intern(term)
-        assert len(LANGUAGE.fv_cache) > 0
+        assert cache_stats()["cc.intern"] > 0
         assert cache_stats()["kernel.normalization"] > 0
         reset_fresh_counter()
         stats = cache_stats()
-        assert stats["cc.fv"] == 0
+        assert stats["cc.intern"] == 0
         assert stats["cc.hashcons"] == 0
         assert stats["kernel.normalization"] == 0
 
@@ -651,7 +652,7 @@ class TestDeepPretty:
 #: calculus's kernel descriptor (``LANGUAGE`` or the reduction ``_NBE``).
 _BOUND = {
     "ast": (
-        "free_vars", "cached_free_vars", "intern", "hashcons", "subterms", "term_size",
+        "free_vars", "intern", "hashcons", "subterms", "term_size",
         "arrow", "make_app", "app_spine", "nat_literal", "nat_value",
     ),
     "substitution": ("subst", "subst1", "rename", "alpha_equal"),
