@@ -29,7 +29,7 @@ from repro import api, cc, cccc
 from repro.common.names import reset_fresh_counter
 from repro.gen.dag import shared_dag_tower
 from repro.gen.jobs import job_corpus
-from repro.kernel.judgment import JudgmentCache
+from repro.kernel.memo import Memo
 from repro.surface import parse_term
 from repro.surface.printer import to_surface
 from repro.wire.codec import term_from_b64, term_to_b64
@@ -178,10 +178,12 @@ def test_judgment_memo_traffic(monkeypatch):
     # (form, pass, whether the probe came from inside ``Session.compile``)
     stage = ["setup", 0, False]
     compile_probes: collections.Counter = collections.Counter()
-    lookup = JudgmentCache.lookup
+    replay = Memo.replay
 
-    def counting_lookup(self, kind, subject, extra, key):
-        found = lookup(self, kind, subject, extra, key)
+    def counting_replay(self, kind, subject, extra, key, budget):
+        found = replay(self, kind, subject, extra, key, budget)
+        if self is not session.state.judgments:
+            return found
         probes[stage[0], kind] += 1
         if found is not None:
             hits[stage[0], kind] += 1
@@ -199,7 +201,7 @@ def test_judgment_memo_traffic(monkeypatch):
         verifications += 1
         return compile_term(*args, **kwargs)
 
-    monkeypatch.setattr(JudgmentCache, "lookup", counting_lookup)
+    monkeypatch.setattr(Memo, "replay", counting_replay)
     monkeypatch.setattr(api, "compile_term", counting_compile_term)
     for name, programs in (("text", texts), ("interned", interned), ("decoded", decoded)):
         stage[0] = name

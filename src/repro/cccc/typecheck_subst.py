@@ -23,7 +23,7 @@ The two rules that carry the weight of the paper:
 
 ``Code`` formation ([T-Code-⋆]/[T-Code-□]) mirrors Π: impredicative in ⋆,
 predicative at □.  Everything else is inherited from CC — including the
-judgment-level memoization of :mod:`repro.kernel.judgment`: every
+judgment-level memoization of :mod:`repro.kernel.memo`: every
 ``infer``/``check``/``infer_universe`` result is cached per (term
 identity, context path key) with exact fuel replay into the
 threaded :class:`Budget`, and failures are never cached so errors
@@ -65,7 +65,7 @@ from repro.cccc.reduce import Budget, whnf
 from repro.cccc.substitution import rename, subst1
 from repro.common.errors import TypeCheckError
 from repro.common.names import fresh
-from repro.kernel.judgment import judgment_cache
+from repro.kernel.memo import judgment_key
 
 __all__ = ["check", "check_context", "infer", "infer_universe", "well_typed"]
 
@@ -102,16 +102,12 @@ def infer(ctx: Context, term: Term, budget: Budget | None = None) -> Term:
             return _BOOL
         case Zero():
             return _NAT
-    cache = judgment_cache()
-    key = cache.typing_key(ctx)
-    hit = cache.lookup("cccc.infer", term, None, key)
-    if hit is not None:
-        result, steps = hit
-        budget.charge(steps)
-        return result
-    before = budget.spent
-    result = _infer(ctx, term, budget)
-    cache.store("cccc.infer", term, None, key, result, budget.spent - before)
+    memo, key = judgment_key(ctx)
+    result = memo.replay("cccc.infer", term, None, key, budget)
+    if result is None:
+        before = budget.spent
+        result = _infer(ctx, term, budget)
+        memo.store("cccc.infer", term, None, key, result, budget.spent - before)
     return result
 
 
@@ -254,11 +250,8 @@ def check(ctx: Context, term: Term, expected: Term, budget: Budget | None = None
     """Check ``Γ ⊢ term : expected`` (inference + [Conv])."""
     if budget is None:
         budget = Budget()
-    cache = judgment_cache()
-    key = cache.typing_key(ctx)
-    hit = cache.lookup("cccc.check", term, expected, key)
-    if hit is not None:
-        budget.charge(hit[1])
+    memo, key = judgment_key(ctx)
+    if memo.replay("cccc.check", term, expected, key, budget):
         return
     before = budget.spent
     actual = infer(ctx, term, budget)
@@ -268,25 +261,22 @@ def check(ctx: Context, term: Term, expected: Term, budget: Budget | None = None
             f"  has type      {pretty(actual)}\n"
             f"  but expected  {pretty(expected)}"
         )
-    cache.store("cccc.check", term, expected, key, True, budget.spent - before)
+    memo.store("cccc.check", term, expected, key, True, budget.spent - before)
 
 
 def infer_universe(ctx: Context, type_: Term, budget: Budget | None = None) -> Star | Box:
     """Require ``type_`` to be a type; return its universe (⋆ or □)."""
     if budget is None:
         budget = Budget()
-    cache = judgment_cache()
-    key = cache.typing_key(ctx)
-    hit = cache.lookup("cccc.universe", type_, None, key)
-    if hit is not None:
-        sort, steps = hit
-        budget.charge(steps)
+    memo, key = judgment_key(ctx)
+    sort = memo.replay("cccc.universe", type_, None, key, budget)
+    if sort is not None:
         return sort
     before = budget.spent
     sort = whnf(ctx, infer(ctx, type_, budget), budget)
     if not isinstance(sort, (Star, Box)):
         raise TypeCheckError(f"expected a type but {pretty(type_)} has type {pretty(sort)}")
-    cache.store("cccc.universe", type_, None, key, sort, budget.spent - before)
+    memo.store("cccc.universe", type_, None, key, sort, budget.spent - before)
     return sort
 
 

@@ -68,11 +68,10 @@ class Context:
         new_index = dict(self._index)
         new_index[binding.name] = len(self.entries)
         child = Context(self.entries + (binding,), new_index)
-        # Parent link for the kernel's incremental context fingerprinting
-        # (repro.kernel.memo.context_token): lets a one-entry extension
-        # derive its visible-definitions map from this context in O(1)
-        # instead of rescanning all entries.  The typing memo's path keys
-        # (repro.kernel.judgment) follow the same link.
+        # Parent link for the kernel's context keys (repro.kernel.memo):
+        # lets a one-entry extension derive its definitions token and its
+        # typing path key from this context's in O(1) instead of
+        # rescanning all entries.
         object.__setattr__(child, "_kernel_parent", (self, binding))
         return child
 

@@ -18,21 +18,22 @@ makes the hot paths fast:
 * **stored free variables** (:mod:`repro.kernel.fv`) — per-node frozensets
   computed bottom-up once and kept in a slot on the node, turning the
   per-call ``free_vars`` scan inside ``subst`` into an attribute read;
-* **memoized normalization** (:mod:`repro.kernel.memo`) — a WHNF/normalize
-  cache keyed on term identity plus a context fingerprint, replaying the
-  recorded fuel consumption on every hit so budget semantics are preserved;
+* **one fuel-replaying memo** (:mod:`repro.kernel.memo`) — every judgment
+  the kernel memoizes (``whnf``/``normalize``, ``equivalent``, and
+  ``infer``/``check``/``infer_universe``) goes through one
+  :class:`~repro.kernel.memo.Memo` class, keyed on subject identity plus
+  a context key from a :class:`~repro.kernel.memo.ContextKeys` table (the
+  definitions token for reduction and equivalence, the extension path
+  for typing), replaying the recorded fuel on every hit so budget
+  semantics are preserved;
 * **incremental conversion** (:mod:`repro.kernel.convert`) — a whnf-driven
   equivalence engine with pointer/intern short-circuits and per-calculus η
   hooks, replacing normalize-then-compare on the [Conv] hot path;
-* **judgment memoization** (:mod:`repro.kernel.judgment`) — a
-  fuel-replaying cache for ``infer``/``check``/``infer_universe`` (keyed
-  on the context's extension path) and ``equivalent`` (keyed on the
-  definitions fingerprint);
 * **one type checker** (:mod:`repro.kernel.typing`) — every typing rule
   the two calculi share, over type values that instantiate in O(1),
   driven by a per-calculus ``TypingSpec``.
 
-Every piece of mutable kernel state — the caches above, the context-token
+Every piece of mutable kernel state — the caches above, the context-key
 tables, and the fresh-name counter — is owned by a
 :class:`~repro.kernel.state.KernelState` (:mod:`repro.kernel.state`), one
 per session; :func:`current_state` resolves the one in force.  The helpers
@@ -47,8 +48,7 @@ from repro.kernel.cache import DictCache, TermCache, cache_stats
 from repro.kernel.convert import ConversionRules, convert
 from repro.kernel.fv import free_vars
 from repro.kernel.intern import build, intern
-from repro.kernel.judgment import JudgmentCache, judgment_cache
-from repro.kernel.memo import NormalizationCache, context_token
+from repro.kernel.memo import ContextKeys, Memo, context_token
 from repro.kernel.nodespec import ChildSpec, Language, NodeSpec
 from repro.kernel.state import KernelState, activate, current_state, default_state
 from repro.kernel.substitution import subst
@@ -58,13 +58,13 @@ __all__ = [
     "DEFAULT_FUEL",
     "Budget",
     "ChildSpec",
+    "ContextKeys",
     "ConversionRules",
     "DictCache",
-    "JudgmentCache",
     "KernelState",
     "Language",
+    "Memo",
     "NodeSpec",
-    "NormalizationCache",
     "TermCache",
     "activate",
     "alpha_equal",
@@ -76,7 +76,6 @@ __all__ = [
     "default_state",
     "free_vars",
     "intern",
-    "judgment_cache",
     "subst",
     "subterms",
     "term_size",

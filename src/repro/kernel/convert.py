@@ -51,6 +51,11 @@ representatives) are only skipped when every free variable of the subterm
 resolves to the *same* binder level on both sides — the condition under
 which comparing a term to itself is vacuous.
 
+The judgment itself is memoized: :meth:`ConversionRules.equivalent` probes
+the session's judgment :class:`~repro.kernel.memo.Memo` under both sides'
+identities and the context's definitions token (the only part of the
+context the relation observes), and a hit replays the recorded fuel.
+
 Contexts are threaded per side and only ever consulted by ``whnf`` for
 δ-reduction, so crossing a binder extends a side's context **only when the
 binder shadows a visible definition** (an assumption entry whose only job
@@ -65,10 +70,9 @@ from typing import Any
 
 from repro.kernel import fv
 from repro.kernel.budget import Budget
-from repro.kernel.judgment import judgment_cache
-from repro.kernel.memo import context_token
 from repro.kernel.nbe import NbeSpec, Thunk, glue, value_names, value_scopes, view
 from repro.kernel.nodespec import Language
+from repro.kernel.state import current_state
 
 __all__ = ["ConversionRules", "convert"]
 
@@ -116,16 +120,14 @@ class ConversionRules:
         leaves = self.nbe.trivial
         if isinstance(left, leaves) and isinstance(right, leaves):
             return convert(self, ctx, ctx, left, right, budget)
-        cache = judgment_cache()
-        token = context_token(ctx)
-        hit = cache.lookup(self.kind, left, right, token)
-        if hit is not None:
-            verdict, steps = hit
-            budget.charge(steps)
-            return verdict
-        before = budget.spent
-        verdict = convert(self, ctx, ctx, left, right, budget)
-        cache.store(self.kind, left, right, token, verdict, budget.spent - before)
+        state = current_state()
+        memo = state.judgments
+        token = state.ctx_tokens.key(ctx)
+        verdict = memo.replay(self.kind, left, right, token, budget)
+        if verdict is None:
+            before = budget.spent
+            verdict = convert(self, ctx, ctx, left, right, budget)
+            memo.store(self.kind, left, right, token, verdict, budget.spent - before)
         return verdict
 
     def whnf(self, ctx: Any, term: Any, budget: Budget) -> Any:

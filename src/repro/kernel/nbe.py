@@ -63,8 +63,8 @@ from typing import Any
 from repro.kernel.names import fresh
 from repro.kernel import fv
 from repro.kernel.budget import DEFAULT_FUEL, Budget
-from repro.kernel.memo import context_token
 from repro.kernel.nodespec import Language
+from repro.kernel.state import current_state
 from repro.kernel.substitution import subst
 
 __all__ = [
@@ -701,21 +701,17 @@ _SPINE_CLS = {
 }
 
 
-def nbe_normalize(
-    spec: NbeSpec,
-    ctx: Any,
-    term: Any,
-    budget: Budget,
-    cache: Any = None,
-    kind: str | None = None,
-) -> Any:
+def nbe_normalize(spec: NbeSpec, ctx: Any, term: Any, budget: Budget) -> Any:
     """Fully normalize ``term`` under ``ctx`` by evaluate-then-quote.
 
-    When ``cache``/``kind`` are given, every environment-independent
-    subcomputation is memoized under ``(id(term), kind, context_token)``
-    with the budget it spent, exactly like the substitution engine's memo —
-    warm calls replay recorded fuel deterministically.
+    Every environment-independent subcomputation is memoized in the
+    session's normalization memo under ``spec.nf_kind`` and the context's
+    definitions token, with the budget it spent, exactly like the
+    substitution engine's memo: warm calls replay recorded fuel
+    deterministically.
     """
+    state = current_state()
+    memo, tokens, kind = state.normalization, state.ctx_tokens, spec.nf_kind
     var_cls = spec.var_cls
     trivial = spec.trivial_set
     known = fv.known_free_vars
@@ -761,14 +757,12 @@ def nbe_normalize(
                         if binding is None or binding.definition is None:
                             dest[idx] = t
                             continue
-                    if cache is not None:
-                        token = context_token(tctx)
-                        hit = cache.lookup(kind, t, token)
-                        if hit is not None:
-                            dest[idx] = hit[0]
-                            budget.charge(hit[1])
-                            continue
-                        tasks.append((_T_CACHE, t, token, budget.spent, dest, idx))
+                    token = tokens.key(tctx)
+                    hit = memo.replay(kind, t, None, token, budget)
+                    if hit is not None:
+                        dest[idx] = hit
+                        continue
+                    tasks.append((_T_CACHE, t, token, budget.spent, dest, idx))
                 head, henv, spine = _machine(spec, tctx, t, env, budget)
             else:
                 head, henv, spine = weak
@@ -790,7 +784,7 @@ def nbe_normalize(
                 dest[idx] = cls(*args)
         elif tag == _T_CACHE:
             _, t, token, start, dest, idx = task
-            cache.store(kind, t, token, dest[idx], budget.spent - start)
+            memo.store(kind, t, None, token, dest[idx], budget.spent - start)
         else:  # _T_THUNK
             _, thunk, dest, idx = task
             thunk.nf = dest[idx]

@@ -28,9 +28,12 @@ Two engines decide the relation, and this module wraps both:
   :func:`normalize_counting` reports its step semantics, one unit per
   contraction per occurrence, replayed on memo hits.
 
-Both engines memoize through :func:`_memoized` under the kinds of
+Both engines memoize in the session's normalization
+:class:`~repro.kernel.memo.Memo` under the kinds of
 :class:`~repro.kernel.nbe.NbeSpec` (``"cc.whnf"`` vs ``"cc.whnf.subst"``,
-and so on), so they never exchange results or recorded fuel.  The spec is
+and so on), so they never exchange results or recorded fuel: every
+wrapper here through :func:`_memoized`, and NbE normalization per
+subterm inside :func:`repro.kernel.nbe.nbe_normalize`.  The spec is
 threaded through as the first argument of every compute function rather
 than bound into a closure or partial, so a nested reduction costs three
 Python frames per level (entry, memo, step); the recursion depth this
@@ -42,7 +45,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.kernel.budget import DEFAULT_FUEL, Budget
-from repro.kernel.memo import context_token
 from repro.kernel.nbe import NbeSpec, Thunk, nbe_normalize, nbe_whnf, read_back
 from repro.kernel.state import current_state
 from repro.kernel.substitution import subst
@@ -63,20 +65,16 @@ def _memoized(spec: NbeSpec, ctx: Any, term: Any, budget: Budget, kind: str,
               compute: Callable) -> Any:
     """Run ``compute(spec, ctx, term, budget)`` through the normalization memo.
 
-    The one definition of the memo discipline (token, fuel-replaying
-    lookup, store) behind every wrapper here, so no engine can
-    desynchronize on it.
+    Keyed on ``ctx``'s definitions token; a hit replays the recorded fuel.
     """
-    cache = current_state().normalization
-    token = context_token(ctx)
-    hit = cache.lookup(kind, term, token)
-    if hit is not None:
-        result, steps = hit
-        budget.charge(steps)
-        return result
-    before = budget.spent
-    result = compute(spec, ctx, term, budget)
-    cache.store(kind, term, token, result, budget.spent - before)
+    state = current_state()
+    memo = state.normalization
+    token = state.ctx_tokens.key(ctx)
+    result = memo.replay(kind, term, None, token, budget)
+    if result is None:
+        before = budget.spent
+        result = compute(spec, ctx, term, budget)
+        memo.store(kind, term, None, token, result, budget.spent - before)
     return result
 
 
@@ -139,8 +137,7 @@ def normalize(spec: NbeSpec, ctx: Any, term: Any, budget: Budget | None = None) 
         budget = Budget()
     if _normal(spec, ctx, term):
         return term
-    return nbe_normalize(spec, ctx, term, budget, current_state().normalization,
-                         spec.nf_kind)
+    return nbe_normalize(spec, ctx, term, budget)
 
 
 def whnf_subst(spec: NbeSpec, ctx: Any, term: Any, budget: Budget | None = None) -> Any:

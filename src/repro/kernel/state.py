@@ -15,13 +15,13 @@ several) with zero cross-talk and results byte-identical to solo runs:
   states draws the same names each would draw alone;
 * one :class:`LanguageStore` per calculus (intern memo, hash-consing
   table, the wire decoder's ``by_hash`` index);
-* the normalization and judgment caches with their fuel-replay entries,
-  and the judgment cache's table of typing-context path keys;
-* the :class:`TokenTable` of context fingerprints
-  (:func:`repro.kernel.memo.context_token`) — the fingerprint maps are
-  per-state, while the token *counter* stays process-global and monotone,
-  so a token cached on a context object by one state can never alias a
-  different fingerprint in another state;
+* the two :class:`~repro.kernel.memo.Memo` instances with their
+  fuel-replay entries, ``normalization`` and ``judgments``;
+* the two :class:`~repro.kernel.memo.ContextKeys` tables their entries
+  key on, ``ctx_tokens`` (definitions tokens) and ``typing_paths``
+  (extension-path keys) — the tables are per-state, while the key
+  *counter* stays process-global and monotone, so a key cached on a
+  context object by one state is never honoured by another;
 * the preferred reduction engine and default fuel, which the ``repro.api``
   session layer reads.
 
@@ -53,7 +53,6 @@ __all__ = [
     "ENGINES",
     "KernelState",
     "LanguageStore",
-    "TokenTable",
     "activate",
     "bootstrap_worker_state",
     "current_state",
@@ -86,35 +85,6 @@ def register_language(lang: Any) -> Any:
     return lang
 
 
-class TokenTable:
-    """Per-state fingerprint tables of :func:`repro.kernel.memo.context_token`.
-
-    ``table`` maps a context fingerprint to ``(token, pinned values)``;
-    ``map_tokens`` is the O(1) ``id(visible map) -> (token, pinned map)``
-    path; ``by_token`` is the reverse index ``token -> visible map``, which
-    the persistent memo tier uses to translate a session-local token back
-    into the content it fingerprints.  Clearing drops all three (the pins
-    die with them) but never touches the process-global token counter,
-    so tokens are never reused — within a state or across states.
-    """
-
-    __slots__ = ("name", "table", "map_tokens", "by_token")
-
-    def __init__(self) -> None:
-        self.name = "kernel.ctx_tokens"
-        self.table: dict[tuple, tuple[int, tuple]] = {}
-        self.map_tokens: dict[int, tuple[int, dict]] = {}
-        self.by_token: dict[int, dict] = {}
-
-    def clear(self) -> None:
-        self.table.clear()
-        self.map_tokens.clear()
-        self.by_token.clear()
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-
 class LanguageStore:
     """One calculus's interning state, owned by a :class:`KernelState`."""
 
@@ -138,10 +108,9 @@ class KernelState:
     """All mutable kernel state for one isolated workload.
 
     Everything the engines can read or write lives here; two states never
-    share an entry, a token table, or a name counter.  The deliberate
-    exceptions are the *counters* behind context tokens and typing path
-    keys (process-global), which only ever make keys unique — they carry
-    no workload state.
+    share an entry, a key table, or a name counter.  The deliberate
+    exception is the *counter* behind context keys (process-global),
+    which only ever makes keys unique — it carries no workload state.
     """
 
     def __init__(
@@ -152,11 +121,10 @@ class KernelState:
     ) -> None:
         validate_engine(engine)
         # Imported lazily: this module sits below everything (names, memo,
-        # judgment, budget) in the import graph, so it must not import any
-        # of them at module scope.
+        # budget) in the import graph, so it must not import any of them at
+        # module scope.
         from repro.kernel.budget import DEFAULT_FUEL
-        from repro.kernel.judgment import JudgmentCache
-        from repro.kernel.memo import NormalizationCache
+        from repro.kernel import memo
 
         if fuel is None:
             fuel = DEFAULT_FUEL
@@ -164,13 +132,16 @@ class KernelState:
         self.name = name
         self.engine = engine
         self.fuel = fuel
-        self.normalization = NormalizationCache()
-        self.judgments = JudgmentCache()
+        self.ctx_tokens = memo.ContextKeys(
+            "kernel.ctx_tokens", memo.visible_definitions, memo.definitions_token)
+        self.typing_paths = memo.ContextKeys(
+            "kernel.typing_paths", memo.extension_path, memo.own_key)
+        self.normalization = memo.Memo("kernel.normalization")
+        self.judgments = memo.Memo("kernel.judgments", keys=self.typing_paths)
         #: The attached persistent memo tier (repro.wire.persist), or None.
         self.persistent: Any = None
         self._counter = itertools.count(1)
         self._stores: dict[str, LanguageStore] = {}
-        self.ctx_tokens = TokenTable()
         self._dicts: dict[str, dict] = {}
         self._reset_lock = threading.Lock()
 
@@ -217,7 +188,7 @@ class KernelState:
         out.append(self.ctx_tokens)
         out.append(self.normalization)
         out.append(self.judgments)
-        out.append(self.judgments.paths)
+        out.append(self.typing_paths)
         out.extend(DictCache(name, data) for name, data in self._dicts.items())
         return out
 

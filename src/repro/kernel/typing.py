@@ -22,10 +22,13 @@ descends into it.  A value becomes syntax only as a binder's result type
 once and memoized on the value.  ``whnf_value`` reduces exactly the
 substituted term, so fuel matches substitution.
 
-**Memo scope is a spec constant.**  Judgments are memoized per (subject
-identity, context key) with exact fuel replay; failures are never cached.
-One key function, :func:`_memo_key`, serves every probe and
-:meth:`TypingSpec.derived_type`: the context's path key, except that an
+**Memo scope is a spec constant.**  Judgments are memoized in the
+session's judgment :class:`~repro.kernel.memo.Memo` per (subject
+identity, context key): a probe is one ``Memo.replay`` call, which
+replays the recorded fuel on a hit and returns before the rule recurses,
+and failures are never stored.  One key function, :func:`_memo_key`,
+serves every probe and :meth:`TypingSpec.derived_type` (a
+``Memo.peek``): the context's path key, except that an
 ``infer`` or universe judgment of a closed subject keys on the empty
 context, since its derivation never reads Γ.  With
 ``memo_every_judgment`` (CC), every non-leaf judgment probes and stores:
@@ -45,7 +48,7 @@ from typing import Any, Callable
 from repro.common.errors import TypeCheckError
 from repro.kernel import fv
 from repro.kernel.budget import Budget
-from repro.kernel.judgment import judgment_cache
+from repro.kernel.memo import judgment_key
 from repro.kernel.names import fresh
 from repro.kernel.nbe import NbeSpec, Thunk, glue, read_back, view
 from repro.kernel.reduction import whnf, whnf_value
@@ -138,8 +141,8 @@ class TypingSpec:
         if cls is self.nbe.var_cls:
             binding = ctx.lookup(term.name)
             return None if binding is None else binding.type_
-        cache, key = _memo_key(self, self.infer_kind, ctx, term)
-        value = cache.peek(self.infer_kind, term, None, key)
+        memo, key = _memo_key(self, self.infer_kind, ctx, term)
+        value = memo.peek(self.infer_kind, term, None, key)
         return None if value is None else read_back(self.nbe, value)
 
 
@@ -165,22 +168,22 @@ def infer_value(spec: TypingSpec, ctx: Any, term: Any, budget: Budget, entry: bo
         raise TypeCheckError(f"not a {spec.name} term: {term!r}")
     if not (entry or spec.memo_every_judgment):
         return rule(spec, ctx, term, budget)
-    cache, key, value = _recall(spec, spec.infer_kind, ctx, term, None, budget)
+    memo, key, value = _recall(spec, spec.infer_kind, ctx, term, None, budget)
     if value is None:
         before = budget.spent
         value = rule(spec, ctx, term, budget)
         if entry:  # a public result is syntax: store it, not the value, read back once
             value = read_back(spec.nbe, value)
-        cache.store(spec.infer_kind, term, None, key, value, budget.spent - before)
+        memo.store(spec.infer_kind, term, None, key, value, budget.spent - before)
     return value
 
 
 def check_value(spec: TypingSpec, ctx: Any, term: Any, expected: Any, budget: Budget,
                 entry: bool = False) -> None:
     """Check ``Γ ⊢ term : expected`` for a type value ``expected`` ([Conv])."""
-    memo = entry or spec.memo_every_judgment
-    if memo:
-        cache, key, hit = _recall(spec, spec.check_kind, ctx, term, expected, budget)
+    memoize = entry or spec.memo_every_judgment
+    if memoize:
+        memo, key, hit = _recall(spec, spec.check_kind, ctx, term, expected, budget)
         if hit:
             return
         before = budget.spent
@@ -191,15 +194,15 @@ def check_value(spec: TypingSpec, ctx: Any, term: Any, expected: Any, budget: Bu
             f"  has type      {_show(spec, actual)}\n"
             f"  but expected  {_show(spec, expected)}"
         )
-    if memo:
-        cache.store(spec.check_kind, term, expected, key, True, budget.spent - before)
+    if memoize:
+        memo.store(spec.check_kind, term, expected, key, True, budget.spent - before)
 
 
 def universe(spec: TypingSpec, ctx: Any, type_: Any, budget: Budget, entry: bool = False) -> Any:
     """Require ``type_`` to be a type; return its universe (⋆ or □)."""
-    memo = entry or spec.memo_every_judgment
-    if memo:
-        cache, key, sort = _recall(spec, spec.universe_kind, ctx, type_, None, budget)
+    memoize = entry or spec.memo_every_judgment
+    if memoize:
+        memo, key, sort = _recall(spec, spec.universe_kind, ctx, type_, None, budget)
         if sort is not None:
             return sort
         before = budget.spent
@@ -208,34 +211,29 @@ def universe(spec: TypingSpec, ctx: Any, type_: Any, budget: Budget, entry: bool
         raise TypeCheckError(
             f"expected a type but {spec.pretty(type_)} has type {_show(spec, sort)}"
         )
-    if memo:
-        cache.store(spec.universe_kind, type_, None, key, sort, budget.spent - before)
+    if memoize:
+        memo.store(spec.universe_kind, type_, None, key, sort, budget.spent - before)
     return sort
 
 
 def _memo_key(spec: TypingSpec, kind: str, ctx: Any, subject: Any) -> tuple:
-    """``(cache, key)``: the judgment cache and the context key ``subject`` is memoized under.
+    """``(memo, key)``: the judgment memo and the context key ``subject`` is memoized under.
 
     An ``infer`` or ``universe`` subject whose free-variable set is
     empty keys on the empty context: its derivation never reads Γ.
     ``check`` keeps the path key, because its expected type may be open.
     """
-    cache = judgment_cache()
     closed = False
     if ctx.entries and kind != spec.check_kind:
         closed = not fv.free_vars(spec.nbe.lang, subject)
-    return cache, cache.typing_key(ctx, closed)
+    return judgment_key(ctx, closed)
 
 
 def _recall(spec: TypingSpec, kind: str, ctx: Any, subject: Any, extra: Any,
             budget: Budget) -> tuple:
-    """``(cache, key, verdict)``: verdict is the memoized one (fuel replayed) or None."""
-    cache, key = _memo_key(spec, kind, ctx, subject)
-    hit = cache.lookup(kind, subject, extra, key)
-    if hit is None:
-        return cache, key, None
-    budget.charge(hit[1])
-    return cache, key, hit[0]
+    """``(memo, key, verdict)``: verdict is the memoized one (fuel replayed) or None."""
+    memo, key = _memo_key(spec, kind, ctx, subject)
+    return memo, key, memo.replay(kind, subject, extra, key, budget)
 
 
 def bind(env: dict, name: str, replacement: Any) -> dict:

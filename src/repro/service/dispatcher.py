@@ -1147,11 +1147,10 @@ class ElasticSupervisor(threading.Thread):
     def _memo_hit_rate(persist: dict[str, Any] | None) -> float | None:
         if not persist:
             return None
-        # Defensive key matching: the store counters are named *_hits /
-        # *_misses per tier; summing by suffix survives a renamed tier.
-        hits = sum(v for k, v in persist.items() if k.endswith("hits"))
-        misses = sum(v for k, v in persist.items() if k.endswith("misses"))
-        total = hits + misses
+        # The store's table counters only: the tier's ``tier_hits`` counts
+        # the same lookups as the memo table's ``hits`` a second time.
+        hits = persist.get("hits", 0) + persist.get("artifact_hits", 0)
+        total = hits + persist.get("misses", 0) + persist.get("artifact_misses", 0)
         return hits / total if total else None
 
     def run(self) -> None:  # pragma: no cover - exercised via integration tests

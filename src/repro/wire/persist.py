@@ -14,14 +14,16 @@ is the one caller that names it): the key hashes the source program and the
 compile options, ``steps`` is the cold compile's check+verify fuel.
 
 ``kind`` is the same engine-qualified judgment string the in-memory
-:class:`~repro.kernel.memo.NormalizationCache` keys on (``"cc.nf"``,
+normalization :class:`~repro.kernel.memo.Memo` keys on (``"cc.nf"``,
 ``"cc.whnf.subst"``, …), so the two engines never exchange entries here
-either.  The context-defs key is derived from the session-local context
-token by translating it *back* to content: the names of the visible
-definitions paired with each definition's own content hash.  Session-local
-identities (object ids, token numbers, fresh-counter positions) never
-reach the store, which is what lets one store be shared by every worker of
-a pool and by runs separated by a process restart.
+either.  The context-defs key is derived from the session-local
+definitions token by translating it *back* to content: the token table
+(``KernelState.ctx_tokens``) pins the visible ``name -> definition`` map
+each token fingerprints, and the key pairs those names with each
+definition's own content hash.  Session-local identities (object ids,
+token numbers, fresh-counter positions) never reach the store, which is
+what lets one store be shared by every worker of a pool and by runs
+separated by a process restart.
 
 The *seal* is a keyed BLAKE2b over (key, steps, result bytes).  A hit
 replays the recorded fuel into the caller's budget exactly like an
@@ -397,7 +399,7 @@ class PersistentTier:
     """One session's view of a :class:`PersistentMemoStore`.
 
     Installed on a :class:`~repro.kernel.state.KernelState` by
-    ``attach_memo_store``; the in-memory normalization cache consults
+    ``attach_memo_store``; the in-memory normalization memo consults
     :meth:`load` on miss and calls :meth:`save` on store.  The tier owns
     the *translation* between the session's identity-keyed world (context
     tokens, term objects) and the store's content-keyed world.
@@ -451,16 +453,17 @@ class PersistentTier:
     def _ctx_key(self, lang: Any, token: int) -> bytes | None:
         """The content key of the context-defs view ``token`` fingerprints.
 
-        Translates the session-local token back into content via the token
-        table's reverse index: sorted (name, content hash of definition)
-        pairs.  Returns None — skip the tier — when the token cannot be
-        resolved in this session (e.g. a context carrying a token issued
-        by a different state) or a definition is not a term of ``lang``.
+        Translates the session-local token back into content through the
+        map the token table pins for it: sorted (name, content hash of
+        definition) pairs.  Returns None — skip the tier — when the token
+        is not one of the table's current fill (the table overflowed and
+        was emptied since the token was issued) or a definition is not a
+        term of ``lang``.
         """
         found = self._ctx_keys.get(token)
         if found is not None:
             return found
-        visible = self._state.ctx_tokens.by_token.get(token)
+        visible = self._state.ctx_tokens.pinned(token)
         if visible is None:
             return None
         hasher = blake2b(digest_size=16, key=b"repro-memo-ctx")

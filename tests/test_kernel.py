@@ -386,14 +386,14 @@ class TestTypingPaths:
         term = cc.Succ(cc.Var("n"))
         with session.activate():
             cc.infer(ctx, term)
-            key = cache.typing_key(ctx)
-            assert len(cache.paths) > 0
+            key = session.state.typing_paths.key(ctx)
+            assert len(session.state.typing_paths) > 0
             cache.max_entries = len(cache)
             cc.infer(ctx, cc.Succ(term))  # its first store overflows the cache
             assert len(cache) <= cache.max_entries
             # The key cached on ctx was issued before the overflow: void now.
-            assert cache.typing_key(ctx) != key
-            assert cache.peek("cc.infer", term, None, cache.typing_key(ctx)) is None
+            assert session.state.typing_paths.key(ctx) != key
+            assert cache.peek("cc.infer", term, None, session.state.typing_paths.key(ctx)) is None
 
     def test_overflow_store_clears_both_tables(self):
         session = api.Session()
@@ -402,7 +402,7 @@ class TestTypingPaths:
             cc.infer(cc.Context.empty().extend("n", cc.Nat()), cc.Succ(cc.Var("n")))
         cache.max_entries = len(cache)
         cache.store("cc.infer", cc.Zero(), None, 0, cc.Nat(), 0)
-        assert len(cache) == 1 and len(cache.paths) == 0
+        assert len(cache) == 1 and len(session.state.typing_paths) == 0
 
     def test_key_from_one_session_never_hits_in_another(self):
         ctx = cc.Context.empty().extend("n", cc.Nat())
@@ -410,15 +410,15 @@ class TestTypingPaths:
         first, second = api.Session(), api.Session()
         with first.activate():
             cc.infer(ctx, term)
-            key = first.state.judgments.typing_key(ctx)
+            key = first.state.typing_paths.key(ctx)
         with second.activate():
             cc.infer(ctx, term)
-            other = second.state.judgments.typing_key(ctx)
+            other = second.state.typing_paths.key(ctx)
         assert other != key
         assert second.hit_counts()["kernel.judgments"] == 0
         assert second.state.judgments.peek("cc.infer", term, None, key) is None
         # The issuing session still honours its own key.
-        assert first.state.judgments.typing_key(ctx) == key
+        assert first.state.typing_paths.key(ctx) == key
         with first.activate():
             cc.infer(ctx, term)
         assert first.hit_counts()["kernel.judgments"] == 1

@@ -289,11 +289,27 @@ class TestSupervisorSignals:
         finally:
             pool.shutdown()
 
-    def test_memo_hit_rate_sums_tier_counters(self):
-        rate = ElasticSupervisor._memo_hit_rate(
-            {"persist_hits": 3, "persist_misses": 1, "artifact_hits": 2, "breakers_open": 0}
-        )
-        assert rate == pytest.approx(5 / 6)
+    def test_memo_hit_rate_counts_each_lookup_once(self, tmp_path):
+        """The rate reads a real tier document, whose ``tier_hits`` repeats ``hits``."""
+        path = tmp_path / "memo.sqlite"
+        cold = Session(name="cold")
+        cold.attach_memo_store(path)
+        cold.normalize(REDEX)
+        cold.detach_memo_store()
+        warm = Session(name="warm")
+        tier = warm.attach_memo_store(path)
+        warm.normalize(REDEX)
+        warm.normalize("(\\ (x : Nat). succ (succ x)) 1")
+        counters = tier.counters()
+        warm.detach_memo_store()
+        assert counters["hits"] > 0 and counters["misses"] > 0
+        assert counters["tier_hits"] == counters["hits"]
+        hits = counters["hits"] + counters["artifact_hits"]
+        lookups = hits + counters["misses"] + counters["artifact_misses"]
+        assert ElasticSupervisor._memo_hit_rate(counters) == pytest.approx(hits / lookups)
+        assert ElasticSupervisor._memo_hit_rate(
+            {"hits": 2, "misses": 1, "tier_hits": 2, "artifact_hits": 0, "artifact_misses": 0}
+        ) == pytest.approx(2 / 3)
         assert ElasticSupervisor._memo_hit_rate(None) is None
         assert ElasticSupervisor._memo_hit_rate({"breakers_open": 0}) is None
 

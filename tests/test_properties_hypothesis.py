@@ -5,8 +5,7 @@ failures shrink to the smallest failing seed.  Each property is one of the
 paper's lemmas/theorems quantified over arbitrary well-typed programs.
 """
 
-import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro import cc, cccc
 from repro.closconv import compile_term, translate, translate_context
@@ -28,8 +27,7 @@ _SETTINGS = settings(
 
 def _generate(seed: int):
     triple = TermGenerator(seed).well_typed_term()
-    if triple is None:
-        pytest.skip("generator produced no term for this seed")
+    assume(triple is not None)
     return triple
 
 
@@ -62,12 +60,10 @@ class TestKernelProperties:
         ctx = gen.context(2)
         var_type = gen.type_(ctx, 1)
         value = gen.term(ctx, var_type, 2)
-        if value is None:
-            pytest.skip("no value")
+        assume(value is not None)
         extended = ctx.extend("hole", var_type)
         body = gen.any_term(extended, 3)
-        if body is None:
-            pytest.skip("no body")
+        assume(body is not None)
         body_type = cc.infer(extended, body)
         substituted = cc.subst1(body, "hole", value)
         inferred = cc.infer(ctx, substituted)
@@ -138,8 +134,7 @@ class TestGroundEvaluation:
         gen = TermGenerator(seed, GenConfig(context_size=0))
         empty = cc.Context.empty()
         term = gen.term(empty, cc.Nat(), 4)
-        if term is None or cc.free_vars(term):
-            pytest.skip("no closed Nat program")
+        assume(term is not None and not cc.free_vars(term))
         cc.check(empty, term, cc.Nat())
         expected = cc.nat_value(cc.normalize(empty, term))
 
