@@ -428,3 +428,28 @@ class TestStoreMaintenance:
         assert main(["store", "stat", str(tmp_path / "missing.sqlite")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "missing.sqlite" in err
+
+
+class TestArtifactHandOff:
+    """``compile --target py`` publishes the artifact a later ``run`` loads."""
+
+    PROGRAM = r"(\ (f : Nat -> Nat) (x : Nat). f (f x)) (\ (y : Nat). succ y) 5"
+
+    def test_compile_py_artifact_serves_a_fresh_session(self, tmp_path, capsys):
+        from repro import api
+
+        store = str(tmp_path / "artifacts.sqlite")
+        argv = ["compile", "--target", "py", "--memo-store", store, "--json", "-e", self.PROGRAM]
+        assert main(argv) == 0
+        compiled = json.loads(capsys.readouterr().out)
+        session = api.Session()
+        tier = session.attach_memo_store(store)
+        try:
+            result = session.run(self.PROGRAM, engine="compiled")
+            stats = tier.stats()
+        finally:
+            session.detach_memo_store()
+        assert result.artifact == compiled["artifact"]
+        assert result.compile_result is None
+        assert stats["artifact_hits"] >= 1
+        assert result.observed == api.Session().run(self.PROGRAM).observed == 7

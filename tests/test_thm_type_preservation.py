@@ -7,7 +7,7 @@ cases, and over hundreds of randomly generated well-typed programs.
 
 import pytest
 
-from repro import cc, cccc
+from repro import api, cc, cccc
 from repro.cc import prelude
 from repro.closconv import compile_term
 from repro.gen import GenConfig, TermGenerator
@@ -112,3 +112,26 @@ class TestRandomized:
             pytest.skip("no term generated")
         ctx, term, _ = triple
         assert check_type_preservation(ctx, term)
+
+
+#: [CC-Lam] captures a ``let``-bound name as a plain environment entry:
+#: ``closconv/fv.dependent_free_vars`` records ``T`` but not ``T ≡ Nat``, and
+#: ``bind_env`` rebinds it as ``fst n``, so the code block cannot see that a
+#: ``T``-typed argument is a ``Nat``.  The checker accepts these programs and
+#: verify rejects their translation.  These pin that bug (ROADMAP open item
+#: 1a) and must be flipped to plain tests by the change that fixes it.
+_LET_BOUND_TYPE_IN_CLOSURE = [
+    pytest.param(r"let T = Nat : Type in \ (x : T). succ x", id="let-lambda"),
+    pytest.param(r"let T = Nat : Type in (\ (x : T). succ x) 41", id="let-redex"),
+    pytest.param(r"\ (x : Nat). let T = Nat : Type in \ (y : T). succ y", id="lambda-let-lambda"),
+]
+
+
+class TestLetBoundTypeInClosure:
+    @pytest.mark.xfail(strict=True, reason="[CC-Lam] drops a let-bound type's definition "
+                       "(ROADMAP item 1a)")
+    @pytest.mark.parametrize("text", _LET_BOUND_TYPE_IN_CLOSURE)
+    def test_checked_program_compiles(self, text):
+        session = api.Session()
+        session.check(text)
+        assert session.compile(text).verified
