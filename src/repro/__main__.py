@@ -1,29 +1,28 @@
 """Command-line interface: ``python -m repro <command>``.
 
 Every subcommand runs inside one :class:`repro.api.Session` — an isolated
-engine workspace — and renders the session's structured result objects.
-Commands operate on a CC program given either as a file path or inline
-via ``-e/--expr``:
+engine workspace.  Program commands read a CC program from a file path or
+inline via ``-e/--expr``.
 
-* ``check``     — parse and type check; print the type.
-* ``normalize`` — fully normalize; ``--engine {subst,nbe}`` (default
-  ``nbe``) selects the evaluator, for A/B timing from the shell.
-* ``compile``   — closure-convert (Figure 9); verify type preservation
-  (Theorem 5.6); print the CC-CC term and its type.  ``--target py``
-  continues through hoisting into the compile-to-host backend and prints
-  the staged artifact (content hash, block count, encoded size); with
-  ``--memo-store`` the artifact is published to the shared persistent
-  tier for later ``run --target py`` processes to start warm from.
-* ``run``       — compile, hoist, execute; print the value and cost
-  counters.  ``--target {machine,py}`` picks the execution backend:
-  the abstract CBV machine (default) or the staged-Python backend,
-  which produces identical values and counters (that is the
-  differential the backend test suite enforces) but executes the
-  program as native host closures; ``--memo-store PATH`` attaches the
-  persistent tier so compiled artifacts survive restarts.
-* ``link``      — link a component against imports (Theorem 5.7):
-  ``--assume 'n : Nat'`` declares the interface Γ, ``--import 'n=41'``
-  supplies the closing substitution.
+``check``, ``normalize``, ``compile``, ``run`` and ``link`` are the rows of
+the service's entrypoint table (:data:`repro.service.jobs.ENTRYPOINTS`):
+each command builds the job it stands for (``run --target py`` is a
+``compile_py`` job; ``link`` takes its interface Γ from ``--assume
+'n : Nat'`` and its closing substitution from ``--import 'n=41'``) and
+calls the same ``Session`` method a batch job of that kind calls.
+``--json`` prints the result's ``to_dict()`` — the payload in the
+program's source spelling plus telemetry (engine, session, cache hits,
+diagnostics) — with the kind's extra payload keys and the command's
+``elapsed_seconds``; ``--wire binary`` adds the ``*_b64`` encodings.  Text
+mode prints a few labelled keys of the same document.  ``--memo-store``
+attaches the persistent tier for the whole command and flushes it at the
+end.  ``compile --target py`` stages the hoisted program into the
+compile-to-host backend without running it (``Session.stage``) and prints
+the artifact, which a later ``run --target py`` with the same store loads
+instead of compiling.
+
+The other commands:
+
 * ``decompile`` — compile, then translate back through the Figure 8
   model; print the CC image and whether ``e ≡ (e⁺)°`` held.
 * ``hoist``     — compile and print the static code table.
@@ -36,36 +35,27 @@ via ``-e/--expr``:
 * ``batch``     — execute a stream of service jobs (JSONL file or a
   generated ``gen/`` corpus) in-process or across a worker pool:
   ``--workers N`` shards the batch over N processes (0 = solo),
-  ``--engine {subst,nbe}`` picks the worker engine,
   ``--wire binary`` re-encodes program jobs onto the binary DAG wire,
   ``--memo-store PATH`` attaches the persistent memo tier (shared across
   workers, surviving restarts), ``--gen-kinds run,compile_py`` picks the
-  job-kind rotation of the generated corpus (e.g. an all-``compile_py``
-  stream for backend differentials), ``--chaos-seed N`` runs the batch under a
-  small seeded fault plan (deterministic worker kills, store errors, wire
-  corruption — the robustness harness of ``repro.service.faults``);
-  ``--connect HOST:PORT`` streams the batch to a running ``serve``
-  endpoint instead (``--chaos-seed`` then schedules *client-side*
-  connection drops/stalls/truncations, healed by reconnect-and-resubmit).
+  job-kind rotation of the generated corpus, ``--chaos-seed N`` runs the
+  batch under a small seeded fault plan (the robustness harness of
+  ``repro.service.faults``); ``--connect HOST:PORT`` streams the batch to
+  a running ``serve`` endpoint instead (``--chaos-seed`` then schedules
+  *client-side* connection faults, healed by reconnect-and-resubmit).
+  ``batch --json`` emits the full report (results in submission order
+  plus pool stats).
 * ``serve``     — run the streaming service endpoint: an NDJSON socket
-  server over an elastic worker pool (``--min-workers``/``--max-workers``)
-  with admission control (``--conn-window``, ``--max-inflight``),
-  per-client fair share and fuel quotas (``--fuel-quota``), per-job
-  deadlines, and graceful drain on SIGTERM (zero accepted-and-lost);
-  ``--metrics-interval N`` streams live NDJSON telemetry snapshots, and
-  clients may subscribe to the same stream with the ``watch`` op.
+  server over an elastic worker pool with admission control, per-client
+  fair share and fuel quotas, per-job deadlines, and graceful drain on
+  SIGTERM (zero accepted-and-lost); ``--metrics-interval N`` streams live
+  NDJSON telemetry snapshots, and clients may subscribe to the same
+  stream with the ``watch`` op.
 * ``store``     — maintain a persistent memo store: ``stat`` reports row
   and seal-validity counts plus payload byte totals for both the memo and
-  compiled-artifact (``RPYC``) tables — including sealed-but-unloadable
-  artifact orphans, ``scrub`` rebuilds the file from its
-  validly-sealed rows (salvaging a torn store), ``compact`` deletes
-  invalid rows in place and vacuums.
-
-Every program-level subcommand (``check``, ``normalize``, ``compile``,
-``run``, ``link``) accepts ``--json``: the structured result (type, steps,
-engine, cache hit counts, diagnostics) is emitted as one JSON document, so
-each entrypoint is machine-readable for service clients.  ``batch --json``
-emits the full batch report (results in submission order + pool stats).
+  compiled-artifact tables, ``scrub`` rebuilds the file from its
+  validly-sealed rows, ``compact`` deletes invalid rows in place and
+  vacuums.
 
 Examples::
 
@@ -92,12 +82,13 @@ import json
 import sys
 import time
 
-from repro import cc, cccc
+from repro import cc
 from repro.api import Session
 from repro.common.errors import ReproError
 from repro.kernel.state import ENGINES
 from repro.machine import hoist, program_context
 from repro.model import decompile
+from repro.service.jobs import ENTRYPOINTS, PROGRAM_KINDS, Job, call
 from repro.surface import parse_term
 
 __all__ = ["main"]
@@ -116,137 +107,108 @@ def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument("-e", "--expr", help="inline surface-syntax program")
 
 
+def _add_pool_arguments(parser: argparse.ArgumentParser) -> None:
+    """The worker-pool options ``batch`` and ``serve`` share."""
+    parser.add_argument(
+        "--engine",
+        choices=ENGINES,
+        default="nbe",
+        help="normalization engine every worker session boots with",
+    )
+    parser.add_argument(
+        "--job-timeout",
+        type=float,
+        default=None,
+        help="seconds one job may run before its worker is recycled",
+    )
+
+
 def _emit_json(document: dict) -> int:
     print(json.dumps(document, indent=2, default=str))
     return 0
 
 
-def _binary_extras(session: Session, **terms: "cc.Term") -> dict:
-    """``{field}_b64`` wire renderings of CC ``terms`` (``--wire binary``)."""
-    from repro.service.executor import _b64
-
-    with session.activate():
-        return {f"{name}_b64": _b64(cc, term) for name, term in terms.items()}
-
-
-def _cmd_check(session: Session, args: argparse.Namespace) -> int:
-    result = session.check(_read_source(args))
-    document = result.to_dict()
-    if args.wire == "binary":
-        document.update(_binary_extras(session, term=result.term, type=result.type_))
-    if args.json:
-        return _emit_json(document)
-    print(f"term : {cc.pretty(result.term)}")
-    print(f"type : {cc.pretty(result.type_)}")
-    if args.wire == "binary":
-        print(f"wire : term_b64 {len(document['term_b64'])} chars, "
-              f"type_b64 {len(document['type_b64'])} chars")
-    return 0
+#: Text mode: the document keys each Session method's command prints, as a
+#: key (labelled with its words) or a ``(label, key)`` pair.  A None or
+#: False value is left out.
+_TEXT = {
+    "check": ("term", "type"),
+    "normalize": ("term", "normal", "engine", "steps", ("elapsed", "elapsed_seconds")),
+    "compile": ("target", "target_type", "verified"),
+    "stage": ("artifact", "key", "code_blocks", "size_bytes", "stored"),
+    "run": ("value", "code_blocks", ("steps", "machine_steps"), ("closures", "closure_allocs"),
+            ("env cells", "tuple_allocs"), "projections", "env_allocs", "max_env_size",
+            "artifact"),
+    "link": (("linked", "term"), "type", "steps"),
+}
 
 
-def _cmd_normalize(session: Session, args: argparse.Namespace) -> int:
-    # Check first so the timer brackets (essentially) only the engine: the
-    # re-infer inside `normalize` hits the judgment memo, keeping the
-    # engine A/B comparison clean of parse/typecheck cost.
-    checked = session.check(_read_source(args))
-    start = time.perf_counter()
-    result = session.normalize(checked.term, engine=args.engine)
-    elapsed = time.perf_counter() - start
-    document = result.to_dict()
-    if args.wire == "binary":
-        document.update(_binary_extras(session, term=result.term, normal=result.value))
-    if args.json:
-        document["elapsed_seconds"] = elapsed
-        return _emit_json(document)
-    print(f"term    : {cc.pretty(result.term)}")
-    print(f"normal  : {cc.pretty(result.value)}")
-    print(f"engine  : {result.engine}")
-    print(f"steps   : {result.steps}")
-    print(f"elapsed : {elapsed:.6f}s")
-    if args.wire == "binary":
-        print(f"wire    : term_b64 {len(document['term_b64'])} chars, "
-              f"normal_b64 {len(document['normal_b64'])} chars")
-    return 0
+def _program_job(args: argparse.Namespace) -> Job:
+    """The service job a program command stands for."""
+    interface = []
+    for entry in args.assume or []:
+        name, _, type_text = entry.partition(":")
+        if not name.strip() or not type_text.strip():
+            raise ReproError(f"malformed --assume {entry!r} (expected 'name : TYPE')")
+        interface.append((name.strip(), type_text))
+    imports: dict[str, str] = {}
+    for entry in args.imports or []:
+        name, separator, term_text = entry.partition("=")
+        if not separator or not name.strip():
+            raise ReproError(f"malformed --import {entry!r} (expected 'name=TERM')")
+        imports[name.strip()] = term_text
+    program = _read_source(args)
+    if not program:  # a job needs a program: let the parser report the empty one
+        parse_term(program)
+    return Job(
+        kind="compile_py" if args.command == "run" and args.target == "py" else args.command,
+        program=program,
+        engine=args.engine,
+        verify=not args.no_verify,
+        imports=imports,
+        interface=tuple(interface),
+        wire=2 if args.wire == "binary" else 1,
+    )
 
 
-def _cmd_compile(session: Session, args: argparse.Namespace) -> int:
+def _cmd_program(session: Session, args: argparse.Namespace) -> int:
+    """``check``/``normalize``/``compile``/``run``/``link``: one entrypoint-table row.
+
+    The program keeps its source spelling (the Session's ``to_dict()``);
+    ``--wire binary`` adds the ``*_b64`` encodings, ``--memo-store``
+    attaches the persistent tier for the whole command and flushes it at
+    the end, and ``compile --target py`` stages without running.
+    """
+    job = _program_job(args)
     if args.memo_store is not None:
         session.attach_memo_store(args.memo_store)
-    result = session.compile(_read_source(args), verify=not args.no_verify)
-    if args.target == "py":
-        return _compile_to_py(session, args, result)
-    if args.json:
-        return _emit_json(result.to_dict())
-    print(f"target      : {cccc.pretty(result.target)}")
-    print(f"target type : {cccc.pretty(result.target_type)}")
-    if result.verified:
-        print("verified    : CC-CC kernel re-checked the output (Theorem 5.6)")
-    return 0
-
-
-def _compile_to_py(session: Session, args: argparse.Namespace, result) -> int:
-    """``compile --target py``: stage into the host backend, print the artifact."""
-    from repro.backend import (
-        ArtifactMeta,
-        artifact_key,
-        compile_program,
-        encode_artifact,
-        store_artifact,
-    )
-
-    with session.activate():
-        program = hoist(result.target)
-        compiled = compile_program(program)
-        meta = ArtifactMeta(
-            check_steps=result.check_steps,
-            verify_steps=result.verify_steps,
-            verified=result.verified,
-        )
-        source = cc.intern(result.compilation.source)
-        key = artifact_key(source, engine=session.engine, verify=not args.no_verify)
-        store_artifact(session.state, key, compiled, meta)
-        blob = encode_artifact(compiled.program, meta)
-    session.detach_memo_store()  # flush the artifact row (no-op when unattached)
-    document = {
-        "artifact": compiled.source_hash,
-        "key": key.hex(),
-        "code_blocks": compiled.code_count,
-        "size_bytes": len(blob),
-        "verified": result.verified,
-        "check_steps": result.check_steps,
-        "verify_steps": result.verify_steps,
-        "stored": args.memo_store is not None,
-    }
+    try:
+        with session.activate():
+            start = time.perf_counter()
+            if job.kind == "compile" and args.target == "py":
+                method, result, extras = "stage", session.stage(job.program, job.verify), {}
+            else:
+                method = ENTRYPOINTS[job.kind].method
+                result, extras = call(session, job, job.program)
+            elapsed = time.perf_counter() - start
+            document = result.to_dict(binary=job.wire == 2, **extras)
+    finally:
+        session.detach_memo_store()  # flush the tier's rows (no-op when unattached)
+    document["elapsed_seconds"] = elapsed
     if args.json:
         return _emit_json(document)
-    print(f"artifact    : {compiled.source_hash}")
-    print(f"key         : {key.hex()}")
-    print(f"code blocks : {compiled.code_count}")
-    print(f"size        : {len(blob)} bytes")
-    if args.memo_store is not None:
-        print(f"stored      : {args.memo_store}")
-    return 0
-
-
-def _cmd_run(session: Session, args: argparse.Namespace) -> int:
-    if args.memo_store is not None:
-        session.attach_memo_store(args.memo_store)
-    engine = "compiled" if args.target == "py" else None
-    result = session.run(_read_source(args), verify=not args.no_verify, engine=engine)
-    session.detach_memo_store()  # flush artifact/memo rows (no-op when unattached)
-    if args.json:
-        return _emit_json(result.to_dict())
-    print(f"value        : {result.observed}")
-    print(f"code blocks  : {result.code_count}")
-    print(
-        f"cost         : {result.machine_steps} steps, {result.closure_allocs} closures,"
-        f" {result.tuple_allocs} env cells, {result.projections} projections"
-    )
-    print(
-        f"frames       : {result.env_allocs} env allocs, max width {result.max_env_size}"
-    )
-    if result.backend != "machine":
-        print(f"backend      : {result.backend} (artifact {result.artifact})")
+    lines = []
+    for entry in _TEXT[method]:
+        label, key = (entry.replace("_", " "), entry) if type(entry) is str else entry
+        value = document.get(key)
+        if value is not None and value is not False:
+            lines.append((label, value))
+    wire = [f"{key} {len(value)} chars" for key, value in document.items() if key.endswith("_b64")]
+    if wire:
+        lines.append(("wire", ", ".join(wire)))
+    width = max(len(label) for label, _ in lines)
+    for label, value in lines:
+        print(f"{label:<{width}} : {value}")
     return 0
 
 
@@ -283,29 +245,6 @@ def _cmd_profile(session: Session, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_link(session: Session, args: argparse.Namespace) -> int:
-    ctx = cc.Context.empty()
-    with session.activate():
-        for entry in args.assume or []:
-            name, _, type_text = entry.partition(":")
-            if not name.strip() or not type_text.strip():
-                raise ReproError(f"malformed --assume {entry!r} (expected 'name : TYPE')")
-            ctx = ctx.extend(name.strip(), parse_term(type_text))
-    imports: dict[str, str] = {}
-    for entry in args.imports or []:
-        name, separator, term_text = entry.partition("=")
-        if not separator or not name.strip():
-            raise ReproError(f"malformed --import {entry!r} (expected 'name=TERM')")
-        imports[name.strip()] = term_text
-    result = session.link(ctx, _read_source(args), imports)
-    if args.json:
-        return _emit_json(result.to_dict())
-    print(f"linked : {cc.pretty(result.term)}")
-    print(f"type   : {cc.pretty(result.type_)}")
-    print(f"steps  : {result.steps}")
-    return 0
-
-
 def _check_flags(*rules: tuple[str, bool, str]) -> None:
     """The one-line error naming the first flag whose ``(flag, ok, rule)`` fails.
 
@@ -327,7 +266,6 @@ def _read_job_specs(args: argparse.Namespace) -> list[dict]:
     # Generated workload: N independent build streams, interleaved in the
     # round-robin arrival order a multiplexed service sees.
     from repro.gen.jobs import _DEFAULT_KINDS, build_stream, interleave
-    from repro.service.jobs import PROGRAM_KINDS
 
     _check_flags(
         ("--gen-builds", args.gen_builds >= 1, "at least 1"),
@@ -358,21 +296,28 @@ def _read_job_specs(args: argparse.Namespace) -> list[dict]:
     )
 
 
-def _chaos_plan(specs: list[dict], seed: int) -> "object":
-    """A small default fault plan over the stream (``batch --chaos-seed``).
+def _chaos_plan(specs: list[dict], seed: int, connect: bool) -> "object":
+    """A small seeded fault plan over the stream (``batch --chaos-seed``).
 
-    Scaled to the stream: roughly one job in eight is faulted, spread over
-    transient kills, one poison, store errors, and wire corruption.  Job
-    ids are pre-assigned positionally here so the schedule is a pure
-    function of (stream, seed).
+    Scaled to the stream: roughly one job in eight is faulted per fault
+    kind.  Job ids are pre-assigned positionally here so the schedule is a
+    pure function of (stream, seed).  A local batch gets transient kills,
+    one poison, store errors, and wire corruption.  With ``--connect`` the
+    plan holds connection faults only, applied *client-side*
+    (self-inflicted drops, stalls, truncations at exact job coordinates);
+    reconnect-and-resubmit heals every one, so the results must be
+    byte-identical to an unfaulted run — which is what that mode proves.
     """
     from repro.service.faults import FaultPlan
-    from repro.service.jobs import PROGRAM_KINDS
 
     for index, spec in enumerate(specs):
         spec.setdefault("id", f"job-{index}")
     job_ids = [spec["id"] for spec in specs]
     budget = max(1, len(job_ids) // 8)
+    if connect:
+        return FaultPlan.generate(
+            seed, job_ids, conn_drops=budget, conn_stalls=budget, conn_truncates=budget
+        )
     corruptible = [
         spec["id"]
         for spec in specs
@@ -390,30 +335,10 @@ def _chaos_plan(specs: list[dict], seed: int) -> "object":
     )
 
 
-def _conn_chaos_plan(specs: list[dict], seed: int) -> "object":
-    """A connection-fault-only plan for ``batch --connect --chaos-seed``.
-
-    Applied *client-side* (self-inflicted drops, stalls, truncations at
-    exact job coordinates); reconnect-and-resubmit heals every one, so the
-    results must be byte-identical to an unfaulted run — which is exactly
-    what this mode exists to prove.
-    """
-    from repro.service.faults import FaultPlan
-
-    for index, spec in enumerate(specs):
-        spec.setdefault("id", f"job-{index}")
-    job_ids = [spec["id"] for spec in specs]
-    budget = max(1, len(job_ids) // 8)
-    return FaultPlan.generate(
-        seed, job_ids, conn_drops=budget, conn_stalls=budget, conn_truncates=budget
-    )
-
-
 def _cmd_batch(session: Session, args: argparse.Namespace) -> int:
     from contextlib import nullcontext
 
     from repro import api
-    from repro.service.jobs import Job
 
     _check_flags(
         ("--workers", args.workers >= 0, "at least 0"),
@@ -440,29 +365,20 @@ def _cmd_batch(session: Session, args: argparse.Namespace) -> int:
                 from repro.gen.jobs import binary_specs
 
                 specs = binary_specs(specs)
-            if args.connect is not None:
-                plan = None
-                if args.chaos_seed is not None:
-                    plan = _conn_chaos_plan(specs, args.chaos_seed)
-                report = api.execute_jobs(
-                    specs,
-                    connect=args.connect,
-                    engine=args.engine,
-                    fault_plan=plan,
-                    client_options={"window": args.window},
-                )
-            else:
-                plan = None
-                if args.chaos_seed is not None:
-                    plan = _chaos_plan(specs, args.chaos_seed)
-                report = api.execute_jobs(
-                    specs,
-                    workers=args.workers,
-                    engine=args.engine,
-                    job_timeout=args.job_timeout,
-                    memo_store=args.memo_store,
-                    fault_plan=plan,
-                )
+            plan = None
+            if args.chaos_seed is not None:
+                plan = _chaos_plan(specs, args.chaos_seed, connect=args.connect is not None)
+            # With --connect the pool options are the server's business.
+            report = api.execute_jobs(
+                specs,
+                workers=args.workers,
+                connect=args.connect,
+                engine=args.engine,
+                job_timeout=args.job_timeout,
+                memo_store=args.memo_store,
+                fault_plan=plan,
+                client_options={"window": args.window},
+            )
     except (ValueError, json.JSONDecodeError) as error:
         # Malformed job specs (bad JSON, unknown kinds/fields) get the
         # CLI's one-line error contract, not a traceback.
@@ -573,15 +489,18 @@ def main(argv: list[str] | None = None) -> int:
     commands = parser.add_subparsers(dest="command", required=True)
 
     for name, handler, description in [
-        ("check", _cmd_check, "type check a CC program"),
-        ("normalize", _cmd_normalize, "normalize a CC program (NbE or substitution engine)"),
-        ("compile", _cmd_compile, "closure-convert and verify (Theorem 5.6)"),
-        ("run", _cmd_run, "compile, hoist, and execute on the machine"),
-        ("link", _cmd_link, "link a component against imports (Theorem 5.7)"),
+        ("check", _cmd_program, "type check a CC program"),
+        ("normalize", _cmd_program, "normalize a CC program (NbE or substitution engine)"),
+        ("compile", _cmd_program, "closure-convert and verify (Theorem 5.6)"),
+        ("run", _cmd_program, "compile, hoist, and execute on the machine"),
+        ("link", _cmd_program, "link a component against imports (Theorem 5.7)"),
         ("decompile", _cmd_decompile, "round-trip through the Figure 8 model"),
         ("hoist", _cmd_hoist, "print the static code table"),
     ]:
         sub = commands.add_parser(name, help=description)
+        # Every program command reads the same options; each declares its own.
+        sub.set_defaults(assume=None, imports=None, engine=None, no_verify=False,
+                         target=None, wire="text", memo_store=None)
         _add_input_arguments(sub)
         if name in ("compile", "run"):
             sub.add_argument(
@@ -681,18 +600,7 @@ def main(argv: list[str] | None = None) -> int:
         default=0,
         help="worker processes to shard across (0 = in-process solo run)",
     )
-    batch.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="nbe",
-        help="normalization engine every worker session boots with",
-    )
-    batch.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        help="seconds one job may run before its worker is recycled",
-    )
+    _add_pool_arguments(batch)
     batch.add_argument(
         "--json",
         action="store_true",
@@ -770,18 +678,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="elastic ceiling (default: min-workers, i.e. a fixed pool)",
     )
-    serve.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="nbe",
-        help="normalization engine every worker session boots with",
-    )
-    serve.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        help="seconds one job may run before its worker is recycled",
-    )
+    _add_pool_arguments(serve)
     serve.add_argument(
         "--memo-store",
         metavar="PATH",
@@ -844,10 +741,7 @@ def main(argv: list[str] | None = None) -> int:
     session = Session(name="cli")
     try:
         return args.handler(session, args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except OSError as error:
+    except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

@@ -23,8 +23,12 @@ Every entrypoint accepts surface text or an already-built ``cc.Term`` and
 returns a structured result object carrying the value, the inferred type,
 the reduction steps spent (exact, fuel-replay semantics — identical warm or
 cold), the engine used, per-call cache-hit counts, and human-readable
-diagnostics.  All results render to JSON-safe dicts via ``to_dict()`` —
-the CLI's ``--json`` flag is just that.
+diagnostics.  Each result type renders once, from its field list:
+``payload()`` is the α-canonical document a service job returns, and
+``to_dict()`` is the same payload in the program's source spelling plus
+telemetry — what the CLI's ``--json`` prints.  ``session.stage(program)``
+stages a program for the compiled backend and publishes its artifact
+without running it.
 
 The legacy module functions (``repro.cc.infer``, ``repro.cccc.normalize``,
 ``closconv.pipeline.compile_term`` …) remain first-class: they read the
@@ -39,7 +43,8 @@ import itertools
 import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Mapping
+from operator import attrgetter
+from typing import Any, ClassVar, Mapping, NamedTuple
 
 from repro import cc, cccc
 from repro.backend import (
@@ -47,6 +52,7 @@ from repro.backend import (
     CompiledProgram,
     artifact_key,
     compile_program,
+    encode_artifact,
     load_artifact,
     store_artifact,
     validate_backend,
@@ -68,6 +74,7 @@ __all__ = [
     "ParseResult",
     "RunResult",
     "Session",
+    "StageResult",
     "default_session",
     "execute_jobs",
 ]
@@ -87,20 +94,88 @@ _PROFILE: list = [None]
 # --------------------------------------------------------------------------
 
 
+class TermField(NamedTuple):
+    """A term-valued payload key: rendered with its calculus's printer."""
+
+    key: str
+    path: str  # the attribute it reads (dotted paths allowed)
+    calculus: Any  # ``cc`` or ``cccc``
+    b64: bool = False  # a binary payload adds ``{key}_b64``, the wire encoding
+
+
+class _Document:
+    """One rendering per result type, written once as its ``FIELDS`` list.
+
+    A field is an attribute name, or a ``(key, attribute)`` pair when the
+    key differs, or a :class:`TermField`.  :meth:`payload` is the deterministic
+    document: the fields in order, terms α-canonical (``pretty(intern(t))``)
+    when ``canonical`` and in their source spelling otherwise, then
+    ``extras``, then the ``*_b64`` encodings of the interned terms when
+    ``binary``.  Interning reads the active kernel state, so a canonical
+    or binary rendering runs under the owning session's ``activate()``.
+    :meth:`to_dict` is the source-spelled payload plus the ``TELEMETRY``
+    attributes, leaving out a None value.
+    """
+
+    FIELDS: ClassVar[tuple] = ()
+    TELEMETRY: ClassVar[tuple[str, ...]] = ("engine", "session", "cache_hits", "diagnostics")
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # Each field as (key, getter, calculus or None, b64), once per type.
+        cls._plan = tuple(
+            (spec, attrgetter(spec), None, False) if type(spec) is str
+            else (spec[0], attrgetter(spec[1]), None, False) if type(spec) is tuple
+            else (spec.key, attrgetter(spec.path), spec.calculus, spec.b64)
+            for spec in cls.FIELDS
+        )
+
+    def payload(self, binary: bool = False, canonical: bool = True, **extras: Any) -> dict:
+        document: dict[str, Any] = {}
+        wire: dict[str, str] = {}
+        for key, get, calculus, b64 in self._plan:
+            value = get(self)
+            if calculus is None:
+                document[key] = value
+                continue
+            encode = binary and b64
+            interned = calculus.intern(value) if canonical or encode else value
+            document[key] = calculus.pretty(interned if canonical else value)
+            if encode:
+                from repro.wire.codec import term_to_b64
+
+                wire[f"{key}_b64"] = term_to_b64(calculus.ast.LANGUAGE, interned)
+        document.update(extras)
+        document.update(wire)
+        return document
+
+    def to_dict(self, binary: bool = False, **extras: Any) -> dict[str, Any]:
+        document = self.payload(binary, canonical=False, **extras)
+        for key in self.TELEMETRY:
+            value = getattr(self, key)
+            if type(value) is tuple:
+                document[key] = list(value)
+            elif type(value) is dict:  # a copy: the document must not alias the result
+                document[key] = dict(value)
+            elif value is not None:
+                document[key] = value
+        return document
+
+
 @dataclass(frozen=True)
-class ParseResult:
+class ParseResult(_Document):
     """A parsed surface program."""
 
     term: cc.Term
-    source: str
+    source: str | cc.Term
     session: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"term": cc.pretty(self.term), "session": self.session}
+    FIELDS = (TermField("term", "term", cc, b64=True),)
+    TELEMETRY = ("session",)
 
 
 @dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Document):
     """One run of the CC typing judgment ``Γ ⊢ e : A``."""
 
     term: cc.Term
@@ -111,20 +186,12 @@ class CheckResult:
     cache_hits: dict[str, int] = field(default_factory=dict)
     diagnostics: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "term": cc.pretty(self.term),
-            "type": cc.pretty(self.type_),
-            "steps": self.steps,
-            "engine": self.engine,
-            "session": self.session,
-            "cache_hits": dict(self.cache_hits),
-            "diagnostics": list(self.diagnostics),
-        }
+    FIELDS = (TermField("term", "term", cc, b64=True), TermField("type", "type_", cc, b64=True),
+              "steps")
 
 
 @dataclass(frozen=True)
-class NormalizeResult:
+class NormalizeResult(_Document):
     """A full normalization, with the input's type as a well-typedness witness."""
 
     term: cc.Term
@@ -137,22 +204,13 @@ class NormalizeResult:
     cache_hits: dict[str, int] = field(default_factory=dict)
     diagnostics: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "term": cc.pretty(self.term),
-            "normal": cc.pretty(self.value),
-            "type": cc.pretty(self.type_),
-            "steps": self.steps,
-            "check_steps": self.check_steps,
-            "engine": self.engine,
-            "session": self.session,
-            "cache_hits": dict(self.cache_hits),
-            "diagnostics": list(self.diagnostics),
-        }
+    FIELDS = (TermField("term", "term", cc, b64=True), TermField("normal", "value", cc, b64=True),
+              TermField("type", "type_", cc), "steps", "check_steps", "engine")
+    TELEMETRY = ("session", "cache_hits", "diagnostics")
 
 
 @dataclass(frozen=True)
-class CompileResult:
+class CompileResult(_Document):
     """One closure conversion, optionally verified (Theorem 5.6).
 
     ``compilation`` is the full :class:`~repro.closconv.pipeline.CompilationResult`
@@ -168,6 +226,12 @@ class CompileResult:
     cache_hits: dict[str, int] = field(default_factory=dict)
     diagnostics: tuple[str, ...] = ()
 
+    FIELDS = (TermField("term", "compilation.source", cc, b64=True),
+              TermField("type", "compilation.source_type", cc),
+              TermField("target", "target", cccc, b64=True),
+              TermField("target_type", "target_type", cccc),
+              "verified", "steps", "check_steps", "verify_steps")
+
     @property
     def target(self) -> cccc.Term:
         return self.compilation.target
@@ -180,25 +244,9 @@ class CompileResult:
     def verified(self) -> bool:
         return self.compilation.checked_type is not None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "term": cc.pretty(self.compilation.source),
-            "type": cc.pretty(self.compilation.source_type),
-            "target": cccc.pretty(self.compilation.target),
-            "target_type": cccc.pretty(self.compilation.target_type),
-            "verified": self.verified,
-            "steps": self.steps,
-            "check_steps": self.check_steps,
-            "verify_steps": self.verify_steps,
-            "engine": self.engine,
-            "session": self.session,
-            "cache_hits": dict(self.cache_hits),
-            "diagnostics": list(self.diagnostics),
-        }
-
 
 @dataclass(frozen=True)
-class RunResult:
+class RunResult(_Document):
     """A full pipeline execution: compile, hoist, run — machine or compiled.
 
     ``backend`` records which execution engine produced the value:
@@ -211,7 +259,8 @@ class RunResult:
     runs; emptied by ``reset``), or an artifact-cache hit on the compiled
     one — the run never compiles, so ``compile_result`` is None there;
     the flat ``check_steps``/``verify_steps``/``verified`` fields
-    (replayed from the recorded fuel) are the stable surface either way.
+    (replayed from the recorded fuel) are the stable surface either way,
+    and the only ones ``FIELDS`` renders.
     """
 
     compile_result: CompileResult | None
@@ -236,6 +285,12 @@ class RunResult:
     cache_hits: dict[str, int] = field(default_factory=dict)
     diagnostics: tuple[str, ...] = ()
 
+    FIELDS = (TermField("term", "source", cc), ("value", "observed"),
+              ("code_blocks", "code_count"), "machine_steps", "closure_allocs", "tuple_allocs",
+              "projections", "env_allocs", "max_env_size", "verified", "compile_steps", "backend")
+    TELEMETRY = ("check_steps", "verify_steps", "engine", "session", "cache_hits",
+                 "diagnostics", "artifact")
+
     @property
     def code_count(self) -> int:
         return self.program.code_count
@@ -245,34 +300,36 @@ class RunResult:
         """What the run observed: its ground value, else the value's class name."""
         return self.observation if self.observation is not None else type(self.value).__name__
 
-    def to_dict(self) -> dict[str, Any]:
-        document = {
-            "term": cc.pretty(self.source),
-            "value": self.observed,
-            "code_blocks": self.code_count,
-            "machine_steps": self.machine_steps,
-            "closure_allocs": self.closure_allocs,
-            "tuple_allocs": self.tuple_allocs,
-            "projections": self.projections,
-            "env_allocs": self.env_allocs,
-            "max_env_size": self.max_env_size,
-            "steps": self.compile_steps,
-            "check_steps": self.check_steps,
-            "verify_steps": self.verify_steps,
-            "verified": self.verified,
-            "engine": self.engine,
-            "backend": self.backend,
-            "session": self.session,
-            "cache_hits": dict(self.cache_hits),
-            "diagnostics": list(self.diagnostics),
-        }
-        if self.artifact is not None:
-            document["artifact"] = self.artifact
+    def to_dict(self, binary: bool = False, **extras: Any) -> dict[str, Any]:
+        document = super().to_dict(binary, **extras)
+        # The session-facing name of the payload's ``compile_steps``.
+        document["steps"] = document.pop("compile_steps")
         return document
 
 
 @dataclass(frozen=True)
-class LinkResult:
+class StageResult(_Document):
+    """A program staged for the compiled backend and published, not run."""
+
+    artifact: str
+    key: str
+    code_blocks: int
+    size_bytes: int
+    verified: bool
+    check_steps: int
+    verify_steps: int
+    stored: bool
+    engine: str
+    session: str
+    cache_hits: dict[str, int] = field(default_factory=dict)
+    diagnostics: tuple[str, ...] = ()
+
+    FIELDS = ("artifact", "key", "code_blocks", "size_bytes", "verified", "check_steps",
+              "verify_steps", "stored")
+
+
+@dataclass(frozen=True)
+class LinkResult(_Document):
     """A verified link ``γ(e)`` of a component against its imports."""
 
     term: cc.Term
@@ -282,15 +339,8 @@ class LinkResult:
     cache_hits: dict[str, int] = field(default_factory=dict)
     diagnostics: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "term": cc.pretty(self.term),
-            "type": cc.pretty(self.type_),
-            "steps": self.steps,
-            "session": self.session,
-            "cache_hits": dict(self.cache_hits),
-            "diagnostics": list(self.diagnostics),
-        }
+    FIELDS = (TermField("term", "term", cc, b64=True), TermField("type", "type_", cc), "steps")
+    TELEMETRY = ("session", "cache_hits", "diagnostics")
 
 
 # --------------------------------------------------------------------------
@@ -401,16 +451,10 @@ class Session:
 
     # -- entrypoints ---------------------------------------------------------
 
-    def parse(self, source: str) -> ParseResult:
-        """Parse surface text into a CC term (no type checking)."""
+    def parse(self, program: str | cc.Term) -> ParseResult:
+        """Parse surface text into a CC term (no type checking); terms pass through."""
         with self.activate():
-            term = parse_term(source)
-            profile = _PROFILE[0]
-            if profile is not None:
-                # Parsing spends no fuel; its deterministic weight is the
-                # size of the term it produced.
-                profile.phase("parse", weight=cc.term_size(term))
-            return ParseResult(term=term, source=source, session=self.name)
+            return ParseResult(term=self._coerce(program), source=program, session=self.name)
 
     def check(self, program: str | cc.Term, ctx: cc.Context | None = None) -> CheckResult:
         """Type check ``program`` (text or term) under ``ctx`` (empty default)."""
@@ -539,40 +583,15 @@ class Session:
             # block closures), so it must neither come from nor enter a
             # cache.  Results are unaffected: warm runs replay cold fuel.
             label_counts: dict[str, int] | None = {} if profile is not None else None
-            memo, key = self._memo(program, ctx, verify)
             before = self._state.hit_counts()
-            entry = memo.get(key) if memo is not None else None
-            compile_result = artifact = found = None
-            if entry is None:
-                term = self._coerce(program)
-                if backend == "compiled" and memo is not None:
-                    artifact, found = self._cached_artifact(term, verify)
-                if found is not None:
-                    staged, meta = found
-                    entry = _CompileEntry(term, meta, program=staged.program, staged=staged)
-                    memo[key] = entry
-                else:
-                    entry, compile_result = self._compile(memo, key, None, term, ctx, verify)
+            entry, compile_result = self._prepare(program, ctx, verify, backend, label_counts)
             meta = entry.meta
-            if compile_result is None:
-                self._replay(meta)
-            if entry.program is None:
-                entry.program = hoist(entry.compiled.target)
             if backend == "machine":
                 hoisted, digest = entry.program, None
                 value, stats = run(hoisted, label_counts=label_counts)
                 source = entry.source
                 diagnostics = _compile_diagnostics(meta.verified)
             else:
-                if entry.staged is None:
-                    if memo is not None and artifact is None:  # an earlier call made the entry
-                        artifact, found = self._cached_artifact(entry.source, verify)
-                    if found is not None:
-                        entry.staged = found[0]
-                    else:
-                        entry.staged = compile_program(entry.program, label_counts=label_counts)
-                        if artifact is not None:
-                            store_artifact(self._state, artifact, entry.staged, meta)
                 hoisted, digest = entry.staged.program, entry.staged.source_hash
                 value, stats = entry.staged.execute()
                 # α-canonical: an artifact hit never sees the original spelling.
@@ -611,6 +630,32 @@ class Session:
                 artifact=digest,
                 cache_hits=self._hit_delta(before),
                 diagnostics=diagnostics,
+            )
+
+    def stage(self, program: str | cc.Term, verify: bool = True) -> StageResult:
+        """Compile, hoist and stage ``program`` for the compiled backend; do not run it.
+
+        The staging step of ``run(engine="compiled")``, compile memo and
+        artifact caches included: the staged program is published to the
+        α-keyed artifact caches, and to the persistent tier when one is
+        attached, where a later compiled run in any process finds it.
+        """
+        with self.activate():
+            before = self._state.hit_counts()
+            entry, _ = self._prepare(program, None, verify, "compiled", None)
+            staged, meta = entry.staged, entry.meta
+            key = artifact_key(cc.intern(entry.source), engine=self.engine, verify=verify)
+            return StageResult(
+                artifact=staged.source_hash,
+                key=key.hex(),
+                code_blocks=staged.code_count,
+                size_bytes=len(encode_artifact(staged.program, meta)),
+                stored=self._state.persistent is not None,
+                **asdict(meta),  # the recorded check/verify fuel and verdict
+                engine=self.engine,
+                session=self.name,
+                cache_hits=self._hit_delta(before),
+                diagnostics=_compile_diagnostics(meta.verified),
             )
 
     def link(
@@ -746,6 +791,43 @@ class Session:
                 memo[key] = entry
         entry.compiled = result
         return entry, result
+
+    def _prepare(
+        self, program: str | cc.Term, ctx: cc.Context | None, verify: bool,
+        backend: str, label_counts: dict[str, int] | None,
+    ) -> tuple[_CompileEntry, CompileResult | None]:
+        """``program``'s compile-memo entry, hoisted, and staged for ``"compiled"``.
+
+        The cold ``CompileResult`` comes back when this call compiled;
+        otherwise the entry's recorded fuel has been replayed.
+        """
+        memo, key = self._memo(program, ctx, verify)
+        entry = memo.get(key) if memo is not None else None
+        compile_result = artifact = found = None
+        if entry is None:
+            term = self._coerce(program)
+            if backend == "compiled" and memo is not None:
+                artifact, found = self._cached_artifact(term, verify)
+            if found is not None:
+                staged, meta = found
+                entry = _CompileEntry(term, meta, program=staged.program, staged=staged)
+                memo[key] = entry
+            else:
+                entry, compile_result = self._compile(memo, key, None, term, ctx, verify)
+        if compile_result is None:
+            self._replay(entry.meta)
+        if entry.program is None:
+            entry.program = hoist(entry.compiled.target)
+        if backend == "compiled" and entry.staged is None:
+            if memo is not None and artifact is None:  # an earlier call made the entry
+                artifact, found = self._cached_artifact(entry.source, verify)
+            if found is not None:
+                entry.staged = found[0]
+            else:
+                entry.staged = compile_program(entry.program, label_counts=label_counts)
+                if artifact is not None:
+                    store_artifact(self._state, artifact, entry.staged, entry.meta)
+        return entry, compile_result
 
     def _replay(self, meta: ArtifactMeta) -> None:
         """Charge a hit's recorded fuel: the cold compile's budgets and order."""
@@ -898,36 +980,20 @@ def execute_jobs(
         }
         if plan is not None:
             stats["chaos"] = plan.summary()
-        pool_workers = stats.get("pool", {}).get("workers", 0)
-        return BatchReport(
-            results=results,
-            stats=stats,
-            workers=pool_workers,
-            engine=engine,
-            elapsed_seconds=time.perf_counter() - start,
-        )
-    if workers <= 0:
+        workers = stats.get("pool", {}).get("workers", 0)
+    elif workers <= 0:
         from repro.service.faults import activate as activate_faults
-        from repro.wire.persist import PersistentMemoStore
 
         solo = session if session is not None else Session(
             name="batch", engine=engine, fuel=DEFAULT_FUEL if fuel is None else fuel
         )
-        store = None
-        opened_here = False
-        if memo_store is not None:
-            if isinstance(memo_store, PersistentMemoStore):
-                store = memo_store
-            else:
-                store = PersistentMemoStore(memo_store)
-                opened_here = True
-            solo.attach_memo_store(store)
+        tier = solo.attach_memo_store(memo_store) if memo_store is not None else None
         chaos = nullcontext() if plan is None else activate_faults(FaultInjector(plan))
         try:
             with chaos:
                 results = tuple(solo.execute(spec) for spec in specs)
         finally:
-            if store is not None:
+            if tier is not None:
                 solo.detach_memo_store()
         stats = {
             "workers": 0,
@@ -936,33 +1002,27 @@ def execute_jobs(
             "failed": sum(1 for result in results if not result.ok),
             "cache_hits": solo.hit_counts(),
         }
-        if store is not None:
-            stats["persist"] = store.stats()
-            if opened_here:
-                store.close()
+        if tier is not None:
+            stats["persist"] = tier.store.stats()
+            if tier.store is not memo_store:  # opened here from a path
+                tier.store.close()
         if plan is not None:
             stats["chaos"] = plan.summary()
-        return BatchReport(
-            results=results,
-            stats=stats,
-            workers=0,
-            engine=engine,
-            elapsed_seconds=time.perf_counter() - start,
-        )
+        workers = 0
+    else:
+        from repro.service.dispatcher import Dispatcher
 
-    from repro.service.dispatcher import Dispatcher
-
-    if memo_store is not None:
-        dispatcher_options["memo_store"] = str(memo_store)
-    if plan is not None:
-        dispatcher_options["fault_plan"] = plan
-    with Dispatcher(
-        workers=workers, engine=engine, fuel=fuel, **dispatcher_options
-    ) as pool:
-        results = tuple(pool.run_batch(specs))
-        stats = pool.stats().to_dict()
+        if memo_store is not None:
+            dispatcher_options["memo_store"] = str(memo_store)
         if plan is not None:
-            stats["chaos"] = plan.summary(pool.max_attempts)
+            dispatcher_options["fault_plan"] = plan
+        with Dispatcher(
+            workers=workers, engine=engine, fuel=fuel, **dispatcher_options
+        ) as pool:
+            results = tuple(pool.run_batch(specs))
+            stats = pool.stats().to_dict()
+            if plan is not None:
+                stats["chaos"] = plan.summary(pool.max_attempts)
     return BatchReport(
         results=results,
         stats=stats,

@@ -44,25 +44,25 @@ which runs the same executor pooled (``workers > 0``), solo
 (``workers = 0``), or remotely (``connect=...``).
 """
 
-from repro.service.client import ServiceClient
-from repro.service.dispatcher import Dispatcher, ElasticSupervisor, PoolStats
-from repro.service.endpoint import Endpoint, EndpointServer, serve_background
-from repro.service.executor import execute_job
-from repro.service.faults import Fault, FaultInjector, FaultPlan
-from repro.service.jobs import Job, JobResult
+import importlib
 
-__all__ = [
-    "Dispatcher",
-    "ElasticSupervisor",
-    "Endpoint",
-    "EndpointServer",
-    "Fault",
-    "FaultInjector",
-    "FaultPlan",
-    "Job",
-    "JobResult",
-    "PoolStats",
-    "ServiceClient",
-    "execute_job",
-    "serve_background",
-]
+#: Each submodule and the names it exports, imported on first use: loading
+#: one submodule (``repro.service.jobs`` for the entrypoint table, say)
+#: loads neither the pool nor the socket endpoint.
+_EXPORTS = {
+    "client": ("ServiceClient",),
+    "dispatcher": ("Dispatcher", "ElasticSupervisor", "PoolStats"),
+    "endpoint": ("Endpoint", "EndpointServer", "serve_background"),
+    "executor": ("execute_job",),
+    "faults": ("Fault", "FaultInjector", "FaultPlan"),
+    "jobs": ("Job", "JobResult"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name: str):
+    for module, names in _EXPORTS.items():
+        if name in names:
+            return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,6 +6,11 @@ from their process-private session; the in-process solo path
 against a local session.  Pooled results are therefore byte-identical to
 solo runs by construction — there is exactly one executor.
 
+The executor handles the four service kinds itself.  A program kind calls
+its ``Session`` method through the entrypoint table of
+:mod:`repro.service.jobs`, and its payload is the result's own
+``payload()`` plus the kind's extra keys.
+
 Determinism across shard assignments comes from two mechanisms:
 
 * **α-canonical ingest and egress.**  The program — surface text, or a
@@ -16,6 +21,8 @@ Determinism across shard assignments comes from two mechanisms:
   term in the payload is rendered from its interned representative, whose
   binder names are a pure function of the α-class: machine-freshened
   names (which depend on execution history) can never reach the wire.
+  The rendering runs under the session's ``activate()``, since interning
+  reads the session's tables.
 * **Fuel replay.**  Step counts come from :class:`~repro.kernel.budget.Budget`
   totals, and every cache in the kernel replays recorded fuel on a hit —
   a warm worker reports exactly the steps a cold solo run reports,
@@ -40,35 +47,18 @@ from __future__ import annotations
 import re
 import time
 from contextlib import contextmanager, nullcontext
-from types import ModuleType
 from typing import TYPE_CHECKING, Any
 
-from repro import cc, cccc
+from repro import cc
 from repro.common.errors import ReproError
 from repro.service import faults
-from repro.service.jobs import Job, JobResult
+from repro.service.jobs import Job, JobResult, call
 from repro.surface import parse_term
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import Session
 
 __all__ = ["execute_job"]
-
-
-def _canon(calculus: ModuleType, term: Any) -> str:
-    """α-canonical rendering of a ``calculus`` term (deterministic across sessions)."""
-    return calculus.pretty(calculus.intern(term))
-
-
-def _b64(calculus: ModuleType, term: Any) -> str:
-    """Binary DAG rendering of a ``calculus`` term's interned representative.
-
-    As deterministic as the pretty text: the encoder is canonical and the
-    interned representative is a pure function of the α-class.
-    """
-    from repro.wire.codec import term_to_b64
-
-    return term_to_b64(calculus.ast.LANGUAGE, calculus.intern(term))
 
 
 def _ingest(job: Job) -> cc.Term:
@@ -183,31 +173,13 @@ def execute_job(session: "Session", job: Job) -> JobResult:
     return JobResult(id=job_id, ok=ok, payload=payload, error=error, meta=meta)
 
 
-def _run_payload(result: Any) -> dict[str, Any]:
-    """The deterministic payload both run backends share.
-
-    Built from the flat :class:`~repro.api.RunResult` fields (never
-    ``compile_result``, which is None on a warm compile-memo or artifact hit),
-    so a warm pooled run renders byte-for-byte what a cold solo run renders.
-    """
-    return {
-        "term": _canon(cc, result.source),
-        "value": result.observed,
-        "code_blocks": result.code_count,
-        "machine_steps": result.machine_steps,
-        "closure_allocs": result.closure_allocs,
-        "tuple_allocs": result.tuple_allocs,
-        "projections": result.projections,
-        "env_allocs": result.env_allocs,
-        "max_env_size": result.max_env_size,
-        "verified": result.verified,
-        "compile_steps": result.compile_steps,
-        "backend": result.backend,
-    }
-
-
 def _dispatch(session: "Session", job: Job) -> dict[str, Any]:
-    """The kind table: one wire job → one deterministic payload dict."""
+    """One wire job → one deterministic payload dict.
+
+    The service kinds are handled here; every program kind goes through
+    the entrypoint table (:data:`repro.service.jobs.ENTRYPOINTS`) and its
+    result's own rendering.
+    """
     if job.kind == "reset":
         # Service policy: a reset returns the session to its cold
         # deterministic zero but keeps the worker *configured* — the shared
@@ -235,82 +207,6 @@ def _dispatch(session: "Session", job: Job) -> dict[str, Any]:
         # repro.service.worker); in-process it is a plain failed job.
         raise ReproError("crash job executed outside a worker process")
 
-    binary = job.wire >= 2
     with session.activate():
-        term = _ingest(job)
-        if job.kind == "parse":
-            payload = {"term": _canon(cc, term)}
-            if binary:
-                payload["term_b64"] = _b64(cc, term)
-            return payload
-        if job.kind == "check":
-            result = session.check(term)
-            payload = {
-                "term": _canon(cc, result.term),
-                "type": _canon(cc, result.type_),
-                "steps": result.steps,
-            }
-            if binary:
-                payload["term_b64"] = _b64(cc, result.term)
-                payload["type_b64"] = _b64(cc, result.type_)
-            return payload
-        if job.kind == "normalize":
-            result = session.normalize(term, engine=job.engine)
-            payload = {
-                "term": _canon(cc, result.term),
-                "normal": _canon(cc, result.value),
-                "type": _canon(cc, result.type_),
-                "steps": result.steps,
-                "check_steps": result.check_steps,
-                "engine": result.engine,
-            }
-            if binary:
-                payload["term_b64"] = _b64(cc, result.term)
-                payload["normal_b64"] = _b64(cc, result.value)
-            return payload
-        if job.kind == "compile":
-            result = session.compile(term, verify=job.verify)
-            payload = {
-                "term": _canon(cc, result.compilation.source),
-                "type": _canon(cc, result.compilation.source_type),
-                "target": _canon(cccc, result.target),
-                "target_type": _canon(cccc, result.target_type),
-                "verified": result.verified,
-                "steps": result.steps,
-                "check_steps": result.check_steps,
-                "verify_steps": result.verify_steps,
-            }
-            if binary:
-                payload["term_b64"] = _b64(cc, result.compilation.source)
-                payload["target_b64"] = _b64(cccc, result.target)
-            return payload
-        if job.kind == "run":
-            result = session.run(term, verify=job.verify)
-            return _run_payload(result)
-        if job.kind == "compile_py":
-            # The differential contract: this payload equals the machine
-            # "run" payload for the same spec once the two backend-only
-            # keys ("backend", "artifact") are dropped — values, counters,
-            # fuel, and error documents alike.
-            result = session.run(term, verify=job.verify, engine="compiled")
-            payload = _run_payload(result)
-            payload["artifact"] = result.artifact
-            return payload
-        if job.kind == "link":
-            ctx = cc.Context.empty()
-            for name, type_text in job.interface:
-                ctx = ctx.extend(name, parse_term(type_text))
-            imports = {
-                name: parse_term(text) for name, text in job.imports.items()
-            }
-            result = session.link(ctx, term, imports)
-            payload = {
-                "term": _canon(cc, result.term),
-                "type": _canon(cc, result.type_),
-                "steps": result.steps,
-                "imports_linked": len(job.imports),
-            }
-            if binary:
-                payload["term_b64"] = _b64(cc, result.term)
-            return payload
-    raise AssertionError(f"unhandled job kind {job.kind!r}")  # pragma: no cover
+        result, extras = call(session, job, _ingest(job))
+        return result.payload(binary=job.wire >= 2, **extras)

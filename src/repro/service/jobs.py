@@ -7,13 +7,13 @@ the spec down the worker pipe, so nothing richer can leak through):
     {"id": "b0-7", "kind": "normalize", "program": "(\\\\ (x : Nat). x) 3",
      "engine": "nbe", "fuel": null, "key": "build-0"}
 
-``kind`` selects the session entrypoint.  The service kinds mirror
-:class:`repro.api.Session` — ``parse`` / ``check`` / ``normalize`` /
-``compile`` / ``run`` / ``compile_py`` / ``link`` (``compile_py`` is
-``run`` through the compile-to-host backend: the program is staged into
-cached Python closures and its payload matches the machine ``run``
-payload exactly, plus the backend name and artifact hash) — plus three
-service-level kinds:
+``kind`` selects the session entrypoint.  The program kinds are the rows
+of one table, :data:`ENTRYPOINTS`, which the CLI's program commands use
+too: each row names the :class:`repro.api.Session` method, how the job's
+fields map to its arguments, and the payload keys the kind adds to the
+result's own rendering (``compile_py`` is ``run`` through the
+compile-to-host backend, plus the artifact hash).  Four service-level
+kinds complete :data:`JOB_KINDS`:
 
 * ``reset`` — return the executing session to its cold deterministic zero
   (the classic start-of-build ``reset_fresh_counter`` discipline; with
@@ -46,9 +46,10 @@ ones.  The schema lives in :mod:`repro.obs.trace`.
 
 A **result** is split in two, and the split is load-bearing:
 
-* ``payload`` (or ``error``) is the *deterministic* half — every term is
-  rendered α-canonically (``pretty(intern(term))``), and every step count
-  comes from the fuel-replaying caches, so the payload is byte-identical
+* ``payload`` (or ``error``) is the *deterministic* half — the session
+  result's ``payload()``: every term is rendered α-canonically
+  (``pretty(intern(term))``), and every step count comes from the
+  fuel-replaying caches, so the payload is byte-identical
   no matter which worker ran the job, how warm its caches were, or what
   had executed before it.  This is what the service's determinism
   differential compares.
@@ -65,31 +66,67 @@ are byte-identical across same-plan chaos runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Callable, Mapping, NamedTuple
 
-__all__ = ["JOB_KINDS", "PROGRAM_KINDS", "WIRE_VERSIONS", "Job", "JobResult"]
+__all__ = [
+    "ENTRYPOINTS", "JOB_KINDS", "PROGRAM_KINDS", "WIRE_VERSIONS", "Entrypoint", "Job",
+    "JobResult", "call",
+]
 
-#: Every job kind the executor understands, in dispatch order of interest:
-#: the Session entrypoints, then the service-level kinds.
-JOB_KINDS = (
-    "parse",
-    "check",
-    "normalize",
-    "compile",
-    "run",
-    "compile_py",
-    "link",
-    "reset",
-    "stats",
-    "sleep",
-    "crash",
-)
+class Entrypoint(NamedTuple):
+    """One program kind: the ``Session`` method its jobs call, the method's
+    keyword arguments from the job's fields, and the kind's extra payload keys."""
+
+    method: str
+    arguments: Callable[["Job"], dict[str, Any]] = lambda job: {}
+    extras: Callable[["Job", Any], dict[str, Any]] = lambda job, result: {}
+
+
+def _link_arguments(job: "Job") -> dict[str, Any]:
+    """The interface Γ and the closing imports of a ``link`` job (parsed here)."""
+    from repro import cc
+    from repro.surface import parse_term
+
+    ctx = cc.Context.empty()
+    for name, type_text in job.interface:
+        ctx = ctx.extend(name, parse_term(type_text))
+    imports = {name: parse_term(text) for name, text in job.imports.items()}
+    return {"ctx": ctx, "imports": imports}
+
+
+#: The one entrypoint table (see the module docstring); :func:`call` runs a row.
+ENTRYPOINTS: dict[str, Entrypoint] = {
+    "parse": Entrypoint("parse"),
+    "check": Entrypoint("check"),
+    "normalize": Entrypoint("normalize", lambda job: {"engine": job.engine}),
+    "compile": Entrypoint("compile", lambda job: {"verify": job.verify}),
+    "run": Entrypoint("run", lambda job: {"verify": job.verify}),
+    "compile_py": Entrypoint(
+        "run",
+        lambda job: {"verify": job.verify, "engine": "compiled"},
+        lambda job, result: {"artifact": result.artifact},
+    ),
+    "link": Entrypoint(
+        "link", _link_arguments, lambda job, result: {"imports_linked": len(job.imports)}
+    ),
+}
 
 #: Kinds that require a program (as surface text or a binary term).
-PROGRAM_KINDS = frozenset(
-    {"parse", "check", "normalize", "compile", "run", "compile_py", "link"}
-)
+PROGRAM_KINDS = frozenset(ENTRYPOINTS)
+
+#: Every job kind the executor understands: the program kinds, then the
+#: service-level kinds.
+JOB_KINDS = (*ENTRYPOINTS, "reset", "stats", "sleep", "crash")
+
+
+def call(session: Any, job: "Job", program: Any) -> tuple[Any, dict[str, Any]]:
+    """The session's result for ``job`` on ``program`` (text or a term), and
+    the kind's extra payload keys.  Call it under the session's ``activate()``."""
+    row = ENTRYPOINTS[job.kind]
+    result = getattr(session, row.method)(program=program, **row.arguments(job))
+    return result, row.extras(job, result)
+
 
 #: Wire-format versions this build speaks.  Version 1 is the original
 #: text-only format (``program`` carries surface syntax); version 2 adds
@@ -161,34 +198,16 @@ class Job:
         return self.key
 
     def to_dict(self) -> dict[str, Any]:
-        """The JSON wire form (sparse: defaults are omitted)."""
+        """The JSON wire form (sparse: defaults are omitted), in field order."""
         spec: dict[str, Any] = {"kind": self.kind}
-        if self.id is not None:
-            spec["id"] = self.id
-        if self.program is not None:
-            spec["program"] = self.program
-        if self.engine is not None:
-            spec["engine"] = self.engine
-        if self.fuel is not None:
-            spec["fuel"] = self.fuel
-        if self.key is not None:
-            spec["key"] = self.key
-        if not self.verify:
-            spec["verify"] = False
+        for name, default in _DEFAULTS.items():
+            value = getattr(self, name)
+            if value != default:
+                spec[name] = value
         if self.imports:
             spec["imports"] = dict(self.imports)
         if self.interface:
             spec["interface"] = [list(entry) for entry in self.interface]
-        if self.seconds:
-            spec["seconds"] = self.seconds
-        if self.wire != 1:
-            spec["wire"] = self.wire
-        if self.term_b64 is not None:
-            spec["term_b64"] = self.term_b64
-        if self.deadline is not None:
-            spec["deadline"] = self.deadline
-        if self.trace:
-            spec["trace"] = True
         return spec
 
     @classmethod
@@ -200,23 +219,7 @@ class Job:
         # ``dict`` first: the common case skips the slower ABC check.
         if not isinstance(spec, (dict, Mapping)):
             raise ValueError("a job spec must be an object")
-        known = {
-            "kind",
-            "id",
-            "program",
-            "engine",
-            "fuel",
-            "key",
-            "verify",
-            "imports",
-            "interface",
-            "seconds",
-            "wire",
-            "term_b64",
-            "deadline",
-            "trace",
-        }
-        unknown = set(spec) - known
+        unknown = set(spec).difference(_DEFAULTS, ("kind",))
         if unknown:
             raise ValueError(f"unknown job fields: {', '.join(sorted(unknown))}")
         if "kind" not in spec:
@@ -237,22 +240,16 @@ class Job:
             raise ValueError(
                 "job field 'interface' must be a list of [name, type] string pairs"
             )
-        return cls(
-            kind=spec["kind"],
-            id=spec.get("id"),
-            program=spec.get("program"),
-            engine=spec.get("engine"),
-            fuel=spec.get("fuel"),
-            key=spec.get("key"),
-            verify=spec.get("verify", True),
-            imports=dict(imports),
-            interface=tuple(map(tuple, interface)),
-            seconds=spec.get("seconds", 0.0),
-            wire=spec.get("wire", 1),
-            term_b64=spec.get("term_b64"),
-            deadline=spec.get("deadline"),
-            trace=spec.get("trace", False),
-        )
+        return cls(**{**spec, "imports": dict(imports), "interface": tuple(map(tuple, interface))})
+
+
+#: Every job field but ``kind``, with its default: the fields a sparse
+#: wire spec may omit.
+_DEFAULTS = {
+    spec.name: spec.default if spec.default is not MISSING else spec.default_factory()
+    for spec in fields(Job)
+    if spec.name != "kind"
+}
 
 
 @dataclass(frozen=True)

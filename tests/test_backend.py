@@ -159,6 +159,20 @@ class TestSessionBackend:
         assert warm.artifact == cold.artifact
         assert warm.to_dict() == cold.to_dict()
 
+    def test_stage_is_the_staging_step_of_a_compiled_run(self):
+        session = api.Session()
+        source = r"(\ (f : Nat -> Nat) (x : Nat). f (f x)) (\ (y : Nat). succ y) 5"
+        staged = session.stage(source)
+        ran = session.run(source, engine="compiled")
+        assert ran.compile_result is None  # the staged entry was reused
+        assert (staged.artifact, staged.code_blocks) == (ran.artifact, ran.code_count)
+        assert (staged.check_steps, staged.verify_steps, staged.verified) == (
+            ran.check_steps, ran.verify_steps, ran.verified
+        )
+        assert staged.stored is False and staged.size_bytes > 0
+        cold = api.Session().run(source, engine="compiled")
+        assert ran.to_dict()["value"] == cold.to_dict()["value"] == 7
+
 
 class TestErrorParity:
     def test_fuel_exhaustion_documents_match(self):

@@ -453,3 +453,19 @@ class TestArtifactHandOff:
         assert result.compile_result is None
         assert stats["artifact_hits"] >= 1
         assert result.observed == api.Session().run(self.PROGRAM).observed == 7
+
+
+class TestMemoStoreFlush:
+    """Every ``--memo-store`` command flushes its rows before it exits."""
+
+    # Checking it normalizes the binder's type: one memo row to persist.
+    PROGRAM = r"(\ (b : (\ (T : Type). T) Nat). succ b) 3"
+
+    @pytest.mark.parametrize("command", ["compile", "run"])
+    def test_memo_rows_reach_the_store(self, tmp_path, capsys, command):
+        store = str(tmp_path / "memo.sqlite")
+        assert main([command, "--memo-store", store, "-e", self.PROGRAM]) == 0
+        capsys.readouterr()
+        assert main(["store", "stat", store, "--json"]) == 0
+        stat = json.loads(capsys.readouterr().out)
+        assert stat["entries"] == stat["valid"] >= 1
