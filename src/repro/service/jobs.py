@@ -74,6 +74,7 @@ __all__ = [
     "JobResult", "call",
 ]
 
+
 class Entrypoint(NamedTuple):
     """One program kind: the ``Session`` method its jobs call, the method's
     keyword arguments from the job's fields, and the kind's extra payload keys."""
