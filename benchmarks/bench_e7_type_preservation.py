@@ -13,6 +13,10 @@ Gate:
   ``nested_lambdas(20, 40, 60, 120)`` is **≤ 1.3** (best of 5 cold runs
   per size).  Re-inferring every λ body made it about 2; reading each
   body's type off the check's derivation makes it about linear.
+* ``test_hoist_growth_gate`` — the same fit for ``hoist`` of the compiled
+  ``nested_lambdas(60, 120, 240, 480)`` is **≤ 1.3**.  Deduplicating code
+  blocks by scanning the table with ``alpha_equal`` made it about 2; an
+  exact α-canonical key makes it about linear.
 """
 
 import gc
@@ -24,6 +28,7 @@ import pytest
 from repro import cc
 from repro.api import Session
 from repro.closconv import compile_term, translate
+from repro.machine import hoist
 from workloads import church_sum, nested_lambdas, wide_capture
 
 _EMPTY = cc.Context.empty()
@@ -88,18 +93,50 @@ def _cold_closconv_seconds(depth: int) -> float:
             gc.enable()
 
 
-def test_closconv_growth_gate():
-    # Sizes are timed round-robin and each keeps its best run, so a slow
-    # spell on a shared host hits every size rather than skewing the slope.
+def _cold_hoist_seconds(target) -> float:
+    """Wall time of hoisting one closure-converted program."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        hoist(target)
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
+def _growth_exponent(seconds_at, sizes) -> float:
+    """The fitted log-log slope of ``seconds_at(size)`` over ``sizes``.
+
+    Sizes are timed round-robin and each keeps its best of 5 runs, so a
+    slow spell on a shared host hits every size rather than skewing the
+    slope.
+    """
     best: dict[int, float] = {}
     for _ in range(5):
-        for depth in (20, 40, 60, 120):
-            best[depth] = min(best.get(depth, math.inf), _cold_closconv_seconds(depth))
-    points = [(math.log(depth), math.log(seconds)) for depth, seconds in best.items()]
+        for size in sizes:
+            best[size] = min(best.get(size, math.inf), seconds_at(size))
+    points = [(math.log(size), math.log(seconds)) for size, seconds in best.items()]
     mean_x = sum(x for x, _ in points) / len(points)
     mean_y = sum(y for _, y in points) / len(points)
-    exponent = sum((x - mean_x) * (y - mean_y) for x, y in points) / sum(
+    return sum((x - mean_x) * (y - mean_y) for x, y in points) / sum(
         (x - mean_x) ** 2 for x, _ in points
     )
+
+
+def test_closconv_growth_gate():
+    exponent = _growth_exponent(_cold_closconv_seconds, (20, 40, 60, 120))
     print(f"\nE7 closconv growth exponent over nested_lambdas(20..120): {exponent:.2f}")
+    assert exponent <= 1.3
+
+
+def test_hoist_growth_gate():
+    # Hoisting deduplicates code blocks on an α-canonical key; a scan of
+    # the table per block made it quadratic in the number of blocks.
+    targets = {
+        depth: Session().compile(nested_lambdas(depth), verify=False).target
+        for depth in (60, 120, 240, 480)
+    }
+    exponent = _growth_exponent(lambda depth: _cold_hoist_seconds(targets[depth]), targets)
+    print(f"\nE7 hoist growth exponent over nested_lambdas(60..480): {exponent:.2f}")
     assert exponent <= 1.3

@@ -368,7 +368,7 @@ def _cmd_batch(session: Session, args: argparse.Namespace) -> int:
             plan = None
             if args.chaos_seed is not None:
                 plan = _chaos_plan(specs, args.chaos_seed, connect=args.connect is not None)
-            # With --connect the pool options are the server's business.
+            # With --connect, execute_jobs refuses a set --job-timeout or --memo-store.
             report = api.execute_jobs(
                 specs,
                 workers=args.workers,
@@ -630,7 +630,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="HOST:PORT",
         default=None,
         help="stream the batch to a running 'serve' endpoint instead of "
-        "executing locally (--workers/--job-timeout are then the server's)",
+        "executing locally (the server owns its workers; --job-timeout and "
+        "--memo-store are refused)",
     )
     batch.add_argument(
         "--window",

@@ -39,12 +39,13 @@ shared process-default session (:func:`default_session`), and inside
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
 from operator import attrgetter
-from typing import Any, ClassVar, Mapping, NamedTuple
+from typing import Any, Callable, ClassVar, Mapping, NamedTuple
 
 from repro import cc, cccc
 from repro.backend import (
@@ -59,11 +60,13 @@ from repro.backend import (
 )
 from repro.cc.reduce import normalize_subst
 from repro.closconv.pipeline import CompilationResult, compile_term
+from repro.common import deep
+from repro.common.errors import ReproError
 from repro.kernel.budget import DEFAULT_FUEL, Budget
 from repro.kernel.state import KernelState, activate, default_state, validate_engine
 from repro.linking.link import ClosingSubstitution, check_substitution, link
 from repro.machine import Program, hoist, machine_observation, run
-from repro.surface import parse_term
+from repro.surface import parse_term, source_size
 
 __all__ = [
     "BatchReport",
@@ -348,6 +351,56 @@ class LinkResult(_Document):
 # --------------------------------------------------------------------------
 
 
+def _deep(method: Callable) -> Callable:
+    """Run a ``Session`` entrypoint on the deep-stack runner (:mod:`repro.common.deep`).
+
+    A retry is sized by the call's text and term arguments, and starts from
+    :func:`_checkpoint`.
+    """
+
+    @functools.wraps(method)
+    def entrypoint(self: "Session", *args: Any, **kwargs: Any) -> Any:
+        return deep.call(
+            lambda: method(self, *args, **kwargs),
+            lambda: sum(map(_input_size, (*args, *kwargs.values()))),
+            _checkpoint(self),
+        )
+
+    return entrypoint
+
+
+def _input_size(value: Any) -> int:
+    """The size of one entrypoint argument: text, a term, or a map of them."""
+    if isinstance(value, str):
+        return source_size(value)
+    if isinstance(value, cc.Term):
+        return cc.term_size(value)
+    if isinstance(value, Mapping):
+        return sum(map(_input_size, value.values()))
+    return 0
+
+
+def _checkpoint(session: "Session") -> Callable[[], None]:
+    """A rewind to now: what a failed attempt recorded is dropped before its retry.
+
+    That is the session's memo entries, whose hits a retry would count, and
+    the active profile's phases, so a retried call reports one run.
+    """
+    state, profile = session.state, _PROFILE[0]
+    mark = state.mark()
+    if profile is not None:
+        phases, labels = len(profile.phases), dict(profile.labels)
+
+    def rewind() -> None:
+        state.rollback(mark)
+        if profile is not None:
+            del profile.phases[phases:]
+            profile.labels.clear()
+            profile.labels.update(labels)
+
+    return rewind
+
+
 class Session:
     """An isolated engine workspace.
 
@@ -451,11 +504,13 @@ class Session:
 
     # -- entrypoints ---------------------------------------------------------
 
+    @_deep
     def parse(self, program: str | cc.Term) -> ParseResult:
         """Parse surface text into a CC term (no type checking); terms pass through."""
         with self.activate():
             return ParseResult(term=self._coerce(program), source=program, session=self.name)
 
+    @_deep
     def check(self, program: str | cc.Term, ctx: cc.Context | None = None) -> CheckResult:
         """Type check ``program`` (text or term) under ``ctx`` (empty default)."""
         with self.activate():
@@ -477,6 +532,7 @@ class Session:
                 cache_hits=hits,
             )
 
+    @_deep
     def normalize(
         self,
         program: str | cc.Term,
@@ -520,6 +576,7 @@ class Session:
                 cache_hits=hits,
             )
 
+    @_deep
     def compile(
         self,
         program: str | cc.Term,
@@ -551,6 +608,7 @@ class Session:
             self._replay(entry.meta)
             return replace(entry.compiled, cache_hits=self._hit_delta(before))
 
+    @_deep
     def run(
         self,
         program: str | cc.Term,
@@ -632,6 +690,7 @@ class Session:
                 diagnostics=diagnostics,
             )
 
+    @_deep
     def stage(self, program: str | cc.Term, verify: bool = True) -> StageResult:
         """Compile, hoist and stage ``program`` for the compiled backend; do not run it.
 
@@ -658,6 +717,7 @@ class Session:
                 diagnostics=_compile_diagnostics(meta.verified),
             )
 
+    @_deep
     def link(
         self,
         ctx: cc.Context,
@@ -947,13 +1007,23 @@ def execute_jobs(
     ``max_retries``, ``timeout``, …).
 
     ``dispatcher_options`` are forwarded to the :class:`Dispatcher`
-    (``max_pending``, ``job_timeout``, ``max_attempts``, …).
+    (``max_pending``, ``job_timeout``, ``max_attempts``, …).  The endpoint
+    owns its pool and its store, so ``connect`` with a ``memo_store`` or a
+    dispatcher option set (not None) is a :class:`ReproError`.
     """
     from contextlib import nullcontext
 
     from repro.service.faults import FaultInjector, FaultPlan
     from repro.service.jobs import Job, JobResult
 
+    if connect is not None:
+        options = {"memo_store": memo_store, **dispatcher_options}
+        local = sorted(name for name, value in options.items() if value is not None)
+        if local:
+            raise ReproError(
+                f"connect streams to an endpoint that owns its pool and store; "
+                f"{', '.join(local)} cannot be set with it"
+            )
     specs = [job if isinstance(job, Job) else Job.from_dict(job) for job in jobs]
     for index, spec in enumerate(specs):
         if spec.id is None:

@@ -53,9 +53,9 @@ from typing import Callable
 
 from repro import cccc
 from repro.cccc.ast import LANGUAGE
+from repro.common import deep
 from repro.machine.hoist import Program
 from repro.machine.machine import (
-    _DEEP_TERM_THRESHOLD,
     _TYPE_NODES,
     MBool,
     MClo,
@@ -67,7 +67,7 @@ from repro.machine.machine import (
     MachineError,
     MachineStats,
     Value,
-    _run_guarded,
+    _rewind,
 )
 from repro.wire.codec import content_hash
 
@@ -446,17 +446,6 @@ def _stage_block(
 # -- compiled programs -------------------------------------------------------
 
 
-def _deep_limit(size: int) -> int:
-    """The recursion limit for staging or running a deep program of ``size`` nodes.
-
-    The staged walk recurses over term depth, and a compiled run nests one
-    host frame per term level *plus* one per pending β-entry (the machine
-    loops where compiled code calls), so the limit is a little more
-    generous than the machine's.
-    """
-    return 6 * size + 20_000
-
-
 def _source_hash(program: Program) -> str:
     """A stable hex digest of the (canonical) source program.
 
@@ -485,9 +474,10 @@ class CompiledProgram:
 
     program: Program
     source_hash: str
-    size: int
     table: dict[str, BlockFn] = field(repr=False)
     main: StagedFn = field(repr=False)
+    #: The profiling dict the blocks count entries into, or None.
+    label_counts: dict[str, int] | None = field(default=None, repr=False)
 
     @property
     def code_count(self) -> int:
@@ -496,19 +486,22 @@ class CompiledProgram:
     def execute(self) -> tuple[Value, MachineStats]:
         """Run the compiled program once, returning (value, counters).
 
-        Each run gets a fresh counter list; deep programs run under the
-        same deep-stack guard discipline as the machine oracle.
-        ``max_frame_size`` is derived, not counted: every environment the
-        machine enters is one it allocated, except the empty one ``main``
-        starts in, so it is ``max_env_size`` once any was allocated, else 0.
+        Each run gets a fresh counter list; a program too deep for the
+        caller's stack runs on the deep-stack runner, like the machine
+        oracle.  ``max_frame_size`` is derived, not counted: every
+        environment the machine enters is one it allocated, except the
+        empty one ``main`` starts in, so it is ``max_env_size`` once any
+        was allocated, else 0.
         """
-        c = [0] * 7
-        if self.size > _DEEP_TERM_THRESHOLD:
-            value = _run_guarded(lambda: self.main((), c), _deep_limit(self.size))
-        else:
+
+        def attempt() -> tuple[Value, MachineStats]:
+            c = [0] * 7
             value = self.main((), c)
-        # c[0:5] are MachineStats' first five fields, in order.
-        return value, MachineStats(*c[:5], c[6] if c[5] else 0, c[5], c[6])
+            # c[0:5] are MachineStats' first five fields, in order.
+            return value, MachineStats(*c[:5], c[6] if c[5] else 0, c[5], c[6])
+
+        rewind = _rewind(None, self.label_counts)
+        return deep.call(attempt, lambda: self.program.size, rewind)
 
 
 def _counted_block(label: str, block: BlockFn, counts: dict[str, int]) -> BlockFn:
@@ -569,17 +562,11 @@ def compile_program(
         },
         cccc.intern(program.main),
     )
-    size = program.size  # interning renames binders only: the same node count
-    if size > _DEEP_TERM_THRESHOLD:
-        table, main = _run_guarded(  # type: ignore[misc]
-            lambda: _build(interned, label_counts), _deep_limit(size)
-        )
-    else:
-        table, main = _build(interned, label_counts)
+    table, main = deep.call(lambda: _build(interned, label_counts), lambda: program.size)
     return CompiledProgram(
         program=interned,
         source_hash=_source_hash(interned),
-        size=size,
         table=table,
         main=main,
+        label_counts=label_counts,
     )

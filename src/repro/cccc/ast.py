@@ -73,16 +73,27 @@ __all__ = [
 ]
 
 
+# Frozen dataclasses refuse ``setattr``; the slots are written underneath it.
+_fill = object.__setattr__
+
+
 class Term:
     """Base class of all CC-CC expressions (structural ``==`` is syntactic).
 
     The ``__weakref__`` slot lets a session keep its identity-keyed weak
     intern memo over terms.  ``_fv`` and ``_hash`` hold the node's free
     variables and wire content hash, pure facts of the node that
-    :mod:`repro.kernel.fv` and :mod:`repro.wire.codec` fill on first use.
+    :mod:`repro.kernel.fv` and :mod:`repro.wire.codec` fill on first use
+    (None until then).
     """
 
     __slots__ = ("__weakref__", "_fv", "_hash")
+
+    def __post_init__(self) -> None:
+        # Both facts start as None, so probing a node that has not been
+        # walked yet reads a slot instead of raising an AttributeError.
+        _fill(self, "_fv", None)
+        _fill(self, "_hash", None)
 
     def __str__(self) -> str:
         from repro.cccc.pretty import pretty

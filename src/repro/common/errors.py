@@ -87,3 +87,8 @@ class WireDecodeError(WireError):
     values, never object addresses), so a rejected buffer produces the same
     deterministic error document on every worker.
     """
+
+
+class DepthLimit(ReproError):
+    """An input above the ingest cap, or work nesting past the deep stack's
+    recursion limit (:mod:`repro.common.deep`): a function of the input."""

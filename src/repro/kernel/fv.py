@@ -4,16 +4,18 @@ The free variables of a node depend only on the node itself: for each child
 ``c`` under binders ``b…``, the contribution is ``fv(c) − {b…}``.  That
 makes the set a pure, position-independent fact of the node, so it lives on
 the node: both calculi's ``Term`` base class declares an ``_fv`` slot, which
-only this module reads or writes.  One call to :func:`free_vars` fills the
+only this module reads or fills.  One call to :func:`free_vars` fills the
 slot for the *entire* subterm DAG with a single iterative post-order pass
 (no recursion, so 10k-deep application spines are fine); thereafter every
 lookup — in particular the per-call scan ``subst`` used to pay — is an
 attribute read returning a shared frozenset.
 
-A filled slot is never cleared, and every session and thread sees it.  Two
-threads walking one DAG at once compute equal sets and each slot write is
-atomic, so either writer's set is correct and a walk always finds a child's
-set once the child has been visited.  Hash-consing
+Both ``Term`` bases set the slot to None at construction, so probing a
+node no walk has reached is a plain slot read.  A filled slot is never
+cleared, and every session and thread sees it.  Two threads walking one
+DAG at once compute equal sets and each slot write is atomic, so either
+writer's set is correct and a walk always finds a child's set once the
+child has been visited.  Hash-consing
 (:mod:`repro.kernel.intern`) fills the slot eagerly at construction time.
 
 :func:`known_free_vars` is the probe-only reader, for the sites that must
@@ -53,7 +55,7 @@ def free_vars(lang: Language, term: Any) -> frozenset[str]:
     while stack:
         node, expanded = stack.pop()
         if not expanded:
-            if getattr(node, "_fv", None) is not None:
+            if node._fv is not None:  # a shared node, filled since it was pushed
                 continue
             if isinstance(node, var_cls):
                 _fill(node, "_fv", frozenset((node.name,)))
@@ -65,7 +67,7 @@ def free_vars(lang: Language, term: Any) -> frozenset[str]:
             stack.append((node, True))
             for child in spec.children:
                 sub = getattr(node, child.attr)
-                if getattr(sub, "_fv", None) is None:
+                if sub._fv is None:
                     stack.append((sub, False))
         else:
             spec = lang.specs[type(node)]

@@ -295,6 +295,12 @@ class Memo:
             except Exception:
                 tier.errors += 1
 
+    def rollback(self, size: int) -> None:
+        """Drop the newest entries until ``size`` remain (dicts keep insertion order)."""
+        entries = self._entries
+        while len(entries) > size:
+            entries.popitem()
+
     def clear(self) -> None:
         self._entries.clear()
         if self.keys is not None:

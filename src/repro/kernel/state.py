@@ -248,6 +248,16 @@ class KernelState:
         tier.store.flush()
         return tier
 
+    def mark(self) -> tuple[int, int]:
+        """The fill of the hit-counting memos, for :meth:`rollback`."""
+        return len(self.normalization), len(self.judgments)
+
+    def rollback(self, mark: tuple[int, int]) -> None:
+        """Drop the memo entries stored since ``mark``, so a retried call
+        hits where one run would (the other caches only speed it up)."""
+        self.normalization.rollback(mark[0])
+        self.judgments.rollback(mark[1])
+
     def stats(self) -> dict[str, int]:
         """Entry counts per cache, for benchmarks and diagnostics."""
         return {cache.name: len(cache) for cache in self.caches()}

@@ -11,7 +11,8 @@ re-checks defensively.
 The hoisted program is still a well-typed CC-CC artifact: the code table
 becomes a telescope of *definitions* ``ℓ = λ(x′,x).e : Code …``, and the
 main expression type checks under it (see :func:`program_context`).
-Identical code bodies are deduplicated by α-invariant structure.
+Identical code bodies are deduplicated by α-invariant structure, through
+an exact α-canonical key, so hoisting is linear in the program's size.
 
 The walk is **iterative** (an explicit work stack driven by the CC-CC node
 specs, like every other kernel traversal), so closure-converted programs
@@ -63,18 +64,50 @@ class Program:
 @dataclass
 class _Hoister:
     table: dict[str, cccc.CodeLam] = field(default_factory=dict)
-    counter: int = 0
+    labels: dict[tuple, str] = field(default_factory=dict)  # α-key -> label
 
     def add(self, code: cccc.CodeLam) -> str:
         # Deduplicate α-equivalent code blocks (compiled code differs only
         # in machine-generated environment names).
-        for label, existing in self.table.items():
-            if cccc.alpha_equal(existing, code):
-                return label
-        label = f"code${self.counter}"
-        self.counter += 1
-        self.table[label] = code
+        key = _alpha_key(code)
+        label = self.labels.get(key)
+        if label is None:
+            label = self.labels[key] = f"code${len(self.table)}"
+            self.table[label] = code
         return label
+
+
+def _alpha_key(term: cccc.Term) -> tuple:
+    """A key equal for two terms exactly when they are α-equivalent.
+
+    One iterative pre-order walk over the node specs emits each node's
+    class and data; a variable emits the de Bruijn level of its binder (an
+    ``int``: the number of binders above that binder on the path from the
+    root) or, when free, its name (a ``str``).  Every class has a fixed
+    arity, so the token sequence reads back as one tree.
+    """
+    specs = LANGUAGE.specs
+    tokens: list = []
+    stack: list[tuple[cccc.Term, dict[str, int], int]] = [(term, {}, 0)]
+    while stack:
+        node, levels, depth = stack.pop()
+        if type(node) is cccc.Var:
+            level = levels.get(node.name)
+            tokens.append(node.name if level is None else level)
+            continue
+        spec = specs[type(node)]
+        tokens.append(spec.cls)
+        for attr in spec.data_attrs:
+            tokens.append(getattr(node, attr))
+        bound, scope = 0, levels
+        pending = []
+        for child in spec.children:
+            while bound < len(child.binders):
+                scope = {**scope, getattr(node, spec.binder_attrs[bound]): depth + bound}
+                bound += 1
+            pending.append((getattr(node, child.attr), scope, depth + bound))
+        stack.extend(reversed(pending))
+    return tuple(tokens)
 
 
 def hoist(term: cccc.Term) -> Program:

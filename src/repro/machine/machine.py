@@ -16,12 +16,11 @@ arguments, but never eliminated.
 
 from __future__ import annotations
 
-import sys
-import threading
-from dataclasses import dataclass, field
-from typing import Any, Callable, Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, Union
 
 from repro import cccc
+from repro.common import deep
 from repro.common.errors import ReproError
 from repro.machine.hoist import Program
 
@@ -64,6 +63,9 @@ class MachineStats:
     max_frame_size: int = 0  # largest activation record (should stay ≤ 2 + table)
     env_allocs: int = 0  # environment dicts built (activation records + lets)
     max_env_size: int = 0  # widest environment ever built
+
+
+_STATS_FIELDS = tuple(spec.name for spec in fields(MachineStats))
 
 
 # -- runtime values ----------------------------------------------------------
@@ -152,7 +154,7 @@ class _Machine:
     def eval(self, term: cccc.Term, env: dict[str, Value]) -> Value:
         # Tail positions (let/if bodies, β-entry) iterate instead of
         # recursing, so call depth tracks term depth, not reduction length;
-        # genuinely deep *terms* are covered by the stack guard in `run`.
+        # genuinely deep *terms* are covered by the deep-stack runner in `run`.
         while True:
             self.stats.steps += 1
             self.stats.max_frame_size = max(self.stats.max_frame_size, len(env))
@@ -256,48 +258,6 @@ class _Machine:
         return self.eval(code.body, self._frame(code, fn_value.env, arg_value))
 
 
-#: Programs larger than this run inside a dedicated worker thread with a
-#: deep C stack and a raised recursion limit: ``eval``'s remaining
-#: recursion (argument positions) is bounded by *term* depth, which for
-#: ~10k-node-deep programs exceeds the default interpreter limits.  Size
-#: must count the code table too — hoisting moves every deep body out of
-#: ``main`` and into it.
-_DEEP_TERM_THRESHOLD = 2_000
-_DEEP_STACK_BYTES = 256 * 1024 * 1024
-
-
-def _run_guarded(thunk: Callable[[], Any], limit: int) -> Any:
-    """Run ``thunk`` on a thread with a deep C stack and a recursion limit ≥ ``limit``.
-
-    The one deep-stack runner, shared by the machine and the staged
-    backend (:mod:`repro.backend.compile`); exceptions are re-raised in
-    the caller.
-    """
-    result: list = []
-    failure: list = []
-
-    def worker() -> None:
-        previous = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(previous, limit))
-        try:
-            result.append(thunk())
-        except BaseException as error:  # noqa: BLE001 — re-raised in the caller
-            failure.append(error)
-        finally:
-            sys.setrecursionlimit(previous)
-
-    old_size = threading.stack_size(_DEEP_STACK_BYTES)
-    try:
-        thread = threading.Thread(target=worker, name="repro-deep-stack")
-        thread.start()
-        thread.join()
-    finally:
-        threading.stack_size(old_size)
-    if failure:
-        raise failure[0]
-    return result[0]
-
-
 def run(
     program: Program,
     stats: MachineStats | None = None,
@@ -305,10 +265,9 @@ def run(
 ) -> tuple[Value, MachineStats]:
     """Execute a hoisted program to a value, returning (value, counters).
 
-    Deep programs (main plus code-table bodies past
-    ``_DEEP_TERM_THRESHOLD`` nodes) are evaluated under a dedicated
-    deep-stack thread so that evaluation depth is bounded by memory, not
-    the interpreter's default recursion limit.
+    A program too deep for the caller's stack runs on the deep-stack
+    runner (:mod:`repro.common.deep`), sized by ``program.size``; a retry
+    counts into ``stats`` and ``label_counts`` as one run.
 
     ``label_counts`` (profiling mode) receives per-code-label β-entry
     counts — one increment per ``lookup_code``, so the counts sum to
@@ -318,12 +277,33 @@ def run(
     if stats is None:
         stats = MachineStats()
     machine = _Machine(program, stats, label_counts=label_counts)
-    size = program.size
-    if size > _DEEP_TERM_THRESHOLD:
-        value = _run_guarded(lambda: machine.eval(program.main, {}), 4 * size + 10_000)
-    else:
-        value = machine.eval(program.main, {})
-    return value, stats
+    return deep.call(
+        lambda: (machine.eval(program.main, {}), stats),
+        lambda: program.size,
+        _rewind(stats, label_counts),
+    )
+
+
+def _rewind(
+    stats: MachineStats | None, label_counts: dict[str, int] | None
+) -> Callable[[], None] | None:
+    """Restore ``stats`` and ``label_counts`` to their values now (None: nothing to restore)."""
+    if stats is None and label_counts is None:
+        return None
+    # Read field by field: touching ``stats.__dict__`` would give the
+    # instance a real dict and slow every counter update in the hot loop.
+    saved_stats = None if stats is None else [getattr(stats, name) for name in _STATS_FIELDS]
+    saved_counts = None if label_counts is None else dict(label_counts)
+
+    def rewind() -> None:
+        if stats is not None:
+            for name, value in zip(_STATS_FIELDS, saved_stats):
+                setattr(stats, name, value)
+        if label_counts is not None:
+            label_counts.clear()
+            label_counts.update(saved_counts)
+
+    return rewind
 
 
 def machine_observation(value: Value) -> bool | int | None:

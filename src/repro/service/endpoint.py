@@ -87,6 +87,7 @@ import time
 from collections import deque
 from typing import Any, Mapping
 
+from repro.common.deep import CAP
 from repro.service.dispatcher import Dispatcher, ElasticSupervisor
 from repro.service.faults import FaultInjector, FaultPlan
 from repro.service.jobs import Job
@@ -99,6 +100,10 @@ _CONNECTION_IDS = itertools.count(1)
 SHED_TYPE = "Overloaded"
 BAD_JOB_TYPE = "BadJob"
 DRAINING_TYPE = "EndpointDraining"
+
+#: The longest job line the endpoint reads: room for a program at the
+#: ingest cap (:data:`repro.common.deep.CAP`), JSON-escaped or in base64.
+_LINE_LIMIT = 8 * CAP
 
 
 def _error_doc(job_id: str | None, type_: str, message: str, **extra: Any) -> dict:
@@ -258,7 +263,9 @@ class Endpoint:
     async def start(self) -> None:
         """Bind the server and start the scheduler (and supervisor)."""
         self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(self._on_connection, self.host, self.port)
+        self._server = await asyncio.start_server(
+            self._on_connection, self.host, self.port, limit=_LINE_LIMIT
+        )
         self.port = self._server.sockets[0].getsockname()[1]
         self._scheduler_task = asyncio.ensure_future(self._schedule())
         if self.supervisor is not None and not self.supervisor.is_alive():
@@ -421,7 +428,14 @@ class Endpoint:
                     await conn.window.wait()
             if self._draining:
                 return
-            line = await conn.reader.readline()
+            try:
+                line = await conn.reader.readline()
+            except ValueError:  # past _LINE_LIMIT the stream cannot resynchronize
+                await conn.send(
+                    _error_doc(None, BAD_JOB_TYPE, f"job line longer than {_LINE_LIMIT} bytes")
+                )
+                self._counts["rejected"] += 1
+                return
             if not line:
                 return
             line = line.strip()

@@ -30,7 +30,10 @@ Determinism across shard assignments comes from two mechanisms:
 
 Failures of kernel work (parse errors, type errors, fuel exhaustion, link
 errors) are *results*, not exceptions: they travel the wire as the
-deterministic ``error`` half of the result document.
+deterministic ``error`` half of the result document.  A program kind runs
+on the deep-stack runner (:mod:`repro.common.deep`), so a deep input gets
+its result whatever the worker's stack, and an input above the ingest cap
+is a ``DepthLimit`` document.
 
 Fault injection (:mod:`repro.service.faults`) hooks in exactly here,
 because here is where solo and pooled execution coincide: when an injector
@@ -50,10 +53,12 @@ from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING, Any
 
 from repro import cc
+from repro.api import _checkpoint
+from repro.common import deep
 from repro.common.errors import ReproError
 from repro.service import faults
 from repro.service.jobs import Job, JobResult, call
-from repro.surface import parse_term
+from repro.surface import parse_term, source_size
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import Session
@@ -101,10 +106,6 @@ def _internal_error_message(failure: BaseException) -> str:
     No traceback, and hexadecimal addresses (object reprs) are masked, so
     the same input yields the same bytes in every process.
     """
-    if isinstance(failure, RecursionError):
-        # Where the limit trips (and so the interpreter's wording) depends
-        # on the caller's stack depth, which differs between solo and pool.
-        return "RecursionError: input nesting exceeds the interpreter's recursion limit"
     text = _ADDRESS.sub("0x?", str(failure)).splitlines()
     detail = text[0][:200] if text else ""
     name = type(failure).__name__
@@ -133,9 +134,9 @@ def execute_job(session: "Session", job: Job) -> JobResult:
         payload, ok = {}, False
         error = {"type": type(failure).__name__, "message": str(failure)}
     except Exception as failure:  # noqa: BLE001 - the executor is total
-        # Anything else (e.g. RecursionError on a very deep input) is still
-        # a deterministic result, never an escaped exception or a dead
-        # worker: class name plus text, with addresses scrubbed.
+        # Anything else is still a deterministic result, never an escaped
+        # exception or a dead worker: class name plus text, with addresses
+        # scrubbed.
         payload, ok = {}, False
         error = {"type": "InternalError", "message": _internal_error_message(failure)}
     hits_after = session.state.hit_counts()
@@ -207,6 +208,19 @@ def _dispatch(session: "Session", job: Job) -> dict[str, Any]:
         # repro.service.worker); in-process it is a plain failed job.
         raise ReproError("crash job executed outside a worker process")
 
+    return deep.call(
+        lambda: _program_payload(session, job), lambda: _job_size(job), _checkpoint(session)
+    )
+
+
+def _program_payload(session: "Session", job: Job) -> dict[str, Any]:
     with session.activate():
         result, extras = call(session, job, _ingest(job))
         return result.payload(binary=job.wire >= 2, **extras)
+
+
+def _job_size(job: Job) -> int:
+    """The size of a job's program, as ingest measures it."""
+    if job.term_b64 is not None:
+        return len(job.term_b64)
+    return source_size(job.program)

@@ -123,9 +123,12 @@ JOB_KINDS = (*ENTRYPOINTS, "reset", "stats", "sleep", "crash")
 
 def call(session: Any, job: "Job", program: Any) -> tuple[Any, dict[str, Any]]:
     """The session's result for ``job`` on ``program`` (text or a term), and
-    the kind's extra payload keys.  Call it under the session's ``activate()``."""
+    the kind's extra payload keys.  Call it under the session's ``activate()``
+    and on the deep-stack runner, sized by the job's input: the method is
+    called inside its own runner boundary, so a job has one retry size."""
     row = ENTRYPOINTS[job.kind]
-    result = getattr(session, row.method)(program=program, **row.arguments(job))
+    method = getattr(type(session), row.method).__wrapped__
+    result = method(session, program=program, **row.arguments(job))
     return result, row.extras(job, result)
 
 

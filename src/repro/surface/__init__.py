@@ -9,7 +9,7 @@ readable written as, e.g.::
 """
 
 from repro.surface.lexer import Token, tokenize
-from repro.surface.parser import parse_term
+from repro.surface.parser import parse_term, source_size
 from repro.surface.printer import to_surface
 
-__all__ = ["Token", "parse_term", "to_surface", "tokenize"]
+__all__ = ["Token", "parse_term", "source_size", "to_surface", "tokenize"]

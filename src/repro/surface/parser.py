@@ -39,11 +39,12 @@ from typing import Any
 
 from repro import cc
 from repro.cc.ast import _UNUSED, LANGUAGE
+from repro.common.deep import check_size
 from repro.common.errors import ParseError
 from repro.kernel.intern import _build
 from repro.surface.lexer import Token, tokenize
 
-__all__ = ["parse_term"]
+__all__ = ["parse_term", "source_size"]
 
 #: Keywords that start a ``prefix``, and so an application argument.
 _PREFIX_KEYWORDS = frozenset(
@@ -55,11 +56,30 @@ def parse_term(source: str) -> cc.Term:
     """Parse ``source`` into a CC term; raises :class:`ParseError`.
 
     The term is hash-consed in the active session (see the module notes).
+    Text whose :func:`source_size` is above the deep-stack runner's cap is
+    a :class:`~repro.common.errors.DepthLimit`, raised before any node is
+    built.
     """
-    parser = _Parser(tokenize(source), LANGUAGE.hashcons)
+    check_size(len(source))  # before the scan: a long text is rejected in O(1)
+    tokens = tokenize(source)
+    check_size(_size(source, tokens))
+    parser = _Parser(tokens, LANGUAGE.hashcons)
     term = parser.term()
     parser.expect_eof()
     return term
+
+
+def source_size(source: str) -> int:
+    """The size of surface text: its characters plus its numerals' values.
+
+    A numeral ``n`` parses to ``n`` nested ``succ`` nodes, so this bounds
+    the depth of the parsed term.
+    """
+    return _size(source, tokenize(source))
+
+
+def _size(source: str, tokens: list[Token]) -> int:
+    return len(source) + sum(int(token.text) for token in tokens if token.kind == "number")
 
 
 class _Parser:

@@ -25,8 +25,9 @@ nodes): the decoder looks each hash up in the receiving session's
 hash-consing) only the genuinely new ones.  For the same reason the hash
 doubles as the persistent memo tier's term key (:mod:`repro.wire.persist`).
 Being a pure fact of the node, a computed hash is stored on the node itself
-(its ``_hash`` slot, named only in this module) and shared by every
-session; ``by_hash`` is the only per-session table the codec keeps.
+(its ``_hash`` slot, None from construction until this module, the only
+one that reads it, fills it) and shared by every session; ``by_hash`` is
+the only per-session table the codec keeps.
 
 The encoding is driven entirely by :class:`~repro.kernel.nodespec.NodeSpec`,
 so both calculi — and any future one — share this one codec.  Encoding is
@@ -48,6 +49,7 @@ import binascii
 from hashlib import blake2b
 from typing import Any
 
+from repro.common.deep import check_size
 from repro.common.errors import WireDecodeError, WireError
 from repro.kernel.intern import _build
 from repro.kernel.nodespec import Language, NodeSpec
@@ -389,9 +391,15 @@ def term_to_b64(lang: Language, term: Any) -> str:
 
 
 def term_from_b64(lang: Language, text: str) -> Any:
-    """:func:`decode_term` from base64 text; bad base64 is a decode error."""
+    """:func:`decode_term` from base64 text; bad base64 is a decode error.
+
+    A buffer longer than the deep-stack runner's cap is a
+    :class:`~repro.common.errors.DepthLimit`: the DAG's depth is at most
+    its node count, which is at most the buffer's length.
+    """
     try:
         data = base64.b64decode(text.encode("ascii"), validate=True)
     except (binascii.Error, UnicodeEncodeError, ValueError) as error:
         raise WireDecodeError(f"malformed base64 term payload: {error}") from error
+    check_size(len(data))
     return decode_term(lang, data)

@@ -321,3 +321,12 @@ class TestSessionEntrypoints:
                 assert fresh("n") == first  # inner session starts at 1 too
             second = fresh("n")
         assert first != second  # outer counter resumed where it left off
+
+
+class TestExecuteJobsConnect:
+    def test_connect_refuses_local_pool_options(self):
+        with pytest.raises(ReproError, match="; job_timeout, memo_store cannot be set with it$"):
+            api.execute_jobs(
+                [{"kind": "check", "program": "0"}],
+                connect="127.0.0.1:9", memo_store="m.sqlite", job_timeout=5,
+            )

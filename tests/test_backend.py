@@ -102,8 +102,8 @@ class TestCorpusDifferential:
         assert _stats_dict(left_stats) == _stats_dict(right_stats)
 
     def test_deep_program_runs_off_the_default_stack(self):
-        # A succ-tower past the machine's deep-term threshold: both
-        # executors switch to their dedicated deep-stack thread.  Built
+        # A succ-tower too deep for the caller's stack: both executors
+        # retry on the deep-stack runner.  Built
         # directly at the hoisted level (the surface pipeline has its own
         # deep-program handling; this targets the executors).
         from repro.machine.hoist import Program

@@ -392,6 +392,16 @@ class TestServeConnect:
         assert chaotic["stats"]["chaos"]["seed"] == 13
 
 
+    @pytest.mark.parametrize("flags", [["--memo-store", "m.sqlite"], ["--job-timeout", "5"]])
+    def test_batch_connect_refuses_local_pool_options(self, tmp_path, capsys, monkeypatch, flags):
+        # The endpoint owns its pool and store: refused before any connection.
+        monkeypatch.chdir(tmp_path)
+        argv = ["batch", "--gen-seed", "3", "--gen-count", "2", "--connect", "127.0.0.1:9"]
+        assert main(argv + flags) == 1
+        assert "cannot be set with it" in _assert_one_line_error(capsys)
+        assert not (tmp_path / "m.sqlite").exists()
+
+
 class TestStoreMaintenance:
     def _seeded_store(self, tmp_path):
         path = tmp_path / "memo.sqlite"

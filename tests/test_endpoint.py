@@ -35,8 +35,8 @@ def _mixed_jobs() -> list[dict]:
         {"id": "e3", "kind": "check", "program": "0 0"},  # deterministic error
         {"id": "e4", "kind": "normalize", "program": REDEX, "fuel": 0},
         {"id": "e5", "kind": "run", "program": REDEX},
-        # Too deep for the recursive parser: a deterministic InternalError
-        # document, never a dead worker.
+        # Too deep for the default stack: the deep-stack runner checks it,
+        # with the solo run's document.
         {"id": "e6", "kind": "check", "program": DEEP_NEST},
     ]
 
@@ -82,6 +82,16 @@ class TestRoundTrip:
             with ServiceClient(server.host, server.port) as client:
                 documents = client.run_batch(jobs)
         assert _strip_meta(documents) == solo.canonical()
+        assert {doc["id"]: doc["ok"] for doc in documents}["e6"]
+
+    def test_a_job_line_past_64_kib(self):
+        # A line past asyncio's default 64 KiB limit once reset the
+        # connection; the endpoint reads room for an input at the ingest cap.
+        program = "-- " + "x" * 100_000 + "\n0"
+        with serve_background(min_workers=1) as server:
+            with ServiceClient(server.host, server.port) as client:
+                (document,) = client.run_batch([{"id": "long", "kind": "check", "program": program}])
+        assert document["ok"], document
 
     def test_execute_jobs_connect_front_end(self):
         jobs = _mixed_jobs()

@@ -208,7 +208,7 @@ class TestDeepHoist:
 
 
 class TestDeepPrograms:
-    """The machine evaluates ~10k-node-deep programs (deep-stack guard)."""
+    """The machine evaluates ~10k-node-deep programs (deep-stack runner)."""
 
     def test_deep_main_term(self):
         from repro.machine import Program
@@ -219,7 +219,7 @@ class TestDeepPrograms:
 
     def test_deep_code_table_body(self):
         # Hoisting moves deep bodies out of main and into the code table;
-        # the guard must count them (main itself stays tiny).
+        # the runner's size must count them (main itself stays tiny).
         from repro.machine import Program
 
         code = cccc.CodeLam("env", cccc.Unit(), "a", cccc.Unit(), cccc.nat_literal(6_000))
@@ -243,8 +243,8 @@ class TestDeepPrograms:
         assert stats.env_allocs == 5_000
 
     def test_size_is_computed_once(self, monkeypatch):
-        # machine.run and backend.compile_program choose the deep-stack path
-        # from Program.size, which walks main and the code table once.
+        # A deep run retries on the deep-stack runner, sized by
+        # Program.size, which walks main and the code table once.
         from repro.backend.compile import compile_program
         from repro.machine import Program
 
@@ -258,7 +258,7 @@ class TestDeepPrograms:
         monkeypatch.setattr(cccc, "term_size", lambda term: walks.append(term) or term_size(term))
         for _ in range(3):
             assert run(program)[0] == MNat(3_000)
+        assert program.size == term_size(program.main) + term_size(code)
+        assert len(walks) == 2  # main and the one code block, on the first run only
         compiled = compile_program(program)
         assert compiled.execute()[0] == MNat(3_000)
-        assert program.size == compiled.size == term_size(program.main) + term_size(code)
-        assert len(walks) == 2  # main and the one code block, on the first run only
