@@ -40,6 +40,7 @@ shared process-default session (:func:`default_session`), and inside
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import threading
 import time
@@ -354,23 +355,24 @@ class LinkResult(_Document):
 def _deep(method: Callable) -> Callable:
     """Run a ``Session`` entrypoint on the deep-stack runner (:mod:`repro.common.deep`).
 
-    A retry is sized by the call's text and term arguments, and starts from
-    :func:`_checkpoint`.
+    A retry is sized by the call's ``program`` (and ``imports``), as a job's
+    is by its input, and starts from :func:`_checkpoint`.
     """
+    names = tuple(inspect.signature(method).parameters)[1:]
 
     @functools.wraps(method)
     def entrypoint(self: "Session", *args: Any, **kwargs: Any) -> Any:
-        return deep.call(
-            lambda: method(self, *args, **kwargs),
-            lambda: sum(map(_input_size, (*args, *kwargs.values()))),
-            _checkpoint(self),
-        )
+        def size() -> int:
+            bound = {**dict(zip(names, args)), **kwargs}
+            return _input_size(bound.get("program")) + _input_size(bound.get("imports"))
+
+        return deep.call(lambda: method(self, *args, **kwargs), size, _checkpoint(self))
 
     return entrypoint
 
 
 def _input_size(value: Any) -> int:
-    """The size of one entrypoint argument: text, a term, or a map of them."""
+    """The size of a program argument: text, a term, or a map of them."""
     if isinstance(value, str):
         return source_size(value)
     if isinstance(value, cc.Term):

@@ -49,6 +49,12 @@ def pair_tower(depth: int) -> cc.Term:
     return term
 
 
+def bool_flip_tower(m: int) -> cc.Term:
+    negate = cc.Lam("b", cc.Bool(), cc.If(cc.Var("b"), cc.BoolLit(False), cc.BoolLit(True)))
+    return cc.make_app(prelude.church_nat(m), cc.Pi("_", cc.Bool(), cc.Bool()),
+                       prelude.twice(cc.Bool()), negate, cc.BoolLit(False))
+
+
 def _recurse(depth: int) -> int:
     return 0 if depth == 0 else 1 + _recurse(depth - 1)
 
@@ -212,6 +218,26 @@ class TestDepthMatrix:
             with ServiceClient(server.host, server.port) as client:
                 served = client.run_batch(_matrix_jobs())
         assert [{k: v for k, v in doc.items() if k != "meta"} for doc in served] == documents
+
+
+class TestSubstitutionOracle:
+    """``normalize(engine="subst")`` let a ``RecursionError`` escape on
+    ``exec_heavy`` programs from ``bool_flip_tower(9)`` and ``nat_sum(180)``
+    up; each now gets a result or a ``DepthLimit``, the same solo and batch."""
+
+    @pytest.mark.parametrize("term, normal", [
+        (nat_sum(180), "360"), (bool_flip_tower(11), "false"), (bool_flip_tower(12), None),
+    ], ids=["nat_sum(180)", "bool_flip_tower(11)", "bool_flip_tower(12)"])
+    def test_normalization_is_total(self, term, normal):
+        text = to_surface(term)
+        (result,) = api.execute_jobs([{"kind": "normalize", "program": text, "engine": "subst"}]).results
+        try:
+            direct = api.Session().normalize(text, engine="subst")
+        except DepthLimit as error:
+            assert normal is None  # deeper than 4·size + 10,000 frames
+            assert result.error == {"type": "DepthLimit", "message": str(error)}
+        else:
+            assert result.ok and result.payload["normal"] == cc.pretty(direct.value) == normal
 
 
 class TestRetryIsOneRun:
