@@ -120,7 +120,7 @@ def test_endpoint_gate():
                 f"client {index} diverged from its solo run"
             )
 
-        # Provoke the supervisor: a burst of IO-bound jobs deep enough to
+        # Provoke the scaling rule: a burst of IO-bound jobs deep enough to
         # cross the high watermark, then an idle tail for the shrink.
         with ServiceClient(server.host, server.port, window=32) as client:
             burst = [

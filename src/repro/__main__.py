@@ -82,13 +82,14 @@ import json
 import sys
 import time
 
-from repro import cc
+from repro import cc, cccc
 from repro.api import Session
+from repro.common import deep
 from repro.common.errors import ReproError
 from repro.kernel.state import ENGINES
 from repro.machine import hoist, program_context
 from repro.model import decompile
-from repro.service.jobs import ENTRYPOINTS, PROGRAM_KINDS, Job, call
+from repro.service.jobs import ENTRYPOINTS, PROGRAM_KINDS, Entrypoint, Job, call
 from repro.surface import parse_term
 
 __all__ = ["main"]
@@ -143,6 +144,10 @@ _TEXT = {
 }
 
 
+#: ``compile --target py``: stage without running, a row of no job kind.
+_STAGE = Entrypoint("stage", lambda job: {"verify": job.verify})
+
+
 def _program_job(args: argparse.Namespace) -> Job:
     """The service job a program command stands for."""
     interface = []
@@ -180,25 +185,23 @@ def _cmd_program(session: Session, args: argparse.Namespace) -> int:
     the end, and ``compile --target py`` stages without running.
     """
     job = _program_job(args)
+    row = _STAGE if job.kind == "compile" and args.target == "py" else ENTRYPOINTS[job.kind]
     if args.memo_store is not None:
         session.attach_memo_store(args.memo_store)
     try:
-        with session.activate():
-            start = time.perf_counter()
-            if job.kind == "compile" and args.target == "py":
-                method, result, extras = "stage", session.stage(job.program, job.verify), {}
-            else:
-                method = ENTRYPOINTS[job.kind].method
-                result, extras = call(session, job, job.program)
-            elapsed = time.perf_counter() - start
-            document = result.to_dict(binary=job.wire == 2, **extras)
+        start = time.perf_counter()
+        document = call(
+            session, row, job, lambda: job.program,
+            lambda result, extras: result.to_dict(binary=job.wire == 2, **extras),
+        )
+        elapsed = time.perf_counter() - start
     finally:
         session.detach_memo_store()  # flush the tier's rows (no-op when unattached)
     document["elapsed_seconds"] = elapsed
     if args.json:
         return _emit_json(document)
     lines = []
-    for entry in _TEXT[method]:
+    for entry in _TEXT[row.method]:
         label, key = (entry.replace("_", " "), entry) if type(entry) is str else entry
         value = document.get(key)
         if value is not None and value is not False:
@@ -462,12 +465,16 @@ def _cmd_store(session: Session, args: argparse.Namespace) -> int:
 
 def _cmd_decompile(session: Session, args: argparse.Namespace) -> int:
     result = session.compile(_read_source(args), verify=False)
-    with session.activate():
+
+    def roundtrip() -> tuple[str, bool]:
         image = decompile(result.target)
-        empty = cc.Context.empty()
-        roundtrip = cc.equivalent(empty, result.compilation.source, image)
-        print(f"(e⁺)°    : {cc.pretty(image)}")
-        print(f"e ≡ (e⁺)°: {roundtrip}")
+        held = cc.equivalent(cc.Context.empty(), result.compilation.source, image)
+        return cc.pretty(image), held
+
+    with session.activate():
+        image, held = deep.call(roundtrip, lambda: cccc.term_size(result.target))
+    print(f"(e⁺)°    : {image}")
+    print(f"e ≡ (e⁺)°: {held}")
     return 0
 
 
@@ -475,8 +482,12 @@ def _cmd_hoist(session: Session, args: argparse.Namespace) -> int:
     result = session.compile(_read_source(args), verify=False)
     with session.activate():
         program = hoist(result.target)
-        program_context(program)  # re-type-check the hoisted form
-        print(program)
+
+        def table() -> str:
+            program_context(program)  # re-type-check the hoisted form
+            return str(program)
+
+        print(deep.call(table, lambda: program.size))
     return 0
 
 

@@ -4,9 +4,11 @@
 snapshots of the subscribable telemetry stream.  A snapshot is one
 NDJSON-able dict: the dispatcher's full
 :class:`~repro.service.dispatcher.PoolStats` (including per-slot health
-and persistent-store counters), the elastic supervisor's scaling signals
-(queue depth, completion rate, memo hit rate, watermarks), and endpoint
-telemetry with per-connection fair-share queue depths.  Snapshots are telemetry, not results: they ride the wire
+and persistent-store counters), an elastic pool's scaling signals under
+``"supervisor"`` (:meth:`repro.service.dispatcher.ScalingRule.signals`:
+queue depth, completion rate, memo hit rate, watermarks), and endpoint
+telemetry with per-connection fair-share queue depths.  Snapshots are
+telemetry, not results: they ride the wire
 as ``{"op": "metrics", ...}`` documents, out-of-band of every job result,
 so subscribing cannot perturb payload bytes or drain semantics.
 """

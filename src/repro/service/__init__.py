@@ -33,7 +33,8 @@ parallel across independent programs.  Operationally:
 * :mod:`repro.service.endpoint` — the socket front door: an asyncio
   NDJSON server with admission control (windowed backpressure, hard-limit
   shedding), per-client fair share, deadlines, graceful drain, and
-  elastic pool scaling (:class:`~repro.service.dispatcher.ElasticSupervisor`);
+  elastic pool scaling, which the dispatcher runs on its collector's tick
+  (:class:`~repro.service.dispatcher.ScalingRule`);
 * :mod:`repro.service.client` — the bundled windowed client: retry with
   deterministic backoff jitter, reconnect-and-resubmit keyed by job id.
 
@@ -51,7 +52,7 @@ import importlib
 #: loads neither the pool nor the socket endpoint.
 _EXPORTS = {
     "client": ("ServiceClient",),
-    "dispatcher": ("Dispatcher", "ElasticSupervisor", "PoolStats"),
+    "dispatcher": ("Dispatcher", "PoolStats"),
     "endpoint": ("Endpoint", "EndpointServer", "serve_background"),
     "executor": ("execute_job",),
     "faults": ("Fault", "FaultInjector", "FaultPlan"),

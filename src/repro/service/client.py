@@ -349,7 +349,7 @@ class ServiceClient:
         """Subscribe to the endpoint's live metrics stream.
 
         Snapshots (``{"op": "metrics", ...}`` documents: pool stats with
-        per-slot health, endpoint counters, supervisor scaling signals,
+        per-slot health, endpoint counters, an elastic pool's scaling signals,
         per-connection queue depths) arrive interleaved with result lines
         during :meth:`run_batch`; each is appended to :attr:`metrics` and
         handed to ``callback`` as it lands.  The subscription survives

@@ -1,6 +1,6 @@
 """The pool dispatcher: sharded queues, crash recovery, aggregated stats.
 
-One :class:`Dispatcher` owns a fixed array of worker *slots*.  Each slot
+One :class:`Dispatcher` owns an array of worker *slots*.  Each slot
 holds one worker process (:mod:`repro.service.worker`) with a private job
 queue; all workers share one result queue.  Everything on either queue is
 a JSON string — the wire format of :mod:`repro.service.jobs`.
@@ -70,8 +70,11 @@ and :meth:`Dispatcher.shrink` retires the highest active slot: new keys
 shard around it immediately, its pending jobs finish where they are, and
 once empty it is stopped gracefully.  Because every worker attaches the
 shared persistent memo store at bootstrap, a freshly grown slot starts
-*warm* from the fleet's accumulated entries.  :class:`ElasticSupervisor`
-drives both from queue-depth watermarks.
+*warm* from the fleet's accumulated entries.  A pool built with
+``max_workers`` above ``workers`` scales itself: the collector's health
+tick asks a :class:`ScalingRule` (queue-depth watermarks, a cooldown and a
+stall rule) and performs its answer under the lock, as it performs a
+respawn, so the collector is the pool's only thread.
 
 **Deadlines and timeouts.**  One rule, ``Dispatcher._overrun``, decides
 every overrun: a job's ``deadline`` (wall-clock seconds) counts from
@@ -113,7 +116,7 @@ from repro.service.faults import FaultPlan, retry_delay
 from repro.service.jobs import Job, JobResult
 from repro.service.worker import worker_main
 
-__all__ = ["Dispatcher", "ElasticSupervisor", "PoolStats"]
+__all__ = ["Dispatcher", "PoolStats", "ScalingRule"]
 
 _POOL_IDS = itertools.count(1)
 
@@ -273,6 +276,10 @@ class Dispatcher:
         max_slot_respawns: consecutive crashes of one slot that trip its
             crash-loop breaker — the slot is abandoned, its stranded jobs
             dead-letter, and the batch finishes on the surviving slots.
+        max_workers: the most active slots the pool scales up to; the
+            collector's tick runs :attr:`scaling` (a :class:`ScalingRule`)
+            between ``workers`` and ``max_workers``.  None (or
+            ``workers``) is a fixed pool, whose ``scaling`` is None.
     """
 
     def __init__(
@@ -290,9 +297,12 @@ class Dispatcher:
         respawn_backoff_cap: float = 2.0,
         suspect_after: int = 3,
         max_slot_respawns: int = 8,
+        max_workers: int | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError("a pool needs at least one worker")
+        if max_workers is not None and max_workers < workers:
+            raise ValueError("max_workers must be at least workers")
         if max_pending < workers:
             raise ValueError("max_pending must be at least the worker count")
         if max_attempts < 1:
@@ -317,6 +327,10 @@ class Dispatcher:
         self.respawn_backoff_cap = respawn_backoff_cap
         self.suspect_after = suspect_after
         self.max_slot_respawns = max_slot_respawns
+        self.scaling = (
+            None if max_workers is None or max_workers == workers
+            else ScalingRule(workers, max_workers)
+        )
         # fork where available, else the platform default.
         methods = multiprocessing.get_all_start_methods()
         self._mp = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
@@ -487,22 +501,7 @@ class Dispatcher:
         bootstrap, so it starts warm.
         """
         with self._space:
-            if self._closing or self._draining:
-                return None
-            index = next(
-                (index for index, slot in enumerate(self._slots) if slot.state is RETIRED),
-                None,
-            )
-            if index is None:
-                index = len(self._slots)
-                self._slots.append(_Slot(self._spawn(index, generation=0)))
-            else:
-                slot = self._slots[index]
-                slot.move("grow")
-                slot.handle = self._spawn(index, slot.handle.generation + 1)
-                slot.last_seen = None
-            self._counts["scale_ups"] += 1
-            return index
+            return self._grow_locked()
 
     def shrink(self) -> int | None:
         """Retire the highest active slot; returns its index, or None.
@@ -512,16 +511,35 @@ class Dispatcher:
         is stopped gracefully.  Refuses to retire the last active slot.
         """
         with self._space:
-            if self._closing:
-                return None
-            candidates = self._available()
-            if len(candidates) <= 1:
-                return None
-            index = candidates[-1]
-            self._slots[index].move("shrink")
-            self._counts["scale_downs"] += 1
-            self._finish_retire_locked(index)
-            return index
+            return self._shrink_locked()
+
+    def _grow_locked(self) -> int | None:
+        if self._closing or self._draining:
+            return None
+        index = next(
+            (index for index, slot in enumerate(self._slots) if slot.state is RETIRED),
+            None,
+        )
+        if index is None:
+            index = len(self._slots)
+            self._slots.append(_Slot(self._spawn(index, generation=0)))
+        else:
+            slot = self._slots[index]
+            slot.move("grow")
+            slot.handle = self._spawn(index, slot.handle.generation + 1)
+            slot.last_seen = None
+        self._counts["scale_ups"] += 1
+        return index
+
+    def _shrink_locked(self) -> int | None:
+        candidates = self._available()
+        if self._closing or len(candidates) <= 1:
+            return None
+        index = candidates[-1]
+        self._slots[index].move("shrink")
+        self._counts["scale_downs"] += 1
+        self._finish_retire_locked(index)
+        return index
 
     def _finish_retire_locked(self, index: int) -> None:
         """Complete a retiring slot's scale-down once it has no pending work."""
@@ -628,6 +646,8 @@ class Dispatcher:
             if self._closing:
                 return
             self._draining = True
+            if self.scaling is not None:
+                self.scaling.close()
             self._space.notify_all()
             # Every completion notifies the condition (_complete_locked).
             self._space.wait_for(lambda: not self._pending, timeout)
@@ -650,6 +670,8 @@ class Dispatcher:
             if self._closing:
                 return
             self._closing = True
+            if self.scaling is not None:
+                self.scaling.close()
             self._space.notify_all()
             handles = [slot.handle for slot in self._slots]
         stop = json.dumps({"op": "stop"})
@@ -857,7 +879,7 @@ class Dispatcher:
         return None
 
     def _watch_health(self) -> None:
-        """Expire overruns, absorb deaths, finish retirements, fire respawns."""
+        """Expire overruns, absorb deaths, finish retirements, fire respawns, scale."""
         now = time.monotonic()
         overdue: set[int] = set()
         with self._lock:
@@ -900,6 +922,14 @@ class Dispatcher:
                     self._finish_retire_locked(index)
                 if slot.state in _WAITING and now >= slot.due_at:
                     self._respawn_locked(index)
+            if self.scaling is not None:
+                direction = self.scaling.evaluate(
+                    now, len(self._pending), len(self._available()), self._counts["completed"]
+                )
+                if direction == "up":
+                    self._grow_locked()
+                elif direction == "down":
+                    self._shrink_locked()
 
     def _stamp_trace_locked(self, pending: _Pending, result: JobResult) -> None:
         """Assemble a traced job's final trace document in its result meta.
@@ -1058,149 +1088,94 @@ class Dispatcher:
             self._send(replacement, pending)
 
 
-class ElasticSupervisor(threading.Thread):
-    """Scale a dispatcher's worker pool on queue-depth watermarks.
+#: The scaling rule's constants: pending jobs per active slot above which
+#: the pool grows and below which it shrinks, the seconds between two
+#: evaluations and after a scale event, and the consecutive evaluations
+#: without a completion after which a backlog grows the pool anyway.
+HIGH_WATERMARK, LOW_WATERMARK = 2.0, 0.5
+SCALE_INTERVAL, SCALE_COOLDOWN = 0.05, 0.2
+STALL_EVALUATIONS = 5
 
-    Polls queue depth against the active worker count every ``interval``
-    seconds: above ``high_watermark`` pending jobs per worker it calls
-    :meth:`Dispatcher.grow` (up to ``max_workers``); below
-    ``low_watermark`` it calls :meth:`Dispatcher.shrink` (down to
-    ``min_workers``).  A ``cooldown`` between scale events keeps a bursty
-    stream from thrashing the pool — growth is cheap (a revived slot warms
-    from the shared persistent memo store) but not free.  Scale events are
-    appended to :attr:`events` as ``(direction, slot, depth)`` tuples and
-    counted in the pool stats (``scale_ups`` / ``scale_downs``).
 
-    Scaling changes *capacity and timing only*: sharding stays
-    deterministic in arrival order, and deterministic payloads never
-    depend on slot assignment at all, so an elastic pool produces the
-    same bytes as a fixed one.
+class ScalingRule:
+    """When an elastic pool grows or shrinks, from the inputs it is fed alone.
 
-    Beyond queue depth, each tick derives two richer signals from the
-    pool stats — the **completion rate** (jobs/second since the previous
-    tick) and the **memo hit rate** (persistent-tier hits over
-    hits+misses, None without a store) — published via :meth:`signals`
-    and streamed by the endpoint's metrics subscription.  A pool that is
-    *stalled* (more queued work than workers and several consecutive
-    ticks with zero completions) grows even below the depth watermark:
-    depth alone cannot distinguish "busy" from "stuck behind long jobs".
+    The collector's tick feeds :meth:`evaluate` the time, the queue depth
+    (unfinished jobs), the active slots and the pool's completed count.
+    Every ``SCALE_INTERVAL`` seconds the rule answers ``"up"`` above
+    ``HIGH_WATERMARK`` pending jobs per active slot (up to
+    ``max_workers``) and ``"down"`` below ``LOW_WATERMARK`` (down to
+    ``min_workers``), at most once per ``SCALE_COOLDOWN``, so a bursty
+    stream does not thrash the pool.  A *stalled* pool — more queued work
+    than active slots and ``STALL_EVALUATIONS`` evaluations in a row
+    without a completion — grows below the watermark too: depth alone
+    cannot tell "busy" from "stuck behind long jobs".  After
+    :meth:`close` (the pool drains or shuts down) it answers None.
+
+    Scaling changes capacity and timing only: payloads never depend on
+    slot assignment, so an elastic pool returns the bytes a fixed one does.
     """
 
-    def __init__(
-        self,
-        dispatcher: Dispatcher,
-        min_workers: int = 1,
-        max_workers: int = 8,
-        high_watermark: float = 2.0,
-        low_watermark: float = 0.5,
-        interval: float = 0.05,
-        cooldown: float = 0.2,
-    ) -> None:
-        if min_workers < 1 or max_workers < min_workers:
-            raise ValueError("need 1 <= min_workers <= max_workers")
-        if low_watermark >= high_watermark:
-            raise ValueError("low_watermark must sit below high_watermark")
-        super().__init__(name=f"{dispatcher.name}-elastic", daemon=True)
-        self.dispatcher = dispatcher
+    def __init__(self, min_workers: int, max_workers: int) -> None:
         self.min_workers = min_workers
         self.max_workers = max_workers
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
-        self.interval = interval
-        self.cooldown = cooldown
-        self.events: list[tuple[str, int, int]] = []
-        self._halt = threading.Event()
-        self._signals_lock = threading.Lock()
-        self._signals: dict[str, Any] = {
-            "depth": 0,
-            "active": 0,
-            "completion_rate": 0.0,
-            "memo_hit_rate": None,
-            "high_watermark": high_watermark,
-            "low_watermark": low_watermark,
-            "min_workers": min_workers,
-            "max_workers": max_workers,
-            "scale_ups": 0,
-            "scale_downs": 0,
-            "stalled_ticks": 0,
-        }
+        self._closed = False
+        self._evaluated = (float("-inf"), 0)  # when, and the completed count then
+        self._scaled_at = float("-inf")
+        self._stalled = 0
+        self._events = {"up": 0, "down": 0}
+        self._latest = {"depth": 0, "active": 0, "completion_rate": 0.0}
 
-    def signals(self) -> dict[str, Any]:
-        """The latest derived scaling signals (JSON-safe snapshot).
+    def close(self) -> None:
+        """No scale event from now on."""
+        self._closed = True
 
-        ``completion_rate`` is jobs/second completed since the previous
-        supervision tick; ``memo_hit_rate`` is the persistent tier's
-        hits/(hits+misses) over the pool's lifetime (None without a
-        store).  Refreshed once per ``interval`` by the run loop, so a
-        metrics stream can read it without touching the dispatcher lock.
-        """
-        with self._signals_lock:
-            return dict(self._signals)
-
-    def stop(self) -> None:
-        """Stop the supervision loop and wait for the thread to exit."""
-        self._halt.set()
-        if self.is_alive():
-            self.join(timeout=5.0)
-
-    @staticmethod
-    def _memo_hit_rate(persist: dict[str, Any] | None) -> float | None:
-        if not persist:
+    def evaluate(self, now: float, depth: int, active: int, completed: int) -> str | None:
+        """``"up"``, ``"down"`` or None at ``now``; the caller performs the event."""
+        last, done = self._evaluated
+        if self._closed or now - last < SCALE_INTERVAL:
             return None
-        # The store's table counters only: the tier's ``tier_hits`` counts
-        # the same lookups as the memo table's ``hits`` a second time.
-        hits = persist.get("hits", 0) + persist.get("artifact_hits", 0)
-        total = hits + persist.get("misses", 0) + persist.get("artifact_misses", 0)
-        return hits / total if total else None
+        self._evaluated = (now, completed)
+        finished = completed - done
+        self._stalled = self._stalled + 1 if depth > active and not finished else 0
+        # One reference swap: signals() reads it without a lock.
+        self._latest = {
+            "depth": depth, "active": active,
+            "completion_rate": round(finished / (now - last), 3),
+        }
+        if active == 0 or now - self._scaled_at < SCALE_COOLDOWN:
+            return None
+        stalled = depth > active and self._stalled >= STALL_EVALUATIONS
+        if (depth > HIGH_WATERMARK * active or stalled) and active < self.max_workers:
+            direction, self._stalled = "up", 0
+        elif depth < LOW_WATERMARK * active and active > self.min_workers:
+            direction = "down"
+        else:
+            return None
+        self._events[direction] += 1
+        self._scaled_at = now
+        return direction
 
-    def run(self) -> None:  # pragma: no cover - exercised via integration tests
-        last_scale = 0.0
-        last_completed: int | None = None
-        last_tick = time.monotonic()
-        stalled_ticks = 0
-        while not self._halt.wait(self.interval):
-            try:
-                stats = self.dispatcher.stats()
-            except Exception:
-                return  # the pool was torn down under us; nothing to supervise
-            depth = stats.pending
-            active = stats.active
-            now = time.monotonic()
-            elapsed = now - last_tick
-            completed_delta = (
-                0 if last_completed is None else stats.completed - last_completed
-            )
-            rate = completed_delta / elapsed if elapsed > 0 else 0.0
-            last_completed = stats.completed
-            last_tick = now
-            # A stalled pool has queued work and idle-looking throughput:
-            # depth alone cannot tell "busy" from "stuck behind long jobs".
-            if depth > active and completed_delta == 0:
-                stalled_ticks += 1
-            else:
-                stalled_ticks = 0
-            with self._signals_lock:
-                self._signals.update(
-                    depth=depth,
-                    active=active,
-                    completion_rate=round(rate, 3),
-                    memo_hit_rate=self._memo_hit_rate(stats.persist),
-                    scale_ups=stats.scale_ups,
-                    scale_downs=stats.scale_downs,
-                    stalled_ticks=stalled_ticks,
-                )
-            if active == 0 or now - last_scale < self.cooldown:
-                continue
-            over_depth = depth > self.high_watermark * active
-            stalled = depth > active and stalled_ticks >= 5
-            if (over_depth or stalled) and active < self.max_workers:
-                slot = self.dispatcher.grow()
-                if slot is not None:
-                    self.events.append(("up", slot, depth))
-                    last_scale = now
-                    stalled_ticks = 0
-            elif depth < self.low_watermark * active and active > self.min_workers:
-                slot = self.dispatcher.shrink()
-                if slot is not None:
-                    self.events.append(("down", slot, depth))
-                    last_scale = now
+    def signals(self, persist: Mapping[str, Any] | None = None) -> dict[str, Any]:
+        """The scaling signals as of the latest evaluation (JSON-safe).
+
+        ``completion_rate`` is jobs per second between the last two
+        evaluations; ``memo_hit_rate`` is the persistent tier's hits over
+        its lookups in ``persist`` (``PoolStats.persist``), None without
+        a store.  The tier's ``tier_hits`` repeats the memo table's
+        ``hits``, so only the table counters count.
+        """
+        persist = persist or {}
+        hits = persist.get("hits", 0) + persist.get("artifact_hits", 0)
+        lookups = hits + persist.get("misses", 0) + persist.get("artifact_misses", 0)
+        return {
+            **self._latest,
+            "memo_hit_rate": hits / lookups if lookups else None,
+            "high_watermark": HIGH_WATERMARK,
+            "low_watermark": LOW_WATERMARK,
+            "min_workers": self.min_workers,
+            "max_workers": self.max_workers,
+            "scale_ups": self._events["up"],
+            "scale_downs": self._events["down"],
+            "stalled_ticks": self._stalled,
+        }

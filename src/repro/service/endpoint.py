@@ -46,17 +46,18 @@ a document, and the document is either written to its owner or retained
 for redelivery until the endpoint exits.
 
 **Elastic scaling.**  ``serve`` runs the pool between ``min_workers`` and
-``max_workers`` under an :class:`~repro.service.dispatcher.ElasticSupervisor`:
-queue depth past the high watermark grows the pool (new workers warm from
-the shared persistent memo store), an idle pool shrinks back.  Capacity
-and timing change; bytes do not.
+``max_workers``; the dispatcher scales itself on its collector's tick
+(:class:`~repro.service.dispatcher.ScalingRule`): queue depth past the
+high watermark grows the pool (new workers warm from the shared
+persistent memo store), an idle pool shrinks back.  Capacity and timing
+change; bytes do not.
 
 **Live telemetry.**  Beyond the inline ``stats`` poll, a client may send
 ``{"op": "watch", "interval": 0.5}`` to subscribe to a periodic metrics
 stream: the endpoint pushes ``{"op": "metrics", ...}`` snapshots (pool
-stats with per-slot health, endpoint counters, supervisor scaling signals,
-per-connection queue depths) between result lines until ``{"op":
-"unwatch"}``, the socket closes, or the endpoint drains.  Metrics
+stats with per-slot health, endpoint counters, an elastic pool's scaling
+signals, per-connection queue depths) between result lines until
+``{"op": "unwatch"}``, the socket closes, or the endpoint drains.  Metrics
 documents carry no ``id``, so result-keyed clients skip them structurally;
 the snapshots are telemetry only and never perturb job results or drain
 semantics.  ``serve --metrics-interval N`` additionally prints the same
@@ -88,7 +89,7 @@ from collections import deque
 from typing import Any, Mapping
 
 from repro.common.deep import CAP
-from repro.service.dispatcher import Dispatcher, ElasticSupervisor
+from repro.service.dispatcher import Dispatcher
 from repro.service.faults import FaultInjector, FaultPlan
 from repro.service.jobs import Job
 
@@ -205,8 +206,6 @@ class Endpoint:
             this endpoint fires at result-delivery time.  Worker-category
             faults in the same plan belong to the dispatcher (``serve``
             hands one plan to both).
-        supervisor: an optional :class:`ElasticSupervisor` the endpoint
-            starts alongside the server and stops on drain.
         metrics_interval: when set, the endpoint prints one NDJSON metrics
             snapshot to stdout every ``metrics_interval`` seconds while
             serving (the server-side twin of the ``watch`` subscription).
@@ -222,7 +221,6 @@ class Endpoint:
         max_inflight: int = 128,
         fuel_quota: int | None = None,
         fault_plan: FaultPlan | Mapping[str, Any] | None = None,
-        supervisor: ElasticSupervisor | None = None,
         metrics_interval: float | None = None,
     ) -> None:
         _check_limits(conn_window, max_inflight, fuel_quota, metrics_interval)
@@ -232,7 +230,6 @@ class Endpoint:
         self.conn_window = conn_window
         self.max_inflight = max_inflight
         self.fuel_quota = fuel_quota
-        self.supervisor = supervisor
         self.metrics_interval = metrics_interval
         self._metrics_task: asyncio.Task | None = None
         plan = FaultPlan.coerce(fault_plan)
@@ -261,15 +258,13 @@ class Endpoint:
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the server and start the scheduler (and supervisor)."""
+        """Bind the server and start the scheduler."""
         self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port, limit=_LINE_LIMIT
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._scheduler_task = asyncio.ensure_future(self._schedule())
-        if self.supervisor is not None and not self.supervisor.is_alive():
-            self.supervisor.start()
         if self.metrics_interval is not None:
             self._metrics_task = asyncio.ensure_future(
                 self._print_metrics(self.metrics_interval)
@@ -288,8 +283,6 @@ class Endpoint:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self.supervisor is not None:
-            await asyncio.get_running_loop().run_in_executor(None, self.supervisor.stop)
         # Metrics streams stop first: telemetry must never delay (or
         # interleave into) the final result flush.
         if self._metrics_task is not None:
@@ -351,26 +344,28 @@ class Endpoint:
         }
 
     def metrics_snapshot(self) -> dict[str, Any]:
-        """One live-telemetry document: pool, endpoint, supervisor, queues.
+        """One live-telemetry document: pool, endpoint, scaling, queues.
 
         ``at`` is the only wall-clock field a consumer should expect to
         vary run-to-run at equal load; everything else is counters.  The
         pool half is the full introspected :class:`PoolStats` document
         (per-slot health included), so a metrics stream is a superset of
-        the inline ``stats`` poll.
+        the inline ``stats`` poll.  An elastic pool adds its scaling
+        signals under ``"supervisor"``.
         """
+        pool = self.dispatcher.stats()
         snapshot: dict[str, Any] = {
             "op": "metrics",
             "at": time.time(),
-            "pool": self.dispatcher.stats().to_dict(),
+            "pool": pool.to_dict(),
             "endpoint": self.telemetry(),
             "queues": {
                 conn.namespace: {"queued": len(conn.queue), "inflight": conn.inflight}
                 for conn in self._connections
             },
         }
-        if self.supervisor is not None:
-            snapshot["supervisor"] = self.supervisor.signals()
+        if self.dispatcher.scaling is not None:
+            snapshot["supervisor"] = self.dispatcher.scaling.signals(pool.persist)
         return snapshot
 
     async def _watch_loop(self, conn: _Connection, interval: float) -> None:
@@ -716,13 +711,11 @@ def _build(
     metrics_interval: float | None = None,
     **dispatcher_options: Any,
 ) -> Endpoint:
-    """Construct the dispatcher + supervisor + endpoint stack for ``serve``.
+    """Construct the dispatcher + endpoint stack for ``serve``.
 
     Every limit is checked before the dispatcher spawns its workers.
     """
-    if max_workers is None:
-        max_workers = min_workers
-    if max_workers < min_workers:
+    if max_workers is not None and max_workers < min_workers:
         raise ValueError("need min_workers <= max_workers")
     _check_limits(conn_window, max_inflight, fuel_quota, metrics_interval)
     dispatcher = Dispatcher(
@@ -735,13 +728,9 @@ def _build(
         # The endpoint never admits more than max_inflight jobs, so this
         # bound guarantees Dispatcher.submit never blocks the event loop.
         max_pending=max(max_inflight, min_workers) + 8,
+        max_workers=max_workers,
         **dispatcher_options,
     )
-    supervisor = None
-    if max_workers > min_workers:
-        supervisor = ElasticSupervisor(
-            dispatcher, min_workers=min_workers, max_workers=max_workers
-        )
     return Endpoint(
         dispatcher,
         host,
@@ -750,7 +739,6 @@ def _build(
         max_inflight=max_inflight,
         fuel_quota=fuel_quota,
         fault_plan=fault_plan,
-        supervisor=supervisor,
         metrics_interval=metrics_interval,
     )
 

@@ -53,12 +53,10 @@ from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING, Any
 
 from repro import cc
-from repro.api import _checkpoint
-from repro.common import deep
 from repro.common.errors import ReproError
 from repro.service import faults
-from repro.service.jobs import Job, JobResult, call
-from repro.surface import parse_term, source_size
+from repro.service.jobs import ENTRYPOINTS, Job, JobResult, call
+from repro.surface import parse_term
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import Session
@@ -208,19 +206,7 @@ def _dispatch(session: "Session", job: Job) -> dict[str, Any]:
         # repro.service.worker); in-process it is a plain failed job.
         raise ReproError("crash job executed outside a worker process")
 
-    return deep.call(
-        lambda: _program_payload(session, job), lambda: _job_size(job), _checkpoint(session)
+    return call(
+        session, ENTRYPOINTS[job.kind], job, lambda: _ingest(job),
+        lambda result, extras: result.payload(binary=job.wire >= 2, **extras),
     )
-
-
-def _program_payload(session: "Session", job: Job) -> dict[str, Any]:
-    with session.activate():
-        result, extras = call(session, job, _ingest(job))
-        return result.payload(binary=job.wire >= 2, **extras)
-
-
-def _job_size(job: Job) -> int:
-    """The size of a job's program, as ingest measures it."""
-    if job.term_b64 is not None:
-        return len(job.term_b64)
-    return source_size(job.program)

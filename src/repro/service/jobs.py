@@ -69,6 +69,8 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable, Mapping, NamedTuple
 
+from repro.common import deep
+
 __all__ = [
     "ENTRYPOINTS", "JOB_KINDS", "PROGRAM_KINDS", "WIRE_VERSIONS", "Entrypoint", "Job",
     "JobResult", "call",
@@ -121,15 +123,40 @@ PROGRAM_KINDS = frozenset(ENTRYPOINTS)
 JOB_KINDS = (*ENTRYPOINTS, "reset", "stats", "sleep", "crash")
 
 
-def call(session: Any, job: "Job", program: Any) -> tuple[Any, dict[str, Any]]:
-    """The session's result for ``job`` on ``program`` (text or a term), and
-    the kind's extra payload keys.  Call it under the session's ``activate()``
-    and on the deep-stack runner, sized by the job's input: the method is
-    called inside its own runner boundary, so a job has one retry size."""
-    row = ENTRYPOINTS[job.kind]
+def call(
+    session: Any,
+    row: Entrypoint,
+    job: "Job",
+    ingest: Callable[[], Any],
+    render: Callable[[Any, dict[str, Any]], Any],
+) -> Any:
+    """``render(result, extras)`` for ``job`` run by ``row`` on ``session``:
+    the one boundary of a program job, for the executor and the CLI alike.
+
+    Under the session's ``activate()``, ``ingest()`` gives the program (text
+    or a term), the row's method runs on it, and ``render`` turns its result
+    and the row's extra payload keys into the caller's document.  All three
+    run on one deep-stack runner boundary sized by the job's input, below
+    the method's own, so a job has one retry size."""
+    from repro.api import _checkpoint
+
     method = getattr(type(session), row.method).__wrapped__
-    result = method(session, program=program, **row.arguments(job))
-    return result, row.extras(job, result)
+
+    def run() -> Any:
+        with session.activate():
+            result = method(session, program=ingest(), **row.arguments(job))
+            return render(result, row.extras(job, result))
+
+    return deep.call(run, lambda: _size(job), _checkpoint(session))
+
+
+def _size(job: "Job") -> int:
+    """The size of a job's program, as ingest measures it."""
+    if job.term_b64 is not None:
+        return len(job.term_b64)
+    from repro.surface import source_size
+
+    return source_size(job.program)
 
 
 #: Wire-format versions this build speaks.  Version 1 is the original

@@ -72,6 +72,48 @@ class TestDecompileAndHoist:
         assert "code$0" in out and "main" in out
 
 
+class TestDeepPrograms:
+    """Every program command gets its result on a deep input: the CLI runs
+    on the same deep-stack runner boundary as the executor."""
+
+    @pytest.fixture(scope="class")
+    def sources(self, tmp_path_factory):
+        from repro.surface import to_surface
+        from tests.test_deep import nat_sum, nested_lambdas
+
+        directory = tmp_path_factory.mktemp("deep")
+        paths = {}
+        for name, term in (("nested_lambdas", nested_lambdas(400)), ("nat_sum", nat_sum(400))):
+            paths[name] = directory / f"{name}.cc"
+            paths[name].write_text(to_surface(term))
+        return paths
+
+    @pytest.mark.parametrize("program", ["nested_lambdas", "nat_sum"])
+    @pytest.mark.parametrize(
+        "command",
+        [["check"], ["normalize"], ["compile"], ["run"], ["run", "--target", "py"],
+         ["hoist"], ["decompile"]],
+        ids=" ".join,
+    )
+    def test_command_succeeds(self, sources, capsys, command, program):
+        assert main([*command, str(sources[program])]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("program", ["nested_lambdas", "nat_sum"])
+    @pytest.mark.parametrize("command", ["compile", "run"])
+    def test_json_is_the_session_document(self, sources, capsys, command, program):
+        from repro.api import Session
+
+        assert main([command, "--json", str(sources[program])]) == 0
+        telemetry = {"session", "cache_hits", "elapsed_seconds"}
+        document = json.loads(capsys.readouterr().out)
+        text = sources[program].read_text()
+        expected = getattr(Session(), command)(text).to_dict()
+        assert {key: value for key, value in document.items() if key not in telemetry} == {
+            key: value for key, value in expected.items() if key not in telemetry
+        }
+
+
 class TestJsonOutput:
     """``--json`` emits the structured session result for machine consumption."""
 

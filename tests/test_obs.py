@@ -30,7 +30,7 @@ import pytest
 from repro import api, obs
 from repro.api import Session
 from repro.obs.trace import deterministic_section, new_trace, validate_trace
-from repro.service.dispatcher import Dispatcher, ElasticSupervisor, PoolStats
+from repro.service.dispatcher import Dispatcher, PoolStats, ScalingRule
 from repro.service.jobs import Job
 
 IDENTITY = r"\ (A : Type) (x : A). x"
@@ -265,29 +265,30 @@ class TestTrace:
 # --------------------------------------------------------------------------
 
 
+#: The keys of an elastic pool's scaling signals.
+SIGNAL_KEYS = {
+    "depth",
+    "active",
+    "completion_rate",
+    "memo_hit_rate",
+    "high_watermark",
+    "low_watermark",
+    "min_workers",
+    "max_workers",
+    "scale_ups",
+    "scale_downs",
+    "stalled_ticks",
+}
+
+
 class TestSupervisorSignals:
     def test_signal_document_shape(self):
-        pool = Dispatcher(workers=1)
-        try:
-            supervisor = ElasticSupervisor(pool, min_workers=1, max_workers=2)
-            signals = supervisor.signals()
-            assert {
-                "depth",
-                "active",
-                "completion_rate",
-                "memo_hit_rate",
-                "high_watermark",
-                "low_watermark",
-                "min_workers",
-                "max_workers",
-                "scale_ups",
-                "scale_downs",
-                "stalled_ticks",
-            } <= set(signals)
-            assert signals["memo_hit_rate"] is None
-            json.dumps(signals)  # NDJSON-able
-        finally:
-            pool.shutdown()
+        with Dispatcher(workers=1, max_workers=2) as pool:
+            signals = pool.scaling.signals()
+        assert set(signals) == SIGNAL_KEYS
+        assert signals["memo_hit_rate"] is None
+        assert (signals["min_workers"], signals["max_workers"]) == (1, 2)
+        json.dumps(signals)  # NDJSON-able
 
     def test_memo_hit_rate_counts_each_lookup_once(self, tmp_path):
         """The rate reads a real tier document, whose ``tier_hits`` repeats ``hits``."""
@@ -306,12 +307,13 @@ class TestSupervisorSignals:
         assert counters["tier_hits"] == counters["hits"]
         hits = counters["hits"] + counters["artifact_hits"]
         lookups = hits + counters["misses"] + counters["artifact_misses"]
-        assert ElasticSupervisor._memo_hit_rate(counters) == pytest.approx(hits / lookups)
-        assert ElasticSupervisor._memo_hit_rate(
+        rate = ScalingRule(1, 2).signals
+        assert rate(counters)["memo_hit_rate"] == pytest.approx(hits / lookups)
+        assert rate(
             {"hits": 2, "misses": 1, "tier_hits": 2, "artifact_hits": 0, "artifact_misses": 0}
-        ) == pytest.approx(2 / 3)
-        assert ElasticSupervisor._memo_hit_rate(None) is None
-        assert ElasticSupervisor._memo_hit_rate({"breakers_open": 0}) is None
+        )["memo_hit_rate"] == pytest.approx(2 / 3)
+        assert rate(None)["memo_hit_rate"] is None
+        assert rate({"breakers_open": 0})["memo_hit_rate"] is None
 
 
 class TestWatchStats:
@@ -334,10 +336,17 @@ class TestWatchStats:
         for snapshot in client.metrics:
             assert snapshot["op"] == "metrics"
             assert "pool" in snapshot and "endpoint" in snapshot
-            assert "supervisor" in snapshot  # elastic pool publishes signals
+            assert set(snapshot["supervisor"]) == SIGNAL_KEYS  # elastic pool publishes signals
             assert "queues" in snapshot
         summary = obs.summarize_snapshot(client.metrics[-1])
         assert "workers" in summary and "pending" in summary
+
+    def test_a_fixed_pool_publishes_no_signals(self):
+        from repro.service import Endpoint
+
+        with Dispatcher(workers=1) as pool:
+            snapshot = Endpoint(pool).metrics_snapshot()
+        assert "pool" in snapshot and "supervisor" not in snapshot
 
     def test_summarize_snapshot_minimal(self):
         line = obs.summarize_snapshot({"pool": {"active": 2, "pending": 1}})

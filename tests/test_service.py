@@ -17,7 +17,9 @@ import pytest
 from repro import api
 from repro.gen.jobs import build_stream, close_over, job_corpus
 from repro.service import Dispatcher, Job, JobResult, execute_job
-from repro.service.dispatcher import _Pending
+from repro.service.dispatcher import (
+    SCALE_COOLDOWN, SCALE_INTERVAL, STALL_EVALUATIONS, ScalingRule, _Pending,
+)
 from repro.service.jobs import JOB_KINDS
 
 IDENTITY = r"\ (A : Type) (x : A). x"
@@ -130,7 +132,7 @@ class TestWireFormat:
 
 class TestExecutor:
     def test_unexpected_exception_is_a_deterministic_error_document(self, monkeypatch):
-        def broken(session, job, program):
+        def broken(session, *args):
             raise RuntimeError(f"no table at {hex(id(session))}\nsecond line")
 
         monkeypatch.setattr("repro.service.executor.call", broken)
@@ -836,43 +838,111 @@ class TestElasticity:
             assert pool.stats().slots[str(slot)]["retired"] is True
 
     def test_supervisor_scales_up_under_burst_and_back_down(self):
-        from repro.service import ElasticSupervisor
-
-        with Dispatcher(workers=1, max_pending=64) as pool:
-            supervisor = ElasticSupervisor(
-                pool, min_workers=1, max_workers=3,
-                high_watermark=1.5, low_watermark=0.5,
-                interval=0.02, cooldown=0.05,
+        # The real-process smoke of the scaling rule, at its constants:
+        # the collector's tick grows the pool under a burst and shrinks it
+        # once idle.
+        with Dispatcher(workers=1, max_workers=3, max_pending=64) as pool:
+            results = pool.run_batch(
+                [{"id": f"burst{i}", "kind": "sleep", "seconds": 0.1,
+                  "key": f"k{i}"} for i in range(12)]
             )
-            supervisor.start()
-            try:
-                results = pool.run_batch(
-                    [{"id": f"burst{i}", "kind": "sleep", "seconds": 0.1,
-                      "key": f"k{i}"} for i in range(12)]
-                )
-                assert all(result.ok for result in results)
-                # Idle now: wait for the supervisor to shed capacity again.
-                deadline = time.monotonic() + 10.0
-                while time.monotonic() < deadline:
-                    if pool.stats().scale_downs >= 1:
-                        break
-                    time.sleep(0.02)
-                stats = pool.stats()
-            finally:
-                supervisor.stop()
+            assert all(result.ok for result in results)
+            # Idle now: wait for the tick to shed capacity again.
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                if pool.stats().scale_downs >= 1:
+                    break
+                time.sleep(0.02)
+            stats = pool.stats()
+            signals = pool.scaling.signals()
         assert stats.scale_ups >= 1
         assert stats.scale_downs >= 1
-        directions = [direction for direction, _, _ in supervisor.events]
-        assert "up" in directions and "down" in directions
+        assert (signals["scale_ups"], signals["scale_downs"]) == (
+            stats.scale_ups, stats.scale_downs
+        )
 
-    def test_supervisor_validates_watermarks(self):
-        from repro.service import ElasticSupervisor
+    def test_max_workers_below_workers_is_rejected(self):
+        with pytest.raises(ValueError, match="max_workers"):
+            Dispatcher(workers=3, max_workers=1)
 
-        with Dispatcher(workers=1) as pool:
-            with pytest.raises(ValueError, match="min_workers"):
-                ElasticSupervisor(pool, min_workers=3, max_workers=1)
-            with pytest.raises(ValueError, match="low_watermark"):
-                ElasticSupervisor(pool, high_watermark=1.0, low_watermark=1.0)
+    def test_a_fixed_pool_has_no_scaling_rule(self):
+        with Dispatcher(workers=1) as fixed, Dispatcher(workers=1, max_workers=1) as same:
+            assert fixed.scaling is None and same.scaling is None
+
+    def test_a_drained_pool_never_scales(self):
+        pool = Dispatcher(workers=1, max_workers=2)
+        pool.drain(timeout=5.0)
+        assert pool.scaling.evaluate(1e9, 100, 1, 0) is None
+
+
+#: Simulated seconds past both the evaluation interval and the cooldown.
+PAST = SCALE_COOLDOWN + SCALE_INTERVAL
+
+
+class TestScalingRule:
+    """The elastic rule in simulated time: synthetic (now, depth, active,
+    completed) inputs, no process and no sleep."""
+
+    @staticmethod
+    def rule(min_workers=1, max_workers=3):
+        rule = ScalingRule(min_workers, max_workers)
+        assert rule.evaluate(0.0, 0, min_workers, 0) is None  # the first evaluation
+        return rule
+
+    def test_grows_above_the_high_watermark_never_past_max_workers(self):
+        rule = self.rule(max_workers=2)
+        assert rule.evaluate(SCALE_INTERVAL, 2, 1, 0) is None  # at 2x, not above
+        assert rule.evaluate(2 * SCALE_INTERVAL, 3, 1, 0) == "up"
+        assert rule.evaluate(2 * SCALE_INTERVAL + PAST, 100, 2, 0) is None  # at max_workers
+
+    def test_waits_out_the_cooldown(self):
+        rule = self.rule()
+        assert rule.evaluate(SCALE_INTERVAL, 10, 1, 0) == "up"
+        assert rule.evaluate(1.5 * SCALE_INTERVAL, 10, 2, 0) is None  # within the interval
+        assert rule.evaluate(2 * SCALE_INTERVAL, 10, 2, 0) is None  # within the cooldown
+        assert rule.evaluate(SCALE_INTERVAL + PAST, 10, 2, 0) == "up"
+
+    def test_a_stalled_backlog_grows_below_the_watermark(self):
+        rule = self.rule(min_workers=2, max_workers=4)
+        for step in range(1, STALL_EVALUATIONS):
+            assert rule.evaluate(step * PAST, 3, 2, 0) is None  # depth > active, no completion
+        assert rule.signals()["stalled_ticks"] == STALL_EVALUATIONS - 1
+        assert rule.evaluate(STALL_EVALUATIONS * PAST, 3, 2, 0) == "up"
+        assert rule.signals()["stalled_ticks"] == 0
+
+    def test_completions_are_not_a_stall(self):
+        rule = self.rule(min_workers=2, max_workers=4)
+        for step in range(1, 3 * STALL_EVALUATIONS):
+            assert rule.evaluate(step * PAST, 3, 2, step) is None
+        assert rule.signals()["stalled_ticks"] == 0
+
+    def test_shrinks_below_the_low_watermark_down_to_min_workers(self):
+        rule = self.rule(min_workers=1, max_workers=3)
+        assert rule.evaluate(PAST, 1, 3, 0) == "down"  # 1 < 0.5 * 3
+        assert rule.evaluate(2 * PAST, 1, 2, 0) is None  # 1 is 0.5 * 2, not below
+        assert rule.evaluate(3 * PAST, 0, 2, 0) == "down"
+        assert rule.evaluate(4 * PAST, 0, 1, 0) is None  # at min_workers
+        assert rule.signals()["scale_downs"] == 2
+
+    def test_no_scale_event_once_closed(self):
+        rule = self.rule()
+        rule.close()
+        assert rule.evaluate(SCALE_INTERVAL, 100, 1, 0) is None
+        assert rule.evaluate(2 * PAST, 0, 3, 0) is None
+        assert rule.signals()["scale_ups"] == 0
+
+    def test_no_scale_event_without_an_active_slot(self):
+        rule = self.rule()
+        assert rule.evaluate(SCALE_INTERVAL, 100, 0, 0) is None
+
+    def test_completion_rate(self):
+        rule = self.rule()
+        assert rule.evaluate(0.1, 0, 1, 5) is None
+        assert rule.signals()["completion_rate"] == pytest.approx(50.0)
+        rule.evaluate(0.12, 0, 1, 9)  # inside the interval: not an evaluation
+        assert rule.signals()["completion_rate"] == pytest.approx(50.0)
+        rule.evaluate(0.35, 0, 1, 9)
+        assert rule.signals()["completion_rate"] == pytest.approx(16.0)
 
 
 class TestGracefulDrain:
