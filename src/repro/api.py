@@ -1006,7 +1006,7 @@ def execute_jobs(
     stalls, truncations — the reconnect/resubmit machinery heals them, so
     results stay byte-identical).  ``client_options`` is a dict forwarded
     to :class:`~repro.service.client.ServiceClient` (``window``,
-    ``max_retries``, ``timeout``, …).
+    ``timeout``).
 
     ``dispatcher_options`` are forwarded to the :class:`Dispatcher`
     (``max_pending``, ``job_timeout``, ``max_attempts``, …).  The endpoint

@@ -28,7 +28,7 @@ from repro.cc.context import Context as CCContext
 from repro.cc import typecheck as cc_typecheck
 from repro.cccc.equiv import equivalent_structural
 from repro.cccc.ntuple import bind_env, env_sigma, env_tuple
-from repro.closconv.translate import translate
+from repro.closconv.translate import compositionality_sides, translate
 from repro.common.errors import TranslationError, TypeCheckError
 from repro.common.names import fresh
 
@@ -170,10 +170,5 @@ def compositionality_without_clo_eta(
     *without* the closure η-principle — the paper predicts False whenever
     the λ's environment shape changes under substitution.
     """
-    from repro.closconv.translate import translate_context
-
-    extended = prefix.extend(name, name_type)
-    left = translate(prefix, cc.subst1(body, name, value))
-    right = cccc.subst1(translate(extended, body), name, translate(prefix, value))
-    del translate_context  # structural comparison needs no context
+    left, right = compositionality_sides(prefix, name, name_type, body, value)
     return equivalent_without_clo_eta(cccc.Context.empty(), left, right)

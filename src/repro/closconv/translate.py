@@ -51,7 +51,7 @@ from repro.common.errors import TranslationError, TypeCheckError
 from repro.common.names import fresh
 from repro.kernel.state import current_state
 
-__all__ = ["translate", "translate_context"]
+__all__ = ["compositionality_sides", "translate", "translate_context"]
 
 
 def translate(ctx: CCContext, term: cc.Term) -> cccc.Term:
@@ -206,3 +206,20 @@ def translate_context(ctx: CCContext) -> TargetContext:
             result = result.define(binding.name, translate(prefix, binding.definition), type_tgt)
             prefix = prefix.define(binding.name, binding.definition, binding.type_)
     return result
+
+
+def compositionality_sides(
+    prefix: CCContext, name: str, name_type: cc.Term, body: cc.Term, value: cc.Term
+) -> tuple[cccc.Term, cccc.Term]:
+    """Lemma 5.1's two sides, ``(e1[e2/x])⁺`` and ``e1⁺[e2⁺/x]``.
+
+    ``prefix ⊢ value : name_type`` and ``prefix, name:name_type ⊢ body``.
+    The left side inlines ``value`` before FV is computed; the right side
+    keeps ``x`` in the environment and substitutes afterwards.  Each caller
+    decides their equivalence its own way.
+    """
+    left = translate(prefix, cc.subst1(body, name, value))
+    right = cccc.subst1(
+        translate(prefix.extend(name, name_type), body), name, translate(prefix, value)
+    )
+    return left, right

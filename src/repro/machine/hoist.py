@@ -29,7 +29,7 @@ from functools import cached_property
 from repro import cccc
 from repro.cccc.ast import LANGUAGE
 from repro.cccc.context import Context
-from repro.common.errors import TranslationError
+from repro.common.errors import TranslationError, TypeCheckError
 
 __all__ = ["Program", "hoist", "program_context"]
 
@@ -222,19 +222,32 @@ def unhoist(program: Program) -> cccc.Term:
 def program_context(program: Program) -> Context:
     """The typing context of a hoisted program: each label *defined* as its code.
 
-    Labels in hoisted bodies are references into the static code segment;
-    the kernel's [Code] rule demands literal closedness, so each table
-    entry is first reconstituted into a fully closed code literal
-    (:func:`unhoist` style) and then bound as a *definition*.  Typing
-    ``program.main`` under this context re-verifies the whole program
-    after hoisting: labels δ-reduce to their code blocks, so the CC-CC
-    kernel sees exactly the pre-hoist term.
+    Each table entry is checked once, by [Code]'s premises with the earlier
+    labels as context definitions: its parameter types are types and its
+    body has some type ``B`` under ``ℓ₀ … ℓₖ₋₁, x′:A′, x:A``, so an inner
+    closure's code type comes from [Var] instead of from re-checking the
+    inner block.  A block that names any other variable (a later label, or
+    a free name) is rejected.  The label is then bound as a *definition* of
+    its fully closed literal (:func:`unhoist` style) at ``Code (x′:A′, x:A).
+    B``, so labels δ-reduce to their code blocks and typing
+    ``program.main`` under this context re-verifies the whole program after
+    hoisting.
     """
     ctx = Context.empty()
     closed: dict[str, cccc.Term] = {}
     for label, code in program.code_table.items():
-        literal = cccc.subst(code, closed)
-        closed[label] = literal
-        code_type = cccc.infer(ctx, literal)
-        ctx = ctx.define(label, literal, code_type)
+        stray = cccc.free_vars(code) - closed.keys()
+        if stray:
+            raise TypeCheckError(
+                f"code block {label!r} names undefined label(s) {sorted(stray)}"
+            )
+        cccc.infer_universe(ctx, code.env_type)
+        env_ctx = ctx.extend(code.env_name, code.env_type)
+        cccc.infer_universe(env_ctx, code.arg_type)
+        body_type = cccc.infer(env_ctx.extend(code.arg_name, code.arg_type), code.body)
+        code_type = cccc.CodeType(
+            code.env_name, code.env_type, code.arg_name, code.arg_type, body_type
+        )
+        closed[label] = cccc.subst(code, closed)
+        ctx = ctx.define(label, closed[label], code_type)
     return ctx

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro import cc, cccc
 from repro.cc.context import Context as CCContext
 from repro.closconv.pipeline import TypePreservationViolation, compile_term
-from repro.closconv.translate import translate, translate_context
+from repro.closconv.translate import compositionality_sides, translate, translate_context
 from repro.common.errors import TypeCheckError
 from repro.kernel.budget import Budget
 from repro.linking.link import (
@@ -70,9 +70,7 @@ def check_compositionality(
     the environment and substitutes afterwards) — the closure η-principle
     is what makes them definitionally equal.
     """
-    extended = prefix.extend(name, name_type)
-    left = translate(prefix, cc.subst1(body, name, value))
-    right = cccc.subst1(translate(extended, body), name, translate(prefix, value))
+    left, right = compositionality_sides(prefix, name, name_type, body, value)
     return cccc.equivalent(translate_context(prefix), left, right, Budget())
 
 

@@ -13,7 +13,7 @@ Failure handling is the point:
 * **Overloaded shed** (``error["shed"]``) — the job is retried after
   exponential backoff with *deterministic* jitter (a blake2b hash of the
   job id and attempt number — no random source, so two identical runs
-  back off identically) up to ``max_retries`` times; past that the shed
+  back off identically) up to ``MAX_RETRIES`` times; past that the shed
   document itself is the job's result, never an exception.
 * **Connection loss** (reset, EOF, a truncated line without its newline)
   — the client reconnects with the same deterministic backoff,
@@ -57,6 +57,13 @@ def parse_address(address: str) -> tuple[str, int]:
 
 _SESSION_IDS = itertools.count()
 
+#: Shed and reconnect retries per job before the client gives up with the
+#: last structured document (never an exception), and the retry delay:
+#: ``BACKOFF`` doubling per attempt up to ``BACKOFF_CAP``, with
+#: deterministic jitter.
+MAX_RETRIES = 8
+BACKOFF, BACKOFF_CAP = 0.05, 2.0
+
 
 class ServiceClient:
     """A synchronous windowed client for the repro service endpoint.
@@ -64,10 +71,6 @@ class ServiceClient:
     Args:
         host/port: the endpoint address.
         window: jobs kept in flight at once (send pauses past it).
-        max_retries: shed/reconnect retries per job before giving up with
-            the last structured document (never an exception).
-        backoff: base retry delay; doubles per attempt up to
-            ``backoff_cap``, with deterministic jitter.
         timeout: wall-clock bound on one :meth:`run_batch` call.
         fault_plan: connection-category chaos applied *client-side* (see
             the module docstring); worker-category faults are ignored here.
@@ -79,9 +82,6 @@ class ServiceClient:
         port: int,
         *,
         window: int = 32,
-        max_retries: int = 8,
-        backoff: float = 0.05,
-        backoff_cap: float = 2.0,
         timeout: float = 120.0,
         fault_plan: FaultPlan | Mapping[str, Any] | None = None,
     ) -> None:
@@ -90,9 +90,6 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.window = window
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.backoff_cap = backoff_cap
         self.timeout = timeout
         plan = FaultPlan.coerce(fault_plan)
         self._injector = None if plan is None else FaultInjector(plan)
@@ -138,12 +135,12 @@ class ServiceClient:
             except OSError:
                 self._disconnect()
                 attempt += 1
-                if attempt > self.max_retries:
+                if attempt > MAX_RETRIES:
                     raise
                 self._sleep_backoff("connect", attempt)
 
     def _sleep_backoff(self, token: str, attempt: int) -> None:
-        time.sleep(retry_delay(self.backoff, self.backoff_cap, attempt, f"{token}:{attempt}"))
+        time.sleep(retry_delay(BACKOFF, BACKOFF_CAP, attempt, f"{token}:{attempt}"))
 
     def _disconnect(self) -> None:
         if self._sock is not None:
@@ -301,10 +298,8 @@ class ServiceClient:
                 # discards the partial line at EOF).
                 self._disconnect()
                 reconnect_attempt += 1
-                if reconnect_attempt > self.max_retries:
-                    raise ConnectionError(
-                        f"gave up after {self.max_retries} reconnect attempts"
-                    )
+                if reconnect_attempt > MAX_RETRIES:
+                    raise ConnectionError(f"gave up after {MAX_RETRIES} reconnect attempts")
                 continue
             if document is None:
                 continue
@@ -328,11 +323,9 @@ class ServiceClient:
             if not document.get("ok") and error.get("shed"):
                 attempt = attempts.get(job_id, 0) + 1
                 attempts[job_id] = attempt
-                if attempt <= self.max_retries:
+                if attempt <= MAX_RETRIES:
                     self.shed_retries += 1
-                    delay = retry_delay(
-                        self.backoff, self.backoff_cap, attempt, f"{job_id}:{attempt}"
-                    )
+                    delay = retry_delay(BACKOFF, BACKOFF_CAP, attempt, f"{job_id}:{attempt}")
                     retries.append((time.monotonic() + delay, spec))
                     continue
             results[job_id] = document

@@ -46,9 +46,9 @@ caller asked for it by path and must know); once open, every runtime
 read error is a miss, a write error rolls back and keeps the buffers for
 retry.  Enough *consecutive* errors trip a circuit breaker: the store
 stops issuing SQL (reads miss, flushes park), probing once every
-``probe_interval`` ops so a recovered disk re-closes it.  Each buffer is
+``PROBE_INTERVAL`` ops so a recovered disk re-closes it.  Each buffer is
 bounded; when a permanently-failing flush would grow it past
-``max_pending_entries`` the oldest entries are dropped (and counted) —
+``MAX_PENDING_ENTRIES`` the oldest entries are dropped (and counted) —
 losing cache warmth, never correctness.  The result is a degradation
 ladder the session walks without ever changing a payload byte::
 
@@ -107,6 +107,14 @@ CREATE TABLE IF NOT EXISTS {} (
     seal    BLOB NOT NULL
 ) WITHOUT ROWID
 """
+#: The store's tuning: buffered entries per table that trigger a flush, the
+#: most a table's buffer holds before its oldest entries are dropped, the
+#: consecutive SQLite errors that trip the breaker, the ops between two
+#: probes of an open breaker, and the seconds a connection waits on
+#: another's lock (and retries the open).
+FLUSH_THRESHOLD, MAX_PENDING_ENTRIES = 256, 4096
+BREAKER_THRESHOLD, PROBE_INTERVAL = 5, 64
+LOCK_TIMEOUT = 30.0
 _SELECT = "SELECT steps, result, seal FROM {} WHERE key = ?"
 _INSERT = "INSERT OR IGNORE INTO {} (key, steps, result, seal) VALUES (?, ?, ?, ?)"
 
@@ -139,27 +147,13 @@ class PersistentMemoStore:
     Every process opens its own instance over the same path; SQLite WAL
     mode arbitrates concurrent readers and the append-only writers.
     ``read_only`` opens in query-only mode (writes buffer but never flush).
-    ``flush_threshold`` and ``max_pending_entries`` bound each table's
+    ``FLUSH_THRESHOLD`` and ``MAX_PENDING_ENTRIES`` bound each table's
     buffer separately.
     """
 
-    def __init__(
-        self,
-        path: Any,
-        *,
-        read_only: bool = False,
-        flush_threshold: int = 256,
-        timeout: float = 30.0,
-        max_pending_entries: int = 4096,
-        breaker_threshold: int = 5,
-        probe_interval: int = 64,
-    ) -> None:
+    def __init__(self, path: Any, *, read_only: bool = False) -> None:
         self.path = str(path)
         self.read_only = read_only
-        self.flush_threshold = flush_threshold
-        self.max_pending_entries = max_pending_entries
-        self.breaker_threshold = breaker_threshold
-        self.probe_interval = probe_interval
         self.flushes = 0
         self.errors = 0
         self.dropped = 0
@@ -171,25 +165,25 @@ class PersistentMemoStore:
         self._tables = {name: _Table(name) for name in _TABLES}
         try:
             self._conn = sqlite3.connect(
-                self.path, timeout=timeout, check_same_thread=False
+                self.path, timeout=LOCK_TIMEOUT, check_same_thread=False
             )
             if read_only:
                 self._conn.execute("PRAGMA query_only=ON")
             else:
-                self._initialize(timeout)
+                self._initialize()
         except sqlite3.Error as err:
             raise StoreError(f"cannot open memo store at {self.path}: {err}") from err
 
-    def _initialize(self, timeout: float) -> None:
+    def _initialize(self) -> None:
         """Switch to WAL and create the tables, retrying while contended.
 
         Processes opening a store file that does not exist yet race on the
         journal-mode switch, and SQLite fails the loser at once with
         "database is locked" instead of waiting out the busy timeout.  Both
         steps are idempotent, so the loser retries with a fixed doubling
-        backoff until ``timeout`` has elapsed.
+        backoff until ``LOCK_TIMEOUT`` has elapsed.
         """
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + LOCK_TIMEOUT
         delay = 0.005
         while True:
             try:
@@ -220,7 +214,7 @@ class PersistentMemoStore:
     def _sqlite_error(self) -> None:
         self.errors += 1
         self.consecutive_errors += 1
-        if not self._breaker_open and self.consecutive_errors >= self.breaker_threshold:
+        if not self._breaker_open and self.consecutive_errors >= BREAKER_THRESHOLD:
             self._breaker_open = True
             self.trips += 1
             self._ops_since_trip = 0
@@ -228,14 +222,14 @@ class PersistentMemoStore:
     def _breaker_blocks(self) -> bool:
         """Should the open breaker skip this SQLite op?
 
-        While open, one op in every ``probe_interval`` is let through as a
+        While open, one op in every ``PROBE_INTERVAL`` is let through as a
         probe; a probe that succeeds re-closes the breaker.  Counted in
         *ops*, never wall-clock, so chaos runs stay deterministic.
         """
         if not self._breaker_open:
             return False
         self._ops_since_trip += 1
-        if self._ops_since_trip >= self.probe_interval:
+        if self._ops_since_trip >= PROBE_INTERVAL:
             self._ops_since_trip = 0
             return False
         return True
@@ -289,10 +283,10 @@ class PersistentMemoStore:
             # errors fire at the scheduled job, not at a threshold crossing.
             hook = FAULT_HOOK
             if not self.read_only and (
-                len(record.pending) >= self.flush_threshold or hook is not None
+                len(record.pending) >= FLUSH_THRESHOLD or hook is not None
             ):
                 self._flush_locked()
-            while len(record.pending) > self.max_pending_entries:
+            while len(record.pending) > MAX_PENDING_ENTRIES:
                 del record.pending[next(iter(record.pending))]
                 self.dropped += 1
 

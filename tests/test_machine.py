@@ -5,11 +5,12 @@ import pytest
 
 from repro import cc, cccc
 from repro.closconv import compile_term
-from repro.common.errors import TranslationError
+from repro.common.errors import TranslationError, TypeCheckError
 from repro.machine import (
     MachineError,
     MachineStats,
     MNat,
+    Program,
     hoist,
     machine_observation,
     program_context,
@@ -67,6 +68,35 @@ class TestHoisting:
         ctx = program_context(program)
         inferred = cccc.infer(ctx, program.main)
         assert cccc.equivalent(ctx, inferred, cccc.Nat())
+
+    @staticmethod
+    def _nested_program():
+        # code$0 is the inner λy, code$1 the outer λx, which names code$0.
+        program = hoist(_compile_closed(
+            cc.Lam("x", cc.Nat(), cc.Lam("y", cc.Nat(), cc.Var("x")))
+        ))
+        assert list(program.code_table) == ["code$0", "code$1"]
+        assert cccc.free_vars(program.code_table["code$1"]) == {"code$0"}
+        return program
+
+    def test_program_context_rejects_an_ill_typed_block(self):
+        program = self._nested_program()
+        code = program.code_table["code$0"]
+        table = dict(program.code_table)
+        table["code$0"] = cccc.CodeLam(
+            code.env_name, code.env_type, code.arg_name, code.arg_type,
+            cccc.Succ(cccc.BoolLit(True)),
+        )
+        with pytest.raises(TypeCheckError):
+            program_context(Program(table, program.main))
+
+    def test_program_context_rejects_a_block_naming_a_later_label(self):
+        program = self._nested_program()
+        # Swap the two blocks' order: code$1 now comes first and names
+        # code$0, which the table has not defined yet.
+        table = {label: program.code_table[label] for label in ("code$1", "code$0")}
+        with pytest.raises(TypeCheckError, match="code\\$0"):
+            program_context(Program(table, program.main))
 
     def test_open_code_rejected(self):
         open_code = cccc.CodeLam("n", cccc.Unit(), "x", cccc.Nat(), cccc.Var("stray"))

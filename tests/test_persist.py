@@ -22,6 +22,7 @@ from repro import cc
 from repro.api import Session, execute_jobs
 from repro.gen.jobs import build_stream, job_corpus
 from repro.surface import parse_term
+from repro.wire import persist
 from repro.wire.persist import PersistentMemoStore
 
 REDEX = r"(\ (x : Nat). succ x) ((\ (y : Nat). succ (succ y)) 4)"
@@ -48,9 +49,10 @@ class TestStore:
         assert again.stats()["hits"] == 1
         again.close()
 
-    def test_concurrent_first_opens_all_succeed(self, tmp_path):
+    def test_concurrent_first_opens_all_succeed(self, tmp_path, monkeypatch):
         # Openers of a not-yet-existing file race on the WAL switch; the
         # losers must wait their turn, not fail with "database is locked".
+        monkeypatch.setattr(persist, "LOCK_TIMEOUT", 10.0)
         for round_ in range(20):
             path = tmp_path / f"race{round_}.sqlite"
             barrier = threading.Barrier(8)
@@ -61,7 +63,7 @@ class TestStore:
             def open_store() -> None:
                 barrier.wait()
                 try:
-                    store = PersistentMemoStore(path, timeout=10.0)
+                    store = PersistentMemoStore(path)
                 except BaseException as err:  # noqa: BLE001 - recorded
                     with lock:
                         failures.append(err)
@@ -304,13 +306,20 @@ class TestRestartDifferential:
 class TestFailureHardening:
     """The store's failure domain: counted errors, breaker, bounded buffer."""
 
-    def _store(self, tmp_path, **kwargs):
-        return PersistentMemoStore(tmp_path / "memo.sqlite", **kwargs)
+    @pytest.fixture
+    def tuning(self, monkeypatch):
+        """Patch the store's tuning constants, named in lower case."""
+        def patch(**values):
+            for name, value in values.items():
+                monkeypatch.setattr(persist, name.upper(), value)
+        return patch
 
-    def test_sqlite_errors_are_counted_not_raised(self, tmp_path):
-        from repro.wire import persist
+    def _store(self, tmp_path, read_only=False):
+        return PersistentMemoStore(tmp_path / "memo.sqlite", read_only=read_only)
 
-        store = self._store(tmp_path, flush_threshold=1)
+    def test_sqlite_errors_are_counted_not_raised(self, tmp_path, tuning):
+        tuning(flush_threshold=1)
+        store = self._store(tmp_path)
         calls = {"n": 0}
 
         def hook(op):
@@ -332,12 +341,9 @@ class TestFailureHardening:
         assert store.counters()["pending"] == 0
         store.close()
 
-    def test_breaker_trips_then_probe_recloses(self, tmp_path):
-        from repro.wire import persist
-
-        store = self._store(
-            tmp_path, flush_threshold=10_000, breaker_threshold=3, probe_interval=4
-        )
+    def test_breaker_trips_then_probe_recloses(self, tmp_path, tuning):
+        tuning(flush_threshold=10_000, breaker_threshold=3, probe_interval=4)
+        store = self._store(tmp_path)
         persist.FAULT_HOOK = lambda op: (_ for _ in ()).throw(
             sqlite3.OperationalError("injected")
         )
@@ -355,10 +361,9 @@ class TestFailureHardening:
         assert store.counters()["breaker"] == "closed"
         store.close()
 
-    def test_pending_buffer_is_bounded(self, tmp_path):
-        store = self._store(
-            tmp_path, read_only=True, flush_threshold=10_000, max_pending_entries=8
-        )
+    def test_pending_buffer_is_bounded(self, tmp_path, tuning):
+        tuning(flush_threshold=10_000, max_pending_entries=8)
+        store = self._store(tmp_path, read_only=True)
         for index in range(20):
             store.put(f"{index:03d}".encode() * 8, index, b"v")
         assert store.counters()["pending"] == 8
@@ -402,12 +407,13 @@ class TestFailureHardening:
         assert persisted["trips"] >= 1
 
 
-    def test_failed_flush_releases_the_write_lock(self, tmp_path):
+    def test_failed_flush_releases_the_write_lock(self, tmp_path, tuning):
         # A flush that fails mid-transaction must roll back: otherwise this
         # connection keeps SQLite's write lock and every other writer of the
         # shared store waits out its busy timeout.
         path = tmp_path / "memo.sqlite"
-        store = self._store(tmp_path, flush_threshold=10_000)
+        tuning(flush_threshold=10_000)
+        store = self._store(tmp_path)
         store.put(b"m" * 24, 1, b"memo")
         store.put(b"a" * 24, 2, b"artifact", "artifact")
         other = sqlite3.connect(path, timeout=0.5)
@@ -547,7 +553,7 @@ class TestStorePinned:
     is read, written, counted or salvaged shows here.
     """
 
-    def test_both_tables_are_pinned(self, tmp_path):
+    def test_both_tables_are_pinned(self, tmp_path, monkeypatch):
         from repro.backend import (
             ArtifactMeta,
             compile_program,
@@ -556,7 +562,6 @@ class TestStorePinned:
         )
         from repro.closconv import compile_term
         from repro.machine import hoist
-        from repro.wire import persist
         from repro.wire.persist import store_compact, store_scrub, store_stat
 
         def fresh_state(store, name):
@@ -587,7 +592,8 @@ class TestStorePinned:
         pending_memo, pending_artifact = b"\x50" * 24, b"\x51" * 24
         path = tmp_path / "store.sqlite"
 
-        store = PersistentMemoStore(path, flush_threshold=10_000)
+        monkeypatch.setattr(persist, "FLUSH_THRESHOLD", 10_000)
+        store = PersistentMemoStore(path)
         writer = fresh_state(store, "pin-writer")
         for index, key in enumerate(memo_keys):
             store.put(key, index + 1, b"memo-%d" % index)
@@ -602,9 +608,9 @@ class TestStorePinned:
         raw.commit()
         raw.close()
 
-        store = PersistentMemoStore(
-            path, flush_threshold=10_000, breaker_threshold=3, probe_interval=4
-        )
+        monkeypatch.setattr(persist, "BREAKER_THRESHOLD", 3)
+        monkeypatch.setattr(persist, "PROBE_INTERVAL", 4)
+        store = PersistentMemoStore(path)
         store.put(pending_memo, 9, b"pending")
         store_artifact(fresh_state(store, "pin-pending"), pending_artifact, programs[0], meta)
         reader = fresh_state(store, "pin-reader")
