@@ -35,6 +35,7 @@ import sys
 
 from repro import api, cc
 from repro.gen.jobs import binary_specs, job_corpus
+from repro.service import dispatcher
 from repro.service.faults import Fault, FaultPlan
 from repro.surface import to_surface
 from repro.wire.persist import store_stat
@@ -50,18 +51,18 @@ _ATTEMPTS = 3
 _SEED = 21
 _POISON_ID = "poison-0"
 
-#: Dispatcher knobs for every pooled run in this bench: fast respawns so
-#: the throughput gate measures structure (not sleep time), a suspect
-#: threshold high enough that the plan's transient kills landing on the
-#: poison's slot are retried rather than fast-failed, and a breaker far
-#: above the plan's total crash count.
-_POOL_OPTIONS = dict(
-    max_attempts=_MAX_ATTEMPTS,
-    job_timeout=30.0,
-    respawn_backoff=0.02,
-    respawn_backoff_cap=0.2,
-    suspect_after=50,
-    max_slot_respawns=50,
+#: Dispatcher options for every pooled run in this bench.
+_POOL_OPTIONS = dict(max_attempts=_MAX_ATTEMPTS, job_timeout=30.0)
+#: The dispatcher's recovery constants, patched for the chaos gate: fast
+#: respawns so the throughput gate measures structure (not sleep time), a
+#: suspect threshold high enough that the plan's transient kills landing
+#: on the poison's slot are retried rather than fast-failed, and a breaker
+#: far above the plan's total crash count.
+_RECOVERY = dict(
+    RESPAWN_BACKOFF=0.02,
+    RESPAWN_BACKOFF_CAP=0.2,
+    SUSPECT_AFTER=50,
+    MAX_SLOT_RESPAWNS=50,
 )
 
 
@@ -119,12 +120,14 @@ def _run_chaos(jobs: list[dict], plan: FaultPlan, store: pathlib.Path):
     return report.elapsed_seconds, report.canonical(), report.stats
 
 
-def test_chaos_gate(tmp_path):
+def test_chaos_gate(tmp_path, monkeypatch):
     """Acceptance: determinism under fire, reproducible chaos, bounded
     damage, and ≥ 0.4× fault-free throughput.  Timing takes the best of
     three attempts (one noisy scheduler slice must not fail CI); every
     determinism assertion holds on every attempt.
     """
+    for name, value in _RECOVERY.items():
+        monkeypatch.setattr(dispatcher, name, value)
     jobs = _jobs()
     job_ids = [job["id"] for job in jobs]
     corruptible = [job["id"] for job in jobs if job.get("term_b64") or job.get("program")]

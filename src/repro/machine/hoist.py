@@ -244,7 +244,8 @@ def program_context(program: Program) -> Context:
         cccc.infer_universe(ctx, code.env_type)
         env_ctx = ctx.extend(code.env_name, code.env_type)
         cccc.infer_universe(env_ctx, code.arg_type)
-        body_type = cccc.infer(env_ctx.extend(code.arg_name, code.arg_type), code.body)
+        body_ctx = env_ctx.extend(code.arg_name, code.arg_type)
+        body_type = cccc.normalize(body_ctx, cccc.infer(body_ctx, code.body))
         code_type = cccc.CodeType(
             code.env_name, code.env_type, code.arg_name, code.arg_type, body_type
         )

@@ -16,8 +16,8 @@ lifetime and survive worker restarts: a requeued job lands on the fresh
 worker in its original slot.
 
 **Lifecycle.**  Each slot is one ``_Slot`` — its current worker, its
-``state``, the respawn ``due_at``, the crash ``streak`` and the last
-heartbeat — whose state moves only along ``_TRANSITIONS``::
+``state``, the respawn ``due_at``, the crash ``streak`` and when its worker
+last posted — whose state moves only along ``_TRANSITIONS``::
 
     LIVE              death -> BACKOFF, trip -> BROKEN, shrink -> RETIRING
     BACKOFF           respawn -> LIVE, shrink -> RETIRING_BACKOFF
@@ -40,6 +40,12 @@ uninterrupted run — cold caches change timing, never payloads, because
 every term renders α-canonically and every step count replays from the
 fuel caches.
 
+**One loop, one clock.**  The collector thread routes worker posts as
+they arrive and runs the health scan whenever the clock passes its next
+``TICK``, whether results flow or not.  Every time reading goes through
+``Dispatcher._clock``, which ``tests/test_pool_sim.py`` replaces with
+simulated time to check the state machine over every small schedule.
+
 **Failure domains.**  Worker death is contained at three escalating
 levels, all deterministic in everything but timing:
 
@@ -47,16 +53,16 @@ levels, all deterministic in everything but timing:
   exhausted it completes as a structured **dead-letter** document
   (``error["dead_letter"] is True``, counted under ``exhausted``) instead
   of consuming another worker.  A slot whose crash ``streak`` passes
-  ``suspect_after`` is treated as facing a poison stream: each new
+  ``SUSPECT_AFTER`` is treated as facing a poison stream: each new
   culprit dead-letters immediately, so a sequence of poison jobs cannot
   serially recycle the pool one ``max_attempts`` cycle at a time.
 * *Backoff* — a ``death`` moves the slot to a backoff state instead of
   refilling it at once: ``due_at`` lies an exponentially growing delay
-  ahead (``respawn_backoff`` doubling per streak up to
-  ``respawn_backoff_cap``) with deterministic jitter derived from the
+  ahead (``RESPAWN_BACKOFF`` doubling per streak up to
+  ``RESPAWN_BACKOFF_CAP``) with deterministic jitter derived from the
   slot and generation, never from a random source.  The collector thread
   never sleeps for it; the health scan fires ``respawn`` once it is due.
-* *Breaker* — ``max_slot_respawns`` consecutive crashes of one slot
+* *Breaker* — ``MAX_SLOT_RESPAWNS`` consecutive crashes of one slot
   ``trip`` it to ``BROKEN``, which is terminal: every job stranded on it
   dead-letters with ``CrashLoopBreaker``, new keys shard around it, no
   ``grow`` revives it, and the batch completes cleanly on the surviving
@@ -95,9 +101,10 @@ counters are one set of numbers, and the dispatcher keeps exactly one
 cumulative snapshot per worker generation (the latest) and sums those.
 The same latest-snapshot rule aggregates the workers' persistent-tier
 counters into ``PoolStats.persist``, and per-slot health (generation,
-liveness, crash streak, breaker state, heartbeat age) is surfaced under
-``PoolStats.slots`` — workers post idle heartbeats precisely so this view
-stays fresh between jobs.
+liveness, crash streak, breaker state, and ``last_seen_seconds``, the age
+of the worker's last post of any kind) is surfaced under
+``PoolStats.slots``.  An idle worker posts nothing, so its age grows until
+its next job; liveness comes from the process handle, never from posts.
 """
 
 from __future__ import annotations
@@ -109,6 +116,7 @@ import queue as queue_module
 import threading
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
+from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 from repro.kernel.state import validate_engine
@@ -119,6 +127,17 @@ from repro.service.worker import worker_main
 __all__ = ["Dispatcher", "PoolStats", "ScalingRule"]
 
 _POOL_IDS = itertools.count(1)
+
+#: Seconds between two health scans of the collector loop.
+TICK = 0.02
+
+#: The recovery policy: the base respawn delay of a dead slot, doubling per
+#: consecutive crash up to the cap; the crash streak past which each new
+#: culprit dead-letters at once (poison-stream fast fail); and the streak
+#: that trips a slot's crash-loop breaker.
+RESPAWN_BACKOFF, RESPAWN_BACKOFF_CAP = 0.05, 2.0
+SUSPECT_AFTER = 3
+MAX_SLOT_RESPAWNS = 8
 
 
 @dataclass
@@ -268,19 +287,17 @@ class Dispatcher:
             the tier adds no cross-process locking to the job hot path.
         fault_plan: a :class:`~repro.service.faults.FaultPlan` (or its wire
             dict) every worker installs at bootstrap — chaos testing only.
-        respawn_backoff: base delay before refilling a dead slot; doubles
-            per consecutive crash of that slot, capped at
-            ``respawn_backoff_cap``, with deterministic jitter.
-        suspect_after: consecutive crashes of one slot after which each new
-            culprit dead-letters immediately (poison-stream fast fail).
-        max_slot_respawns: consecutive crashes of one slot that trip its
-            crash-loop breaker — the slot is abandoned, its stranded jobs
-            dead-letter, and the batch finishes on the surviving slots.
         max_workers: the most active slots the pool scales up to; the
             collector's tick runs :attr:`scaling` (a :class:`ScalingRule`)
             between ``workers`` and ``max_workers``.  None (or
             ``workers``) is a fixed pool, whose ``scaling`` is None.
+
+    The recovery policy is the module's ``RESPAWN_BACKOFF``,
+    ``RESPAWN_BACKOFF_CAP``, ``SUSPECT_AFTER`` and ``MAX_SLOT_RESPAWNS``.
     """
+
+    #: The one clock: every time reading of the dispatcher calls it.
+    _clock = staticmethod(time.monotonic)
 
     def __init__(
         self,
@@ -293,10 +310,6 @@ class Dispatcher:
         name: str | None = None,
         memo_store: str | None = None,
         fault_plan: FaultPlan | Mapping[str, Any] | None = None,
-        respawn_backoff: float = 0.05,
-        respawn_backoff_cap: float = 2.0,
-        suspect_after: int = 3,
-        max_slot_respawns: int = 8,
         max_workers: int | None = None,
     ) -> None:
         if workers < 1:
@@ -309,8 +322,6 @@ class Dispatcher:
             raise ValueError("max_attempts must be positive")
         if job_timeout is not None and job_timeout <= 0:
             raise ValueError("job_timeout must be positive seconds")
-        if suspect_after < 1 or max_slot_respawns < 1:
-            raise ValueError("suspect_after and max_slot_respawns must be positive")
         validate_engine(engine)
         self.name = name or f"pool-{next(_POOL_IDS)}"
         self.engine = engine
@@ -323,10 +334,6 @@ class Dispatcher:
         self._fault_plan_spec = (
             None if self.fault_plan is None else self.fault_plan.to_dict()
         )
-        self.respawn_backoff = respawn_backoff
-        self.respawn_backoff_cap = respawn_backoff_cap
-        self.suspect_after = suspect_after
-        self.max_slot_respawns = max_slot_respawns
         self.scaling = (
             None if max_workers is None or max_workers == workers
             else ScalingRule(workers, max_workers)
@@ -334,7 +341,6 @@ class Dispatcher:
         # fork where available, else the platform default.
         methods = multiprocessing.get_all_start_methods()
         self._mp = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
-        self._results = self._mp.Queue()
         self._lock = threading.Lock()
         self._space = threading.Condition(self._lock)
         self._pending: dict[str, _Pending] = {}
@@ -359,10 +365,7 @@ class Dispatcher:
         self._closing = False
         self._draining = False
         self._slots = [_Slot(self._spawn(index, generation=0)) for index in range(workers)]
-        self._collector = threading.Thread(
-            target=self._collect, name=f"{self.name}-collector", daemon=True
-        )
-        self._collector.start()
+        self._collector = self._start_collector()
 
     # -- context management ---------------------------------------------------
 
@@ -445,7 +448,7 @@ class Dispatcher:
                 sequence=sequence,
                 deadline_at=(
                     None if job.deadline is None
-                    else time.monotonic() + job.deadline
+                    else self._clock() + job.deadline
                 ),
                 on_done=on_done,
             )
@@ -558,8 +561,8 @@ class Dispatcher:
 
     def ping(self, slot: int, timeout: float = 5.0) -> bool:
         """True if the worker in ``slot`` answers a health probe in time."""
-        token = f"ping-{slot}-{time.monotonic_ns()}"
         event = threading.Event()
+        token = f"ping-{slot}-{id(event)}"
         self._pings[token] = event
         try:
             with self._lock:
@@ -605,7 +608,7 @@ class Dispatcher:
                         elif isinstance(value, (int, float)):
                             persist[counter] = persist.get(counter, 0) + value
                 persist["breakers_open"] = breakers_open
-            now = time.monotonic()
+            now = self._clock()
             slots: dict[str, dict[str, Any]] = {}
             for index, slot in enumerate(self._slots):
                 state, seen = slot.state, slot.last_seen
@@ -641,7 +644,7 @@ class Dispatcher:
         ``DrainTimeout`` dead-letter document.  Either way its completion
         callback fires; nothing accepted goes silent.
         """
-        deadline = time.monotonic() + timeout
+        deadline = self._clock() + timeout
         with self._space:
             if self._closing:
                 return
@@ -650,7 +653,8 @@ class Dispatcher:
                 self.scaling.close()
             self._space.notify_all()
             # Every completion notifies the condition (_complete_locked).
-            self._space.wait_for(lambda: not self._pending, timeout)
+            while self._pending and (remaining := deadline - self._clock()) > 0:
+                self._space.wait(remaining)
             for pending in list(self._pending.values()):
                 self._dead_letter_locked(
                     pending,
@@ -662,7 +666,7 @@ class Dispatcher:
         # The drain deadline bounds shutdown too: past it, a worker still
         # busy with a straggler is killed at once instead of getting
         # shutdown's default grace period.
-        self.shutdown(max(0.0, deadline - time.monotonic()))
+        self.shutdown(max(0.0, deadline - self._clock()))
 
     def shutdown(self, timeout: float = 10.0) -> None:
         """Stop every worker gracefully; escalate to kill on the deadline."""
@@ -680,16 +684,16 @@ class Dispatcher:
                 handle.queue.put(stop)
             except (OSError, ValueError):  # pragma: no cover - queue torn down
                 pass
-        deadline = time.monotonic() + timeout
+        deadline = self._clock() + timeout
         for handle in handles:
             # A slot that died and never respawned (backoff pending when the
             # pool closed, or crash-loop broken) has no worker to say "bye" —
             # waiting for one would burn the whole deadline.
             if not handle.process.is_alive():
                 continue
-            handle.bye.wait(max(0.0, deadline - time.monotonic()))
+            handle.bye.wait(max(0.0, deadline - self._clock()))
         for handle in handles:
-            handle.process.join(max(0.05, deadline - time.monotonic()))
+            handle.process.join(max(0.05, deadline - self._clock()))
             if handle.process.is_alive():
                 handle.process.kill()
                 handle.process.join(1.0)
@@ -709,6 +713,11 @@ class Dispatcher:
             self._pending.clear()
 
     # -- internals ------------------------------------------------------------
+
+    @cached_property
+    def _results(self) -> Any:
+        """The result queue every worker of the pool posts to."""
+        return self._mp.Queue()
 
     def _spawn(self, slot: int, generation: int) -> _WorkerHandle:
         """Start a fresh worker process for ``slot``."""
@@ -763,41 +772,49 @@ class Dispatcher:
             # Slot assignment and timing are scheduling-dependent: timeline
             # section, never the deterministic events.
             pending.trace_timeline.append(
-                {"ev": "dispatch", "slot": handle.slot, "at": time.monotonic()}
+                {"ev": "dispatch", "slot": handle.slot, "at": self._clock()}
             )
         message = {"op": "job", "spec": pending.job.to_dict(),
                    "attempt": pending.attempts, "deadline_at": pending.deadline_at}
         handle.queue.put(json.dumps(message))
 
-    def _collect(self) -> None:
-        """Collector thread: drain results, watch health, enforce overruns.
+    def _start_collector(self) -> threading.Thread:
+        """Run :meth:`_collect` on the pool's one thread."""
+        collector = threading.Thread(
+            target=self._collect, name=f"{self.name}-collector", daemon=True
+        )
+        collector.start()
+        return collector
 
-        Health runs on the idle branch *and* at a bounded interval while
-        results are flowing — a continuous stream from healthy workers
-        must not starve the detection of a dead or overdue one.  The 20ms
-        tick bounds failure-detection latency: a killed worker costs one
-        tick to notice plus its respawn backoff, so recovery time is
-        dominated by the (configurable) backoff, not by polling.
+    def _collect(self) -> None:
+        """Collector thread: route worker posts, scan health on every tick.
+
+        One loop with one trigger: whenever the clock passes the next
+        ``TICK``, the health scan runs, whether results are flowing (a
+        continuous stream from healthy workers must not starve the
+        detection of a dead or overdue one) or not.  The tick bounds
+        failure-detection latency: a killed worker costs one tick to
+        notice plus its respawn backoff.  Once the pool is closing, the
+        loop ends when no post is waiting and every worker has said "bye"
+        or died.
         """
-        last_health = time.monotonic()
+        next_tick = self._clock()
         while True:
             try:
-                raw = self._results.get(timeout=0.02)
+                raw = self._results.get(timeout=TICK)
             except queue_module.Empty:
                 if self._closing and all(
                     slot.handle.bye.is_set() or not slot.handle.process.is_alive()
                     for slot in self._slots
                 ):
                     return
+            else:
+                with self._lock:
+                    self._on_message_locked(json.loads(raw))
+            now = self._clock()
+            if now >= next_tick:
+                next_tick = now + TICK
                 self._watch_health()
-                last_health = time.monotonic()
-                continue
-            message = json.loads(raw)
-            with self._lock:
-                self._on_message_locked(message)
-            if time.monotonic() - last_health > 0.02:
-                self._watch_health()
-                last_health = time.monotonic()
 
     def _on_message_locked(self, message: Mapping[str, Any]) -> None:
         """Route one worker post (caller holds the lock)."""
@@ -807,7 +824,7 @@ class Dispatcher:
         index = message.get("slot")
         slot = self._slots[index]
         if slot.handle.generation == message.get("generation"):
-            slot.last_seen = time.monotonic()
+            slot.last_seen = self._clock()
         else:
             slot = None
         if op == "begin":
@@ -816,7 +833,7 @@ class Dispatcher:
                 pending.begun_at = message["at"]  # the worker's clock: when the job began
         elif op == "result":
             self._on_result(message, slot)
-        elif op in ("hb", "pong", "bye"):
+        elif op in ("pong", "bye"):
             self._store_snapshot(message)
             if op == "pong":
                 event = self._pings.get(message.get("token"))
@@ -880,7 +897,7 @@ class Dispatcher:
 
     def _watch_health(self) -> None:
         """Expire overruns, absorb deaths, finish retirements, fire respawns, scale."""
-        now = time.monotonic()
+        now = self._clock()
         overdue: set[int] = set()
         with self._lock:
             for pending in list(self._pending.values()):
@@ -906,7 +923,7 @@ class Dispatcher:
         if self._closing:
             return
         with self._lock:
-            now = time.monotonic()
+            now = self._clock()
             for index, slot in enumerate(self._slots):
                 if slot.state in _RUNNING and not slot.handle.process.is_alive():
                     # A dying worker flushes its posts first: route them before
@@ -995,7 +1012,7 @@ class Dispatcher:
         error_type, template = _QUARANTINE[cause]
         message = template.format(
             deadline=pending.job.deadline, timeout=self.job_timeout,
-            attempts=pending.attempts, suspect_after=self.suspect_after,
+            attempts=pending.attempts, suspect_after=SUSPECT_AFTER,
         )
         self._dead_letter_locked(pending, error_type, message, exhausted=True)
 
@@ -1018,7 +1035,7 @@ class Dispatcher:
         pending and is requeued when the slot respawns after its backoff;
         cold caches change timing only, payloads and fuel-replay step
         counts are byte-identical to an uninterrupted run.  A streak
-        reaching ``max_slot_respawns`` trips the crash-loop breaker
+        reaching ``MAX_SLOT_RESPAWNS`` trips the crash-loop breaker
         instead: the slot is abandoned and all its jobs dead-letter.
         """
         slot = self._slots[index]
@@ -1043,10 +1060,10 @@ class Dispatcher:
                     # Poison-stream fast fail: once the slot is crashing job
                     # after job, each new culprit stops burning workers
                     # immediately instead of cycling through max_attempts.
-                    cause = "suspect" if slot.streak > self.suspect_after else None
+                    cause = "suspect" if slot.streak > SUSPECT_AFTER else None
             if cause is not None:
                 self._quarantine_locked(culprit, cause)
-        if slot.streak >= self.max_slot_respawns:
+        if slot.streak >= MAX_SLOT_RESPAWNS:
             # Crash-loop breaker: abandon the slot, fail its remaining
             # jobs cleanly, and let the batch finish elsewhere.
             slot.move("trip")
@@ -1065,9 +1082,7 @@ class Dispatcher:
             # Jitter keyed on the (slot, generation) being replaced, so
             # concurrent dead slots desynchronize their refills.
             slot.due_at = now + retry_delay(
-                self.respawn_backoff,
-                self.respawn_backoff_cap,
-                slot.streak,
+                RESPAWN_BACKOFF, RESPAWN_BACKOFF_CAP, slot.streak,
                 f"{index}:{slot.handle.generation}",
             )
 
@@ -1083,7 +1098,7 @@ class Dispatcher:
                 # Which non-culprit jobs get stranded depends on where
                 # the crash caught the queue: timeline, not events.
                 pending.trace_timeline.append(
-                    {"ev": "requeue", "slot": index, "at": time.monotonic()}
+                    {"ev": "requeue", "slot": index, "at": self._clock()}
                 )
             self._send(replacement, pending)
 

@@ -28,10 +28,11 @@ Protocol (worker → dispatcher on the result queue):
   the job's result document plus the session's *cumulative* hit counters
   (the dispatcher keeps the latest snapshot per worker generation);
 * ``{"op": "pong", "token", ...}`` — health-check reply;
-* ``{"op": "hb", ...}`` — idle heartbeat (posted when the job queue stays
-  empty for a beat), carrying the same cumulative counters as a result;
 * ``{"op": "bye", ...}`` — graceful-shutdown acknowledgement with final
   counters.
+
+An idle worker posts nothing: the dispatcher learns of a death from the
+process handle, not from silence.
 
 Every post also carries ``"persist"``: the persistent tier's in-memory
 counters (None when no store is attached), so the dispatcher can aggregate
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import json
 import os
-import queue
 import time
 from typing import Any
 
@@ -59,9 +59,6 @@ from repro.service.executor import execute_job
 from repro.service.jobs import Job
 
 __all__ = ["worker_main"]
-
-#: Seconds of empty job queue before an idle worker posts a heartbeat.
-_HEARTBEAT_SECONDS = 2.0
 
 
 def worker_main(
@@ -118,12 +115,7 @@ def worker_main(
         result_queue.put(json.dumps(document))
 
     while True:
-        try:
-            raw = job_queue.get(timeout=_HEARTBEAT_SECONDS)
-        except queue.Empty:
-            post({"op": "hb", "jobs": jobs_done, "hits": state.hit_counts()})
-            continue
-        message = json.loads(raw)
+        message = json.loads(job_queue.get())
         op = message.get("op")
         if op == "stop":
             flush_tier()

@@ -21,6 +21,7 @@ from repro.service.dispatcher import (
     SCALE_COOLDOWN, SCALE_INTERVAL, STALL_EVALUATIONS, ScalingRule, _Pending,
 )
 from repro.service.jobs import JOB_KINDS
+from tests.simpool import SimPool
 
 IDENTITY = r"\ (A : Type) (x : A). x"
 REDEX = r"(\ (x : Nat). succ x) 41"
@@ -360,7 +361,8 @@ class TestDispatcher:
         assert sum(int(n) for n in stats["jobs_per_slot"].values()) == 1
 
     def test_graceful_shutdown_reaps_workers(self):
-        pool = Dispatcher(workers=2)
+        # In simulated time: the fake workers read their stop message.
+        pool = SimPool(workers=2)
         processes = [slot.handle.process for slot in pool._slots]
         pool.run_batch([{"id": "g", "kind": "check", "program": IDENTITY}])
         pool.shutdown()
@@ -427,7 +429,8 @@ class TestWorkerFailure:
     def test_job_timeout_kills_and_fails_the_culprit(self, max_attempts):
         # Every attempt is timed from its own begin-ack: the retry of a
         # timed-out job is killed again, not left to run to completion.
-        with Dispatcher(workers=1, job_timeout=0.4, max_attempts=max_attempts) as pool:
+        # In simulated time.
+        with SimPool(workers=1, job_timeout=0.4, max_attempts=max_attempts) as pool:
             results = pool.run_batch(
                 [
                     {"id": "slow", "kind": "sleep", "seconds": 30.0},
@@ -485,9 +488,12 @@ class TestGenJobStreams:
 
 
 class TestFailureDomains:
-    """The hardened failure domains: quarantine, backoff, breaker, health."""
+    """The hardened failure domains: quarantine, backoff, breaker, health.
 
-    def test_poison_job_dead_letters_and_survivors_match_solo(self):
+    In simulated time (:mod:`tests.simpool`), beside real-process smokes:
+    the poison job's byte-identical survivors and the slot health view."""
+
+    def test_poison_job_dead_letters_and_survivors_match_solo(self, recovery):
         # A job that kills its worker on *every* attempt must exhaust
         # max_attempts and complete as a structured dead-letter document —
         # while every other job in the batch stays byte-identical to solo.
@@ -502,8 +508,8 @@ class TestFailureDomains:
         ]
         solo = {doc["id"]: doc for doc in api.execute_jobs(survivors).canonical()}
         plan = FaultPlan([Fault("kill", "poison", attempts=-1)], seed=2)
-        with Dispatcher(workers=2, max_attempts=3, fault_plan=plan,
-                        respawn_backoff=0.01, respawn_backoff_cap=0.1) as pool:
+        recovery(RESPAWN_BACKOFF=0.01, RESPAWN_BACKOFF_CAP=0.1)
+        with Dispatcher(workers=2, max_attempts=3, fault_plan=plan) as pool:
             results = pool.run_batch(jobs)
             stats = pool.stats()
         by_id = {result.id: result for result in results}
@@ -520,7 +526,7 @@ class TestFailureDomains:
         assert stats.exhausted == 1
         assert 2 <= stats.restarts <= 3
 
-    def test_suspect_streak_fast_fails_new_culprits(self):
+    def test_suspect_streak_fast_fails_new_culprits(self, recovery):
         # After suspect_after consecutive crashes of one slot, each new
         # culprit dead-letters immediately instead of burning max_attempts
         # worth of respawns per job — a poison *stream* cannot serially
@@ -533,9 +539,9 @@ class TestFailureDomains:
             {"id": job_id, "kind": "normalize", "program": REDEX, "key": "stream"}
             for job_id in poisons
         ]
-        with Dispatcher(workers=1, max_attempts=3, fault_plan=plan,
-                        respawn_backoff=0.01, respawn_backoff_cap=0.1,
-                        suspect_after=2, max_slot_respawns=50) as pool:
+        recovery(RESPAWN_BACKOFF=0.01, RESPAWN_BACKOFF_CAP=0.1,
+                 SUSPECT_AFTER=2, MAX_SLOT_RESPAWNS=50)
+        with SimPool(workers=1, max_attempts=3, fault_plan=plan) as pool:
             results = pool.run_batch(jobs)
             stats = pool.stats()
         assert all(not result.ok and result.error["dead_letter"] is True
@@ -547,13 +553,13 @@ class TestFailureDomains:
         assert crashes - 1 <= stats.restarts <= crashes
         assert stats.exhausted == len(poisons)
 
-    def test_crash_loop_breaker_abandons_the_slot_cleanly(self):
+    def test_crash_loop_breaker_abandons_the_slot_cleanly(self, recovery):
         from repro.service.faults import Fault, FaultPlan
 
         plan = FaultPlan([Fault("kill", "p", attempts=-1)])
-        with Dispatcher(workers=1, max_attempts=100, fault_plan=plan,
-                        respawn_backoff=0.01, respawn_backoff_cap=0.05,
-                        suspect_after=100, max_slot_respawns=3) as pool:
+        recovery(RESPAWN_BACKOFF=0.01, RESPAWN_BACKOFF_CAP=0.05,
+                 SUSPECT_AFTER=100, MAX_SLOT_RESPAWNS=3)
+        with SimPool(workers=1, max_attempts=100, fault_plan=plan) as pool:
             results = pool.run_batch([
                 {"id": "p", "kind": "normalize", "program": REDEX},
                 {"id": "stranded", "kind": "normalize", "program": REDEX},
@@ -567,9 +573,9 @@ class TestFailureDomains:
         assert stats.restarts == 2  # max_slot_respawns - 1: the breaker stops the churn
         assert stats.slots["0"]["broken"] is True
 
-    def test_timeout_exhaustion_is_a_dead_letter(self):
-        with Dispatcher(workers=1, job_timeout=0.4, max_attempts=1,
-                        respawn_backoff=0.01) as pool:
+    def test_timeout_exhaustion_is_a_dead_letter(self, recovery):
+        recovery(RESPAWN_BACKOFF=0.01)
+        with SimPool(workers=1, job_timeout=0.4, max_attempts=1) as pool:
             results = pool.run_batch([
                 {"id": "slow", "kind": "sleep", "seconds": 30.0},
                 {"id": "after", "kind": "normalize", "program": REDEX},
@@ -593,7 +599,7 @@ class TestFailureDomains:
             assert health["crash_streak"] == 0
         assert stats.to_dict()["slots"] == stats.slots
 
-    def test_transient_kill_retries_to_byte_identical_payload(self):
+    def test_transient_kill_retries_to_byte_identical_payload(self, recovery):
         # One injected crash, then the requeued attempt succeeds on the
         # fresh worker — and the payload is byte-identical to solo.
         from repro.service.faults import Fault, FaultPlan
@@ -601,8 +607,8 @@ class TestFailureDomains:
         jobs = [{"id": "flaky", "kind": "normalize", "program": REDEX}]
         solo = api.execute_jobs(jobs).canonical()
         plan = FaultPlan([Fault("kill", "flaky", attempts=1)])
-        with Dispatcher(workers=1, max_attempts=3, fault_plan=plan,
-                        respawn_backoff=0.01) as pool:
+        recovery(RESPAWN_BACKOFF=0.01)
+        with SimPool(workers=1, max_attempts=3, fault_plan=plan) as pool:
             results = pool.run_batch(jobs)
             stats = pool.stats()
         assert [result.canonical() for result in results] == solo
@@ -678,12 +684,15 @@ class TestRunBatchPartialFailure:
 
 
 class TestDispatcherDeadlines:
+    """Deadlines in simulated time, beside one real-process smoke: the
+    worker's own skip of an expired job."""
+
     def test_begin_ack_is_stamped_with_the_workers_clock(self):
         # The worker's begin post leaves through its queue's feeder thread,
         # which can wait as long as the job holds the GIL; the attempt's
         # job_timeout clock starts at the ``at`` the worker stamped, not
         # when the ack arrives.
-        with Dispatcher(workers=1) as pool:
+        with SimPool(workers=1) as pool:
             with pool._lock:
                 pool._pending["probe"] = _Pending(Job(kind="sleep", id="probe"), slot=0, sequence=-1)
                 pool._on_message_locked({
@@ -697,14 +706,16 @@ class TestDispatcherDeadlines:
         # One worker is pinned by a sleeper; the queued job's deadline
         # lapses before it ever starts and it dead-letters in place with
         # the deterministic JobTimeout document (attempts pinned to 1).
-        with Dispatcher(workers=1) as pool:
+        with SimPool(workers=1) as pool:
             slow = pool.submit({"id": "pin", "kind": "sleep", "seconds": 1.0, "key": "k"})
             queued = pool.submit(
                 {"id": "q", "kind": "normalize", "program": REDEX, "key": "k",
                  "deadline": 0.1}
             )
-            assert queued.done.wait(30.0)
-            assert slow.done.wait(30.0)
+            pool.settle(queued)
+            assert queued.done.is_set()
+            pool.settle(slow)
+            assert slow.done.is_set()
         assert not queued.result.ok
         assert queued.result.error["type"] == "JobTimeout"
         assert queued.result.error["message"] == "job missed its 0.1s deadline"
@@ -712,11 +723,12 @@ class TestDispatcherDeadlines:
         assert slow.result.ok  # the innocent sleeper is never blamed
 
     def test_running_past_deadline_is_killed_and_dead_lettered(self):
-        with Dispatcher(workers=1) as pool:
+        with SimPool(workers=1) as pool:
             late = pool.submit({"id": "late", "kind": "sleep", "seconds": 30.0,
                                 "deadline": 0.2})
             after = pool.submit({"id": "after", "kind": "normalize", "program": REDEX})
-            assert late.done.wait(30.0) and after.done.wait(30.0)
+            pool.settle([late, after])
+            assert late.done.is_set() and after.done.is_set()
             stats = pool.stats()
         assert not late.result.ok
         assert late.result.error["type"] == "JobTimeout"
@@ -729,13 +741,14 @@ class TestDispatcherDeadlines:
         # Queued-expired and running-expired produce the same canonical
         # error halves for the same spec: a pure function of the job.
         def run(pin_first: bool):
-            with Dispatcher(workers=1) as pool:
+            with SimPool(workers=1) as pool:
                 if pin_first:
                     pool.submit({"id": "pin", "kind": "sleep", "seconds": 0.6,
                                  "key": "k"})
                 doomed = pool.submit({"id": "d", "kind": "sleep", "seconds": 30.0,
                                       "key": "k", "deadline": 0.2})
-                assert doomed.done.wait(30.0)
+                pool.settle(doomed)
+                assert doomed.done.is_set()
                 return doomed.result.canonical()
 
         assert run(pin_first=True) == run(pin_first=False)
@@ -794,10 +807,11 @@ class TestElasticity:
             )
             assert doc.ok
 
-    def test_grow_never_revives_a_slot_broken_while_retiring(self):
+    def test_grow_never_revives_a_slot_broken_while_retiring(self, recovery):
         # The breaker trips on a retiring slot: BROKEN is terminal, so a
         # later grow appends a fresh slot that really takes work.
-        with Dispatcher(workers=2, max_slot_respawns=1) as pool:
+        recovery(MAX_SLOT_RESPAWNS=1)
+        with Dispatcher(workers=2) as pool:
             assert pool.slot_for(Job(kind="check", program=IDENTITY, key="a")) == 0
             assert pool.slot_for(Job(kind="check", program=IDENTITY, key="b")) == 1
             pool.submit({"id": "nap", "kind": "sleep", "seconds": 0.3, "key": "b"})
@@ -946,6 +960,9 @@ class TestScalingRule:
 
 
 class TestGracefulDrain:
+    """The drain timeout in simulated time, beside the real-process smoke
+    of a drain racing a blocked submitter."""
+
     def test_drain_under_backlog_answers_every_accepted_job(self):
         # Satellite contract: submit more than max_pending, start a drain
         # mid-stream, and every *accepted* job completes or dead-letters —
@@ -984,13 +1001,13 @@ class TestGracefulDrain:
             pool.submit({"id": "late", "kind": "normalize", "program": REDEX})
 
     def test_drain_timeout_dead_letters_the_stragglers(self):
-        pool = Dispatcher(workers=1)
+        pool = SimPool(workers=1)
         slow = pool.submit({"id": "straggler", "kind": "sleep", "seconds": 30.0})
         quick = pool.submit({"id": "quick", "kind": "normalize", "program": REDEX,
                              "key": "other"})
-        started = time.monotonic()
+        started = pool.sim.clock()
         pool.drain(timeout=0.5)
-        assert time.monotonic() - started < 0.5 + 3.0
+        assert pool.sim.clock() - started < 0.5 + 3.0
         assert slow.done.is_set() and quick.done.is_set()
         assert not slow.result.ok
         assert slow.result.error["type"] in ("DrainTimeout", "DispatcherShutdown")
