@@ -211,13 +211,8 @@ def translate_context(ctx: CCContext) -> TargetContext:
 def compositionality_sides(
     prefix: CCContext, name: str, name_type: cc.Term, body: cc.Term, value: cc.Term
 ) -> tuple[cccc.Term, cccc.Term]:
-    """Lemma 5.1's two sides, ``(e1[e2/x])⁺`` and ``e1⁺[e2⁺/x]``.
-
-    ``prefix ⊢ value : name_type`` and ``prefix, name:name_type ⊢ body``.
-    The left side inlines ``value`` before FV is computed; the right side
-    keeps ``x`` in the environment and substitutes afterwards.  Each caller
-    decides their equivalence its own way.
-    """
+    """Lemma 5.1's two sides, ``(e1[e2/x])⁺`` and ``e1⁺[e2⁺/x]``, for
+    ``prefix ⊢ value : name_type`` and ``prefix, name:name_type ⊢ body``."""
     left = translate(prefix, cc.subst1(body, name, value))
     right = cccc.subst1(
         translate(prefix.extend(name, name_type), body), name, translate(prefix, value)

@@ -222,16 +222,12 @@ def unhoist(program: Program) -> cccc.Term:
 def program_context(program: Program) -> Context:
     """The typing context of a hoisted program: each label *defined* as its code.
 
-    Each table entry is checked once, by [Code]'s premises with the earlier
-    labels as context definitions: its parameter types are types and its
-    body has some type ``B`` under ``ℓ₀ … ℓₖ₋₁, x′:A′, x:A``, so an inner
-    closure's code type comes from [Var] instead of from re-checking the
-    inner block.  A block that names any other variable (a later label, or
-    a free name) is rejected.  The label is then bound as a *definition* of
-    its fully closed literal (:func:`unhoist` style) at ``Code (x′:A′, x:A).
-    B``, so labels δ-reduce to their code blocks and typing
-    ``program.main`` under this context re-verifies the whole program after
-    hoisting.
+    Each block is checked once, by [Code]'s premises with the earlier labels
+    as definitions (an inner closure's code type comes from [Var]); a block
+    naming any other variable is rejected.  Its label is then defined as its
+    fully closed literal at ``Code (x′:A′, x:A). B``, ``B`` normalized, so
+    labels δ-reduce to code and typing ``program.main`` under this context
+    re-verifies the whole hoisted program.
     """
     ctx = Context.empty()
     closed: dict[str, cccc.Term] = {}

@@ -58,9 +58,8 @@ def parse_address(address: str) -> tuple[str, int]:
 _SESSION_IDS = itertools.count()
 
 #: Shed and reconnect retries per job before the client gives up with the
-#: last structured document (never an exception), and the retry delay:
-#: ``BACKOFF`` doubling per attempt up to ``BACKOFF_CAP``, with
-#: deterministic jitter.
+#: last document (never an exception); the retry delay doubles per attempt
+#: from ``BACKOFF`` up to ``BACKOFF_CAP``, with deterministic jitter.
 MAX_RETRIES = 8
 BACKOFF, BACKOFF_CAP = 0.05, 2.0
 

@@ -40,11 +40,10 @@ uninterrupted run — cold caches change timing, never payloads, because
 every term renders α-canonically and every step count replays from the
 fuel caches.
 
-**One loop, one clock.**  The collector thread routes worker posts as
-they arrive and runs the health scan whenever the clock passes its next
-``TICK``, whether results flow or not.  Every time reading goes through
-``Dispatcher._clock``, which ``tests/test_pool_sim.py`` replaces with
-simulated time to check the state machine over every small schedule.
+**One loop, one clock.**  The collector routes worker posts and runs the
+health scan whenever the clock passes its next ``TICK``.  Every time
+reading goes through ``Dispatcher._clock``, which ``tests/test_pool_sim.py``
+replaces with simulated time to check every small schedule.
 
 **Failure domains.**  Worker death is contained at three escalating
 levels, all deterministic in everything but timing:
@@ -101,10 +100,8 @@ counters are one set of numbers, and the dispatcher keeps exactly one
 cumulative snapshot per worker generation (the latest) and sums those.
 The same latest-snapshot rule aggregates the workers' persistent-tier
 counters into ``PoolStats.persist``, and per-slot health (generation,
-liveness, crash streak, breaker state, and ``last_seen_seconds``, the age
-of the worker's last post of any kind) is surfaced under
-``PoolStats.slots``.  An idle worker posts nothing, so its age grows until
-its next job; liveness comes from the process handle, never from posts.
+liveness from the process handle, crash streak, breaker state, and the age
+of the worker's last post of any kind) is surfaced under ``PoolStats.slots``.
 """
 
 from __future__ import annotations
@@ -233,17 +230,15 @@ class _Pending:
     trace_timeline: list = field(default_factory=list)
 
 
+@dataclass(slots=True)
 class _WorkerHandle:
     """One live worker process bound to a slot."""
 
-    __slots__ = ("slot", "generation", "process", "queue", "bye")
-
-    def __init__(self, slot: int, generation: int, process: Any, jobs: Any):
-        self.slot = slot
-        self.generation = generation
-        self.process = process
-        self.queue = jobs
-        self.bye = threading.Event()
+    slot: int
+    generation: int
+    process: Any
+    queue: Any
+    bye: threading.Event = field(default_factory=threading.Event)
 
 
 class _Slot:
@@ -292,8 +287,7 @@ class Dispatcher:
             between ``workers`` and ``max_workers``.  None (or
             ``workers``) is a fixed pool, whose ``scaling`` is None.
 
-    The recovery policy is the module's ``RESPAWN_BACKOFF``,
-    ``RESPAWN_BACKOFF_CAP``, ``SUSPECT_AFTER`` and ``MAX_SLOT_RESPAWNS``.
+    The recovery policy is module constants (``RESPAWN_BACKOFF`` and after).
     """
 
     #: The one clock: every time reading of the dispatcher calls it.
@@ -789,14 +783,10 @@ class Dispatcher:
     def _collect(self) -> None:
         """Collector thread: route worker posts, scan health on every tick.
 
-        One loop with one trigger: whenever the clock passes the next
-        ``TICK``, the health scan runs, whether results are flowing (a
-        continuous stream from healthy workers must not starve the
-        detection of a dead or overdue one) or not.  The tick bounds
-        failure-detection latency: a killed worker costs one tick to
-        notice plus its respawn backoff.  Once the pool is closing, the
-        loop ends when no post is waiting and every worker has said "bye"
-        or died.
+        The scan runs whenever the clock passes the next ``TICK``, so a
+        stream of results cannot starve the detection of a dead or overdue
+        worker.  A closing pool's loop ends once no post waits and every
+        worker has said "bye" or died.
         """
         next_tick = self._clock()
         while True:

@@ -107,11 +107,9 @@ CREATE TABLE IF NOT EXISTS {} (
     seal    BLOB NOT NULL
 ) WITHOUT ROWID
 """
-#: The store's tuning: buffered entries per table that trigger a flush, the
-#: most a table's buffer holds before its oldest entries are dropped, the
-#: consecutive SQLite errors that trip the breaker, the ops between two
-#: probes of an open breaker, and the seconds a connection waits on
-#: another's lock (and retries the open).
+#: Tuning: a table's buffered entries that trigger a flush and that it
+#: holds at most (oldest dropped); consecutive errors that trip the breaker
+#: and ops between its probes; seconds to wait on another writer's lock.
 FLUSH_THRESHOLD, MAX_PENDING_ENTRIES = 256, 4096
 BREAKER_THRESHOLD, PROBE_INTERVAL = 5, 64
 LOCK_TIMEOUT = 30.0
