@@ -29,7 +29,7 @@ from functools import cached_property
 from repro import cccc
 from repro.cccc.ast import LANGUAGE
 from repro.cccc.context import Context
-from repro.common.errors import TranslationError, TypeCheckError
+from repro.common.errors import TranslationError
 
 __all__ = ["Program", "hoist", "program_context"]
 
@@ -223,20 +223,15 @@ def program_context(program: Program) -> Context:
     """The typing context of a hoisted program: each label *defined* as its code.
 
     Each block is checked once, by [Code]'s premises with the earlier labels
-    as definitions (an inner closure's code type comes from [Var]); a block
-    naming any other variable is rejected.  Its label is then defined as its
-    fully closed literal at ``Code (x′:A′, x:A). B``, ``B`` normalized, so
-    labels δ-reduce to code and typing ``program.main`` under this context
-    re-verifies the whole hoisted program.
+    as definitions (an inner closure's code type comes from [Var]), so a
+    block naming any other variable fails as unbound.  Its label is then
+    defined as its fully closed literal at ``Code (x′:A′, x:A). B``, ``B``
+    normalized, so labels δ-reduce to code and typing ``program.main``
+    under this context re-verifies the whole hoisted program.
     """
     ctx = Context.empty()
     closed: dict[str, cccc.Term] = {}
     for label, code in program.code_table.items():
-        stray = cccc.free_vars(code) - closed.keys()
-        if stray:
-            raise TypeCheckError(
-                f"code block {label!r} names undefined label(s) {sorted(stray)}"
-            )
         cccc.infer_universe(ctx, code.env_type)
         env_ctx = ctx.extend(code.env_name, code.env_type)
         cccc.infer_universe(env_ctx, code.arg_type)

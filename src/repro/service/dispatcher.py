@@ -230,15 +230,17 @@ class _Pending:
     trace_timeline: list = field(default_factory=list)
 
 
-@dataclass(slots=True)
 class _WorkerHandle:
     """One live worker process bound to a slot."""
 
-    slot: int
-    generation: int
-    process: Any
-    queue: Any
-    bye: threading.Event = field(default_factory=threading.Event)
+    __slots__ = ("slot", "generation", "process", "queue", "bye")
+
+    def __init__(self, slot: int, generation: int, process: Any, jobs: Any):
+        self.slot = slot
+        self.generation = generation
+        self.process = process
+        self.queue = jobs
+        self.bye = threading.Event()
 
 
 class _Slot:

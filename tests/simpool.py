@@ -320,6 +320,7 @@ class SimPool(Dispatcher):
         self.sim.run_until(lambda: all(p.done.is_set() for p in waits), timeout)
 
     def run_batch(self, jobs):  # type: ignore[override]
+        """The results of ``jobs`` in submission order, in simulated time."""
         pendings = [self.submit(job) for job in jobs]
         self.settle(pendings)
         return [pending.result for pending in pendings]
