@@ -308,17 +308,17 @@ class TestFailureHardening:
 
     @pytest.fixture
     def tuning(self, monkeypatch):
-        """Patch the store's tuning constants, named in lower case."""
+        """Patch the store's tuning constants: ``tuning(FLUSH_THRESHOLD=1)``."""
         def patch(**values):
             for name, value in values.items():
-                monkeypatch.setattr(persist, name.upper(), value)
+                monkeypatch.setattr(persist, name, value)
         return patch
 
     def _store(self, tmp_path, read_only=False):
         return PersistentMemoStore(tmp_path / "memo.sqlite", read_only=read_only)
 
     def test_sqlite_errors_are_counted_not_raised(self, tmp_path, tuning):
-        tuning(flush_threshold=1)
+        tuning(FLUSH_THRESHOLD=1)
         store = self._store(tmp_path)
         calls = {"n": 0}
 
@@ -342,7 +342,7 @@ class TestFailureHardening:
         store.close()
 
     def test_breaker_trips_then_probe_recloses(self, tmp_path, tuning):
-        tuning(flush_threshold=10_000, breaker_threshold=3, probe_interval=4)
+        tuning(FLUSH_THRESHOLD=10_000, BREAKER_THRESHOLD=3, PROBE_INTERVAL=4)
         store = self._store(tmp_path)
         persist.FAULT_HOOK = lambda op: (_ for _ in ()).throw(
             sqlite3.OperationalError("injected")
@@ -355,14 +355,14 @@ class TestFailureHardening:
         assert store.trips == 1
         assert store.counters()["breaker"] == "open"
         # While open, reads are misses without touching SQLite; after
-        # probe_interval ops one probe goes through, succeeds, and recloses.
+        # PROBE_INTERVAL ops one probe goes through, succeeds, and recloses.
         for index in range(10, 20):
             store.get(str(index).encode() * 8)
         assert store.counters()["breaker"] == "closed"
         store.close()
 
     def test_pending_buffer_is_bounded(self, tmp_path, tuning):
-        tuning(flush_threshold=10_000, max_pending_entries=8)
+        tuning(FLUSH_THRESHOLD=10_000, MAX_PENDING_ENTRIES=8)
         store = self._store(tmp_path, read_only=True)
         for index in range(20):
             store.put(f"{index:03d}".encode() * 8, index, b"v")
@@ -412,7 +412,7 @@ class TestFailureHardening:
         # connection keeps SQLite's write lock and every other writer of the
         # shared store waits out its busy timeout.
         path = tmp_path / "memo.sqlite"
-        tuning(flush_threshold=10_000)
+        tuning(FLUSH_THRESHOLD=10_000)
         store = self._store(tmp_path)
         store.put(b"m" * 24, 1, b"memo")
         store.put(b"a" * 24, 2, b"artifact", "artifact")

@@ -527,7 +527,7 @@ class TestFailureDomains:
         assert 2 <= stats.restarts <= 3
 
     def test_suspect_streak_fast_fails_new_culprits(self, recovery):
-        # After suspect_after consecutive crashes of one slot, each new
+        # After SUSPECT_AFTER consecutive crashes of one slot, each new
         # culprit dead-letters immediately instead of burning max_attempts
         # worth of respawns per job — a poison *stream* cannot serially
         # recycle the pool.
@@ -547,7 +547,7 @@ class TestFailureDomains:
         assert all(not result.ok and result.error["dead_letter"] is True
                    for result in results)
         # The first culprit exhausts 3 attempts (3 crashes); from then on the
-        # streak exceeds suspect_after, so each later culprit costs a single
+        # streak exceeds SUSPECT_AFTER, so each later culprit costs a single
         # crash instead of max_attempts respawns.
         crashes = 3 + (len(poisons) - 1)
         assert crashes - 1 <= stats.restarts <= crashes
@@ -570,7 +570,7 @@ class TestFailureDomains:
             with pytest.raises(RuntimeError):
                 pool.submit({"id": "next", "kind": "normalize", "program": REDEX})
         assert all(result.error["type"] == "CrashLoopBreaker" for result in results)
-        assert stats.restarts == 2  # max_slot_respawns - 1: the breaker stops the churn
+        assert stats.restarts == 2  # MAX_SLOT_RESPAWNS - 1: the breaker stops the churn
         assert stats.slots["0"]["broken"] is True
 
     def test_timeout_exhaustion_is_a_dead_letter(self, recovery):
