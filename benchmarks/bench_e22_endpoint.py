@@ -7,7 +7,8 @@ while windowed clients stream NDJSON jobs at it; the gates:
 * **Concurrency determinism** — four clients streaming interleaved mixed
   workloads (successes, deterministic errors, fuel exhaustion) each get
   results byte-identical to a solo run of their own stream, error
-  documents included.  Admission control, fair-share scheduling, and
+  documents included.  Admission control, the per-turn fair share (each
+  connection admits one job per turn of the event loop), and
   per-connection affinity namespacing may reorder *execution* freely but
   can never change a deterministic payload.
 * **Zero accepted-and-lost** — a graceful drain fired mid-stream while a

@@ -12,7 +12,7 @@ Starts an elastic endpoint in the background (the same stack as
    pool and endpoint telemetry even under load.
 3. **A live metrics subscription** — ``watch_stats()`` streams periodic
    ``{"op": "metrics"}`` snapshots (pool health, the elastic pool's
-   scaling signals, queue depths) interleaved with the results of a running
+   scaling signals, per-connection in-flight counts) interleaved with the results of a running
    batch, printed as one-line summaries; the watched batch's payloads
    stay byte-identical to the unwatched run.
 4. **A chaotic stream** — the client drops, stalls, and truncates its own

@@ -46,9 +46,10 @@ The other commands:
   ``batch --json`` emits the full report (results in submission order
   plus pool stats).
 * ``serve``     — run the streaming service endpoint: an NDJSON socket
-  server over an elastic worker pool with admission control, per-client
-  fair share and fuel quotas, per-job deadlines, and graceful drain on
-  SIGTERM (zero accepted-and-lost); ``--metrics-interval N`` streams live
+  server over an elastic worker pool with admission control (one job per
+  connection per turn, straight into the pool), per-client fuel quotas,
+  per-job deadlines, and graceful drain on SIGTERM (zero
+  accepted-and-lost); ``--metrics-interval N`` streams live
   NDJSON telemetry snapshots, and clients may subscribe to the same
   stream with the ``watch`` op.
 * ``store``     — maintain a persistent memo store: ``stat`` reports row

@@ -7,7 +7,7 @@ NDJSON-able dict: the dispatcher's full
 and persistent-store counters), an elastic pool's scaling signals under
 ``"supervisor"`` (:meth:`repro.service.dispatcher.ScalingRule.signals`:
 queue depth, completion rate, memo hit rate, watermarks), and endpoint
-telemetry with per-connection fair-share queue depths.  Snapshots are
+telemetry with per-connection in-flight counts.  Snapshots are
 telemetry, not results: they ride the wire
 as ``{"op": "metrics", ...}`` documents, out-of-band of every job result,
 so subscribing cannot perturb payload bytes or drain semantics.

@@ -32,9 +32,10 @@ parallel across independent programs.  Operationally:
   reproducible from one seed, zero-cost when off;
 * :mod:`repro.service.endpoint` — the socket front door: an asyncio
   NDJSON server with admission control (windowed backpressure, hard-limit
-  shedding), per-client fair share, deadlines, graceful drain, and
-  elastic pool scaling, which the dispatcher runs on its collector's tick
-  (:class:`~repro.service.dispatcher.ScalingRule`);
+  shedding), per-client fair share (each connection admits one job per
+  turn of the event loop, straight into the pool), deadlines, graceful
+  drain, and elastic pool scaling, which the dispatcher runs on its
+  collector's tick (:class:`~repro.service.dispatcher.ScalingRule`);
 * :mod:`repro.service.client` — the bundled windowed client: retry with
   deterministic backoff jitter, reconnect-and-resubmit keyed by job id.
 

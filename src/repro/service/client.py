@@ -75,6 +75,11 @@ class ServiceClient:
             the module docstring); worker-category faults are ignored here.
     """
 
+    #: The one clock and the one wait: every time reading and every sleep
+    #: of the client goes through them (a test may replace either).
+    _clock = staticmethod(time.monotonic)
+    _sleep = staticmethod(time.sleep)
+
     def __init__(
         self,
         host: str,
@@ -139,7 +144,7 @@ class ServiceClient:
                 self._sleep_backoff("connect", attempt)
 
     def _sleep_backoff(self, token: str, attempt: int) -> None:
-        time.sleep(retry_delay(BACKOFF, BACKOFF_CAP, attempt, f"{token}:{attempt}"))
+        self._sleep(retry_delay(BACKOFF, BACKOFF_CAP, attempt, f"{token}:{attempt}"))
 
     def _disconnect(self) -> None:
         if self._sock is not None:
@@ -179,7 +184,7 @@ class ServiceClient:
                 if not line.strip():
                     continue
                 return json.loads(line)
-            if time.monotonic() > deadline:
+            if self._clock() > deadline:
                 return None
             try:
                 chunk = self._sock.recv(65536)
@@ -208,7 +213,7 @@ class ServiceClient:
         if fault is None:
             return False
         if fault.kind == "conn_stall":
-            time.sleep(fault.seconds)
+            self._sleep(fault.seconds)
             return False
         if fault.kind == "conn_drop":
             self._disconnect()
@@ -247,11 +252,11 @@ class ServiceClient:
         retries: list[tuple[float, dict[str, Any]]] = []  # (due_at, spec)
         unacked: dict[str, dict[str, Any]] = {}  # sent, not yet answered
         attempts: dict[str, int] = {}
-        deadline = time.monotonic() + self.timeout
+        deadline = self._clock() + self.timeout
         reconnect_attempt = 0
 
         while len(results) < len(specs):
-            if time.monotonic() > deadline:
+            if self._clock() > deadline:
                 raise TimeoutError(
                     f"batch did not complete within {self.timeout}s "
                     f"({len(results)}/{len(specs)} results)"
@@ -271,7 +276,7 @@ class ServiceClient:
                     unacked.clear()
                     to_send = pending + to_send
             try:
-                now = time.monotonic()
+                now = self._clock()
                 due = [entry for entry in retries if entry[0] <= now]
                 if due:
                     retries = [entry for entry in retries if entry[0] > now]
@@ -287,7 +292,7 @@ class ServiceClient:
                     unacked[spec["id"]] = spec
                     self._send_line(spec)
                 document = self._read_line(
-                    deadline=min(deadline, time.monotonic() + 0.1)
+                    deadline=min(deadline, self._clock() + 0.1)
                 )
                 reconnect_attempt = 0
             except (OSError, json.JSONDecodeError):
@@ -325,7 +330,7 @@ class ServiceClient:
                 if attempt <= MAX_RETRIES:
                     self.shed_retries += 1
                     delay = retry_delay(BACKOFF, BACKOFF_CAP, attempt, f"{job_id}:{attempt}")
-                    retries.append((time.monotonic() + delay, spec))
+                    retries.append((self._clock() + delay, spec))
                     continue
             results[job_id] = document
         return [results[job_id] for job_id in order]
@@ -342,7 +347,7 @@ class ServiceClient:
 
         Snapshots (``{"op": "metrics", ...}`` documents: pool stats with
         per-slot health, endpoint counters, an elastic pool's scaling signals,
-        per-connection queue depths) arrive interleaved with result lines
+        per-connection in-flight counts) arrive interleaved with result lines
         during :meth:`run_batch`; each is appended to :attr:`metrics` and
         handed to ``callback`` as it lands.  The subscription survives
         reconnects (it is re-announced after the hello) and never touches

@@ -222,6 +222,7 @@ class _Pending:
     attempts: int = 0
     begun_at: float | None = None
     deadline_at: float | None = None
+    overrun: str | None = None  # the verdict of the scan that killed its worker
     on_done: Any = None
     done: threading.Event = field(default_factory=threading.Event)
     result: JobResult | None = None
@@ -903,9 +904,9 @@ class Dispatcher:
                     self._counts["timeouts"] += 1
                     self._quarantine_locked(pending, "deadline")
                 elif self._slots[pending.slot].handle.process.is_alive():
-                    # Overdue while running: recycle the worker; the death
-                    # handler re-applies the rule to the culprit, so no
-                    # innocent job is blamed.
+                    # Overdue while running: recycle the worker and leave
+                    # the verdict on the culprit for the death handler.
+                    pending.overrun = self._overrun(pending, now)
                     overdue.add(pending.slot)
         for index in overdue:
             self._counts["timeouts"] += 1
@@ -1019,11 +1020,12 @@ class Dispatcher:
         """Contain one worker death: blame, quarantine, schedule the refill.
 
         The job that was in flight (its ``begin`` arrived, its result never
-        did) is the culprit.  An overdue culprit is judged by
-        :meth:`_overrun`: a missed deadline dead-letters at once; otherwise
-        one attempt is consumed, and when attempts run out — or the slot's
-        crash streak marks it a poison stream — it completes as a
-        dead-letter document.  Everything else stranded on the slot stays
+        did) is the culprit.  If the health scan killed its worker, the
+        culprit carries the scan's :meth:`_overrun` verdict; any other death
+        is a crash, however late the scan notices it.  A missed deadline
+        dead-letters at once; otherwise one attempt is consumed, and when
+        attempts run out — or the slot's crash streak marks it a poison
+        stream — it completes as a dead-letter document.  Everything else stranded on the slot stays
         pending and is requeued when the slot respawns after its backoff;
         cold caches change timing only, payloads and fuel-replay step
         counts are byte-identical to an uninterrupted run.  A streak
@@ -1042,7 +1044,7 @@ class Dispatcher:
             (p for p in stranded if p.begun_at is not None), stranded[0] if stranded else None
         )
         if culprit is not None:
-            cause = self._overrun(culprit, now)
+            cause, culprit.overrun = culprit.overrun, None
             if cause != "deadline":
                 culprit.attempts += 1
                 culprit.begun_at = None

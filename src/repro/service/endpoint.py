@@ -20,10 +20,11 @@ jobs are admitted; past the hard limit a job is **shed** with an
 line is read — deterministic given the arrival order of accepted work,
 and the bundled client knows to back off and resubmit.
 
-**Per-client fair share.**  Accepted jobs enter a per-connection queue and
-one scheduler round-robins across connections, handing the dispatcher one
-job per client per turn — a client streaming thousands of jobs cannot
-starve one streaming ten.  Job ids and affinity keys are client-scoped:
+**Per-client fair share.**  Each connection's reader submits an accepted
+job straight to the dispatcher and then yields the event loop once, so
+connections whose lines are waiting take turns: one job per client per
+turn — a client streaming thousands of jobs cannot starve one streaming
+ten.  Job ids and affinity keys are client-scoped:
 both are namespaced by the client's session (announced in its ``hello``,
 or private to the socket), so two clients streaming the same ids or keys
 never collide — each gets its own records, its own warm workers — while
@@ -38,9 +39,10 @@ back as ``JobTimeout`` dead-letter documents whose deterministic half is a
 pure function of the spec — never silence, never a hung client.
 
 **Graceful drain.**  On SIGTERM (or :meth:`Endpoint.drain`) the endpoint
-stops accepting connections and job lines, flushes every accepted job
-through the pool — dispatcher drain dead-letters anything that cannot
-finish — and delivers every result it can still deliver before closing.
+stops accepting connections and job lines.  Every accepted job is already
+in the pool, so the dispatcher's drain flushes them all (dead-lettering
+anything that cannot finish), and the endpoint waits until the last
+document has been delivered or retained before closing.
 Zero accepted-and-lost by construction: an accepted job always resolves to
 a document, and the document is either written to its owner or retained
 for redelivery until the endpoint exits.
@@ -56,7 +58,7 @@ change; bytes do not.
 ``{"op": "watch", "interval": 0.5}`` to subscribe to a periodic metrics
 stream: the endpoint pushes ``{"op": "metrics", ...}`` snapshots (pool
 stats with per-slot health, endpoint counters, an elastic pool's scaling
-signals, per-connection queue depths) between result lines until
+signals, per-connection in-flight counts) between result lines until
 ``{"op": "unwatch"}``, the socket closes, or the endpoint drains.  Metrics
 documents carry no ``id``, so result-keyed clients skip them structurally;
 the snapshots are telemetry only and never perturb job results or drain
@@ -85,7 +87,6 @@ import re
 import signal
 import threading
 import time
-from collections import deque
 from typing import Any, Mapping
 
 from repro.common.deep import CAP
@@ -121,9 +122,8 @@ class _Connection:
         self.id = next(_CONNECTION_IDS)
         self.reader = reader
         self.writer = writer
-        self.queue: deque[_Record] = deque()  # accepted, not yet dispatched
         self.inflight = 0  # accepted, not yet completed (the window)
-        self.window = asyncio.Condition()
+        self.window = asyncio.Event()  # set when a completion may have opened it
         self.write_lock = asyncio.Lock()
         self.closed = False
         self.session: str | None = None  # hello-announced client identity
@@ -191,9 +191,8 @@ class Endpoint:
 
     Args:
         dispatcher: the worker pool to front.  Its ``max_pending`` must be
-            at least ``max_inflight`` (``serve`` constructs it that way);
-            the scheduler additionally guards the bound so a foreign
-            dispatcher can never block the event loop.
+            at least ``max_inflight`` (a ``ValueError`` otherwise), so
+            submitting an admitted job never blocks the event loop.
         host/port: bind address (port 0 picks a free port; read
             :attr:`port` after :meth:`start`).
         conn_window: accepted-but-unfinished jobs one connection may hold
@@ -224,6 +223,8 @@ class Endpoint:
         metrics_interval: float | None = None,
     ) -> None:
         _check_limits(conn_window, max_inflight, fuel_quota, metrics_interval)
+        if dispatcher.max_pending < max_inflight:
+            raise ValueError("the dispatcher's max_pending must be at least max_inflight")
         self.dispatcher = dispatcher
         self.host = host
         self.port = port
@@ -235,16 +236,13 @@ class Endpoint:
         plan = FaultPlan.coerce(fault_plan)
         self._injector = None if plan is None else FaultInjector(plan)
         self._server: asyncio.AbstractServer | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
         self._records: dict[str, _Record] = {}
         self._connections: set[_Connection] = set()
-        self._ready: deque[_Connection] = deque()
-        self._work = asyncio.Event()
         self._inflight = 0  # endpoint-wide accepted, not yet completed
         self._draining = False
         self._drained = asyncio.Event()
-        self._scheduler_task: asyncio.Task | None = None
         self._delivery_tasks: set[asyncio.Task] = set()
+        self._settled = asyncio.Event()  # set when nothing is in flight or delivering
         self._counts = {
             "connections": 0,
             "accepted": 0,
@@ -258,13 +256,11 @@ class Endpoint:
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the server and start the scheduler."""
-        self._loop = asyncio.get_running_loop()
+        """Bind the server (and start the metrics printer, if asked)."""
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port, limit=_LINE_LIMIT
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._scheduler_task = asyncio.ensure_future(self._schedule())
         if self.metrics_interval is not None:
             self._metrics_task = asyncio.ensure_future(
                 self._print_metrics(self.metrics_interval)
@@ -293,34 +289,25 @@ class Endpoint:
         # Readers stop at the next line boundary (they check the flag); wake
         # any parked on a full window so they notice.
         for conn in list(self._connections):
-            async with conn.window:
-                conn.window.notify_all()
-        # 1. Every accepted job reaches the dispatcher (per-connection
-        #    queues empty through the scheduler as usual).
-        deadline = asyncio.get_running_loop().time() + timeout
-        while any(conn.queue for conn in self._connections):
-            if asyncio.get_running_loop().time() > deadline:
-                break
-            self._work.set()
-            await asyncio.sleep(0.01)
-        # 2. The pool flushes: every dispatched job completes or
-        #    dead-letters (DrainTimeout at worst) — zero accepted-and-lost.
-        remaining = max(0.5, deadline - asyncio.get_running_loop().time())
-        await asyncio.get_running_loop().run_in_executor(
-            None, lambda: self.dispatcher.drain(timeout=remaining)
-        )
-        # 3. Every completion callback has been queued via
-        #    call_soon_threadsafe; yield until the documents land and the
-        #    delivery tasks settle.
-        while self._inflight > 0 or self._delivery_tasks:
-            if asyncio.get_running_loop().time() > deadline + 5.0:
-                break  # pragma: no cover - only a wedged event loop
-            await asyncio.sleep(0.01)
+            conn.window.set()
+        # The pool flushes every accepted job: each completes or
+        # dead-letters (DrainTimeout at worst) — zero accepted-and-lost.
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        await loop.run_in_executor(None, lambda: self.dispatcher.drain(timeout=timeout))
+        # Every completion callback is now queued (call_soon_threadsafe);
+        # wait until the documents land and their deliveries settle.
+        if self._inflight or self._delivery_tasks:
+            self._settled.clear()
+            try:
+                await asyncio.wait_for(
+                    self._settled.wait(), max(0.0, deadline + 5.0 - loop.time())
+                )
+            except asyncio.TimeoutError:  # pragma: no cover - a client stopped reading
+                pass
         self._counts["retained"] = sum(
             1 for record in self._records.values() if record.document is not None
         )
-        if self._scheduler_task is not None:
-            self._scheduler_task.cancel()
         for conn in list(self._connections):
             try:
                 await conn.send({"op": "bye", "drained": True})
@@ -360,8 +347,7 @@ class Endpoint:
             "pool": pool.to_dict(),
             "endpoint": self.telemetry(),
             "queues": {
-                conn.namespace: {"queued": len(conn.queue), "inflight": conn.inflight}
-                for conn in self._connections
+                conn.namespace: {"inflight": conn.inflight} for conn in self._connections
             },
         }
         if self.dispatcher.scaling is not None:
@@ -418,9 +404,9 @@ class Endpoint:
         while not self._draining:
             # Backpressure: a full window pauses the read, so the client
             # blocks on TCP instead of the endpoint buffering unboundedly.
-            async with conn.window:
-                while conn.inflight >= self.conn_window and not self._draining:
-                    await conn.window.wait()
+            while conn.inflight >= self.conn_window and not self._draining:
+                conn.window.clear()
+                await conn.window.wait()
             if self._draining:
                 return
             try:
@@ -495,6 +481,9 @@ class Endpoint:
                     conn.watch_task = None
                 continue
             await self._admit(conn, spec)
+            # Fair share: let every other connection with a line waiting
+            # admit one job before this one admits its next.
+            await asyncio.sleep(0)
 
     async def _admit(self, conn: _Connection, spec: Mapping[str, Any]) -> None:
         """Admission control for one job line; always answers something."""
@@ -562,10 +551,15 @@ class Endpoint:
         self._inflight += 1
         conn.inflight += 1
         self._counts["accepted"] += 1
-        conn.queue.append(record)
-        if conn not in self._ready:
-            self._ready.append(conn)
-        self._work.set()
+        # The dispatcher holds at least max_inflight jobs, so this never blocks.
+        try:
+            self.dispatcher.submit(record.dispatch_job, on_done=self._make_on_done(record))
+        except RuntimeError as err:
+            # Draining/shutdown raced the submit: the job still resolves to
+            # a structured document, never silence.
+            self._resolve(record, _error_doc(job_id, DRAINING_TYPE, str(err)))
+        except ValueError as err:  # pragma: no cover - duplicate dispatch id
+            self._resolve(record, _error_doc(job_id, BAD_JOB_TYPE, str(err)))
 
     def _dispatch_form(self, conn: _Connection, job: Job) -> Job:
         """The job as the dispatcher sees it: namespaced id/key, clamped fuel."""
@@ -586,36 +580,8 @@ class Endpoint:
             spec["fuel"] = self.fuel_quota
         return Job.from_dict(spec)
 
-    # -- scheduling -----------------------------------------------------------
-
-    async def _schedule(self) -> None:
-        """Round-robin one job per connection per turn into the dispatcher."""
-        assert self._loop is not None
-        while True:
-            await self._work.wait()
-            self._work.clear()
-            while self._ready:
-                conn = self._ready.popleft()
-                if not conn.queue:
-                    continue
-                record = conn.queue.popleft()
-                if conn.queue:
-                    self._ready.append(conn)  # fair share: back of the line
-                # Guard the dispatcher bound so a foreign pool with a small
-                # max_pending can never block the event loop in submit().
-                while self.dispatcher.queue_depth() >= self.dispatcher.max_pending:
-                    await asyncio.sleep(0.005)  # pragma: no cover - sized away by serve()
-                try:
-                    self.dispatcher.submit(record.dispatch_job, on_done=self._make_on_done(record))
-                except RuntimeError as err:
-                    # Draining/shutdown raced the submit: the job still
-                    # resolves to a structured document, never silence.
-                    self._resolve(record, _error_doc(record.job.id, DRAINING_TYPE, str(err)))
-                except ValueError as err:  # pragma: no cover - duplicate dispatch id
-                    self._resolve(record, _error_doc(record.job.id, BAD_JOB_TYPE, str(err)))
-
     def _make_on_done(self, record: _Record):
-        loop = self._loop
+        loop = asyncio.get_running_loop()
 
         def on_done(pending: Any) -> None:
             document = pending.result.to_dict()
@@ -637,19 +603,18 @@ class Endpoint:
         record.window_conn = None
         if window_conn is not None:
             window_conn.inflight -= 1
-            task = asyncio.ensure_future(self._notify_window(window_conn))
-            self._delivery_tasks.add(task)
-            task.add_done_callback(self._delivery_tasks.discard)
+            window_conn.window.set()
         self._spawn_delivery(record)
-
-    async def _notify_window(self, conn: _Connection) -> None:
-        async with conn.window:
-            conn.window.notify_all()
 
     def _spawn_delivery(self, record: _Record) -> None:
         task = asyncio.ensure_future(self._deliver(record))
         self._delivery_tasks.add(task)
-        task.add_done_callback(self._delivery_tasks.discard)
+        task.add_done_callback(self._delivery_done)
+
+    def _delivery_done(self, task: asyncio.Task) -> None:
+        self._delivery_tasks.discard(task)
+        if not self._inflight and not self._delivery_tasks:
+            self._settled.set()
 
     async def _deliver(self, record: _Record) -> None:
         """Write one result document to its owner, firing scheduled faults."""

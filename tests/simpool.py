@@ -77,8 +77,7 @@ class FakeWorker:
         self.process = FakeProcess(self)
         self.inbox: deque[dict[str, Any]] = deque()
         self.running: Job | None = None
-        self.attempt: Job | None = None  # the job begun last, until its result
-        self.begun_at = self.finish_at = 0.0
+        self.finish_at = 0.0
         self.jobs = 0
         self.injector = None if plan is None else FaultInjector(FaultPlan.from_dict(plan))
         self._session = None
@@ -119,17 +118,15 @@ class FakeWorker:
             self.injector.begin(job.id, message.get("attempt", 0))
         self.post({"op": "begin", "id": job.id, "at": now})
         self.sim.record("begin", self.slot, job.id)
-        self.running = self.attempt = job
+        self.running = job
         if job.kind == "crash" or (self.injector is not None and self.injector.kill(job.id)):
             self.die()
             return
-        self.begun_at = now
         self.finish_at = now + (job.seconds if job.kind == "sleep" else 0.0)
 
     def finish(self) -> None:
         """Post the running job's result."""
         job, self.running = self.running, None
-        self.attempt = None
         if job.kind == "sleep":
             result = JobResult(id=job.id, ok=True, payload={"slept": job.seconds})
         else:
@@ -237,22 +234,12 @@ class Sim:
         return routed
 
     def advance(self, to: float) -> None:
-        """Move the clock to ``to``, logging each deadline and job timeout
-        it passes: a job's overruns are part of its failure history."""
+        """Move the clock to ``to``, logging each deadline it passes: a
+        job's missed deadline is part of its failure history."""
         before, self.clock.now = self.clock.now, to
         for pending in self.pool._pending.values():
             if pending.deadline_at is not None and before <= pending.deadline_at < to:
                 self.record("deadline", pending.slot, pending.job.id)
-        limit = self.pool.job_timeout
-        for worker in self.workers:
-            # An attempt is in flight until its result, or until the
-            # dispatcher notices its worker's death.
-            slot = self.pool._slots[worker.slot]
-            in_flight = worker.attempt is not None and (
-                worker.alive or slot.handle.queue is worker and slot.state in dispatcher._RUNNING
-            )
-            if in_flight and limit is not None and before <= worker.begun_at + limit < to:
-                self.record("timeout", worker.slot, worker.attempt.id)
 
     def tick(self, to: float | None = None) -> None:
         """Advance the clock one ``TICK`` (or to ``to``) and scan health."""
@@ -260,8 +247,10 @@ class Sim:
         self.record("scan", None)
         self.pool._watch_health()
 
-    def step(self) -> None:
-        """One step of the pool: route, else let workers act, else tick."""
+    def step(self, until: float | None = None) -> None:
+        """One step of the pool: route, else let workers act, else move the
+        clock to the next finish, or to ``until`` if that comes first, or
+        else one ``TICK`` and scan health."""
         if self.route():
             return
         acted = False
@@ -275,8 +264,12 @@ class Sim:
         if acted:
             return
         finishes = [w.finish_at for w in self.workers if w.alive and w.running is not None]
-        if finishes and min(finishes) < self.clock.now + dispatcher.TICK:
-            self.advance(min(finishes))
+        tick_at = self.clock.now + dispatcher.TICK
+        due = min(finishes + [tick_at])
+        if until is not None and until < due:
+            self.advance(until)
+        elif due < tick_at:
+            self.advance(due)
         else:
             self.tick()
 

@@ -6,10 +6,15 @@ silence); the deterministic halves are byte-identical to a solo run of
 the same specs; and no failure the harness can schedule — dropped,
 stalled, or truncated deliveries, server drain, admission shedding —
 loses an accepted job.
+
+Admission, deadline, drain and fair-share tests run the real endpoint in
+simulated time (:mod:`tests.simendpoint`); each of those classes keeps one
+real-process smoke.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import threading
@@ -18,9 +23,13 @@ import time
 import pytest
 
 from repro import api
-from repro.service import ServiceClient, serve_background
+from repro.service import Endpoint, ServiceClient, serve_background
 from repro.service.client import parse_address
+from repro.service.dispatcher import TICK
+from repro.service.endpoint import _LINE_LIMIT
 from repro.service.faults import Fault, FaultPlan
+from tests.simendpoint import SimEndpoint
+from tests.simpool import SimPool
 
 IDENTITY = r"\ (A : Type) (x : A). x"
 REDEX = r"(\ (x : Nat). succ x) 41"
@@ -43,6 +52,21 @@ def _mixed_jobs() -> list[dict]:
 
 def _strip_meta(documents: list[dict]) -> list[dict]:
     return [{k: v for k, v in doc.items() if k != "meta"} for doc in documents]
+
+
+def _record_submissions(harness: SimEndpoint) -> list[tuple[str, float, int]]:
+    """Each job the pool is handed: its client id, the simulated time, and
+    the jobs the pool holds once it is in."""
+    seen: list[tuple[str, float, int]] = []
+    submit = harness.pool.submit
+
+    def recording(job, on_done=None):
+        pending = submit(job, on_done)
+        seen.append((job.id.split("/", 1)[1], harness.now(), harness.pool.queue_depth()))
+        return pending
+
+    harness.pool.submit = recording
+    return seen
 
 
 class _RawConnection:
@@ -171,26 +195,34 @@ class TestAdmission:
         with pytest.raises(ValueError, match="job_timeout"):
             Dispatcher(workers=1, job_timeout=0)
 
+    def test_endpoint_needs_a_pool_that_holds_max_inflight(self):
+        # Submitting an admitted job must never block the event loop.
+        with SimPool(workers=1, max_pending=4) as pool:
+            with pytest.raises(ValueError, match="max_pending"):
+                Endpoint(pool, conn_window=4, max_inflight=8)
+            Endpoint(pool, conn_window=4, max_inflight=4)
+
     def test_hard_shed_is_a_structured_overloaded_document(self):
         # Two connections, each windowed at 2, against a hard limit of 2:
         # the first fills the endpoint, the second is shed immediately.
-        with serve_background(min_workers=1, conn_window=2, max_inflight=2) as server:
-            first = _RawConnection(server.host, server.port)
-            second = _RawConnection(server.host, server.port)
-            try:
-                for index in range(2):
-                    first.send({"id": f"slow-{index}", "kind": "sleep", "seconds": 0.5})
-                time.sleep(0.2)  # let both be admitted
-                second.send({"id": "unlucky", "kind": "normalize", "program": REDEX})
-                shed = second.recv()
-                assert shed["id"] == "unlucky" and not shed["ok"]
-                assert shed["error"]["type"] == "Overloaded"
-                assert shed["error"]["shed"] is True
-                for _ in range(2):  # the slow jobs still complete
-                    assert first.recv()["ok"]
-            finally:
-                first.close()
-                second.close()
+        harness = SimEndpoint(conn_window=2, max_inflight=2)
+
+        async def main():
+            first, second = harness.connect(), harness.connect()
+            for index in range(2):
+                first.send({"id": f"slow-{index}", "kind": "sleep", "seconds": 0.5})
+            await asyncio.sleep(0.2)  # both are admitted
+            second.send({"id": "unlucky", "kind": "normalize", "program": REDEX})
+            shed = await second.recv()
+            assert harness.now() == pytest.approx(0.2)  # the moment its line is read
+            assert shed["id"] == "unlucky" and not shed["ok"]
+            assert shed["error"]["type"] == "Overloaded"
+            assert shed["error"]["shed"] is True
+            for _ in range(2):  # the slow jobs still complete
+                assert (await first.recv())["ok"]
+
+        harness.run(main())
+        assert harness.endpoint.telemetry()["shed"] == 1
 
     def test_client_retries_shed_jobs_to_completion(self):
         jobs = [{"id": f"s{i}", "kind": "sleep", "seconds": 0.05} for i in range(8)]
@@ -205,10 +237,65 @@ class TestAdmission:
     def test_backpressure_window_still_completes_long_streams(self):
         jobs = [{"id": f"b{i}", "kind": "normalize", "program": REDEX} for i in range(20)]
         solo = api.execute_jobs(jobs)
-        with serve_background(min_workers=1, conn_window=4, max_inflight=8) as server:
-            with ServiceClient(server.host, server.port, window=4) as client:
-                documents = client.run_batch(jobs)
-        assert _strip_meta(documents) == solo.canonical()
+        harness = SimEndpoint(conn_window=4, max_inflight=8)
+        seen = _record_submissions(harness)
+
+        async def main():
+            conn = harness.connect()
+            conn.send(*jobs)  # the whole stream at once, past the window
+            return [await conn.recv() for _ in jobs]
+
+        documents = {doc["id"]: doc for doc in harness.run(main())}
+        assert _strip_meta([documents[job["id"]] for job in jobs]) == solo.canonical()
+        assert len(seen) == 20 and max(held for _, _, held in seen) <= 4
+
+    def test_a_full_window_stops_reading_the_socket(self):
+        # Window 2: the third line is read only when the first job
+        # completes, the fourth when the second does.
+        harness = SimEndpoint(conn_window=2)
+        seen = _record_submissions(harness)
+
+        async def main():
+            conn = harness.connect()
+            conn.send(*({"id": f"w{i}", "kind": "sleep", "seconds": 0.1} for i in range(4)))
+            return [await conn.recv() for _ in range(4)]
+
+        documents = harness.run(main())
+        assert [job_id for job_id, _, _ in seen] == ["w0", "w1", "w2", "w3"]
+        assert [at for _, at, _ in seen] == pytest.approx([0.0, 0.0, 0.1, 0.2])
+        assert all(doc["ok"] for doc in documents)
+
+    def test_refusals_are_structured_documents(self):
+        harness = SimEndpoint()
+
+        async def main():
+            conn = harness.connect()
+            conn.send({"op": "hello", "session": "s"})
+            welcome = await conn.recv()
+            assert welcome["op"] == "welcome" and welcome["wire"] == 2
+            refusals = [
+                (b"this is not json", "bad JSON line"),
+                ([1, 2], "job spec must be a JSON object"),
+                ({"kind": "check", "program": "0"}, "service jobs need a string 'id'"),
+                ({"id": "x", "kind": "frobnicate"}, "frobnicate"),
+                ({"id": "y", "kind": "check", "program": "0", "fuel": True}, "'fuel'"),
+                ({"op": "watch", "interval": 0}, "'interval' must be positive seconds"),
+            ]
+            for line, message in refusals:
+                conn.send(line)
+                error = (await conn.recv())["error"]
+                assert error["type"] == "BadJob" and message in error["message"], error
+            # Past the line limit the stream cannot resynchronize: one
+            # refusal, then the endpoint hangs up.
+            conn.send(b"x" * (_LINE_LIMIT + 1))
+            error = (await conn.recv())["error"]
+            assert error["type"] == "BadJob" and "longer than" in error["message"]
+            await conn.task
+            assert conn.closed
+
+        harness.run(main())
+        telemetry = harness.endpoint.telemetry()
+        assert telemetry["rejected"] == 6 and telemetry["accepted"] == 0
 
     def test_fuel_quota_threads_into_the_checkers(self):
         jobs = [{"id": "q0", "kind": "normalize", "program": REDEX}]
@@ -272,6 +359,23 @@ class TestFairShare:
         for index in range(2):
             assert _strip_meta(outputs[index]) == solo.canonical()
 
+    def test_each_connection_admits_one_job_per_turn(self):
+        # Both connections' lines are waiting before the loop runs: the
+        # pool sees one job per connection per turn, not one burst first.
+        harness = SimEndpoint()
+        seen = _record_submissions(harness)
+
+        async def main():
+            first, second = harness.connect(), harness.connect()
+            first.send(*({"id": f"A{i}", "kind": "sleep", "seconds": 0.0} for i in range(4)))
+            second.send(*({"id": f"B{i}", "kind": "sleep", "seconds": 0.0} for i in range(4)))
+            for conn in (first, second):
+                for _ in range(4):
+                    assert (await conn.recv())["ok"]
+
+        harness.run(main())
+        assert [job_id for job_id, _, _ in seen] == ["A0", "B0", "A1", "B1", "A2", "B2", "A3", "B3"]
+
     def test_interleaved_clients_all_complete_byte_identical(self):
         streams = [
             [
@@ -318,6 +422,38 @@ class TestDeadlines:
         assert late["error"]["message"] == "job missed its 0.2s deadline"
         assert late["error"]["dead_letter"] is True
 
+    @pytest.mark.parametrize("queued", [False, True], ids=["running", "queued"])
+    def test_a_missed_deadline_resolves_on_time_with_one_document(self, queued):
+        # Running or still queued behind a sleeper, a job past its 0.2 s
+        # deadline resolves within one health scan, with the same document.
+        harness = SimEndpoint()
+        head = (
+            {"id": "sleeper", "kind": "sleep", "seconds": 0.5} if queued
+            else {"id": "fine", "kind": "normalize", "program": REDEX}
+        )
+
+        async def main():
+            conn = harness.connect()
+            conn.send(head, {"id": "late", "kind": "sleep", "seconds": 10.0, "deadline": 0.2})
+            documents = {}
+            while "late" not in documents:
+                document = await conn.recv()
+                documents[document["id"]] = document
+            return documents["late"], harness.now()
+
+        late, resolved_at = harness.run(main())
+        assert resolved_at <= 0.2 + TICK + 1e-9
+        assert _strip_meta([late]) == [{
+            "id": "late",
+            "ok": False,
+            "error": {
+                "type": "JobTimeout",
+                "message": "job missed its 0.2s deadline",
+                "dead_letter": True,
+                "attempts": 1,
+            },
+        }]
+
 
 class TestConnectionFaults:
     def test_dropped_and_truncated_deliveries_heal_by_resubmit(self):
@@ -355,7 +491,10 @@ class TestConnectionFaults:
 
 
 class TestDrain:
-    def test_drain_under_load_answers_every_job(self):
+    def test_drain_under_load_answers_every_job(self, monkeypatch):
+        # The client's backoff between connect attempts to the drained
+        # server is not under test: it waits for nothing.
+        monkeypatch.setattr(ServiceClient, "_sleep", staticmethod(lambda seconds: None))
         jobs = [{"id": f"d{i}", "kind": "sleep", "seconds": 0.05} for i in range(12)]
         server = serve_background(min_workers=2, conn_window=4)
         outcome: dict = {}
@@ -386,3 +525,70 @@ class TestDrain:
                 )
         else:
             assert isinstance(outcome["error"], (TimeoutError, ConnectionError))
+
+    def test_drain_times_out_the_running_job_and_loses_nothing(self):
+        harness = SimEndpoint()
+        times = {}
+
+        async def main():
+            conn = harness.connect()
+            conn.send(
+                {"id": "quick", "kind": "normalize", "program": REDEX},
+                {"id": "slow", "kind": "sleep", "seconds": 10.0},
+            )
+            await asyncio.sleep(0.01)  # quick has finished, slow is running
+            times["begun"] = harness.now()
+            await harness.endpoint.drain(timeout=1.0)
+            times["done"] = harness.now()
+            return list(conn.documents)
+
+        documents = harness.run(main())
+        assert times["begun"] + 1.0 <= times["done"] <= times["begun"] + 1.0 + TICK
+        quick, slow, bye = documents
+        assert quick["id"] == "quick" and quick["ok"]
+        assert slow["id"] == "slow" and slow["error"]["type"] == "DrainTimeout"
+        assert bye == {"op": "bye", "drained": True}
+        telemetry = harness.endpoint.telemetry()
+        assert telemetry["accepted"] == telemetry["delivered"] == 2
+        assert telemetry["retained"] == 0 and telemetry["inflight"] == 0
+        assert not harness.pool._pending
+
+    def test_drain_retains_what_it_cannot_deliver(self):
+        # The owner hung up before its job finished: the drain resolves the
+        # job and keeps its document for a resubmit, never drops it.
+        harness = SimEndpoint()
+
+        async def main():
+            conn = harness.connect()
+            conn.send({"id": "orphan", "kind": "sleep", "seconds": 0.3})
+            await asyncio.sleep(0.01)
+            conn.close()
+            await harness.endpoint.drain(timeout=1.0)
+
+        harness.run(main())
+        telemetry = harness.endpoint.telemetry()
+        assert telemetry["accepted"] == telemetry["retained"] == 1
+        assert telemetry["delivered"] == 0
+        [record] = harness.endpoint._records.values()
+        assert record.document["id"] == "orphan" and record.document["ok"]
+
+    def test_a_line_racing_the_drain_is_refused(self):
+        # A line read after the drain began is not accepted: it is answered
+        # with EndpointDraining so the client resubmits elsewhere.
+        harness = SimEndpoint()
+
+        async def main():
+            busy, idle = harness.connect(), harness.connect()
+            busy.send({"id": "slow", "kind": "sleep", "seconds": 10.0})
+            await asyncio.sleep(0.01)
+            drain = asyncio.ensure_future(harness.endpoint.drain(timeout=1.0))
+            await asyncio.sleep(0)  # the drain begins and waits on its last delivery
+            idle.send({"id": "late-comer", "kind": "normalize", "program": REDEX})
+            await drain
+            return await idle.recv(), await busy.recv()
+
+        refusal, slow = harness.run(main())
+        assert refusal["id"] == "late-comer"
+        assert refusal["error"]["type"] == "EndpointDraining"
+        assert slow["error"]["type"] == "DrainTimeout"
+        assert harness.endpoint.telemetry()["accepted"] == 1

@@ -126,8 +126,8 @@ def _history(log: list[tuple], slot: int) -> tuple:
     """The failure history of a job on ``slot``, in order, without times.
 
     It is the slot's story: each job's begin, result or skip there, the
-    clock passing a job's deadline or its attempt's timeout, each death of
-    the slot's worker (a ``kill`` is the dispatcher's) with the job it was
+    clock passing a job's deadline, each death of the slot's worker (a
+    ``kill`` is the dispatcher's: an overrun's verdict) with the job it was
     running and the jobs queued behind it, and where the pool routed posts
     or scanned health.  Times, the other slot's events, generations and
     the clock's exact readings are left out: a dead letter must not depend
@@ -218,3 +218,24 @@ def test_an_idle_slots_age_grows_with_the_clock_and_a_result_resets_it():
         assert age() == 7.5
         pool.settle(pool.submit(Job(id="b", kind="sleep", seconds=0.0)))
         assert age() == 0.0
+
+
+@pytest.mark.parametrize("noticed_at", [0.12, 0.60])
+def test_a_death_is_a_crash_however_late_the_scan_notices_it(noticed_at):
+    # The worker dies at t=0.1, before its attempt's 0.5 s timeout.  A scan
+    # noticing the death after the timeout has passed once wrote a
+    # JobTimeout document: the verdict depended on detection latency.
+    with SimPool(workers=1, job_timeout=0.5, max_attempts=1) as pool:
+        pending = pool.submit(Job(id="j", kind="sleep", seconds=1.0))
+        pool.sim.worker(0).take()
+        pool.sim.route()
+        pool.sim.advance(0.1)
+        pool.sim.worker(0).die()
+        pool.sim.tick(to=noticed_at)
+        assert pending.done.is_set()
+    assert pending.result.error == {
+        "type": "WorkerCrash",
+        "message": "worker died while executing this job (1 attempt(s))",
+        "dead_letter": True,
+        "attempts": 1,
+    }
