@@ -17,6 +17,12 @@ Gate:
   ``nested_lambdas(60, 120, 240, 480)`` is **≤ 1.3**.  Deduplicating code
   blocks by scanning the table with ``alpha_equal`` made it about 2; an
   exact α-canonical key makes it about linear.
+* ``test_parse_growth_gate`` — the same fit for a cold ``parse_term``
+  against the text's character count is **≤ 1.3**, over the
+  ``pair_tower(10, 20, 40, 80)`` texts (quadratic in n, hence the fit on
+  characters) and over the ``nested_lambdas(60, 120, 240, 480)`` texts,
+  each family fitted on its own.  Both stay below the depth at which the
+  deep-stack runner would retry.
 """
 
 import gc
@@ -29,7 +35,8 @@ from repro import cc
 from repro.api import Session
 from repro.closconv import compile_term, translate
 from repro.machine import hoist
-from workloads import church_sum, nested_lambdas, wide_capture
+from repro.surface import parse_term, to_surface
+from workloads import church_sum, nested_lambdas, pair_tower, wide_capture
 
 _EMPTY = cc.Context.empty()
 
@@ -105,6 +112,19 @@ def _cold_hoist_seconds(target) -> float:
         gc.enable()
 
 
+def _cold_parse_seconds(text: str) -> float:
+    """Wall time of parsing ``text`` in a fresh session."""
+    with Session().activate():
+        gc.collect()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            parse_term(text)
+            return time.perf_counter() - start
+        finally:
+            gc.enable()
+
+
 def _growth_exponent(seconds_at, sizes) -> float:
     """The fitted log-log slope of ``seconds_at(size)`` over ``sizes``.
 
@@ -139,4 +159,18 @@ def test_hoist_growth_gate():
     }
     exponent = _growth_exponent(lambda depth: _cold_hoist_seconds(targets[depth]), targets)
     print(f"\nE7 hoist growth exponent over nested_lambdas(60..480): {exponent:.2f}")
+    assert exponent <= 1.3
+
+
+@pytest.mark.parametrize(
+    "family, sizes",
+    [(pair_tower, (10, 20, 40, 80)), (nested_lambdas, (60, 120, 240, 480))],
+    ids=["pair_tower", "nested_lambdas"],
+)
+def test_parse_growth_gate(family, sizes):
+    # One scan and a constant number of steps per token: a parse is
+    # linear in the text, however the text grows with n.
+    texts = {len(text): text for text in (to_surface(family(size)) for size in sizes)}
+    exponent = _growth_exponent(lambda chars: _cold_parse_seconds(texts[chars]), texts)
+    print(f"\nE7 parse growth exponent over {family.__name__}{sizes} by characters: {exponent:.2f}")
     assert exponent <= 1.3

@@ -56,8 +56,10 @@ def nat_sum(n: int) -> cc.Term:
 
 
 def nested_lambdas(depth: int) -> cc.Term:
-    """``λ x0… λ x_{depth-1}. x0`` — every inner λ captures all outer binders,
-    so closure conversion builds ``depth`` nested environments."""
+    """``λ x0… λ x_{depth-1}. x0`` — the body mentions only ``x0``, so every
+    inner λ captures just ``x0``: closure conversion builds ``depth``
+    nested closures whose environments have one entry each (the
+    outermost, none)."""
     body: cc.Term = cc.Var("x0")
     for index in range(depth - 1, -1, -1):
         body = cc.Lam(f"x{index}", cc.Nat(), body)

@@ -3,7 +3,8 @@
 Universe discipline (Section 2): ``⋆ : □`` and ``□`` has no type; Π is
 impredicative in ``⋆`` ([Prod-⋆]) and predicative at ``□``; Σ is small
 only when both components are ([Sig-⋆]), else it lands in ``□``, the
-reading the paper's own environment telescopes require (DESIGN.md §3).
+reading the paper's own environment telescopes require (Section 4;
+see :mod:`repro.cccc.ntuple`).
 
 Every rule CC shares with CC-CC is written once in :mod:`repro.kernel.typing`;
 this module is CC's :class:`~repro.kernel.typing.TypingSpec`: its

@@ -76,7 +76,7 @@ def compile_term(
             before compiling.  The paper's FV metafunction captures defined
             variables as opaque assumptions, so a code body whose typing
             *requires* a δ-step on a captured variable needs this
-            preprocessing (see DESIGN.md §3).
+            preprocessing (see ROADMAP.md item 1a).
         source_budget: fuel for the source type check; a fresh default
             budget when omitted.  ``repro.api`` passes one in to report the
             steps each phase spent.

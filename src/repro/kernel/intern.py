@@ -65,14 +65,13 @@ def _build(lang: Language, table: dict, cls: type, args: tuple) -> Any:
 
     ``_canonicalize`` resolves the active session's table once per walk
     (the property probes the contextvar — too hot for a per-node loop) and
-    calls this directly.
+    calls this directly.  The key is the class and the fields in order,
+    each child by its identity.
     """
-    spec = lang.specs[cls]
-    child_attrs = spec.child_attrs
-    key_parts: list[Any] = [cls]
-    for name, value in zip(spec.field_order, args):
-        key_parts.append(id(value) if name in child_attrs else value)
-    key = tuple(key_parts)
+    key_parts = list(args)
+    for slot in lang.specs[cls].child_slots:
+        key_parts[slot] = id(key_parts[slot])
+    key = (cls, *key_parts)
     node = table.get(key)
     if node is None:
         node = cls(*args)

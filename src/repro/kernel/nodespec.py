@@ -55,11 +55,12 @@ class NodeSpec:
     children: tuple[ChildSpec, ...]
     field_order: tuple[str, ...]
     #: ``{child.attr for child in children}`` — membership tests on the
-    #: rebuild hot paths (substitution, hoisting, interning) must not
+    #: rebuild hot paths (substitution, hoisting, the wire codec) must not
     #: rescan ``children`` per field.
     child_attrs: frozenset[str] = frozenset()
     #: The position of each child in ``field_order``, for positional
-    #: rebuilds that replace children in place (the reduction oracle).
+    #: rebuilds that replace children in place (the reduction oracle) and
+    #: for the hash-consing key, which keys each child by identity.
     child_slots: tuple[int, ...] = ()
 
 

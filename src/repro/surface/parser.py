@@ -19,6 +19,15 @@ binds tighter than ``->``, which is right-associative)::
               | '(' term ')'
     binder  ::= '(' IDENT+ ':' term ')'
 
+The parser walks the parallel text and key lists of
+:func:`repro.surface.lexer.scan`, comparing keys inline.  Two methods
+carry the grammar: :meth:`_Parser.term` parses the binding forms
+(``let`` included), ``if`` and the ``arrow`` and ``app`` rules, and
+:meth:`_Parser.prefix` a prefix chain and its atom, so a nesting level
+costs at most two Python frames.  A
+:class:`ParseError` finds its line and column by scanning the source
+again up to the failing token.
+
 Every node, the ``A -> B`` Π and the numerals' ``succ`` chains included,
 is hash-consed in the active session: it is built through
 :func:`repro.kernel.intern._build` against the session's ``hashcons``
@@ -35,21 +44,48 @@ session's caches.
 
 from __future__ import annotations
 
-from typing import Any
+from collections import Counter
+from functools import partial
 
 from repro import cc
 from repro.cc.ast import _UNUSED, LANGUAGE
 from repro.common.deep import check_size
 from repro.common.errors import ParseError
 from repro.kernel.intern import _build
-from repro.surface.lexer import Token, tokenize
+from repro.surface.lexer import position, scan
 
 __all__ = ["parse_term", "source_size"]
 
-#: Keywords that start a ``prefix``, and so an application argument.
-_PREFIX_KEYWORDS = frozenset(
-    ["fst", "snd", "succ", "natelim", "Type", "Kind", "Bool", "Nat", "true", "false"]
+#: The keys that start a ``prefix``, and so an application argument.
+_PREFIX_START = frozenset(
+    ["ident", "number", "(", "<", "fst", "snd", "succ", "natelim",
+     "Type", "Kind", "Bool", "Nat", "true", "false"]
 )
+
+#: The prefix operators.
+_UNARY = {"fst": cc.Fst, "snd": cc.Snd, "succ": cc.Succ}
+
+#: The atoms without parts: each one's node class and data.
+_CONSTANTS = {
+    "Type": (cc.Star, ()),
+    "Kind": (cc.Box, ()),
+    "Bool": (cc.Bool, ()),
+    "Nat": (cc.Nat, ()),
+    "true": (cc.BoolLit, (True,)),
+    "false": (cc.BoolLit, (False,)),
+}
+
+_LAMBDA = (cc.Lam, ".", "λ requires at least one '(x : A)' binder")
+_QUANTIFIER = "quantifier requires at least one '(x : A)' binder"
+
+#: The binding forms: node class, the key between binders and body, and
+#: the error when no binder follows.
+_BINDING = {
+    "\\": _LAMBDA,
+    "fun": _LAMBDA,
+    "forall": (cc.Pi, ",", _QUANTIFIER),
+    "exists": (cc.Sigma, ",", _QUANTIFIER),
+}
 
 
 def parse_term(source: str) -> cc.Term:
@@ -61,11 +97,12 @@ def parse_term(source: str) -> cc.Term:
     built.
     """
     check_size(len(source))  # before the scan: a long text is rejected in O(1)
-    tokens = tokenize(source)
-    check_size(_size(source, tokens))
-    parser = _Parser(tokens, LANGUAGE.hashcons)
+    texts, keys = scan(source)
+    check_size(_size(source, texts, keys))
+    parser = _Parser(source, texts, keys)
     term = parser.term()
-    parser.expect_eof()
+    if keys[parser.pos] != "eof":
+        raise parser.error(f"unexpected trailing input {texts[parser.pos]!r}")
     return term
 
 
@@ -75,231 +112,142 @@ def source_size(source: str) -> int:
     A numeral ``n`` parses to ``n`` nested ``succ`` nodes, so this bounds
     the depth of the parsed term.
     """
-    return _size(source, tokenize(source))
+    return _size(source, *scan(source))
 
 
-def _size(source: str, tokens: list[Token]) -> int:
-    return len(source) + sum(int(token.text) for token in tokens if token.kind == "number")
+def _size(source: str, texts: list[str], keys: list[str]) -> int:
+    size = len(source)
+    if "number" in keys:
+        counts = Counter(texts)
+        size += sum(int(text) * counts[text] for text in counts if text[:1].isdecimal())
+    return size
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], table: dict[tuple, Any]):
-        self.tokens = tokens
-        self.position = 0
-        self.table = table
+    __slots__ = ("source", "texts", "keys", "pos", "build")
 
-    def node(self, cls: type, *args: Any) -> Any:
-        """``cls(*args)`` through the session's hash-consing table."""
-        return _build(LANGUAGE, self.table, cls, args)
+    def __init__(self, source: str, texts: list[str], keys: list[str]):
+        self.source = source
+        self.texts = texts
+        self.keys = keys
+        self.pos = 0
+        #: ``build(cls, args)``: ``cls(*args)`` through the session's table.
+        self.build = partial(_build, LANGUAGE, LANGUAGE.hashcons)
 
-    # -- token plumbing ------------------------------------------------------
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, *position(self.source, self.pos))
 
-    def peek(self) -> Token:
-        return self.tokens[self.position]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.position]
-        if token.kind != "eof":
-            self.position += 1
-        return token
-
-    def at(self, kind: str, text: str | None = None) -> bool:
-        token = self.tokens[self.position]
-        return token.kind == kind and (text is None or token.text == text)
-
-    def eat(self, kind: str, text: str | None = None) -> Token | None:
-        if self.at(kind, text):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        token = self.peek()
-        if not self.at(kind, text):
-            wanted = text or kind
-            raise ParseError(
-                f"expected {wanted!r} but found {token.text or token.kind!r}",
-                token.line,
-                token.column,
-            )
-        return self.advance()
-
-    def expect_eof(self) -> None:
-        token = self.peek()
-        if token.kind != "eof":
-            raise ParseError(
-                f"unexpected trailing input {token.text!r}", token.line, token.column
-            )
-
-    def fail(self, message: str) -> ParseError:
-        token = self.peek()
-        return ParseError(message, token.line, token.column)
-
-    # -- grammar ---------------------------------------------------------------
+    def expect(self, key: str) -> str:
+        """Step over a token keyed ``key`` and return its text."""
+        pos = self.pos
+        if self.keys[pos] != key:
+            raise self.error(f"expected {key!r} but found {self.texts[pos] or 'eof'!r}")
+        self.pos = pos + 1
+        return self.texts[pos]
 
     def term(self) -> cc.Term:
-        token = self.peek()
-        match token.kind, token.text:
-            case ("symbol", "\\") | ("keyword", "fun"):
-                return self.lambda_()
-            case ("keyword", "forall"):
-                return self.quantifier(cc.Pi)
-            case ("keyword", "exists"):
-                return self.quantifier(cc.Sigma)
-            case ("keyword", "let"):
-                return self.let_()
-            case ("keyword", "if"):
-                return self.if_()
-        return self.arrow()
+        keys = self.keys
+        build = self.build
+        key = keys[self.pos]
+        binding = _BINDING.get(key)
+        if binding is not None:
+            cls, separator, missing = binding
+            self.pos += 1
+            entries = self.binders()
+            if not entries:
+                raise self.error(missing)
+            self.expect(separator)
+            body = self.term()
+            for name, annotation in reversed(entries):
+                body = build(cls, (name, annotation, body))
+            return body
+        if key == "let":
+            self.pos += 1
+            name = self.expect("ident")
+            self.expect("=")
+            bound = self.term()
+            self.expect(":")
+            annotation = self.term()
+            self.expect("in")
+            return build(cc.Let, (name, bound, annotation, self.term()))
+        if key == "if":
+            self.pos += 1
+            cond = self.term()
+            self.expect("then")
+            then_branch = self.term()
+            self.expect("else")
+            return build(cc.If, (cond, then_branch, self.term()))
+        head = self.prefix()
+        while keys[self.pos] in _PREFIX_START:
+            head = build(cc.App, (head, self.prefix()))
+        if keys[self.pos] == "->":
+            self.pos += 1
+            return build(cc.Pi, (_UNUSED, head, self.term()))  # cc.arrow
+        return head
 
     def binders(self) -> list[tuple[str, cc.Term]]:
         """One or more ``(x y : A)`` groups, flattened."""
+        keys = self.keys
         entries: list[tuple[str, cc.Term]] = []
-        while self.at("symbol", "("):
-            save = self.position
-            self.advance()
-            names: list[str] = []
-            while self.at("ident"):
-                names.append(self.advance().text)
-            if not names or not self.at("symbol", ":"):
-                # Not a binder group after all (e.g. a parenthesized term
-                # in 'fun (f) ...' is illegal anyway, but binders may stop
-                # before the body's opening paren).
-                self.position = save
-                break
-            self.advance()  # ':'
+        while keys[self.pos] == "(":
+            start = end = self.pos + 1
+            while keys[end] == "ident":
+                end += 1
+            if end == start or keys[end] != ":":
+                break  # not a binder group: the body may start with '('
+            self.pos = end + 1
             annotation = self.term()
-            self.expect("symbol", ")")
-            entries.extend((name, annotation) for name in names)
+            self.expect(")")
+            for name in self.texts[start:end]:
+                entries.append((name, annotation))
         return entries
 
-    def lambda_(self) -> cc.Term:
-        self.advance()  # '\' or 'fun'
-        entries = self.binders()
-        if not entries:
-            raise self.fail("λ requires at least one '(x : A)' binder")
-        self.expect("symbol", ".")
-        body = self.term()
-        for name, annotation in reversed(entries):
-            body = self.node(cc.Lam, name, annotation, body)
-        return body
-
-    def quantifier(self, cls: type) -> cc.Term:
-        self.advance()  # 'forall' / 'exists'
-        entries = self.binders()
-        if not entries:
-            raise self.fail("quantifier requires at least one '(x : A)' binder")
-        self.expect("symbol", ",")
-        body = self.term()
-        for name, annotation in reversed(entries):
-            body = self.node(cls, name, annotation, body)
-        return body
-
-    def let_(self) -> cc.Term:
-        self.advance()  # 'let'
-        name = self.expect("ident").text
-        self.expect("symbol", "=")
-        bound = self.term()
-        self.expect("symbol", ":")
-        annotation = self.term()
-        self.expect("keyword", "in")
-        body = self.term()
-        return self.node(cc.Let, name, bound, annotation, body)
-
-    def if_(self) -> cc.Term:
-        self.advance()  # 'if'
-        cond = self.term()
-        self.expect("keyword", "then")
-        then_branch = self.term()
-        self.expect("keyword", "else")
-        else_branch = self.term()
-        return self.node(cc.If, cond, then_branch, else_branch)
-
-    def arrow(self) -> cc.Term:
-        left = self.app()
-        if self.eat("symbol", "->"):
-            right = self.term()
-            return self.node(cc.Pi, _UNUSED, left, right)  # cc.arrow
-        return left
-
-    def app(self) -> cc.Term:
-        head = self.prefix()
-        while self._starts_atom():
-            head = self.node(cc.App, head, self.prefix())
-        return head
-
-    def _starts_atom(self) -> bool:
-        token = self.peek()
-        if token.kind in ("ident", "number"):
-            return True
-        if token.kind == "symbol":
-            return token.text in ("(", "<")
-        return token.kind == "keyword" and token.text in _PREFIX_KEYWORDS
-
     def prefix(self) -> cc.Term:
-        if self.eat("keyword", "fst"):
-            return self.node(cc.Fst, self.prefix())
-        if self.eat("keyword", "snd"):
-            return self.node(cc.Snd, self.prefix())
-        if self.eat("keyword", "succ"):
-            return self.node(cc.Succ, self.prefix())
-        return self.atom()
-
-    def atom(self) -> cc.Term:
-        token = self.peek()
-        if token.kind == "ident":
-            self.advance()
-            return self.node(cc.Var, token.text)
-        if token.kind == "number":
-            self.advance()
-            numeral = self.node(cc.Zero)
-            for _ in range(int(token.text)):  # cc.nat_literal
-                numeral = self.node(cc.Succ, numeral)
-            return numeral
-        if token.kind == "keyword":
-            match token.text:
-                case "Type":
-                    self.advance()
-                    return self.node(cc.Star)
-                case "Kind":
-                    self.advance()
-                    return self.node(cc.Box)
-                case "Bool":
-                    self.advance()
-                    return self.node(cc.Bool)
-                case "Nat":
-                    self.advance()
-                    return self.node(cc.Nat)
-                case "true":
-                    self.advance()
-                    return self.node(cc.BoolLit, True)
-                case "false":
-                    self.advance()
-                    return self.node(cc.BoolLit, False)
-                case "natelim":
-                    return self.natelim()
-        if self.eat("symbol", "<"):
+        keys = self.keys
+        build = self.build
+        pos = self.pos
+        key = keys[pos]
+        if key == "ident":
+            self.pos = pos + 1
+            return build(cc.Var, (self.texts[pos],))
+        unary = []
+        while key in _UNARY:
+            unary.append(_UNARY[key])
+            pos += 1
+            key = keys[pos]
+        self.pos = pos + 1  # past the atom's first token
+        if key == "ident":
+            node = build(cc.Var, (self.texts[pos],))
+        elif key == "(":
+            node = self.term()
+            self.expect(")")
+        elif key == "number":
+            node = build(cc.Zero, ())
+            for _ in range(int(self.texts[pos])):  # cc.nat_literal
+                node = build(cc.Succ, (node,))
+        elif key in _CONSTANTS:
+            node = build(*_CONSTANTS[key])
+        elif key == "<":
             first = self.term()
-            self.expect("symbol", ",")
+            self.expect(",")
             second = self.term()
-            self.expect("symbol", ">")
-            self.expect("keyword", "as")
-            annotation = self.prefix()
-            return self.node(cc.Pair, first, second, annotation)
-        if self.eat("symbol", "("):
-            inner = self.term()
-            self.expect("symbol", ")")
-            return inner
-        raise self.fail(f"unexpected {token.text or token.kind!r}")
-
-    def natelim(self) -> cc.Term:
-        self.expect("keyword", "natelim")
-        self.expect("symbol", "(")
-        motive = self.term()
-        self.expect("symbol", ",")
-        base = self.term()
-        self.expect("symbol", ",")
-        step = self.term()
-        self.expect("symbol", ",")
-        target = self.term()
-        self.expect("symbol", ")")
-        return self.node(cc.NatElim, motive, base, step, target)
+            self.expect(">")
+            self.expect("as")
+            node = build(cc.Pair, (first, second, self.prefix()))
+        elif key == "natelim":
+            self.expect("(")
+            motive = self.term()
+            self.expect(",")
+            base = self.term()
+            self.expect(",")
+            step = self.term()
+            self.expect(",")
+            target = self.term()
+            self.expect(")")
+            node = build(cc.NatElim, (motive, base, step, target))
+        else:
+            self.pos = pos
+            raise self.error(f"unexpected {self.texts[pos] or 'eof'!r}")
+        for cls in reversed(unary):
+            node = build(cls, (node,))
+        return node

@@ -1,10 +1,12 @@
 """Tests for the surface lexer and parser."""
 
+import sys
+
 import pytest
 
 from repro import api, cc
 from repro.common.errors import ParseError
-from repro.surface import parse_term, to_surface, tokenize
+from repro.surface import parse_term, parser, to_surface, tokenize
 from repro.wire.codec import term_from_b64, term_to_b64
 from tests.corpus import CORPUS, corpus_ids
 
@@ -218,31 +220,81 @@ class TestParserPositive:
         assert compact == spaced
 
 
+#: Each rejected source and its exact error document.
+REJECTED = {
+    "": "parse error at 1:1: unexpected 'eof'",
+    "(": "parse error at 1:2: unexpected 'eof'",
+    "f )": "parse error at 1:3: unexpected trailing input ')'",
+    r"\ x . x": "parse error at 1:3: λ requires at least one '(x : A)' binder",
+    r"\ (x : Nat) x": "parse error at 1:13: expected '.' but found 'x'",
+    "forall (x : Nat) Bool": "parse error at 1:18: expected ',' but found 'Bool'",
+    "let x = 0 in x": "parse error at 1:11: expected ':' but found 'in'",
+    "<1, 2>": "parse error at 1:7: expected 'as' but found 'eof'",
+    "if b then 1": "parse error at 1:12: expected 'else' but found 'eof'",
+    "natelim(a, b, c)": "parse error at 1:16: expected ',' but found ')'",
+    "x y )": "parse error at 1:5: unexpected trailing input ')'",
+    "<1, 2": "parse error at 1:6: expected '>' but found 'eof'",
+    "let x = 0 : Nat": "parse error at 1:16: expected 'in' but found 'eof'",
+    "natelim(a, b, c, d": "parse error at 1:19: expected ')' but found 'eof'",
+    r"\ (x y : ). x": "parse error at 1:10: unexpected ')'",
+    "f\n  x\n )": "parse error at 3:2: unexpected trailing input ')'",
+}
+
+
 class TestParserNegative:
-    @pytest.mark.parametrize(
-        "source",
-        [
-            "",
-            "(",
-            "f )",
-            r"\ x . x",  # binder needs parentheses + annotation
-            r"\ (x : Nat) x",  # missing dot
-            "forall (x : Nat) Bool",  # missing comma
-            "let x = 0 in x",  # missing annotation
-            "<1, 2>",  # pair without 'as'
-            "if b then 1",  # missing else
-            "natelim(a, b, c)",  # wrong arity
-            "x y )",
-        ],
-    )
+    @pytest.mark.parametrize("source", list(REJECTED))
     def test_rejected(self, source):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as excinfo:
             parse_term(source)
+        assert str(excinfo.value) == REJECTED[source]
 
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as excinfo:
             parse_term("f\n  )")
         assert "2:" in str(excinfo.value)
+        assert (excinfo.value.line, excinfo.value.column) == (2, 3)
+
+
+def _parse_depth(source: str) -> int:
+    """The most parser frames on the stack at once while parsing ``source``."""
+    deepest = 0
+
+    def probe(frame, event, _arg):
+        nonlocal deepest
+        if event == "call":
+            depth = 0
+            while frame is not None:
+                depth += frame.f_code.co_filename == parser.__file__
+                frame = frame.f_back
+            deepest = max(deepest, depth)
+
+    sys.setprofile(probe)
+    try:
+        parse_term(source)
+    finally:
+        sys.setprofile(None)
+    return deepest
+
+
+class TestParserDepth:
+    """The Python frames one nesting level costs the parser."""
+
+    @pytest.mark.parametrize(
+        "nest, frames",
+        [
+            (lambda n: "(" * n + "x" + ")" * n, 2),
+            (lambda n: "f (" * n + "x" + ")" * n, 2),
+            (lambda n: "<1, " * n + "0" + "> as Nat" * n, 2),
+            (lambda n: "forall (a : " * n + "Nat" + "), Nat" * n, 2),
+            (lambda n: "".join(f"\\ (x{i} : Nat). " for i in range(n)) + "x0", 1),
+            (lambda n: "let y = 0 : Nat in " * n + "y", 1),
+            (lambda n: "Nat -> " * n + "Nat", 1),
+            (lambda n: "succ " * n + "0", 0),
+        ],
+        ids=["parens", "arguments", "pairs", "annotations", "lambdas", "lets", "arrows", "succs"],
+    )
+    def test_frames_per_level(self, nest, frames):
+        assert _parse_depth(nest(60)) - _parse_depth(nest(30)) == 30 * frames
 
 
 class TestRoundTrips:
