@@ -23,6 +23,13 @@ Gate:
   characters) and over the ``nested_lambdas(60, 120, 240, 480)`` texts,
   each family fitted on its own.  Both stay below the depth at which the
   deep-stack runner would retry.
+* ``test_hoist_recheck_growth_gate`` — the same fit for ``check_program``
+  (the ``hoist`` command's re-check) of the hoisted
+  ``nested_lambdas(60, 120, 240, 480)`` is **≤ 1.3**, each run in a fresh
+  session and the whole fit on the deep stack (n = 480 overflows the
+  caller's), so no size pays a failed first attempt.  Defining each label
+  as its fully closed literal made it about 1.8; typing the unhoisted
+  program, which is what a hoisted program means, makes it about 1.1.
 """
 
 import gc
@@ -34,7 +41,8 @@ import pytest
 from repro import cc
 from repro.api import Session
 from repro.closconv import compile_term, translate
-from repro.machine import hoist
+from repro.common import deep
+from repro.machine import check_program, hoist
 from repro.surface import parse_term, to_surface
 from workloads import church_sum, nested_lambdas, pair_tower, wide_capture
 
@@ -112,6 +120,19 @@ def _cold_hoist_seconds(target) -> float:
         gc.enable()
 
 
+def _cold_recheck_seconds(program) -> float:
+    """Wall time of re-checking a hoisted program in a fresh session."""
+    with Session().activate():
+        gc.collect()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            check_program(program)
+            return time.perf_counter() - start
+        finally:
+            gc.enable()
+
+
 def _cold_parse_seconds(text: str) -> float:
     """Wall time of parsing ``text`` in a fresh session."""
     with Session().activate():
@@ -159,6 +180,22 @@ def test_hoist_growth_gate():
     }
     exponent = _growth_exponent(lambda depth: _cold_hoist_seconds(targets[depth]), targets)
     print(f"\nE7 hoist growth exponent over nested_lambdas(60..480): {exponent:.2f}")
+    assert exponent <= 1.3
+
+
+def test_hoist_recheck_growth_gate():
+    # The re-check infers the unhoisted program once; defining each label
+    # as its fully closed literal made it quadratic in the nesting.  The
+    # fit runs on the deep stack, so it times the check, not a retry.
+    programs = {
+        depth: hoist(Session().compile(nested_lambdas(depth), verify=False).target)
+        for depth in (60, 120, 240, 480)
+    }
+    exponent = deep.call(
+        lambda: _growth_exponent(lambda depth: _cold_recheck_seconds(programs[depth]), programs),
+        lambda: programs[480].size,
+    )
+    print(f"\nE7 hoist re-check growth exponent over nested_lambdas(60..480): {exponent:.2f}")
     assert exponent <= 1.3
 
 

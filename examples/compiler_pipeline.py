@@ -24,7 +24,7 @@ Run:  python examples/compiler_pipeline.py
 from repro import api
 from repro.baseline import erase, uconvert, ueval
 from repro.baseline.untyped import EvalStats
-from repro.machine import program_context
+from repro.machine import check_program
 
 PROGRAMS = {
     "add 7 8": r"""
@@ -59,7 +59,7 @@ def main() -> None:
         session = api.Session(name=name)
         result = session.run(source)
         with session.activate():
-            program_context(result.program)  # re-type-check the hoisted program
+            check_program(result.program)  # re-type-check the hoisted program
 
         # Untyped baseline: erase → untyped conversion → untyped CBV,
         # reusing the term the session already parsed.

@@ -88,7 +88,7 @@ from repro.api import Session
 from repro.common import deep
 from repro.common.errors import ReproError
 from repro.kernel.state import ENGINES
-from repro.machine import hoist, program_context
+from repro.machine import check_program, hoist
 from repro.model import decompile
 from repro.service.jobs import ENTRYPOINTS, PROGRAM_KINDS, Entrypoint, Job, call
 from repro.surface import parse_term
@@ -485,7 +485,7 @@ def _cmd_hoist(session: Session, args: argparse.Namespace) -> int:
         program = hoist(result.target)
 
         def table() -> str:
-            program_context(program)  # re-type-check the hoisted form
+            check_program(program)  # re-type-check the hoisted form
             return str(program)
 
         print(deep.call(table, lambda: program.size))

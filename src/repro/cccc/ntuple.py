@@ -70,16 +70,15 @@ def env_tuple(telescope: Telescope, values: list[Term]) -> Term:
         raise ValueError(
             f"telescope has {len(telescope)} entries but {len(values)} values given"
         )
-
-    def build(index: int, instantiation: dict[str, Term]) -> Term:
-        if index == len(telescope):
-            return UnitVal()
-        name = telescope[index][0]
-        annot = subst(env_sigma(telescope[index:]), instantiation)
-        rest = build(index + 1, {**instantiation, name: values[index]})
-        return Pair(values[index], rest, annot)
-
-    return build(0, {})
+    annotations: list[Term] = []
+    instantiation: dict[str, Term] = {}
+    for index, (name, _) in enumerate(telescope):
+        annotations.append(subst(env_sigma(telescope[index:]), instantiation))
+        instantiation[name] = values[index]
+    result: Term = UnitVal()
+    for value, annot in zip(reversed(values), reversed(annotations)):
+        result = Pair(value, result, annot)
+    return result
 
 
 def project(env: Term, index: int) -> Term:

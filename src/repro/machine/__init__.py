@@ -1,6 +1,6 @@
 """Hoisting and a CBV machine: the paper's "statically allocated code" story."""
 
-from repro.machine.hoist import Program, hoist, program_context, unhoist
+from repro.machine.hoist import Program, check_program, hoist, unhoist
 from repro.machine.machine import (
     MachineError,
     MachineStats,
@@ -28,9 +28,9 @@ __all__ = [
     "MachineStats",
     "Program",
     "Value",
+    "check_program",
     "hoist",
     "machine_observation",
-    "program_context",
     "unhoist",
     "run",
 ]

@@ -8,11 +8,11 @@ program-wide code table.  Because the [Code] typing rule already
 guarantees closedness, hoisting cannot capture anything — which the pass
 re-checks defensively.
 
-The hoisted program is still a well-typed CC-CC artifact: the code table
-becomes a telescope of *definitions* ``ℓ = λ(x′,x).e : Code …``, and the
-main expression type checks under it (see :func:`program_context`).
-Identical code bodies are deduplicated by α-invariant structure, through
-an exact α-canonical key, so hoisting is linear in the program's size.
+A hoisted program means its unhoisting, so its check is ``infer`` of
+that (see :func:`check_program`): one pass that types ``main`` and every
+block it reaches.  Identical code bodies are deduplicated by α-invariant
+structure, through an exact α-canonical key, so hoisting is linear in the
+program's size.
 
 The walk is **iterative** (an explicit work stack driven by the CC-CC node
 specs, like every other kernel traversal), so closure-converted programs
@@ -31,7 +31,7 @@ from repro.cccc.ast import LANGUAGE
 from repro.cccc.context import Context
 from repro.common.errors import TranslationError
 
-__all__ = ["Program", "hoist", "program_context"]
+__all__ = ["Program", "check_program", "hoist"]
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,12 @@ def hoist(term: cccc.Term) -> Program:
 def _check_earlier_labels(table: dict[str, cccc.CodeLam]) -> None:
     """Cheap debug guard on the earlier-labels invariant.
 
-    Every table consumer replays under it (``unhoist``, ``program_context``,
-    the machine's lazy code lookup, the backend's staging pass): code
-    blocks are closed before hoisting, so a hoisted entry's free variables
-    are exactly the labels it references — and innermost-first hoisting
-    means those labels were all allocated *before* its own.
+    Every table consumer replays under it (``unhoist`` and so
+    ``check_program``, the machine's lazy code lookup, the backend's
+    staging pass): code blocks are closed before hoisting, so a hoisted
+    entry's free variables are exactly the labels it references — and
+    innermost-first hoisting means those labels were all allocated
+    *before* its own.
     """
     earlier: set[str] = set()
     for label, code in table.items():
@@ -148,8 +149,8 @@ def _hoist(root: cccc.Term, hoister: _Hoister) -> cccc.Term:
     visit pops their results and rebuilds — sharing the original node when
     no child changed — then swaps a rebuilt ``CodeLam`` for a table label.
     Nested code is hoisted innermost-first, so a hoisted body only ever
-    references *earlier* labels — the invariant ``unhoist`` and
-    ``program_context`` replay the table under.  (Children are visited in
+    references *earlier* labels — the invariant ``unhoist`` (and so
+    ``check_program``) replays the table under.  (Children are visited in
     field order; the old recursion visited a ``CodeLam``'s body before its
     type annotations, so label *numbering* can differ from pre-iterative
     releases when code sits in a type position — the invariant, not the
@@ -219,27 +220,10 @@ def unhoist(program: Program) -> cccc.Term:
     return cccc.subst(program.main, closed)
 
 
-def program_context(program: Program) -> Context:
-    """The typing context of a hoisted program: each label *defined* as its code.
+def check_program(program: Program) -> cccc.Term:
+    """The type of ``program.main`` with every label replaced by its block.
 
-    Each block is checked once, by [Code]'s premises with the earlier labels
-    as definitions (an inner closure's code type comes from [Var]), so a
-    block naming any other variable fails as unbound.  Its label is then
-    defined as its fully closed literal at ``Code (x′:A′, x:A). B``, ``B``
-    normalized, so labels δ-reduce to code and typing ``program.main``
-    under this context re-verifies the whole hoisted program.
+    A hoisted program means its unhoisting, so its check is ``infer`` of
+    that: a block naming a later or unknown label leaves a free variable.
     """
-    ctx = Context.empty()
-    closed: dict[str, cccc.Term] = {}
-    for label, code in program.code_table.items():
-        cccc.infer_universe(ctx, code.env_type)
-        env_ctx = ctx.extend(code.env_name, code.env_type)
-        cccc.infer_universe(env_ctx, code.arg_type)
-        body_ctx = env_ctx.extend(code.arg_name, code.arg_type)
-        body_type = cccc.normalize(body_ctx, cccc.infer(body_ctx, code.body))
-        code_type = cccc.CodeType(
-            code.env_name, code.env_type, code.arg_name, code.arg_type, body_type
-        )
-        closed[label] = cccc.subst(code, closed)
-        ctx = ctx.define(label, closed[label], code_type)
-    return ctx
+    return cccc.infer(Context.empty(), unhoist(program))

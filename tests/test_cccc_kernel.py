@@ -1,6 +1,8 @@
 """Unit tests for the CC-CC kernel (paper Figures 5–7): syntax, reduction,
 typing of code and closures."""
 
+import gc
+
 import pytest
 
 from repro import cccc
@@ -233,6 +235,17 @@ class TestNTupleSugar:
         tup = env_tuple(tele, [cccc.Nat(), cccc.Zero()])
         inferred = cccc.infer(empty_target, tup)
         assert cccc.equivalent(empty_target, inferred, env_sigma(tele))
+
+    def test_env_tuple_leaves_no_cyclic_garbage(self):
+        tele = [("A", cccc.Star()), ("x", cccc.Var("A")), ("y", cccc.Nat())]
+        values = [cccc.Nat(), cccc.Zero(), cccc.nat_literal(2)]
+        gc.collect()
+        gc.disable()
+        try:
+            env_tuple(tele, values)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_env_tuple_arity_mismatch(self):
         with pytest.raises(ValueError):

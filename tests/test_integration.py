@@ -8,7 +8,7 @@ from repro.cc import prelude
 from repro.closconv import compile_term
 from repro.gen import TermGenerator
 from repro.linking import ClosingSubstitution
-from repro.machine import hoist, machine_observation, program_context, run
+from repro.machine import check_program, hoist, machine_observation, run
 from repro.model import decompile
 from repro.properties import check_separate_compilation
 from repro.surface import parse_term
@@ -35,7 +35,7 @@ class TestFullPipeline:
         assert cccc.nat_value(cccc.normalize(empty_target, result.target)) == expected
         # 3. The machine on the hoisted program (and it re-type-checks).
         program = hoist(result.target)
-        program_context(program)
+        check_program(program)
         value, _ = run(program)
         assert machine_observation(value) == expected
         # 4. The untyped baseline.

@@ -11,9 +11,9 @@ from repro.machine import (
     MachineStats,
     MNat,
     Program,
+    check_program,
     hoist,
     machine_observation,
-    program_context,
     run,
     unhoist,
 )
@@ -22,6 +22,14 @@ from tests.corpus import CLOSED_GROUND_PROGRAMS, closed_ground_ids
 
 def _compile_closed(term: cc.Term) -> cccc.Term:
     return compile_term(cc.Context.empty(), term, verify=False).target
+
+
+# Two identical λ's, which hoist to one shared code block.
+_SHARED_BLOCK = cc.Pair(
+    cc.Lam("x", cc.Nat(), cc.Var("x")),
+    cc.Lam("x", cc.Nat(), cc.Var("x")),
+    cc.Sigma("f", cc.arrow(cc.Nat(), cc.Nat()), cc.arrow(cc.Nat(), cc.Nat())),
+)
 
 
 class TestHoisting:
@@ -41,13 +49,7 @@ class TestHoisting:
             assert cccc.free_vars(code) <= labels
 
     def test_deduplication(self):
-        # Two identical λ's share one code block.
-        term = cc.Pair(
-            cc.Lam("x", cc.Nat(), cc.Var("x")),
-            cc.Lam("x", cc.Nat(), cc.Var("x")),
-            cc.Sigma("f", cc.arrow(cc.Nat(), cc.Nat()), cc.arrow(cc.Nat(), cc.Nat())),
-        )
-        program = hoist(_compile_closed(term))
+        program = hoist(_compile_closed(_SHARED_BLOCK))
         assert program.code_count == 1
 
     def test_unhoist_inverts(self):
@@ -60,14 +62,16 @@ class TestHoisting:
         program = hoist(target)
         assert cccc.alpha_equal(unhoist(program), target)
 
-    def test_program_context_typechecks_main(self):
-        target = _compile_closed(cc.make_app(
-            cc.Lam("x", cc.Nat(), cc.Succ(cc.Var("x"))), cc.nat_literal(1)
-        ))
-        program = hoist(target)
-        ctx = program_context(program)
-        inferred = cccc.infer(ctx, program.main)
-        assert cccc.equivalent(ctx, inferred, cccc.Nat())
+    @pytest.mark.parametrize(
+        "term",
+        [term for _, term, _ in CLOSED_GROUND_PROGRAMS] + [_SHARED_BLOCK],
+        ids=closed_ground_ids() + ["shared-block"],
+    )
+    def test_check_program_typechecks_main(self, term):
+        # The hoisted program's type is the type of the target it came from.
+        target = _compile_closed(term)
+        ctx = cccc.Context.empty()
+        assert cccc.equivalent(ctx, check_program(hoist(target)), cccc.infer(ctx, target))
 
     @staticmethod
     def _nested_program():
@@ -79,7 +83,7 @@ class TestHoisting:
         assert cccc.free_vars(program.code_table["code$1"]) == {"code$0"}
         return program
 
-    def test_program_context_rejects_an_ill_typed_block(self):
+    def test_check_program_rejects_an_ill_typed_block(self):
         program = self._nested_program()
         code = program.code_table["code$0"]
         table = dict(program.code_table)
@@ -88,15 +92,25 @@ class TestHoisting:
             cccc.Succ(cccc.BoolLit(True)),
         )
         with pytest.raises(TypeCheckError):
-            program_context(Program(table, program.main))
+            check_program(Program(table, program.main))
 
-    def test_program_context_rejects_a_block_naming_a_later_label(self):
+    def test_check_program_rejects_a_block_naming_a_later_label(self):
         program = self._nested_program()
         # Swap the two blocks' order: code$1 now comes first and names
         # code$0, which the table has not defined yet.
         table = {label: program.code_table[label] for label in ("code$1", "code$0")}
         with pytest.raises(TypeCheckError, match="code\\$0"):
-            program_context(Program(table, program.main))
+            check_program(Program(table, program.main))
+
+    def test_check_program_rejects_an_ill_typed_main(self):
+        program = self._nested_program()
+        with pytest.raises(TypeCheckError):
+            check_program(Program(program.code_table, cccc.Succ(cccc.BoolLit(True))))
+
+    def test_check_program_rejects_a_main_naming_an_unknown_label(self):
+        program = self._nested_program()
+        with pytest.raises(TypeCheckError, match="code\\$9"):
+            check_program(Program(program.code_table, cccc.Var("code$9")))
 
     def test_open_code_rejected(self):
         open_code = cccc.CodeLam("n", cccc.Unit(), "x", cccc.Nat(), cccc.Var("stray"))
