@@ -28,8 +28,9 @@ __all__ = ["check", "check_context", "derived_type", "infer", "infer_universe", 
 
 def _lam(spec: typing.TypingSpec, ctx: Context, term: Lam, budget: Budget) -> Term:
     typing.universe(spec, ctx, term.domain, budget)
-    body_type = typing.infer_value(spec, ctx.extend(term.name, term.domain), term.body, budget)
-    return Pi(term.name, term.domain, read_back(_NBE, body_type))  # [Lam]
+    name, body = typing.level(spec.nbe.lang, ctx, term.name, (term.domain,), term.body)
+    body_type = typing.infer_value(spec, ctx.extend(name, term.domain), body, budget)
+    return Pi(name, term.domain, read_back(_NBE, body_type))  # [Lam]
 
 
 _STAR = Star()

@@ -23,7 +23,7 @@ Fuel matches :mod:`repro.cccc.typecheck_subst`, the differential reference.
 from __future__ import annotations
 
 from repro.cccc.ast import Bool, BoolLit, Box, Clo, CodeLam, CodeType, Nat, Pi, Sigma, Star
-from repro.cccc.ast import Unit, UnitVal, Zero, free_vars
+from repro.cccc.ast import LANGUAGE, Unit, UnitVal, Zero, free_vars
 from repro.cccc.context import Context
 from repro.cccc.equiv import equivalent
 from repro.cccc.pretty import pretty
@@ -31,7 +31,7 @@ from repro.cccc.reduce import _NBE, Budget
 from repro.common.errors import TypeCheckError
 from repro.kernel.nbe import glue, glue_node, read_back, view
 from repro.kernel.reduction import whnf_value
-from repro.kernel.typing import TypingSpec, bind, check_value, infer_value, universe
+from repro.kernel.typing import TypingSpec, bind, check_value, infer_value, level, universe
 
 __all__ = ["check", "check_context", "infer", "infer_universe", "well_typed"]
 
@@ -40,16 +40,23 @@ _EMPTY_ENV: dict = {}
 
 def _code_type(spec: TypingSpec, ctx: Context, term: CodeType, budget: Budget):
     universe(spec, ctx, term.env_type, budget)
-    env_ctx = ctx.extend(term.env_name, term.env_type)
-    universe(spec, env_ctx, term.arg_type, budget)
-    arg_ctx = env_ctx.extend(term.arg_name, term.arg_type)
-    return universe(spec, arg_ctx, term.result, budget)  # [T-Code-⋆] / [T-Code-□]
+    arg_type, result = term.arg_type, term.result
+    if term.arg_name == term.env_name:  # the argument binder shadows the environment's
+        env_name, arg_type = level(LANGUAGE, ctx, term.env_name, (term.env_type,), arg_type)
+    else:
+        env_name, arg_type, result = level(
+            LANGUAGE, ctx, term.env_name, (term.env_type,), arg_type, result)
+    env_ctx = ctx.extend(env_name, term.env_type)
+    universe(spec, env_ctx, arg_type, budget)
+    arg_name, result = level(LANGUAGE, env_ctx, term.arg_name, (arg_type,), result)
+    arg_ctx = env_ctx.extend(arg_name, arg_type)
+    return universe(spec, arg_ctx, result, budget)  # [T-Code-⋆] / [T-Code-□]
 
 
 def _code(spec: TypingSpec, ctx: Context, term: CodeLam, budget: Budget):
-    body_type = infer_value(spec, _code_context(spec, term, budget), term.body, budget)
-    result = read_back(_NBE, body_type)
-    return CodeType(term.env_name, term.env_type, term.arg_name, term.arg_type, result)  # [Code]
+    code_ctx, arg_name, body = _code_context(spec, term, budget)
+    result = read_back(_NBE, infer_value(spec, code_ctx, body, budget))
+    return CodeType(term.env_name, term.env_type, arg_name, term.arg_type, result)  # [Code]
 
 
 def _clo(spec: TypingSpec, ctx: Context, term: Clo, budget: Budget):
@@ -58,10 +65,11 @@ def _clo(spec: TypingSpec, ctx: Context, term: Clo, budget: Budget):
         # Literal code (all closure-converted output): the body's type value
         # lives in the code's context ·, x′, x; the closure type binds its
         # level x under the new Π and instantiates its level x′ by one
-        # frame, so nothing is read back or searched.
-        body_type = infer_value(spec, _code_context(spec, code, budget), code.body, budget)
+        # entry, so nothing is read back or searched.
+        code_ctx, arg_name, body = _code_context(spec, code, budget)
+        body_type = infer_value(spec, code_ctx, body, budget)
         check_value(spec, ctx, env, code.env_type, budget)
-        closure_type = Pi(code.arg_name, code.arg_type, body_type)
+        closure_type = Pi(arg_name, code.arg_type, body_type)
         return glue_node(_NBE, closure_type, bind(_EMPTY_ENV, code.env_name, env))
     code_type = whnf_value(_NBE, ctx, infer_value(spec, ctx, code, budget), budget)
     code_type, sigma = view(_NBE, code_type)
@@ -77,9 +85,10 @@ def _clo(spec: TypingSpec, ctx: Context, term: Clo, budget: Budget):
     return glue(_NBE, closure_type, bind(sigma, code_type.env_name, env))
 
 
-def _code_context(spec: TypingSpec, code: CodeLam, budget: Budget) -> Context:
-    """[Code]'s premises and its body's context ``·, x′:A′, x:A``: the *empty*
-    context extended only with the two parameters (the closedness guarantee)."""
+def _code_context(spec: TypingSpec, code: CodeLam, budget: Budget) -> tuple:
+    """[Code]'s premises, and its body's context ``·, x′:A′, x:A``: the *empty*
+    context extended only with the two parameters (the closedness
+    guarantee), with the argument's level name and the body renamed to it."""
     stray = free_vars(code)
     if stray:
         raise TypeCheckError(
@@ -89,7 +98,8 @@ def _code_context(spec: TypingSpec, code: CodeLam, budget: Budget) -> Context:
     universe(spec, empty, code.env_type, budget)
     env_ctx = empty.extend(code.env_name, code.env_type)
     universe(spec, env_ctx, code.arg_type, budget)
-    return env_ctx.extend(code.arg_name, code.arg_type)
+    arg_name, body = level(LANGUAGE, env_ctx, code.arg_name, (code.arg_type,), code.body)
+    return env_ctx.extend(arg_name, code.arg_type), arg_name, body
 
 
 _STAR = Star()

@@ -3,8 +3,11 @@
 This is the checker :mod:`repro.cccc.typecheck` replaced, kept verbatim
 so tests and benchmarks can compare the two: same verdicts, same error
 classes, α-equal types and identical fuel.  Each dependent instantiation
-here is an eager ``subst1``.  Nothing outside ``tests/`` and
-``benchmarks/`` imports it.
+here is an eager ``subst1``.  A binder that shadows a context entry a
+stored type or definition can still reach takes a fresh name, exactly as
+in the shared checker (:func:`repro.kernel.typing.level`), so the two
+agree on shadowing.  Nothing outside ``tests/`` and ``benchmarks/``
+imports it.
 
 The CC-CC type checker (paper Figure 7).
 
@@ -58,6 +61,7 @@ from repro.cccc.ast import (
     Zero,
     free_vars,
 )
+from repro.cccc.ast import LANGUAGE
 from repro.cccc.context import Context
 from repro.cccc.equiv import equivalent
 from repro.cccc.pretty import pretty
@@ -66,6 +70,7 @@ from repro.cccc.substitution import rename, subst1
 from repro.common.errors import TypeCheckError
 from repro.common.names import fresh
 from repro.kernel.memo import judgment_key
+from repro.kernel.typing import level
 
 __all__ = ["check", "check_context", "infer", "infer_universe", "well_typed"]
 
@@ -119,11 +124,18 @@ def _infer(ctx: Context, term: Term, budget: Budget) -> Term:
             raise TypeCheckError("□ has no type (it is not a valid term)")
         case Pi(name, domain, codomain):
             infer_universe(ctx, domain, budget)
+            name, codomain = level(LANGUAGE, ctx, name, (domain,), codomain)
             return infer_universe(ctx.extend(name, domain), codomain, budget)
         case CodeType(env_name, env_type, arg_name, arg_type, result):
             infer_universe(ctx, env_type, budget)
+            if arg_name == env_name:  # the argument binder shadows the environment's
+                env_name, arg_type = level(LANGUAGE, ctx, env_name, (env_type,), arg_type)
+            else:
+                env_name, arg_type, result = level(
+                    LANGUAGE, ctx, env_name, (env_type,), arg_type, result)
             env_ctx = ctx.extend(env_name, env_type)
             infer_universe(env_ctx, arg_type, budget)
+            arg_name, result = level(LANGUAGE, env_ctx, arg_name, (arg_type,), result)
             arg_ctx = env_ctx.extend(arg_name, arg_type)
             return infer_universe(arg_ctx, result, budget)  # [T-Code-⋆] / [T-Code-□]
         case CodeLam(env_name, env_type, arg_name, arg_type, body):
@@ -138,6 +150,7 @@ def _infer(ctx: Context, term: Term, budget: Budget) -> Term:
             infer_universe(empty, env_type, budget)
             env_ctx = empty.extend(env_name, env_type)
             infer_universe(env_ctx, arg_type, budget)
+            arg_name, body = level(LANGUAGE, env_ctx, arg_name, (arg_type,), body)
             arg_ctx = env_ctx.extend(arg_name, arg_type)
             result = infer(arg_ctx, body, budget)
             return CodeType(env_name, env_type, arg_name, arg_type, result)
@@ -174,10 +187,12 @@ def _infer(ctx: Context, term: Term, budget: Budget) -> Term:
         case Let(name, bound, annot, body):
             infer_universe(ctx, annot, budget)
             check(ctx, bound, annot, budget)
+            name, body = level(LANGUAGE, ctx, name, (annot, bound), body)
             body_type = infer(ctx.define(name, bound, annot), body, budget)
             return subst1(body_type, name, bound)
         case Sigma(name, first, second):
             first_universe = infer_universe(ctx, first, budget)
+            name, second = level(LANGUAGE, ctx, name, (first,), second)
             second_universe = infer_universe(ctx.extend(name, first), second, budget)
             if isinstance(first_universe, Star) and isinstance(second_universe, Star):
                 return Star()
@@ -233,8 +248,8 @@ def _check_motive(ctx: Context, motive: Term, budget: Budget) -> None:
         raise TypeCheckError(
             f"natelim motive domain {pretty(motive_type.domain)} is not Nat"
         )
-    inner = ctx.extend(motive_type.name, _NAT)
-    codomain = whnf(inner, motive_type.codomain, budget)
+    name, codomain = level(LANGUAGE, ctx, motive_type.name, (_NAT,), motive_type.codomain)
+    codomain = whnf(ctx.extend(name, _NAT), codomain, budget)
     if not isinstance(codomain, (Star, Box)):
         raise TypeCheckError(f"natelim motive codomain {pretty(codomain)} is not a universe")
 

@@ -44,12 +44,14 @@ from __future__ import annotations
 from repro import cc, cccc
 from repro.cc import typecheck as cc_typecheck
 from repro.cc.context import Context as CCContext
+from repro.cc.ast import LANGUAGE as CC
 from repro.cccc.context import Context as TargetContext
 from repro.cccc.ntuple import bind_env, env_sigma, env_tuple
 from repro.closconv.fv import dependent_free_vars
 from repro.common.errors import TranslationError, TypeCheckError
 from repro.common.names import fresh
 from repro.kernel.state import current_state
+from repro.kernel.typing import level
 
 __all__ = ["compositionality_sides", "translate", "translate_context"]
 
@@ -80,6 +82,7 @@ def _translate(ctx: CCContext, term: cc.Term) -> cccc.Term:
             # must be total on everything `infer` can return.
             return cccc.Box()
         case cc.Pi(name, domain, codomain):
+            name, codomain = level(CC, ctx, name, (domain,), codomain)
             return cccc.Pi(  # [CC-Prod-⋆] / [CC-Prod-□]
                 name,
                 translate(ctx, domain),
@@ -90,6 +93,7 @@ def _translate(ctx: CCContext, term: cc.Term) -> cccc.Term:
         case cc.App(fn, arg):
             return cccc.App(translate(ctx, fn), translate(ctx, arg))  # [CC-App]
         case cc.Let(name, bound, annot, body):
+            name, body = level(CC, ctx, name, (annot, bound), body)
             return cccc.Let(  # [CC-Let]
                 name,
                 translate(ctx, bound),
@@ -97,6 +101,7 @@ def _translate(ctx: CCContext, term: cc.Term) -> cccc.Term:
                 translate(ctx.define(name, bound, annot), body),
             )
         case cc.Sigma(name, first, second):
+            name, second = level(CC, ctx, name, (first,), second)
             return cccc.Sigma(  # [CC-Sig-⋆] / [CC-Sig-□]
                 name,
                 translate(ctx, first),
@@ -141,9 +146,11 @@ def _translate(ctx: CCContext, term: cc.Term) -> cccc.Term:
 
 def _translate_lambda(ctx: CCContext, term: cc.Lam) -> cccc.Term:
     """The [CC-Lam] case: build code, environment type, and environment."""
-    arg_name = term.name
     domain = term.domain
-    body = term.body
+    # A binder that shadows a reachable context entry is α-renamed first,
+    # as the checker renames it: otherwise a captured variable of that name
+    # would be rebound by the environment-projection lets inside the code.
+    arg_name, body = level(CC, ctx, term.name, (domain,), term.body)
 
     # The FV metafunction needs the λ's type Π x:A. B: read B off the
     # source derivation, and derive it only when there is none.
@@ -159,16 +166,6 @@ def _translate_lambda(ctx: CCContext, term: cc.Lam) -> cccc.Term:
     lam_type = cc.Pi(arg_name, domain, body_type)
 
     free_bindings = dependent_free_vars(ctx, term, lam_type)
-
-    # If the λ binder collides with a captured free variable's name, the
-    # environment-projection lets inside the code would shadow the code's
-    # argument.  α-rename the binder first; the translation is stable
-    # under α-equivalence.
-    if any(binding.name == arg_name for binding in free_bindings):
-        renamed = fresh(arg_name)
-        body = cc.subst1(body, arg_name, cc.Var(renamed))
-        arg_name = renamed
-        body_ctx = ctx.extend(arg_name, domain)
 
     # Translate the telescope types in their (prefix) contexts.
     telescope: cccc.Telescope = []

@@ -70,7 +70,7 @@ from typing import Any
 
 from repro.kernel import fv
 from repro.kernel.budget import Budget
-from repro.kernel.nbe import NbeSpec, Thunk, glue, value_names, value_scopes, view
+from repro.kernel.nbe import NbeSpec, Thunk, glue, read_back, value_scopes
 from repro.kernel.nodespec import Language
 from repro.kernel.state import current_state
 
@@ -193,11 +193,11 @@ def convert(
             continue
         # A type value's head is never a variable: compare its node and
         # descend with the delayed substitution pushed one level down.
-        env_l = env_r = None
+        value_l = value_r = None
         if type(lw) is Thunk:
-            lw, env_l = view(nbe, lw)
+            value_l, lw = lw, lw.term
         if type(rw) is Thunk:
-            rw, env_r = view(nbe, rw)
+            value_r, rw = rw, rw.term
         if isinstance(lw, var_cls) or isinstance(rw, var_cls):
             if type(lw) is not type(rw) or not _bound_same(lw.name, rw.name, scope):
                 return False
@@ -212,10 +212,10 @@ def convert(
             continue
         skipped = irrelevant.get(type(lw), ())
         names_l = names_r = None
-        if env_l is not None:
-            names_l, envs_l = value_scopes(nbe, lw, env_l)
-        if env_r is not None:
-            names_r, envs_r = value_scopes(nbe, rw, env_r)
+        if value_l is not None:
+            names_l, envs_l = value_scopes(nbe, value_l)
+        if value_r is not None:
+            names_r, envs_r = value_scopes(nbe, value_r)
         depth = 0
         for child in children:
             while depth < len(child.binders):
@@ -229,10 +229,10 @@ def convert(
             if child.attr in skipped:
                 continue
             sub_l = getattr(lw, child.attr)
-            if env_l is not None:
+            if value_l is not None:
                 sub_l = glue(nbe, sub_l, envs_l[depth])
             sub_r = getattr(rw, child.attr)
-            if env_r is not None:
+            if value_r is not None:
                 sub_r = glue(nbe, sub_r, envs_r[depth])
             stack.append((sub_l, sub_r, cl, cr, scope))
     return True
@@ -260,7 +260,9 @@ def _free_agree(lang: Language, term: Any, scope: Any, nbe: NbeSpec | None = Non
     """
     if scope is None:
         return True
-    names = value_names(nbe, term) if type(term) is Thunk else fv.free_vars(lang, term)
+    if type(term) is Thunk:
+        term = read_back(nbe, term)
+    names = fv.free_vars(lang, term)
     if not names:
         return True
     for name in names:

@@ -30,12 +30,14 @@ The design is *glued* NbE over the named term representation:
   reduce within constant Python stack depth.
 * **Quotation freshens binders only on capture.**  Reading a binder back
   re-uses its source name unless that name occurs free in the residual of
-  some environment value that could flow under it (tracked by per-thunk
-  free-name sets), in which case a globally fresh name is drawn — exactly
-  the cases in which the substitution engine would have α-renamed.
+  some environment value that could flow under it (read off the residual,
+  which is memoized on the thunk, and its cached free-variable set), in
+  which case a globally fresh name is drawn — exactly the cases in which
+  the substitution engine would have α-renamed.
 * **The checker's type values live here too** (section "Type values"
-  below): syntax under delayed substitutions and O(1) instantiation
-  frames, read back by the same residualizer and never run on the machine.
+  below): flat syntax under delayed substitutions, whose free names are
+  context levels; read back by the same residualizer and never run on the
+  machine.
 * **δ-unfolding sees the same context slice** as the substitution engine:
   definitions are looked up through the caller's context, and a definition's
   own text is evaluated under the *binder-neutral* fraction of the current
@@ -65,7 +67,7 @@ from repro.kernel import fv
 from repro.kernel.budget import DEFAULT_FUEL, Budget
 from repro.kernel.nodespec import Language
 from repro.kernel.state import current_state
-from repro.kernel.substitution import subst
+from repro.kernel.substitution import restrict, subst
 
 __all__ = [
     "NbeSpec",
@@ -75,7 +77,6 @@ __all__ = [
     "nbe_normalize",
     "nbe_whnf",
     "read_back",
-    "value_names",
     "value_scopes",
     "view",
 ]
@@ -98,16 +99,13 @@ class Thunk:
 
     ``whnf`` caches the weak value ``(term, env, spine)``; ``nf`` the strong
     normal form; ``resid`` the residual term (the delayed substitution
-    applied, nothing reduced) and ``fnames`` its free-name set.  ``binder``
-    marks quotation-time neutrals: only those participate in δ-shadowing.
-    As a type value (see "Type values" below), ``term`` may itself be a
-    value, ``glued`` marks a node with value children, ``flat`` caches
-    :func:`view` and ``parts`` a glued node's read-back parts.
+    applied, nothing reduced).  ``binder`` marks quotation-time neutrals:
+    only those participate in δ-shadowing.  As a type value (see "Type
+    values" below), ``glued`` marks a node with value children and
+    ``parts`` caches a glued node's read-back parts.
     """
 
-    __slots__ = (
-        "term", "env", "binder", "glued", "whnf", "nf", "resid", "fnames", "flat", "parts",
-    )
+    __slots__ = ("term", "env", "binder", "glued", "whnf", "nf", "resid", "parts")
 
     def __init__(self, term: Any, env: dict, binder: bool = False, glued: bool = False) -> None:
         self.term = term
@@ -117,8 +115,6 @@ class Thunk:
         self.whnf: Any = None
         self.nf: Any = None
         self.resid: Any = None
-        self.fnames: Any = None
-        self.flat: Any = None
         self.parts: Any = None
 
 
@@ -129,7 +125,6 @@ def _neutral(var_cls: type, name: str) -> Thunk:
     thunk.whnf = (var, _EMPTY_ENV, ())
     thunk.nf = var
     thunk.resid = var
-    thunk.fnames = frozenset((name,))
     return thunk
 
 
@@ -280,8 +275,7 @@ def _thunk_resid(spec: NbeSpec, thunk: Thunk) -> Any:
     """The residual term of ``thunk`` (substitution applied, nothing reduced).
 
     Iterative over the thunk dependency DAG so chains of pending β-bindings
-    or instantiation frames never recurse in Python.  A type value with
-    frames is read back through its :func:`view`; a glued node one level at
+    never recurse in Python.  A glued type value is read back one level at
     a time, its children read back as values.
     """
     if thunk.resid is not None:
@@ -293,11 +287,11 @@ def _thunk_resid(spec: NbeSpec, thunk: Thunk) -> Any:
         if current.resid is not None:
             stack.pop()
             continue
-        node, env, glued = _flat(spec, current)
-        if glued:
+        node, env = current.term, current.env
+        if current.glued:
             parts = current.parts
             if parts is None:
-                parts = current.parts = _glued_parts(spec, node, env)
+                parts = current.parts = _glued_parts(spec, current)
             pending = [part for part in parts[1] if type(part) is Thunk and part.resid is None]
             if pending:
                 stack.extend(pending)
@@ -335,48 +329,19 @@ def _resid(spec: NbeSpec, term: Any, env: dict) -> Any:
     return subst(spec.lang, term, mapping)
 
 
-def _thunk_fnames(spec: NbeSpec, thunk: Thunk) -> frozenset:
-    """Free names of ``thunk``'s residual, computed without residualizing."""
-    if thunk.fnames is not None:
-        return thunk.fnames
+def _avoid(spec: NbeSpec, env: dict, names: Any) -> set[str]:
+    """Free names of the residuals of ``env``'s entries for ``names``.
+
+    A binder with one of these names would capture; each residual is
+    memoized on its thunk and its free-variable set on the term.
+    """
     lang = spec.lang
-    stack = [thunk]
-    while stack:
-        current = stack[-1]
-        if current.fnames is not None:
-            stack.pop()
-            continue
-        node, env, glued = _flat(spec, current)
-        if glued:
-            pending = [child for child in _glued_children(spec, node) if child.fnames is None]
-            if pending:
-                stack.extend(pending)
-                continue
-            names = _node_names(spec, node)
-        else:
-            names = fv.free_vars(lang, node)
-        if not env:
-            current.fnames = names
-            stack.pop()
-            continue
-        pending = [
-            dep
-            for name in names
-            if (dep := env.get(name)) is not None and dep.fnames is None
-        ]
-        if pending:
-            stack.extend(pending)
-            continue
-        out: set[str] = set()
-        for name in names:
-            dep = env.get(name)
-            if dep is None:
-                out.add(name)
-            else:
-                out |= dep.fnames
-        current.fnames = frozenset(out)
-        stack.pop()
-    return thunk.fnames
+    avoid: set[str] = set()
+    for name in names:
+        thunk = env.get(name)
+        if thunk is not None:
+            avoid |= fv.free_vars(lang, _thunk_resid(spec, thunk))
+    return avoid
 
 
 def _delta_env(env: dict) -> dict:
@@ -871,23 +836,11 @@ def _push_node(
     ctxs = [ctx]
     chosen: dict[str, str] = {}
     if binder_attrs:
-        avoid: frozenset | None = None
-        if env:
-            collected: set[str] | None = None
-            for name in fv.free_vars(lang, node):
-                thunk = env.get(name)
-                if thunk is not None:
-                    names = _thunk_fnames(spec, thunk)
-                    if collected is None:
-                        collected = set(names)
-                    else:
-                        collected |= names
-            if collected is not None:
-                avoid = frozenset(collected)
+        avoid = _avoid(spec, env, fv.free_vars(lang, node)) if env else ()
         current_env, current_ctx = env, ctx
         for attr in binder_attrs:
             source = getattr(node, attr)
-            name = fresh(source) if avoid is not None and source in avoid else source
+            name = fresh(source) if source in avoid else source
             chosen[attr] = name
             current_env = dict(current_env)
             current_env[source] = _neutral(spec.var_cls, name)
@@ -918,7 +871,7 @@ def _push_node(
 
 
 # --------------------------------------------------------------------------
-# Type values: syntax under delayed instantiation frames, for the checker.
+# Type values: syntax under delayed substitutions, for the checker.
 # --------------------------------------------------------------------------
 #
 # A type checker that instantiates dependent types (``B[e/x]`` in [App],
@@ -930,52 +883,35 @@ def _push_node(
 # * plain syntax (nothing delayed);
 # * ``Thunk(t, σ)``: syntax ``t`` whose free names in ``σ`` are replaced,
 #   capture-avoidingly, by the entries' values;
-# * ``Thunk(v, σ)`` for a value ``v``: an *instantiation frame*.  A value
-#   built in a context ``Γ, x = e : A`` and used in ``Γ`` ([Let]) has lost
-#   the level ``x`` sat at; the frame ``{x: e}`` records what that level
-#   reads as outside, in O(1), instead of pushing ``e`` into every pending
-#   entry of ``v``;
 # * ``Thunk(n, σ)`` with ``glued`` set: a node ``n`` some of whose children
 #   are values.  [Clo] types a closure ``Π x:A. B[e′/x′]`` this way: ``B``,
 #   the code body's type value, lives in the code's context ``·, x′, x``,
-#   so the Π binds level ``x`` of every entry of ``B`` and the frame
-#   ``{x′: e′}`` instantiates level ``x′`` — no entry is inspected.
+#   so the Π binds level ``x`` of every entry of ``B`` and ``σ = {x′: e′}``
+#   instantiates level ``x′`` — no entry is inspected.  A glued node
+#   mentions nothing outside ``σ`` and its binders.
 #
-# Free names outside every frame are context-level, resolved by name in
-# the context the value is used in, exactly as the substitution checker
-# resolves them.  A frame is composed into the entries beneath it only when
-# something descends into the value (:func:`view`, memoized), and a value
-# is never run on the machine (it memoizes forced thunks, which would
-# change fuel relative to the substituted term).  Reading one back
-# (:func:`read_back`) is ``_thunk_resid``, iterative over the value DAG and
-# memoized on each thunk: plain and framed thunks by one pruned, sharing
-# ``subst`` over the composed view; a glued node one level at a time, its
-# binders renamed exactly when ``subst`` would (:func:`value_scopes`).
+# A free name outside ``σ`` is a context level.  The checker names every
+# level a term can still reach once (a binder that shadows a reachable
+# entry takes a fresh name, :func:`repro.kernel.typing.level`), so a name
+# in a value denotes one level wherever the value goes: a later binder
+# cannot capture it.  A value that leaves a level ([Let]'s body
+# type leaves ``x``, a glued node's child leaves the code's levels) is
+# glued with the level's entry, and :func:`glue` composes it into the
+# value in one pass over the value's own entries: each entry that mentions
+# the level gets it, and the node gets it if it mentions the level itself.
+# So every value is flat, and nothing composes when something descends
+# into one.  A value is never run on the machine (it memoizes forced
+# thunks, which would change fuel relative to the substituted term).
+# Reading one back (:func:`read_back`) is ``_thunk_resid``, iterative over
+# the value DAG and memoized on each thunk: a plain thunk by one pruned,
+# sharing ``subst``; a glued node one level at a time, its binders renamed
+# exactly when ``subst`` would (:func:`value_scopes`).
 
 
-def _glued_children(spec: NbeSpec, node: Any) -> list[Thunk]:
-    """The children of a glued ``node`` that are values."""
-    children = (getattr(node, child.attr) for child in spec.lang.spec(node).children)
-    return [child for child in children if type(child) is Thunk]
-
-
-def _node_names(spec: NbeSpec, node: Any) -> frozenset:
-    """Free names of a node whose children may be values."""
-    lang = spec.lang
-    node_spec = lang.spec(node)
-    out: set[str] = set()
-    for child in node_spec.children:
-        sub = getattr(node, child.attr)
-        names = _thunk_fnames(spec, sub) if type(sub) is Thunk else fv.free_vars(lang, sub)
-        if child.binders:
-            names = names - {getattr(node, binder) for binder in child.binders}
-        out |= names
-    return frozenset(out)
-
-
-def _glued_parts(spec: NbeSpec, node: Any, env: dict) -> tuple[list[str], list]:
-    """Binder names and child values of a glued ``node`` under ``env``."""
-    names, envs = value_scopes(spec, node, env)
+def _glued_parts(spec: NbeSpec, value: Thunk) -> tuple[list[str], list]:
+    """Binder names and child values of a glued ``value``\'s node."""
+    names, envs = value_scopes(spec, value)
+    node = value.term
     children = [
         glue(spec, getattr(node, child.attr), envs[len(child.binders)])
         for child in spec.lang.spec(node).children
@@ -1007,7 +943,7 @@ def glue(spec: NbeSpec, term: Any, env: dict) -> Any:
     variable bound by ``env`` resolves to its entry right away (so a
     substituted occurrence is the replacement itself, as with ``subst``);
     the stored env is pruned to the names ``term`` mentions.  A value gets
-    ``env`` as an instantiation frame, in O(1): nothing under it is visited.
+    ``env`` composed into it (:func:`_compose`).
     """
     lang = spec.lang
     var_cls = spec.var_cls
@@ -1020,14 +956,49 @@ def glue(spec: NbeSpec, term: Any, env: dict) -> Any:
             term, env = thunk.term, thunk.env
             continue
         if cls is Thunk:
-            return Thunk(term, env)
-        fvs = fv.free_vars(lang, term)
-        if len(env) < len(fvs):
-            relevant = {name: thunk for name, thunk in env.items() if name in fvs}
-        else:
-            relevant = {name: thunk for name in fvs if (thunk := env.get(name)) is not None}
+            return _compose(spec, term, env)
+        relevant = restrict(env, fv.free_vars(lang, term))
         return Thunk(term, relevant) if relevant else term
     return term
+
+
+def _compose(spec: NbeSpec, value: Thunk, levels: dict) -> Thunk:
+    """``value`` with the context levels ``levels`` binds instantiated.
+
+    One pass over the value's own entries: an entry that mentions one of
+    the levels gets them composed into it, one that does not stays the
+    same object (conversion's pointer short-circuits, and so fuel, see
+    it), and the levels the node itself mentions join its env.  A glued
+    node mentions none.  Returns ``value`` itself when nothing changes.
+    """
+    env = value.env
+    composed: dict | None = None
+    for name, entry in env.items():
+        if entry.env:
+            moved = _compose(spec, entry, levels)
+        else:
+            term = entry.term
+            if type(term) is spec.var_cls:
+                moved = levels.get(term.name, entry)
+            else:
+                moved = glue(spec, term, levels)
+                if moved is term:
+                    moved = entry
+                elif type(moved) is not Thunk:
+                    moved = Thunk(moved, _EMPTY_ENV)
+        if moved is not entry:
+            if composed is None:
+                composed = dict(env)
+            composed[name] = moved
+    if not value.glued:
+        for name, thunk in restrict(levels, fv.free_vars(spec.lang, value.term)).items():
+            if name not in env:
+                if composed is None:
+                    composed = dict(env)
+                composed[name] = thunk
+    if composed is None:
+        return value
+    return Thunk(value.term, composed, glued=value.glued)
 
 
 def glue_node(spec: NbeSpec, node: Any, env: dict) -> Any:
@@ -1039,59 +1010,14 @@ def glue_node(spec: NbeSpec, node: Any, env: dict) -> Any:
 
 
 def view(spec: NbeSpec, value: Any) -> tuple[Any, dict]:
-    """A type value as ``(node, delayed substitution)``, frames composed.
+    """A type value as ``(node, delayed substitution)``.
 
-    Composing a frame into the substitution beneath it costs one step per
-    entry, nothing deeper, and is memoized on the value.  The node may be
-    glued (children that are values) but is never a variable: glue resolves
-    a bound one, and composition resolves an entry that is one.
+    The node may be glued (children that are values) but is never a
+    variable: glue resolves a bound one.
     """
     if type(value) is not Thunk:
         return value, _EMPTY_ENV
-    node, env, _ = _flat(spec, value)
-    return node, env
-
-
-def _flat(spec: NbeSpec, value: Thunk) -> tuple[Any, dict, bool]:
-    """:func:`view` of a thunk, and whether its node is glued."""
-    if type(value.term) is not Thunk:
-        return value.term, value.env, value.glued
-    if value.flat is not None:
-        return value.flat
-    chain = []
-    current = value
-    while type(current.term) is Thunk and current.flat is None:
-        chain.append(current)
-        current = current.term
-    flat = current.flat if type(current.term) is Thunk else (current.term, current.env, current.glued)
-    var_cls = spec.var_cls
-    for frame in reversed(chain):
-        node, env, glued = flat
-        outer = frame.env
-        composed = {name: _framed(var_cls, entry, outer) for name, entry in env.items()}
-        for name, entry in outer.items():
-            if name not in env:
-                composed[name] = entry
-        flat = frame.flat = (node, composed, glued)
-    return flat
-
-
-def _framed(var_cls: type, entry: Thunk, env: dict) -> Thunk:
-    """``entry`` under the frame ``env``.
-
-    A plain entry that is a variable becomes the frame's entry for it, or
-    stays as it is when the frame does not bind it, so no entry is ever a
-    variable its own substitution binds.  Another plain entry becomes its
-    syntax under ``env``, which :func:`glue` prunes when it resolves it: an
-    entry the frame does not touch resolves to the same object as before
-    (conversion's pointer short-circuits, and so fuel, see it).  A delayed
-    or framed entry gets the frame.
-    """
-    if entry.env or entry.glued or type(entry.term) is Thunk:
-        return Thunk(entry, env)
-    if type(entry.term) is var_cls:
-        return env.get(entry.term.name, entry)
-    return Thunk(entry.term, env)
+    return value.term, value.env
 
 
 def read_back(spec: NbeSpec, value: Any) -> Any:
@@ -1101,33 +1027,21 @@ def read_back(spec: NbeSpec, value: Any) -> Any:
     return _thunk_resid(spec, value)
 
 
-def value_names(spec: NbeSpec, value: Thunk) -> frozenset:
-    """Free names of a type value's read-back, without reading it back."""
-    return _thunk_fnames(spec, value)
-
-
-def value_scopes(spec: NbeSpec, node: Any, env: dict) -> tuple[list[str], list[dict]]:
-    """Binder names and per-depth envs for descending into a value's ``node``.
+def value_scopes(spec: NbeSpec, value: Thunk) -> tuple[list[str], list[dict]]:
+    """Binder names and per-depth envs for descending into ``value``\'s node.
 
     Entry ``k`` of the env list is in force under the first ``k`` binders:
     a binder drops the entry it shadows, and is renamed to a globally fresh
     name exactly when it would capture a free name of an env entry the node
     uses — the cases in which ``subst`` renames.
     """
-    lang = spec.lang
-    binder_attrs = lang.spec(node).binder_attrs
+    node, env = value.term, value.env
+    binder_attrs = spec.lang.spec(node).binder_attrs
     names: list[str] = []
     envs = [env]
     if not binder_attrs:
         return names, envs
-    avoid: set[str] = set()
-    node_names = fv.known_free_vars(node)
-    if node_names is None:
-        node_names = _node_names(spec, node)
-    for name in node_names:
-        thunk = env.get(name)
-        if thunk is not None:
-            avoid |= _thunk_fnames(spec, thunk)
+    avoid = _avoid(spec, env, env if value.glued else fv.free_vars(spec.lang, node))
     current = env
     for attr in binder_attrs:
         source = getattr(node, attr)

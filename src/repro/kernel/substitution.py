@@ -8,8 +8,10 @@ supply) exactly when it would capture a free variable of some replacement.
 Three sharing/efficiency improvements over the originals, the first two
 enabled by the free-variable sets :mod:`repro.kernel.fv` stores on terms:
 
-* the entry-point scan ``{k: v for k in mapping if k in free_vars(term)}``
-  is now an O(1)-amortized attribute read instead of a full term walk;
+* the entry-point scan restricts the mapping to ``free_vars(term)``, an
+  O(1)-amortized attribute read instead of a full term walk, iterating
+  whichever of the two is smaller (so a large mapping, as unhoisting
+  passes, costs only the term's few free names);
 * every interior node whose subtree contains no mapped name is returned
   *unchanged* (pointer-shared with the input), so a substitution touching
   one branch of a large term no longer rebuilds — or needlessly renames
@@ -39,9 +41,16 @@ from repro.kernel.names import fresh
 from repro.kernel import fv
 from repro.kernel.nodespec import Language
 
-__all__ = ["subst"]
+__all__ = ["restrict", "subst"]
 
 Substitution = dict[str, Any]
+
+
+def restrict(mapping: dict, names: Any) -> dict:
+    """``mapping`` restricted to ``names``, iterating the smaller of the two."""
+    if len(mapping) < len(names):
+        return {name: value for name, value in mapping.items() if name in names}
+    return {name: mapping[name] for name in names if name in mapping}
 
 
 def subst(lang: Language, term: Any, mapping: Substitution) -> Any:
@@ -54,8 +63,7 @@ def subst(lang: Language, term: Any, mapping: Substitution) -> Any:
     """
     if not mapping:
         return term
-    fvs = fv.free_vars(lang, term)
-    relevant = {k: v for k, v in mapping.items() if k in fvs}
+    relevant = restrict(mapping, fv.free_vars(lang, term))
     if not relevant:
         return term
     capturable: set[str] = set()

@@ -9,18 +9,26 @@ reduction wiring, the type of each constant, its own rules dispatched on
 ``type(term)`` (CC's [Lam]; CC-CC's [T-Code], [Code] and [Clo]), its memo
 kinds and scope, and its name.
 
+**Contexts are indexed by level.**  A context names each level that a
+term can still reach once (:func:`level`): a binder that shadows an entry
+that a stored type or definition still mentions takes a fresh name, and
+its scope is renamed to it.  So a name in a stored type denotes one level,
+and a later binder can never capture it; names serve printing and
+messages otherwise, and programs that shadow nothing are checked as they
+are written.
+
 **Types are checked as values** (:mod:`repro.kernel.nbe`, "Type values").
 A judgment synthesizes syntax under delayed substitutions, and every
 instantiation costs O(1).  [App], [Pair] and [Snd] add one entry
 for the binder they instantiate.  [Let] and [Clo] move a type value out of
 the context level it was built at: [Let]'s body type leaves the defined
-level ``x`` and gets the frame ``{x: e}``; [Clo]'s closure type binds the
-code's argument level under a new Π and gets the frame ``{x′: e′}`` for
-its environment level.  Nothing under a frame is visited until something
-descends into it.  A value becomes syntax only as a binder's result type
-([Lam], [Code]), in an error message, and as a public result, read back
-once and memoized on the value.  ``whnf_value`` reduces exactly the
-substituted term, so fuel matches substitution.
+level ``x`` and gets ``{x: e}`` composed into it, one pass over its own
+entries; [Clo]'s closure type binds the code's argument level under a new
+Π and instantiates its environment level by the entry ``{x′: e′}``, and
+nothing in the code body's type is visited.  A value becomes syntax only
+as a binder's result type ([Lam], [Code]), in an error message, and as a
+public result, read back once and memoized on the value.  ``whnf_value``
+reduces exactly the substituted term, so fuel matches substitution.
 
 **Memo scope is a spec constant.**  Judgments are memoized in the
 session's judgment :class:`~repro.kernel.memo.Memo` per (subject
@@ -51,9 +59,11 @@ from repro.kernel.budget import Budget
 from repro.kernel.memo import judgment_key
 from repro.kernel.names import fresh
 from repro.kernel.nbe import NbeSpec, Thunk, glue, read_back, view
+from repro.kernel.nodespec import Language
 from repro.kernel.reduction import whnf, whnf_value
+from repro.kernel.substitution import subst
 
-__all__ = ["TypingSpec", "bind", "check_value", "infer_value", "universe"]
+__all__ = ["TypingSpec", "bind", "check_value", "infer_value", "level", "universe"]
 
 _EMPTY_ENV: dict = {}
 
@@ -236,6 +246,39 @@ def _recall(spec: TypingSpec, kind: str, ctx: Any, subject: Any, extra: Any,
     return memo, key, memo.replay(kind, subject, extra, key, budget)
 
 
+def level(lang: Language, ctx: Any, name: str, stored: tuple, *scope: Any) -> tuple:
+    """``(level, *scope)``: the name a binder ``name`` takes as a new level of ``ctx``.
+
+    ``stored`` holds what the new entry keeps (its type, and its
+    definition).  A context names each level a term can still reach once.
+    A binder shadows an entry of ``ctx`` harmlessly unless that entry is
+    reachable from the new level: named by a stored term, or by the type
+    or definition of an entry that the stored terms or the ``scope`` (less
+    the binder's own occurrences) reach.  Then the binder takes a fresh
+    name and the ``scope`` is renamed to it (the only case that walks it),
+    so a type stored at an outer level is never read at an inner one.
+    """
+    if name not in ctx:
+        return (name, *scope)
+    free_vars = fv.free_vars
+    pending = [free_vars(lang, term) for term in stored]
+    pending += [free_vars(lang, term) - {name} for term in scope]
+    seen: set[str] = set()
+    while pending:
+        for reached in pending.pop():
+            if reached == name:
+                renamed = fresh(name)
+                mapping = {name: lang.var_cls(renamed)}
+                return (renamed, *(subst(lang, term, mapping) for term in scope))
+            binding = ctx.lookup(reached)
+            if reached not in seen and binding is not None:
+                seen.add(reached)
+                pending.append(free_vars(lang, binding.type_))
+                if binding.definition is not None:
+                    pending.append(free_vars(lang, binding.definition))
+    return (name, *scope)
+
+
 def bind(env: dict, name: str, replacement: Any) -> dict:
     """``env`` extended (in parallel) with ``name ↦ replacement``."""
     return {**env, name: Thunk(replacement, _EMPTY_ENV)}
@@ -251,7 +294,8 @@ def _box(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
 
 def _pi(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
     universe(spec, ctx, term.domain, budget)
-    return universe(spec, ctx.extend(term.name, term.domain), term.codomain, budget)  # [Prod]
+    name, codomain = level(spec.nbe.lang, ctx, term.name, (term.domain,), term.codomain)
+    return universe(spec, ctx.extend(name, term.domain), codomain, budget)  # [Prod]
 
 
 def _app(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
@@ -268,14 +312,15 @@ def _app(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
 def _let(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
     universe(spec, ctx, term.annot, budget)
     check_value(spec, ctx, term.bound, term.annot, budget)
-    body_ctx = ctx.define(term.name, term.bound, term.annot)
-    body_type = infer_value(spec, body_ctx, term.body, budget)
-    return glue(spec.nbe, body_type, bind(_EMPTY_ENV, term.name, term.bound))  # [Let]
+    name, body = level(spec.nbe.lang, ctx, term.name, (term.annot, term.bound), term.body)
+    body_type = infer_value(spec, ctx.define(name, term.bound, term.annot), body, budget)
+    return glue(spec.nbe, body_type, bind(_EMPTY_ENV, name, term.bound))  # [Let]
 
 
 def _sigma(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
     first = universe(spec, ctx, term.first, budget)
-    second = universe(spec, ctx.extend(term.name, term.first), term.second, budget)
+    name, second_type = level(spec.nbe.lang, ctx, term.name, (term.first,), term.second)
+    second = universe(spec, ctx.extend(name, term.first), second_type, budget)
     star = spec.sorts[0]
     return spec.star if type(first) is star and type(second) is star else spec.box  # [Sig]
 
@@ -329,7 +374,8 @@ def _natelim(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
         raise TypeCheckError(f"natelim motive has non-Π type {spec.pretty(motive_type)}")
     if not spec.equivalent(ctx, motive_type.domain, nat, budget):
         raise TypeCheckError(f"natelim motive domain {spec.pretty(motive_type.domain)} is not Nat")
-    codomain = whnf(nbe, ctx.extend(motive_type.name, nat), motive_type.codomain, budget)
+    name, codomain = level(nbe.lang, ctx, motive_type.name, (nat,), motive_type.codomain)
+    codomain = whnf(nbe, ctx.extend(name, nat), codomain, budget)
     if type(codomain) not in spec.sorts:
         raise TypeCheckError(f"natelim motive codomain {spec.pretty(codomain)} is not a universe")
     check_value(spec, ctx, term.target, nat, budget)

@@ -8,6 +8,7 @@ closure-conversion situation:
   captured *type* variables (the paper's Section 3 example),
 * dependent pairs, projections, refinement-style Σ's,
 * let with definitions, δ/ζ/β/π/ι redexes,
+* binders that shadow a name an earlier binding's type mentions,
 * ground-type computation (Bool, Nat) for observation tests,
 * impredicative polymorphism (Church encodings).
 """
@@ -57,6 +58,9 @@ CORPUS: list[tuple[str, Context, cc.Term]] = [
     ("nested-capture", _ARITH, parse_term(r"\ (x : A). \ (y : A). f x")),
     ("triple-nest", _EMPTY, parse_term(r"\ (x : Nat). \ (y : Nat). \ (z : Nat). x")),
     ("shadow", _EMPTY, parse_term(r"\ (x : Nat). (\ (x : Bool). x) true")),
+    # a binder that reuses a name some stored type mentions must not capture it
+    ("shadow-let", _EMPTY, parse_term(r"\ (A : Type) (x : A). let A = Nat : Type in x")),
+    ("shadow-capture", _EMPTY, parse_term(r"\ (A : Type) (x : A). \ (A : Type). \ (z : Nat). x")),
     # -- application / redexes -------------------------------------------
     ("beta-redex", _EMPTY, parse_term(r"(\ (x : Nat). succ x) 4")),
     ("id-Nat-3", _EMPTY, cc.make_app(prelude.polymorphic_identity, cc.Nat(), cc.nat_literal(3))),
@@ -136,6 +140,7 @@ CLOSED_GROUND_PROGRAMS: list[tuple[str, cc.Term, bool | int]] = [
         cc.Lam("k", cc.Nat(), cc.Succ(cc.Var("k"))),
         cc.Zero(),
     ), 5),
+    ("shadow-let", parse_term(r"(\ (A : Type) (x : A). let A = Nat : Type in x) Bool true"), True),
     ("deep-pair", parse_term(
         r"fst (snd (<1, <2, 3> as (exists (y : Nat), Nat)> as (exists (x : Nat), (exists (y : Nat), Nat))))"
     ), 2),

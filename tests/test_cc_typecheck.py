@@ -371,6 +371,10 @@ _PINNED = {
     ('triple-nest', True): (True, None, None, 0, 'Nat -> Nat -> Nat -> Nat'),
     ('shadow', False): (True, None, None, 0, 'Nat -> Bool'),
     ('shadow', True): (True, None, None, 0, 'Nat -> Bool'),
+    ('shadow-let', False): (True, None, None, 0, 'Π ($cv0 : ⋆). $cv0 -> $cv0'),
+    ('shadow-let', True): (True, None, None, 0, 'Π ($cv0 : ⋆). $cv0 -> $cv0'),
+    ('shadow-capture', False): (True, None, None, 0, 'Π ($cv0 : ⋆). $cv0 -> ⋆ -> Nat -> $cv0'),
+    ('shadow-capture', True): (True, None, None, 0, 'Π ($cv0 : ⋆). $cv0 -> ⋆ -> Nat -> $cv0'),
     ('beta-redex', False): (True, None, None, 0, 'Nat'),
     ('beta-redex', True): (True, None, None, 0, 'Nat'),
     ('id-Nat-3', False): (True, None, None, 0, 'Nat'),
@@ -492,10 +496,10 @@ def test_typing_is_pinned(name, ctx, term, interned):
     assert _typing_record(ctx, term, interned) == _PINNED[name, interned]
 
 
-#: The checker resolves context variables by name, so a later binder that
-#: reuses a name captures an earlier binding's type: ``x : A`` is read at
-#: the inner ``A``.  These pin that bug (ROADMAP open item 1) and must be
-#: flipped to plain tests by the change that fixes it.
+#: A later binder that reuses a name must not capture an earlier binding's
+#: type: ``x : A`` is read at the outer ``A``, never the inner one.  The
+#: checker names each level a term can still reach once, so these are
+#: ill-typed.
 _SHADOWING_ILL_TYPED = [
     pytest.param(r"\ (A : Type) (x : A) (A : Type). (\ (z : A). z) x", id="lambda"),
     pytest.param(r"\ (A : Type) (x : A). exists (A : Type), forall (P : A -> Type), P x",
@@ -505,13 +509,11 @@ _SHADOWING_ILL_TYPED = [
 
 
 class TestShadowingCapture:
-    @pytest.mark.xfail(strict=True, reason="context variables resolve by name (ROADMAP item 1)")
     @pytest.mark.parametrize("text", _SHADOWING_ILL_TYPED)
     def test_shadowing_binder_is_rejected(self, text):
         with pytest.raises(TypeCheckError):
             api.Session().check(text)
 
-    @pytest.mark.xfail(strict=True, reason="context variables resolve by name (ROADMAP item 1)")
     def test_shadowed_well_typed_program_checks_and_runs(self):
         session = api.Session()
         text = r"\ (A : Type) (x : A) (A : Type) (y : A). x"
@@ -520,3 +522,11 @@ class TestShadowingCapture:
         expected = cc.Pi("A", star, cc.arrow(var("A"), cc.Pi("B", star, cc.arrow(var("B"), var("A")))))
         assert cc.alpha_equal(session.check(text).type_, expected)
         session.run(text)
+
+    @pytest.mark.parametrize("name, expected", [
+        ("shadow-let", r"forall (A : Type), A -> A"),
+        ("shadow-capture", r"forall (A : Type), A -> forall (B : Type), Nat -> A"),
+    ])
+    def test_shadowing_corpus_types(self, name, expected):
+        ((ctx, term),) = [(ctx, term) for entry, ctx, term in CORPUS if entry == name]
+        assert cc.alpha_equal(api.Session().check(term, ctx).type_, parse_term(expected))

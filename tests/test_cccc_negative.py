@@ -165,3 +165,36 @@ class TestMutationRejection:
         result = compile_term(ctx, cc.Lam("x", cc.Nat(), cc.Var("a")))
         mutant = cccc.Clo(result.target.code, cccc.UnitVal())
         _expect_reject(result.target_context, mutant)
+
+
+class TestShadowingRejections:
+    """CC-CC forms of ``tests/test_cc_typecheck.py``'s ``_SHADOWING_ILL_TYPED``.
+
+    Under ``A : ⋆, x : A`` a binder (a Π assumption, a Σ assumption, a
+    ``let`` definition) reuses the name ``A``, and ``x`` is then checked at
+    the inner ``A``.  ``x``'s type is the outer ``A``, so each is ill-typed.
+    """
+
+    @staticmethod
+    def _context(empty_target):
+        return empty_target.extend("A", cccc.Star()).extend("x", cccc.Var("A"))
+
+    @staticmethod
+    def _uses_x():
+        var = cccc.Var
+        return cccc.Pi("P", cccc.arrow(var("A"), cccc.Star()), cccc.App(var("P"), var("x")))
+
+    def test_pi_binder(self, empty_target):  # the λ program
+        _expect_reject(self._context(empty_target), cccc.Pi("A", cccc.Star(), self._uses_x()))
+
+    def test_sigma_binder(self, empty_target):
+        _expect_reject(self._context(empty_target), cccc.Sigma("A", cccc.Star(), self._uses_x()))
+
+    def test_let_binder(self, empty_target):
+        nat_id = cccc.Clo(
+            cccc.CodeLam("n", cccc.Unit(), "z", cccc.Nat(), cccc.Var("z")), cccc.UnitVal()
+        )
+        _expect_reject(
+            self._context(empty_target),
+            cccc.Let("A", cccc.Nat(), cccc.Star(), cccc.App(nat_id, cccc.Var("x"))),
+        )

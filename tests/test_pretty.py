@@ -177,6 +177,20 @@ _PINNED_PRINTS = {
         '⟨⟨λ (n$1 : 1, x : Nat). ⟨⟨λ (n$2 : 1, x : Bool). x, ⟨⟩⟩⟩ true, ⟨⟩⟩⟩',
         'Nat -> Bool',
     ),
+    'shadow-let': (
+        'λ (A : ⋆). λ (x : A). let A = Nat : ⋆ in x',
+        '\\ (A : Type). \\ (x : A). let A = Nat : Type in x',
+        'λ ($cv0 : ⋆). λ ($cv1 : $cv0). let $cv2 = Nat : ⋆ in $cv1',
+        '⟨⟨λ (n$2 : 1, A : ⋆). ⟨⟨λ (n$3 : Σ (A : ⋆). 1, x : let A = fst n$3 : ⋆ in A). let A = fst n$3 : ⋆ in let A$4 = Nat : ⋆ in x, ⟨A, ⟨⟩⟩ as (Σ (A : ⋆). 1)⟩⟩, ⟨⟩⟩⟩',
+        'Π (A : ⋆). A -> A',
+    ),
+    'shadow-capture': (
+        'λ (A : ⋆). λ (x : A). λ (A : ⋆). λ (z : Nat). x',
+        '\\ (A : Type). \\ (x : A). \\ (A : Type). \\ (z : Nat). x',
+        'λ ($cv0 : ⋆). λ ($cv1 : $cv0). λ ($cv2 : ⋆). λ ($cv3 : Nat). $cv1',
+        '⟨⟨λ (n$2 : 1, A : ⋆). ⟨⟨λ (n$3 : Σ (A : ⋆). 1, x : let A = fst n$3 : ⋆ in A). let A = fst n$3 : ⋆ in ⟨⟨λ (n$5 : Σ (A : ⋆). Σ (x : A). 1, A$4 : let A = fst n$5 : ⋆ in let x = fst (snd n$5) : A in ⋆). let A = fst n$5 : ⋆ in let x = fst (snd n$5) : A in ⟨⟨λ (n$6 : Σ (A : ⋆). Σ (x : A). 1, z : let A = fst n$6 : ⋆ in let x = fst (snd n$6) : A in Nat). let A = fst n$6 : ⋆ in let x = fst (snd n$6) : A in x, ⟨A, ⟨x, ⟨⟩⟩ as (Σ (x : A). 1)⟩ as (Σ (A : ⋆). Σ (x : A). 1)⟩⟩, ⟨A, ⟨x, ⟨⟩⟩ as (Σ (x : A). 1)⟩ as (Σ (A : ⋆). Σ (x : A). 1)⟩⟩, ⟨A, ⟨⟩⟩ as (Σ (A : ⋆). 1)⟩⟩, ⟨⟩⟩⟩',
+        'Π (A : ⋆). A -> ⋆ -> Nat -> A',
+    ),
     'beta-redex': (
         '(λ (x : Nat). succ x) 4',
         '(\\ (x : Nat). succ x) 4',
