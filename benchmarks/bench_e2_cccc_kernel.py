@@ -61,7 +61,7 @@ def test_normalize_compiled_nat_sum(benchmark, n):
 def test_closure_eta_equivalence(benchmark, width):
     """[≡-Clo]: compare a closure capturing `width` values against its
     fully inlined form."""
-    telescope = [(f"y{i}", cccc.Nat()) for i in range(width)]
+    telescope = [cccc.Binding(f"y{i}", cccc.Nat()) for i in range(width)]
     captured = cccc.Clo(
         cccc.CodeLam(
             "n",

@@ -517,7 +517,7 @@ class Session:
         """Type check ``program`` (text or term) under ``ctx`` (empty default)."""
         with self.activate():
             term = self._coerce(program)
-            context = ctx if ctx is not None else cc.Context.empty()
+            context = ctx.distinct() if ctx is not None else cc.Context.empty()
             before = self._state.hit_counts()
             budget = self.budget()
             type_ = cc.infer(context, term, budget)
@@ -553,7 +553,7 @@ class Session:
         engine = validate_engine(engine if engine is not None else self.engine)
         with self.activate():
             term = self._coerce(program)
-            context = ctx if ctx is not None else cc.Context.empty()
+            context = ctx.distinct() if ctx is not None else cc.Context.empty()
             before = self._state.hit_counts()
             check_budget = self.budget()
             type_ = cc.infer(context, term, check_budget)  # reject ill-typed input
@@ -746,7 +746,7 @@ class Session:
             # One budget across the telescope check and the final re-check,
             # so ``steps`` is the exact fuel the whole link spent.
             budget = self.budget()
-            check_substitution(ctx, gamma, budget)
+            check_substitution(ctx.distinct(), gamma, budget)
             linked = link(ctx, term, gamma)
             type_ = cc.infer(cc.Context.empty(), linked, budget)
             hits = self._hit_delta(before)
@@ -817,7 +817,7 @@ class Session:
         term: cc.Term, ctx: cc.Context | None, verify: bool,
     ) -> tuple[_CompileEntry, CompileResult]:
         """Compile ``term`` cold into ``entry``, or a new entry stored in ``memo``."""
-        context = ctx if ctx is not None else cc.Context.empty()
+        context = ctx.distinct() if ctx is not None else cc.Context.empty()
         before = self._state.hit_counts()
         check_budget = self.budget()
         verify_budget = self.budget()

@@ -71,7 +71,7 @@ __all__ = [
 
 #: Bumped on any change to the artifact layout or the key preimage: old
 #: rows then stop matching instead of decoding wrongly.
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 _MAGIC = b"RPYC"
 _KEY_SEAL = b"repro-backend-key"

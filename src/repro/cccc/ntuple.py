@@ -1,16 +1,17 @@
 """Dependent n-tuples and pattern lets — the Section 4 environment sugar.
 
 The paper writes environments as dependent n-tuples ``⟨e…⟩ as Σ (x:A…)``
-and opens them with pattern lets ``let ⟨x…⟩ = e′ in e``.  Both are sugar:
+and opens them with pattern lets ``let ⟨x…⟩ = e′ in e``.  Both are sugar
+over a sub-telescope of Γ, in which a definition ``x = e : A`` is a ``let``:
 
 * the telescope type ``Σ (x0:A0, …, xn:An)`` is the nested strong pairs
   ``Σ x0:A0. (… (Σ xn:An. 1))`` terminated by the unit type;
-* the tuple ``⟨e0, …, en⟩`` is nested pairs ``⟨e0, ⟨…, ⟨en, ⟨⟩⟩⟩⟩`` with
-  each inner annotation instantiated with the values of earlier
-  components (the typing rule for pairs substitutes the first component
-  into the type of the second);
-* the pattern let is a chain of ``let xi = fst (snd^i e′) : Ai in …``
-  projections.
+* the tuple ``⟨e0, …, en⟩`` is nested pairs ``⟨e0, ⟨…, ⟨en, ⟨⟩⟩⟩⟩``, one
+  per assumption, each inner annotation instantiated with the earlier
+  entries (the typing rule for pairs substitutes the first component into
+  the type of the second);
+* the pattern let is a chain of ``let xi = fst (snd^k e′) : Ai in …``
+  projections, ``k`` counting assumptions.
 
 This module is the single place that elaborates the sugar, used by the
 closure-conversion translation (Figure 9) and by tests.
@@ -18,17 +19,8 @@ closure-conversion translation (Figure 9) and by tests.
 
 from __future__ import annotations
 
-from repro.cccc.ast import (
-    Fst,
-    Let,
-    Pair,
-    Sigma,
-    Snd,
-    Term,
-    Unit,
-    UnitVal,
-    Var,
-)
+from repro.cccc.ast import Fst, Let, Pair, Sigma, Snd, Term, Unit, UnitVal
+from repro.cccc.context import Binding
 from repro.cccc.substitution import subst
 
 __all__ = [
@@ -40,41 +32,47 @@ __all__ = [
     "tuple_values",
 ]
 
-#: A dependent telescope: ordered (name, type) pairs; each type may mention
-#: the names of *earlier* entries.
-Telescope = list[tuple[str, Term]]
+#: A dependent telescope: ordered entries; each type (and definition) may
+#: mention the names of *earlier* entries.
+Telescope = list[Binding]
 
 
 def env_sigma(telescope: Telescope) -> Term:
     """The environment type ``Σ (x0:A0, …, xn:An)`` as nested Σ's over 1."""
     result: Term = Unit()
-    for name, type_ in reversed(telescope):
-        result = Sigma(name, type_, result)
+    for entry in reversed(telescope):
+        if entry.definition is None:
+            result = Sigma(entry.name, entry.type_, result)
+        else:
+            result = Let(entry.name, entry.definition, entry.type_, result)
     return result
 
 
 def env_tuple(telescope: Telescope, values: list[Term]) -> Term:
     """The environment tuple ``⟨v0, …, vn⟩ as Σ (x0:A0, …)``.
 
-    ``values[i]`` is the term stored for telescope entry ``i``.  In the
-    paper's [CC-Lam] the values are exactly the free variables
-    ``⟨xi …⟩``; the general form (arbitrary values) is what substitution
-    produces and what the compositionality property exercises.
+    ``values[i]`` is the term stored for the ``i``-th assumption of the
+    telescope.  In the paper's [CC-Lam] the values are exactly the free
+    variables ``⟨xi …⟩``; the general form (arbitrary values) is what
+    substitution produces and what the compositionality property exercises.
 
     Each nested pair is annotated with its telescope suffix, with the
-    values of earlier components substituted for their names — this is
-    forced by the pair typing rule, which checks the second component at
-    ``B[e1/x]``.
+    values (or instantiated definitions) of earlier entries substituted for
+    their names — this is forced by the pair typing rule, which checks the
+    second component at ``B[e1/x]``.
     """
-    if len(telescope) != len(values):
-        raise ValueError(
-            f"telescope has {len(telescope)} entries but {len(values)} values given"
-        )
+    width = sum(entry.definition is None for entry in telescope)
+    if width != len(values):
+        raise ValueError(f"telescope has {width} assumptions but {len(values)} values given")
     annotations: list[Term] = []
     instantiation: dict[str, Term] = {}
-    for index, (name, _) in enumerate(telescope):
-        annotations.append(subst(env_sigma(telescope[index:]), instantiation))
-        instantiation[name] = values[index]
+    stored = iter(values)
+    for index, entry in enumerate(telescope):
+        if entry.definition is None:
+            annotations.append(subst(env_sigma(telescope[index:]), instantiation))
+            instantiation[entry.name] = next(stored)
+        else:
+            instantiation[entry.name] = subst(entry.definition, instantiation)
     result: Term = UnitVal()
     for value, annot in zip(reversed(values), reversed(annotations)):
         result = Pair(value, result, annot)
@@ -91,15 +89,18 @@ def project(env: Term, index: int) -> Term:
 def bind_env(telescope: Telescope, env: Term, body: Term) -> Term:
     """The pattern let ``let ⟨x0, …, xn⟩ = env in body``.
 
-    Elaborates to ``let x0 = fst env : A0 in … let xn = fst (snd^n env) :
-    An in body``.  Later annotations ``Ai`` may mention earlier ``xj``;
-    those occurrences are bound by the outer lets, whose *definitions*
-    (δ-equivalence to the projections) make the chain type check.
+    Elaborates to ``let x0 = fst env : A0 in … let xn = fst (snd^k env) :
+    An in body`` (``let x = e : A`` for a definition).  Later
+    annotations ``Ai`` may mention earlier ``xj``; those occurrences are
+    bound by the outer lets, whose *definitions* (δ-equivalence to the
+    projections) make the chain type check.
     """
     result = body
-    for index in range(len(telescope) - 1, -1, -1):
-        name, type_ = telescope[index]
-        result = Let(name, project(env, index), type_, result)
+    index = sum(entry.definition is None for entry in telescope)
+    for entry in reversed(telescope):
+        index -= entry.definition is None
+        bound = project(env, index) if entry.definition is None else entry.definition
+        result = Let(entry.name, bound, entry.type_, result)
     return result
 
 

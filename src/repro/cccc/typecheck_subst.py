@@ -72,7 +72,7 @@ from repro.common.names import fresh
 from repro.kernel.memo import judgment_key
 from repro.kernel.typing import level
 
-__all__ = ["check", "check_context", "infer", "infer_universe", "well_typed"]
+__all__ = ["check", "infer", "infer_universe"]
 
 # Shared leaf instances.  check/equivalent memo keys are identity-based, so
 # passing one stable object for the ubiquitous ground types makes those
@@ -294,25 +294,3 @@ def infer_universe(ctx: Context, type_: Term, budget: Budget | None = None) -> S
     memo.store("cccc.universe", type_, None, key, sort, budget.spent - before)
     return sort
 
-
-def well_typed(ctx: Context, term: Term, budget: Budget | None = None) -> bool:
-    """Does ``term`` have *some* type under ``ctx``?"""
-    try:
-        infer(ctx, term, budget)
-    except TypeCheckError:
-        return False
-    return True
-
-
-def check_context(ctx: Context, budget: Budget | None = None) -> None:
-    """Check well-formedness ``⊢ Γ``."""
-    if budget is None:
-        budget = Budget()
-    prefix = Context.empty()
-    for binding in ctx:
-        infer_universe(prefix, binding.type_, budget)
-        if binding.definition is not None:
-            check(prefix, binding.definition, binding.type_, budget)
-            prefix = prefix.define(binding.name, binding.definition, binding.type_)
-        else:
-            prefix = prefix.extend(binding.name, binding.type_)

@@ -11,7 +11,6 @@ from repro.closconv.pipeline import (
     CompilationResult,
     TypePreservationViolation,
     compile_term,
-    delta_expand,
 )
 from repro.closconv.translate import translate, translate_context
 
@@ -19,7 +18,6 @@ __all__ = [
     "CompilationResult",
     "TypePreservationViolation",
     "compile_term",
-    "delta_expand",
     "dependent_free_vars",
     "translate",
     "translate_context",

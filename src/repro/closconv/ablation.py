@@ -107,7 +107,8 @@ def _shallow_lambda(ctx: CCContext, term: cc.Lam) -> cccc.Term:
     telescope: cccc.Telescope = []
     for name in names:
         binding = ctx.lookup(name)
-        telescope.append((name, translate_shallow_fv(ctx.prefix(name), binding.type_)))
+        # An assumption even for a definition: the ablation drops its equation.
+        telescope.append(cccc.Binding(name, translate_shallow_fv(ctx.prefix(name), binding.type_)))
 
     env_name = fresh("n")
     env_var = cccc.Var(env_name)

@@ -3,7 +3,8 @@
 :func:`compile_term` packages the whole Figure 9 story:
 
 1. type check the source term in CC (rejecting ill-typed inputs),
-2. closure-convert term, type, and context,
+2. closure-convert term, type, and context, on one path for every context:
+   a λ keeps the captured equations its code's types need (``closconv/fv``),
 3. (optionally) run the CC-CC kernel on the output — Theorem 5.6 says this
    *must* succeed, and the pipeline turns a failure into a loud
    :class:`TypePreservationViolation` rather than a silent miscompile.
@@ -15,13 +16,12 @@ from dataclasses import dataclass
 
 from repro import cc, cccc
 from repro.cc.context import Context as CCContext
-from repro.cc.substitution import subst as cc_subst
 from repro.cccc.context import Context as TargetContext
 from repro.closconv.translate import translate, translate_context
 from repro.common.errors import TypeCheckError
 from repro.kernel.budget import Budget
 
-__all__ = ["CompilationResult", "TypePreservationViolation", "compile_term", "delta_expand"]
+__all__ = ["CompilationResult", "TypePreservationViolation", "compile_term"]
 
 
 class TypePreservationViolation(TypeCheckError):
@@ -61,7 +61,6 @@ def compile_term(
     ctx: CCContext,
     term: cc.Term,
     verify: bool = True,
-    inline_definitions: bool = False,
     source_budget: Budget | None = None,
     verify_budget: Budget | None = None,
 ) -> CompilationResult:
@@ -72,11 +71,6 @@ def compile_term(
         term: the well-typed CC term to compile.
         verify: run the CC-CC kernel on the output and compare against the
             translated type (Theorem 5.6 made executable).
-        inline_definitions: δ-expand context definitions into the term
-            before compiling.  The paper's FV metafunction captures defined
-            variables as opaque assumptions, so a code body whose typing
-            *requires* a δ-step on a captured variable needs this
-            preprocessing (see ROADMAP.md item 1a).
         source_budget: fuel for the source type check; a fresh default
             budget when omitted.  ``repro.api`` passes one in to report the
             steps each phase spent.
@@ -86,8 +80,6 @@ def compile_term(
         TypeCheckError: the input is not well-typed CC.
         TypePreservationViolation: the output failed verification.
     """
-    if inline_definitions:
-        term = delta_expand(ctx, term)
     # One budget per kernel phase: the source check and the verification
     # each observe their own fuel, and judgment-cache hits replay into
     # these budgets so repeated compilations account identically.
@@ -125,10 +117,3 @@ def compile_term(
         checked_type=checked_type,
     )
 
-
-def delta_expand(ctx: CCContext, term: cc.Term) -> cc.Term:
-    """Substitute every context definition into ``term`` (innermost first)."""
-    for binding in reversed(ctx.entries):
-        if binding.definition is not None:
-            term = cc_subst(term, {binding.name: binding.definition})
-    return term

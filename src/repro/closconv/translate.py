@@ -167,10 +167,14 @@ def _translate_lambda(ctx: CCContext, term: cc.Lam) -> cccc.Term:
 
     free_bindings = dependent_free_vars(ctx, term, lam_type)
 
-    # Translate the telescope types in their (prefix) contexts.
+    # Translate the telescope's types and equations in their (prefix) contexts.
     telescope: cccc.Telescope = []
     for binding in free_bindings:
-        telescope.append((binding.name, translate(ctx.prefix(binding.name), binding.type_)))
+        prefix, definition = ctx.prefix(binding.name), binding.definition
+        type_ = translate(prefix, binding.type_)
+        if definition is not None:
+            definition = translate(prefix, definition)
+        telescope.append(cccc.Binding(binding.name, type_, definition))
 
     env_type = env_sigma(telescope)
     env_name = fresh("n")
@@ -186,8 +190,8 @@ def _translate_lambda(ctx: CCContext, term: cc.Lam) -> cccc.Term:
         bind_env(telescope, env_var, domain_tgt),
         bind_env(telescope, env_var, body_tgt),
     )
-    environment = env_tuple(telescope, [cccc.Var(name) for name, _ in telescope])
-    return cccc.Clo(code, environment)
+    values = [cccc.Var(entry.name) for entry in telescope if entry.definition is None]
+    return cccc.Clo(code, env_tuple(telescope, values))
 
 
 def translate_context(ctx: CCContext) -> TargetContext:

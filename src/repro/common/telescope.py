@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro.common.errors import TypeCheckError
+
 __all__ = ["Binding", "Context"]
 
 
@@ -101,6 +103,13 @@ class Context:
     def names(self) -> list[str]:
         """All bound names, in telescope order."""
         return [b.name for b in self.entries]
+
+    def distinct(self) -> "Context":
+        """This context if it names each entry once (the checker renames only what it adds)."""
+        for index, binding in enumerate(self.entries):
+            if self._index[binding.name] != index:
+                raise TypeCheckError(f"context binds {binding.name!r} twice")
+        return self
 
     def prefix(self, name: str) -> "Context":
         """The strict prefix of the context before ``name``'s entry."""

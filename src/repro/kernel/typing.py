@@ -127,6 +127,7 @@ class TypingSpec:
 
     def check_context(self, ctx: Any, budget: Budget | None = None) -> None:
         """Check well-formedness ``⊢ Γ`` (paper Figure 4)."""
+        ctx.distinct()
         budget = Budget() if budget is None else budget
         prefix = ctx.empty()
         for binding in ctx:

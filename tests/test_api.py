@@ -26,6 +26,7 @@ from repro import api, cc, cccc
 from repro.common.errors import NormalizationDepthExceeded, ReproError, TypeCheckError
 from repro.common.names import fresh
 from repro.gen.generator import GenConfig, TermGenerator
+from repro.kernel import typing
 from repro.kernel.budget import Budget
 
 # --------------------------------------------------------------------------
@@ -321,6 +322,44 @@ class TestSessionEntrypoints:
                 assert fresh("n") == first  # inner session starts at 1 too
             second = fresh("n")
         assert first != second  # outer counter resumed where it left off
+
+
+#: ``A : ⋆, x : A, A : ⋆`` — by name, ``x``'s type would read the second ``A``.
+_REPEATED = cc.Context.empty().extend("A", cc.Star()).extend("x", cc.Var("A")).extend("A", cc.Star())
+_REPEATED_CALLS = {
+    "check": lambda session: session.check("x", _REPEATED),
+    "normalize": lambda session: session.normalize("x", _REPEATED),
+    "compile": lambda session: session.compile("x", _REPEATED),
+    "run": lambda session: session.run("x", _REPEATED),
+    "run-compiled": lambda session: session.run("x", _REPEATED, engine="compiled"),
+    "link": lambda session: session.link(_REPEATED, "x", {"A": "Nat", "x": "0"}),
+}
+
+
+class TestRepeatedContextName:
+    @pytest.mark.parametrize("call", list(_REPEATED_CALLS.values()), ids=list(_REPEATED_CALLS))
+    def test_entrypoint_rejects_before_any_judgment(self, call, monkeypatch):
+        def no_judgment(*args, **kwargs):
+            raise AssertionError("a judgment ran before the context was checked")
+
+        monkeypatch.setattr(typing, "infer_value", no_judgment)
+        monkeypatch.setattr(typing, "check_value", no_judgment)
+        with pytest.raises(TypeCheckError, match="^context binds 'A' twice$"):
+            call(api.Session())
+
+    @pytest.mark.parametrize("calculus", [cc, cccc])
+    def test_check_context_rejects(self, calculus):
+        ctx = calculus.Context.empty().extend("A", calculus.Star()).extend("A", calculus.Star())
+        with pytest.raises(TypeCheckError, match="^context binds 'A' twice$"):
+            calculus.check_context(ctx)
+
+    def test_link_job_document(self):
+        interface = [["A", "Type"], ["x", "A"], ["A", "Type"]]
+        job = {"id": "r", "kind": "link", "program": "x", "interface": interface,
+               "imports": {"A": "Nat", "x": "0"}}
+        (result,) = api.execute_jobs([job], workers=0).results
+        assert result.canonical() == {"id": "r", "ok": False, "error": {
+            "type": "TypeCheckError", "message": "context binds 'A' twice"}}
 
 
 class TestExecuteJobsConnect:

@@ -288,6 +288,37 @@ class TestArtifacts:
         reader.detach_memo_store()
 
 
+    def test_older_version_row_is_a_miss_and_is_refilled(self, tmp_path, monkeypatch):
+        # A row written under an older artifact version holds that version's
+        # target and fuel; it must miss, never be returned, and be replaced.
+        import repro.backend.artifact as artifact_module
+        from repro.wire.persist import store_stat
+
+        path = str(tmp_path / "store.sqlite")
+        text = r"let T = Nat : Type in (\ (x : T). succ x) 41"
+        cold = api.Session().run(text, engine="compiled")
+        writer = api.Session(name="writer")
+        writer.attach_memo_store(path)
+        with writer.activate():
+            program = _compile_closed(parse_term(text))
+            monkeypatch.setattr(artifact_module, "ARTIFACT_VERSION", 1)
+            key = artifact_key(cc.intern(parse_term(text)), engine="nbe", verify=True)
+            stale = ArtifactMeta(check_steps=cold.check_steps, verify_steps=99, verified=True)
+            store_artifact(writer.state, key, compile_program(program), stale)
+        writer.detach_memo_store()
+        monkeypatch.undo()
+
+        reader = api.Session(name="reader")
+        reader.attach_memo_store(path)
+        warm = reader.run(text, engine="compiled")
+        counters = reader.state.persistent.store.counters()
+        reader.detach_memo_store()
+        assert warm.to_dict()["value"] == 42
+        assert (warm.check_steps, warm.verify_steps) == (cold.check_steps, cold.verify_steps)
+        assert counters["artifact_hits"] == 0 and counters["artifact_writes"] == 1
+        assert store_stat(path)["artifact_orphaned"] == 1
+
+
 class TestWorkloadDifferential:
     def test_generated_corpus_payloads_match_machine(self):
         # Generated service workloads: the compile_py payload equals the

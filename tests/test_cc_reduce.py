@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import cc
-from repro.cc.reduce import Budget, head_reducts, normalize_counting, reduces_to
+from repro import api, cc
+from repro.cc.reduce import Budget, head_reducts, normalize_counting, normalize_subst, reduces_to
 from repro.common.errors import NormalizationDepthExceeded
 from repro.surface import parse_term
 
@@ -171,3 +171,26 @@ class TestReducts:
         normal = cc.normalize(empty, term)
         for reduct in cc.reducts(empty, term):
             assert cc.normalize(empty, reduct) == normal
+
+
+#: ``x = Nat : ⋆, T = x : ⋆``: unfolding ``T`` under a binder named ``x``
+#: must not let the binder capture the definition's ``x``.
+_DELTA_CAPTURE_CTX = cc.Context.empty().define("x", cc.Nat(), cc.Star()).define(
+    "T", cc.Var("x"), cc.Star()
+)
+
+
+class TestDeltaCapture:
+    @pytest.mark.xfail(strict=True, reason="normalization masks a definition that a binder "
+                       "shadows instead of renaming the binder (ROADMAP item 14)")
+    @pytest.mark.parametrize("engine", ["nbe", "subst"])
+    @pytest.mark.parametrize("through", ["kernel", "session"])
+    def test_unfolded_definition_is_not_captured(self, engine, through):
+        term = cc.Pi("x", cc.Nat(), cc.Var("T"))
+        if through == "session":
+            normal = api.Session().normalize(term, _DELTA_CAPTURE_CTX, engine=engine).value
+        elif engine == "nbe":
+            normal = cc.normalize(_DELTA_CAPTURE_CTX, term)
+        else:
+            normal = normalize_subst(_DELTA_CAPTURE_CTX, term)
+        assert cc.alpha_equal(normal, cc.arrow(cc.Nat(), cc.Nat()))

@@ -30,7 +30,7 @@ class TestSyntax:
     def test_code_env_binds_arg_type(self):
         # env name n is bound in the argument annotation.
         code = cccc.CodeLam(
-            "n", env_sigma([("A", cccc.Star())]), "x", cccc.Fst(cccc.Var("n")), cccc.Var("x")
+            "n", env_sigma([cccc.Binding("A", cccc.Star())]), "x", cccc.Fst(cccc.Var("n")), cccc.Var("x")
         )
         assert cccc.free_vars(code) == set()
 
@@ -73,7 +73,7 @@ class TestReduction:
 
     def test_closure_beta_uses_env(self, empty_target):
         # code: λ (n:Σ(y:Nat), x:Nat). let y = fst n in y ; env ⟨7⟩.
-        tele = [("y", cccc.Nat())]
+        tele = [cccc.Binding("y", cccc.Nat())]
         code = cccc.CodeLam(
             "n",
             env_sigma(tele),
@@ -149,7 +149,7 @@ class TestTyping:
 
     def test_clo_rule_substitutes_env(self, empty_target):
         # The paper's example: closure type is Π x:A[e′/n]. B[e′/n].
-        tele = [("A", cccc.Star())]
+        tele = [cccc.Binding("A", cccc.Star())]
         code = cccc.CodeLam(
             "n",
             env_sigma(tele),
@@ -194,7 +194,7 @@ class TestTyping:
 
     def test_dependent_code_result(self, empty_target):
         # code: λ (n:1, A:⋆). ⟨⟨id-code, ⟨A⟩⟩⟩ — the compiled polymorphic id.
-        tele = [("A", cccc.Star())]
+        tele = [cccc.Binding("A", cccc.Star())]
         inner = cccc.CodeLam(
             "n2",
             env_sigma(tele),
@@ -224,20 +224,24 @@ class TestNTupleSugar:
         assert env_sigma([]) == cccc.Unit()
 
     def test_env_sigma_nested(self):
-        tele = [("x", cccc.Nat()), ("y", cccc.Bool())]
+        tele = [cccc.Binding("x", cccc.Nat()), cccc.Binding("y", cccc.Bool())]
         assert env_sigma(tele) == cccc.Sigma(
             "x", cccc.Nat(), cccc.Sigma("y", cccc.Bool(), cccc.Unit())
         )
 
     def test_env_tuple_typechecks_dependently(self, empty_target):
         # Telescope Σ(A:⋆, x:A) with values (Nat, 0).
-        tele = [("A", cccc.Star()), ("x", cccc.Var("A"))]
+        tele = [cccc.Binding("A", cccc.Star()), cccc.Binding("x", cccc.Var("A"))]
         tup = env_tuple(tele, [cccc.Nat(), cccc.Zero()])
         inferred = cccc.infer(empty_target, tup)
         assert cccc.equivalent(empty_target, inferred, env_sigma(tele))
 
     def test_env_tuple_leaves_no_cyclic_garbage(self):
-        tele = [("A", cccc.Star()), ("x", cccc.Var("A")), ("y", cccc.Nat())]
+        tele = [
+            cccc.Binding("A", cccc.Star()),
+            cccc.Binding("x", cccc.Var("A")),
+            cccc.Binding("y", cccc.Nat()),
+        ]
         values = [cccc.Nat(), cccc.Zero(), cccc.nat_literal(2)]
         gc.collect()
         gc.disable()
@@ -249,10 +253,10 @@ class TestNTupleSugar:
 
     def test_env_tuple_arity_mismatch(self):
         with pytest.raises(ValueError):
-            env_tuple([("x", cccc.Nat())], [])
+            env_tuple([cccc.Binding("x", cccc.Nat())], [])
 
     def test_project(self, empty_target):
-        tele = [("a", cccc.Nat()), ("b", cccc.Nat()), ("c", cccc.Nat())]
+        tele = [cccc.Binding(name, cccc.Nat()) for name in "abc"]
         tup = env_tuple(tele, [cccc.nat_literal(i) for i in range(3)])
         from repro.cccc.ntuple import project
 
@@ -261,23 +265,49 @@ class TestNTupleSugar:
             assert cccc.nat_value(value) == index
 
     def test_bind_env_rebinding(self, empty_target):
-        tele = [("a", cccc.Nat()), ("b", cccc.Nat())]
+        tele = [cccc.Binding("a", cccc.Nat()), cccc.Binding("b", cccc.Nat())]
         tup = env_tuple(tele, [cccc.nat_literal(3), cccc.nat_literal(4)])
         body = bind_env(tele, tup, cccc.Succ(cccc.Var("b")))
         assert cccc.nat_value(cccc.normalize(empty_target, body)) == 5
 
     def test_bind_env_dependent_annotations(self, empty_target):
         # Σ(A:⋆, x:A): the second let's annotation mentions the first binder.
-        tele = [("A", cccc.Star()), ("x", cccc.Var("A"))]
+        tele = [cccc.Binding("A", cccc.Star()), cccc.Binding("x", cccc.Var("A"))]
         tup = env_tuple(tele, [cccc.Nat(), cccc.nat_literal(2)])
         body = bind_env(tele, tup, cccc.Var("x"))
         assert cccc.equivalent(empty_target, cccc.infer(empty_target, body), cccc.Nat())
         assert cccc.nat_value(cccc.normalize(empty_target, body)) == 2
 
+    def test_definition_entry_is_a_let(self):
+        tele = [cccc.Binding("T", cccc.Star(), cccc.Nat()), cccc.Binding("x", cccc.Var("T"))]
+        assert env_sigma(tele) == cccc.Let(
+            "T", cccc.Nat(), cccc.Star(), cccc.Sigma("x", cccc.Var("T"), cccc.Unit())
+        )
+        assert cccc.tuple_values(env_tuple(tele, [cccc.Zero()])) == [cccc.Zero()]
+        with pytest.raises(ValueError):
+            env_tuple(tele, [cccc.Nat(), cccc.Zero()])
+
+    def test_code_sees_a_definition_entry(self, empty_target):
+        # Σ(T = Nat : ⋆, x : T): the code's argument has type T, and its
+        # body needs T ≡ Nat, which only the pattern let's definition gives.
+        tele = [cccc.Binding("T", cccc.Star(), cccc.Nat()), cccc.Binding("x", cccc.Var("T"))]
+        env = cccc.Var("n")
+        code = cccc.CodeLam(
+            "n", env_sigma(tele), "y",
+            bind_env(tele, env, cccc.Var("T")),
+            bind_env(tele, env, cccc.Succ(cccc.Var("y"))),
+        )
+        clo = cccc.Clo(code, env_tuple(tele, [cccc.nat_literal(2)]))
+        assert cccc.equivalent(
+            empty_target, cccc.infer(empty_target, clo), cccc.arrow(cccc.Nat(), cccc.Nat())
+        )
+        result = cccc.normalize(empty_target, cccc.App(clo, cccc.nat_literal(4)))
+        assert cccc.nat_value(result) == 5
+
     def test_tuple_values_roundtrip(self):
         from repro.cccc.ntuple import tuple_values
 
-        tele = [("a", cccc.Nat()), ("b", cccc.Bool())]
+        tele = [cccc.Binding("a", cccc.Nat()), cccc.Binding("b", cccc.Bool())]
         values = [cccc.Zero(), cccc.BoolLit(False)]
         assert tuple_values(env_tuple(tele, values)) == values
         assert tuple_values(cccc.Zero()) is None
@@ -286,7 +316,7 @@ class TestNTupleSugar:
 class TestClosureEta:
     def test_inlined_vs_captured(self, empty_target):
         # ⟨⟨λ(n:Σ(y:Nat),x). y, ⟨5⟩⟩⟩ ≡ ⟨⟨λ(n:1,x). 5, ⟨⟩⟩⟩ — [≡-Clo].
-        tele = [("y", cccc.Nat())]
+        tele = [cccc.Binding("y", cccc.Nat())]
         captured = cccc.Clo(
             cccc.CodeLam(
                 "n", env_sigma(tele), "x", cccc.Nat(),
@@ -325,8 +355,8 @@ class TestClosureEta:
 
     def test_env_extension_invariance(self, empty_target):
         # A closure that ignores an extra captured variable equals the lean one.
-        lean_tele = [("y", cccc.Nat())]
-        fat_tele = [("y", cccc.Nat()), ("z", cccc.Bool())]
+        lean_tele = [cccc.Binding("y", cccc.Nat())]
+        fat_tele = [cccc.Binding("y", cccc.Nat()), cccc.Binding("z", cccc.Bool())]
         lean = cccc.Clo(
             cccc.CodeLam(
                 "n", env_sigma(lean_tele), "x", cccc.Nat(),

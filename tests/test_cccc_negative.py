@@ -64,7 +64,7 @@ class TestCloRejections:
 
     def test_env_telescope_value_mismatch(self, empty_target):
         # Telescope Σ(A:⋆, x:A) but values (Nat, true) — true : Bool ≠ Nat.
-        tele = [("A", cccc.Star()), ("x", cccc.Var("A"))]
+        tele = [cccc.Binding("A", cccc.Star()), cccc.Binding("x", cccc.Var("A"))]
         code = cccc.CodeLam(
             "n", env_sigma(tele), "x2", cccc.Nat(), cccc.Zero()
         )

@@ -184,6 +184,11 @@ class TestLink:
         assert main(["link", "-e", "0", "--assume", "nonsense"]) == 1
         assert "--assume" in capsys.readouterr().err
 
+    def test_link_repeated_assume_fails(self, capsys):
+        assumes = ["--assume", "A : Type", "--assume", "x : A", "--assume", "A : Type"]
+        assert main(["link", "-e", "x", *assumes, "--import", "A=Nat", "--import", "x=0"]) == 1
+        assert capsys.readouterr().err == "error: context binds 'A' twice\n"
+
 
 class TestRunJson:
     def test_run_json(self, capsys):

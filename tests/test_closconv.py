@@ -5,7 +5,7 @@ import pytest
 from repro import api, cc, cccc
 from repro.cc import prelude
 from repro.closconv import compile_term, dependent_free_vars, pipeline, translate, translate_context
-from repro.closconv.pipeline import TypePreservationViolation, delta_expand
+from repro.closconv.pipeline import TypePreservationViolation
 from repro.common.errors import TranslationError, TypeCheckError
 from repro.kernel import typing
 from repro.machine import hoist, run
@@ -148,21 +148,82 @@ class TestPipeline:
         assert result.checked_type is None
         assert result.target is not None
 
-    def test_delta_expand_option(self, empty):
+    def test_context_definition_compiles_verified(self, empty):
         ctx = empty.define("two", cc.nat_literal(2), cc.Nat())
-        result = compile_term(ctx, cc.Succ(cc.Var("two")), inline_definitions=True)
-        assert result.source == cc.Succ(cc.nat_literal(2))
+        result = compile_term(ctx, cc.Succ(cc.Var("two")))
+        assert result.source == cc.Succ(cc.Var("two"))
+        value = cccc.normalize(result.target_context, result.target)
+        assert cccc.nat_value(value) == 3
 
-    def test_delta_expand_nested_definitions(self, empty):
-        ctx = empty.define("one", cc.nat_literal(1), cc.Nat()).define(
-            "two", cc.Succ(cc.Var("one")), cc.Nat()
+    def test_nested_context_definitions_are_captured(self, empty):
+        # The λ's domain names only ``B``; ``A`` rides along because ``B``'s
+        # definition mentions it, and neither becomes a tuple component.
+        ctx = empty.define("A", cc.Nat(), cc.Star()).define(
+            "B", cc.arrow(cc.Var("A"), cc.Var("A")), cc.Star()
         )
-        expanded = delta_expand(ctx, cc.Var("two"))
-        assert cc.free_vars(expanded) == set()
-        assert cc.nat_value(cc.normalize(empty, expanded)) == 2
+        lam = cc.Lam("f", cc.Var("B"), cc.Succ(cc.App(cc.Var("f"), cc.Zero())))
+        bindings = dependent_free_vars(ctx, lam)
+        assert [(b.name, b.definition is None) for b in bindings] == [("A", False), ("B", False)]
+        succ = cc.Lam("y", cc.Nat(), cc.Succ(cc.Var("y")))
+        result = compile_term(ctx, cc.App(lam, succ))
+        assert cccc.tuple_values(result.target.fn.env) == []
+        value = cccc.normalize(result.target_context, result.target)
+        assert cccc.nat_value(value) == 2
+
+    def test_value_definition_travels_as_a_value(self, empty):
+        # ``two`` is only used as a value: the closure stores it in its
+        # environment tuple instead of re-binding its equation.
+        ctx = empty.define("two", cc.nat_literal(2), cc.Nat())
+        lam = cc.Lam("x", cc.Nat(), cc.Var("two"))
+        [binding] = dependent_free_vars(ctx, lam)
+        assert binding.definition is None
+        result = compile_term(ctx, cc.App(lam, cc.Zero()))
+        assert cccc.tuple_values(result.target.fn.env) == [cccc.Var("two")]
 
     def test_violation_exception_type(self):
         assert issubclass(TypePreservationViolation, TypeCheckError)
+
+
+def _definition_chain(kind, k):
+    """``k`` let-bound definitions, each using the one before, then a use of the last."""
+    first, step, use = {
+        "value": (r"\ (y : Nat). y : Nat -> Nat", r"\ (y : Nat). f{} y : Nat -> Nat", "f{} 0"),
+        "family": (r"\ (A : Type). A : Type -> Type", r"\ (A : Type). f{} A : Type -> Type",
+                   r"(\ (x : f{} Nat). succ x) 0"),
+        "alias": ("Nat : Type", "Nat -> f{} : Type", r"\ (x : f{}). x"),
+    }[kind]
+    text = f"let f1 = {first} in "
+    for j in range(2, k + 1):
+        text += f"let f{j} = {step.format(j - 1)} in "
+    return text + use.format(k)
+
+
+class TestDefinitionChains:
+    """Each λ of a chain of definitions captures only what its code needs, so
+    target size and verify fuel grow linearly in the chain's length."""
+
+    @pytest.mark.parametrize("kind", ["value", "family", "alias"])
+    def test_growth_is_linear(self, kind):
+        sizes = {}
+        for k in (10, 20, 40):
+            result = api.Session().compile(_definition_chain(kind, k))
+            assert result.verified
+            sizes[k] = (len(cccc.pretty(result.target)), result.verify_steps)
+        for small, large in ((10, 20), (20, 40)):
+            assert sizes[large][0] <= 3 * sizes[small][0], sizes
+            assert sizes[large][1] <= 3 * sizes[small][1] + 10, sizes
+
+    def test_captured_value_definition_is_computed_once(self):
+        # The step closure, called n times, captures ``d``: its value comes
+        # from the environment tuple, so d's cost is paid once, not per call.
+        def steps(n, m):
+            text = (rf"let d = natelim(\ (_1 : Nat). Nat, 0, \ (k : Nat). \ (ih : Nat). succ ih, {m})"
+                    rf" : Nat in natelim(\ (_2 : Nat). Nat, 0, \ (k : Nat). \ (ih : Nat). d, {n})")
+            return {engine: api.Session().run(text, engine=engine).to_dict()["machine_steps"]
+                    for engine in ("machine", "compiled")}
+        cheap, dear = steps(10, 0), steps(10, 50)
+        assert steps(20, 0)["machine"] - cheap["machine"] == steps(20, 50)["machine"] - dear["machine"]
+        assert steps(20, 50) == {"machine": 715, "compiled": 715}
 
 
 class TestEnvironmentShapes:

@@ -107,15 +107,15 @@ class TestTypeSafety:
             if triple is None:
                 continue
             ctx, term, _ = triple
+            # Type safety is about *closed* programs: close an open one by
+            # wrapping the definitions it reaches as lets, innermost first,
+            # and skip it if it reaches an assumption.
+            for binding in reversed(ctx.entries):
+                if binding.name in cc.free_vars(term) and binding.definition is not None:
+                    term = cc.Let(binding.name, binding.definition, binding.type_, term)
             if cc.free_vars(term):
-                # Type safety is about *closed* programs; close open ones
-                # by δ-expanding definitions, else skip.
-                from repro.closconv import delta_expand
-
-                term = delta_expand(ctx, term)
-                if cc.free_vars(term):
-                    continue
+                continue
             compiled = compile_term(cc.Context.empty(), term, verify=False).target
             assert check_type_safety_of_target(compiled)
             checked += 1
-        assert checked > 0
+        assert checked >= 9  # nine of these seeds give a program that closes

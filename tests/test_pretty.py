@@ -244,7 +244,7 @@ _PINNED_PRINTS = {
         'let T = Nat : ⋆ in λ (x : T). x',
         'let T = Nat : Type in \\ (x : T). x',
         'let $cv0 = Nat : ⋆ in λ ($cv1 : $cv0). $cv1',
-        'let T = Nat : ⋆ in ⟨⟨λ (n$1 : Σ (T : ⋆). 1, x : let T = fst n$1 : ⋆ in T). let T = fst n$1 : ⋆ in x, ⟨T, ⟨⟩⟩ as (Σ (T : ⋆). 1)⟩⟩',
+        'let T = Nat : ⋆ in ⟨⟨λ (n$1 : let T = Nat : ⋆ in 1, x : let T = Nat : ⋆ in T). let T = Nat : ⋆ in x, ⟨⟩⟩⟩',
         'Nat -> Nat',
     ),
     'delta-def': (

@@ -114,12 +114,9 @@ class TestRandomized:
         assert check_type_preservation(ctx, term)
 
 
-#: [CC-Lam] captures a ``let``-bound name as a plain environment entry:
-#: ``closconv/fv.dependent_free_vars`` records ``T`` but not ``T ≡ Nat``, and
-#: ``bind_env`` rebinds it as ``fst n``, so the code block cannot see that a
-#: ``T``-typed argument is a ``Nat``.  The checker accepts these programs and
-#: verify rejects their translation.  These pin that bug (ROADMAP open item
-#: 1a) and must be flipped to plain tests by the change that fixes it.
+#: Programs whose closure needs a captured definition's equation: the
+#: code types a ``T``-typed argument as a ``Nat`` only because the
+#: environment re-binds ``T = Nat`` with a ``let``.
 _LET_BOUND_TYPE_IN_CLOSURE = [
     pytest.param(r"let T = Nat : Type in \ (x : T). succ x", id="let-lambda"),
     pytest.param(r"let T = Nat : Type in (\ (x : T). succ x) 41", id="let-redex"),
@@ -128,10 +125,19 @@ _LET_BOUND_TYPE_IN_CLOSURE = [
 
 
 class TestLetBoundTypeInClosure:
-    @pytest.mark.xfail(strict=True, reason="[CC-Lam] drops a let-bound type's definition "
-                       "(ROADMAP item 1a)")
     @pytest.mark.parametrize("text", _LET_BOUND_TYPE_IN_CLOSURE)
     def test_checked_program_compiles(self, text):
         session = api.Session()
         session.check(text)
         assert session.compile(text).verified
+
+    def test_context_definition_reaches_the_closure(self, empty):
+        ctx = empty.define("T", cc.Nat(), cc.Star())
+        result = api.Session().compile(r"\ (x : T). succ x", ctx)
+        assert result.verified
+        assert cccc.tuple_values(result.target.env) == []
+
+    @pytest.mark.parametrize("engine", ["machine", "compiled"])
+    def test_let_bound_type_runs(self, engine):
+        text = r"let T = Nat : Type in (\ (x : T). succ x) 41"
+        assert api.Session().run(text, engine=engine).to_dict()["value"] == 42
