@@ -64,7 +64,13 @@ from repro.closconv.pipeline import CompilationResult, compile_term
 from repro.common import deep
 from repro.common.errors import ReproError
 from repro.kernel.budget import DEFAULT_FUEL, Budget
-from repro.kernel.state import KernelState, activate, default_state, validate_engine
+from repro.kernel.state import (
+    KernelState,
+    activate,
+    current_state,
+    default_state,
+    validate_engine,
+)
 from repro.linking.link import ClosingSubstitution, check_substitution, link
 from repro.machine import Program, hoist, machine_observation, run
 from repro.surface import parse_term, source_size
@@ -116,9 +122,12 @@ class _Document:
     when ``canonical`` and in their source spelling otherwise, then
     ``extras``, then the ``*_b64`` encodings of the interned terms when
     ``binary``.  Interning reads the active kernel state, so a canonical
-    or binary rendering runs under the owning session's ``activate()``.
-    :meth:`to_dict` is the source-spelled payload plus the ``TELEMETRY``
-    attributes, leaving out a None value.
+    or binary rendering runs under the owning session's ``activate()``;
+    the session's payload-text memo (:data:`PAYLOAD_TEXT`) prints and
+    encodes each interned term once, so a warm job's canonical payload
+    calls neither the printer nor the encoder.  :meth:`to_dict` is the
+    source-spelled payload plus the ``TELEMETRY`` attributes, leaving out
+    a None value.
     """
 
     FIELDS: ClassVar[tuple] = ()
@@ -143,12 +152,11 @@ class _Document:
                 document[key] = value
                 continue
             encode = binary and b64
-            interned = calculus.intern(value) if canonical or encode else value
-            document[key] = calculus.pretty(interned if canonical else value)
+            if canonical or encode:
+                rendered = _rendered(calculus, value, canonical, encode)
+            document[key] = rendered[1] if canonical else calculus.pretty(value)
             if encode:
-                from repro.wire.codec import term_to_b64
-
-                wire[f"{key}_b64"] = term_to_b64(calculus.ast.LANGUAGE, interned)
+                wire[f"{key}_b64"] = rendered[2]
         document.update(extras)
         document.update(wire)
         return document
@@ -164,6 +172,38 @@ class _Document:
             elif value is not None:
                 document[key] = value
         return document
+
+
+#: The session's payload-text memo (``KernelState.dict_cache``):
+#: ``id(interned term) -> [interned term, printed text, wire encoding]``.
+PAYLOAD_TEXT = "api.payload_text"
+
+
+def _rendered(calculus: Any, term: Any, text: bool, encode: bool) -> list:
+    """``term``'s payload-text memo entry, its text and encoding filled as asked.
+
+    The entry pins the interned term, so its id stays a valid key, and
+    holds that term's printed text and, once a binary payload asks, its
+    ``term_to_b64`` encoding: pure functions of the term, so a warm
+    payload is the cold one byte for byte.  The table is charged the
+    length of each text it stores, which bounds the term's nodes too.
+    """
+    memo = current_state().dict_cache(PAYLOAD_TEXT)
+    entry = memo.get(id(term))  # found only when ``term`` is the pinned interned term
+    if entry is None:
+        interned = calculus.intern(term)
+        entry = memo.get(id(interned))
+        if entry is None:
+            entry = memo[id(interned)] = [interned, None, None]
+    if text and entry[1] is None:
+        entry[1] = calculus.pretty(entry[0])
+        memo.chars += len(entry[1])
+    if encode and entry[2] is None:
+        from repro.wire.codec import term_to_b64
+
+        entry[2] = term_to_b64(calculus.ast.LANGUAGE, entry[0])
+        memo.chars += len(entry[2])
+    return entry
 
 
 @dataclass(frozen=True)

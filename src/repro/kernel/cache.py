@@ -52,21 +52,43 @@ class DictCache:
         return len(self._data)
 
 
+class _KeyedRef(weakref.ref):
+    """A weak reference that carries its cache key.
+
+    ``weakref.KeyedRef`` without its Python-level constructor: the key is
+    set after construction, so making one runs no Python frame.
+    """
+
+    __slots__ = ("key",)
+
+
 class TermCache:
     """Map ``id(term) -> value`` with eviction when the term is collected.
 
     The cache does *not* keep its keys alive: each entry is paired with a
     weak reference whose callback removes the entry when the term dies.
     This makes the cache safe for identity keying (a recycled id can never
-    observe a stale entry) without pinning every term ever seen.
+    observe a stale entry) without pinning every term ever seen.  As in
+    :class:`weakref.WeakValueDictionary`, the one callback holds the cache
+    only weakly and each reference carries its key, so no cycle runs
+    through the cache and a dropped session's caches die by reference
+    counting.
     """
 
-    __slots__ = ("name", "_values", "_refs")
+    __slots__ = ("name", "_values", "_refs", "_evict", "__weakref__")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._values: dict[int, Any] = {}
-        self._refs: dict[int, weakref.ref] = {}
+        self._refs: dict[int, _KeyedRef] = {}
+
+        def _evict(ref: _KeyedRef, cache: weakref.ref = weakref.ref(self)) -> None:
+            owner = cache()
+            if owner is not None:
+                owner._values.pop(ref.key, None)
+                owner._refs.pop(ref.key, None)
+
+        self._evict = _evict
 
     def get(self, term: Any) -> Any | None:
         """The cached value for ``term``, or None."""
@@ -76,17 +98,10 @@ class TermCache:
         """Cache ``value`` for ``term`` and return it."""
         key = id(term)
         values = self._values
-        if key in values:
-            values[key] = value
-            return value
+        if key not in values:
+            ref = self._refs[key] = _KeyedRef(term, self._evict)
+            ref.key = key
         values[key] = value
-        refs = self._refs
-
-        def _evict(_ref: weakref.ref, _key: int = key) -> None:
-            values.pop(_key, None)
-            refs.pop(_key, None)
-
-        refs[key] = weakref.ref(term, _evict)
         return value
 
     def clear(self) -> None:

@@ -51,6 +51,7 @@ from repro.kernel.cache import DictCache, TermCache
 
 __all__ = [
     "ENGINES",
+    "DictTable",
     "KernelState",
     "LanguageStore",
     "activate",
@@ -73,6 +74,36 @@ def validate_engine(engine: str) -> str:
         expected = " or ".join(repr(name) for name in ENGINES)
         raise ValueError(f"unknown engine {engine!r} (expected {expected})")
     return engine
+
+
+#: The entries a :meth:`KernelState.dict_cache` table may hold before it is
+#: emptied (the ``Memo`` default).
+DICT_CACHE_ENTRIES = 262_144
+
+#: The characters of text a :meth:`KernelState.dict_cache` table may hold
+#: before it is emptied (:attr:`DictTable.chars`).
+DICT_CACHE_CHARS = 1 << 20
+
+
+class DictTable(dict):
+    """A :meth:`KernelState.dict_cache` table: a dict, and in ``chars`` the
+    length of the text its caller stored in it.
+
+    A table whose entries are sized by text (the executor's ingest memo,
+    the payload-text memo) adds each stored text's length, so the table is
+    bounded in characters as well as in entries.
+    """
+
+    __slots__ = ("chars",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.chars = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.chars = 0
+
 
 #: Every Language ever constructed (calculi register at import time), so a
 #: fresh state can report zeroed stats for all of them before first use.
@@ -142,7 +173,7 @@ class KernelState:
         self.persistent: Any = None
         self._counter = itertools.count(1)
         self._stores: dict[str, LanguageStore] = {}
-        self._dicts: dict[str, dict] = {}
+        self._dicts: dict[str, DictTable] = {}
         self._reset_lock = threading.Lock()
 
     # -- state accessed by the engines --------------------------------------
@@ -163,17 +194,26 @@ class KernelState:
             found = self._stores.setdefault(lang.name, LanguageStore(lang.name))
         return found
 
-    def dict_cache(self, name: str) -> dict:
+    def dict_cache(self, name: str) -> DictTable:
         """The plain-dict cache ``name``, created empty on first use.
 
-        For the caches kept above the kernel (the ``repro.api`` compile memo,
-        the in-memory compiled-artifact cache): ``stats`` reports them and
-        ``clear_caches``/``reset`` empty them like every other cache.
-        ``setdefault`` arbitrates first use from concurrent threads.
+        For the caches kept above the kernel (the ``repro.api`` compile and
+        payload-text memos, the executor's ingest memo, the shared closed
+        translations, the in-memory compiled-artifact cache): ``stats``
+        reports them and ``clear_caches``/``reset`` empty them like every
+        other cache.  A table that has reached :data:`DICT_CACHE_ENTRIES`
+        entries or :data:`DICT_CACHE_CHARS` characters is emptied when it is
+        next fetched, as a ``Memo`` is at ``max_entries``.  Each caller
+        stores at most one entry per fetch, so a table outgrows the bounds
+        only by the stores of calls still in progress (a recursive
+        translation's).  ``setdefault`` arbitrates first use from concurrent
+        threads.
         """
         found = self._dicts.get(name)
         if found is None:
-            found = self._dicts.setdefault(name, {})
+            found = self._dicts.setdefault(name, DictTable())
+        elif len(found) >= DICT_CACHE_ENTRIES or found.chars >= DICT_CACHE_CHARS:
+            found.clear()
         return found
 
     # -- lifecycle ----------------------------------------------------------

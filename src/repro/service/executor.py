@@ -22,7 +22,11 @@ Determinism across shard assignments comes from two mechanisms:
   binder names are a pure function of the α-class: machine-freshened
   names (which depend on execution history) can never reach the wire.
   The rendering runs under the session's ``activate()``, since interning
-  reads the session's tables.
+  reads the session's tables.  A warm job is ingested and rendered once:
+  the session's ingest memo (:func:`_ingest`) and payload-text memo
+  (:data:`repro.api.PAYLOAD_TEXT`) hold pure functions of their keys, so
+  it reaches neither the parser, the decoder, the printer nor the
+  encoder, and its payload is the cold one byte for byte.
 * **Fuel replay.**  Step counts come from :class:`~repro.kernel.budget.Budget`
   totals, and every cache in the kernel replays recorded fuel on a hit —
   a warm worker reports exactly the steps a cold solo run reports,
@@ -54,6 +58,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro import cc
 from repro.common.errors import ReproError
+from repro.kernel.state import current_state
 from repro.service import faults
 from repro.service.jobs import ENTRYPOINTS, Job, JobResult, call
 from repro.surface import parse_term
@@ -62,6 +67,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import Session
 
 __all__ = ["execute_job"]
+
+#: The session's ingest memo (``KernelState.dict_cache``):
+#: :attr:`Job.source` -> interned term.
+INGESTED = "service.ingest"
 
 
 def _ingest(job: Job) -> cc.Term:
@@ -72,12 +81,28 @@ def _ingest(job: Job) -> cc.Term:
     memoizes per unique (node, depth).  Both paths land on the same
     α-canonical representative, so payloads are byte-identical whichever
     wire the job arrived on.
-    """
-    if job.term_b64 is not None:
-        from repro.wire.codec import term_from_b64
 
-        return cc.intern(term_from_b64(cc.ast.LANGUAGE, job.term_b64))
-    return cc.intern(parse_term(job.program))
+    The session's ingest memo (:data:`INGESTED`) maps the wire source
+    exactly (:attr:`Job.source`) to the interned term, so a warm job is
+    neither lexed, parsed nor decoded.  The entry is a pure function of its
+    key; a failure (a parse error, a ``DepthLimit``, a bad buffer) raises
+    before anything is stored.  The table is charged the source's length,
+    which bounds the term's nodes too.  Runs under the session's
+    ``activate()``.
+    """
+    memo = current_state().dict_cache(INGESTED)
+    source = job.source
+    found = memo.get(source)
+    if found is None:
+        if job.term_b64 is not None:
+            from repro.wire.codec import term_from_b64
+
+            term = term_from_b64(cc.ast.LANGUAGE, job.term_b64)
+        else:
+            term = parse_term(job.program)
+        found = memo[source] = cc.intern(term)
+        memo.chars += len(source[1])
+    return found
 
 
 @contextmanager

@@ -224,6 +224,14 @@ class Job:
             raise ValueError(f"{self.kind!r} job needs a 'program' or 'term_b64' field")
 
     @property
+    def source(self) -> tuple[str, str | None]:
+        """The program exactly as it arrived: ``("b64", term_b64)``, else
+        ``("text", program)`` (the ingest memo's key)."""
+        if self.term_b64 is not None:
+            return ("b64", self.term_b64)
+        return ("text", self.program)
+
+    @property
     def shard_key(self) -> str | None:
         """The affinity key the dispatcher shards on (None → round-robin)."""
         return self.key
