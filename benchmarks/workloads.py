@@ -14,6 +14,7 @@ from repro.gen.dag import shared_dag_tower
 
 __all__ = [
     "bool_flip_tower",
+    "capture_all",
     "capture_chain",
     "church_sum",
     "nat_sum",
@@ -62,6 +63,21 @@ def nested_lambdas(depth: int) -> cc.Term:
     outermost, none)."""
     body: cc.Term = cc.Var("x0")
     for index in range(depth - 1, -1, -1):
+        body = cc.Lam(f"x{index}", cc.Nat(), body)
+    return body
+
+
+def capture_all(n: int) -> cc.Term:
+    """``λ x0 … x_{n-1}. x0 + … + x_{n-1}`` (sums by ``prelude.nat_add``).
+
+    The body mentions every binder, so each λ captures every binder
+    outside it: the k-th closure's environment has ``k`` entries, and the
+    environment tuples together hold O(n²) values.
+    """
+    body: cc.Term = cc.Var("x0")
+    for index in range(1, n):
+        body = cc.make_app(prelude.nat_add, body, cc.Var(f"x{index}"))
+    for index in range(n - 1, -1, -1):
         body = cc.Lam(f"x{index}", cc.Nat(), body)
     return body
 

@@ -9,7 +9,14 @@ over a sub-telescope of Γ, in which a definition ``x = e : A`` is a ``let``:
 * the tuple ``⟨e0, …, en⟩`` is nested pairs ``⟨e0, ⟨…, ⟨en, ⟨⟩⟩⟩⟩``, one
   per assumption, each inner annotation instantiated with the earlier
   entries (the typing rule for pairs substitutes the first component into
-  the type of the second);
+  the type of the second).  The annotations are the tails of *one* Σ
+  object: an entry that stores its own variable (``x ↦ x``, every value
+  closure conversion stores) instantiates nothing, so pair ``k``'s
+  annotation is the ``k``-th tail itself, the outermost is the Σ type the
+  code binds, and each inner one is its outer one's ``second``.  The
+  checker's [Pair] rule skips sorting a pair annotation that *is* the
+  expected type, so a closure's environment type is sorted once, with its
+  code, however wide it is;
 * the pattern let is a chain of ``let xi = fst (snd^k e′) : Ai in …``
   projections, ``k`` counting assumptions.
 
@@ -19,7 +26,7 @@ closure-conversion translation (Figure 9) and by tests.
 
 from __future__ import annotations
 
-from repro.cccc.ast import Fst, Let, Pair, Sigma, Snd, Term, Unit, UnitVal
+from repro.cccc.ast import Fst, Let, Pair, Sigma, Snd, Term, Unit, UnitVal, Var
 from repro.cccc.context import Binding
 from repro.cccc.substitution import subst
 
@@ -48,31 +55,43 @@ def env_sigma(telescope: Telescope) -> Term:
     return result
 
 
-def env_tuple(telescope: Telescope, values: list[Term]) -> Term:
+def env_tuple(telescope: Telescope, values: list[Term], env_type: Term | None = None) -> Term:
     """The environment tuple ``⟨v0, …, vn⟩ as Σ (x0:A0, …)``.
 
     ``values[i]`` is the term stored for the ``i``-th assumption of the
     telescope.  In the paper's [CC-Lam] the values are exactly the free
     variables ``⟨xi …⟩``; the general form (arbitrary values) is what
     substitution produces and what the compositionality property exercises.
+    ``env_type`` is ``env_sigma(telescope)``, built here when not given.
 
-    Each nested pair is annotated with its telescope suffix, with the
-    values (or instantiated definitions) of earlier entries substituted for
-    their names — this is forced by the pair typing rule, which checks the
-    second component at ``B[e1/x]``.
+    Each nested pair is annotated with the telescope suffix that starts at
+    its assumption, a tail of ``env_type``, with the values (or instantiated
+    definitions) of earlier entries substituted for their names — this is
+    forced by the pair typing rule, which checks the second component at
+    ``B[e1/x]``.  A value that is its entry's own variable substitutes
+    nothing, so with no earlier value or definition to instantiate, the
+    annotation is the tail object itself.
     """
     width = sum(entry.definition is None for entry in telescope)
     if width != len(values):
         raise ValueError(f"telescope has {width} assumptions but {len(values)} values given")
+    tail = env_sigma(telescope) if env_type is None else env_type
     annotations: list[Term] = []
     instantiation: dict[str, Term] = {}
     stored = iter(values)
-    for index, entry in enumerate(telescope):
+    for entry in telescope:
+        name = entry.name
         if entry.definition is None:
-            annotations.append(subst(env_sigma(telescope[index:]), instantiation))
-            instantiation[entry.name] = next(stored)
+            annotations.append(subst(tail, instantiation))
+            value = next(stored)
+            if type(value) is Var and value.name == name:
+                instantiation.pop(name, None)  # x ↦ x binds nothing
+            else:
+                instantiation[name] = value
+            tail = tail.second
         else:
-            instantiation[entry.name] = subst(entry.definition, instantiation)
+            instantiation[name] = subst(entry.definition, instantiation)
+            tail = tail.body
     result: Term = UnitVal()
     for value, annot in zip(reversed(values), reversed(annotations)):
         result = Pair(value, result, annot)

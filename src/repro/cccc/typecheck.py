@@ -70,7 +70,7 @@ def _clo(spec: TypingSpec, ctx: Context, term: Clo, budget: Budget):
         body_type = infer_value(spec, code_ctx, body, budget)
         check_value(spec, ctx, env, code.env_type, budget)
         closure_type = Pi(arg_name, code.arg_type, body_type)
-        return glue_node(_NBE, closure_type, bind(_EMPTY_ENV, code.env_name, env))
+        return glue_node(_NBE, closure_type, bind(_NBE, _EMPTY_ENV, code.env_name, env))
     code_type = whnf_value(_NBE, ctx, infer_value(spec, ctx, code, budget), budget)
     code_type, sigma = view(_NBE, code_type)
     if not isinstance(code_type, CodeType):
@@ -82,7 +82,7 @@ def _clo(spec: TypingSpec, ctx: Context, term: Clo, budget: Budget):
     # x shadows the pending substitution in B, and reading back renames it
     # if e′ mentions a variable named x.
     closure_type = Pi(code_type.arg_name, code_type.arg_type, code_type.result)
-    return glue(_NBE, closure_type, bind(sigma, code_type.env_name, env))
+    return glue(_NBE, closure_type, bind(_NBE, sigma, code_type.env_name, env))
 
 
 def _code_context(spec: TypingSpec, code: CodeLam, budget: Budget) -> tuple:

@@ -6,8 +6,11 @@ classes, α-equal types and identical fuel.  Each dependent instantiation
 here is an eager ``subst1``.  A binder that shadows a context entry a
 stored type or definition can still reach takes a fresh name, exactly as
 in the shared checker (:func:`repro.kernel.typing.level`), so the two
-agree on shadowing.  Nothing outside ``tests/`` and ``benchmarks/``
-imports it.
+agree on shadowing.  It mirrors the shared checker's two shortcuts too: an
+instantiation ``x ↦ x`` is no substitution (:func:`_instantiate`), and an
+internal check of a pair against its own annotation does not sort the
+annotation again (:func:`_check`, [Pair] in check mode).  Nothing outside
+``tests/`` and ``benchmarks/`` imports it.
 
 The CC-CC type checker (paper Figure 7).
 
@@ -160,7 +163,7 @@ def _infer(ctx: Context, term: Term, budget: Budget) -> Term:
                 raise TypeCheckError(
                     f"closure over non-code of type {pretty(code_type)}"
                 ).with_note(f"checking {pretty(term)}")
-            check(ctx, env, code_type.env_type, budget)
+            _check(ctx, env, code_type.env_type, budget)
             # [Clo]: Π x : A[e′/x′]. B[e′/x′].  Rename the argument binder
             # if the environment value happens to mention a variable with
             # the same name (the substitution is under the Π binder).
@@ -173,8 +176,8 @@ def _infer(ctx: Context, term: Term, budget: Budget) -> Term:
                 arg_name = renamed
             return Pi(
                 arg_name,
-                subst1(arg_type, code_type.env_name, env),
-                subst1(result, code_type.env_name, env),
+                _instantiate(arg_type, code_type.env_name, env),
+                _instantiate(result, code_type.env_name, env),
             )
         case App(fn, arg):
             fn_type = whnf(ctx, infer(ctx, fn, budget), budget)
@@ -182,14 +185,14 @@ def _infer(ctx: Context, term: Term, budget: Budget) -> Term:
                 raise TypeCheckError(
                     f"application head has non-Π type {pretty(fn_type)}"
                 ).with_note(f"checking {pretty(term)}")
-            check(ctx, arg, fn_type.domain, budget)
-            return subst1(fn_type.codomain, fn_type.name, arg)
+            _check(ctx, arg, fn_type.domain, budget)
+            return _instantiate(fn_type.codomain, fn_type.name, arg)
         case Let(name, bound, annot, body):
             infer_universe(ctx, annot, budget)
-            check(ctx, bound, annot, budget)
+            _check(ctx, bound, annot, budget)
             name, body = level(LANGUAGE, ctx, name, (annot, bound), body)
             body_type = infer(ctx.define(name, bound, annot), body, budget)
-            return subst1(body_type, name, bound)
+            return _instantiate(body_type, name, bound)
         case Sigma(name, first, second):
             first_universe = infer_universe(ctx, first, budget)
             name, second = level(LANGUAGE, ctx, name, (first,), second)
@@ -197,16 +200,9 @@ def _infer(ctx: Context, term: Term, budget: Budget) -> Term:
             if isinstance(first_universe, Star) and isinstance(second_universe, Star):
                 return Star()
             return Box()
-        case Pair(fst_val, snd_val, annot):
-            infer_universe(ctx, annot, budget)
-            annot_whnf = whnf(ctx, annot, budget)
-            if not isinstance(annot_whnf, Sigma):
-                raise TypeCheckError(
-                    f"pair annotation {pretty(annot)} is not a Σ type"
-                ).with_note(f"checking {pretty(term)}")
-            check(ctx, fst_val, annot_whnf.first, budget)
-            check(ctx, snd_val, subst1(annot_whnf.second, annot_whnf.name, fst_val), budget)
-            return annot
+        case Pair():
+            infer_universe(ctx, term.annot, budget)
+            return _pair(ctx, term, budget)
         case Fst(pair):
             pair_type = whnf(ctx, infer(ctx, pair, budget), budget)
             if not isinstance(pair_type, Sigma):
@@ -220,23 +216,53 @@ def _infer(ctx: Context, term: Term, budget: Budget) -> Term:
                 raise TypeCheckError(f"snd of non-Σ type {pretty(pair_type)}").with_note(
                     f"checking {pretty(term)}"
                 )
-            return subst1(pair_type.second, pair_type.name, Fst(pair))
+            return _instantiate(pair_type.second, pair_type.name, Fst(pair))
         case Succ(pred):
-            check(ctx, pred, _NAT, budget)
+            _check(ctx, pred, _NAT, budget)
             return _NAT
         case If(cond, then_branch, else_branch):
-            check(ctx, cond, _BOOL, budget)
+            _check(ctx, cond, _BOOL, budget)
             then_type = infer(ctx, then_branch, budget)
-            check(ctx, else_branch, then_type, budget)
+            _check(ctx, else_branch, then_type, budget)
             return then_type
         case NatElim(motive, base, step, target):
             _check_motive(ctx, motive, budget)
-            check(ctx, target, _NAT, budget)
-            check(ctx, base, App(motive, _ZERO), budget)
-            check(ctx, step, _step_type(motive), budget)
+            _check(ctx, target, _NAT, budget)
+            _check(ctx, base, App(motive, _ZERO), budget)
+            _check(ctx, step, _step_type(motive), budget)
             return App(motive, target)
         case _:
             raise TypeCheckError(f"not a CC-CC term: {term!r}")
+
+
+def _pair(ctx: Context, term: Pair, budget: Budget) -> Term:
+    """[Pair]'s premises but the annotation's sort; returns the annotation."""
+    annot_whnf = whnf(ctx, term.annot, budget)
+    if not isinstance(annot_whnf, Sigma):
+        raise TypeCheckError(
+            f"pair annotation {pretty(term.annot)} is not a Σ type"
+        ).with_note(f"checking {pretty(term)}")
+    _check(ctx, term.fst_val, annot_whnf.first, budget)
+    second = _instantiate(annot_whnf.second, annot_whnf.name, term.fst_val)
+    _check(ctx, term.snd_val, second, budget)
+    return term.annot
+
+
+def _instantiate(body: Term, name: str, value: Term) -> Term:
+    """``body[value/name]``; the identity ``name ↦ name`` returns ``body`` itself."""
+    if isinstance(value, Var) and value.name == name:
+        return body
+    return subst1(body, name, value)
+
+
+def _check(ctx: Context, term: Term, expected: Term, budget: Budget) -> None:
+    """An internal check: ``expected`` has been sorted already, so a pair
+    checked against its own annotation skips the annotation's sort
+    ([Pair] in check mode, neither probed nor stored in the memo)."""
+    if isinstance(term, Pair) and term.annot is expected:
+        _pair(ctx, term, budget)
+    else:
+        check(ctx, term, expected, budget)
 
 
 def _check_motive(ctx: Context, motive: Term, budget: Budget) -> None:

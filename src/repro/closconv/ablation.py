@@ -110,6 +110,7 @@ def _shallow_lambda(ctx: CCContext, term: cc.Lam) -> cccc.Term:
         # An assumption even for a definition: the ablation drops its equation.
         telescope.append(cccc.Binding(name, translate_shallow_fv(ctx.prefix(name), binding.type_)))
 
+    env_type = env_sigma(telescope)
     env_name = fresh("n")
     env_var = cccc.Var(env_name)
     domain_tgt = translate_shallow_fv(ctx, term.domain)
@@ -117,12 +118,12 @@ def _shallow_lambda(ctx: CCContext, term: cc.Lam) -> cccc.Term:
 
     code = cccc.CodeLam(
         env_name,
-        env_sigma(telescope),
+        env_type,
         term.name,
         bind_env(telescope, env_var, domain_tgt),
         bind_env(telescope, env_var, body_tgt),
     )
-    environment = env_tuple(telescope, [cccc.Var(name) for name in names])
+    environment = env_tuple(telescope, [cccc.Var(name) for name in names], env_type)
     return cccc.Clo(code, environment)
 
 

@@ -191,7 +191,7 @@ def _translate_lambda(ctx: CCContext, term: cc.Lam) -> cccc.Term:
         bind_env(telescope, env_var, body_tgt),
     )
     values = [cccc.Var(entry.name) for entry in telescope if entry.definition is None]
-    return cccc.Clo(code, env_tuple(telescope, values))
+    return cccc.Clo(code, env_tuple(telescope, values, env_type))
 
 
 def translate_context(ctx: CCContext) -> TargetContext:

@@ -20,7 +20,11 @@ are written.
 **Types are checked as values** (:mod:`repro.kernel.nbe`, "Type values").
 A judgment synthesizes syntax under delayed substitutions, and every
 instantiation costs O(1).  [App], [Pair] and [Snd] add one entry
-for the binder they instantiate.  [Let] and [Clo] move a type value out of
+for the binder they instantiate; an instantiation by the binder's own
+variable (``x ↦ x``) adds none and only drops the entry it shadows
+(:func:`bind`), so the instantiated type is the same object as before —
+as a closure's inner environment pair meets the tail of the environment
+type it is annotated with.  [Let] and [Clo] move a type value out of
 the context level it was built at: [Let]'s body type leaves the defined
 level ``x`` and gets ``{x: e}`` composed into it, one pass over its own
 entries; [Clo]'s closure type binds the code's argument level under a new
@@ -29,6 +33,17 @@ nothing in the code body's type is visited.  A value becomes syntax only
 as a binder's result type ([Lam], [Code]), in an error message, and as a
 public result, read back once and memoized on the value.  ``whnf_value``
 reduces exactly the substituted term, so fuel matches substitution.
+
+**[Pair] has a check mode.**  An unmemoized internal check of a pair
+``⟨a, b⟩ as T`` against an expected type that *is* ``T`` checks the
+components and skips ``T``'s sort.  Its invariant: every internal
+expected type is already a type — sorted as a binder's or annotation's
+type ([Let], [Code]'s environment type, the enclosing pair's annotation),
+or inferred for a well-typed term.  A public check (``entry``) never
+takes it, nor does a spec that memoizes every judgment (CC), where the
+sort is a memo hit anyway and the check's own memo entry would then
+record fuel that a public check must not replay.  So a closure's
+environment type is sorted once, in [Code], however wide it is.
 
 **Memo scope is a spec constant.**  Judgments are memoized in the
 session's judgment :class:`~repro.kernel.memo.Memo` per (subject
@@ -191,13 +206,21 @@ def infer_value(spec: TypingSpec, ctx: Any, term: Any, budget: Budget, entry: bo
 
 def check_value(spec: TypingSpec, ctx: Any, term: Any, expected: Any, budget: Budget,
                 entry: bool = False) -> None:
-    """Check ``Γ ⊢ term : expected`` for a type value ``expected`` ([Conv])."""
+    """Check ``Γ ⊢ term : expected`` for a type value ``expected`` ([Conv]).
+
+    An unmemoized check of a pair against its own annotation is [Pair] in
+    check mode (see the module docstring): the annotation is not sorted
+    again.
+    """
     memoize = entry or spec.memo_every_judgment
     if memoize:
         memo, key, hit = _recall(spec, spec.check_kind, ctx, term, expected, budget)
         if hit:
             return
         before = budget.spent
+    elif type(term) is spec.nbe.pair_cls and term.annot is expected:
+        _pair_components(spec, ctx, term, budget)  # [Pair] in check mode
+        return
     actual = infer_value(spec, ctx, term, budget)
     if not spec.equivalent(ctx, actual, expected, budget):
         raise TypeCheckError(
@@ -280,8 +303,15 @@ def level(lang: Language, ctx: Any, name: str, stored: tuple, *scope: Any) -> tu
     return (name, *scope)
 
 
-def bind(env: dict, name: str, replacement: Any) -> dict:
-    """``env`` extended (in parallel) with ``name ↦ replacement``."""
+def bind(nbe: NbeSpec, env: dict, name: str, replacement: Any) -> dict:
+    """``env`` extended (in parallel) with ``name ↦ replacement``.
+
+    The identity ``name ↦ name`` binds nothing: it only drops the entry the
+    binder shadows, so a type instantiated by its own variable is glued
+    back as the same object.
+    """
+    if type(replacement) is nbe.var_cls and replacement.name == name:
+        return {key: entry for key, entry in env.items() if key != name}
     return {**env, name: Thunk(replacement, _EMPTY_ENV)}
 
 
@@ -307,7 +337,7 @@ def _app(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
             f"application head has non-Π type {_show(spec, fn_type)}"
         ).with_note(f"checking {spec.pretty(term)}")
     check_value(spec, ctx, term.arg, glue(spec.nbe, fn_type.domain, sigma), budget)
-    return glue(spec.nbe, fn_type.codomain, bind(sigma, fn_type.name, term.arg))  # [App]
+    return glue(spec.nbe, fn_type.codomain, bind(spec.nbe, sigma, fn_type.name, term.arg))  # [App]
 
 
 def _let(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
@@ -315,7 +345,7 @@ def _let(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
     check_value(spec, ctx, term.bound, term.annot, budget)
     name, body = level(spec.nbe.lang, ctx, term.name, (term.annot, term.bound), term.body)
     body_type = infer_value(spec, ctx.define(name, term.bound, term.annot), body, budget)
-    return glue(spec.nbe, body_type, bind(_EMPTY_ENV, name, term.bound))  # [Let]
+    return glue(spec.nbe, body_type, bind(spec.nbe, _EMPTY_ENV, name, term.bound))  # [Let]
 
 
 def _sigma(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
@@ -328,15 +358,20 @@ def _sigma(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
 
 def _pair(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
     universe(spec, ctx, term.annot, budget)
+    return _pair_components(spec, ctx, term, budget)  # [Pair]
+
+
+def _pair_components(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
+    """[Pair]'s premises but the annotation's sort; returns the annotation."""
     sigma = whnf(spec.nbe, ctx, term.annot, budget)
     if type(sigma) is not spec.sigma_cls:
         raise TypeCheckError(
             f"pair annotation {spec.pretty(term.annot)} is not a Σ type"
         ).with_note(f"checking {spec.pretty(term)}")
     check_value(spec, ctx, term.fst_val, sigma.first, budget)
-    second = glue(spec.nbe, sigma.second, bind(_EMPTY_ENV, sigma.name, term.fst_val))
+    second = glue(spec.nbe, sigma.second, bind(spec.nbe, _EMPTY_ENV, sigma.name, term.fst_val))
     check_value(spec, ctx, term.snd_val, second, budget)
-    return term.annot  # [Pair]
+    return term.annot
 
 
 def _proj(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
@@ -350,7 +385,7 @@ def _proj(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:
     if fst:
         return glue(spec.nbe, pair_type.first, sigma)  # [Fst]
     first = spec.nbe.fst_cls(term.pair)
-    return glue(spec.nbe, pair_type.second, bind(sigma, pair_type.name, first))  # [Snd]
+    return glue(spec.nbe, pair_type.second, bind(spec.nbe, sigma, pair_type.name, first))  # [Snd]
 
 
 def _succ(spec: TypingSpec, ctx: Any, term: Any, budget: Budget) -> Any:

@@ -23,7 +23,8 @@ Determinism across shard assignments comes from two mechanisms:
   names (which depend on execution history) can never reach the wire.
   The rendering runs under the session's ``activate()``, since interning
   reads the session's tables.  A warm job is ingested and rendered once:
-  the session's ingest memo (:func:`_ingest`) and payload-text memo
+  the session's ingest memo (:func:`_ingest`, which also holds a link
+  job's parsed interface and import texts) and payload-text memo
   (:data:`repro.api.PAYLOAD_TEXT`) hold pure functions of their keys, so
   it reaches neither the parser, the decoder, the printer nor the
   encoder, and its payload is the cold one byte for byte.
@@ -60,17 +61,13 @@ from repro import cc
 from repro.common.errors import ReproError
 from repro.kernel.state import current_state
 from repro.service import faults
-from repro.service.jobs import ENTRYPOINTS, Job, JobResult, call
+from repro.service.jobs import ENTRYPOINTS, INGESTED, Job, JobResult, call
 from repro.surface import parse_term
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import Session
 
 __all__ = ["execute_job"]
-
-#: The session's ingest memo (``KernelState.dict_cache``):
-#: :attr:`Job.source` -> interned term.
-INGESTED = "service.ingest"
 
 
 def _ingest(job: Job) -> cc.Term:

@@ -86,16 +86,40 @@ class Entrypoint(NamedTuple):
     extras: Callable[["Job", Any], dict[str, Any]] = lambda job, result: {}
 
 
+#: The session's ingest memo (``KernelState.dict_cache``): a job's wire
+#: source -> its interned program, and ``("parsed", text)`` -> the parse of
+#: a link job's interface type or import text.
+INGESTED = "service.ingest"
+
+
 def _link_arguments(job: "Job") -> dict[str, Any]:
     """The interface Γ and the closing imports of a ``link`` job (parsed here)."""
     from repro import cc
-    from repro.surface import parse_term
 
     ctx = cc.Context.empty()
     for name, type_text in job.interface:
-        ctx = ctx.extend(name, parse_term(type_text))
-    imports = {name: parse_term(text) for name, text in job.imports.items()}
+        ctx = ctx.extend(name, _parsed(type_text))
+    imports = {name: _parsed(text) for name, text in job.imports.items()}
     return {"ctx": ctx, "imports": imports}
+
+
+def _parsed(text: str) -> Any:
+    """``parse_term(text)``, parsed once per session in the ingest memo.
+
+    The parser hash-conses, so the entry is the term a new parse gives; a
+    parse error raises before anything is stored.  The table is charged the
+    text's length, as for a program.  Runs under the session's ``activate()``.
+    """
+    from repro.kernel.state import current_state
+    from repro.surface import parse_term
+
+    memo = current_state().dict_cache(INGESTED)
+    key = ("parsed", text)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = parse_term(text)
+        memo.chars += len(text)
+    return found
 
 
 #: The one entrypoint table (see the module docstring); :func:`call` runs a row.

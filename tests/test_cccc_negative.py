@@ -4,16 +4,39 @@ Type safety of the target hinges on the kernel *rejecting* bad programs;
 each test here is an ill-typed term with a specific broken premise.
 """
 
+from unittest import mock
+
 import pytest
 
-from repro import cccc
+from repro import api, cccc
+from repro.cccc import typecheck_subst
 from repro.cccc.ntuple import env_sigma, env_tuple
 from repro.common.errors import TypeCheckError
+from repro.kernel import typing
+from repro.kernel.budget import Budget
 
 
 def _expect_reject(ctx, term):
     with pytest.raises(TypeCheckError):
         cccc.infer(ctx, term)
+
+
+def _both_checkers(judge, ctx, *args):
+    """``(verdict, fuel)`` of a judgment on the shared checker and on the
+    substitution reference, each cold in its own session; the verdict is the
+    error message, or None when the judgment holds."""
+    outcomes = []
+    for checker in (cccc, typecheck_subst):
+        budget = Budget()
+        with api.Session().activate():
+            try:
+                getattr(checker, judge)(ctx, *args, budget)
+                verdict = None
+            except TypeCheckError as error:
+                verdict = str(error)
+        outcomes.append((verdict, budget.spent))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
 
 
 class TestCodeRejections:
@@ -198,3 +221,51 @@ class TestShadowingRejections:
             self._context(empty_target),
             cccc.Let("A", cccc.Nat(), cccc.Star(), cccc.App(nat_id, cccc.Var("x"))),
         )
+
+
+class TestEnvAnnotationRejections:
+    """[Pair] skips sorting a pair's annotation only when an internal check
+    expects that very object, which was sorted already: an environment
+    annotation that is merely equal to its code's environment type, or a
+    public check, still sorts it."""
+
+    _TELESCOPE = [cccc.Binding("A", cccc.Star()), cccc.Binding("a", cccc.Var("A"))]
+
+    def test_public_check_sorts_an_ill_formed_annotation(self, empty_target):
+        sigma = cccc.Sigma("x", cccc.Zero(), cccc.Unit())  # Σ (x : 0). 1
+        pair = cccc.Pair(cccc.Zero(), cccc.UnitVal(), sigma)
+        with pytest.raises(TypeCheckError):
+            cccc.check(empty_target, pair, sigma)
+        verdict, _ = _both_checkers("check", empty_target, pair, sigma)
+        assert verdict == "expected a type but 0 has type Nat"
+
+    def test_equal_copy_of_the_env_type_is_sorted(self, empty_target):
+        code = cccc.CodeLam("n", env_sigma(self._TELESCOPE), "x", cccc.Nat(), cccc.Var("x"))
+        env = env_tuple(self._TELESCOPE, [cccc.Nat(), cccc.Zero()], env_sigma(self._TELESCOPE))
+        assert env.annot == code.env_type and env.annot is not code.env_type
+        closure = cccc.Clo(code, env)
+        sorted_ = []
+        universe = typing.universe
+
+        def counting_universe(spec, ctx, type_, budget, entry=False):
+            sorted_.append(type_)
+            return universe(spec, ctx, type_, budget, entry)
+
+        with mock.patch.object(typing, "universe", counting_universe), api.Session().activate():
+            closure_type = cccc.infer(empty_target, closure)
+        assert cccc.equivalent(empty_target, closure_type, cccc.Pi("x", cccc.Nat(), cccc.Nat()))
+        assert any(type_ is env.annot for type_ in sorted_)
+        assert _both_checkers("infer", empty_target, closure)[0] is None
+
+    def test_env_annotation_not_a_type(self, empty_target):
+        code = cccc.CodeLam("n", env_sigma(self._TELESCOPE), "x", cccc.Nat(), cccc.Var("x"))
+        env = env_tuple(self._TELESCOPE, [cccc.Nat(), cccc.Zero()])
+        bad_env = cccc.Pair(env.fst_val, env.snd_val, cccc.Zero())
+        _expect_reject(empty_target, cccc.Clo(code, bad_env))
+
+    def test_env_annotation_is_a_code_env_type_that_is_not_a_type(self, empty_target):
+        sigma = cccc.Sigma("x", cccc.Nat(), cccc.Unit())
+        not_a_type = cccc.Pair(cccc.Zero(), cccc.UnitVal(), sigma)
+        code = cccc.CodeLam("n", not_a_type, "x", cccc.Nat(), cccc.Var("x"))
+        env = cccc.Pair(cccc.Zero(), cccc.UnitVal(), not_a_type)
+        _expect_reject(empty_target, cccc.Clo(code, env))

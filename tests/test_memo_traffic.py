@@ -114,20 +114,20 @@ _FIELDS = ("probes", "hits", "stores", "reads", "entries")
 
 #: kind -> (probes, hits, stores, reads, entries), summed over the programs.
 EXPECTED = {
-    "cc.check": (177, 12, 165, 0, 165),
-    "cc.equiv": (39, 2, 37, 0, 37),
+    "cc.check": (177, 14, 163, 0, 163),
+    "cc.equiv": (35, 2, 33, 0, 33),
     "cc.infer": (410, 102, 308, 67, 308),
     "cc.nf": (104, 22, 82, 0, 82),
     "cc.nf.subst": (144, 22, 122, 0, 122),
     "cc.universe": (239, 118, 121, 0, 121),
     "cc.whnf": (33, 0, 33, 0, 33),
     "cc.whnf.subst": (63, 4, 59, 0, 59),
-    "cccc.check": (407, 8, 399, 0, 399),
-    "cccc.equiv": (244, 72, 172, 0, 172),
-    "cccc.infer": (912, 11, 901, 0, 901),
+    "cccc.check": (384, 45, 339, 0, 339),
+    "cccc.equiv": (143, 27, 116, 0, 116),
+    "cccc.infer": (719, 11, 708, 0, 708),
     "cccc.infer.nbe": (18, 0, 18, 0, 18),
-    "cccc.universe": (1039, 49, 990, 0, 990),
-    "cccc.whnf": (303, 102, 201, 0, 201),
+    "cccc.universe": (713, 23, 690, 0, 690),
+    "cccc.whnf": (291, 85, 206, 0, 206),
 }
 
 

@@ -135,6 +135,40 @@ class TestWarmJob:
         assert all(session.cache_stats()[name] == 0 for name in TABLES)
 
 
+class TestWarmLink:
+    """A link job's interface types and import texts go through the ingest
+    memo too: a warm link job parses nothing, and its documents, errors
+    included, are the cold ones."""
+
+    LINK = {"id": "l", "kind": "link", "program": "succ n",
+            "interface": [["n", "Nat"]], "imports": {"n": "41"}}
+
+    def test_warm_link_parses_nothing(self, monkeypatch):
+        session = api.Session()
+        cold = session.execute(self.LINK)
+        assert cold.ok, cold.error
+        # The program, the interface type and the import text.
+        assert session.cache_stats()[INGESTED] == 3
+        _refuse_ingest_and_render(monkeypatch)
+        warm = session.execute(self.LINK)
+        assert _canonical(warm) == _canonical(cold)
+
+    @pytest.mark.parametrize("field, bad, stored", [
+        ("interface", [["n", "Nat ->"]], 1),
+        ("imports", {"n": "(succ"}, 2),
+        ("imports", {"n": "true"}, 3),
+    ], ids=["interface-parse-error", "import-parse-error", "ill-typed-import"])
+    def test_link_errors_repeat_and_store_no_failed_parse(self, field, bad, stored):
+        spec = {**self.LINK, field: bad}
+        session = api.Session()
+        results = [session.execute(spec) for _ in range(3)]
+        assert not results[0].ok
+        assert len({_canonical(result) for result in results}) == 1
+        assert _canonical(results[0]) == _canonical(api.Session().execute(spec))
+        # The program and every text parsed before the failure; never a failed one.
+        assert session.cache_stats()[INGESTED] == stored
+
+
 class TestDictCacheBound:
     """Every ``dict_cache`` table is emptied at ``DICT_CACHE_ENTRIES``."""
 
