@@ -44,7 +44,7 @@ class _CCRules(ConversionRules):
     nbe = _NBE
     whnf = staticmethod(partial(whnf_value, _NBE))
 
-    def eta(self, left, right, ctx_l, ctx_r, scope, budget):
+    def eta(self, left, right, scope, budget):
         left_lam = isinstance(left, Lam)
         if left_lam == isinstance(right, Lam):
             return None  # both λ (structural) or neither (no η)
@@ -52,8 +52,8 @@ class _CCRules(ConversionRules):
         # at a shared fresh variable, free on both sides of the chain.
         probe = Var(fresh("eta"))
         if left_lam:
-            return [(subst1(left.body, left.name, probe), App(right, probe), ctx_l, ctx_r, scope)]
-        return [(App(left, probe), subst1(right.body, right.name, probe), ctx_l, ctx_r, scope)]
+            return [(subst1(left.body, left.name, probe), App(right, probe), scope)]
+        return [(App(left, probe), subst1(right.body, right.name, probe), scope)]
 
 
 _RULES = _CCRules()
@@ -67,5 +67,4 @@ def norm_equal_eta(left: Term, right: Term) -> bool:
     lazy whnf passes are no-ops and the walk degenerates to the old
     α-with-η comparison.
     """
-    empty = Context.empty()
-    return convert(_RULES, empty, empty, left, right, Budget())
+    return convert(_RULES, Context.empty(), left, right, Budget())

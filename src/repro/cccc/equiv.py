@@ -74,7 +74,7 @@ class _CCCCRules(ConversionRules):
                 return Clo(code, term.env)
         return term
 
-    def eta(self, left, right, ctx_l, ctx_r, scope, budget):
+    def eta(self, left, right, scope, budget):
         # [≡-Clo1] / [≡-Clo2].  When both sides are openable this
         # degenerates to comparing both opened bodies at a shared fresh
         # argument (the whnf of ``right probe`` β-fires the right closure),
@@ -82,11 +82,11 @@ class _CCCCRules(ConversionRules):
         if _openable(left):
             budget.spend()
             probe = Var(fresh("cloeta"))
-            return [(_open(left, probe), App(read_back(_NBE, right), probe), ctx_l, ctx_r, scope)]
+            return [(_open(left, probe), App(read_back(_NBE, right), probe), scope)]
         if _openable(right):
             budget.spend()
             probe = Var(fresh("cloeta"))
-            return [(App(read_back(_NBE, left), probe), _open(right, probe), ctx_l, ctx_r, scope)]
+            return [(App(read_back(_NBE, left), probe), _open(right, probe), scope)]
         return None
 
 
@@ -95,7 +95,7 @@ class _NoCloEtaRules(_CCCCRules):
     structurally.  Used by :mod:`repro.closconv.ablation` to demonstrate
     that compositionality (Lemma 5.1) *needs* the closure η-principle."""
 
-    def eta(self, left, right, ctx_l, ctx_r, scope, budget):
+    def eta(self, left, right, scope, budget):
         return None
 
 
@@ -111,4 +111,4 @@ def equivalent_structural(
     """CC-CC ≡ with [≡-Clo1/2] disabled (the ablation comparator)."""
     if budget is None:
         budget = Budget()
-    return convert(_NO_CLO_ETA_RULES, ctx, ctx, left, right, budget)
+    return convert(_NO_CLO_ETA_RULES, ctx, left, right, budget)

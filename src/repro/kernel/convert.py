@@ -56,10 +56,13 @@ the session's judgment :class:`~repro.kernel.memo.Memo` under both sides'
 identities and the context's definitions token (the only part of the
 context the relation observes), and a hit replays the recorded fuel.
 
-Contexts are threaded per side and only ever consulted by ``whnf`` for
-δ-reduction, so crossing a binder extends a side's context **only when the
-binder shadows a visible definition** (an assumption entry whose only job
-is to make the name neutral).  Everything else about the context — types
+The context is the same for the whole walk and is only ever consulted by
+``whnf`` for δ-reduction; crossing a binder never extends it.  A binder
+whose name the context defines, or that a definition reachable from its
+scope mentions, is **renamed** instead
+(:func:`repro.kernel.nbe.value_scopes`): its scope becomes a type value
+under ``{name: fresh variable}``, so a bound occurrence never unfolds and an
+unfolded one is never captured.  Everything else about the context — types
 of assumptions in particular — is invisible to conversion, which is what
 keeps the relation untyped, as in the paper.
 """
@@ -79,7 +82,7 @@ __all__ = ["ConversionRules", "convert"]
 #: A scope chain node: (left binder name, right binder name, parent | None).
 Scope = "tuple[str, str, Any] | None"
 
-#: A pending comparison: (left, right, left context, right context, scope).
+#: A pending comparison: (left, right, scope).
 Task = tuple
 
 
@@ -119,14 +122,14 @@ class ConversionRules:
             return True
         leaves = self.nbe.trivial
         if isinstance(left, leaves) and isinstance(right, leaves):
-            return convert(self, ctx, ctx, left, right, budget)
+            return convert(self, ctx, left, right, budget)
         state = current_state()
         memo = state.judgments
         token = state.ctx_tokens.key(ctx)
         verdict = memo.replay(self.kind, left, right, token, budget)
         if verdict is None:
             before = budget.spent
-            verdict = convert(self, ctx, ctx, left, right, budget)
+            verdict = convert(self, ctx, left, right, budget)
             memo.store(self.kind, left, right, token, verdict, budget.spent - before)
         return verdict
 
@@ -143,9 +146,7 @@ class ConversionRules:
         """
         return term
 
-    def eta(
-        self, left: Any, right: Any, ctx_l: Any, ctx_r: Any, scope: Any, budget: Budget
-    ) -> list[Task] | None:
+    def eta(self, left: Any, right: Any, scope: Any, budget: Budget) -> list[Task] | None:
         """η-step for two weak-head normal forms, or None when none applies.
 
         When an η-rule relates the heads, return the replacement comparison
@@ -156,48 +157,36 @@ class ConversionRules:
         return None
 
 
-def convert(
-    rules: ConversionRules,
-    ctx_left: Any,
-    ctx_right: Any,
-    left: Any,
-    right: Any,
-    budget: Budget,
-) -> bool:
-    """Decide ``ctx ⊢ left ≡ right`` incrementally under ``rules``.
-
-    ``ctx_left``/``ctx_right`` start out as the same context; they diverge
-    only through shadowing extensions as the walk crosses binders whose
-    names differ between the sides.
-    """
+def convert(rules: ConversionRules, ctx: Any, left: Any, right: Any, budget: Budget) -> bool:
+    """Decide ``ctx ⊢ left ≡ right`` incrementally under ``rules``."""
     lang = rules.lang
     var_cls = lang.var_cls
     nbe = rules.nbe
     intern_memo = lang.intern_cache  # the active session's memo, fixed per walk
     irrelevant = rules.irrelevant
-    stack: list[Task] = [(left, right, ctx_left, ctx_right, None)]
+    stack: list[Task] = [(left, right, None)]
     while stack:
-        l, r, cl, cr, scope = stack.pop()
+        l, r, scope = stack.pop()
         if l is r and _free_agree(lang, l, scope, nbe):
             continue
-        lw = rules.prepare(cl, rules.whnf(cl, l, budget), budget)
-        rw = rules.prepare(cr, rules.whnf(cr, r, budget), budget)
+        lw = rules.prepare(ctx, rules.whnf(ctx, l, budget), budget)
+        rw = rules.prepare(ctx, rules.whnf(ctx, r, budget), budget)
         if lw is rw and _free_agree(lang, lw, scope, nbe):
             continue
         rep = intern_memo.get(lw)
         if rep is not None and rep is intern_memo.get(rw) and _free_agree(lang, lw, scope):
             continue
-        tasks = rules.eta(lw, rw, cl, cr, scope, budget)
+        tasks = rules.eta(lw, rw, scope, budget)
         if tasks is not None:
             stack.extend(tasks)
             continue
         # A type value's head is never a variable: compare its node and
         # descend with the delayed substitution pushed one level down.
-        value_l = value_r = None
+        value_l, value_r = lw, rw
         if type(lw) is Thunk:
-            value_l, lw = lw, lw.term
+            lw = lw.term
         if type(rw) is Thunk:
-            value_r, rw = rw, rw.term
+            rw = rw.term
         if isinstance(lw, var_cls) or isinstance(rw, var_cls):
             if type(lw) is not type(rw) or not _bound_same(lw.name, rw.name, scope):
                 return False
@@ -211,30 +200,17 @@ def convert(
         if not children:
             continue
         skipped = irrelevant.get(type(lw), ())
-        names_l = names_r = None
-        if value_l is not None:
-            names_l, envs_l = value_scopes(nbe, value_l)
-        if value_r is not None:
-            names_r, envs_r = value_scopes(nbe, value_r)
+        names_l, envs_l = value_scopes(nbe, value_l, ctx)
+        names_r, envs_r = value_scopes(nbe, value_r, ctx)
         depth = 0
         for child in children:
             while depth < len(child.binders):
-                binder = spec.binder_attrs[depth]
-                name_l = getattr(lw, binder) if names_l is None else names_l[depth]
-                name_r = getattr(rw, binder) if names_r is None else names_r[depth]
-                scope = (name_l, name_r, scope)
-                cl = _shadow(cl, name_l)
-                cr = _shadow(cr, name_r)
+                scope = (names_l[depth], names_r[depth], scope)
                 depth += 1
-            if child.attr in skipped:
-                continue
-            sub_l = getattr(lw, child.attr)
-            if value_l is not None:
-                sub_l = glue(nbe, sub_l, envs_l[depth])
-            sub_r = getattr(rw, child.attr)
-            if value_r is not None:
-                sub_r = glue(nbe, sub_r, envs_r[depth])
-            stack.append((sub_l, sub_r, cl, cr, scope))
+            if child.attr not in skipped:
+                sub_l = glue(nbe, getattr(lw, child.attr), envs_l[depth])
+                sub_r = glue(nbe, getattr(rw, child.attr), envs_r[depth])
+                stack.append((sub_l, sub_r, scope))
     return True
 
 
@@ -274,17 +250,3 @@ def _free_agree(lang: Language, term: Any, scope: Any, nbe: NbeSpec | None = Non
                     return False
                 break
     return True
-
-
-def _shadow(ctx: Any, name: str) -> Any:
-    """Mask any visible definition of ``name`` before descending under it.
-
-    Bound variables are neutral; if the surrounding context δ-defines the
-    same name, an assumption entry must shadow it or ``whnf`` would unfold
-    a bound occurrence.  When no definition is visible the context is
-    returned unchanged — the extension would be unobservable.
-    """
-    binding = ctx.lookup(name)
-    if binding is None or binding.definition is None:
-        return ctx
-    return ctx.extend(name, binding.type_)

@@ -38,12 +38,14 @@ The design is *glued* NbE over the named term representation:
   below): flat syntax under delayed substitutions, whose free names are
   context levels; read back by the same residualizer and never run on the
   machine.
-* **δ-unfolding sees the same context slice** as the substitution engine:
-  definitions are looked up through the caller's context, and a definition's
-  own text is evaluated under the *binder-neutral* fraction of the current
-  environment, so a binder that shadows a δ-definition masks it inside its
-  scope (matching ``convert._shadow`` and the memo-token discipline of
-  :mod:`repro.kernel.memo`).
+* **δ-unfolding reads the context, and only the context.**  A definition
+  is looked up through the caller's context, which is the same for the
+  whole normalization, and its text is evaluated under the empty
+  environment: it is context-level syntax, so no machine binding or binder
+  can reach into it.  A bound variable is a neutral of the environment and
+  never unfolds; a binder whose name a reachable definition mentions is
+  renamed on quotation (:func:`value_scopes`), so an unfolded name is never
+  captured.  The paper's δ rule assumes exactly this convention.
 
 Budget accounting: the machine spends exactly one unit of the caller's
 :class:`~repro.kernel.budget.Budget` per δ/ζ/β/π/ι contraction — the same
@@ -67,7 +69,7 @@ from repro.kernel import fv
 from repro.kernel.budget import DEFAULT_FUEL, Budget
 from repro.kernel.nodespec import Language
 from repro.kernel.state import current_state
-from repro.kernel.substitution import restrict, subst
+from repro.kernel.substitution import reaches, restrict, subst
 
 __all__ = [
     "NbeSpec",
@@ -77,6 +79,7 @@ __all__ = [
     "nbe_normalize",
     "nbe_whnf",
     "read_back",
+    "unshadow",
     "value_scopes",
     "view",
 ]
@@ -99,18 +102,16 @@ class Thunk:
 
     ``whnf`` caches the weak value ``(term, env, spine)``; ``nf`` the strong
     normal form; ``resid`` the residual term (the delayed substitution
-    applied, nothing reduced).  ``binder`` marks quotation-time neutrals:
-    only those participate in δ-shadowing.  As a type value (see "Type
-    values" below), ``glued`` marks a node with value children and
-    ``parts`` caches a glued node's read-back parts.
+    applied, nothing reduced).  As a type value (see "Type values" below),
+    ``glued`` marks a node with value children and ``parts`` caches a glued
+    node's read-back parts.
     """
 
-    __slots__ = ("term", "env", "binder", "glued", "whnf", "nf", "resid", "parts")
+    __slots__ = ("term", "env", "glued", "whnf", "nf", "resid", "parts")
 
-    def __init__(self, term: Any, env: dict, binder: bool = False, glued: bool = False) -> None:
+    def __init__(self, term: Any, env: dict, glued: bool = False) -> None:
         self.term = term
         self.env = env
-        self.binder = binder
         self.glued = glued
         self.whnf: Any = None
         self.nf: Any = None
@@ -121,7 +122,7 @@ class Thunk:
 def _neutral(var_cls: type, name: str) -> Thunk:
     """A pre-forced thunk for a quotation-time bound variable."""
     var = var_cls(name)
-    thunk = Thunk(var, _EMPTY_ENV, binder=True)
+    thunk = Thunk(var, _EMPTY_ENV)
     thunk.whnf = (var, _EMPTY_ENV, ())
     thunk.nf = var
     thunk.resid = var
@@ -344,25 +345,6 @@ def _avoid(spec: NbeSpec, env: dict, names: Any) -> set[str]:
     return avoid
 
 
-def _delta_env(env: dict) -> dict:
-    """The fraction of ``env`` a δ-unfolded definition can see.
-
-    A definition's text is context-level syntax: β/ζ-bound names in it refer
-    to the context, never to machine bindings.  Quotation-time binder
-    neutrals that kept their source name *do* apply — a binder shadowing a
-    δ-definition masks it inside its scope, exactly as the substitution
-    engine's context-extension does.
-    """
-    if not env:
-        return env
-    restricted = {
-        name: thunk
-        for name, thunk in env.items()
-        if thunk.binder and thunk.term.name == name
-    }
-    return restricted if restricted else _EMPTY_ENV
-
-
 # --------------------------------------------------------------------------
 # The machine: weak-head evaluation with one explicit frame stack.
 # --------------------------------------------------------------------------
@@ -405,7 +387,7 @@ def _machine(
                     binding = ctx.lookup(term.name)
                     if binding is not None and binding.definition is not None:
                         budget.spend()
-                        term, env = binding.definition, _delta_env(env)
+                        term, env = binding.definition, _EMPTY_ENV
                         continue
                     # neutral: fall through to unwinding
             elif tag == "let":
@@ -644,9 +626,9 @@ def nbe_whnf(spec: NbeSpec, ctx: Any, term: Any, budget: Budget) -> Any:
 # --------------------------------------------------------------------------
 
 # Task tags for the strong-normalization work loop.
-_T_NF = 0      # (tag, term, env, ctx, dest, idx)
+_T_NF = 0      # (tag, term, env, dest, idx)
 _T_BUILD = 1   # (tag, node|None, cls, template, parts, dest, idx)
-_T_CACHE = 2   # (tag, term, token, start_spent, dest, idx)
+_T_CACHE = 2   # (tag, term, start_spent, dest, idx)
 _T_THUNK = 3   # (tag, thunk, dest, idx)
 
 # Spine-frame rebuild plans: (cls attr, scrutinee attr, other child attrs).
@@ -673,20 +655,22 @@ def nbe_normalize(spec: NbeSpec, ctx: Any, term: Any, budget: Budget) -> Any:
     session's normalization memo under ``spec.nf_kind`` and the context's
     definitions token, with the budget it spent, exactly like the
     substitution engine's memo: warm calls replay recorded fuel
-    deterministically.
+    deterministically.  ``ctx`` is the same for every subcomputation, so
+    its token is computed once.
     """
     state = current_state()
-    memo, tokens, kind = state.normalization, state.ctx_tokens, spec.nf_kind
+    memo, kind = state.normalization, spec.nf_kind
+    token = state.ctx_tokens.key(ctx)
     var_cls = spec.var_cls
     trivial = spec.trivial_set
     known = fv.known_free_vars
     out: list = [None]
-    tasks: list = [(_T_NF, term, _EMPTY_ENV, ctx, out, 0)]
+    tasks: list = [(_T_NF, term, _EMPTY_ENV, out, 0)]
     while tasks:
         task = tasks.pop()
         tag = task[0]
         if tag == _T_NF:
-            _, t, env, tctx, dest, idx = task
+            _, t, env, dest, idx = task
             cls = type(t)
             if cls in trivial:
                 dest[idx] = t
@@ -718,23 +702,22 @@ def nbe_normalize(spec: NbeSpec, ctx: Any, term: Any, budget: Budget) -> Any:
                         env = _EMPTY_ENV
                 if not env:
                     if cls is var_cls:
-                        binding = tctx.lookup(t.name)
+                        binding = ctx.lookup(t.name)
                         if binding is None or binding.definition is None:
                             dest[idx] = t
                             continue
-                    token = tokens.key(tctx)
                     hit = memo.replay(kind, t, None, token, budget)
                     if hit is not None:
                         dest[idx] = hit
                         continue
-                    tasks.append((_T_CACHE, t, token, budget.spent, dest, idx))
-                head, henv, spine = _machine(spec, tctx, t, env, budget)
+                    tasks.append((_T_CACHE, t, budget.spent, dest, idx))
+                head, henv, spine = _machine(spec, ctx, t, env, budget)
             else:
                 head, henv, spine = weak
             if spine:
-                _push_spine(spec, tasks, tctx, head, henv, spine, dest, idx)
+                _push_spine(spec, tasks, ctx, head, henv, spine, dest, idx)
             else:
-                _push_node(spec, tasks, tctx, head, henv, dest, idx)
+                _push_node(spec, tasks, ctx, head, henv, dest, idx)
         elif tag == _T_BUILD:
             _, node, cls, template, parts, dest, idx = task
             args = [parts[entry] if isinstance(entry, int) else entry[1] for entry in template]
@@ -748,7 +731,7 @@ def nbe_normalize(spec: NbeSpec, ctx: Any, term: Any, budget: Budget) -> Any:
             else:
                 dest[idx] = cls(*args)
         elif tag == _T_CACHE:
-            _, t, token, start, dest, idx = task
+            _, t, start, dest, idx = task
             memo.store(kind, t, None, token, dest[idx], budget.spent - start)
         else:  # _T_THUNK
             _, thunk, dest, idx = task
@@ -781,7 +764,7 @@ def _push_spine(
                 parts[1] = thunk.nf
             else:
                 children.append((_T_THUNK, thunk, parts, 1))
-                children.append((_T_NF, thunk.term, thunk.env, ctx, parts, 1))
+                children.append((_T_NF, thunk.term, thunk.env, parts, 1))
             pending.append((build, children))
             current_dest, current_idx = parts, 0
             continue
@@ -796,7 +779,7 @@ def _push_spine(
         template = [slot_of[attr] for attr in node_spec.field_order]
         build = (_T_BUILD, node, cls, template, parts, current_dest, current_idx)
         children = [
-            (_T_NF, getattr(node, attr), fenv, ctx, parts, 1 + offset)
+            (_T_NF, getattr(node, attr), fenv, parts, 1 + offset)
             for offset, attr in enumerate(other_attrs)
         ]
         pending.append((build, children))
@@ -824,7 +807,7 @@ def _push_node(
             dest[idx] = thunk.nf
             return
         tasks.append((_T_THUNK, thunk, dest, idx))
-        tasks.append((_T_NF, thunk.term, thunk.env, ctx, dest, idx))
+        tasks.append((_T_NF, thunk.term, thunk.env, dest, idx))
         return
     node_spec = lang.spec(node)
     children = node_spec.children
@@ -833,25 +816,13 @@ def _push_node(
         dest[idx] = node
         return
     envs = [env]
-    ctxs = [ctx]
     chosen: dict[str, str] = {}
-    if binder_attrs:
-        avoid = _avoid(spec, env, fv.free_vars(lang, node)) if env else ()
-        current_env, current_ctx = env, ctx
-        for attr in binder_attrs:
-            source = getattr(node, attr)
-            name = fresh(source) if source in avoid else source
-            chosen[attr] = name
-            current_env = dict(current_env)
-            current_env[source] = _neutral(spec.var_cls, name)
-            if name == source:
-                binding = current_ctx.lookup(source)
-                if binding is not None and binding.definition is not None:
-                    # Mask the shadowed definition, as the substitution
-                    # engine's context extension does.
-                    current_ctx = current_ctx.extend(source, binding.type_)
-            envs.append(current_env)
-            ctxs.append(current_ctx)
+    # A binder is a neutral of the environment, so it never unfolds: only
+    # capture renames it (``unfold`` False).
+    for attr, name in zip(binder_attrs, _binder_names(spec, node, env, False, ctx, False)):
+        chosen[attr] = name
+        env = {**env, getattr(node, attr): _neutral(spec.var_cls, name)}
+        envs.append(env)
     parts = [None] * len(children)
     slot_of = {child.attr: position for position, child in enumerate(children)}
     template: list = []
@@ -866,7 +837,7 @@ def _push_node(
     for position, child in enumerate(children):
         depth = len(child.binders)
         tasks.append(
-            (_T_NF, getattr(node, child.attr), envs[depth], ctxs[depth], parts, position)
+            (_T_NF, getattr(node, child.attr), envs[depth], parts, position)
         )
 
 
@@ -1027,35 +998,74 @@ def read_back(spec: NbeSpec, value: Any) -> Any:
     return _thunk_resid(spec, value)
 
 
-def value_scopes(spec: NbeSpec, value: Thunk) -> tuple[list[str], list[dict]]:
+def value_scopes(spec: NbeSpec, value: Any, ctx: Any = None) -> tuple[list[str], list[dict]]:
     """Binder names and per-depth envs for descending into ``value``\'s node.
 
-    Entry ``k`` of the env list is in force under the first ``k`` binders:
-    a binder drops the entry it shadows, and is renamed to a globally fresh
-    name exactly when it would capture a free name of an env entry the node
-    uses — the cases in which ``subst`` renames.
+    ``value`` is a type value or plain syntax.  Entry ``k`` of the env list
+    is in force under the first ``k`` binders: a binder drops the entry it
+    shadows, and a binder renamed by :func:`_binder_names` maps its name to
+    the fresh one.  A caller that crosses the binders under the context
+    ``ctx`` without extending it (conversion, the substitution engine)
+    passes ``ctx``.
     """
-    node, env = value.term, value.env
-    binder_attrs = spec.lang.spec(node).binder_attrs
-    names: list[str] = []
+    node, env, glued = value, _EMPTY_ENV, False
+    if type(value) is Thunk:
+        node, env, glued = value.term, value.env, value.glued
+    names = _binder_names(spec, node, env, glued, ctx, True)
     envs = [env]
-    if not binder_attrs:
-        return names, envs
-    avoid = _avoid(spec, env, env if value.glued else fv.free_vars(spec.lang, node))
-    current = env
-    for attr in binder_attrs:
+    for attr, name in zip(spec.lang.spec(node).binder_attrs, names):
         source = getattr(node, attr)
-        if source in avoid:
-            name = fresh(source)
-            current = dict(current)
-            current[source] = Thunk(spec.var_cls(name), _EMPTY_ENV)
-        else:
-            name = source
-            if source in current:
-                current = {key: entry for key, entry in current.items() if key != source}
-        names.append(name)
-        envs.append(current)
+        if name != source:
+            env = {**env, source: Thunk(spec.var_cls(name), _EMPTY_ENV)}
+        elif source in env:
+            env = {key: entry for key, entry in env.items() if key != source}
+        envs.append(env)
     return names, envs
+
+
+def _binder_names(spec: NbeSpec, node: Any, env: dict, glued: bool, ctx: Any,
+                  unfold: bool) -> list[str]:
+    """The names ``node``\'s binders take when it is read back under ``env``.
+
+    A binder keeps its name unless keeping it could capture: a free name of
+    an env entry the node uses (the cases in which ``subst`` renames), or,
+    under ``ctx``, a name that a definition reachable from the node
+    mentions (:func:`~repro.kernel.substitution.reaches`).  With
+    ``unfold`` it is renamed too when ``ctx`` defines its name, which a
+    bound occurrence would otherwise unfold to.  Renamed binders draw
+    globally fresh names, in binder order.
+    """
+    lang = spec.lang
+    node_spec = lang.spec(node)
+    if not node_spec.binder_attrs:
+        return []
+    avoid = _avoid(spec, env, env if glued else fv.free_vars(lang, node)) if env else ()
+    names: list[str] = []
+    for attr in node_spec.binder_attrs:
+        name = getattr(node, attr)
+        binding = None if ctx is None else ctx.lookup(name)
+        # The walk starts from the context-level names the node mentions
+        # (a glued node, none outside env).
+        if name in avoid or binding is not None and (
+            unfold and binding.definition is not None
+            or reaches(lang, ctx, name, [avoid, () if glued else
+                                         fv.free_vars(lang, node).difference(env)], types=False)
+        ):
+            name = fresh(name)
+        names.append(name)
+    return names
+
+
+def unshadow(spec: NbeSpec, ctx: Any, term: Any) -> Any:
+    """``term`` with its binders renamed as :func:`value_scopes` renames them under ``ctx``."""
+    names, envs = value_scopes(spec, term, ctx)
+    if not any(envs):
+        return term
+    children = [
+        read_back(spec, glue(spec, getattr(term, child.attr), envs[len(child.binders)]))
+        for child in spec.lang.spec(term).children
+    ]
+    return _rebuild_glued(spec, term, (names, children))
 
 
 # The reduction entry points import this module for ``NbeSpec``, so they are

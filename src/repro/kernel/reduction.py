@@ -11,11 +11,11 @@ So one engine serves both.  It is driven by a calculus's
 :class:`~repro.kernel.nbe.NbeSpec`: the spec names the eliminator classes
 the axioms fire on and the β flavour, and the registered node specs of
 :mod:`repro.kernel.nodespec` drive every congruence.  The contextual
-closure walks a node's children in field order.  Each child sees the
-context extended by the binders in scope for it, and binder *k* is
-annotated with the last child at depth *k*: ``Pi`` gives ``domain``,
-``CodeLam`` gives ``env_type`` and then ``arg_type``.  ``Let`` is the one
-exception: reducts of its body see the definition, ``ctx.define(name,
+closure walks a node's children in field order under the same context:
+a binder is never added to it.  A binder that the context could capture
+or unfold is renamed first (:func:`repro.kernel.nbe.unshadow`), so every
+other binder's occurrences are neutral already.  ``Let`` is the one
+extension: reducts of its body see the definition, ``ctx.define(name,
 bound, annot)``.
 
 Two engines decide the relation, and this module wraps both:
@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.kernel.budget import DEFAULT_FUEL, Budget
-from repro.kernel.nbe import NbeSpec, Thunk, nbe_normalize, nbe_whnf, read_back
+from repro.kernel.nbe import NbeSpec, Thunk, nbe_normalize, nbe_whnf, read_back, unshadow
 from repro.kernel.state import current_state
 from repro.kernel.substitution import subst
 
@@ -242,18 +242,13 @@ def _free() -> None:
 
 
 def _normalize(spec: NbeSpec, ctx: Any, term: Any, budget: Budget) -> Any:
-    term = whnf_subst(spec, ctx, term, budget)
+    term = unshadow(spec, ctx, whnf_subst(spec, ctx, term, budget))
     node = spec.lang.specs[type(term)]
     if not node.children:
         return term
     args = [getattr(term, name) for name in node.field_order]
-    depth, scope, previous = 0, ctx, None
-    for child, slot in zip(node.children, node.child_slots):
-        while depth < len(child.binders):
-            scope = scope.extend(getattr(term, child.binders[depth]), previous)
-            depth += 1
-        previous = args[slot]
-        args[slot] = normalize_subst(spec, scope, previous, budget)
+    for slot in node.child_slots:
+        args[slot] = normalize_subst(spec, ctx, args[slot], budget)
     return type(term)(*args)
 
 
@@ -291,19 +286,14 @@ def reducts(spec: NbeSpec, ctx: Any, term: Any) -> list[Any]:
     properties (preservation of reduction, subject reduction) quantify over.
     """
     results = head_reducts(spec, ctx, term)
-    node = spec.lang.specs[type(term)]
+    term = unshadow(spec, ctx, term)
     cls = type(term)
+    node = spec.lang.specs[cls]
     args = [getattr(term, name) for name in node.field_order]
-    depth, scope, previous = 0, ctx, None
+    inner = ctx.define(term.name, term.bound, term.annot) if cls is spec.let_cls else ctx
     for child, slot in zip(node.children, node.child_slots):
-        while depth < len(child.binders):
-            if cls is spec.let_cls:
-                scope = scope.define(term.name, term.bound, term.annot)
-            else:
-                scope = scope.extend(getattr(term, child.binders[depth]), previous)
-            depth += 1
         previous = args[slot]
-        for reduct in reducts(spec, scope, previous):
+        for reduct in reducts(spec, inner if child.binders else ctx, previous):
             args[slot] = reduct
             results.append(cls(*args))
         args[slot] = previous

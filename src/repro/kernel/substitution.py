@@ -41,7 +41,7 @@ from repro.kernel.names import fresh
 from repro.kernel import fv
 from repro.kernel.nodespec import Language
 
-__all__ = ["restrict", "subst"]
+__all__ = ["reaches", "restrict", "subst"]
 
 Substitution = dict[str, Any]
 
@@ -51,6 +51,32 @@ def restrict(mapping: dict, names: Any) -> dict:
     if len(mapping) < len(names):
         return {name: value for name, value in mapping.items() if name in names}
     return {name: mapping[name] for name in names if name in mapping}
+
+
+def reaches(lang: Language, ctx: Any, name: str, pending: list, types: bool = True) -> bool:
+    """Does a walk through ``ctx`` from the free-name sets ``pending`` reach ``name``?
+
+    The walk visits each entry it reaches once and goes on into its
+    definition, and into its type too when ``types`` is set.  A binder
+    ``name`` whose scope mentions a reached entry would capture what that
+    entry means by ``name``, so such a binder takes a fresh name: the
+    checker's binders (:func:`repro.kernel.typing.level`, types and
+    definitions) and the binders that reduction and conversion cross
+    (:func:`repro.kernel.nbe.value_scopes`, definitions only).
+    """
+    seen: set[str] = set()
+    while pending:
+        for reached in pending.pop():
+            if reached == name:
+                return True
+            binding = ctx.lookup(reached)
+            if reached not in seen and binding is not None:
+                seen.add(reached)
+                if types:
+                    pending.append(fv.free_vars(lang, binding.type_))
+                if binding.definition is not None:
+                    pending.append(fv.free_vars(lang, binding.definition))
+    return False
 
 
 def subst(lang: Language, term: Any, mapping: Substitution) -> Any:

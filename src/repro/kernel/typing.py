@@ -76,7 +76,7 @@ from repro.kernel.names import fresh
 from repro.kernel.nbe import NbeSpec, Thunk, glue, read_back, view
 from repro.kernel.nodespec import Language
 from repro.kernel.reduction import whnf, whnf_value
-from repro.kernel.substitution import subst
+from repro.kernel.substitution import reaches, subst
 
 __all__ = ["TypingSpec", "bind", "check_value", "infer_value", "level", "universe"]
 
@@ -276,31 +276,23 @@ def level(lang: Language, ctx: Any, name: str, stored: tuple, *scope: Any) -> tu
     ``stored`` holds what the new entry keeps (its type, and its
     definition).  A context names each level a term can still reach once.
     A binder shadows an entry of ``ctx`` harmlessly unless that entry is
-    reachable from the new level: named by a stored term, or by the type
-    or definition of an entry that the stored terms or the ``scope`` (less
-    the binder's own occurrences) reach.  Then the binder takes a fresh
-    name and the ``scope`` is renamed to it (the only case that walks it),
-    so a type stored at an outer level is never read at an inner one.
+    reachable from the new level (:func:`~repro.kernel.substitution.reaches`):
+    named by a stored term, or by the type or definition of an entry that
+    the stored terms or the ``scope`` (less the binder's own occurrences)
+    reach.  Then the binder takes a fresh name and the ``scope`` is renamed
+    to it (the only case that walks it), so a type stored at an outer level
+    is never read at an inner one.
     """
     if name not in ctx:
         return (name, *scope)
     free_vars = fv.free_vars
     pending = [free_vars(lang, term) for term in stored]
     pending += [free_vars(lang, term) - {name} for term in scope]
-    seen: set[str] = set()
-    while pending:
-        for reached in pending.pop():
-            if reached == name:
-                renamed = fresh(name)
-                mapping = {name: lang.var_cls(renamed)}
-                return (renamed, *(subst(lang, term, mapping) for term in scope))
-            binding = ctx.lookup(reached)
-            if reached not in seen and binding is not None:
-                seen.add(reached)
-                pending.append(free_vars(lang, binding.type_))
-                if binding.definition is not None:
-                    pending.append(free_vars(lang, binding.definition))
-    return (name, *scope)
+    if not reaches(lang, ctx, name, pending):
+        return (name, *scope)
+    renamed = fresh(name)
+    mapping = {name: lang.var_cls(renamed)}
+    return (renamed, *(subst(lang, term, mapping) for term in scope))
 
 
 def bind(nbe: NbeSpec, env: dict, name: str, replacement: Any) -> dict:

@@ -91,9 +91,12 @@ __all__ = [
 FAULT_HOOK: Callable[[str], None] | None = None
 
 #: The fuel-discipline version baked into every key.  Bump when the meaning
-#: of recorded steps changes (cost model, replay semantics): old entries
-#: then simply stop matching instead of replaying the wrong fuel.
-FUEL_DISCIPLINE = 1
+#: of recorded steps changes (cost model, replay semantics), or when what a
+#: stored result means changes (version 2: a binder no longer captures a
+#: definition's unfolded names, so a normal form stored before could be
+#: wrong): old entries then simply stop matching instead of replaying the
+#: wrong fuel or result.
+FUEL_DISCIPLINE = 2
 
 #: The store's tables, in flush and report order.  Store files written
 #: before the compiled backend existed have no ``artifact`` table.

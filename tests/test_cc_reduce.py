@@ -181,8 +181,6 @@ _DELTA_CAPTURE_CTX = cc.Context.empty().define("x", cc.Nat(), cc.Star()).define(
 
 
 class TestDeltaCapture:
-    @pytest.mark.xfail(strict=True, reason="normalization masks a definition that a binder "
-                       "shadows instead of renaming the binder (ROADMAP item 14)")
     @pytest.mark.parametrize("engine", ["nbe", "subst"])
     @pytest.mark.parametrize("through", ["kernel", "session"])
     def test_unfolded_definition_is_not_captured(self, engine, through):

@@ -142,8 +142,6 @@ class TestEtaEdgeCases:
         assert cc.equivalent(ctx, cc.Var("x"), cc.nat_literal(3))
 
 
-    @pytest.mark.xfail(strict=True, reason="conversion masks a definition that a binder "
-                       "shadows instead of renaming the binder (ROADMAP item 14)")
     def test_unfolded_definition_is_not_captured(self):
         # x = Nat : ⋆, T = x : ⋆ ⊢ Π (x : Nat). T ≡ Nat -> Nat.
         ctx = cc.Context.empty().define("x", cc.Nat(), cc.Star()).define(

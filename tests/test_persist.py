@@ -137,6 +137,24 @@ class TestTier:
         assert warm_tier.hits > 0
         store.close()
 
+    def test_a_row_of_an_older_fuel_discipline_is_a_miss(self, tmp_path, monkeypatch):
+        store = PersistentMemoStore(tmp_path / "memo.sqlite")
+        monkeypatch.setattr(persist, "FUEL_DISCIPLINE", persist.FUEL_DISCIPLINE - 1)
+        old = Session(name="persist-old")
+        old.attach_memo_store(store)
+        _normalize_steps(old, REDEX)
+        assert old.detach_memo_store().stores > 0
+        store.flush()
+        monkeypatch.undo()
+
+        current = Session(name="persist-current")
+        current.attach_memo_store(store)
+        _normalize_steps(current, REDEX)
+        tier = current.detach_memo_store()
+        assert tier.hits == 0
+        assert tier.stores > 0
+        store.close()
+
     def test_reset_detaches_the_tier(self, tmp_path):
         store = PersistentMemoStore(tmp_path / "memo.sqlite")
         session = Session(name="persist-reset")

@@ -9,6 +9,14 @@ use its argument at the ground type only through the equation ``T ≡ Nat``.
 So ``check`` must accept, ``compile`` must verify (the paper's
 type-preservation theorem), and ``run`` must observe what the original
 program does.
+
+A second rewrite names the domain through two links, ``let X = Nat : Type
+in let T = X : Type in …``, where ``X`` is the name of a binder that
+encloses the λ (the first ground-domain λ that has one).  Inside, ``T``
+unfolds to the outer ``X``, never to the enclosing binder: a kernel that
+let that binder capture the unfolded name would read ``T`` as the binder's
+type.  ``check`` must give the original's type, and ``compile`` and ``run``
+must behave as above.
 """
 
 from __future__ import annotations
@@ -26,15 +34,22 @@ _SPEC = cc.ast.LANGUAGE.spec
 _GROUND = (cc.Nat, cc.Bool)
 
 
-def _ground_lambda(term: cc.Term) -> tuple | None:
-    """The child-attribute path to the first (pre-order) λ with a ground domain."""
-    stack: list[tuple[cc.Term, tuple]] = [(term, ())]
+def _ground_lambda(term: cc.Term, enclosed: bool) -> tuple | None:
+    """``(path, names)`` of the first (pre-order) λ with a ground domain.
+
+    ``path`` is its child-attribute path and ``names`` the names of the
+    binders that enclose it, innermost last; with ``enclosed``, the first
+    such λ that some binder encloses.
+    """
+    stack: list[tuple[cc.Term, tuple, tuple]] = [(term, (), ())]
     while stack:
-        node, path = stack.pop()
-        if type(node) is cc.Lam and type(node.domain) in _GROUND:
-            return path
+        node, path, names = stack.pop()
+        if type(node) is cc.Lam and type(node.domain) in _GROUND and (names or not enclosed):
+            return path, names
         for child in reversed(_SPEC(node).children):
-            stack.append((getattr(node, child.attr), path + (child.attr,)))
+            bound = tuple(getattr(node, attr) for attr in child.binders)
+            inner = names + tuple(name for name in bound if name != "_")
+            stack.append((getattr(node, child.attr), path + (child.attr,), inner))
     return None
 
 
@@ -66,33 +81,53 @@ def _unused_name(term: cc.Term) -> str:
                 if name not in names)
 
 
-def _defined_programs() -> list[tuple[int, str, str]]:
-    """``(seed, original, rewritten)`` for every program with a ground-domain λ."""
+def _defined_programs(shadowed: bool) -> list[tuple[int, str, str]]:
+    """``(seed, original, rewritten)`` for every program with a ground-domain λ.
+
+    ``shadowed`` picks the second rewrite, through an enclosing binder's name.
+    """
     cases = []
     for seed in SEEDS:
         for spec in job_corpus(seed):
             term = parse_term(spec["program"])
-            path = _ground_lambda(term)
-            if path is None:
+            found = _ground_lambda(term, shadowed)
+            if found is None:
                 continue
+            path, enclosing = found
             lam = _at(term, path)
             name = _unused_name(term)
-            named = cc.Lam(lam.name, cc.Var(name), lam.body)
-            wrapped = cc.Let(name, lam.domain, cc.Star(), _replaced(term, path, named))
+            named = _replaced(term, path, cc.Lam(lam.name, cc.Var(name), lam.body))
+            if shadowed:
+                outer = enclosing[-1]
+                named = cc.Let(name, cc.Var(outer), cc.Star(), named)
+                wrapped = cc.Let(outer, lam.domain, cc.Star(), named)
+            else:
+                wrapped = cc.Let(name, lam.domain, cc.Star(), named)
             cases.append((seed, spec["program"], to_surface(wrapped)))
     return cases
 
 
-_CASES = _defined_programs()
+_CASES = _defined_programs(shadowed=False)
+_SHADOWED_CASES = _defined_programs(shadowed=True)
 
 
 def test_every_seed_has_a_case():
     assert {seed for seed, *_ in _CASES} == set(SEEDS)
+    assert {seed for seed, *_ in _SHADOWED_CASES} == set(SEEDS)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_type_definition_preserves_types_and_observations(seed):
     for _, original, rewritten in [case for case in _CASES if case[0] == seed]:
         api.Session().check(rewritten)
+        assert api.Session().compile(rewritten).verified, rewritten
+        assert api.Session().run(rewritten).observed == api.Session().run(original).observed
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_shadowed_type_definition_preserves_types_and_observations(seed):
+    for _, original, rewritten in [case for case in _SHADOWED_CASES if case[0] == seed]:
+        type_ = api.Session().check(rewritten).type_
+        assert cc.alpha_equal(type_, api.Session().check(original).type_), rewritten
         assert api.Session().compile(rewritten).verified, rewritten
         assert api.Session().run(rewritten).observed == api.Session().run(original).observed
