@@ -5,7 +5,7 @@ Series: compile-with-verification time against term family and size, plus
 the translation-only cost for comparison (the gap is the price of running
 the target kernel, i.e. of machine-checking the theorem instance).
 
-Gate:
+Gates:
 
 * ``test_closconv_growth_gate`` — the fitted log-log growth exponent of
   closure-conversion wall time (``translate`` after the source check on
@@ -23,6 +23,12 @@ Gate:
   characters) and over the ``nested_lambdas(60, 120, 240, 480)`` texts,
   each family fitted on its own.  Both stay below the depth at which the
   deep-stack runner would retry.
+* ``test_verify_fuel_growth_gate`` — the fitted log-log growth exponent
+  of verify fuel (exact, not timed) against n over
+  ``capture_all(10, 20, 40)`` is **≤ 1.3**.  Binding every captured entry
+  in each code's pattern let made it about 1.8; binding only what each
+  scope uses makes it about 1.  The target's size is not gated: it still
+  grows about n^2.8 (ROADMAP item 11).
 * ``test_hoist_recheck_growth_gate`` — the same fit for ``check_program``
   (the ``hoist`` command's re-check) of the hoisted
   ``nested_lambdas(60, 120, 240, 480)`` is **≤ 1.3**, each run in a fresh
@@ -44,7 +50,7 @@ from repro.closconv import compile_term, translate
 from repro.common import deep
 from repro.machine import check_program, hoist
 from repro.surface import parse_term, to_surface
-from workloads import church_sum, nested_lambdas, pair_tower, wide_capture
+from workloads import capture_all, church_sum, nested_lambdas, pair_tower, wide_capture
 
 _EMPTY = cc.Context.empty()
 
@@ -157,7 +163,12 @@ def _growth_exponent(seconds_at, sizes) -> float:
     for _ in range(5):
         for size in sizes:
             best[size] = min(best.get(size, math.inf), seconds_at(size))
-    points = [(math.log(size), math.log(seconds)) for size, seconds in best.items()]
+    return _log_log_slope(best)
+
+
+def _log_log_slope(values: dict[int, float]) -> float:
+    """The least-squares slope of ``log value`` against ``log size``."""
+    points = [(math.log(size), math.log(value)) for size, value in values.items()]
     mean_x = sum(x for x, _ in points) / len(points)
     mean_y = sum(y for _, y in points) / len(points)
     return sum((x - mean_x) * (y - mean_y) for x, y in points) / sum(
@@ -210,4 +221,16 @@ def test_parse_growth_gate(family, sizes):
     texts = {len(text): text for text in (to_surface(family(size)) for size in sizes)}
     exponent = _growth_exponent(lambda chars: _cold_parse_seconds(texts[chars]), texts)
     print(f"\nE7 parse growth exponent over {family.__name__}{sizes} by characters: {exponent:.2f}")
+    assert exponent <= 1.3
+
+
+def test_verify_fuel_growth_gate():
+    # Verify fuel of a cold compile, exact, so no run is timed.  Each λ of
+    # capture_all(n) captures every binder outside it; a code's pattern let
+    # that bound every entry in its argument type made the fuel about
+    # n^1.8 (145, 495 and 1,795), binding only what each scope uses makes
+    # it about linear (37, 77 and 157).
+    fuel = {n: Session().compile(capture_all(n)).verify_steps for n in (10, 20, 40)}
+    exponent = _log_log_slope(fuel)
+    print(f"\nE7 verify fuel over capture_all(10, 20, 40): {fuel}, growth exponent {exponent:.2f}")
     assert exponent <= 1.3

@@ -69,9 +69,12 @@ __all__ = [
     "store_artifact",
 ]
 
-#: Bumped on any change to the artifact layout or the key preimage: old
-#: rows then stop matching instead of decoding wrongly.
-ARTIFACT_VERSION = 2
+#: Bumped on any change to the artifact layout, to the key preimage or to
+#: the target the compiler emits for a program: old rows then stop
+#: matching instead of decoding wrongly or serving an old compilation and
+#: its recorded fuel.  Version 3: a code's pattern let binds only the
+#: environment entries its scope uses.
+ARTIFACT_VERSION = 3
 
 _MAGIC = b"RPYC"
 _KEY_SEAL = b"repro-backend-key"

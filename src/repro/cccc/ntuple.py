@@ -18,7 +18,11 @@ over a sub-telescope of Γ, in which a definition ``x = e : A`` is a ``let``:
   expected type, so a closure's environment type is sorted once, with its
   code, however wide it is;
 * the pattern let is a chain of ``let xi = fst (snd^k e′) : Ai in …``
-  projections, ``k`` counting assumptions.
+  projections, ``k`` counting assumptions, with one ``let`` only for each
+  entry its scope uses (directly, or through a later bound entry's type or
+  definition).  The rest would be dead: leaving them out is ζ-equivalent
+  to the paper's pattern let, and a code's argument type and body each
+  pay only for the entries they read.
 
 This module is the single place that elaborates the sugar, used by the
 closure-conversion translation (Figure 9) and by tests.
@@ -26,7 +30,7 @@ closure-conversion translation (Figure 9) and by tests.
 
 from __future__ import annotations
 
-from repro.cccc.ast import Fst, Let, Pair, Sigma, Snd, Term, Unit, UnitVal, Var
+from repro.cccc.ast import Fst, Let, Pair, Sigma, Snd, Term, Unit, UnitVal, Var, free_vars
 from repro.cccc.context import Binding
 from repro.cccc.substitution import subst
 
@@ -106,18 +110,30 @@ def project(env: Term, index: int) -> Term:
 
 
 def bind_env(telescope: Telescope, env: Term, body: Term) -> Term:
-    """The pattern let ``let ⟨x0, …, xn⟩ = env in body``.
+    """The pattern let ``let ⟨x0, …, xn⟩ = env in body``, pruned to ``body``.
 
-    Elaborates to ``let x0 = fst env : A0 in … let xn = fst (snd^k env) :
-    An in body`` (``let x = e : A`` for a definition).  Later
-    annotations ``Ai`` may mention earlier ``xj``; those occurrences are
-    bound by the outer lets, whose *definitions* (δ-equivalence to the
-    projections) make the chain type check.
+    Elaborates to ``let xi = fst (snd^k env) : Ai in …`` (``let x = e : A``
+    for a definition, ``k`` counting assumptions), one ``let`` for each
+    entry that ``body`` needs: an entry free in ``body``, or free in the
+    type or definition of a later entry that is itself bound.  An unneeded
+    entry's ``let`` would be dead, so the chain is ζ-equivalent to the
+    paper's full pattern let, and each bound entry keeps its index ``k``.
+    Later annotations ``Ai`` may mention earlier ``xj``; those occurrences
+    are bound by the outer lets, whose *definitions* (δ-equivalence to the
+    projections) make the chain type check.  The needed set reads the free
+    variables stored on the terms, so a code pays only for what it reads.
     """
+    needed = set(free_vars(body))
     result = body
     index = sum(entry.definition is None for entry in telescope)
     for entry in reversed(telescope):
         index -= entry.definition is None
+        if entry.name not in needed:
+            continue
+        needed.discard(entry.name)
+        needed |= free_vars(entry.type_)
+        if entry.definition is not None:
+            needed |= free_vars(entry.definition)
         bound = project(env, index) if entry.definition is None else entry.definition
         result = Let(entry.name, bound, entry.type_, result)
     return result

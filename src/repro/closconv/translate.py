@@ -10,7 +10,11 @@ Every case except functions is a homomorphic walk ([CC-Var], [CC-App],
 
 The generated code receives its free variables through the environment
 tuple ``n``; the pattern lets rebind them both in the *body* and — because
-types may mention them — in the argument's *type annotation*.  The
+types may mention them — in the argument's *type annotation*.  Each of the
+two pattern lets binds only the entries its own scope uses
+(:func:`repro.cccc.ntuple.bind_env`, read off the translated scope's
+stored free variables): an argument type that names no captured variable
+is left bare, and the chain is ζ-equivalent to the paper's.  The
 environment tuple ``⟨xi …⟩`` closes over the live variables at the
 closure-creation site.
 

@@ -288,20 +288,20 @@ class TestArtifacts:
         reader.detach_memo_store()
 
 
-    def test_older_version_row_is_a_miss_and_is_refilled(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _stale_row_is_refilled(tmp_path, monkeypatch, version, text):
         # A row written under an older artifact version holds that version's
         # target and fuel; it must miss, never be returned, and be replaced.
         import repro.backend.artifact as artifact_module
         from repro.wire.persist import store_stat
 
         path = str(tmp_path / "store.sqlite")
-        text = r"let T = Nat : Type in (\ (x : T). succ x) 41"
         cold = api.Session().run(text, engine="compiled")
         writer = api.Session(name="writer")
         writer.attach_memo_store(path)
         with writer.activate():
             program = _compile_closed(parse_term(text))
-            monkeypatch.setattr(artifact_module, "ARTIFACT_VERSION", 1)
+            monkeypatch.setattr(artifact_module, "ARTIFACT_VERSION", version)
             key = artifact_key(cc.intern(parse_term(text)), engine="nbe", verify=True)
             stale = ArtifactMeta(check_steps=cold.check_steps, verify_steps=99, verified=True)
             store_artifact(writer.state, key, compile_program(program), stale)
@@ -313,10 +313,20 @@ class TestArtifacts:
         warm = reader.run(text, engine="compiled")
         counters = reader.state.persistent.store.counters()
         reader.detach_memo_store()
-        assert warm.to_dict()["value"] == 42
+        assert warm.to_dict()["value"] == cold.to_dict()["value"]
         assert (warm.check_steps, warm.verify_steps) == (cold.check_steps, cold.verify_steps)
         assert counters["artifact_hits"] == 0 and counters["artifact_writes"] == 1
         assert store_stat(path)["artifact_orphaned"] == 1
+
+    def test_older_version_row_is_a_miss_and_is_refilled(self, tmp_path, monkeypatch):
+        text = r"let T = Nat : Type in (\ (x : T). succ x) 41"
+        self._stale_row_is_refilled(tmp_path, monkeypatch, 1, text)
+
+    def test_version_2_row_is_a_miss(self, tmp_path, monkeypatch):
+        # Version 2 stored the code's full pattern let, one projection per
+        # captured entry; its target and verify fuel are not this build's.
+        text = r"(\ (A : Type) (x : A). x) Nat 3"
+        self._stale_row_is_refilled(tmp_path, monkeypatch, 2, text)
 
 
 class TestWorkloadDifferential:
@@ -544,7 +554,7 @@ class TestCompileMemo:
     """A warm ``Session.compile`` returns the session's first compilation."""
 
     SOURCE = TestRunMemo.SOURCE
-    # Spends 0 check and 101 verify fuel, so fuel 100 runs out mid-verify.
+    # Spends 0 check and 75 verify fuel, so fuel 74 runs out mid-verify.
     CHURCH_SUM_3 = to_surface(
         cc.make_app(
             prelude.church_add, prelude.church_nat(3), prelude.church_nat(3),
@@ -568,7 +578,7 @@ class TestCompileMemo:
         warm_doc.pop("cache_hits")
         assert warm_doc == cold_doc
 
-    @pytest.mark.parametrize("fuel", [0, 1, 100])
+    @pytest.mark.parametrize("fuel", [0, 1, 74])
     def test_starved_warm_compile_fails_like_a_cold_one(self, fuel):
         spec = {"id": "compile", "kind": "compile", "program": self.CHURCH_SUM_3}
         cold = api.execute_jobs([{**spec, "fuel": fuel}])
@@ -576,7 +586,7 @@ class TestCompileMemo:
         warmup = api.execute_jobs([spec], session=session)
         assert warmup.ok
         payload = warmup.results[0].payload
-        assert (payload["check_steps"], payload["verify_steps"]) == (0, 101)
+        assert (payload["check_steps"], payload["verify_steps"]) == (0, 75)
         warm = api.execute_jobs([{**spec, "fuel": fuel}], session=session)
         assert self._memo_size(session) == 1  # the starved job hit it
         assert not cold.results[0].ok

@@ -2,12 +2,15 @@
 
 import pytest
 
+from benchmarks import workloads
 from repro import api, cc, cccc
 from repro.cc import prelude
 from repro.closconv import compile_term, dependent_free_vars, pipeline, translate, translate_context
 from repro.closconv.pipeline import TypePreservationViolation
 from repro.common.errors import TranslationError, TypeCheckError
+from repro.gen.jobs import job_corpus
 from repro.kernel import typing
+from repro.kernel.traverse import subterms
 from repro.machine import hoist, run
 from repro.surface import parse_term
 from repro.wire.codec import term_from_b64, term_to_b64
@@ -245,6 +248,91 @@ class TestEnvironmentShapes:
         inner = result.code.body
         assert isinstance(inner, cccc.Clo)
         assert cccc.tuple_values(inner.env) == [cccc.Var("x")]
+
+
+def _codes(ctx, term):
+    """Every literal code of ``term``'s compiled target and type (each node once)."""
+    compiled = compile_term(ctx, term, verify=False)
+    seen, found = set(), []
+    for root in (compiled.target, compiled.target_type):
+        for node in subterms(cccc.ast.LANGUAGE, root):
+            if id(node) not in seen and type(node) is cccc.CodeLam:
+                seen.add(id(node))
+                found.append(node)
+    return found
+
+
+def _projects(term, env_name):
+    """Is ``term`` ``fst (snd^k n)`` of the environment variable ``n``?"""
+    if type(term) is not cccc.Fst:
+        return False
+    term = term.pair
+    while type(term) is cccc.Snd:
+        term = term.pair
+    return term == cccc.Var(env_name)
+
+
+def _pattern_lets(code):
+    """The ``let``s of the pattern let heading ``code``'s argument type and body.
+
+    A prelude ``let`` binds a projection of the environment, or an entry
+    that the environment Σ type keeps as a definition, with that definition.
+    """
+    definitions, env_type = {}, code.env_type
+    while type(env_type) in (cccc.Sigma, cccc.Let):
+        if type(env_type) is cccc.Let:
+            definitions[env_type.name] = env_type.bound
+            env_type = env_type.body
+        else:
+            env_type = env_type.second
+    for scope in (code.arg_type, code.body):
+        while type(scope) is cccc.Let and (
+            _projects(scope.bound, code.env_name) or definitions.get(scope.name) == scope.bound
+        ):
+            yield scope
+            scope = scope.body
+
+
+def _dead_lets(ctx, term):
+    return [
+        (let.name, cccc.pretty(let))
+        for code in _codes(ctx, term)
+        for let in _pattern_lets(code)
+        if let.name not in cccc.free_vars(let.body)
+    ]
+
+
+_FAMILIES = [
+    (f"{family}({size})", getattr(workloads, family)(size))
+    for family in ("bool_flip_tower", "capture_all", "capture_chain", "church_sum", "nat_sum",
+                   "nested_lambdas", "pair_tower", "wide_capture")
+    for size in (3, 6, 10)
+]
+
+
+class TestPatternLetBindsOnlyWhatItsScopeUses:
+    """A code's pattern let emits no dead projection (paper [CC-Lam], pruned)."""
+
+    @pytest.mark.parametrize("name, ctx, term", CORPUS, ids=corpus_ids())
+    def test_corpus(self, name, ctx, term):
+        assert _dead_lets(ctx, term) == []
+
+    @pytest.mark.parametrize("seed", range(1, 30))
+    def test_job_corpus(self, seed):
+        for spec in job_corpus(seed):
+            assert _dead_lets(cc.Context.empty(), parse_term(spec["program"])) == [], spec["program"]
+
+    @pytest.mark.parametrize("name, built", _FAMILIES, ids=[name for name, _ in _FAMILIES])
+    def test_workload_families(self, name, built):
+        ctx, term = built if isinstance(built, tuple) else (cc.Context.empty(), built)
+        assert _dead_lets(ctx, term) == []
+
+    def test_capture_all_argument_types_are_bare(self):
+        # Every λ of capture_all takes a Nat: its argument type needs no
+        # environment entry, however many the code captures.
+        codes = _codes(cc.Context.empty(), workloads.capture_all(8))
+        assert len(codes) > 8
+        assert all(code.arg_type == cccc.Nat() for code in codes)
 
 
 def _nested_lambdas(depth):

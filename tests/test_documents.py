@@ -71,15 +71,15 @@ PINNED = {
         "g0": "b14834938e039606b6cb4d127ca181c4496e01c0f69ccf5dadacbf337be93a3f",
         "g1": "3ead940dbecc35b68b57ed246e8fe74ca40c69a7c696cf5bd67f8e8bc4cba623",
         "g2": "c03a4aea3acd689ef9bdf2305db1b6cd0f7b02a6285c6becd3dbcc6e3dbdfc76",
-        "g3": "1b47e9472f6fb89e2e88285be5fddc052278509acba4aa250fa4d0ace96a46d7",
+        "g3": "0a7cc21013a23dc1216f60ae007c1b6807f20f42cf2b645710bf8899216b118b",
         "g4": "9f0c531d8ea4573e09b8bc91832219f650b24d000cc4ba2d565247e801e17163",
-        "g5": "7d858c6f8195701bdbd8c20dbe9527f8cb5f135cab287e52a6fb685519b19353",
+        "g5": "a1bb69f1a0d84442999a306e41fac1de2a57ae668519c1bac0ce4fab07d6feb3",
         "g6": "e29f30f01d6a9f7eda706a5a2c61c6767585432b99c275283f316fc91f83acaa",
         "g7": "69fcf705f162cb82e98dabb8e84703424543d2f99a0d3b697df4cc4b053837e5",
         "g8": "5f241e4dd2237e0b5a6c88277277e4dd4c4bd8260c0f86337a9d371560f0502c",
-        "g9": "cccc771d87affa476c53311b33a3eb3f4761d4075cefaa037d39d8dca81b1578",
-        "g10": "b54d75c1b0a7a685b5c65cc5c08a5fde5615e3e1471b5089fb969aa2c765e24c",
-        "g11": "bb035afa180a8243e90d8b30c6ebf5772fa5956ff5efd4d02d02974816f39488",
+        "g9": "f8b9a0cebecaddcb427ff4f0be28aa8aa1ae3a68ae09248d867dad0390d6ff30",
+        "g10": "e2aba814527f08f64daf5afca24981aef8151c6425b6abc616f97ec66a3e0d69",
+        "g11": "965afcb1a2b4364fa620267e4eeb1c9038d6e62f480217d9d3d823c60914fc8b",
         "g12": "91b8f72b6c5a43a945d875ded61259eac20ce1793cbcc1aca3b4ab95f8aa07f7",
         "g13": "d83294f1447dc9e468e1457b563adfb805262f9532f012c2c2cb7dca2c64c752",
         "link-ok": "4a5f667ca85fd1c78d847d141099e312c3a2906cbb50f5ab0af776c1a2e61086",
@@ -95,15 +95,15 @@ PINNED = {
         "g0": "43ec6f7f2ea437a6f8450ea56e7301190a9cd13529fb1513dcd379fa60046dd3",
         "g1": "965d041558457397e00e28f193cb8b08c47d3a6a578c2b315dd448e6025456ba",
         "g2": "634c568c3cdeeff142298ffb9ac532be7f7fc99ffb42cb6dfb43c1c27390d2a5",
-        "g3": "872b246ab388b00422f63af39eaec04bbaa2f0c87555cf2ece1a7981df0d4b3e",
+        "g3": "936f3b4caf9b8f50d37b239f96a77d0503e10cdb697fe544c244f5ef57d4d156",
         "g4": "9f0c531d8ea4573e09b8bc91832219f650b24d000cc4ba2d565247e801e17163",
-        "g5": "7d858c6f8195701bdbd8c20dbe9527f8cb5f135cab287e52a6fb685519b19353",
+        "g5": "a1bb69f1a0d84442999a306e41fac1de2a57ae668519c1bac0ce4fab07d6feb3",
         "g6": "482cc6f512e7a3f494fe2898485cb01e2108f0132991a4922f2929228214e4d6",
         "g7": "fe0f3ada3c655629b08066d55c7eebd54137d67df6facfce206783f58308e387",
         "g8": "adeec91d51c9a7f3e5ddc3532f1cc26e00edae0e9ee6108e4ac63dd2f980bca9",
-        "g9": "bc4b64c1a1560712e1823d2ec8e99e4d6c8bc9358ac139adb33d62e9a5ba9e45",
-        "g10": "b54d75c1b0a7a685b5c65cc5c08a5fde5615e3e1471b5089fb969aa2c765e24c",
-        "g11": "bb035afa180a8243e90d8b30c6ebf5772fa5956ff5efd4d02d02974816f39488",
+        "g9": "f3b8fb1b94ee454eff76177af7df1bc65db3ea018f9f28afd23555d711762b8f",
+        "g10": "e2aba814527f08f64daf5afca24981aef8151c6425b6abc616f97ec66a3e0d69",
+        "g11": "965afcb1a2b4364fa620267e4eeb1c9038d6e62f480217d9d3d823c60914fc8b",
         "g12": "6a46f3ce649eb2da8b37d41b2fce23eb6fb32501362af8383be46d2b807e19b3",
         "g13": "225f8e957f9926bbc6af818bbf3581b90372ae4760ac1d41f9c17593fa350403",
         "link-ok": "c1118c94c252e54e4491fa27962465ff37fd87c66631413e443a6c43f8fbd85d",

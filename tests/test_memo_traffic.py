@@ -122,12 +122,12 @@ EXPECTED = {
     "cc.universe": (239, 118, 121, 0, 121),
     "cc.whnf": (33, 0, 33, 0, 33),
     "cc.whnf.subst": (63, 4, 59, 0, 59),
-    "cccc.check": (384, 45, 339, 0, 339),
-    "cccc.equiv": (143, 27, 116, 0, 116),
-    "cccc.infer": (719, 11, 708, 0, 708),
+    "cccc.check": (345, 47, 298, 0, 298),
+    "cccc.equiv": (107, 21, 86, 0, 86),
+    "cccc.infer": (592, 9, 583, 0, 583),
     "cccc.infer.nbe": (18, 0, 18, 0, 18),
-    "cccc.universe": (713, 23, 690, 0, 690),
-    "cccc.whnf": (291, 85, 206, 0, 206),
+    "cccc.universe": (608, 23, 585, 0, 585),
+    "cccc.whnf": (189, 47, 142, 0, 142),
 }
 
 
