@@ -10,8 +10,14 @@ cache (round trips, corruption, warm-equals-cold across sessions and
 across a shared worker pool).
 """
 
+import gc
+import os
+import re
+import sys
+
 import pytest
 
+from benchmarks.workloads import bool_flip_tower, church_sum
 from repro import api, cc, cccc
 from repro.backend import (
     ArtifactMeta,
@@ -27,7 +33,8 @@ from repro.cc import prelude
 from repro.closconv import compile_term
 from repro.common.errors import WireDecodeError
 from repro.gen.jobs import close_over, job_corpus
-from repro.machine import MachineError, MachineStats, hoist, machine_observation, run
+from repro.machine import MachineError, MachineStats, MType, hoist, machine_observation, run
+from repro.machine.hoist import Program
 from repro.surface import parse_term, to_surface
 from tests.corpus import (
     CLOSED_GROUND_PROGRAMS,
@@ -74,6 +81,56 @@ def _differential(program) -> None:
     assert stats == machine_stats
 
 
+#: One hand-built hoisted ``main`` per ``MachineError`` branch, with the text
+#: the machine raises; ``code$0`` is the identity block.  The last three
+#: pin the check order: an application evaluates its argument before it
+#: checks the function, a closure checks its code before it evaluates
+#: the environment, and a β-entry runs the body it enters.  No program
+#: reaches "unknown code label": a label becomes a code value only by naming
+#: a table entry, so a closure over an absent label fails at its variable.
+_IDENTITY_CODE = cccc.CodeLam("n", cccc.Unit(), "x", cccc.Nat(), cccc.Var("x"))
+_ONE = cccc.Succ(cccc.Zero())
+_ERROR_PROGRAMS = [
+    ("unbound-variable", cccc.Var("ghost"), "unbound variable at runtime: 'ghost'"),
+    ("closure-over-non-code", cccc.Clo(cccc.Zero(), cccc.UnitVal()),
+     "closure over a non-code value"),
+    ("app-of-non-closure", cccc.App(cccc.BoolLit(True), cccc.Zero()),
+     "application of non-closure MBool(value=True)"),
+    ("natelim-apply-of-non-closure",
+     cccc.NatElim(cccc.Nat(), cccc.Zero(), cccc.BoolLit(False), _ONE),
+     "application of non-closure MBool(value=False)"),
+    ("closure-over-absent-label",
+     cccc.App(cccc.Clo(cccc.Var("code$404"), cccc.UnitVal()), cccc.Zero()),
+     "unbound variable at runtime: 'code$404'"),
+    ("fst-of-non-pair", cccc.Fst(cccc.Zero()), "fst of a non-pair"),
+    ("snd-of-non-pair", cccc.Snd(cccc.UnitVal()), "snd of a non-pair"),
+    ("if-on-non-boolean", cccc.If(cccc.Zero(), cccc.Zero(), cccc.Zero()), "if on a non-boolean"),
+    ("succ-of-non-number", cccc.Succ(cccc.BoolLit(True)), "succ of a non-number"),
+    ("natelim-of-non-number",
+     cccc.NatElim(cccc.Nat(), cccc.Zero(), cccc.Var("code$0"), cccc.UnitVal()),
+     "natelim of a non-number"),
+    ("unhoisted-code-literal", _IDENTITY_CODE, "un-hoisted code literal reached the machine"),
+    ("app-evaluates-argument-first", cccc.App(cccc.Zero(), cccc.Var("ghost")),
+     "unbound variable at runtime: 'ghost'"),
+    ("closure-checks-code-first", cccc.Clo(cccc.Zero(), cccc.Var("ghost")),
+     "closure over a non-code value"),
+    ("beta-entry-then-body", cccc.App(cccc.Clo(cccc.Var("code$0"), cccc.UnitVal()), cccc.Fst(_ONE)),
+     "fst of a non-pair"),
+]
+
+#: One program per type-node class: each runs to an inert ``MType``.
+_TYPE_PROGRAMS = [
+    cccc.Star(),
+    cccc.Box(),
+    cccc.Pi("x", cccc.Nat(), cccc.Nat()),
+    cccc.Sigma("x", cccc.Nat(), cccc.Bool()),
+    cccc.CodeType("n", cccc.Unit(), "x", cccc.Nat(), cccc.Nat()),
+    cccc.Unit(),
+    cccc.Bool(),
+    cccc.Nat(),
+]
+
+
 class TestCorpusDifferential:
     @pytest.mark.parametrize("name,ctx,term", CORPUS, ids=corpus_ids())
     def test_corpus_entry(self, name, ctx, term):
@@ -106,8 +163,6 @@ class TestCorpusDifferential:
         # retry on the deep-stack runner.  Built
         # directly at the hoisted level (the surface pipeline has its own
         # deep-program handling; this targets the executors).
-        from repro.machine.hoist import Program
-
         deep: cccc.Term = cccc.Zero()
         for _ in range(3_000):
             deep = cccc.Succ(deep)
@@ -203,14 +258,29 @@ class TestErrorParity:
         # A hand-built ill-formed machine program errors identically under
         # both executors (the backend stages errors lazily, like the
         # machine raises them lazily).
-        from repro.machine.hoist import Program
-
         program = Program({}, cccc.App(cccc.Zero(), cccc.Zero()))
         with pytest.raises(MachineError) as machine_err:
             run(program)
         with pytest.raises(MachineError) as compiled_err:
             compile_program(program).execute()
         assert str(compiled_err.value) == str(machine_err.value)
+
+    @pytest.mark.parametrize(
+        "main, message",
+        [case[1:] for case in _ERROR_PROGRAMS],
+        ids=[case[0] for case in _ERROR_PROGRAMS],
+    )
+    def test_every_error_branch_matches_machine(self, main, message):
+        program = Program({"code$0": _IDENTITY_CODE}, main)
+        with pytest.raises(MachineError, match=f"^{re.escape(message)}$"):
+            run(program)
+        _differential(program)
+
+    @pytest.mark.parametrize("node", _TYPE_PROGRAMS, ids=lambda node: type(node).__name__)
+    def test_every_type_node_is_inert(self, node):
+        program = Program({}, node)
+        assert run(program)[0] == MType(type(node).__name__)
+        _differential(program)
 
 
 class TestArtifacts:
@@ -412,6 +482,81 @@ class TestCompiledStats:
         assert stats.max_frame_size == 0
         assert stats.steps > 0
         assert stats == run(program)[1]
+
+
+#: Python opcodes and calls executed in ``src/repro`` frames by one warm
+#: run of E23's two execution workloads, hoisted, per engine, on the
+#: interpreter versions they were measured on: ``(opcodes, calls)``.
+EXECUTION_WORK = {
+    (3, 11): {
+        ("bool_flip_tower(12)", "machine"): (3869712, 45187),
+        ("bool_flip_tower(12)", "compiled"): (1412433, 53378),
+        ("church_sum(48)", "machine"): (48692, 630),
+        ("church_sum(48)", "compiled"): (17417, 643),
+    },
+}
+
+
+def _execution_work(execute) -> tuple[tuple[int, int], tuple]:
+    """``((opcodes, calls), result)`` of ``execute()`` in ``src/repro`` frames.
+
+    A first, untraced call fills what a run computes once, so the count
+    does not depend on which tests ran before.
+    """
+    source = os.path.dirname(api.__file__) + os.sep
+    work = [0, 0]
+
+    def local(_frame, event, _arg):
+        if event == "opcode":
+            work[0] += 1
+        return local
+
+    def count(frame, _event, _arg):
+        if not frame.f_code.co_filename.startswith(source):
+            return None
+        work[1] += 1
+        frame.f_trace_opcodes = True
+        return local
+
+    execute()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()  # a collection's callbacks would land in the count
+    sys.settrace(count)
+    try:
+        result = execute()
+    finally:
+        sys.settrace(None)
+        if enabled:
+            gc.enable()
+    return (work[0], work[1]), result
+
+
+class TestExecutionWork:
+    """An exact gate on each engine's execution work, where a wall-time ratio is noise.
+
+    It fails on any change in the Python work of a run on a pinned
+    interpreter: a slower staged backend shows as a rise in the compiled
+    engine's opcodes without timing it.
+    """
+
+    @pytest.mark.parametrize(
+        "name, term",
+        [("bool_flip_tower(12)", bool_flip_tower(12)), ("church_sum(48)", church_sum(48))],
+        ids=["bool_flip_tower(12)", "church_sum(48)"],
+    )
+    def test_execution_work_is_pinned(self, name, term):
+        with api.Session().activate():
+            program = _compile_closed(term)
+            compiled = compile_program(program)
+        machine_work, (machine_value, machine_stats) = _execution_work(lambda: run(program))
+        compiled_work, (value, stats) = _execution_work(compiled.execute)
+        assert value == machine_value
+        assert stats == machine_stats
+        pinned = EXECUTION_WORK.get(sys.version_info[:2])
+        if pinned is not None:
+            assert machine_work == pinned[name, "machine"]
+            assert compiled_work == pinned[name, "compiled"]
 
 
 class TestRunMemo:

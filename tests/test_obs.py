@@ -163,6 +163,75 @@ class TestProfilerOffByteIdentity:
         assert baseline == with_obs
 
 
+_OPCODES_SCRIPT = """
+import gc, json, sys
+from benchmarks.workloads import bool_flip_tower
+from repro import api, cc
+from repro.backend import compile_program
+from repro.closconv import compile_term
+from repro.machine import hoist, run
+
+assert "repro.obs" not in sys.modules, "obs leaked into the default pipeline"
+with api.Session().activate():
+    program = hoist(compile_term(cc.Context.empty(), bool_flip_tower(10), verify=False).target)
+    compiled = compile_program(program)
+
+def opcodes(execute):
+    count = [0]
+    def local(_frame, event, _arg):
+        if event == "opcode":
+            count[0] += 1
+        return local
+    def trace(frame, _event, _arg):
+        frame.f_trace_opcodes = True
+        return local
+    execute()
+    gc.collect()
+    gc.disable()
+    sys.settrace(trace)
+    try:
+        execute()
+    finally:
+        sys.settrace(None)
+        gc.enable()
+    return count[0]
+
+def work():
+    return [opcodes(lambda: run(program)), opcodes(compiled.execute)]
+
+before = work()
+import repro.obs as obs
+with obs.activate() as profile:
+    assert obs.active() is profile
+assert obs.active() is None
+assert sys.gettrace() is None and sys.getprofile() is None
+print(json.dumps({"before": before, "after": work()}))
+"""
+
+
+class TestProfilerOffWork:
+    def test_importing_obs_adds_no_execution_work(self):
+        # The hook is a slot check: with the profiler off, a machine run and
+        # a compiled run execute the same opcodes, in every frame, before
+        # repro.obs is ever imported and after an activate/deactivate round
+        # trip.  A fresh interpreter, since this suite imports repro.obs.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src"), root, env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _OPCODES_SCRIPT],
+            capture_output=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        work = json.loads(proc.stdout)
+        assert work["before"] == work["after"]
+        assert min(work["before"]) > 0
+
+
 # --------------------------------------------------------------------------
 # 3. PoolStats drift audit
 # --------------------------------------------------------------------------
