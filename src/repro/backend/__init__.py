@@ -7,8 +7,8 @@ serialized as content-addressed artifacts cached in the persistent tier
 and shared across pool workers (:mod:`repro.backend.artifact`), and run
 reporting the abstract machine's own
 :class:`~repro.machine.machine.MachineStats`.  ``machine/machine.py``
-stays verbatim as the differential oracle; the differential compares
-values, error documents, *and* counters.
+stays an independent interpreter, the differential oracle; the
+differential compares values, error documents, *and* counters.
 """
 
 from repro.backend.artifact import (

@@ -18,8 +18,9 @@ translation — the first-Futamura-projection trick of partially evaluating
   is the run's flat counter list, reported as a
   :class:`~repro.machine.machine.MachineStats` when the run completes.
 
-The machine stays in the repo **verbatim** as the differential oracle:
-compiled runs must produce the same values (machine value classes are
+The machine stays in the repo as the differential oracle, an independent
+tree-walking interpreter that shares none of this staging: compiled runs
+must produce the same values (machine value classes are
 reused, so equality is structural), raise byte-identical
 :class:`MachineError` documents, and — per Accattoli et al.'s cost model —
 report the *same* step/allocation counters, not merely the same complexity
@@ -149,7 +150,7 @@ def _make_apply(table: dict[str, BlockFn]) -> Callable[[Value, Value, list], Val
 
     def apply_value(fn_value: Value, arg_value: Value, c: list) -> Value:
         c[0] += 1  # apply: the β transition step
-        c[4] += 1  # lookup_code
+        c[4] += 1  # code_lookups
         # Only MClo carries ``.code``; the attribute chain doubles as the
         # closure check, and the dict hit as the label check.  A failing
         # run never reports counters, so the eager increments are
@@ -272,7 +273,7 @@ def _stage(
 
         def app(rt: tuple, c: list, _fn=fn_f, _arg=arg_f, _table=table) -> Value:
             c[0] += 2  # loop-top step for the App node + the β transition
-            c[4] += 1  # lookup_code
+            c[4] += 1  # code_lookups
             fn_value = _fn(rt, c)
             arg_value = _arg(rt, c)
             # Only MClo carries ``.code``; the attribute chain doubles as
@@ -425,7 +426,7 @@ def _stage_block(
 ) -> BlockFn:
     """Translate one code block into ``block(env_value, arg_value, c)``.
 
-    The activation-record bookkeeping of ``_Machine._frame`` lives in the
+    The activation-record bookkeeping of ``_Machine._enter`` lives in the
     block prologue: its width is static (the paper's guarantee that a
     record is exactly ⟨environment, argument⟩), so the allocation counter
     and the width high-water mark cost two list operations per entry.
@@ -510,7 +511,7 @@ def _counted_block(label: str, block: BlockFn, counts: dict[str, int]) -> BlockF
     The counter dict is captured in the closure, so instrumented programs
     are staged fresh per profiled run and never enter the artifact caches;
     the wrapper fires once per block entry — the exact sites where the
-    machine's ``lookup_code`` counts, so per-label totals agree with the
+    machine's ``_enter`` counts, so per-label totals agree with the
     oracle and sum to ``code_lookups``.
     """
 

@@ -16,10 +16,26 @@ arguments, but never eliminated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 from repro import cccc
+from repro.cccc import (
+    App,
+    BoolLit,
+    Clo,
+    CodeLam,
+    Fst,
+    If,
+    Let,
+    NatElim,
+    Pair,
+    Snd,
+    Succ,
+    UnitVal,
+    Var,
+    Zero,
+)
 from repro.common import deep
 from repro.common.errors import ReproError
 from repro.machine.hoist import Program
@@ -60,7 +76,7 @@ class MachineStats:
     tuple_allocs: int = 0  # pairs / environment-tuple cells built
     projections: int = 0  # fst/snd dereferences
     code_lookups: int = 0  # static code-table fetches
-    max_frame_size: int = 0  # largest activation record (should stay ≤ 2 + table)
+    max_frame_size: int = 0  # widest environment entered: max_env_size once one was built
     env_allocs: int = 0  # environment dicts built (activation records + lets)
     max_env_size: int = 0  # widest environment ever built
 
@@ -136,126 +152,128 @@ _TYPE_NODES = (
 
 @dataclass
 class _Machine:
-    program: Program
+    code_table: dict[str, cccc.CodeLam]
     stats: MachineStats
-    code_values: dict[str, MCode] = field(default_factory=dict)
     label_counts: dict[str, int] | None = None
-
-    def lookup_code(self, label: str) -> cccc.CodeLam:
-        self.stats.code_lookups += 1
-        counts = self.label_counts
-        if counts is not None:
-            counts[label] = counts.get(label, 0) + 1
-        code = self.program.code_table.get(label)
-        if code is None:
-            raise MachineError(f"unknown code label {label!r}")
-        return code
 
     def eval(self, term: cccc.Term, env: dict[str, Value]) -> Value:
         # Tail positions (let/if bodies, β-entry) iterate instead of
         # recursing, so call depth tracks term depth, not reduction length;
         # genuinely deep *terms* are covered by the deep-stack runner in `run`.
+        # One identity test on the node's class (a module global) per case,
+        # in order of traffic: variables, applications, projections and
+        # successors are nearly every step of a run.
+        stats = self.stats
         while True:
-            self.stats.steps += 1
-            self.stats.max_frame_size = max(self.stats.max_frame_size, len(env))
-            match term:
-                case cccc.Var(name):
-                    if name in env:
-                        return env[name]
-                    if name in self.program.code_table:
-                        return MCode(name)
-                    raise MachineError(f"unbound variable at runtime: {name!r}")
-                case cccc.Clo(code, env_expr):
-                    code_value = self.eval(code, env)
-                    if not isinstance(code_value, MCode):
-                        raise MachineError("closure over a non-code value")
-                    env_value = self.eval(env_expr, env)
-                    self.stats.closure_allocs += 1
-                    return MClo(code_value, env_value)
-                case cccc.App(fn, arg):
-                    fn_value = self.eval(fn, env)
-                    arg_value = self.eval(arg, env)
-                    if not isinstance(fn_value, MClo):
-                        raise MachineError(f"application of non-closure {fn_value!r}")
-                    self.stats.steps += 1
-                    code = self.lookup_code(fn_value.code.label)
-                    env = self._frame(code, fn_value.env, arg_value)
-                    term = code.body
-                    continue
-                case cccc.Let(name, bound, _annot, body):
-                    bound_value = self.eval(bound, env)
-                    inner = dict(env)
-                    inner[name] = bound_value
-                    self.stats.env_allocs += 1
-                    self.stats.max_env_size = max(self.stats.max_env_size, len(inner))
-                    term, env = body, inner
-                    continue
-                case cccc.Pair(fst_val, snd_val, _annot):
-                    self.stats.tuple_allocs += 1
-                    return MPair(self.eval(fst_val, env), self.eval(snd_val, env))
-                case cccc.Fst(pair):
-                    self.stats.projections += 1
-                    value = self.eval(pair, env)
-                    if not isinstance(value, MPair):
-                        raise MachineError("fst of a non-pair")
-                    return value.first
-                case cccc.Snd(pair):
-                    self.stats.projections += 1
-                    value = self.eval(pair, env)
-                    if not isinstance(value, MPair):
-                        raise MachineError("snd of a non-pair")
-                    return value.second
-                case cccc.UnitVal():
-                    return MUnit()
-                case cccc.BoolLit(value):
-                    return MBool(value)
-                case cccc.If(cond, then_branch, else_branch):
-                    cond_value = self.eval(cond, env)
-                    if not isinstance(cond_value, MBool):
-                        raise MachineError("if on a non-boolean")
-                    term = then_branch if cond_value.value else else_branch
-                    continue
-                case cccc.Zero():
-                    return MNat(0)
-                case cccc.Succ(pred):
-                    value = self.eval(pred, env)
-                    if not isinstance(value, MNat):
-                        raise MachineError("succ of a non-number")
-                    return MNat(value.value + 1)
-                case cccc.NatElim(_motive, base, step, target):
-                    target_value = self.eval(target, env)
-                    if not isinstance(target_value, MNat):
-                        raise MachineError("natelim of a non-number")
-                    accumulator = self.eval(base, env)
-                    step_value = self.eval(step, env)
-                    for index in range(target_value.value):
-                        partial = self.apply(step_value, MNat(index))
-                        accumulator = self.apply(partial, accumulator)
-                    return accumulator
-                case cccc.CodeLam():
-                    raise MachineError("un-hoisted code literal reached the machine")
-                case _ if isinstance(term, _TYPE_NODES):
-                    return MType(type(term).__name__)
-                case _:
-                    raise MachineError(f"cannot evaluate {term!r}")
+            stats.steps += 1
+            kind = term.__class__
+            if kind is Var:
+                value = env.get(term.name)
+                if value is not None:  # no machine value is None
+                    return value
+                if term.name in self.code_table:
+                    return MCode(term.name)
+                raise MachineError(f"unbound variable at runtime: {term.name!r}")
+            if kind is App:
+                fn_value = self.eval(term.fn, env)
+                arg_value = self.eval(term.arg, env)
+                if fn_value.__class__ is not MClo:
+                    raise MachineError(f"application of non-closure {fn_value!r}")
+                stats.steps += 1
+                term, env = self._enter(fn_value, arg_value)
+                continue
+            if kind is Fst:
+                stats.projections += 1
+                value = self.eval(term.pair, env)
+                if value.__class__ is not MPair:
+                    raise MachineError("fst of a non-pair")
+                return value.first
+            if kind is Succ:
+                value = self.eval(term.pred, env)
+                if value.__class__ is not MNat:
+                    raise MachineError("succ of a non-number")
+                return MNat(value.value + 1)
+            if kind is UnitVal:
+                return MUnit()
+            if kind is Clo:
+                code_value = self.eval(term.code, env)
+                if code_value.__class__ is not MCode:
+                    raise MachineError("closure over a non-code value")
+                env_value = self.eval(term.env, env)
+                stats.closure_allocs += 1
+                return MClo(code_value, env_value)
+            if kind is Let:
+                bound_value = self.eval(term.bound, env)
+                env = dict(env)
+                env[term.name] = bound_value
+                stats.env_allocs += 1
+                if len(env) > stats.max_env_size:
+                    stats.max_env_size = stats.max_frame_size = len(env)
+                term = term.body
+                continue
+            if kind is Pair:
+                stats.tuple_allocs += 1
+                return MPair(self.eval(term.fst_val, env), self.eval(term.snd_val, env))
+            if kind is Snd:
+                stats.projections += 1
+                value = self.eval(term.pair, env)
+                if value.__class__ is not MPair:
+                    raise MachineError("snd of a non-pair")
+                return value.second
+            if kind is BoolLit:
+                return MBool(term.value)
+            if kind is If:
+                cond_value = self.eval(term.cond, env)
+                if cond_value.__class__ is not MBool:
+                    raise MachineError("if on a non-boolean")
+                term = term.then_branch if cond_value.value else term.else_branch
+                continue
+            if kind is Zero:
+                return MNat(0)
+            if kind is NatElim:
+                target_value = self.eval(term.target, env)
+                if target_value.__class__ is not MNat:
+                    raise MachineError("natelim of a non-number")
+                accumulator = self.eval(term.base, env)
+                step_value = self.eval(term.step, env)
+                for index in range(target_value.value):
+                    partial = self.apply(step_value, MNat(index))
+                    accumulator = self.apply(partial, accumulator)
+                return accumulator
+            if kind is CodeLam:
+                raise MachineError("un-hoisted code literal reached the machine")
+            if kind in _TYPE_NODES:
+                return MType(kind.__name__)
+            raise MachineError(f"cannot evaluate {term!r}")
 
-    def _frame(self, code: cccc.CodeLam, env_value: Value, arg_value: Value) -> dict[str, Value]:
+    def _enter(self, closure: MClo, arg_value: Value) -> tuple[cccc.Term, dict[str, Value]]:
+        """β-entry: fetch the closure's code from the static table and
+        build its activation record, returning (code body, record)."""
+        stats = self.stats
+        stats.code_lookups += 1
+        label = closure.code.label
+        counts = self.label_counts
+        if counts is not None:
+            counts[label] = counts.get(label, 0) + 1
+        code = self.code_table.get(label)
+        if code is None:
+            raise MachineError(f"unknown code label {label!r}")
         # The paper's closedness guarantee, realized: the activation
         # record is exactly {environment, argument}.
         frame: dict[str, Value] = {
-            code.env_name: env_value,
+            code.env_name: closure.env,
             code.arg_name: arg_value,
         }
-        self.stats.env_allocs += 1
-        self.stats.max_env_size = max(self.stats.max_env_size, len(frame))
-        return frame
+        stats.env_allocs += 1
+        if len(frame) > stats.max_env_size:
+            stats.max_env_size = stats.max_frame_size = len(frame)
+        return code.body, frame
 
     def apply(self, fn_value: Value, arg_value: Value) -> Value:
         self.stats.steps += 1
-        if not isinstance(fn_value, MClo):
+        if fn_value.__class__ is not MClo:
             raise MachineError(f"application of non-closure {fn_value!r}")
-        code = self.lookup_code(fn_value.code.label)
-        return self.eval(code.body, self._frame(code, fn_value.env, arg_value))
+        return self.eval(*self._enter(fn_value, arg_value))
 
 
 def run(
@@ -270,13 +288,13 @@ def run(
     counts into ``stats`` and ``label_counts`` as one run.
 
     ``label_counts`` (profiling mode) receives per-code-label β-entry
-    counts — one increment per ``lookup_code``, so the counts sum to
+    counts — one increment per code-table fetch, so the counts sum to
     ``stats.code_lookups`` exactly.  When None (the default) the hot loop
     pays a single attribute check per β and nothing else.
     """
     if stats is None:
         stats = MachineStats()
-    machine = _Machine(program, stats, label_counts=label_counts)
+    machine = _Machine(program.code_table, stats, label_counts)
     return deep.call(
         lambda: (machine.eval(program.main, {}), stats),
         lambda: program.size,

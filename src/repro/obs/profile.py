@@ -9,7 +9,7 @@ A :class:`Profile` attributes cost to *source spans* at two granularities:
   carry (``check_steps``, ``verify_steps``, ``steps``, ``machine_steps``)
   and reconcile with them exactly — that equality is the acceptance gate.
 - **Hoisted code labels**: when a profile is active, the machine counts
-  β-entries per code label at its two ``lookup_code`` sites, and the
+  β-entries per code label at its one β-entry, ``_enter``, and the
   compiled backend stages a freshly *instrumented* program whose block
   closures are wrapped with the same per-label counter.  The compiled
   backend's ``app_known`` fast path captures blocks at stage time, so

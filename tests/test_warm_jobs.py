@@ -258,8 +258,8 @@ WARM_CALLS = {
         "compile_py/w2": 2011,
         "normalize/w1": 582,
         "normalize/w2": 182,
-        "run/w1": 1393,
-        "run/w2": 3025,
+        "run/w1": 1224,
+        "run/w2": 2608,
     },
 }
 
